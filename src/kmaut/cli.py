@@ -154,7 +154,7 @@ def cmd_realform(args):
                 "conductor %d, window %d, bracket closed: %s\n"
                 "coefficient dims: %s"
                 % (repr(pair[0]), repr(pair[1]), algebra.label(), basis.l,
-                   basis.window, basis.closed_under_bracket(), dims))
+                   basis.window, payload["bracket_closed"], dims))
 
     _emit(args, payload, text_fn=text_fn, latex_fn=latex_fn)
     return 0

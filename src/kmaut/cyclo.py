@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import kernel
 from .errors import (
@@ -24,10 +24,6 @@ from .errors import (
 )
 
 MAX_CONDUCTOR = 10**6
-
-
-def _lcm(a, b):
-    return a // gcd(a, b) * b
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ class CycloScalar:
             raise ConductorOverflow("value does not lie in Q(zeta_%d)" % M)
         den = 1
         for s in sol:
-            den = _lcm(den, s.denominator)
+            den = lcm(den, s.denominator)
         return CycloScalar(M, tuple(int(s * den) for s in sol), den)
 
     def min_conductor(self):
@@ -292,7 +288,7 @@ class CycloScalar:
         if other is None:
             return NotImplemented
         a, b = _common(self, other)
-        den = _lcm(a.den, b.den)
+        den = lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
         nums = tuple(x * fa + y * fb for x, y in zip(a.nums, b.nums))
         return CycloScalar(a.N, nums, den)
@@ -371,7 +367,7 @@ class CycloScalar:
         inv += [Fraction(0)] * (ctx.phi - len(inv))
         den = 1
         for x in inv:
-            den = _lcm(den, x.denominator)
+            den = lcm(den, x.denominator)
         return CycloScalar(self.N, tuple(int(x * den) for x in inv[:ctx.phi]), den)
 
     def conj(self):
@@ -392,7 +388,7 @@ class CycloScalar:
         coeffs = [Fraction(s) for s in obj["coeffs"]]
         den = 1
         for c in coeffs:
-            den = _lcm(den, c.denominator)
+            den = lcm(den, c.denominator)
         return CycloScalar(N, tuple(int(c * den) for c in coeffs), den)
 
     def __repr__(self):
@@ -417,7 +413,7 @@ def _coerce(x):
 def _common(a, b):
     if a.N == b.N:
         return a, b
-    M = _lcm(a.N, b.N)
+    M = lcm(a.N, b.N)
     if M > MAX_CONDUCTOR:
         raise ConductorOverflow("conductor %d exceeds cap" % M)
     return a.promote(M), b.promote(M)
@@ -561,13 +557,13 @@ class CycloMatrix:
         for row in scal:
             assert len(row) == n
             for x in row:
-                N = _lcm(N, x.N)
+                N = lcm(N, x.N)
         if N > MAX_CONDUCTOR:
             raise ConductorOverflow("conductor %d exceeds cap" % N)
         den = 1
         for row in scal:
             for x in row:
-                den = _lcm(den, x.den)
+                den = lcm(den, x.den)
         rows = []
         for row in scal:
             out = []
@@ -599,9 +595,9 @@ class CycloMatrix:
         scal = [_coerce(v) for v in values]
         M = 1
         for s in scal:
-            M = _lcm(M, s.N)
+            M = lcm(M, s.N)
         if N is not None:
-            M = _lcm(M, N)
+            M = lcm(M, N)
         n = len(scal)
         out = CycloMatrix.zeros(n, M)
         entries = [[out.entry(i, j) for j in range(n)] for i in range(n)]
@@ -650,7 +646,7 @@ class CycloMatrix:
             return NotImplemented
         if self.n != other.n:
             return False
-        M = _lcm(self.N, other.N)
+        M = lcm(self.N, other.N)
         a, b = self.promote(M), other.promote(M)
         return a.den == b.den and a.rows == b.rows
 
@@ -661,7 +657,7 @@ class CycloMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def _pair(self, other):
-        M = _lcm(self.N, other.N)
+        M = lcm(self.N, other.N)
         if M > MAX_CONDUCTOR:
             raise ConductorOverflow("conductor %d exceeds cap" % M)
         return self.promote(M), other.promote(M)
@@ -692,7 +688,7 @@ class CycloMatrix:
     def __add__(self, other):
         assert isinstance(other, CycloMatrix) and self.n == other.n
         a, b = self._pair(other)
-        den = _lcm(a.den, b.den)
+        den = lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
         rows = tuple(tuple(tuple(x * fa + y * fb for x, y in zip(va, vb))
                            for va, vb in zip(ra, rb))

@@ -1,4 +1,5 @@
-"""Generic exact linear algebra over CycloScalar coordinate vectors."""
+"""Generic exact linear algebra: dense CycloScalar routines, and `Span`, an
+incremental echelon form over any exact field."""
 
 from .cyclo import CycloScalar
 
@@ -86,3 +87,70 @@ def nullspace(rows, ncols):
             vec[c] = -work[i][f]
         basis.append(vec)
     return basis
+
+
+def _sub_scaled(dst, f, src):
+    """dst -= f * src on sparse {column: value} rows, dropping zeros."""
+    for j, x in src.items():
+        y = dst[j] - f * x if j in dst else -(f * x)
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
+class Span:
+    """Incremental row space of exact vectors, kept in reduced row echelon form.
+
+    Works over any exact field whose elements support +, -, *, / and test
+    false exactly when zero (Fraction, CycloScalar).  Rows are sparse
+    {column: value} dicts keyed by their pivot column; each has a 1 at its
+    pivot and a 0 at every other pivot.  A vector's entries at the pivots
+    are therefore its coordinates, so reducing it is one pass of O(rank x
+    width), and the stored form is unique for a given row space.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, vectors=()):
+        self._rows = {}
+        for v in vectors:
+            self.add(v)
+
+    def _residue(self, v):
+        r = {j: x for j, x in enumerate(v) if x}
+        for c in [c for c in r if c in self._rows]:
+            _sub_scaled(r, r[c], self._rows[c])
+        return r
+
+    def contains(self, v):
+        return not self._residue(v)
+
+    def add(self, v):
+        """Extend the span by v; returns whether v was independent of it."""
+        r = self._residue(v)
+        if not r:
+            return False
+        p = min(r)
+        lead = r[p]
+        r = {j: x / lead for j, x in r.items()}
+        for row in self._rows.values():
+            if p in row:
+                _sub_scaled(row, row[p], r)
+        self._rows[p] = r
+        return True
+
+    def nullspace(self, ncols, zero, one):
+        """Basis of the vectors x of length ncols with row . x = 0 for every
+        row, one per free column in increasing order."""
+        out = []
+        for f in range(ncols):
+            if f in self._rows:
+                continue
+            vec = [zero] * ncols
+            vec[f] = one
+            for c, row in self._rows.items():
+                if f in row:
+                    vec[c] = -row[f]
+            out.append(vec)
+        return out

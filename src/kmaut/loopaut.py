@@ -14,7 +14,7 @@ as exact joint-eigenvalue certificates otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import (
     SemisimpleElement,
@@ -136,11 +136,10 @@ class StandardLoopAutomorphism:
         lden = lu
         for r1, _ in self.X.projectors():
             for r2, _ in self.X.projectors():
-                lden = lden * Fraction(r1 - r2).denominator // gcd(
-                    lden, Fraction(r1 - r2).denominator)
+                lden = lcm(lden, Fraction(r1 - r2).denominator)
         lnew = lden
         tgt = self.target_twist()
-        lnew = _lcm(lnew, tgt.order(bound=256))
+        lnew = lcm(lnew, tgt.order(bound=256))
         out = {}
         projs = self.X.projectors()
         for n, M in u.coeffs.items():
@@ -226,7 +225,7 @@ class StandardLoopAutomorphism:
         r = self.scale ** self.l
         rn = Fraction(1) / (r ** self.epsilon)
         tgt = self.target_twist()
-        ltgt = _lcm(self.l, tgt.order(bound=256))
+        ltgt = lcm(self.l, tgt.order(bound=256))
         sn = _nth_root(rn, ltgt)
         if sn is None:
             raise ScalingNotRational("inverse scale is irrational")
@@ -293,10 +292,6 @@ class StandardLoopAutomorphism:
                                         Fraction(obj.get("scale", "1")))
 
 
-def _lcm(a, b):
-    return a // gcd(a, b) * b
-
-
 def _rat_pow(r, e):
     """r^e for rational r > 0 and rational e, exact or None."""
     e = Fraction(e)
@@ -336,7 +331,7 @@ def conjugate_exp(phi, Y):
     newX = combine_semisimple([Y, phi.X, phiY.scaled(-phi.epsilon)])
     shift = Automorphism(phi.algebra, phiY.exp_2pi(-phi.t0))
     tw = Automorphism(phi.algebra, Y.exp_2pi(1)).compose(phi.twist)
-    lnew = _lcm(phi.l, tw.order(bound=256))
+    lnew = lcm(phi.l, tw.order(bound=256))
     return StandardLoopAutomorphism(tw, lnew, phi.epsilon, phi.t0, newX,
                                     shift.compose(phi.phi0), phi.scale)
 
@@ -681,10 +676,10 @@ class AffineExtension:
         self.phi = phi
         tgt = phi.target_twist()
         self._tw = tgt
-        l = _lcm(phi.l, tgt.order(bound=256))
+        l = lcm(phi.l, tgt.order(bound=256))
         for r1, _ in phi.X.projectors():
             for r2, _ in phi.X.projectors():
-                l = _lcm(l, Fraction(r1 - r2).denominator)
+                l = lcm(l, Fraction(r1 - r2).denominator)
         self._l = l
         x = phi.X
         self.x_loop = LoopElement(phi.algebra, tgt, self._l,
@@ -697,7 +692,7 @@ class AffineExtension:
         u = elt.loop
         if not u.is_zero():
             phiu = self.phi.apply(u)
-            L = _lcm(phiu.l, self._l)
+            L = lcm(phiu.l, self._l)
             phiu = phiu.re_conductor(L)
             xl = self.x_loop.re_conductor(L)
         else:

@@ -11,7 +11,7 @@ defining reality constraints, one Fourier slot at a time.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .algebra import make_algebra, sigma_eigenspace
 from .autg import (
@@ -30,6 +30,7 @@ from .errors import (
     StaticOnlyAlgebra,
     UnsupportedOrder,
 )
+from .linalg import Span
 from .loop import (
     AffineElement,
     LoopElement,
@@ -45,10 +46,6 @@ from .loopaut import (
 )
 from .pi0 import ComponentClass, component_signature, pi0_row
 from .tables import enumerate_first_kind, enumerate_second_kind
-
-
-def _lcm(a, b):
-    return a // gcd(a, b) * b
 
 
 # ---------------------------------------------------------------------------
@@ -270,38 +267,6 @@ def check_extension_bijection(algebra, k):
 # real form bases (exact rational kernels of the reality constraints)
 # ---------------------------------------------------------------------------
 
-def _q_nullspace(rows):
-    """Rational nullspace; rows are lists of Fractions."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        piv.append(c)
-        r += 1
-    pivset = set(piv)
-    out = []
-    for fcol in [c for c in range(ncols) if c not in pivset]:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
-        for i, c in enumerate(piv):
-            v[c] = -work[i][fcol]
-        out.append(v)
-    return out
-
-
 class _QSlot:
     """Q-linear coordinates for the matrix coefficient space of an algebra
     over a fixed cyclotomic field."""
@@ -314,7 +279,7 @@ class _QSlot:
 
     def flatten(self, mat):
         mat = mat.promote(self.M) if self.M % mat.N == 0 else mat.promote(
-            _lcm(self.M, mat.N))
+            lcm(self.M, mat.N))
         assert mat.N == self.M, "conductor escaped the ambient field"
         out = []
         for i in range(self.algebra.size):
@@ -328,8 +293,8 @@ class _QSlot:
 
 
 def _slot_field(algebra, twist_order, extra=4):
-    M = _lcm(extra, 2 * twist_order)
-    return _lcm(M, 4)
+    M = lcm(extra, 2 * twist_order)
+    return lcm(M, 4)
 
 
 def _algebra_units(algebra, M):
@@ -378,7 +343,7 @@ def real_form_basis(algebra, pair, N=None):
             rows.append(slot.flatten(img1) + slot.flatten(img2))
         cols = [[rows[j][i] for j in range(len(units))]
                 for i in range(len(rows[0]))]
-        kern = _q_nullspace(cols)
+        kern = Span(cols).nullspace(len(units), Fraction(0), Fraction(1))
         vecs = []
         for v in kern:
             acc = CycloMatrix.zeros(algebra.size, M)
@@ -424,21 +389,22 @@ class RealFormBasis:
         rational combinations of the basis."""
         slotM = _slot_field(self.algebra, self.l)
         slot = _QSlot(self.algebra, slotM)
-        index = {}
-        vectors = []
-        for b in self.basis:
-            vectors.append(_affine_qvec(b, slot, self.window, self.l))
-        for x in self.basis:
-            for y in self.basis:
-                z = affine_bracket(x, y)
-                if z.is_zero():
-                    continue
-                if any(abs(n) > self.window for n in z.loop.support()):
-                    continue
-                target = _affine_qvec(z, slot, self.window, self.l)
-                if not _in_q_span(vectors, target):
-                    return False
-        return True
+        span = Span(_affine_qvec(b, slot, self.window, self.l)
+                    for b in self.basis)
+        return _brackets_in(self.basis, self.basis, span, slot, self.window,
+                            self.l)
+
+
+def _brackets_in(xs, ys, span, slot, N, l):
+    """Whether every bracket [x, y] supported in the window lies in span."""
+    for x in xs:
+        for y in ys:
+            z = affine_bracket(x, y)
+            if z.is_zero() or any(abs(n) > N for n in z.loop.support()):
+                continue
+            if not span.contains(_affine_qvec(z, slot, N, l)):
+                return False
+    return True
 
 
 def _affine_qvec(elt, slot, N, l):
@@ -450,38 +416,9 @@ def _affine_qvec(elt, slot, N, l):
         else:
             out.extend(slot.flatten(M))
     for s in (elt.c, elt.d):
-        sc = s.promote(_lcm(slot.M, s.N)) if slot.M % s.N == 0 else s
-        assert sc.N == slot.M or sc.is_zero() or slot.M % sc.N == 0
         sc = s.promote(slot.M)
         out.extend(Fraction(c, sc.den) for c in sc.nums)
     return out
-
-
-def _in_q_span(vectors, target):
-    if not vectors:
-        return all(x == 0 for x in target)
-    rows = [list(v) for v in vectors] + [list(target)]
-    # target in span iff rank unchanged
-    def rank(rs):
-        if not rs:
-            return 0
-        work = [r[:] for r in rs]
-        r = 0
-        ncols = len(work[0])
-        for c in range(ncols):
-            p = next((i for i in range(r, len(work)) if work[i][c]), None)
-            if p is None:
-                continue
-            work[r], work[p] = work[p], work[r]
-            inv = 1 / work[r][c]
-            work[r] = [x * inv for x in work[r]]
-            for i in range(len(work)):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-            r += 1
-        return r
-    return rank(rows) == rank(rows[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +450,7 @@ def compact_window_basis(algebra, twist, l, N):
         rows.append(slot.flatten(om(u) - u))
     cols = [[rows[j][idx] for j in range(len(units))]
             for idx in range(len(rows[0]))]
-    for v in _q_nullspace(cols):
+    for v in Span(cols).nullspace(len(units), Fraction(0), Fraction(1)):
         acc = CycloMatrix.zeros(algebra.size, M0)
         for coeff, u in zip(v, units):
             if coeff:
@@ -527,114 +464,61 @@ def cartan_decomposition(phi, N=None):
     """Exact +-1 eigenbasis split of an involution on the compact window,
     plus the noncompact form basis K + iP.
 
+    The involution must map the compact window onto itself: its curve is
+    constant, and its twist and constant part commute with the compact
+    conjugation; otherwise NotCompactMode is raised before any work.
+
     Returns a dict with K, P, noncompact (lists of AffineElement) and the
     window bracket-closure verdicts."""
-    if phi.algebra.mode != "compact":
+    algebra = phi.algebra
+    if algebra.mode != "compact":
         raise NotCompactMode("cartan decompositions live on the compact form")
+    om = omega_automorphism(algebra)
+    if any(a.compose(om) != om.compose(a) for a in (phi.twist, phi.phi0)):
+        raise NotCompactMode("twist and constant part must commute with the "
+                             "compact conjugation")
+    if not phi.X.matrix.is_zero():
+        raise NotCompactMode("a nonconstant curve moves degrees out of the "
+                             "window")
     if phi.order(bound=8) not in (1, 2):
         raise NotInvolution("input is not an involution")
-    algebra = phi.algebra
     tw = phi.twist
     l = phi.l
     if N is None:
         N = 2 * l + 4
+    # constant curve and target twist tw: images stay at conductor l
     ext = affine_extend(phi)
-    loops = compact_window_basis(algebra, tw, l, N)
-    M = _slot_field(algebra, _lcm(l, ext._l))
-    slot = _QSlot(algebra, M)
-    window = N
-    vecs = []
-    elts = [AffineElement(b) for b in loops]
-    elts.append(AffineElement(LoopElement.zero(algebra, tw, l), c=1))
-    elts.append(AffineElement(LoopElement.zero(algebra, tw, l), d=1))
-    imgs = []
-    for e in elts:
-        img = ext.apply(e)
-        img_loop = img.loop.re_conductor(_lcm(img.loop.l, l)) \
-            if img.loop.l != l and _lcm(img.loop.l, l) == img.loop.l else img.loop
-        imgs.append(AffineElement(img_loop, img.c, img.d))
-    qvecs = [ _affine_qvec(e, slot, window, l) for e in elts]
-    qimgs = [_affine_qvec(e, slot, window, l) for e in imgs]
-    # coordinates of images in the basis span
-    K, P = [], []
-    for e, ve, vi in zip(elts, qvecs, qimgs):
-        plus = [a + b for a, b in zip(ve, vi)]
-        minus = [a - b for a, b in zip(ve, vi)]
-        # e + phi(e) in K, e - phi(e) in P; collect and reduce later
-        K.append((plus, e))
-        P.append((minus, e))
+    slot = _QSlot(algebra, _slot_field(algebra, l))
+    zero = LoopElement.zero(algebra, tw, l)
+    elts = [AffineElement(b) for b in compact_window_basis(algebra, tw, l, N)]
+    elts += [AffineElement(zero, c=1), AffineElement(zero, d=1)]
+    imgs = [ext.apply(e) for e in elts]
+    half = Fraction(1, 2)
 
-    def reduce_side(side, sign):
-        vecs_done = []
+    def eigenbasis(sign):
+        """Independent (e + sign phi(e)) / 2 over the window basis."""
+        span = Span()
         out = []
-        for v, e in side:
-            if all(x == 0 for x in v):
-                continue
-            if _in_q_span(vecs_done, v):
-                continue
-            vecs_done.append(v)
-            img = ext.apply(e)
-            il = img.loop
-            if il.l != l:
-                il = il.re_conductor(_lcm(il.l, l))
-                base = e.loop.re_conductor(_lcm(il.l, l))
-            else:
-                base = e.loop
-            half = Fraction(1, 2)
-            combo_loop = (base + il * sign) * half
-            combo = AffineElement(combo_loop, (e.c + img.c * sign) * half,
+        for e, img in zip(elts, imgs):
+            combo = AffineElement((e.loop + img.loop * sign) * half,
+                                  (e.c + img.c * sign) * half,
                                   (e.d + img.d * sign) * half)
-            out.append(combo)
-        return out
+            if span.add(_affine_qvec(combo, slot, N, l)):
+                out.append(combo)
+        return out, span
 
-    Kb = reduce_side(K, 1)
-    Pb = reduce_side(P, -1)
+    Kb, kspan = eigenbasis(1)
+    Pb, pspan = eigenbasis(-1)
     i = root_of_unity(4, 1)
     noncompact = list(Kb) + [AffineElement(x.loop * i, x.c * i, x.d * i)
                              for x in Pb]
-    report = {"K": Kb, "P": Pb, "noncompact": noncompact,
-              "window": window}
-    report["inclusions"] = _check_kp_inclusions(Kb, Pb, slot, window, l)
-    return report
-
-
-def _check_kp_inclusions(Kb, Pb, slot, window, l):
-    kvecs = [_affine_qvec(e, slot, window, l) for e in Kb]
-    pvecs = [_affine_qvec(e, slot, window, l) for e in Pb]
-
-    def in_side(z, side_vecs):
-        if z.is_zero():
-            return True
-        if any(abs(n) > window for n in z.loop.support()):
-            return None
-        zl = z.loop
-        if zl.l != l:
-            if zl.l % l == 0 and all(n % (zl.l // l) == 0 for n in zl.coeffs):
-                zl = LoopElement(zl.algebra, zl.twist, l,
-                                 {n // (zl.l // l): m for n, m in zl.coeffs.items()},
-                                 validate=False)
-            else:
-                return None
-        zz = AffineElement(zl, z.c, z.d)
-        return _in_q_span(side_vecs, _affine_qvec(zz, slot, window, l))
-
-    checks = {"KK_in_K": True, "KP_in_P": True, "PP_in_K": True}
-    for x in Kb:
-        for y in Kb:
-            v = in_side(affine_bracket(x, y), kvecs)
-            if v is False:
-                checks["KK_in_K"] = False
-    for x in Kb:
-        for y in Pb:
-            v = in_side(affine_bracket(x, y), pvecs)
-            if v is False:
-                checks["KP_in_P"] = False
-    for x in Pb:
-        for y in Pb:
-            v = in_side(affine_bracket(x, y), kvecs)
-            if v is False:
-                checks["PP_in_K"] = False
-    return checks
+    inclusions = {
+        "KK_in_K": _brackets_in(Kb, Kb, kspan, slot, N, l),
+        "KP_in_P": _brackets_in(Kb, Pb, pspan, slot, N, l),
+        "PP_in_K": _brackets_in(Pb, Pb, kspan, slot, N, l),
+    }
+    return {"K": Kb, "P": Pb, "noncompact": noncompact, "window": N,
+            "inclusions": inclusions}
 
 
 # ---------------------------------------------------------------------------

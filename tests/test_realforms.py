@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from kmaut.realforms import (
     real_form_basis,
     sl2_catalogue,
 )
-from kmaut.tables import valid_ks
+from kmaut.tables import realize_entry, valid_ks
 
 
 def test_conj_linear_extension_order():
@@ -159,6 +160,44 @@ def test_cartan_needs_compact_mode():
         cartan_decomposition(one)
 
 
+def test_cartan_conjugated_involutions():
+    """Conjugates of the a1 table involutions: every inclusion holds, or
+    NotCompactMode comes before any work; never a report reading False."""
+    from kmaut.autg import Automorphism
+    from kmaut.cyclo import CycloMatrix
+    from kmaut.loopaut import conjugate_constant, conjugate_exp
+    from kmaut.selftest import antifixed_direction, random_inner_automorphism
+
+    su2 = make_algebra("a", 1, "compact")
+    rho0, rho1 = InvLabel(0), InvLabel(1)
+    # a non-unitary inner conjugation and a unitary one
+    g = random_inner_automorphism(su2, random.Random(0))
+    u = Automorphism(su2, CycloMatrix.from_scalars([[0, 1], [-1, 0]]))
+    for entry in [("1a", rho1, "id"), ("2", rho1, rho1), ("1a", rho1, "mu"),
+                  ("2", rho0, rho1)]:
+        phi = realize_entry(su2, entry)
+        rep = cartan_decomposition(conjugate_constant(phi, u), N=2)
+        assert all(rep["inclusions"].values()), entry
+        base = cartan_decomposition(phi, N=2)
+        assert (len(rep["K"]), len(rep["P"])) == (len(base["K"]),
+                                                   len(base["P"]))
+        with pytest.raises(NotCompactMode):
+            cartan_decomposition(conjugate_constant(phi, g), N=2)
+    # exponential twists: the first kind gets a nonconstant curve, which
+    # moves degrees out of the window; the second kind keeps a constant one
+    for entry in [("1a", rho1, "id"), ("1a", rho1, "mu"), ("2", rho1, rho1)]:
+        phi = realize_entry(su2, entry)
+        Y = antifixed_direction(phi.phi0, random.Random(1))
+        psi = conjugate_exp(phi, Y)
+        if entry[0] == "2":
+            rep = cartan_decomposition(psi, N=2)
+            assert all(rep["inclusions"].values())
+            assert len(rep["K"]) + len(rep["P"]) == 17
+        else:
+            with pytest.raises(NotCompactMode):
+                cartan_decomposition(psi, N=2)
+
+
 def test_cartan_uniqueness_surrogate():
     """Two involutions with equal invariants: the conjugator maps the K/P
     window spans onto each other."""
@@ -166,7 +205,8 @@ def test_cartan_uniqueness_surrogate():
     from kmaut.autg import Automorphism
     from kmaut.cyclo import CycloMatrix
     from kmaut.loopaut import conjugate_constant, invariant_first_kind
-    from kmaut.realforms import _QSlot, _affine_qvec, _in_q_span, _slot_field
+    from kmaut.linalg import Span
+    from kmaut.realforms import _QSlot, _affine_qvec, _slot_field
 
     su2 = make_algebra("a", 1, "compact")
     iden = identity_automorphism(su2)
@@ -180,8 +220,8 @@ def test_cartan_uniqueness_surrogate():
     rep1 = cartan_decomposition(phi1, N=N)
     rep2 = cartan_decomposition(phi2, N=N)
     slot = _QSlot(su2, _slot_field(su2, 1))
-    k2 = [_affine_qvec(e, slot, N, 1) for e in rep2["K"]]
-    p2 = [_affine_qvec(e, slot, N, 1) for e in rep2["P"]]
+    k2 = Span(_affine_qvec(e, slot, N, 1) for e in rep2["K"])
+    p2 = Span(_affine_qvec(e, slot, N, 1) for e in rep2["P"])
     from kmaut.loop import AffineElement, LoopElement
 
     def push(e):
@@ -191,9 +231,9 @@ def test_cartan_uniqueness_surrogate():
         return AffineElement(loop, e.c, e.d)
 
     for e in rep1["K"]:
-        assert _in_q_span(k2, _affine_qvec(push(e), slot, N, 1))
+        assert k2.contains(_affine_qvec(push(e), slot, N, 1))
     for e in rep1["P"]:
-        assert _in_q_span(p2, _affine_qvec(push(e), slot, N, 1))
+        assert p2.contains(_affine_qvec(push(e), slot, N, 1))
 
 
 def test_sl2_catalogue():
