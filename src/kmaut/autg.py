@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from math import lcm
 
 from . import linalg
 from .algebra import (
@@ -216,11 +217,16 @@ class Automorphism:
         assert self.algebra == other.algebra
         conj = self.conj ^ other.conj
         if self._G is not None and other._G is not None:
-            K = other._G
-            if self.conj:
-                K = K.conj_transpose().inverse()
-            if self._w:
-                K = K.transpose().inverse()
+            # K = other's G passed through omega^c then mu^w of self, using
+            # inv(K^T) = inv(K)^T and inv(K^*) = inv(K)^*
+            if self.conj and self._w:
+                K = other._G.conj()
+            elif self.conj:
+                K = other._ginv().conj_transpose()
+            elif self._w:
+                K = other._ginv().transpose()
+            else:
+                K = other._G
             return Automorphism(self.algebra, self._G * K,
                                 w=self._w + other._w, conj=conj)
         L1 = self.operator()
@@ -232,12 +238,19 @@ class Automorphism:
 
     def inverse(self):
         if self._G is not None:
-            K = self._ginv()
-            if self._w:
-                K = K.transpose().inverse()
-            if self.conj:
-                K = K.conj_transpose().inverse()
-            return Automorphism(self.algebra, K, w=self._w, conj=self.conj)
+            G = self._G
+            # Kinv: the inverse of K, where it comes for free
+            if self._w and self.conj:
+                K, Kinv = self._ginv().conj(), G.conj()
+            elif self._w:
+                K, Kinv = G.transpose(), None
+            elif self.conj:
+                K, Kinv = G.conj_transpose(), None
+            else:
+                K, Kinv = self._ginv(), G
+            out = Automorphism(self.algebra, K, w=self._w, conj=self.conj)
+            out._Ginv = Kinv
+            return out
         Li = self.operator().inverse()
         if self.conj:
             Li = Li.conj()
@@ -508,44 +521,24 @@ def _descend_to_group(algebra, op):
     """Recover G with Ad(G) == op (op a bracket automorphism with trivial
     outer part).  Solves G X = op(X) G over the defining representation."""
     n = algebra.size
-    basis = algebra.basis()
-    kern = None  # list of n*n coordinate vectors (CycloScalar)
-    zero = CycloScalar.from_rational(0)
-    for b in basis:
+    # candidates for G, cut down by G b - img G = 0 one basis element at a time
+    kern = [CycloMatrix.from_scalars([[int(r == p and c == q) for c in range(n)]
+                                      for r in range(n)])
+            for p in range(n) for q in range(n)]
+    for b in algebra.basis():
         img = algebra.from_coords(op.matvec(algebra.coords(b)))
-        rows = []
-        if kern is None:
-            # constraints on full matrix space: G b - img G = 0
-            for i in range(n):
-                for j in range(n):
-                    row = [zero] * (n * n)
-                    for k in range(n):
-                        row[i * n + k] = row[i * n + k] + b.entry(k, j)
-                        row[k * n + j] = row[k * n + j] - img.entry(i, k)
-                    rows.append(row)
-            kern = linalg.nullspace(rows, n * n)
-        else:
-            for i in range(n):
-                for j in range(n):
-                    row = []
-                    for vec in kern:
-                        acc = zero
-                        for k in range(n):
-                            acc = acc + b.entry(k, j) * vec[i * n + k] \
-                                - img.entry(i, k) * vec[k * n + j]
-                        row.append(acc)
-                    rows.append(row)
-            coeffs = linalg.nullspace(rows, len(kern))
-            kern = [[sum((c * v[t] for c, v in zip(cvec, kern)),
-                         start=zero) for t in range(n * n)]
-                    for cvec in coeffs]
+        cuts = [K * b - img * K for K in kern]
+        rows = [[C.entry(i, j) for C in cuts] for i in range(n) for j in range(n)]
+        # zero coefficients are skipped, but still set the conductor
+        kern = [sum((K * c for c, K in zip(cvec, kern) if c),
+                    CycloMatrix.zeros(n, lcm(*(x.N for x in cvec),
+                                             *(K.N for K in kern))))
+                for cvec in linalg.nullspace(rows, len(kern))]
         if len(kern) <= 1:
             break
     if not kern:
         raise Unclassifiable("operator is not inner for the defining representation")
-    vec = kern[0]
-    G = CycloMatrix.from_scalars([[vec[i * n + j] for j in range(n)]
-                                  for i in range(n)])
+    G = kern[0]
     # normalize into the group: scale so that G G^T = I; the class rules
     # downstream (eigenvalue counts, pfaffian signs) assume a group matrix,
     # so an unnormalizable scaling must fail loudly rather than misclassify

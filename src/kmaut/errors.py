@@ -73,6 +73,10 @@ class PeriodicityViolation(KmautError):
     """Standard-automorphism data does not satisfy the periodicity condition."""
 
 
+class InvalidLoopData(KmautError):
+    """Standard-automorphism data out of range: scale <= 0 or l < 1."""
+
+
 class WrongKind(KmautError):
     pass
 

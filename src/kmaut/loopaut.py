@@ -35,6 +35,7 @@ from .autg import (
 from .cyclo import CycloMatrix, CycloScalar, root_of_unity
 from .errors import (
     InfiniteOrderScaling,
+    InvalidLoopData,
     NotFiniteOrder,
     OrderExceedsBound,
     PeriodicityViolation,
@@ -96,9 +97,11 @@ class StandardLoopAutomorphism:
             self.phi0 = phi0.compose(twist.power(int(shift)))
         self.X = X if X is not None else zero_semisimple(self.algebra)
         self.scale = Fraction(scale)
-        assert self.scale > 0
         self._target = None
         if validate:
+            if self.scale <= 0 or l < 1:
+                raise InvalidLoopData("need scale > 0 and l >= 1, got %s and %s"
+                                      % (self.scale, l))
             if twist.algebra != self.algebra:
                 raise TwistMismatch("twist and phi0 live on different algebras")
             if not twist.power(l).is_identity():
@@ -198,8 +201,11 @@ class StandardLoopAutomorphism:
         snew = _nth_root(Fraction(rnew), othe.l)
         if snew is None:
             raise ScalingNotRational("composed scale is irrational")
-        return StandardLoopAutomorphism(othe.twist, othe.l, eps1 * eps2, t0,
-                                        newX, phi0, snew)
+        # both factors are valid and self o other lands where self lands
+        out = StandardLoopAutomorphism(othe.twist, othe.l, eps1 * eps2, t0,
+                                       newX, phi0, snew, validate=False)
+        out._target = self.target_twist()
+        return out
 
     def _scale_conjugated(self, r):
         """The automorphism with the same data but curve modes multiplied by
@@ -318,8 +324,12 @@ def conjugate_shift(phi, c):
     t0 = phi.t0 + (phi.epsilon - 1) * c
     shift = Automorphism(phi.algebra, phi.X.exp_2pi(c)) \
         if not phi.X.matrix.is_zero() else identity_automorphism(phi.algebra)
-    return StandardLoopAutomorphism(phi.twist, phi.l, phi.epsilon, t0,
-                                    phi.X, shift.compose(phi.phi0), phi.scale)
+    # the target twist fixes X, so it commutes with the shift and is kept
+    out = StandardLoopAutomorphism(phi.twist, phi.l, phi.epsilon, t0, phi.X,
+                                   shift.compose(phi.phi0), phi.scale,
+                                   validate=False)
+    out._target = phi.target_twist()
+    return out
 
 
 def conjugate_exp(phi, Y):
@@ -562,13 +572,7 @@ def canonical_pair(algebra, la, lb):
     """Canonical form of an unordered involution-label pair under swap and
     the simultaneous outer action."""
     from .autg import label_orbit_maps
-    best = None
-    for f in label_orbit_maps(algebra):
-        a2, b2 = f(la), f(lb)
-        for cand in (tuple(sorted((a2, b2))),):
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(tuple(sorted((f(la), f(lb)))) for f in label_orbit_maps(algebra))
 
 
 def invariant_second_kind(phi, bound=64):
@@ -608,30 +612,19 @@ def opposite(inv):
     """The image of a first-kind invariant under the orientation-reversal
     involution: (0, rho, [b]) -> (0, rho, [b^(-1)]) and
     (p, rho, [b]) -> (q - p, rho, [b^(-1) rho])."""
-    if inv.raw:
-        newp = 0 if inv.p == 0 else inv.q - inv.p
-        return FirstKindInvariant(inv.algebra, inv.q, newp, inv.rho,
-                                  inv.beta, raw=True)
     # label level: every component class is conjugate to its inverse in the
     # groups that occur here, and [b^(-1) rho] has the rho-multiplied label;
-    # for q = 2 the map is the identity.
-    if inv.p == 0:
-        return FirstKindInvariant(inv.algebra, inv.q, 0, inv.rho, inv.beta)
-    if inv.q == 2:
-        return FirstKindInvariant(inv.algebra, inv.q, inv.p, inv.rho, inv.beta)
-    return FirstKindInvariant(inv.algebra, inv.q, inv.q - inv.p, inv.rho,
-                              inv.beta, raw=inv.raw)
+    # for q = 2 (p = 1 = q - p) the map is the identity.
+    newp = 0 if inv.p == 0 else inv.q - inv.p
+    return FirstKindInvariant(inv.algebra, inv.q, newp, inv.rho, inv.beta,
+                              raw=inv.raw)
 
 
 def conjugacy_test(phi, psi, bound=64):
     """conjugate / not_conjugate / undecided, via kind, order and invariant."""
     if phi.epsilon != psi.epsilon:
         return "not_conjugate"
-    try:
-        q1, q2 = phi.order(bound), psi.order(bound)
-    except InfiniteOrderScaling:
-        raise
-    if q1 != q2:
+    if phi.order(bound) != psi.order(bound):
         return "not_conjugate"
     if phi.epsilon == 1:
         i1, i2 = invariant_first_kind(phi, bound), invariant_first_kind(psi, bound)

@@ -465,8 +465,9 @@ def cartan_decomposition(phi, N=None):
     plus the noncompact form basis K + iP.
 
     The involution must map the compact window onto itself: its curve is
-    constant, and its twist and constant part commute with the compact
-    conjugation; otherwise NotCompactMode is raised before any work.
+    constant, its twist and constant part commute with the compact
+    conjugation, and its rotation phases lie in the window's field; otherwise
+    NotCompactMode is raised before any work.
 
     Returns a dict with K, P, noncompact (lists of AffineElement) and the
     window bracket-closure verdicts."""
@@ -480,15 +481,19 @@ def cartan_decomposition(phi, N=None):
     if not phi.X.matrix.is_zero():
         raise NotCompactMode("a nonconstant curve moves degrees out of the "
                              "window")
-    if phi.order(bound=8) not in (1, 2):
-        raise NotInvolution("input is not an involution")
     tw = phi.twist
     l = phi.l
+    M = _slot_field(algebra, l)
+    if M % (phi.t0.denominator * l):
+        raise NotCompactMode("rotation by 2 pi t0 = 2 pi %s has phases outside "
+                             "the window field Q(zeta_%d)" % (phi.t0, M))
+    if phi.order(bound=8) not in (1, 2):
+        raise NotInvolution("input is not an involution")
     if N is None:
         N = 2 * l + 4
     # constant curve and target twist tw: images stay at conductor l
     ext = affine_extend(phi)
-    slot = _QSlot(algebra, _slot_field(algebra, l))
+    slot = _QSlot(algebra, M)
     zero = LoopElement.zero(algebra, tw, l)
     elts = [AffineElement(b) for b in compact_window_basis(algebra, tw, l, N)]
     elts += [AffineElement(zero, c=1), AffineElement(zero, d=1)]

@@ -222,3 +222,64 @@ def test_automorphism_json_roundtrip():
     su3 = make_algebra("a", 2, "compact")
     mu = mu_automorphism(su3)
     assert Automorphism.from_json(mu.to_json()) == mu
+
+
+def _random_invertible(n, rng):
+    """A random invertible matrix over Q(zeta_12), far from unitary."""
+    while True:
+        rows = [[root_of_unity(12, rng.randrange(12)) * rng.randint(-3, 3)
+                 + rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        G = CycloMatrix.from_scalars(rows)
+        if G.det():
+            return G
+
+
+@pytest.mark.parametrize("w,conj", [(0, False), (1, False), (0, True),
+                                    (1, True)])
+def test_inverse_and_compose_identities(w, conj):
+    """inverse and compose take inverses from identities instead of
+    inverting; the results must still be exact group inverses."""
+    rng = random.Random(40 + 2 * w + conj)
+    su3 = make_algebra("a", 2, "compact")
+    eye = CycloMatrix.identity(3)
+    for _ in range(4):
+        A = Automorphism(su3, _random_invertible(3, rng), w=w, conj=conj)
+        Ai = A.inverse()
+        for out in (A.compose(Ai), Ai.compose(A)):
+            assert out.is_identity()
+        for aut in (A, Ai):
+            if aut._Ginv is not None:
+                assert aut._G * aut._Ginv == eye
+        x = su3.basis()[rng.randrange(8)] * root_of_unity(12, rng.randrange(12))
+        assert Ai.apply_matrix(A.apply_matrix(x)) == x
+
+
+def test_d4_triality_descent(monkeypatch):
+    """Every group matrix descended from a triality-realized so(8) table
+    entry implements its operator and is orthogonal."""
+    from kmaut import autg
+    from kmaut.loopaut import invariant_first_kind, invariant_second_kind
+    from kmaut.tables import (enumerate_first_kind, enumerate_second_kind,
+                              realize_entry, valid_ks)
+    so8 = make_algebra("d", 4, "compact")
+    seen = []
+    descend = autg._descend_to_group
+
+    def recording(algebra, op):
+        G = descend(algebra, op)
+        seen.append((op, G))
+        return G
+
+    monkeypatch.setattr(autg, "_descend_to_group", recording)
+    for k in valid_ks(so8):
+        for e in enumerate_first_kind(so8, k).entries:
+            invariant_first_kind(realize_entry(so8, e))
+        for e in enumerate_second_kind(so8, k).entries:
+            invariant_second_kind(realize_entry(so8, e))
+    assert seen
+    for op, G in seen:
+        assert G * G.transpose() == CycloMatrix.identity(8)
+        Gi = G.inverse()
+        for b in so8.basis():
+            img = so8.from_coords(op.matvec(so8.coords(b)))
+            assert G * b * Gi == img

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from kmaut.algebra import make_algebra
 from kmaut.autg import identity_automorphism, standard_involution
 from kmaut.cli import main
@@ -103,6 +105,19 @@ def test_bad_inputs(tmp_path, capsys):
     rc, out = run_cli(["invariant", "--in", str(tmp_path / "missing.json")],
                       capsys)
     assert rc == 2
+
+
+@pytest.mark.parametrize("field,value", [("scale", "-1"), ("scale", "0"),
+                                         ("l", 0), ("l", -2)])
+def test_conjugate_rejects_out_of_range_data(tmp_path, capsys, field, value):
+    good = _write_aut(tmp_path)
+    payload = json.loads(good.read_text())
+    payload[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc, out = run_cli(["conjugate", "--a", str(bad), "--b", str(good)], capsys)
+    assert rc == 2
+    assert "error" in json.loads(out)
 
 
 def test_table_output_byte_stable(capsys):

@@ -38,6 +38,7 @@ from kmaut.loopaut import (
 from kmaut.selftest import (
     antifixed_direction,
     random_conjugation,
+    random_inner_automorphism,
     random_loop_element,
     stability_fixtures,
 )
@@ -416,3 +417,52 @@ def test_standard_automorphism_json_roundtrip():
     phi = conjugate_exp(phi_c, Y)
     back = StandardLoopAutomorphism.from_json(phi.to_json())
     assert back == phi
+
+
+def _table_entries(algebra):
+    from kmaut.tables import (enumerate_first_kind, enumerate_second_kind,
+                              valid_ks)
+    for k in valid_ks(algebra):
+        yield from enumerate_first_kind(algebra, k).entries
+        yield from enumerate_second_kind(algebra, k).entries
+
+
+@pytest.mark.parametrize("fam,n", [("a", 2), ("b", 2), ("c", 3), ("d", 4)])
+def test_derived_automorphisms_inherit_target_twist(fam, n):
+    """compose and conjugate_shift skip validation and inherit the target
+    twist; it must equal the one a fresh validated construction computes."""
+    from kmaut.tables import realize_entry
+    rng = random.Random(23)
+    algebra = make_algebra(fam, n, "compact")
+    for entry in _table_entries(algebra):
+        phi = realize_entry(algebra, entry)
+        # move lands on g sigma g^(-1): its composites are not endomorphisms
+        g = random_inner_automorphism(algebra, rng)
+        move = StandardLoopAutomorphism(phi.twist, phi.l, 1, 0, None, g)
+        moved = move.compose(phi)
+        outs = [phi.compose(phi), moved]
+        for c in (Fraction(1, 3), Fraction(-1, 4)):
+            shifted = conjugate_shift(phi, c)
+            outs += [shifted, phi.compose(shifted), conjugate_shift(moved, c)]
+        for out in outs:
+            fresh = StandardLoopAutomorphism(out.twist, out.l, out.epsilon,
+                                             out.t0, out.X, out.phi0,
+                                             out.scale)
+            assert out.target_twist() == fresh.target_twist(), entry
+
+
+def test_from_json_still_validates():
+    su3 = make_algebra("a", 2, "compact")
+    mu3 = mu_automorphism(su3)
+    phi = StandardLoopAutomorphism(mu3, 2, 1, 0, None,
+                                   identity_automorphism(su3))
+    payload = phi.to_json()
+    payload["l"] = 1  # mu^1 is not the identity
+    with pytest.raises(TwistMismatch):
+        StandardLoopAutomorphism.from_json(payload)
+    payload = phi.to_json()
+    X = su3.torus_element([1, -1, 0])  # mu(X) = -X
+    payload["X"] = {"matrix": X.matrix.to_json(),
+                    "rates": [str(r) for r in X.eigenrates]}
+    with pytest.raises(PeriodicityViolation):
+        StandardLoopAutomorphism.from_json(payload)

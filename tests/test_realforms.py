@@ -198,6 +198,19 @@ def test_cartan_conjugated_involutions():
                 cartan_decomposition(psi, N=2)
 
 
+@pytest.mark.parametrize("c", [Fraction(1, 16), Fraction(1, 5)])
+@pytest.mark.parametrize("la,lb", [(0, 0), (0, 1), (1, 1)])
+def test_cartan_rotation_outside_window_field(la, lb, c):
+    """A rotation whose phases leave the window's field is refused with a
+    typed error before any work."""
+    from kmaut.loopaut import conjugate_shift
+
+    su2 = make_algebra("a", 1, "compact")
+    phi = realize_entry(su2, ("2", InvLabel(la), InvLabel(lb)))
+    with pytest.raises(NotCompactMode, match="rotation"):
+        cartan_decomposition(conjugate_shift(phi, c), N=2)
+
+
 def test_cartan_uniqueness_surrogate():
     """Two involutions with equal invariants: the conjugator maps the K/P
     window spans onto each other."""
