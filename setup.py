@@ -1,12 +1,16 @@
-"""Build script: compiles the optional Cython kernel.
+"""Build script: compiles the optional compiled kernel.
+
+With Cython installed the extension is cythonized from `_speedups.pyx`;
+without it, the tracked generated `_speedups.c` is compiled directly:
+
+    python setup.py build_ext --inplace
 
 The package is fully functional without the extension (kernel.py falls back
-to the pure-Python implementation), so any build failure is non-fatal.
+to the pure-Python implementation), so a failed compile skips it.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
 try:
     from Cython.Build import cythonize
 
@@ -14,7 +18,9 @@ try:
         "src/kmaut/_speedups.pyx",
         compiler_directives={"language_level": "3"},
     )
-except Exception as exc:  # pragma: no cover - depends on build host
-    print("kmaut: skipping compiled kernel (%s); using pure-Python fallback" % exc)
+except ImportError:
+    ext_modules = [Extension("kmaut._speedups", ["src/kmaut/_speedups.c"])]
+for ext in ext_modules:
+    ext.optional = True
 
 setup(ext_modules=ext_modules)

@@ -25,7 +25,8 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import CycloMatrix, CycloScalar, pfaffian, root_of_unity
+from .cyclo import (ONE, ZERO, CycloMatrix, CycloScalar, pfaffian,
+                    root_of_unity)
 from .errors import (
     InvalidLabel,
     NotInvolution,
@@ -447,21 +448,8 @@ def _triality_operator():
 
     naug = 56
     M = [rows[i] + [rhss[m][i] for m in range(28)] for i in range(len(rows))]
-    r = 0
-    pivots = []
-    for ccol in range(naug):
-        p = next((i for i in range(r, len(M)) if M[i][ccol]), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        inv = 1 / M[r][ccol]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][ccol]:
-                f = M[i][ccol]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(ccol)
-        r += 1
+    pivots, _ = linalg.rref(M)
+    assert pivots[-1] < naug, "octonion system has no solution"
     sol = [[Fraction(0)] * 28 for _ in range(naug)]
     for i, pc in enumerate(pivots):
         for m in range(28):
@@ -533,7 +521,7 @@ def _descend_to_group(algebra, op):
         kern = [sum((K * c for c, K in zip(cvec, kern) if c),
                     CycloMatrix.zeros(n, lcm(*(x.N for x in cvec),
                                              *(K.N for K in kern))))
-                for cvec in linalg.nullspace(rows, len(kern))]
+                for cvec in linalg.nullspace(rows, len(kern), ZERO, ONE)]
         if len(kern) <= 1:
             break
     if not kern:
@@ -881,11 +869,8 @@ def involution_int_class(phi):
 
 
 def _fixed_dim(op):
-    n = op.n
-    rows = [[op.entry(i, j) - (CycloScalar.from_rational(1) if i == j
-                               else CycloScalar.from_rational(0))
-             for j in range(n)] for i in range(n)]
-    return len(linalg.nullspace(rows, n))
+    piv, _ = linalg.rref((op - CycloMatrix.identity(op.n)).scalars())
+    return op.n - len(piv)
 
 
 def conj_linear_int_class(phi):

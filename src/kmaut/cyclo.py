@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from . import kernel
+from . import kernel, linalg
 from .errors import (
     ConductorOverflow,
     NotAntisymmetric,
@@ -235,8 +235,8 @@ class CycloScalar:
         phiM = _context(M).phi
         cols = [list(v) for v in emb]
         target = [Fraction(c, self.den) for c in self.nums]
-        sol = _solve_rational([[Fraction(cols[j][i]) for j in range(phiM)]
-                               for i in range(phiN)], target)
+        sol = linalg.solve([[Fraction(cols[j][i]) for j in range(phiM)]
+                            for i in range(phiN)], target)
         if sol is None:
             raise ConductorOverflow("value does not lie in Q(zeta_%d)" % M)
         den = 1
@@ -329,6 +329,8 @@ class CycloScalar:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
+        if other == 1:
+            return self.inverse()
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -431,7 +433,7 @@ def _divisors(N):
     return out
 
 
-# rational polynomial helpers (used only in scalar inversion / restriction)
+# rational polynomial helpers (used only in scalar inversion)
 
 def _deg(p):
     for i in range(len(p) - 1, -1, -1):
@@ -469,37 +471,6 @@ def _poly_divmod(a, b):
             for j in range(db + 1):
                 a[k + j] -= c * b[j]
     return q, a
-
-
-def _solve_rational(A, b):
-    """Solve A x = b over Q (A as list of rows); None if inconsistent."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [list(A[i]) + [b[i]] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if M[i][c]), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = M[i][n]
-    return x
 
 
 def root_of_unity(N, k):
@@ -631,15 +602,26 @@ class CycloMatrix:
     def is_zero(self):
         return all(not any(vec) for row in self.rows for vec in row)
 
+    def _scalar_vec(self):
+        """The coordinates shared by every diagonal entry if every entry off
+        the diagonal is zero, else None."""
+        d = self.rows[0][0]
+        zero = (0,) * len(d)
+        for i, row in enumerate(self.rows):
+            for j, vec in enumerate(row):
+                if vec != (d if i == j else zero):
+                    return None
+        return d
+
     def is_identity(self):
-        return self == CycloMatrix.identity(self.n)
+        d = self._scalar_vec()
+        return d is not None and self.den == 1 and d[0] == 1 and not any(d[1:])
 
     def is_scalar(self):
         """Return the scalar c if self == c*I, else None."""
-        c = self.entry(0, 0)
-        if self == CycloMatrix.identity(self.n) * c:
-            return c
-        return None
+        if self._scalar_vec() is None:
+            return None
+        return self.entry(0, 0)
 
     def __eq__(self, other):
         if not isinstance(other, CycloMatrix):
@@ -736,42 +718,18 @@ class CycloMatrix:
         return t
 
     def det(self):
-        rows = self.scalars()
-        n = self.n
-        det = ONE
-        for c in range(n):
-            p = next((i for i in range(c, n) if rows[i][c]), None)
-            if p is None:
-                return CycloScalar.from_rational(0, self.N)
-            if p != c:
-                rows[c], rows[p] = rows[p], rows[c]
-                det = -det
-            pivot = rows[c][c]
-            det = det * pivot
-            inv = pivot.inverse()
-            for i in range(c + 1, n):
-                f = rows[i][c] * inv
-                if f:
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+        piv, det = linalg.rref(self.scalars())
+        if len(piv) < self.n:
+            return CycloScalar.from_rational(0, self.N)
         return det
 
     def inverse(self):
         n = self.n
         rows = [r + [ONE if i == j else ZERO for j in range(n)]
                 for i, r in enumerate(self.scalars())]
-        r = 0
-        for c in range(n):
-            p = next((i for i in range(r, n) if rows[i][c]), None)
-            if p is None:
-                raise ZeroDivisionError("singular matrix")
-            rows[r], rows[p] = rows[p], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(n):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            r += 1
+        piv, _ = linalg.rref(rows)
+        if piv != list(range(n)):
+            raise ZeroDivisionError("singular matrix")
         return CycloMatrix.from_scalars([row[n:] for row in rows])
 
     def matvec(self, vec):

@@ -1,24 +1,30 @@
-"""Generic exact linear algebra: dense CycloScalar routines, and `Span`, an
-incremental echelon form over any exact field."""
-
-from .cyclo import CycloScalar
-
-_ZERO = CycloScalar.from_rational(0)
+"""Exact linear algebra over any exact field (Fraction, CycloScalar): `rref`,
+the one dense Gauss-Jordan elimination, and `Span`, an incremental sparse
+echelon form."""
 
 
 def rref(rows):
-    """Row-reduce a list of CycloScalar rows in place; returns pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+    """Row-reduce a list of rows in place to reduced row echelon form.
+
+    Pivots on the first nonzero entry of each column, scales the pivot row
+    by 1 / pivot and clears the column above and below.  Returns the pivot
+    columns and the product of the pivots times the sign of the row swaps,
+    which for a square nonsingular input is its determinant.
+    """
     piv = []
+    det = 1
+    ncols = len(rows[0]) if rows else 0
     r = 0
     for c in range(ncols):
         p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = rows[r][c].inverse()
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            det = -det
+        pivot = rows[r][c]
+        det = det * pivot
+        inv = 1 / pivot
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -28,60 +34,48 @@ def rref(rows):
         r += 1
         if r == len(rows):
             break
-    return piv
+    return piv, det
 
 
 def row_space_basis(rows):
     """Independent spanning subset of the given rows, in reduced form."""
     work = [list(r) for r in rows]
-    piv = rref(work)
+    piv, _ = rref(work)
     return work[: len(piv)]
 
 
-def solve_in_span(basis_rows, target):
-    """Coefficients expressing target in span(basis_rows), or None.
+def solve(A, b):
+    """A solution x of A x = b (A a list of rows), or None if there is none.
 
-    Gaussian elimination on the transposed system; all exact.
-    """
-    if not basis_rows:
-        return [] if all(not t for t in target) else None
-    m = len(target)
-    k = len(basis_rows)
-    aug = [[basis_rows[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    piv = []
-    r = 0
-    for c in range(k):
-        p = next((i for i in range(r, m) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][k]:
-            return None
-    coeffs = [_ZERO] * k
+    Free coordinates of x are the integer 0."""
+    aug = [list(row) + [t] for row, t in zip(A, b)]
+    n = len(A[0]) if A else 0
+    piv, _ = rref(aug)
+    if n in piv:
+        return None
+    x = [0] * n
     for i, c in enumerate(piv):
-        coeffs[c] = aug[i][k]
-    return coeffs
+        x[c] = aug[i][n]
+    return x
 
 
-def nullspace(rows, ncols):
-    """Basis of the right kernel of the matrix given by CycloScalar rows."""
+def solve_in_span(basis_rows, target):
+    """Coefficients expressing target in span(basis_rows), or None."""
+    return solve([[row[i] for row in basis_rows] for i in range(len(target))],
+                 target)
+
+
+def nullspace(rows, ncols, zero=0, one=1):
+    """Basis of the right kernel of the matrix given by rows, one vector per
+    free column in increasing order."""
     work = [list(r) for r in rows]
-    piv = rref(work)
+    piv, _ = rref(work)
     pivset = set(piv)
-    free = [c for c in range(ncols) if c not in pivset]
     basis = []
-    one = CycloScalar.from_rational(1)
-    for f in free:
-        vec = [_ZERO] * ncols
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        vec = [zero] * ncols
         vec[f] = one
         for i, c in enumerate(piv):
             vec[c] = -work[i][f]

@@ -32,7 +32,8 @@ from .autg import (
     label_out_word,
     triality_automorphism,
 )
-from .cyclo import CycloMatrix, CycloScalar, root_of_unity
+from .cyclo import (CycloMatrix, CycloScalar, finite_order_eigenprojectors,
+                    root_index, root_of_unity)
 from .errors import (
     InfiniteOrderScaling,
     InvalidLoopData,
@@ -488,20 +489,10 @@ class SecondKindInvariant:
 def _certificate(aut):
     """Exact conjugation-invariant certificate of a finite-order automorphism:
     its outer order plus the eigenvalue multiset of its action."""
-    op = aut.operator()
     o = aut.order(bound=64)
-    powers = [CycloMatrix.identity(op.n, op.N)]
-    for _ in range(o - 1):
-        powers.append(powers[-1] * op)
-    dims = []
-    for k in range(o):
-        acc = powers[0]
-        for j in range(1, o):
-            acc = acc + powers[j] * root_of_unity(o, (-k * j) % o)
-        P = acc * Fraction(1, o)
-        if not P.is_zero():
-            dims.append((k, int(P.trace().as_fraction())))
-    return ("cert", o, aut.out_order(), tuple(dims))
+    dims = tuple((root_index(val, o), int(P.trace().as_fraction()))
+                 for val, P in finite_order_eigenprojectors(aut.operator(), o))
+    return ("cert", o, aut.out_order(), dims)
 
 
 def _unprime_transport(algebra, lab):

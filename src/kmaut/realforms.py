@@ -11,6 +11,7 @@ defining reality constraints, one Fourier slot at a time.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import lcm
 
 from .algebra import make_algebra, sigma_eigenspace
@@ -396,14 +397,16 @@ class RealFormBasis:
 
 
 def _brackets_in(xs, ys, span, slot, N, l):
-    """Whether every bracket [x, y] supported in the window lies in span."""
-    for x in xs:
-        for y in ys:
-            z = affine_bracket(x, y)
-            if z.is_zero() or any(abs(n) > N for n in z.loop.support()):
-                continue
-            if not span.contains(_affine_qvec(z, slot, N, l)):
-                return False
+    """Whether every bracket [x, y] supported in the window lies in span.
+
+    When xs is ys each unordered pair is bracketed once: [x, x] = 0, and
+    [y, x] = -[x, y] lies in span exactly when [x, y] does."""
+    for x, y in combinations(xs, 2) if xs is ys else product(xs, ys):
+        z = affine_bracket(x, y)
+        if z.is_zero() or any(abs(n) > N for n in z.loop.support()):
+            continue
+        if not span.contains(_affine_qvec(z, slot, N, l)):
+            return False
     return True
 
 

@@ -1,12 +1,17 @@
-"""linalg.Span, the exact incremental echelon form, against a plain rank
-computation written here."""
+"""The exact elimination in linalg (the dense `rref` behind matrix inverse,
+determinant, solving and conductor restriction, and the incremental `Span`)
+against a plain rank computation and a permutation-expansion determinant
+written here."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from kmaut.cyclo import CycloScalar, root_of_unity
+from kmaut import linalg
+from kmaut.cyclo import CycloMatrix, CycloScalar, root_of_unity
+from kmaut.errors import ConductorOverflow
 from kmaut.linalg import Span
 
 
@@ -107,5 +112,172 @@ def test_span_property():
         # duplicated and scaled rows make rank deficiency common
         rows = rows + [[x * 2 for x in r] for r in rows[:2]]
         check_span(rows, ncols, vectors + rows)
+
+    prop()
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term = rows[i][j] * term
+        total = term + total
+    return total
+
+
+def random_cyclo_matrix(rng, N):
+    """An n x n matrix over Q(zeta_N) of rank at most a drawn bound: a
+    product of random n x k and k x n factors."""
+    n = rng.randint(1, 4)
+    k = rng.choice([n, n, rng.randint(0, n)])
+    z = root_of_unity(N, 1)
+
+    def q():
+        x = CycloScalar.from_rational(Fraction(rng.randint(-3, 3),
+                                               rng.randint(1, 2)))
+        return x + z * rng.randint(-1, 1) if N > 1 else x
+
+    left = [[q() for _ in range(k)] for _ in range(n)]
+    right = [[q() for _ in range(n)] for _ in range(k)]
+    rows = [[sum((a[t] * right[t][j] for t in range(k)),
+                 CycloScalar.from_rational(0, N)) for j in range(n)]
+            for a in left]
+    return CycloMatrix.from_scalars(rows)
+
+
+@pytest.mark.parametrize("N", [1, 12])
+@pytest.mark.parametrize("seed", range(15))
+def test_dense_elimination_against_references(seed, N):
+    rng = random.Random(seed)
+    A = random_cyclo_matrix(rng, N)
+    n = A.n
+    rows = A.scalars()
+    r = rank(rows)
+    one = CycloScalar.from_rational(1)
+    zero = CycloScalar.from_rational(0)
+    assert A.det() == leibniz_det(rows)
+    work = [list(row) for row in rows]
+    piv, det = linalg.rref(work)
+    assert len(piv) == r
+    if r == n:
+        assert det == A.det() != 0
+        Ai = A.inverse()
+        I = CycloMatrix.identity(n)
+        assert A * Ai == I and Ai * A == I
+    else:
+        assert A.det() == 0
+        with pytest.raises(ZeroDivisionError):
+            A.inverse()
+    kern = linalg.nullspace(rows, n, zero, one)
+    assert len(kern) == n - r and rank(kern) == len(kern)
+    for x in kern:
+        assert all(v == 0 for v in A.matvec(x))
+    # a combination of the rows is solved exactly; a vector off their span
+    # (rank goes up) has no solution
+    coef = [Fraction(rng.randint(-2, 2)) for _ in rows]
+    inside = [sum((c * row[j] for c, row in zip(coef, rows)), zero)
+              for j in range(n)]
+    sol = linalg.solve_in_span(rows, inside)
+    assert [sum((c * row[j] for c, row in zip(sol, rows)), zero)
+            for j in range(n)] == inside
+    for j in range(n):
+        probe = [one if t == j else zero for t in range(n)]
+        sol = linalg.solve_in_span(rows, probe)
+        assert (sol is None) == (rank(rows + [probe]) > r)
+
+
+def test_dense_elimination_over_fractions():
+    rng = random.Random(7)
+    for _ in range(40):
+        rows, ncols = random_matrix(rng)
+        r = rank(rows)
+        work = [list(row) for row in rows]
+        piv, det = linalg.rref(work)
+        assert len(piv) == r
+        if len(rows) == ncols:
+            assert (det if r == ncols else 0) == leibniz_det(rows)
+        b = [Fraction(rng.randint(-2, 2)) for _ in rows]
+        x = linalg.solve(rows, b)
+        if x is None:
+            assert rank([row + [t] for row, t in zip(rows, b)]) > r
+        else:
+            assert [sum((a * c for a, c in zip(row, x)), Fraction(0))
+                    for row in rows] == b
+
+
+def test_singular_and_inconsistent_inputs():
+    i = root_of_unity(12, 3)
+    A = CycloMatrix.from_scalars([[1, i], [i, -1]])  # second row = i * first
+    assert A.det() == 0
+    with pytest.raises(ZeroDivisionError):
+        A.inverse()
+    assert CycloMatrix.zeros(3, 12).det() == 0
+    rows = A.scalars()
+    assert linalg.solve_in_span(rows[:1], [i, -1]) is not None
+    assert linalg.solve_in_span(rows[:1], [i, 1]) is None
+    A = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    assert linalg.solve(A, [Fraction(1), Fraction(3)]) is None
+    assert linalg.solve(A, [Fraction(1), Fraction(2)]) == [1, 0]
+
+
+def test_restrict_against_embedding():
+    rng = random.Random(3)
+    z12 = root_of_unity(12, 1)
+    for M in (1, 2, 3, 4, 6, 12):
+        zM = root_of_unity(M, 1)
+        for _ in range(5):
+            y = sum((zM ** k * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for k in range(M)), CycloScalar.from_rational(0, M))
+            x = y.promote(12)
+            got = x.restrict(M)
+            assert got.N == M and got == y
+            if M != 12:
+                with pytest.raises(ConductorOverflow):
+                    (x + z12).restrict(M)
+
+
+def test_scalar_and_identity_predicates():
+    z = root_of_unity(12, 1)
+    I = CycloMatrix.identity(3, 12)
+    assert I.is_identity() and I.is_scalar() == 1
+    assert (I * z).is_scalar() == z and not (I * z).is_identity()
+    assert (I * 2).is_scalar() == 2 and not (I * 2).is_identity()
+    assert not (I * Fraction(1, 2)).is_identity()
+    assert CycloMatrix.diag([1, 1, z]).is_scalar() is None
+    off = CycloMatrix.from_scalars([[1, 0], [z, 1]])
+    assert off.is_scalar() is None and not off.is_identity()
+    assert CycloMatrix.zeros(2, 4).is_scalar() == 0
+
+
+def test_inverse_and_det_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    phis = {1: 1, 3: 2, 4: 2, 12: 4}
+
+    def matrices(N, n):
+        entry = st.lists(st.integers(-2, 2), min_size=phis[N],
+                         max_size=phis[N]).map(lambda c: CycloScalar(N, c))
+        return st.lists(st.lists(entry, min_size=n, max_size=n),
+                        min_size=n, max_size=n).map(CycloMatrix.from_scalars)
+
+    shapes = st.tuples(st.sampled_from(sorted(phis)), st.integers(1, 3))
+    cases = shapes.flatmap(lambda t: st.tuples(matrices(*t), matrices(*t)))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(cases)
+    def prop(case):
+        A, B = case
+        d = A.det()
+        assert (A * B).det() == d * B.det()
+        if d:
+            assert A * A.inverse() == CycloMatrix.identity(A.n)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                A.inverse()
 
     prop()
