@@ -33,45 +33,51 @@ def conv_reduce(a, b, red, phi):
 
 
 def matmul(A, B, red, phi, n):
+    # The nonzero entries of each row of B are listed once; every nonzero
+    # a_ik then meets only the nonzero b_kj, so the cost follows the number
+    # of nonzeros rather than n^3.
     if phi == 1:
+        Bnz = [[(j, b[0]) for j, b in enumerate(Bk) if b[0]] for Bk in B]
         out = []
-        for i in range(n):
-            Ai = A[i]
-            row = []
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    aik = Ai[k][0]
-                    if aik:
-                        acc += aik * B[k][j][0]
-                row.append((acc,))
-            out.append(tuple(row))
+        for Ai in A:
+            acc = [0] * n
+            for k, a in enumerate(Ai):
+                ak = a[0]
+                if ak:
+                    for j, bkj in Bnz[k]:
+                        acc[j] += ak * bkj
+            out.append(tuple([(c,) for c in acc]))
         return out
     width = 2 * phi - 1
+    zero = (0,) * phi
+    Bnz = [[(j, [(q, bq) for q, bq in enumerate(b) if bq])
+            for j, b in enumerate(Bk) if any(b)] for Bk in B]
     out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(n):
-            work = [0] * width
-            for k in range(n):
-                a = Ai[k]
-                b = B[k][j]
-                for p, ap in enumerate(a):
-                    if ap:
-                        for q, bq in enumerate(b):
-                            if bq:
-                                work[p + q] += ap * bq
+    for Ai in A:
+        work = {}
+        for k, a in enumerate(Ai):
+            Bk = Bnz[k]
+            if not Bk or not any(a):
+                continue
+            for p, ap in enumerate(a):
+                if ap:
+                    for j, b in Bk:
+                        w = work.get(j)
+                        if w is None:
+                            w = work[j] = [0] * width
+                        for q, bq in b:
+                            w[p + q] += ap * bq
+        row = [zero] * n
+        for j, w in work.items():
             for t in range(width - 1, phi - 1, -1):
-                top = work[t]
+                top = w[t]
                 if top:
-                    work[t] = 0
                     rrow = red[t - phi]
                     for j2 in range(phi):
                         rj = rrow[j2]
                         if rj:
-                            work[j2] += top * rj
-            row.append(tuple(work[:phi]))
+                            w[j2] += top * rj
+            row[j] = tuple(w[:phi])
         out.append(tuple(row))
     return out
 

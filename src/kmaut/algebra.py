@@ -240,7 +240,7 @@ class SimpleAlgebra:
         return X * Y - Y * X
 
     def killing_matrix(self, X, Y):
-        return (X * Y).trace() * self.killing_scale
+        return X.trace_mul(Y) * self.killing_scale
 
     def omega_matrix(self, X):
         """Conjugation fixing the compact form: X -> -conj(X)^T."""
@@ -568,8 +568,14 @@ def combine_semisimple(parts):
     sums = sorted(cands)
     elt = SemisimpleElement(algebra, acc, sums, validate=True)
     # drop rates whose projector vanishes
-    live = [r for r, _ in elt.projectors()]
-    return SemisimpleElement(algebra, acc, live, validate=False)
+    projs = elt.projectors()
+    out = SemisimpleElement(algebra, acc, [r for r, _ in projs], validate=False)
+    if len(projs) > 1:
+        # The Lagrange projector of a rate is the same matrix over every set
+        # of rates that holds the spectrum.  A lone rate's projector is I,
+        # which the result rebuilds at conductor 1.
+        out._projs = projs
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .cyclo import (ONE, ZERO, CycloMatrix, CycloScalar, pfaffian,
                     root_of_unity)
 from .errors import (
     InvalidLabel,
+    MalformedData,
     NotInvolution,
     OrderExceedsBound,
     Unclassifiable,
@@ -338,7 +339,14 @@ class Automorphism:
         algebra = SimpleAlgebra.from_json(obj["algebra"])
         algebra = make_algebra(algebra.family, algebra.param, algebra.mode)
         M = CycloMatrix.from_json(obj["matrix"])
-        if obj.get("rep", "group") == "group":
+        group = obj.get("rep", "group") == "group"
+        if not group and (algebra.family, algebra.param) != ("d", 4):
+            raise MalformedData("only so(8) takes an operator matrix")
+        size = algebra.size if group else algebra.dim
+        if M.n != size:
+            raise MalformedData("%s takes a %dx%d matrix, not %dx%d"
+                                % (algebra.label(), size, size, M.n, M.n))
+        if group:
             return Automorphism(algebra, M, w=int(obj.get("outer_power", 0)),
                                 conj=bool(obj.get("conj_linear", False)),
                                 label=obj.get("label"))

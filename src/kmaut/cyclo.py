@@ -18,6 +18,7 @@ from math import gcd, lcm
 from . import kernel, linalg
 from .errors import (
     ConductorOverflow,
+    MalformedData,
     NotAntisymmetric,
     OddDimension,
     OrderMismatch,
@@ -386,8 +387,17 @@ class CycloScalar:
 
     @staticmethod
     def from_json(obj):
-        N = int(obj["conductor"])
-        coeffs = [Fraction(s) for s in obj["coeffs"]]
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+            raise MalformedData("a scalar is {\"conductor\": N, \"coeffs\": [...]}")
+        try:
+            N = int(obj["conductor"])
+            coeffs = [Fraction(s) for s in obj["coeffs"]]
+        except TypeError as exc:
+            raise MalformedData("scalar data: %s" % exc) from None
+        phi = _context(N).phi
+        if len(coeffs) != phi:
+            raise MalformedData("conductor %d takes %d coefficients, not %d"
+                                % (N, phi, len(coeffs)))
         den = 1
         for c in coeffs:
             den = lcm(den, c.denominator)
@@ -501,6 +511,7 @@ class CycloMatrix:
     __slots__ = ("n", "N", "den", "rows")
 
     def __init__(self, n, N, den, rows, _normalized=False):
+        # rows: a tuple of n rows, each a tuple of n coordinate tuples
         self.n = n
         self.N = N
         if _normalized:
@@ -511,11 +522,11 @@ class CycloMatrix:
         if den < 0:
             g = -g
         if g != 1:
-            rows = tuple(tuple(tuple(c // g for c in vec) for vec in row)
-                         for row in rows)
+            rows = tuple(tuple(tuple(c // g for c in vec) if any(vec) else vec
+                               for vec in row) for row in rows)
             den //= g
         self.den = den
-        self.rows = tuple(tuple(tuple(vec) for vec in row) for row in rows)
+        self.rows = rows
 
     # -- constructors ------------------------------------------------------
 
@@ -589,7 +600,9 @@ class CycloMatrix:
             return self
         if M % self.N or M > MAX_CONDUCTOR:
             raise ConductorOverflow("cannot lift conductor %d into %d" % (self.N, M))
-        rows = tuple(tuple(_lift(vec, self.N, M) for vec in row) for row in self.rows)
+        zero = (0,) * _context(M).phi
+        rows = tuple(tuple(_lift(vec, self.N, M) if any(vec) else zero for vec in row)
+                     for row in self.rows)
         return CycloMatrix(self.n, M, self.den, rows, _normalized=True)
 
     def min_conductor(self):
@@ -600,7 +613,7 @@ class CycloMatrix:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        return all(not any(vec) for row in self.rows for vec in row)
+        return not any(any(map(any, row)) for row in self.rows)
 
     def _scalar_vec(self):
         """The coordinates shared by every diagonal entry if every entry off
@@ -654,12 +667,20 @@ class CycloMatrix:
         s = _coerce(other)
         if s is None:
             return NotImplemented
-        a, b = _common(CycloScalar(self.N, (1,) + (0,) * (_context(self.N).phi - 1), 1), s)
-        mat = self.promote(a.N)
-        ctx = _context(a.N)
-        rows = tuple(tuple(kernel.conv_reduce(vec, b.nums, ctx.red, ctx.phi)
-                           for vec in row) for row in mat.rows)
-        return CycloMatrix(mat.n, mat.N, mat.den * b.den, rows)
+        if self.N % s.N == 0 and not any(s.nums[1:]):
+            # a rational scalar in the matrix's field: integer multiples
+            c = s.nums[0]
+            rows = tuple(tuple(tuple(x * c for x in vec) if any(vec) else vec
+                               for vec in row) for row in self.rows)
+            return CycloMatrix(self.n, self.N, self.den * s.den, rows)
+        M = lcm(self.N, s.N)
+        b = s.promote(M).nums
+        ctx = _context(M)
+        zero = (0,) * ctx.phi
+        rows = tuple(tuple(kernel.conv_reduce(_lift(vec, self.N, M), b, ctx.red, ctx.phi)
+                           if any(vec) else zero for vec in row)
+                     for row in self.rows)
+        return CycloMatrix(self.n, M, self.den * s.den, rows)
 
     def __rmul__(self, other):
         s = _coerce(other)
@@ -667,18 +688,30 @@ class CycloMatrix:
             return NotImplemented
         return self * s
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other."""
         assert isinstance(other, CycloMatrix) and self.n == other.n
         a, b = self._pair(other)
         den = lcm(a.den, b.den)
-        fa, fb = den // a.den, den // b.den
-        rows = tuple(tuple(tuple(x * fa + y * fb for x, y in zip(va, vb))
-                           for va, vb in zip(ra, rb))
-                     for ra, rb in zip(a.rows, b.rows))
-        return CycloMatrix(a.n, a.N, den, rows)
+        fa, fb = den // a.den, sign * (den // b.den)
+        rows = []
+        for ra, rb in zip(a.rows, b.rows):
+            row = []
+            for va, vb in zip(ra, rb):
+                if not any(vb):
+                    row.append(va if fa == 1 else tuple(x * fa for x in va))
+                elif not any(va):
+                    row.append(tuple(y * fb for y in vb))
+                else:
+                    row.append(tuple(x * fa + y * fb for x, y in zip(va, vb)))
+            rows.append(tuple(row))
+        return CycloMatrix(a.n, a.N, den, tuple(rows))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
         rows = tuple(tuple(tuple(-c for c in vec) for vec in row) for row in self.rows)
@@ -717,6 +750,22 @@ class CycloMatrix:
             t = t + self.entry(i, i)
         return t
 
+    def trace_mul(self, other):
+        """trace(self * other), summed over the nonzero pairs X[i][k] Y[k][i]
+        without forming the product."""
+        assert self.n == other.n
+        a, b = self._pair(other)
+        ctx = _context(a.N)
+        acc = [0] * ctx.phi
+        for i, row in enumerate(a.rows):
+            for k, x in enumerate(row):
+                if any(x):
+                    y = b.rows[k][i]
+                    if any(y):
+                        for t, c in enumerate(kernel.conv_reduce(x, y, ctx.red, ctx.phi)):
+                            acc[t] += c
+        return CycloScalar(a.N, tuple(acc), a.den * b.den)
+
     def det(self):
         piv, det = linalg.rref(self.scalars())
         if len(piv) < self.n:
@@ -751,6 +800,9 @@ class CycloMatrix:
 
     @staticmethod
     def from_json(obj):
+        if not (isinstance(obj, list) and obj
+                and all(isinstance(row, list) and len(row) == len(obj) for row in obj)):
+            raise MalformedData("a matrix is a nonempty square list of rows")
         entries = [[CycloScalar.from_json(x) for x in row] for row in obj]
         return CycloMatrix.from_scalars(entries)
 

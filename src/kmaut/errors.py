@@ -9,6 +9,12 @@ class ConductorOverflow(KmautError):
     """An operation would need a cyclotomic conductor above the hard cap."""
 
 
+class MalformedData(KmautError):
+    """JSON data of the wrong shape or type: a coefficient count that is not
+    phi(N), a non-numeric coefficient or conductor, a matrix that is not
+    square, or a matrix of the wrong size."""
+
+
 class OrderMismatch(KmautError):
     """A matrix or automorphism does not have the claimed finite order."""
 

@@ -242,11 +242,12 @@ def affine_bracket(x, y):
     u, v = x.loop, y.loop
     u._compat(v)
     lb = loop_bracket(u, v)
+    du = derivative(u)
     if not x.d.is_zero():
         lb = lb + derivative(v) * x.d
     if not y.d.is_zero():
-        lb = lb - derivative(u) * y.d
-    cocycle = loop_form(derivative(u), v)
+        lb = lb - du * y.d
+    cocycle = loop_form(du, v)
     return AffineElement(lb, cocycle, _ZERO)
 
 

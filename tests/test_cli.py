@@ -9,6 +9,7 @@ from kmaut.algebra import make_algebra
 from kmaut.autg import identity_automorphism, standard_involution
 from kmaut.cli import main
 from kmaut.loopaut import StandardLoopAutomorphism
+from kmaut.tables import enumerate_first_kind, realize_entry
 
 
 def run_cli(args, capsys):
@@ -116,6 +117,45 @@ def test_conjugate_rejects_out_of_range_data(tmp_path, capsys, field, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     rc, out = run_cli(["conjugate", "--a", str(bad), "--b", str(good)], capsys)
+    assert rc == 2
+    assert "error" in json.loads(out)
+
+
+def _cut_rows(m):
+    del m[2:]
+
+
+def _cut_first_row(m):
+    del m[0][2:]
+
+
+def _square_2x2(m):
+    del m[2:]
+    for row in m:
+        del row[2:]
+
+
+def _first_entry(value):
+    def edit(m):
+        m[0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _cut_rows, _cut_first_row, _square_2x2,
+    _first_entry({"conductor": 3, "coeffs": ["1"]}),
+    _first_entry({"conductor": 1, "coeffs": [[1]]}),
+    _first_entry({"conductor": None, "coeffs": ["1"]}),
+], ids=["cut_rows", "cut_first_row", "square_2x2", "short_scalar",
+        "nested_coeff", "null_conductor"])
+def test_invariant_rejects_malformed_matrix(tmp_path, capsys, edit):
+    a2 = make_algebra("a", 2, "compact")
+    entry = enumerate_first_kind(a2, 1).entries[0]
+    payload = realize_entry(a2, entry).to_json()
+    edit(payload["twist"]["matrix"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc, out = run_cli(["invariant", "--in", str(bad)], capsys)
     assert rc == 2
     assert "error" in json.loads(out)
 

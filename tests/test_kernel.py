@@ -1,0 +1,219 @@
+"""The arithmetic kernel and the sparsity-aware products built on it.
+
+Kernel products are checked against a triple loop written here, which reduces
+modulo the cyclotomic polynomial by long division instead of the kernel's
+reduction rows.  The CycloMatrix fast paths (trace_mul, matrix times scalar,
+promote) are checked against the entrywise path: promote every scalar, then
+multiply with CycloScalar arithmetic.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from kmaut import _kernel_py
+from kmaut.cyclo import CycloMatrix, CycloScalar, _context
+
+# Phi_N, lowest degree first, for the conductors with phi = 1, 2, 4
+POLY = {1: (-1, 1), 4: (1, 0, 1), 12: (1, 0, -1, 0, 1)}
+DENSITIES = (0.0, 0.05, 0.2, 0.5, 1.0)
+
+
+def ref_mul(a, b, poly):
+    """Product of two coordinate vectors modulo the monic polynomial poly."""
+    phi = len(poly) - 1
+    work = [0] * (2 * phi - 1)
+    for p in range(phi):
+        for q in range(phi):
+            work[p + q] += a[p] * b[q]
+    for t in range(len(work) - 1, phi - 1, -1):
+        c = work[t]
+        for j in range(phi + 1):
+            work[t - phi + j] -= c * poly[j]
+    assert not any(work[phi:])
+    return tuple(work[:phi])
+
+
+def ref_matmul(A, B, poly, n):
+    phi = len(poly) - 1
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = [0] * phi
+            for k in range(n):
+                prod = ref_mul(A[i][k], B[k][j], poly)
+                acc = [x + y for x, y in zip(acc, prod)]
+            row.append(tuple(acc))
+        out.append(tuple(row))
+    return out
+
+
+def rand_rows(rng, n, phi, density, zero_row=None, zero_col=None):
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == zero_row or j == zero_col or rng.random() >= density:
+                row.append((0,) * phi)
+            else:
+                vec = [rng.randint(-4, 4) for _ in range(phi)]
+                vec[rng.randrange(phi)] = rng.choice((-3, -1, 1, 2))
+                row.append(tuple(vec))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def kernel_cases():
+    rng = random.Random(20260)
+    cases = []
+    for N in sorted(POLY):
+        phi = len(POLY[N]) - 1
+        for density in DENSITIES:
+            for n in (1, 3, 6, 9):
+                zr = rng.randrange(n) if rng.random() < 0.5 else None
+                zc = rng.randrange(n) if rng.random() < 0.5 else None
+                A = rand_rows(rng, n, phi, density, zero_row=zr)
+                B = rand_rows(rng, n, phi, density, zero_col=zc)
+                cases.append((N, n, A, B))
+        zero = rand_rows(rng, 5, phi, 0.0)
+        full = rand_rows(rng, 5, phi, 1.0)
+        cases += [(N, 5, zero, full), (N, 5, full, zero), (N, 5, zero, zero)]
+    return cases
+
+
+CASES = kernel_cases()
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_pure_matmul_matches_triple_loop(case):
+    N, n, A, B = CASES[case]
+    ctx = _context(N)
+    got = _kernel_py.matmul(A, B, ctx.red, ctx.phi, n)
+    assert [tuple(r) for r in got] == ref_matmul(A, B, POLY[N], n)
+    assert all(type(r) is tuple and all(type(v) is tuple for v in r) for r in got)
+
+
+def test_compiled_matmul_matches_pure():
+    speedups = pytest.importorskip("kmaut._speedups")
+    for N, n, A, B in CASES:
+        ctx = _context(N)
+        assert (speedups.matmul(A, B, ctx.red, ctx.phi, n)
+                == _kernel_py.matmul(A, B, ctx.red, ctx.phi, n))
+        for j in range(n):
+            vec = tuple(B[k][j] for k in range(n))
+            assert (speedups.matvec(A, vec, ctx.red, ctx.phi, n)
+                    == _kernel_py.matvec(A, vec, ctx.red, ctx.phi, n))
+
+
+# ---------------------------------------------------------------------------
+# CycloMatrix fast paths
+# ---------------------------------------------------------------------------
+
+def rand_matrix(rng, n, N, density):
+    phi = _context(N).phi
+    entries = [[CycloScalar(N, tuple(rng.randint(-3, 3) for _ in range(phi)),
+                            rng.randint(1, 4))
+                if rng.random() < density else CycloScalar.from_rational(0, N)
+                for _ in range(n)] for _ in range(n)]
+    return CycloMatrix.from_scalars(entries)
+
+
+def entrywise_scale(M, s):
+    """Promote-then-convolve: every entry times s in CycloScalar arithmetic."""
+    return CycloMatrix.from_scalars([[M.entry(i, j) * s for j in range(M.n)]
+                                     for i in range(M.n)])
+
+
+def same(X, Y):
+    return (X.n, X.N, X.den, X.rows) == (Y.n, Y.N, Y.den, Y.rows)
+
+
+@pytest.mark.parametrize("NX,NY", [(1, 1), (4, 4), (12, 12), (1, 4), (4, 1),
+                                   (3, 4), (4, 3), (12, 3)])
+def test_trace_mul_is_trace_of_product(NX, NY):
+    rng = random.Random(NX * 100 + NY)
+    for density in DENSITIES:
+        for n in (1, 4, 7):
+            X = rand_matrix(rng, n, NX, density)
+            Y = rand_matrix(rng, n, NY, density)
+            got, want = X.trace_mul(Y), (X * Y).trace()
+            assert (got.N, got.nums, got.den) == (want.N, want.nums, want.den)
+
+
+SCALARS = [
+    CycloScalar.from_rational(0),
+    CycloScalar.from_rational(Fraction(-3, 4)),
+    CycloScalar.from_rational(Fraction(5, 6), 4),
+    CycloScalar.from_rational(0, 12),
+    CycloScalar(4, (0, 1), 1),
+    CycloScalar(4, (2, -3), 5),
+    CycloScalar(3, (1, 1), 2),
+    CycloScalar(12, (1, 0, -2, 3), 7),
+]
+
+
+@pytest.mark.parametrize("N", [1, 3, 4, 12])
+def test_scalar_multiple_matches_entrywise(N):
+    rng = random.Random(N)
+    for density in DENSITIES:
+        M = rand_matrix(rng, 5, N, density)
+        for s in SCALARS:
+            assert same(M * s, entrywise_scale(M, s)), (N, density, s)
+            assert same(s * M, M * s)
+    for s in (Fraction(2, 3), -2, 0):
+        M = rand_matrix(rng, 4, N, 0.5)
+        assert same(M * s, entrywise_scale(M, CycloScalar.from_rational(s)))
+
+
+@pytest.mark.parametrize("N,M", [(1, 4), (1, 12), (3, 12), (4, 12), (4, 4)])
+def test_promote_matches_entrywise(N, M):
+    rng = random.Random(N * M)
+    for density in DENSITIES:
+        A = rand_matrix(rng, 5, N, density)
+        want = CycloMatrix.from_scalars(
+            [[A.entry(i, j).promote(M) for j in range(5)] for i in range(5)])
+        got = A.promote(M)
+        assert got.N == M and got == want
+        assert (got.den, got.rows) == (want.den, want.rows)
+    zero = CycloMatrix.zeros(3, N).promote(M)
+    assert zero.rows == CycloMatrix.zeros(3, M).rows
+
+
+def test_sum_and_difference_match_entrywise():
+    rng = random.Random(7)
+    for NX, NY in [(1, 1), (1, 4), (4, 12), (3, 4)]:
+        for density in DENSITIES:
+            X = rand_matrix(rng, 4, NX, density)
+            Y = rand_matrix(rng, 4, NY, density)
+            for sign, got in ((1, X + Y), (-1, X - Y)):
+                want = CycloMatrix.from_scalars(
+                    [[X.entry(i, j) + Y.entry(i, j) * sign for j in range(4)]
+                     for i in range(4)])
+                assert got == want
+                assert got.N == want.N and (got.den, got.rows) == (want.den, want.rows)
+
+
+def test_products_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.sampled_from([1, 3, 4, 12]), st.sampled_from([1, 3, 4, 12]),
+               st.integers(1, 5), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def check(NX, NY, n, density, seed):
+        rng = random.Random(seed)
+        X = rand_matrix(rng, n, NX, density)
+        Y = rand_matrix(rng, n, NY, density)
+        P = X * Y
+        want = CycloMatrix.from_scalars(
+            [[sum((X.entry(i, k) * Y.entry(k, j) for k in range(n)),
+                  CycloScalar.from_rational(0))
+              for j in range(n)] for i in range(n)])
+        assert P == want
+        assert X.trace_mul(Y) == P.trace()
+        s = Y.entry(0, 0)
+        assert same(X * s, entrywise_scale(X, s))
+
+    check()
