@@ -4,8 +4,8 @@ forms of twisted loop algebras and affine Kac-Moody algebras.
 The package is organized bottom-up:
 
 - cyclo: exact arithmetic in cyclotomic fields and dense matrices over them
-  (a compiled kernel with a pure-Python fallback sits underneath; see
-  kmaut.kernel.IMPL for which one is active);
+  (one sparse pure-Python kernel of vector and matrix products sits
+  underneath, in kmaut.kernel);
 - algebra: matrix models of the classical simple Lie algebras, Killing
   forms, twist eigenspaces, torus elements;
 - autg, pi0: finite-order automorphisms, involution classes, centralizer

@@ -555,8 +555,8 @@ def combine_semisimple(parts):
     acc = CycloMatrix.zeros(algebra.size)
     cands = {Fraction(0)}
     first = True
-    for p in parts:
-        for q in parts:
+    for i, p in enumerate(parts):
+        for q in parts[i + 1:]:
             if not (p.matrix * q.matrix - q.matrix * p.matrix).is_zero():
                 raise OrderMismatch("semisimple parts do not commute")
         acc = acc + p.matrix

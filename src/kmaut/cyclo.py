@@ -65,16 +65,35 @@ def cyclotomic_poly(N):
     return tuple(_poly_div_exact(num, den))
 
 
+def _check_conductor(N):
+    if N < 1:
+        raise ConductorOverflow("conductor must be positive")
+    if N > MAX_CONDUCTOR:
+        raise ConductorOverflow("conductor %d exceeds cap %d" % (N, MAX_CONDUCTOR))
+
+
+def _totient(N):
+    """Euler's phi(N), the degree of Q(zeta_N), by trial division."""
+    out = m = N
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
 class _Context:
     """Per-conductor data: degree, reduction rows, lazy power table."""
 
     __slots__ = ("N", "phi", "poly", "red", "_pows")
 
     def __init__(self, N):
-        if N < 1:
-            raise ConductorOverflow("conductor must be positive")
-        if N > MAX_CONDUCTOR:
-            raise ConductorOverflow("conductor %d exceeds cap %d" % (N, MAX_CONDUCTOR))
+        _check_conductor(N)
         self.N = N
         self.poly = cyclotomic_poly(N)
         phi = len(self.poly) - 1
@@ -394,7 +413,9 @@ class CycloScalar:
             coeffs = [Fraction(s) for s in obj["coeffs"]]
         except TypeError as exc:
             raise MalformedData("scalar data: %s" % exc) from None
-        phi = _context(N).phi
+        # phi(N) from N alone: the context of a large N takes seconds to build
+        _check_conductor(N)
+        phi = _totient(N)
         if len(coeffs) != phi:
             raise MalformedData("conductor %d takes %d coefficients, not %d"
                                 % (N, phi, len(coeffs)))

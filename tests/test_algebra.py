@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kmaut.algebra import (
+    SemisimpleElement,
     bracket,
     combine_semisimple,
     compact_conjugation,
@@ -14,7 +15,12 @@ from kmaut.algebra import (
 )
 from kmaut.autg import identity_automorphism, standard_involution
 from kmaut.cyclo import CycloMatrix, root_of_unity
-from kmaut.errors import MembershipError, UnsupportedExceptional, UnsupportedParam
+from kmaut.errors import (
+    MembershipError,
+    OrderMismatch,
+    UnsupportedExceptional,
+    UnsupportedParam,
+)
 
 
 def sl2():
@@ -240,3 +246,13 @@ def test_semisimple_rates_and_exp():
     Y = alg.plane_rotation(0, 1, Fraction(1, 2))
     Z = combine_semisimple([Y, Y])
     assert Z.matrix == Y.matrix * 2
+
+
+def test_combine_semisimple_rejects_noncommuting_parts():
+    alg = sl2()
+    i = root_of_unity(4, 1)
+    e, f, h = efh(alg)
+    parts = [SemisimpleElement(alg, M * i, semisimple_rates(M * i))
+             for M in (h.matrix, e.matrix + f.matrix)]
+    with pytest.raises(OrderMismatch, match="do not commute"):
+        combine_semisimple(parts)

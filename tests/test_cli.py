@@ -146,8 +146,11 @@ def _first_entry(value):
     _first_entry({"conductor": 3, "coeffs": ["1"]}),
     _first_entry({"conductor": 1, "coeffs": [[1]]}),
     _first_entry({"conductor": None, "coeffs": ["1"]}),
+    _first_entry({"conductor": 30030, "coeffs": ["1"]}),
+    _first_entry({"conductor": 100000, "coeffs": ["1"]}),
 ], ids=["cut_rows", "cut_first_row", "square_2x2", "short_scalar",
-        "nested_coeff", "null_conductor"])
+        "nested_coeff", "null_conductor", "short_scalar_30030",
+        "short_scalar_100000"])
 def test_invariant_rejects_malformed_matrix(tmp_path, capsys, edit):
     a2 = make_algebra("a", 2, "compact")
     entry = enumerate_first_kind(a2, 1).entries[0]

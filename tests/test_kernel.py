@@ -9,10 +9,12 @@ multiply with CycloScalar arithmetic.
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 
-from kmaut import _kernel_py
+from kmaut import kernel
 from kmaut.cyclo import CycloMatrix, CycloScalar, _context
 
 # Phi_N, lowest degree first, for the conductors with phi = 1, 2, 4
@@ -90,21 +92,47 @@ CASES = kernel_cases()
 def test_pure_matmul_matches_triple_loop(case):
     N, n, A, B = CASES[case]
     ctx = _context(N)
-    got = _kernel_py.matmul(A, B, ctx.red, ctx.phi, n)
+    got = kernel.matmul(A, B, ctx.red, ctx.phi, n)
     assert [tuple(r) for r in got] == ref_matmul(A, B, POLY[N], n)
     assert all(type(r) is tuple and all(type(v) is tuple for v in r) for r in got)
 
 
-def test_compiled_matmul_matches_pure():
-    speedups = pytest.importorskip("kmaut._speedups")
-    for N, n, A, B in CASES:
-        ctx = _context(N)
-        assert (speedups.matmul(A, B, ctx.red, ctx.phi, n)
-                == _kernel_py.matmul(A, B, ctx.red, ctx.phi, n))
-        for j in range(n):
-            vec = tuple(B[k][j] for k in range(n))
-            assert (speedups.matvec(A, vec, ctx.red, ctx.phi, n)
-                    == _kernel_py.matvec(A, vec, ctx.red, ctx.phi, n))
+@pytest.mark.parametrize("N", sorted(POLY))
+def test_conv_reduce_matches_long_division(N):
+    rng = random.Random(N)
+    ctx = _context(N)
+    phi = ctx.phi
+    zero = (0,) * phi
+    vecs = [zero] + [tuple(rng.randint(-5, 5) for _ in range(phi))
+                     for _ in range(12)]
+    for a in vecs:
+        for b in vecs:
+            got = kernel.conv_reduce(a, b, ctx.red, phi)
+            assert type(got) is tuple
+            assert got == ref_mul(a, b, POLY[N])
+
+
+def test_rows_gcd_is_gcd_of_coefficients_and_den():
+    rng = random.Random(5)
+    for phi in (1, 2, 4):
+        for _ in range(40):
+            scale = rng.choice((1, 2, 6, 12))
+            rows = tuple(tuple(tuple(scale * rng.randint(-4, 4) for _ in range(phi))
+                               for _ in range(3)) for _ in range(3))
+            den = scale * rng.randint(1, 5)
+            want = reduce(gcd, (c for row in rows for vec in row for c in vec), den)
+            assert kernel.rows_gcd(rows, den) == want
+        zero_rows = (((0,) * phi,) * 2,) * 2
+        assert kernel.rows_gcd(zero_rows, 6) == 6
+        assert kernel.rows_gcd((), 4) == 4
+
+
+def test_rows_gcd_stops_at_one():
+    def unread():
+        raise AssertionError("rows_gcd read past a gcd of 1")
+        yield
+
+    assert kernel.rows_gcd([((4, 6), (9, 0)), unread()], 12) == 1
 
 
 # ---------------------------------------------------------------------------
