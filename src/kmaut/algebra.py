@@ -13,11 +13,13 @@ from functools import lru_cache
 from math import gcd
 
 from . import linalg
-from .cyclo import CycloMatrix, CycloScalar, root_of_unity
+from .cyclo import (CycloMatrix, CycloScalar, _divisors, _rational_root,
+                    finite_order_eigenprojectors, root_index, root_of_unity)
 from .errors import (
     AlgebraMismatch,
     MembershipError,
     OrderMismatch,
+    TwistMismatch,
     UnsupportedExceptional,
     UnsupportedParam,
 )
@@ -34,9 +36,6 @@ _EXCEPTIONAL_DATA = {
     "f4": (52, 4, 1, 2),
     "g2": (14, 2, 1, 1),
 }
-
-# outer involution labels per exceptional family (indices p with rho_p outer)
-_EXCEPTIONAL_OUTER = {"e6": (1, 4), "e7": (), "e8": (), "f4": (), "g2": ()}
 
 
 def _unit(i, j, size, one=1):
@@ -472,22 +471,11 @@ def semisimple_rates(M):
         rates.add(Fraction(0))
     for u in uroots:
         r2 = -u
-        r = _sqrt_fraction(r2)
+        r = _rational_root(r2, 2)
         if r is None:
             raise OrderMismatch("irrational eigenvalue rate")
         rates.update((r, -r))
     return tuple(sorted(rates))
-
-
-def _sqrt_fraction(q):
-    from math import isqrt
-    if q < 0:
-        return None
-    a, b = q.numerator, q.denominator
-    ra, rb = isqrt(a), isqrt(b)
-    if ra * ra == a and rb * rb == b:
-        return Fraction(ra, rb)
-    return None
 
 
 def _rational_roots(coeffs):
@@ -534,13 +522,7 @@ def _rational_roots(coeffs):
 
 
 def _divisors_signed(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend((d, -d, n // d, -(n // d)))
-        d += 1
-    return out
+    return [s * d for d in _divisors(n) for s in (1, -1)]
 
 
 def combine_semisimple(parts):
@@ -606,8 +588,8 @@ def compact_conjugation(algebra):
 def sigma_eigenspace(algebra, sigma, l, n):
     """Exact basis of the zeta_l^n eigenspace of sigma on the complexified algebra.
 
-    sigma is any object with apply_matrix(); its l-th power must be the
-    identity on the algebra (checked on the basis).
+    sigma is a complex-linear automorphism of the algebra; its l-th power
+    must be the identity (checked on its operator).
     """
     bases = _eigenspace_bases(algebra, sigma, l)
     return [AlgebraElement(algebra, M, validate=False) for M in bases[n % l]]
@@ -618,31 +600,13 @@ def _eigenspace_bases(algebra, sigma, l):
     hit = _EIG_CACHE.get(key)
     if hit is not None:
         return hit
-    basis = algebra.basis()
-    # check sigma^l = id on the basis while collecting images
-    imgs = []
-    for b in basis:
-        cur = b
-        imgs_b = [cur]
-        for _ in range(l):
-            cur = sigma.apply_matrix(cur)
-            imgs_b.append(cur)
-        if cur != b:
-            raise OrderMismatch("sigma^%d is not the identity" % l)
-        imgs.append(imgs_b)
-    out = {}
-    for n in range(l):
-        rows = []
-        for j, b in enumerate(basis):
-            # (1/l) sum_j zeta^(-n j) sigma^j b, as a coordinate row
-            acc = CycloMatrix.zeros(algebra.size)
-            for jj in range(l):
-                acc = acc + imgs[j][jj] * root_of_unity(l, (-n * jj) % l)
-            acc = acc * Fraction(1, l)
-            if not acc.is_zero():
-                rows.append(algebra.coords(acc))
-        red = linalg.row_space_basis(rows)
-        out[n] = tuple(algebra.from_coords(r) for r in red)
+    if sigma.conj:
+        raise TwistMismatch("sigma is conjugate-linear; a twist is complex-linear")
+    out = {n: () for n in range(l)}
+    for val, P in finite_order_eigenprojectors(sigma.operator(), l):
+        # the columns of P are the projections of the basis, in coordinates
+        rows = linalg.row_space_basis(P.transpose().scalars())
+        out[root_index(val, l)] = tuple(algebra.from_coords(r) for r in rows)
     _EIG_CACHE[key] = out
     return out
 

@@ -25,8 +25,8 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import (ONE, ZERO, CycloMatrix, CycloScalar, pfaffian,
-                    root_of_unity)
+from .cyclo import (ONE, ZERO, CycloMatrix, CycloScalar, _rational_root,
+                    pfaffian, root_of_unity)
 from .errors import (
     InvalidLabel,
     MalformedData,
@@ -143,9 +143,6 @@ class Automorphism:
             self._G = G
             self._w = 0
         return self._G, self._w
-
-    def group_matrix(self):
-        return self.parts()[0]
 
     def _ginv(self):
         G, _ = self.parts()
@@ -360,10 +357,6 @@ def identity_automorphism(algebra):
     return Automorphism(algebra, CycloMatrix.identity(algebra.size), label="id")
 
 
-def inner_automorphism(algebra, G, label=None):
-    return Automorphism(algebra, G, label=label)
-
-
 def mu_automorphism(algebra):
     """X -> -X^T; outer for su(m), m >= 3; equals Ad(J) on su(2)."""
     assert algebra.family == "a"
@@ -554,11 +547,11 @@ def _cyclo_sqrt(c):
     if c.is_rational():
         q = c.as_fraction()
         if q > 0:
-            num = _fraction_sqrt(q)
+            num = _rational_root(q, 2)
             if num is not None:
                 return CycloScalar.from_rational(num)
         else:
-            num = _fraction_sqrt(-q)
+            num = _rational_root(-q, 2)
             if num is not None:
                 return CycloScalar.from_rational(num) * root_of_unity(4, 1)
         return None
@@ -566,15 +559,6 @@ def _cyclo_sqrt(c):
     k = root_index(cm, cm.N)
     if k is not None:
         return root_of_unity(2 * cm.N, k)
-    return None
-
-
-def _fraction_sqrt(q):
-    from math import isqrt
-    a, b = q.numerator, q.denominator
-    ra, rb = isqrt(a), isqrt(b)
-    if ra * ra == a and rb * rb == b:
-        return Fraction(ra, rb)
     return None
 
 
@@ -836,7 +820,7 @@ def involution_int_class(phi):
             raise NotInvolution("G^2 is not scalar")
         tr2 = G.trace() ** 2 * c.inverse()
         d2 = tr2.as_fraction()
-        d = _fraction_sqrt(d2)
+        d = _rational_root(d2, 2)
         assert d is not None and d.denominator == 1
         p = (m - int(d)) // 2
         if algebra.size == 2 and p == 1:

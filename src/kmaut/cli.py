@@ -168,10 +168,6 @@ def cmd_selftest(args):
     return 1 if failed else 0
 
 
-def _algebra_spec(value):
-    return value
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="kmaut",

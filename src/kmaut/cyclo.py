@@ -155,10 +155,10 @@ def _embedding(N, M):
 
 
 @lru_cache(maxsize=None)
-def _conj_table(N):
-    """Images of basis powers under z -> z^(N-1) (complex conjugation)."""
+def _galois_table(N, k):
+    """Images of basis powers under the field automorphism z -> z^k."""
     ctx = _context(N)
-    return tuple(ctx.power((N - i) % N) for i in range(ctx.phi))
+    return tuple(ctx.power(i * k % N) for i in range(ctx.phi))
 
 
 def _lift(nums, N, M):
@@ -369,32 +369,28 @@ class CycloScalar:
         return out
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse by the Galois norm: with a = nums,
+        a * prod_{k != 1} sigma_k(a) = N(a) is rational, so
+        x^-1 = den * prod_{k != 1} sigma_k(a) / N(a)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        ctx = _context(self.N)
-        mod = [Fraction(c) for c in ctx.poly]
-        a = [Fraction(c, self.den) for c in self.nums]
-        # invariants: r0 = s0*a mod Phi, r1 = s1*a mod Phi
-        r0, s0 = mod, [Fraction(0)]
-        r1, s1 = a, [Fraction(1)]
-        while _deg(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
-        if _deg(r1) < 0:
-            raise ZeroDivisionError("zero divisor in cyclotomic ring")
-        c = r1[0]
-        inv = [x / c for x in s1]
-        inv += [Fraction(0)] * (ctx.phi - len(inv))
-        den = 1
-        for x in inv:
-            den = lcm(den, x.denominator)
-        return CycloScalar(self.N, tuple(int(x * den) for x in inv[:ctx.phi]), den)
+        N = self.N
+        ctx = _context(N)
+        if ctx.phi == 1:
+            return CycloScalar(N, (self.den,), self.nums[0])
+        a = self.nums
+        prod = None
+        for k in range(2, N):
+            if gcd(k, N) == 1:
+                img = _apply_table(a, _galois_table(N, k), ctx.phi)
+                prod = img if prod is None else kernel.conv_reduce(
+                    prod, img, ctx.red, ctx.phi)
+        norm = kernel.conv_reduce(a, prod, ctx.red, ctx.phi)[0]
+        return CycloScalar(N, tuple(c * self.den for c in prod), norm)
 
     def conj(self):
         """Complex conjugation: the field automorphism z -> z^(-1)."""
-        table = _conj_table(self.N)
+        table = _galois_table(self.N, self.N - 1)
         return CycloScalar(self.N, _apply_table(self.nums, table, _context(self.N).phi),
                            self.den)
 
@@ -408,10 +404,14 @@ class CycloScalar:
     def from_json(obj):
         if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise MalformedData("a scalar is {\"conductor\": N, \"coeffs\": [...]}")
+        N, coeffs = obj.get("conductor"), obj["coeffs"]
+        # type(...) is int also rejects bools; floats are not exact data
+        if type(N) is not int or not all(type(c) in (str, int) for c in coeffs):
+            raise MalformedData("a scalar has an integer conductor and exact "
+                                "string or integer coefficients")
         try:
-            N = int(obj["conductor"])
-            coeffs = [Fraction(s) for s in obj["coeffs"]]
-        except TypeError as exc:
+            coeffs = [Fraction(c) for c in coeffs]
+        except (ValueError, ZeroDivisionError) as exc:
             raise MalformedData("scalar data: %s" % exc) from None
         # phi(N) from N alone: the context of a large N takes seconds to build
         _check_conductor(N)
@@ -464,44 +464,31 @@ def _divisors(N):
     return out
 
 
-# rational polynomial helpers (used only in scalar inversion)
-
-def _deg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _rational_root(q, n):
+    """The rational r >= 0 with r^n = q, or None if there is none (q < 0
+    included)."""
+    q = Fraction(q)
+    if q < 0:
+        return None
+    a, b = _int_root(q.numerator, n), _int_root(q.denominator, n)
+    if a is None or b is None:
+        return None
+    return Fraction(a, b)
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = _deg(b)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    lead = b[db]
-    for k in range(_deg(a) - db, -1, -1):
-        c = a[k + db] / lead
-        if c:
-            q[k] = c
-            for j in range(db + 1):
-                a[k + j] -= c * b[j]
-    return q, a
+def _int_root(a, n):
+    """The integer r >= 0 with r^n = a (a >= 0), or None."""
+    lo, hi = 0, 1 << (a.bit_length() // n + 1)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        val = mid ** n
+        if val == a:
+            return mid
+        if val < a:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
 
 
 def root_of_unity(N, k):
@@ -756,7 +743,7 @@ class CycloMatrix:
         return CycloMatrix(self.n, self.N, self.den, rows, _normalized=True)
 
     def conj(self):
-        table = _conj_table(self.N)
+        table = _galois_table(self.N, self.N - 1)
         phi = _context(self.N).phi
         rows = tuple(tuple(_apply_table(vec, table, phi) for vec in row)
                      for row in self.rows)
@@ -842,7 +829,8 @@ def finite_order_eigenprojectors(M, N):
     P_k = (1/N) * sum_j zeta_N^(-kj) M^j; they are idempotent, pairwise
     orthogonal, sum to the identity, and satisfy M P_k = zeta_N^k P_k.
     """
-    powers = [CycloMatrix.identity(M.n, M.N)]
+    # I at conductor 1: at N = 1 the one projector is I in Q, whatever M's field
+    powers = [CycloMatrix.identity(M.n)]
     for _ in range(N - 1):
         powers.append(powers[-1] * M)
     if not (powers[-1] * M).is_identity():

@@ -32,8 +32,8 @@ from .autg import (
     label_out_word,
     triality_automorphism,
 )
-from .cyclo import (CycloMatrix, CycloScalar, finite_order_eigenprojectors,
-                    root_index, root_of_unity)
+from .cyclo import (CycloMatrix, CycloScalar, _rational_root,
+                    finite_order_eigenprojectors, root_index, root_of_unity)
 from .errors import (
     InfiniteOrderScaling,
     InvalidLoopData,
@@ -50,31 +50,6 @@ from .loop import AffineElement, LoopElement, loop_form
 from .pi0 import ComponentClass, component_signature, pi0_row
 
 _ONE = Fraction(1)
-
-
-def _nth_root(q, n):
-    """Exact n-th root of a positive rational, or None."""
-    out_n = _int_root(q.numerator, n)
-    out_d = _int_root(q.denominator, n)
-    if out_n is None or out_d is None:
-        return None
-    return Fraction(out_n, out_d)
-
-
-def _int_root(a, n):
-    if a < 1:
-        return None
-    lo, hi = 1, max(a, 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        val = mid ** n
-        if val == a:
-            return mid
-        if val < a:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
 
 
 class StandardLoopAutomorphism:
@@ -122,6 +97,17 @@ class StandardLoopAutomorphism:
             self._target = E2.compose(mid)
         return self._target
 
+    def _image_conductor(self, l):
+        """Conductor of the image of an element of conductor l: a multiple
+        of l, of the target twist's order and of every difference of
+        X-rates, so that the X-shifts stay integral."""
+        out = lcm(l, self.target_twist().order(bound=256))
+        rates = [r for r, _ in self.X.projectors()]
+        for r1 in rates:
+            for r2 in rates:
+                out = lcm(out, Fraction(r1 - r2).denominator)
+        return out
+
     def is_endomorphism(self):
         return self.target_twist() == self.twist
 
@@ -136,14 +122,8 @@ class StandardLoopAutomorphism:
             raise TwistMismatch("element does not live over the source twist")
         lu = u.l
         a, b = self.t0.numerator, self.t0.denominator
-        # conductor able to carry the X-shifts
-        lden = lu
-        for r1, _ in self.X.projectors():
-            for r2, _ in self.X.projectors():
-                lden = lcm(lden, Fraction(r1 - r2).denominator)
-        lnew = lden
+        lnew = self._image_conductor(lu)
         tgt = self.target_twist()
-        lnew = lcm(lnew, tgt.order(bound=256))
         out = {}
         projs = self.X.projectors()
         for n, M in u.coeffs.items():
@@ -199,7 +179,7 @@ class StandardLoopAutomorphism:
         t0 = eps2 * self.t0 + othe.t0
         # scales: tau_{r1} passed across gives tau_{r1^eps2}; then times other's
         rnew = (r1 ** eps2) * (othe.scale ** othe.l)
-        snew = _nth_root(Fraction(rnew), othe.l)
+        snew = _rational_root(rnew, othe.l)
         if snew is None:
             raise ScalingNotRational("composed scale is irrational")
         # both factors are valid and self o other lands where self lands
@@ -233,7 +213,7 @@ class StandardLoopAutomorphism:
         rn = Fraction(1) / (r ** self.epsilon)
         tgt = self.target_twist()
         ltgt = lcm(self.l, tgt.order(bound=256))
-        sn = _nth_root(rn, ltgt)
+        sn = _rational_root(rn, ltgt)
         if sn is None:
             raise ScalingNotRational("inverse scale is irrational")
         out = StandardLoopAutomorphism(tgt, ltgt, self.epsilon,
@@ -303,7 +283,7 @@ def _rat_pow(r, e):
     """r^e for rational r > 0 and rational e, exact or None."""
     e = Fraction(e)
     powed = r ** e.numerator
-    return _nth_root(powed, e.denominator)
+    return _rational_root(powed, e.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +351,7 @@ def normalizing_scale(phi):
     if phi.epsilon != -1:
         raise WrongKind("only second-kind automorphisms absorb a scale")
     r_total = phi.scale ** phi.l
-    s_par = _nth_root(r_total, 2 * phi.l)
+    s_par = _rational_root(r_total, 2 * phi.l)
     if s_par is None:
         raise ScalingNotRational("normalizing scale is irrational")
     return s_par
@@ -660,11 +640,7 @@ class AffineExtension:
         self.phi = phi
         tgt = phi.target_twist()
         self._tw = tgt
-        l = lcm(phi.l, tgt.order(bound=256))
-        for r1, _ in phi.X.projectors():
-            for r2, _ in phi.X.projectors():
-                l = lcm(l, Fraction(r1 - r2).denominator)
-        self._l = l
+        self._l = phi._image_conductor(phi.l)
         x = phi.X
         self.x_loop = LoopElement(phi.algebra, tgt, self._l,
                                   {0: x.matrix}, validate=True)

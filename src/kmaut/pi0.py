@@ -120,11 +120,6 @@ def pi0_table(algebra, rho_label):
             for e in row.entries]
 
 
-def out_class_row(algebra):
-    """Conjugacy classes of the outer group (the rho = id rowical)."""
-    return pi0_row(algebra, InvLabel(0))
-
-
 def _ad(algebra, M, label):
     return lambda: Automorphism(algebra, M, label=label)
 

@@ -16,7 +16,6 @@ from math import lcm
 
 from .algebra import make_algebra, sigma_eigenspace
 from .autg import (
-    Automorphism,
     InvLabel,
     conj_linear_int_class,
     identity_automorphism,

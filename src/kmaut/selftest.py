@@ -50,20 +50,6 @@ from .tables import (
     valid_ks,
 )
 
-# the published closed-form count columns, hard expectations of the gate
-TABLE2_EXPECTED = {
-    ("a", 1, 1): "2+1",
-    ("b", None, 1): lambda n: "%d+1" % (2 * n),
-    ("e6", None, 1): "4+2", ("e6", None, 2): "4+0",
-    ("e7", None, 1): "5+1", ("e8", None, 1): "2+1",
-    ("f4", None, 1): "2+1", ("g2", None, 1): "1+1",
-}
-
-TABLE3_SPOTS = {
-    ("d", 4, 1): 10, ("d", 4, 2): 8, ("d", 4, 3): 3,
-    ("e6", None, 2): 6,
-}
-
 
 def table2_expected(algebra, k):
     fam, n = algebra.family, algebra.param

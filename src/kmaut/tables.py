@@ -140,12 +140,6 @@ def enumerate_second_kind(algebra, k):
                     _provenance(algebra))
 
 
-def all_rows(algebra, kind):
-    return [enumerate_first_kind(algebra, k) if kind == 1
-            else enumerate_second_kind(algebra, k)
-            for k in valid_ks(algebra)]
-
-
 # ---------------------------------------------------------------------------
 # realization
 # ---------------------------------------------------------------------------
@@ -281,17 +275,3 @@ def algebra_from_args(family, n=None, mode="compact"):
         return make_algebra(family, int(n), mode)
     return make_algebra(family, None, mode)
 
-
-def supported_algebras():
-    out = []
-    for n in range(1, 8):
-        out.append(make_algebra("a", n, "compact"))
-    for n in range(2, 6):
-        out.append(make_algebra("b", n, "compact"))
-    for n in range(3, 7):
-        out.append(make_algebra("c", n, "compact"))
-    for n in range(4, 9):
-        out.append(make_algebra("d", n, "compact"))
-    for fam in ("e6", "e7", "e8", "f4", "g2"):
-        out.append(make_algebra(fam, None, "compact"))
-    return out

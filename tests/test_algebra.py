@@ -13,11 +13,20 @@ from kmaut.algebra import (
     semisimple_rates,
     sigma_eigenspace,
 )
-from kmaut.autg import identity_automorphism, standard_involution
+from kmaut import linalg
+from kmaut.autg import (
+    Automorphism,
+    identity_automorphism,
+    mu_automorphism,
+    omega_automorphism,
+    standard_involution,
+    triality_automorphism,
+)
 from kmaut.cyclo import CycloMatrix, root_of_unity
 from kmaut.errors import (
     MembershipError,
     OrderMismatch,
+    TwistMismatch,
     UnsupportedExceptional,
     UnsupportedParam,
 )
@@ -235,6 +244,68 @@ def test_sigma_eigenspace_dimension_sum():
         sig = standard_involution(alg, lab)
         total = sum(len(sigma_eigenspace(alg, sig, l, n)) for n in range(l))
         assert total == alg.dim
+
+
+def _averaged_eigenspace(alg, sigma, l, n):
+    """Reference: the rows (1/l) sum_j zeta_l^(-n j) coords(sigma^j b) over
+    the basis b, in reduced row echelon form."""
+    rows = []
+    for b in alg.basis():
+        acc = CycloMatrix.zeros(alg.size)
+        cur = b
+        for j in range(l):
+            acc = acc + cur * root_of_unity(l, (-n * j) % l)
+            cur = sigma.apply_matrix(cur)
+        assert cur == b
+        acc = acc * Fraction(1, l)
+        if not acc.is_zero():
+            rows.append(alg.coords(acc))
+    return [alg.from_coords(r) for r in linalg.row_space_basis(rows)]
+
+
+def _finite_order_twists():
+    a2 = make_algebra("a", 2, "complex")
+    a3 = make_algebra("a", 3, "complex")
+    d4 = make_algebra("d", 4, "compact")
+    third = Automorphism(a2, a2.torus_element([1, 0, -1]).exp_2pi(Fraction(1, 3)))
+    sixth = Automorphism(a3, a3.torus_element([1, 0, 0, -1]).exp_2pi(Fraction(1, 6)))
+    # order 1, but its group matrix i*I lives in Q(i)
+    scalar_i = Automorphism(a2, CycloMatrix.identity(3) * root_of_unity(4, 1))
+    return [
+        (a2, scalar_i),
+        (a2, standard_involution(a2, "rho1")),
+        (a2, mu_automorphism(a2)),
+        (a2, third),
+        (a2, mu_automorphism(a2).compose(third)),
+        (a3, sixth),
+        (a3, mu_automorphism(a3).compose(sixth)),
+        (d4, standard_involution(d4, "rho1")),
+        (d4, triality_automorphism(d4)),
+        (d4, triality_automorphism(d4, 2)),
+    ]
+
+
+def test_sigma_eigenspace_matches_averaging():
+    seen = set()
+    for alg, sigma in _finite_order_twists():
+        l = sigma.order(bound=64)
+        seen.add(l)
+        for n in range(l):
+            got = [x.matrix.to_json() for x in sigma_eigenspace(alg, sigma, l, n)]
+            want = [M.to_json() for M in _averaged_eigenspace(alg, sigma, l, n)]
+            assert got == want
+    assert {1, 2, 3, 6} <= seen
+
+
+def test_sigma_eigenspace_rejects_wrong_order_and_conjugate_linear():
+    alg = make_algebra("a", 2, "complex")
+    with pytest.raises(OrderMismatch):
+        sigma_eigenspace(alg, mu_automorphism(alg), 3, 0)
+    d4 = make_algebra("d", 4, "compact")
+    with pytest.raises(OrderMismatch):
+        sigma_eigenspace(d4, triality_automorphism(d4), 2, 1)
+    with pytest.raises(TwistMismatch):
+        sigma_eigenspace(alg, omega_automorphism(alg), 2, 0)
 
 
 def test_semisimple_rates_and_exp():

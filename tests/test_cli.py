@@ -148,9 +148,15 @@ def _first_entry(value):
     _first_entry({"conductor": None, "coeffs": ["1"]}),
     _first_entry({"conductor": 30030, "coeffs": ["1"]}),
     _first_entry({"conductor": 100000, "coeffs": ["1"]}),
+    _first_entry({"conductor": 1.5, "coeffs": ["1"]}),
+    _first_entry({"conductor": True, "coeffs": ["1"]}),
+    _first_entry({"conductor": "x", "coeffs": ["1"]}),
+    _first_entry({"conductor": 1, "coeffs": ["abc"]}),
+    _first_entry({"conductor": 1, "coeffs": [1.5]}),
 ], ids=["cut_rows", "cut_first_row", "square_2x2", "short_scalar",
         "nested_coeff", "null_conductor", "short_scalar_30030",
-        "short_scalar_100000"])
+        "short_scalar_100000", "float_conductor", "bool_conductor",
+        "string_conductor", "word_coeff", "float_coeff"])
 def test_invariant_rejects_malformed_matrix(tmp_path, capsys, edit):
     a2 = make_algebra("a", 2, "compact")
     entry = enumerate_first_kind(a2, 1).entries[0]
@@ -160,7 +166,8 @@ def test_invariant_rejects_malformed_matrix(tmp_path, capsys, edit):
     bad.write_text(json.dumps(payload))
     rc, out = run_cli(["invariant", "--in", str(bad)], capsys)
     assert rc == 2
-    assert "error" in json.loads(out)
+    # a typed error, not a raw exception that the CLI prefixes with its type
+    assert not json.loads(out)["error"].startswith(("ValueError", "TypeError"))
 
 
 def test_table_output_byte_stable(capsys):

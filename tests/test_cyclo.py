@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from kmaut import linalg
 from kmaut.cyclo import (
     CycloMatrix,
     CycloScalar,
@@ -60,6 +62,40 @@ def test_field_axioms_random():
             assert a * a.inverse() == 1
         assert (a * b).conj() == a.conj() * b.conj()
         assert a.conj().conj() == a
+
+
+def _inverse_by_solve(x):
+    """Reference inverse: solve M y = e_0 over Q, where column i of M holds
+    the coordinates of x * z^i."""
+    phi = len(cyclotomic_poly(x.N)) - 1
+    cols = [x * root_of_unity(x.N, i) for i in range(phi)]
+    M = [[Fraction(c.nums[r], c.den) for c in cols] for r in range(phi)]
+    y = linalg.solve(M, [Fraction(int(r == 0)) for r in range(phi)])
+    den = 1
+    for c in y:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return CycloScalar(x.N, tuple(int(c * den) for c in y), den)
+
+
+def test_inverse_matches_linear_solve():
+    rng = random.Random(11)
+    for N in range(1, 31):
+        phi = len(cyclotomic_poly(N)) - 1
+        for _ in range(4):
+            nums = [rng.randint(-7, 7) if rng.random() < 0.6 else 0
+                    for _ in range(phi)]
+            nums[rng.randrange(phi)] = rng.choice((-3, -1, 1, 2))
+            # negative and non-reduced denominators go in as given
+            den = rng.choice((1, -1, 2, -4, 6, 30))
+            x = CycloScalar(N, [c * abs(den) for c in nums] if rng.random() < 0.5
+                            else nums, den)
+            inv = x.inverse()
+            ref = _inverse_by_solve(x)
+            assert (inv.N, inv.nums, inv.den) == (ref.N, ref.nums, ref.den)
+            assert x * inv == 1
+    for N in (1, 2, 7, 12):
+        with pytest.raises(ZeroDivisionError):
+            CycloScalar.from_rational(0, N).inverse()
 
 
 def test_conductor_embedding_roundtrip():
