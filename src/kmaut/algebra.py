@@ -596,8 +596,7 @@ def sigma_eigenspace(algebra, sigma, l, n):
 
 
 def _eigenspace_bases(algebra, sigma, l):
-    key = (algebra, getattr(sigma, "cache_key", lambda: id(sigma))(), l)
-    hit = _EIG_CACHE.get(key)
+    hit = sigma.eigenbases.get(l)
     if hit is not None:
         return hit
     if sigma.conj:
@@ -607,8 +606,5 @@ def _eigenspace_bases(algebra, sigma, l):
         # the columns of P are the projections of the basis, in coordinates
         rows = linalg.row_space_basis(P.transpose().scalars())
         out[root_index(val, l)] = tuple(algebra.from_coords(r) for r in rows)
-    _EIG_CACHE[key] = out
+    sigma.eigenbases[l] = out
     return out
-
-
-_EIG_CACHE = {}

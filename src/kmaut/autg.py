@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import lcm
 
 from . import linalg
@@ -36,7 +35,6 @@ from .errors import (
     UnsupportedExceptional,
 )
 
-_TOKENS = count()
 
 # permutation encoding of the outer group (subgroup of S3 on {0,1,2});
 # X_PERM is the image of a determinant -1 conjugation / of mu, Y_PERM the
@@ -103,7 +101,7 @@ class Automorphism:
     """A (possibly conjugate-linear) automorphism of a classical simple algebra."""
 
     __slots__ = ("algebra", "conj", "_G", "_Ginv", "_w", "_op", "_word",
-                 "label", "_token", "_canonG")
+                 "label", "_canonG", "eigenbases")
 
     def __init__(self, algebra, G=None, w=0, conj=False, operator=None,
                  word=None, label=None):
@@ -111,7 +109,8 @@ class Automorphism:
         self.algebra = algebra
         self.conj = bool(conj)
         self.label = label
-        self._token = next(_TOKENS)
+        # {l: bases of the zeta_l^n eigenspaces}, filled by sigma_eigenspace
+        self.eigenbases = {}
         self._Ginv = None
         self._canonG = None
         if operator is not None:
@@ -305,9 +304,6 @@ class Automorphism:
     def __hash__(self):
         return hash((self.algebra, self.conj, self.word()))
 
-    def cache_key(self):
-        return ("aut", self._token)
-
     def __repr__(self):
         tag = self.label or ("parts(w=%d)" % self._w if self._G is not None
                              else "operator")
@@ -407,7 +403,7 @@ def _triality_operator():
     mult = _octonion_table()
 
     def omult(u, v):
-        out = [Fraction(0)] * 8
+        out = [0] * 8
         for i in range(8):
             if u[i]:
                 for j in range(8):
@@ -417,12 +413,12 @@ def _triality_operator():
         return out
 
     pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
-    unit = [[Fraction(int(r == i)) for r in range(8)] for i in range(8)]
+    unit = [[int(r == i) for r in range(8)] for i in range(8)]
     basis = []
     for (i, j) in pairs:
-        M = [[Fraction(0)] * 8 for _ in range(8)]
-        M[i][j] = Fraction(1)
-        M[j][i] = Fraction(-1)
+        M = [[0] * 8 for _ in range(8)]
+        M[i][j] = 1
+        M[j][i] = -1
         basis.append(M)
 
     rows = []
@@ -447,19 +443,19 @@ def _triality_operator():
                 rhs.extend(sum(Mm[i][k] * w[k] for k in range(8)) for i in range(8))
         rhss.append(rhs)
 
+    # the integer system [A | B] in packed rows over Q, unknowns a', a''
     naug = 56
-    M = [rows[i] + [rhss[m][i] for m in range(28)] for i in range(len(rows))]
-    pivots, _ = linalg.rref(M)
+    system = [({j: (x,) for j, x in enumerate(row + [rhs[i] for rhs in rhss])
+                if x}, 1) for i, row in enumerate(rows)]
+    pivots, _ = linalg.eliminate(system, naug + 28, 1)
     assert pivots[-1] < naug, "octonion system has no solution"
-    sol = [[Fraction(0)] * 28 for _ in range(naug)]
+    # free unknowns are 0; row pc of sol holds unknown pc for each of the 28 a
+    sol = [({}, 1)] * naug
     for i, pc in enumerate(pivots):
-        for m in range(28):
-            sol[pc][m] = M[i][naug + m]
-    T1 = [[sol[c][m] for m in range(28)] for c in range(28)]
-    T2 = [[sol[28 + c][m] for m in range(28)] for c in range(28)]
-    TH = [[sum(T1[i][k] * T2[k][j] for k in range(28)) for j in range(28)]
-          for i in range(28)]
-    return CycloMatrix.from_scalars(TH)
+        sol[pc] = system[i]
+    T1 = CycloMatrix.from_packed(28, 1, sol[:28], offset=naug)
+    T2 = CycloMatrix.from_packed(28, 1, sol[28:], offset=naug)
+    return T1 * T2
 
 
 @lru_cache(maxsize=1)
@@ -861,8 +857,7 @@ def involution_int_class(phi):
 
 
 def _fixed_dim(op):
-    piv, _ = linalg.rref((op - CycloMatrix.identity(op.n)).scalars())
-    return op.n - len(piv)
+    return op.n - (op - CycloMatrix.identity(op.n)).rank()
 
 
 def conj_linear_int_class(phi):

@@ -25,6 +25,9 @@ from .errors import (
 )
 
 MAX_CONDUCTOR = 10**6
+# Conductors the per-conductor caches keep; a classification batch over the
+# tables uses a handful, and the pair-keyed caches get four times as many.
+_CONDUCTORS_CACHED = 64
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +50,7 @@ def _poly_div_exact(num, den):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONDUCTORS_CACHED)
 def cyclotomic_poly(N):
     """Coefficients of the N-th cyclotomic polynomial, lowest degree first."""
     if N == 1:
@@ -140,12 +143,12 @@ class _Context:
         return tab[m]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONDUCTORS_CACHED)
 def _context(N):
     return _Context(N)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4 * _CONDUCTORS_CACHED)
 def _embedding(N, M):
     """Images of the conductor-N basis powers in conductor-M coordinates."""
     assert M % N == 0
@@ -154,7 +157,7 @@ def _embedding(N, M):
     return tuple(ctx.power(i * step) for i in range(_context(N).phi))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4 * _CONDUCTORS_CACHED)
 def _galois_table(N, k):
     """Images of basis powers under the field automorphism z -> z^k."""
     ctx = _context(N)
@@ -774,20 +777,49 @@ class CycloMatrix:
                             acc[t] += c
         return CycloScalar(a.N, tuple(acc), a.den * b.den)
 
+    def packed_rows(self):
+        """The rows as `linalg.eliminate` takes them: one dict of the
+        nonzero coefficient tuples per row, over the matrix denominator."""
+        return [({j: v for j, v in enumerate(row) if any(v)}, self.den)
+                for row in self.rows]
+
+    @staticmethod
+    def from_packed(n, N, rows, offset=0):
+        """The n x n matrix whose row i holds the entries of packed row i at
+        columns offset .. offset + n - 1."""
+        den = lcm(*(d for _, d in rows))
+        zero = (0,) * _context(N).phi
+        out = []
+        for ents, d in rows:
+            f = den // d
+            row = [zero] * n
+            for j, v in ents.items():
+                if offset <= j < offset + n:
+                    row[j - offset] = v if f == 1 else tuple(c * f for c in v)
+            out.append(tuple(row))
+        return CycloMatrix(n, N, den, tuple(out))
+
+    def rank(self):
+        """The number of pivots of the packed elimination."""
+        return len(linalg.eliminate(self.packed_rows(), self.n, self.N)[0])
+
     def det(self):
-        piv, det = linalg.rref(self.scalars())
+        piv, det = linalg.eliminate(self.packed_rows(), self.n, self.N)
         if len(piv) < self.n:
             return CycloScalar.from_rational(0, self.N)
         return det
 
     def inverse(self):
+        """The inverse, by elimination on [self | I] in packed rows."""
         n = self.n
-        rows = [r + [ONE if i == j else ZERO for j in range(n)]
-                for i, r in enumerate(self.scalars())]
-        piv, _ = linalg.rref(rows)
+        one = (self.den,) + (0,) * (_context(self.N).phi - 1)
+        rows = self.packed_rows()
+        for i, (ents, _) in enumerate(rows):
+            ents[n + i] = one
+        piv, _ = linalg.eliminate(rows, 2 * n, self.N)
         if piv != list(range(n)):
             raise ZeroDivisionError("singular matrix")
-        return CycloMatrix.from_scalars([row[n:] for row in rows])
+        return CycloMatrix.from_packed(n, self.N, rows, offset=n)
 
     def matvec(self, vec):
         """Apply to a coordinate vector of CycloScalar; returns a list."""

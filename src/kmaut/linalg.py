@@ -1,61 +1,175 @@
-"""Exact linear algebra over any exact field (Fraction, CycloScalar): `rref`,
-the one dense Gauss-Jordan elimination, and `Span`, an incremental sparse
-echelon form."""
+"""Exact linear algebra over Q and Q(zeta_N): `eliminate`, the one dense
+Gauss-Jordan elimination, on packed integer rows; `rref`, `solve` and
+`nullspace` on rows of Fraction or CycloScalar entries, through it; and
+`Span`, an incremental sparse echelon form."""
+
+from fractions import Fraction
+from math import lcm
+
+from . import cyclo, kernel
 
 
-def rref(rows):
-    """Row-reduce a list of rows in place to reduced row echelon form.
+def eliminate(rows, ncols, N):
+    """Row-reduce packed rows over Q(zeta_N) in place to reduced row echelon
+    form.
 
-    Pivots on the first nonzero entry of each column, scales the pivot row
-    by 1 / pivot and clears the column above and below.  Returns the pivot
-    columns and the product of the pivots times the sign of the row swaps,
-    which for a square nonsingular input is its determinant.
+    A packed row is a pair (entries, den): entries maps each column of a
+    nonzero entry to its integer coefficient tuple in the power basis of
+    Q(zeta_N), and den > 0 is the one denominator of the row.  Pivots on the
+    first nonzero entry of each column and scales the pivot row by the
+    inverse of its pivot, one scalar inverse per pivot.  Every other row R_i
+    with entry f in the pivot column becomes d_r * R_i - f * R_r over
+    d_i * d_r, where d_r is the pivot row's denominator, which is also the
+    numerator of its pivot 1.  Each new row is divided by the gcd of its
+    coefficients and its denominator, so rows stay in lowest terms.
+
+    Returns the pivot columns and the product of the pivots times the sign
+    of the row swaps, a CycloScalar of conductor N (the integer 1 if there
+    is no pivot), which for a square nonsingular input is its determinant.
     """
+    ctx = cyclo._context(N)
+    red, phi = ctx.red, ctx.phi
+    conv = kernel.conv_reduce
     piv = []
     det = 1
-    ncols = len(rows[0]) if rows else 0
+    sign = 1
     r = 0
     for c in range(ncols):
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if c in rows[i][0]), None)
         if p is None:
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            det = -det
-        pivot = rows[r][c]
-        det = det * pivot
-        inv = 1 / pivot
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            sign = -sign
+        prow, pden = rows[r]
+        a = prow[c]
+        det = cyclo.CycloScalar(N, a, pden) * det
+        if any(a[1:]):
+            inv = cyclo.CycloScalar(N, a, 1, _normalized=True).inverse()
+            prow = {j: conv(x, inv.nums, red, phi) for j, x in prow.items()}
+            dr = inv.den
+        elif a[0] < 0:
+            prow = {j: tuple(-v for v in x) for j, x in prow.items()}
+            dr = -a[0]
+        else:
+            dr = a[0]
+        prow, dr = _strip(prow, dr)
+        rows[r] = prow, dr
+        others = [(j, y) for j, y in prow.items() if j != c]
+        for i, (row, d) in enumerate(rows):
+            f = row.pop(c, None) if i != r else None
+            if f is None:
+                continue
+            if dr != 1:
+                for j, x in row.items():
+                    row[j] = tuple(dr * v for v in x)
+            for j, y in others:
+                t = conv(f, y, red, phi)
+                x = row.get(j)
+                if x is None:
+                    row[j] = tuple(-v for v in t)
+                else:
+                    s = tuple(v - w for v, w in zip(x, t))
+                    if any(s):
+                        row[j] = s
+                    else:
+                        del row[j]
+            rows[i] = _strip(row, d * dr)
         piv.append(c)
         r += 1
-        if r == len(rows):
-            break
+    return piv, (-det if sign < 0 else det)
+
+
+def _strip(row, den):
+    """The packed row divided by the gcd of its coefficients and den."""
+    g = kernel.rows_gcd((row.values(),), den)
+    if g == 1:
+        return row, den
+    return {j: tuple(v // g for v in x) for j, x in row.items()}, den // g
+
+
+class _Packed:
+    """Rows of Fraction, int or CycloScalar entries, packed for `eliminate`
+    over the lcm N of the entries' conductors.  Entries read back are
+    Fractions when no input entry was a CycloScalar, else CycloScalars of
+    conductor N."""
+
+    __slots__ = ("rows", "N", "ncols", "_cyclo", "_pad")
+
+    def __init__(self, rows):
+        self.ncols = len(rows[0]) if rows else 0
+        conductors = [x.N for row in rows for x in row
+                      if isinstance(x, cyclo.CycloScalar)]
+        self._cyclo = bool(conductors)
+        self.N = N = lcm(1, *conductors)
+        self._pad = (0,) * (cyclo._context(N).phi - 1)
+        self.rows = []
+        for row in rows:
+            ents, den = {}, 1
+            for j, x in enumerate(row):
+                if x:
+                    if isinstance(x, cyclo.CycloScalar):
+                        x = x.promote(N)
+                        ents[j] = x.nums, x.den
+                    else:
+                        ents[j] = (x.numerator,) + self._pad, x.denominator
+                    den = lcm(den, ents[j][1])
+            self.rows.append(({j: v if d == den else tuple(c * (den // d) for c in v)
+                               for j, (v, d) in ents.items()}, den))
+
+    def eliminate(self):
+        piv, det = eliminate(self.rows, self.ncols, self.N)
+        if piv and not self._cyclo:
+            det = det.as_fraction()
+        return piv, det
+
+    def entry(self, i, j):
+        ents, den = self.rows[i]
+        v = ents.get(j, (0,) + self._pad)
+        if self._cyclo:
+            return cyclo.CycloScalar(self.N, v, den)
+        return Fraction(v[0], den)
+
+    def row(self, i):
+        return [self.entry(i, j) for j in range(self.ncols)]
+
+
+def rref(rows):
+    """Row-reduce a list of rows of exact scalars in place to reduced row
+    echelon form, through `eliminate`.
+
+    Returns the pivot columns and the product of the pivots times the sign
+    of the row swaps, which for a square nonsingular input is its
+    determinant.  Entries come back as Fractions if no input entry was a
+    CycloScalar, else as CycloScalars at the lcm of the input conductors.
+    """
+    packed = _Packed(rows)
+    piv, det = packed.eliminate()
+    rows[:] = [packed.row(i) for i in range(len(rows))]
     return piv, det
 
 
 def row_space_basis(rows):
     """Independent spanning subset of the given rows, in reduced form."""
-    work = [list(r) for r in rows]
-    piv, _ = rref(work)
-    return work[: len(piv)]
+    packed = _Packed(rows)
+    piv, _ = packed.eliminate()
+    return [packed.row(i) for i in range(len(piv))]
 
 
 def solve(A, b):
     """A solution x of A x = b (A a list of rows), or None if there is none.
 
     Free coordinates of x are the integer 0."""
-    aug = [list(row) + [t] for row, t in zip(A, b)]
     n = len(A[0]) if A else 0
-    piv, _ = rref(aug)
+    packed = _Packed([list(row) + [t] for row, t in zip(A, b)])
+    piv, _ = packed.eliminate()
     if n in piv:
         return None
     x = [0] * n
     for i, c in enumerate(piv):
-        x[c] = aug[i][n]
+        x[c] = packed.entry(i, n)
     return x
 
 
@@ -68,8 +182,8 @@ def solve_in_span(basis_rows, target):
 def nullspace(rows, ncols, zero=0, one=1):
     """Basis of the right kernel of the matrix given by rows, one vector per
     free column in increasing order."""
-    work = [list(r) for r in rows]
-    piv, _ = rref(work)
+    packed = _Packed(rows)
+    piv, _ = packed.eliminate()
     pivset = set(piv)
     basis = []
     for f in range(ncols):
@@ -78,7 +192,7 @@ def nullspace(rows, ncols, zero=0, one=1):
         vec = [zero] * ncols
         vec[f] = one
         for i, c in enumerate(piv):
-            vec[c] = -work[i][f]
+            vec[c] = -packed.entry(i, f)
         basis.append(vec)
     return basis
 

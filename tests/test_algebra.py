@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,37 @@ def test_sigma_eigenspace_matches_averaging():
             want = [M.to_json() for M in _averaged_eigenspace(alg, sigma, l, n)]
             assert got == want
     assert {1, 2, 3, 6} <= seen
+
+
+def _module_state():
+    """Sizes of the containers and caches that kmaut modules hold at module
+    level."""
+    sizes = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "kmaut" or name.startswith("kmaut."):
+            for attr, val in vars(mod).items():
+                if isinstance(val, (dict, list, set)):
+                    sizes[name, attr] = len(val)
+                elif hasattr(val, "cache_info"):
+                    sizes[name, attr] = val.cache_info().currsize
+    return sizes
+
+
+def test_fresh_twists_leave_no_module_state():
+    """Eigenspace bases live on the twist, so twists built afresh for each
+    call (as conjugates are) leave nothing behind in the modules."""
+    alg = make_algebra("a", 2, "complex")
+
+    def fresh():
+        return Automorphism(alg, alg.torus_element([1, 0, -1]).exp_2pi(Fraction(1, 3)))
+
+    want = [len(sigma_eigenspace(alg, fresh(), 3, n)) for n in range(3)]
+    before = _module_state()
+    for _ in range(8):
+        sigma = fresh()
+        assert [len(sigma_eigenspace(alg, sigma, 3, n)) for n in range(3)] == want
+        assert list(sigma.eigenbases) == [3]
+    assert _module_state() == before
 
 
 def test_sigma_eigenspace_rejects_wrong_order_and_conjugate_linear():

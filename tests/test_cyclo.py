@@ -248,3 +248,18 @@ def test_pfaffian_congruence():
     arows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
     A = CycloMatrix.from_scalars(arows)
     assert pfaffian(A.transpose() * M * A) == A.det() * pfaffian(M)
+
+
+def test_conductor_caches_are_bounded():
+    """User input keys the per-conductor tables, so a run over many
+    conductors must not keep them all."""
+    from kmaut import cyclo
+    caches = (cyclo.cyclotomic_poly, cyclo._context, cyclo._embedding,
+              cyclo._galois_table)
+    for N in range(1, 301):
+        cyclo._galois_table(N, 1)
+        cyclo._embedding(1, N)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert root_of_unity(12, 1).inverse() == root_of_unity(12, 11)

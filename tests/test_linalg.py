@@ -1,6 +1,7 @@
-"""The exact elimination in linalg (the dense `rref` behind matrix inverse,
-determinant, solving and conductor restriction, and the incremental `Span`)
-against a plain rank computation and a permutation-expansion determinant
+"""The exact elimination in linalg (the dense `eliminate` on packed rows
+behind matrix inverse, determinant, rank, `rref`, solving and conductor
+restriction, and the incremental `Span`) against a plain rank computation, a
+permutation-expansion determinant and the object-level Gauss-Jordan loop
 written here."""
 
 import random
@@ -9,7 +10,7 @@ from itertools import permutations
 
 import pytest
 
-from kmaut import linalg
+from kmaut import kernel, linalg
 from kmaut.cyclo import CycloMatrix, CycloScalar, root_of_unity
 from kmaut.errors import ConductorOverflow
 from kmaut.linalg import Span
@@ -279,5 +280,262 @@ def test_inverse_and_det_property():
         else:
             with pytest.raises(ZeroDivisionError):
                 A.inverse()
+
+    prop()
+
+
+# -- the packed elimination against the object-level loop ---------------------
+
+def reference_rref(rows):
+    """Gauss-Jordan over the scalar objects, one new scalar per entry and
+    step: the first nonzero entry of each column is the pivot, its row is
+    scaled by 1 / pivot, and the column is cleared above and below."""
+    piv = []
+    det = 1
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            det = -det
+        pivot = rows[r][c]
+        det = det * pivot
+        inv = 1 / pivot
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return piv, det
+
+
+def reference_inverse(A):
+    n = A.n
+    one, zero = CycloScalar.from_rational(1), CycloScalar.from_rational(0)
+    rows = [r + [one if i == j else zero for j in range(n)]
+            for i, r in enumerate(A.scalars())]
+    piv, _ = reference_rref(rows)
+    if piv != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return CycloMatrix.from_scalars([row[n:] for row in rows])
+
+
+def reference_det(A):
+    piv, det = reference_rref(A.scalars())
+    return det if len(piv) == A.n else CycloScalar.from_rational(0, A.N)
+
+
+def reference_nullspace(rows, ncols, zero, one):
+    work = [list(r) for r in rows]
+    piv, _ = reference_rref(work)
+    basis = []
+    for f in range(ncols):
+        if f not in piv:
+            vec = [zero] * ncols
+            vec[f] = one
+            for i, c in enumerate(piv):
+                vec[c] = -work[i][f]
+            basis.append(vec)
+    return basis
+
+
+def reference_solve(A, b):
+    aug = [list(row) + [t] for row, t in zip(A, b)]
+    n = len(A[0]) if A else 0
+    piv, _ = reference_rref(aug)
+    if n in piv:
+        return None
+    x = [0] * n
+    for i, c in enumerate(piv):
+        x[c] = aug[i][n]
+    return x
+
+
+def js(x):
+    """Exact serialization: conductor and coefficients of a scalar."""
+    if isinstance(x, list):
+        return [js(y) for y in x]
+    if x is None:
+        return None
+    return x.to_json() if isinstance(x, CycloScalar) else str(x)
+
+
+PHIS = {1: 1, 3: 2, 4: 2, 5: 4, 8: 4, 12: 4}
+
+
+def seeded_rows(rng, N, nrows, ncols, density, rank=None):
+    """nrows x ncols scalars of conductor N, each nonzero with probability
+    density (rank at most rank, as a product of two such factors when
+    given), with a zero row now and then."""
+    def entry():
+        if rng.random() >= density:
+            return CycloScalar.from_rational(0, N)
+        return CycloScalar(N, [rng.randint(-3, 3) for _ in range(PHIS[N])],
+                           rng.randint(1, 4))
+
+    if rank is None:
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum((a[t] * right[t][j] for t in range(rank)),
+                     CycloScalar.from_rational(0, N)) for j in range(ncols)]
+                for a in left]
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [CycloScalar.from_rational(0, N)] * ncols
+    return rows
+
+
+def check_square_against_reference(A):
+    assert A.det().to_json() == reference_det(A).to_json()
+    try:
+        want = reference_inverse(A).to_json()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            A.inverse()
+        assert A.rank() < A.n
+    else:
+        assert A.inverse().to_json() == want
+        assert A.rank() == A.n
+
+
+def check_rows_against_reference(rows, ncols, rng):
+    zero, one = CycloScalar.from_rational(0), CycloScalar.from_rational(1)
+    got, want = [list(r) for r in rows], [list(r) for r in rows]
+    piv, det = linalg.rref(got)
+    rpiv, rdet = reference_rref(want)
+    assert (piv, js(det), js(got)) == (rpiv, js(rdet), js(want))
+    assert js(linalg.row_space_basis(rows)) == js(want[:len(rpiv)])
+    assert (js(linalg.nullspace(rows, ncols, zero, one))
+            == js(reference_nullspace(rows, ncols, zero, one)))
+    if rows:
+        N = max(x.N for row in rows for x in row)
+        coef = [rng.randint(-2, 2) for _ in rows]
+        inside = [sum((c * r[j] for c, r in zip(coef, rows)),
+                      CycloScalar.from_rational(0, N)) for j in range(ncols)]
+        probe = [CycloScalar(N, [rng.randint(-2, 2) for _ in range(PHIS[N])])
+                 for _ in range(ncols)]
+        for target in (inside, probe):
+            columns = [[row[i] for row in rows] for i in range(ncols)]
+            assert (js(linalg.solve_in_span(rows, target))
+                    == js(reference_solve(columns, target)))
+
+
+@pytest.mark.parametrize("N", sorted(PHIS))
+@pytest.mark.parametrize("density", [0.1, 0.3, 0.6, 1.0])
+def test_packed_elimination_matches_object_loop(N, density):
+    rng = random.Random(N * 10 + int(density * 10))
+    for _ in range(6):
+        n = rng.randint(1, 7)
+        rank = rng.choice([None, None, rng.randint(0, n)])
+        check_square_against_reference(
+            CycloMatrix.from_scalars(seeded_rows(rng, N, n, n, density, rank)))
+        ncols = rng.randint(1, 8)
+        rows = seeded_rows(rng, N, rng.randint(0, 7), ncols, density,
+                           rng.choice([None, 1, 2]))
+        check_rows_against_reference(rows, ncols, rng)
+
+
+def test_packed_elimination_over_fractions_matches_object_loop():
+    rng = random.Random(11)
+    for _ in range(40):
+        rows, ncols = random_matrix(rng)
+        got, want = [list(r) for r in rows], [list(r) for r in rows]
+        piv, det = linalg.rref(got)
+        rpiv, rdet = reference_rref(want)
+        assert (piv, js(det), js(got)) == (rpiv, js(rdet), js(want))
+        assert all(type(x) is Fraction for row in got for x in row)
+        assert (js(linalg.nullspace(rows, ncols, Fraction(0), Fraction(1)))
+                == js(reference_nullspace(rows, ncols, Fraction(0), Fraction(1))))
+        b = [Fraction(rng.randint(-2, 2)) for _ in rows]
+        assert js(linalg.solve(rows, b)) == js(reference_solve(rows, b))
+
+
+@pytest.mark.parametrize("N", [1, 4, 12])
+def test_row_swaps_give_the_determinant_sign(N):
+    """Permutation matrices times a unit: every column's first nonzero is
+    in a later row, so the determinant is the permutation's sign alone."""
+    unit = root_of_unity(N, 1)
+    for perm in permutations(range(4)):
+        rows = [[unit if j == perm[i] else CycloScalar.from_rational(0, N)
+                 for j in range(4)] for i in range(4)]
+        A = CycloMatrix.from_scalars(rows)
+        inversions = sum(perm[i] > perm[j] for i in range(4)
+                         for j in range(i + 1, 4))
+        assert A.det() == unit ** 4 * (-1) ** inversions
+        check_square_against_reference(A)
+
+
+def test_singular_packed_inputs():
+    for N in (1, 5, 8):
+        z = root_of_unity(N, 1)
+        A = CycloMatrix.from_scalars([[1, z, 2], [z, z * z, z * 2], [0, 1, 1]])
+        assert A.det() == 0 and A.rank() == 2
+        with pytest.raises(ZeroDivisionError):
+            A.inverse()
+        with pytest.raises(ZeroDivisionError):
+            CycloMatrix.zeros(2, N).inverse()
+
+
+def test_dense_conductor_12_inverse_keeps_coefficients_small(monkeypatch):
+    """A dense 14 x 14 matrix at conductor 12.  Eliminating by plain
+    cross-multiplication, without scaling each pivot to 1, makes products
+    of 22000-bit numbers here; the pivot-normalized rows stay within a few
+    times the size of the inverse itself."""
+    rng = random.Random(12)
+    A = CycloMatrix.from_scalars(
+        [[CycloScalar(12, [rng.randint(-3, 3) for _ in range(4)], rng.randint(1, 3))
+          for _ in range(14)] for _ in range(14)])
+    want = reference_inverse(A)
+    bits = [0]
+    conv = kernel.conv_reduce
+
+    def recording(a, b, red, phi):
+        bits[0] = max(bits[0], max(abs(x) for x in a + b).bit_length())
+        return conv(a, b, red, phi)
+
+    monkeypatch.setattr(kernel, "conv_reduce", recording)
+    got = A.inverse()
+    monkeypatch.undo()
+    assert got.to_json() == want.to_json()
+    size = max(max(abs(c) for row in want.rows for v in row for c in v),
+               want.den).bit_length()
+    assert bits[0] <= 8 * size
+
+
+def test_packed_elimination_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def scalars(N):
+        return st.tuples(st.lists(st.integers(-2, 2), min_size=PHIS[N],
+                                  max_size=PHIS[N]),
+                         st.integers(1, 3)).map(lambda t: CycloScalar(N, *t))
+
+    def cases(t):
+        N, nrows, ncols = t
+        return st.tuples(st.just(ncols), st.lists(
+            st.lists(scalars(N), min_size=ncols, max_size=ncols),
+            min_size=nrows, max_size=nrows))
+
+    shapes = st.tuples(st.sampled_from(sorted(PHIS)), st.integers(0, 4),
+                       st.integers(1, 4))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(shapes.flatmap(cases), st.randoms())
+    def prop(case, rng):
+        ncols, rows = case
+        # a repeated row makes rank deficiency common
+        rows = rows + rows[:1]
+        check_rows_against_reference(rows, ncols, rng)
+        if len(rows) == ncols:
+            check_square_against_reference(CycloMatrix.from_scalars(rows))
 
     prop()
