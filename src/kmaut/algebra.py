@@ -38,19 +38,23 @@ _EXCEPTIONAL_DATA = {
 }
 
 
+# User input keys the algebra, basis, tau and J tables; a batch over the
+# classification tables uses about twenty algebras.
+_KEYS_CACHED = 64
+
 def _unit(i, j, size, one=1):
     rows = [[0] * size for _ in range(size)]
     rows[i][j] = one
     return CycloMatrix.from_scalars(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KEYS_CACHED)
 def tau_matrix(p, size):
     """diag(-1 x p, 1 x (size-p))."""
     return CycloMatrix.diag([-1] * p + [1] * (size - p))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KEYS_CACHED)
 def j_matrix(half):
     """[[0, E], [-E, 0]] of size 2*half."""
     rows = [[0] * (2 * half) for _ in range(2 * half)]
@@ -145,7 +149,7 @@ class SimpleAlgebra:
             return Fraction(self.size - 2)
         return Fraction(2 * self.param + 2)
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=_KEYS_CACHED)
     def basis(self):
         """Defining-representation basis, closed under bracket."""
         self._need_matrix()
@@ -301,7 +305,7 @@ class SimpleAlgebra:
         return SemisimpleElement(self, M, eig)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KEYS_CACHED)
 def make_algebra(family, param=None, mode="compact"):
     """Construct (and cache) an algebra descriptor."""
     return SimpleAlgebra(family, param, mode)

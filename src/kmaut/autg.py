@@ -513,12 +513,19 @@ def _descend_to_group(algebra, op):
     for b in algebra.basis():
         img = algebra.from_coords(op.matvec(algebra.coords(b)))
         cuts = [K * b - img * K for K in kern]
-        rows = [[C.entry(i, j) for C in cuts] for i in range(n) for j in range(n)]
+        # the system sum_k c_k cut_k = 0 in packed rows: row (i, j) holds
+        # entry (i, j) of cut k in column k
+        N, den = lcm(*(C.N for C in cuts)), lcm(*(C.den for C in cuts))
+        rows = [({}, den) for _ in range(n * n)]
+        for k, C in enumerate(cuts):
+            for i, (ents, d) in enumerate(C.promote(N).packed_rows()):
+                for j, v in ents.items():
+                    rows[i * n + j][0][k] = tuple(c * (den // d) for c in v)
         # zero coefficients are skipped, but still set the conductor
         kern = [sum((K * c for c, K in zip(cvec, kern) if c),
                     CycloMatrix.zeros(n, lcm(*(x.N for x in cvec),
                                              *(K.N for K in kern))))
-                for cvec in linalg.nullspace(rows, len(kern), ZERO, ONE)]
+                for cvec in linalg.packed_nullspace(rows, len(kern), N, ZERO, ONE)]
         if len(kern) <= 1:
             break
     if not kern:

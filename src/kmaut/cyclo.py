@@ -1,10 +1,10 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N) and dense linear algebra over them.
+"""Exact arithmetic in cyclotomic fields Q(zeta_N) and linear algebra over them.
 
 Scalars are coordinate vectors in the power basis 1, z, ..., z^(phi(N)-1)
 modulo the N-th cyclotomic polynomial, stored as integer numerators over a
 common denominator.  Matrices share one conductor and one denominator across
 all entries, which keeps the hot kernel (kernel.matmul) free of per-entry
-normalization.
+normalization, and store only their nonzero entries, row by row.
 
 Every operation is exact; there is no floating point anywhere.
 """
@@ -168,16 +168,7 @@ def _lift(nums, N, M):
     """Map a coordinate vector from conductor N to conductor M (N | M)."""
     if N == M:
         return nums
-    emb = _embedding(N, M)
-    phiM = _context(M).phi
-    out = [0] * phiM
-    for i, c in enumerate(nums):
-        if c:
-            img = emb[i]
-            for j in range(phiM):
-                if img[j]:
-                    out[j] += c * img[j]
-    return tuple(out)
+    return _apply_table(nums, _embedding(N, M), _context(M).phi)
 
 
 def _apply_table(nums, table, phi):
@@ -335,6 +326,9 @@ class CycloScalar:
                            _normalized=True)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CycloScalar(self.N, tuple(c * other.numerator for c in self.nums),
+                               self.den * other.denominator)
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -517,24 +511,26 @@ ONE = CycloScalar.from_rational(1)
 # ---------------------------------------------------------------------------
 
 class CycloMatrix:
-    """A square matrix over Q(zeta_N); all entries share one denominator."""
+    """A square matrix over Q(zeta_N) in sparse rows: row i maps column j to
+    the coordinate tuple of entry (i, j) over the one denominator `den`.  No
+    row ever stores a zero tuple, so every operation touches only nonzeros."""
 
     __slots__ = ("n", "N", "den", "rows")
 
     def __init__(self, n, N, den, rows, _normalized=False):
-        # rows: a tuple of n rows, each a tuple of n coordinate tuples
+        # rows: a tuple of n dicts {column: nonzero coordinate tuple}
         self.n = n
         self.N = N
         if _normalized:
             self.den = den
             self.rows = rows
             return
-        g = kernel.rows_gcd(rows, den)
+        g = kernel.rows_gcd(map(dict.values, rows), den) if den != 1 else 1
         if den < 0:
             g = -g
         if g != 1:
-            rows = tuple(tuple(tuple(c // g for c in vec) if any(vec) else vec
-                               for vec in row) for row in rows)
+            rows = tuple({j: tuple(c // g for c in v) for j, v in row.items()}
+                         for row in rows)
             den //= g
         self.den = den
         self.rows = rows
@@ -545,63 +541,46 @@ class CycloMatrix:
     def from_scalars(entries):
         """Build from a nested list of CycloScalar / Fraction / int."""
         n = len(entries)
-        scal = [[_coerce(x) for x in row] for row in entries]
-        N = 1
-        for row in scal:
+        scal = []
+        for row in entries:
             assert len(row) == n
-            for x in row:
-                N = lcm(N, x.N)
+            # a zero int or Fraction sets neither conductor nor denominator
+            scal.append([(j, _coerce(x)) for j, x in enumerate(row)
+                         if x or isinstance(x, CycloScalar)])
+        N = lcm(1, *(x.N for row in scal for _, x in row))
         if N > MAX_CONDUCTOR:
             raise ConductorOverflow("conductor %d exceeds cap" % N)
-        den = 1
-        for row in scal:
-            for x in row:
-                den = lcm(den, x.den)
-        rows = []
-        for row in scal:
-            out = []
-            for x in row:
-                x = x.promote(N)
-                f = den // x.den
-                out.append(tuple(c * f for c in x.nums))
-            rows.append(tuple(out))
-        return CycloMatrix(n, N, den, tuple(rows))
+        den = lcm(1, *(x.den for row in scal for _, x in row))
+        rows = tuple({j: tuple(c * (den // x.den) for c in x.promote(N).nums)
+                      for j, x in row if x} for row in scal)
+        return CycloMatrix(n, N, den, rows)
 
     @staticmethod
     def identity(n, N=1):
-        phi = _context(N).phi
-        zero = (0,) * phi
-        one = (1,) + (0,) * (phi - 1)
-        rows = tuple(tuple(one if i == j else zero for j in range(n))
-                     for i in range(n))
-        return CycloMatrix(n, N, 1, rows, _normalized=True)
+        one = (1,) + (0,) * (_context(N).phi - 1)
+        return CycloMatrix(n, N, 1, tuple({i: one} for i in range(n)),
+                           _normalized=True)
 
     @staticmethod
     def zeros(n, N=1):
-        phi = _context(N).phi
-        zero = (0,) * phi
-        rows = tuple(tuple(zero for _ in range(n)) for _ in range(n))
-        return CycloMatrix(n, N, 1, rows, _normalized=True)
+        _check_conductor(N)
+        return CycloMatrix(n, N, 1, tuple({} for _ in range(n)), _normalized=True)
 
     @staticmethod
     def diag(values, N=None):
-        scal = [_coerce(v) for v in values]
-        M = 1
-        for s in scal:
-            M = lcm(M, s.N)
-        if N is not None:
-            M = lcm(M, N)
-        n = len(scal)
-        out = CycloMatrix.zeros(n, M)
-        entries = [[out.entry(i, j) for j in range(n)] for i in range(n)]
-        for i, s in enumerate(scal):
-            entries[i][i] = s
-        return CycloMatrix.from_scalars(entries)
+        zero = CycloScalar.from_rational(0, N or 1)
+        return CycloMatrix.from_scalars(
+            [[v if i == j else zero for j in range(len(values))]
+             for i, v in enumerate(values)])
 
     # -- access ------------------------------------------------------------
 
     def entry(self, i, j):
-        return CycloScalar(self.N, self.rows[i][j], self.den)
+        vec = self.rows[i].get(j)
+        if vec is None:
+            return CycloScalar(self.N, (0,) * _context(self.N).phi, 1,
+                               _normalized=True)
+        return CycloScalar(self.N, vec, self.den)
 
     def scalars(self):
         return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
@@ -611,31 +590,25 @@ class CycloMatrix:
             return self
         if M % self.N or M > MAX_CONDUCTOR:
             raise ConductorOverflow("cannot lift conductor %d into %d" % (self.N, M))
-        zero = (0,) * _context(M).phi
-        rows = tuple(tuple(_lift(vec, self.N, M) if any(vec) else zero for vec in row)
-                     for row in self.rows)
+        N = self.N
+        # the embedding is injective: a nonzero entry stays nonzero
+        rows = tuple({j: _lift(v, N, M) for j, v in row.items()} for row in self.rows)
         return CycloMatrix(self.n, M, self.den, rows, _normalized=True)
-
-    def min_conductor(self):
-        entries = [[self.entry(i, j).min_conductor() for j in range(self.n)]
-                   for i in range(self.n)]
-        return CycloMatrix.from_scalars(entries)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        return not any(any(map(any, row)) for row in self.rows)
+        return not any(self.rows)
 
     def _scalar_vec(self):
         """The coordinates shared by every diagonal entry if every entry off
         the diagonal is zero, else None."""
-        d = self.rows[0][0]
-        zero = (0,) * len(d)
+        d = self.rows[0].get(0)
+        size = 0 if d is None else 1
         for i, row in enumerate(self.rows):
-            for j, vec in enumerate(row):
-                if vec != (d if i == j else zero):
-                    return None
-        return d
+            if len(row) != size or row.get(i) != d:
+                return None
+        return d or (0,) * _context(self.N).phi
 
     def is_identity(self):
         d = self._scalar_vec()
@@ -657,12 +630,16 @@ class CycloMatrix:
         return a.den == b.den and a.rows == b.rows
 
     def __hash__(self):
-        m = self.min_conductor()
-        return hash((m.n, m.N, m.den, m.rows))
+        # a scalar hashes at its least conductor, so equal matrices of
+        # different conductors hash alike
+        return hash((self.n, frozenset((i, j, self.entry(i, j))
+                                       for i, row in enumerate(self.rows) for j in row)))
 
     # -- arithmetic ----------------------------------------------------------
 
     def _pair(self, other):
+        if self.N == other.N:
+            return self, other
         M = lcm(self.N, other.N)
         if M > MAX_CONDUCTOR:
             raise ConductorOverflow("conductor %d exceeds cap" % M)
@@ -678,19 +655,21 @@ class CycloMatrix:
         s = _coerce(other)
         if s is None:
             return NotImplemented
-        if self.N % s.N == 0 and not any(s.nums[1:]):
+        M = lcm(self.N, s.N)
+        if not s:
+            return CycloMatrix.zeros(self.n, M)
+        if M == self.N and not any(s.nums[1:]):
             # a rational scalar in the matrix's field: integer multiples
             c = s.nums[0]
-            rows = tuple(tuple(tuple(x * c for x in vec) if any(vec) else vec
-                               for vec in row) for row in self.rows)
-            return CycloMatrix(self.n, self.N, self.den * s.den, rows)
-        M = lcm(self.N, s.N)
+            rows = tuple({j: tuple(x * c for x in v) for j, v in row.items()}
+                         for row in self.rows)
+            return CycloMatrix(self.n, M, self.den * s.den, rows)
         b = s.promote(M).nums
         ctx = _context(M)
-        zero = (0,) * ctx.phi
-        rows = tuple(tuple(kernel.conv_reduce(_lift(vec, self.N, M), b, ctx.red, ctx.phi)
-                           if any(vec) else zero for vec in row)
-                     for row in self.rows)
+        N, red, phi = self.N, ctx.red, ctx.phi
+        # a product of nonzero field elements is nonzero
+        rows = tuple({j: kernel.conv_reduce(_lift(v, N, M), b, red, phi)
+                      for j, v in row.items()} for row in self.rows)
         return CycloMatrix(self.n, M, self.den * s.den, rows)
 
     def __rmul__(self, other):
@@ -700,22 +679,26 @@ class CycloMatrix:
         return self * s
 
     def _combine(self, other, sign):
-        """self + sign * other."""
+        """self + sign * other; entries that cancel are deleted."""
         assert isinstance(other, CycloMatrix) and self.n == other.n
         a, b = self._pair(other)
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, sign * (den // b.den)
         rows = []
         for ra, rb in zip(a.rows, b.rows):
-            row = []
-            for va, vb in zip(ra, rb):
-                if not any(vb):
-                    row.append(va if fa == 1 else tuple(x * fa for x in va))
-                elif not any(va):
-                    row.append(tuple(y * fb for y in vb))
+            row = dict(ra) if fa == 1 else {j: tuple(x * fa for x in v)
+                                            for j, v in ra.items()}
+            for j, vb in rb.items():
+                va = row.get(j)
+                if va is None:
+                    row[j] = tuple(y * fb for y in vb)
                 else:
-                    row.append(tuple(x * fa + y * fb for x, y in zip(va, vb)))
-            rows.append(tuple(row))
+                    v = tuple(x + y * fb for x, y in zip(va, vb))
+                    if any(v):
+                        row[j] = v
+                    else:
+                        del row[j]
+            rows.append(row)
         return CycloMatrix(a.n, a.N, den, tuple(rows))
 
     def __add__(self, other):
@@ -725,7 +708,8 @@ class CycloMatrix:
         return self._combine(other, -1)
 
     def __neg__(self):
-        rows = tuple(tuple(tuple(-c for c in vec) for vec in row) for row in self.rows)
+        rows = tuple({j: tuple(-c for c in v) for j, v in row.items()}
+                     for row in self.rows)
         return CycloMatrix(self.n, self.N, self.den, rows, _normalized=True)
 
     def __pow__(self, k):
@@ -741,14 +725,16 @@ class CycloMatrix:
         return out
 
     def transpose(self):
-        rows = tuple(tuple(self.rows[j][i] for j in range(self.n))
-                     for i in range(self.n))
-        return CycloMatrix(self.n, self.N, self.den, rows, _normalized=True)
+        cols = tuple({} for _ in range(self.n))
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return CycloMatrix(self.n, self.N, self.den, cols, _normalized=True)
 
     def conj(self):
         table = _galois_table(self.N, self.N - 1)
         phi = _context(self.N).phi
-        rows = tuple(tuple(_apply_table(vec, table, phi) for vec in row)
+        rows = tuple({j: _apply_table(v, table, phi) for j, v in row.items()}
                      for row in self.rows)
         return CycloMatrix(self.n, self.N, self.den, rows)
 
@@ -769,34 +755,28 @@ class CycloMatrix:
         ctx = _context(a.N)
         acc = [0] * ctx.phi
         for i, row in enumerate(a.rows):
-            for k, x in enumerate(row):
-                if any(x):
-                    y = b.rows[k][i]
-                    if any(y):
-                        for t, c in enumerate(kernel.conv_reduce(x, y, ctx.red, ctx.phi)):
-                            acc[t] += c
+            for k, x in row.items():
+                y = b.rows[k].get(i)
+                if y is not None:
+                    for t, c in enumerate(kernel.conv_reduce(x, y, ctx.red, ctx.phi)):
+                        acc[t] += c
         return CycloScalar(a.N, tuple(acc), a.den * b.den)
 
     def packed_rows(self):
-        """The rows as `linalg.eliminate` takes them: one dict of the
-        nonzero coefficient tuples per row, over the matrix denominator."""
-        return [({j: v for j, v in enumerate(row) if any(v)}, self.den)
-                for row in self.rows]
+        """The rows as `linalg.eliminate` takes them, which it mutates: a
+        copy of each row dict, over the matrix denominator."""
+        return [(dict(row), self.den) for row in self.rows]
 
     @staticmethod
     def from_packed(n, N, rows, offset=0):
         """The n x n matrix whose row i holds the entries of packed row i at
         columns offset .. offset + n - 1."""
         den = lcm(*(d for _, d in rows))
-        zero = (0,) * _context(N).phi
         out = []
         for ents, d in rows:
             f = den // d
-            row = [zero] * n
-            for j, v in ents.items():
-                if offset <= j < offset + n:
-                    row[j - offset] = v if f == 1 else tuple(c * f for c in v)
-            out.append(tuple(row))
+            out.append({j - offset: v if f == 1 else tuple(c * f for c in v)
+                        for j, v in ents.items() if offset <= j < offset + n})
         return CycloMatrix(n, N, den, tuple(out))
 
     def rank(self):
@@ -824,11 +804,11 @@ class CycloMatrix:
     def matvec(self, vec):
         """Apply to a coordinate vector of CycloScalar; returns a list."""
         out = []
-        for i in range(self.n):
+        for row in self.rows:
             acc = CycloScalar.from_rational(0)
-            for j in range(self.n):
-                if any(self.rows[i][j]) and vec[j]:
-                    acc = acc + self.entry(i, j) * vec[j]
+            for j, v in row.items():
+                if vec[j]:
+                    acc = acc + CycloScalar(self.N, v, self.den) * vec[j]
             out.append(acc)
         return out
 

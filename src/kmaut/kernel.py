@@ -2,8 +2,10 @@
 
 Vectors are int tuples of length phi (coefficients in the power basis of a
 cyclotomic integer ring), `red` holds the reduction rows for the exponents
-phi .. 2*phi-2.  The products skip zero coefficients, so their cost follows
-the number of nonzeros.
+phi .. 2*phi-2.  A matrix is a sequence of n sparse rows, each a dict from
+column to the nonzero vector in that column; a zero entry is never stored.
+`matmul` takes and returns such rows.  The products skip zero coefficients,
+so their cost follows the number of nonzeros.
 """
 
 from math import gcd
@@ -33,31 +35,27 @@ def conv_reduce(a, b, red, phi):
 
 
 def matmul(A, B, red, phi, n):
-    # The nonzero entries of each row of B are listed once; every nonzero
-    # a_ik then meets only the nonzero b_kj, so the cost follows the number
-    # of nonzeros rather than n^3.
+    # Every stored a_ik meets only the stored b_kj, so the cost follows the
+    # nonzeros; entries that cancel to zero are dropped.  The size n is not
+    # needed by the sparse product.
+    out = []
     if phi == 1:
-        Bnz = [[(j, b[0]) for j, b in enumerate(Bk) if b[0]] for Bk in B]
-        out = []
         for Ai in A:
-            acc = [0] * n
-            for k, a in enumerate(Ai):
+            acc = {}
+            for k, a in Ai.items():
                 ak = a[0]
-                if ak:
-                    for j, bkj in Bnz[k]:
-                        acc[j] += ak * bkj
-            out.append(tuple([(c,) for c in acc]))
+                for j, b in B[k].items():
+                    acc[j] = acc.get(j, 0) + ak * b[0]
+            out.append({j: (c,) for j, c in acc.items() if c})
         return out
     width = 2 * phi - 1
-    zero = (0,) * phi
-    Bnz = [[(j, [(q, bq) for q, bq in enumerate(b) if bq])
-            for j, b in enumerate(Bk) if any(b)] for Bk in B]
-    out = []
+    Bnz = [[(j, [(q, bq) for q, bq in enumerate(b) if bq]) for j, b in Bk.items()]
+           for Bk in B]
     for Ai in A:
         work = {}
-        for k, a in enumerate(Ai):
+        for k, a in Ai.items():
             Bk = Bnz[k]
-            if not Bk or not any(a):
+            if not Bk:
                 continue
             for p, ap in enumerate(a):
                 if ap:
@@ -67,7 +65,7 @@ def matmul(A, B, red, phi, n):
                             w = work[j] = [0] * width
                         for q, bq in b:
                             w[p + q] += ap * bq
-        row = [zero] * n
+        row = {}
         for j, w in work.items():
             for t in range(width - 1, phi - 1, -1):
                 top = w[t]
@@ -77,8 +75,10 @@ def matmul(A, B, red, phi, n):
                         rj = rrow[j2]
                         if rj:
                             w[j2] += top * rj
-            row[j] = tuple(w[:phi])
-        out.append(tuple(row))
+            v = tuple(w[:phi])
+            if any(v):
+                row[j] = v
+        out.append(row)
     return out
 
 
@@ -86,9 +86,7 @@ def rows_gcd(rows, den):
     g = den
     for row in rows:
         for vec in row:
-            for c in vec:
-                if c:
-                    g = gcd(g, c)
-                    if g == 1:
-                        return 1
+            g = gcd(g, *vec)
+            if g == 1:
+                return 1
     return g

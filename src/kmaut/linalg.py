@@ -91,21 +91,24 @@ def _strip(row, den):
 
 
 class _Packed:
-    """Rows of Fraction, int or CycloScalar entries, packed for `eliminate`
-    over the lcm N of the entries' conductors.  Entries read back are
-    Fractions when no input entry was a CycloScalar, else CycloScalars of
-    conductor N."""
+    """Packed rows for `eliminate` over Q(zeta_N); entries read back as
+    CycloScalars of conductor N, or as Fractions if not `cyclo_entries`."""
 
     __slots__ = ("rows", "N", "ncols", "_cyclo", "_pad")
 
-    def __init__(self, rows):
-        self.ncols = len(rows[0]) if rows else 0
+    def __init__(self, rows, ncols, N, cyclo_entries=True):
+        self.rows, self.ncols, self.N, self._cyclo = rows, ncols, N, cyclo_entries
+        self._pad = (0,) * (cyclo._context(N).phi - 1)
+
+    @classmethod
+    def pack(cls, rows):
+        """Rows of Fraction, int or CycloScalar entries, packed over the lcm
+        of their conductors; Fractions if no entry was a CycloScalar."""
         conductors = [x.N for row in rows for x in row
                       if isinstance(x, cyclo.CycloScalar)]
-        self._cyclo = bool(conductors)
-        self.N = N = lcm(1, *conductors)
-        self._pad = (0,) * (cyclo._context(N).phi - 1)
-        self.rows = []
+        N = lcm(1, *conductors)
+        pad = (0,) * (cyclo._context(N).phi - 1)
+        packed = []
         for row in rows:
             ents, den = {}, 1
             for j, x in enumerate(row):
@@ -114,10 +117,11 @@ class _Packed:
                         x = x.promote(N)
                         ents[j] = x.nums, x.den
                     else:
-                        ents[j] = (x.numerator,) + self._pad, x.denominator
+                        ents[j] = (x.numerator,) + pad, x.denominator
                     den = lcm(den, ents[j][1])
-            self.rows.append(({j: v if d == den else tuple(c * (den // d) for c in v)
-                               for j, (v, d) in ents.items()}, den))
+            packed.append(({j: v if d == den else tuple(c * (den // d) for c in v)
+                            for j, (v, d) in ents.items()}, den))
+        return cls(packed, len(rows[0]) if rows else 0, N, bool(conductors))
 
     def eliminate(self):
         piv, det = eliminate(self.rows, self.ncols, self.N)
@@ -135,6 +139,20 @@ class _Packed:
     def row(self, i):
         return [self.entry(i, j) for j in range(self.ncols)]
 
+    def nullspace(self, ncols, zero, one):
+        piv, _ = self.eliminate()
+        pivset = set(piv)
+        basis = []
+        for f in range(ncols):
+            if f in pivset:
+                continue
+            vec = [zero] * ncols
+            vec[f] = one
+            for i, c in enumerate(piv):
+                vec[c] = -self.entry(i, f)
+            basis.append(vec)
+        return basis
+
 
 def rref(rows):
     """Row-reduce a list of rows of exact scalars in place to reduced row
@@ -145,7 +163,7 @@ def rref(rows):
     determinant.  Entries come back as Fractions if no input entry was a
     CycloScalar, else as CycloScalars at the lcm of the input conductors.
     """
-    packed = _Packed(rows)
+    packed = _Packed.pack(rows)
     piv, det = packed.eliminate()
     rows[:] = [packed.row(i) for i in range(len(rows))]
     return piv, det
@@ -153,7 +171,7 @@ def rref(rows):
 
 def row_space_basis(rows):
     """Independent spanning subset of the given rows, in reduced form."""
-    packed = _Packed(rows)
+    packed = _Packed.pack(rows)
     piv, _ = packed.eliminate()
     return [packed.row(i) for i in range(len(piv))]
 
@@ -163,7 +181,7 @@ def solve(A, b):
 
     Free coordinates of x are the integer 0."""
     n = len(A[0]) if A else 0
-    packed = _Packed([list(row) + [t] for row, t in zip(A, b)])
+    packed = _Packed.pack([list(row) + [t] for row, t in zip(A, b)])
     piv, _ = packed.eliminate()
     if n in piv:
         return None
@@ -182,19 +200,14 @@ def solve_in_span(basis_rows, target):
 def nullspace(rows, ncols, zero=0, one=1):
     """Basis of the right kernel of the matrix given by rows, one vector per
     free column in increasing order."""
-    packed = _Packed(rows)
-    piv, _ = packed.eliminate()
-    pivset = set(piv)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        vec = [zero] * ncols
-        vec[f] = one
-        for i, c in enumerate(piv):
-            vec[c] = -packed.entry(i, f)
-        basis.append(vec)
-    return basis
+    return _Packed.pack(rows).nullspace(ncols, zero, one)
+
+
+def packed_nullspace(rows, ncols, N, zero, one):
+    """`nullspace` of packed rows over Q(zeta_N), as `eliminate` takes them
+    (and reduces them in place); its entries are CycloScalars of
+    conductor N."""
+    return _Packed(rows, ncols, N).nullspace(ncols, zero, one)
 
 
 def _sub_scaled(dst, f, src):

@@ -281,12 +281,7 @@ class _QSlot:
         mat = mat.promote(self.M) if self.M % mat.N == 0 else mat.promote(
             lcm(self.M, mat.N))
         assert mat.N == self.M, "conductor escaped the ambient field"
-        out = []
-        for i in range(self.algebra.size):
-            for j in range(self.algebra.size):
-                vec = mat.rows[i][j]
-                out.extend(Fraction(c, mat.den) for c in vec)
-        return out
+        return [Fraction(c, x.den) for row in mat.scalars() for x in row for c in x.nums]
 
     def nvars(self):
         return self.dim * self.phi

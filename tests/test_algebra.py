@@ -329,6 +329,30 @@ def test_fresh_twists_leave_no_module_state():
     assert _module_state() == before
 
 
+def test_algebra_tables_are_bounded():
+    """User input keys the algebra, basis, tau and J tables, so a run over
+    more keys than a table keeps must not keep them all."""
+    from kmaut import algebra
+    for size in range(1, 25):
+        for p in range(size + 1):
+            algebra.tau_matrix(p, size)
+    for half in range(1, 81):
+        algebra.j_matrix(half)
+    for k in range(1, 301):
+        algebra.make_algebra("a", k)
+    for family, lo, hi in (("a", 1, 17), ("b", 2, 10), ("c", 3, 10), ("d", 4, 10)):
+        for k in range(lo, hi):
+            for mode in ("compact", "complex"):
+                algebra.SimpleAlgebra(family, k, mode).basis()
+    for cache in (algebra.tau_matrix, algebra.j_matrix, algebra.make_algebra,
+                  algebra.SimpleAlgebra.basis):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert info.misses > info.maxsize
+    tau = algebra.tau_matrix(1, 3)
+    assert tau == CycloMatrix.diag([-1, 1, 1])
+
+
 def test_sigma_eigenspace_rejects_wrong_order_and_conjugate_linear():
     alg = make_algebra("a", 2, "complex")
     with pytest.raises(OrderMismatch):

@@ -62,6 +62,12 @@ def test_field_axioms_random():
             assert a * a.inverse() == 1
         assert (a * b).conj() == a.conj() * b.conj()
         assert a.conj().conj() == a
+        # a rational factor takes the integer path; it must agree with the
+        # product by the same value as a scalar of the field
+        for q in (0, -3, Fraction(-2, 9), Fraction(6, 4)):
+            want = a * CycloScalar.from_rational(q, N)
+            for got in (a * q, q * a):
+                assert (got.N, got.nums, got.den) == (want.N, want.nums, want.den)
 
 
 def _inverse_by_solve(x):
@@ -263,3 +269,182 @@ def test_conductor_caches_are_bounded():
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
     assert root_of_unity(12, 1).inverse() == root_of_unity(12, 11)
+
+
+# ---------------------------------------------------------------------------
+# sparse rows: a CycloMatrix never stores a zero entry
+# ---------------------------------------------------------------------------
+
+def assert_sparse(X):
+    """X holds n row dicts of nonzero coordinate tuples at columns 0..n-1,
+    over one positive denominator in lowest terms."""
+    phi = len(root_of_unity(X.N, 0).nums)
+    assert len(X.rows) == X.n and X.den > 0
+    g = X.den
+    for row in X.rows:
+        assert type(row) is dict
+        for j, v in row.items():
+            assert 0 <= j < X.n
+            assert type(v) is tuple and len(v) == phi and any(v), (j, v)
+            g = gcd(g, *v)
+    assert g == 1
+    return X
+
+
+def dense(X):
+    """The entrywise reference, read through entry(i, j)."""
+    return [[X.entry(i, j) for j in range(X.n)] for i in range(X.n)]
+
+
+def agrees_with_dense(X, ref):
+    """X is sparse, equals the nested list of scalars ref entry by entry,
+    and is_zero agrees with ref."""
+    assert_sparse(X)
+    assert dense(X) == ref
+    assert X.is_zero() == all(x.is_zero() for row in ref for x in row)
+
+
+def sparse_matrix(rng, n, N, density):
+    phi = len(root_of_unity(N, 0).nums)
+    return CycloMatrix.from_scalars(
+        [[CycloScalar(N, [rng.randint(-2, 2) for _ in range(phi)], rng.randint(1, 3))
+          if rng.random() < density else 0 for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("N", [1, 4, 12])
+def test_identity_and_zeros_store_no_zero(N):
+    for n in (1, 3):
+        one, zero = assert_sparse(CycloMatrix.identity(n, N)), assert_sparse(
+            CycloMatrix.zeros(n, N))
+        assert one.N == zero.N == N
+        assert all(len(row) == 1 for row in one.rows)
+        assert zero.is_zero() and not any(zero.rows)
+        assert one.is_identity() and not one.is_zero()
+        assert assert_sparse(one - one) == zero and (one - one).is_zero()
+        assert assert_sparse(one * 0) == zero
+
+
+@pytest.mark.parametrize("N", [1, 4, 12])
+def test_cancelling_sums_store_no_zero(N):
+    rng = random.Random(N)
+    zero = [[CycloScalar.from_rational(0)] * 4 for _ in range(4)]
+    for density in (0.3, 1.0):
+        X = sparse_matrix(rng, 4, N, density)
+        for got in (X - X, X + (-X), -X + X, X * 2 - X - X):
+            agrees_with_dense(got, zero)
+            assert got.is_zero() and got.den == 1
+        # a partly cancelling sum keeps exactly the surviving entries
+        Y = X.transpose()
+        for sign, got in ((1, X + Y), (-1, X - Y)):
+            agrees_with_dense(got, [[X.entry(i, j) + sign * Y.entry(i, j)
+                                     for j in range(4)] for i in range(4)])
+        agrees_with_dense(X - Y + Y - X, zero)
+
+
+def test_cancelling_products_store_no_zero():
+    i4 = root_of_unity(4, 1)
+    # row (1, 1) against column (1, -1), and (i, 1) against (i, 1)
+    for A, B in (([[1, 1], [0, 1]], [[1, 0], [-1, 1]]),
+                 ([[i4, 1], [1, i4]], [[i4, 1], [1, -i4]])):
+        A, B = CycloMatrix.from_scalars(A), CycloMatrix.from_scalars(B)
+        P = A * B
+        agrees_with_dense(P, [[sum((A.entry(r, k) * B.entry(k, c) for k in range(2)),
+                                   CycloScalar.from_rational(0)) for c in range(2)]
+                              for r in range(2)])
+        assert P.entry(0, 0).is_zero() and 0 not in P.rows[0]
+
+
+@pytest.mark.parametrize("N", [1, 4, 12])
+def test_scalar_multiples_store_no_zero(N):
+    rng = random.Random(10 + N)
+    X = sparse_matrix(rng, 4, N, 0.5)
+    scalars = [0, Fraction(-2, 3), CycloScalar.from_rational(0, 12),
+               root_of_unity(4, 1) + 1, root_of_unity(3, 1) * Fraction(1, 2),
+               root_of_unity(12, 5)]
+    for s in scalars:
+        got = X * s
+        agrees_with_dense(got, [[x * s for x in row] for row in dense(X)])
+        if not s:
+            s = CycloScalar.from_rational(0) + s
+            assert got.is_zero() and got == CycloMatrix.zeros(4, X.N)
+            assert got.N == X.N * s.N // gcd(X.N, s.N)
+
+
+@pytest.mark.parametrize("N", [1, 4, 12])
+def test_promote_conj_transpose_store_no_zero(N):
+    rng = random.Random(20 + N)
+    for density in (0.0, 0.3, 1.0):
+        X = sparse_matrix(rng, 4, N, density)
+        ref = dense(X)
+        agrees_with_dense(X.transpose(), [list(col) for col in zip(*ref)])
+        agrees_with_dense(X.conj(), [[x.conj() for x in row] for row in ref])
+        agrees_with_dense(X.conj_transpose(),
+                          [[x.conj() for x in col] for col in zip(*ref)])
+        for M in (N, 12, 24):
+            agrees_with_dense(X.promote(M), [[x.promote(M) for x in row] for row in ref])
+
+
+@pytest.mark.parametrize("N", [1, 4, 12])
+def test_inverse_and_from_packed_store_no_zero(N):
+    rng = random.Random(30 + N)
+    for density in (0.4, 1.0):
+        X = sparse_matrix(rng, 4, N, density) + CycloMatrix.identity(4, N) * 5
+        if X.det().is_zero():
+            continue
+        Xi = assert_sparse(X.inverse())
+        assert (X * Xi).is_identity() and (Xi * X).is_identity()
+    # every packed row has its own denominator; columns outside the window
+    # are left out
+    rows = [({0: (1,), 2: (5,)}, 2), ({1: (1,), 2: (-1,)}, 3)]
+    P = assert_sparse(CycloMatrix.from_packed(2, 1, rows, offset=1))
+    assert [[x.as_fraction() for x in row] for row in dense(P)] == [
+        [0, Fraction(5, 2)], [Fraction(1, 3), Fraction(-1, 3)]]
+    rows = [({0: (3, 0)}, 1), ({1: (1, 2)}, 6)]
+    P = assert_sparse(CycloMatrix.from_packed(2, 4, rows))
+    i4 = root_of_unity(4, 1)
+    assert dense(P) == [[3, 0], [0, (1 + 2 * i4) / 6]]
+
+
+def test_equality_and_hash_agree_with_dense():
+    rng = random.Random(40)
+    mats = [sparse_matrix(rng, 3, N, d) for N in (1, 4, 12) for d in (0.0, 0.5, 1.0)]
+    mats += [X.promote(12) for X in mats] + [X - X for X in mats]
+    for X in mats:
+        for Y in mats:
+            same = dense(X) == dense(Y)
+            assert (X == Y) == same
+            if same:
+                assert hash(X) == hash(Y)
+
+
+def test_sparse_rows_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.sampled_from([1, 4, 12]), st.sampled_from([1, 4, 12]),
+               st.integers(1, 4), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def check(NX, NY, n, density, seed):
+        rng = random.Random(seed)
+        X = sparse_matrix(rng, n, NX, density)
+        # Y shares X's support, so sums and products are likely to cancel
+        Y = X * rng.choice([-1, 1, root_of_unity(4, 1)]) + sparse_matrix(
+            rng, n, NY, density / 2)
+        s = Y.entry(rng.randrange(n), rng.randrange(n))
+        x, y = dense(X), dense(Y)
+        zero = CycloScalar.from_rational(0)
+        agrees_with_dense(X + Y, [[a + b for a, b in zip(r, t)] for r, t in zip(x, y)])
+        agrees_with_dense(X - Y, [[a - b for a, b in zip(r, t)] for r, t in zip(x, y)])
+        agrees_with_dense(X * Y, [[sum((x[i][k] * y[k][j] for k in range(n)), zero)
+                                   for j in range(n)] for i in range(n)])
+        agrees_with_dense(X * s, [[a * s for a in r] for r in x])
+        agrees_with_dense(-Y, [[-b for b in r] for r in y])
+        agrees_with_dense(Y.transpose(), [list(c) for c in zip(*y)])
+        agrees_with_dense(Y.conj(), [[b.conj() for b in r] for r in y])
+        agrees_with_dense(X.promote(12), [[a.promote(12) for a in r] for r in x])
+        for A, B in ((X, Y), (X + Y - Y, X), (X - X, Y - Y)):
+            assert (A == B) == (dense(A) == dense(B))
+            if A == B:
+                assert hash(A) == hash(B)
+
+    check()

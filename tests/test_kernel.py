@@ -88,13 +88,43 @@ def kernel_cases():
 CASES = kernel_cases()
 
 
+def pack(rows):
+    """Dense rows as the kernel takes them: one dict of the nonzero entries
+    per row."""
+    return [{j: v for j, v in enumerate(row) if any(v)} for row in rows]
+
+
+def unpack(rows, n, phi):
+    return [tuple(row.get(j, (0,) * phi) for j in range(n)) for row in rows]
+
+
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_pure_matmul_matches_triple_loop(case):
     N, n, A, B = CASES[case]
     ctx = _context(N)
-    got = kernel.matmul(A, B, ctx.red, ctx.phi, n)
-    assert [tuple(r) for r in got] == ref_matmul(A, B, POLY[N], n)
-    assert all(type(r) is tuple and all(type(v) is tuple for v in r) for r in got)
+    got = kernel.matmul(pack(A), pack(B), ctx.red, ctx.phi, n)
+    assert unpack(got, n, ctx.phi) == ref_matmul(A, B, POLY[N], n)
+    assert all(type(v) is tuple and any(v) for r in got for v in r.values())
+
+
+@pytest.mark.parametrize("N", sorted(POLY))
+def test_matmul_drops_cancelled_entries(N):
+    """Row (a, b) times column (b, -a) cancels in every ring; the product
+    stores no zero tuple there, and keeps the entries that survive."""
+    rng = random.Random(100 + N)
+    ctx = _context(N)
+    phi = ctx.phi
+    for _ in range(20):
+        a, b = (tuple(rng.randint(-3, 3) for _ in range(phi)) for _ in range(2))
+        if not (any(a) and any(b)):
+            continue
+        c = tuple(rng.randint(-3, 3) for _ in range(phi))
+        A = ((a, b), (c, (0,) * phi))
+        B = ((b, a), (tuple(-x for x in a), b))
+        got = kernel.matmul(pack(A), pack(B), ctx.red, phi, 2)
+        assert unpack(got, 2, phi) == ref_matmul(A, B, POLY[N], 2)
+        assert 0 not in got[0]
+        assert all(any(v) for row in got for v in row.values())
 
 
 @pytest.mark.parametrize("N", sorted(POLY))

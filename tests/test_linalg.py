@@ -395,6 +395,9 @@ def seeded_rows(rng, N, nrows, ncols, density, rank=None):
 
 def check_square_against_reference(A):
     assert A.det().to_json() == reference_det(A).to_json()
+    zero, one = CycloScalar.from_rational(0), CycloScalar.from_rational(1)
+    assert (js(linalg.packed_nullspace(A.packed_rows(), A.n, A.N, zero, one))
+            == js(reference_nullspace(A.scalars(), A.n, zero, one)))
     try:
         want = reference_inverse(A).to_json()
     except ZeroDivisionError:
@@ -505,7 +508,7 @@ def test_dense_conductor_12_inverse_keeps_coefficients_small(monkeypatch):
     got = A.inverse()
     monkeypatch.undo()
     assert got.to_json() == want.to_json()
-    size = max(max(abs(c) for row in want.rows for v in row for c in v),
+    size = max(max(abs(c) for row in want.rows for v in row.values() for c in v),
                want.den).bit_length()
     assert bits[0] <= 8 * size
 
