@@ -24,8 +24,8 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import (ONE, ZERO, CycloMatrix, CycloScalar, _rational_root,
-                    pfaffian, root_of_unity)
+from .cyclo import (CycloMatrix, CycloScalar, _rational_root, pfaffian,
+                    root_of_unity)
 from .errors import (
     InvalidLabel,
     MalformedData,
@@ -513,19 +513,18 @@ def _descend_to_group(algebra, op):
     for b in algebra.basis():
         img = algebra.from_coords(op.matvec(algebra.coords(b)))
         cuts = [K * b - img * K for K in kern]
-        # the system sum_k c_k cut_k = 0 in packed rows: row (i, j) holds
-        # entry (i, j) of cut k in column k
-        N, den = lcm(*(C.N for C in cuts)), lcm(*(C.den for C in cuts))
-        rows = [({}, den) for _ in range(n * n)]
-        for k, C in enumerate(cuts):
-            for i, (ents, d) in enumerate(C.promote(N).packed_rows()):
-                for j, v in ents.items():
-                    rows[i * n + j][0][k] = tuple(c * (den // d) for c in v)
-        # zero coefficients are skipped, but still set the conductor
-        kern = [sum((K * c for c, K in zip(cvec, kern) if c),
-                    CycloMatrix.zeros(n, lcm(*(x.N for x in cvec),
-                                             *(K.N for K in kern))))
-                for cvec in linalg.packed_nullspace(rows, len(kern), N, ZERO, ONE)]
+        # the relations sum_k c_k cut_k = 0, entry (i, j) of a cut at
+        # column i * n + j
+        N = lcm(*(C.N for C in cuts))
+        vecs = [({i * n + j: v
+                  for i, (ents, _) in enumerate(C.promote(N).packed_rows())
+                  for j, v in ents.items()}, C.den) for C in cuts]
+        rels = linalg.relations(vecs, N)
+        if len(rels) < len(kern):  # else every cut is zero
+            M = lcm(N, *(K.N for K in kern))
+            kern = [sum((kern[k] * CycloScalar(N, v, den)
+                         for k, v in ents.items()), CycloMatrix.zeros(n, M))
+                    for ents, den in rels]
         if len(kern) <= 1:
             break
     if not kern:

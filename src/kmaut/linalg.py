@@ -1,7 +1,9 @@
-"""Exact linear algebra over Q and Q(zeta_N): `eliminate`, the one dense
-Gauss-Jordan elimination, on packed integer rows; `rref`, `solve` and
-`nullspace` on rows of Fraction or CycloScalar entries, through it; and
-`Span`, an incremental sparse echelon form."""
+"""Exact linear algebra over Q and Q(zeta_N) on packed integer rows: per row,
+a dict from column to the integer coefficient tuple of a nonzero entry, over
+one denominator.  `eliminate` is the one Gauss-Jordan elimination; its pivot
+and row steps also keep `Span`, an incremental row space over Q.
+`relations` finds the relations among packed vectors; `rref`, `solve`,
+`nullspace` and `row_space_basis` take rows of Fraction or CycloScalar."""
 
 from fractions import Fraction
 from math import lcm
@@ -17,11 +19,10 @@ def eliminate(rows, ncols, N):
     nonzero entry to its integer coefficient tuple in the power basis of
     Q(zeta_N), and den > 0 is the one denominator of the row.  Pivots on the
     first nonzero entry of each column and scales the pivot row by the
-    inverse of its pivot, one scalar inverse per pivot.  Every other row R_i
-    with entry f in the pivot column becomes d_r * R_i - f * R_r over
-    d_i * d_r, where d_r is the pivot row's denominator, which is also the
-    numerator of its pivot 1.  Each new row is divided by the gcd of its
-    coefficients and its denominator, so rows stay in lowest terms.
+    inverse of its pivot (`_unit_pivot`), one scalar inverse per pivot.
+    Every other row R_i with entry f in the pivot column becomes
+    d_r * R_i - f * R_r over d_i * d_r (`_clear`), where d_r is the pivot
+    row's denominator, which is also the numerator of its pivot 1.
 
     Returns the pivot columns and the product of the pivots times the sign
     of the row swaps, a CycloScalar of conductor N (the integer 1 if there
@@ -29,7 +30,6 @@ def eliminate(rows, ncols, N):
     """
     ctx = cyclo._context(N)
     red, phi = ctx.red, ctx.phi
-    conv = kernel.conv_reduce
     piv = []
     det = 1
     sign = 1
@@ -44,42 +44,58 @@ def eliminate(rows, ncols, N):
             rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
         prow, pden = rows[r]
-        a = prow[c]
-        det = cyclo.CycloScalar(N, a, pden) * det
-        if any(a[1:]):
-            inv = cyclo.CycloScalar(N, a, 1, _normalized=True).inverse()
-            prow = {j: conv(x, inv.nums, red, phi) for j, x in prow.items()}
-            dr = inv.den
-        elif a[0] < 0:
-            prow = {j: tuple(-v for v in x) for j, x in prow.items()}
-            dr = -a[0]
-        else:
-            dr = a[0]
-        prow, dr = _strip(prow, dr)
-        rows[r] = prow, dr
+        det = cyclo.CycloScalar(N, prow[c], pden) * det
+        rows[r] = prow, dr = _unit_pivot(prow, c, N, red, phi)
         others = [(j, y) for j, y in prow.items() if j != c]
         for i, (row, d) in enumerate(rows):
             f = row.pop(c, None) if i != r else None
-            if f is None:
-                continue
-            if dr != 1:
-                for j, x in row.items():
-                    row[j] = tuple(dr * v for v in x)
-            for j, y in others:
-                t = conv(f, y, red, phi)
-                x = row.get(j)
-                if x is None:
-                    row[j] = tuple(-v for v in t)
-                else:
-                    s = tuple(v - w for v, w in zip(x, t))
-                    if any(s):
-                        row[j] = s
-                    else:
-                        del row[j]
-            rows[i] = _strip(row, d * dr)
+            if f is not None:
+                rows[i] = _clear(row, d, f, others, dr, red, phi)
         piv.append(c)
         r += 1
     return piv, (-det if sign < 0 else det)
+
+
+def _unit_pivot(row, c, N, red, phi):
+    """The packed row divided by its entry at column c, in lowest terms, so
+    that this entry's numerator equals the new denominator: multiplied by
+    the Galois-norm inverse of the entry, or by its sign if it is
+    rational."""
+    a = row[c]
+    if any(a[1:]):
+        inv = cyclo.CycloScalar(N, a, 1, _normalized=True).inverse()
+        row = {j: kernel.conv_reduce(x, inv.nums, red, phi)
+               for j, x in row.items()}
+        den = inv.den
+    elif a[0] < 0:
+        row = {j: tuple(-v for v in x) for j, x in row.items()}
+        den = -a[0]
+    else:
+        den = a[0]
+    return _strip(row, den)
+
+
+def _clear(row, d, f, others, dr, red, phi):
+    """d_r * R_i - f * R_r over d * d_r, in lowest terms, reusing the dict of
+    row: R_i is row over d with its entry f in the pivot column already
+    removed, and R_r, over d_r with pivot d_r, is given by its other entries
+    as (column, coefficients) pairs."""
+    conv = kernel.conv_reduce
+    if dr != 1:
+        for j, x in row.items():
+            row[j] = tuple(dr * v for v in x)
+    for j, y in others:
+        t = conv(f, y, red, phi)
+        x = row.get(j)
+        if x is None:
+            row[j] = tuple(-v for v in t)
+        else:
+            s = tuple(v - w for v, w in zip(x, t))
+            if any(s):
+                row[j] = s
+            else:
+                del row[j]
+    return _strip(row, d * dr)
 
 
 def _strip(row, den):
@@ -90,15 +106,52 @@ def _strip(row, den):
     return {j: tuple(v // g for v in x) for j, x in row.items()}, den // g
 
 
+def _kernel(rows, piv, ncols, N):
+    """Basis of the right kernel of rows that `eliminate` reduced with
+    pivots piv: per free column f in increasing order, the packed vector
+    with 1 at f and minus the rows' entries of column f at the pivots."""
+    pad = (0,) * (cyclo._context(N).phi - 1)
+    pivset = set(piv)
+    out = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        hits = [(c, rows[i]) for i, c in enumerate(piv) if f in rows[i][0]]
+        den = lcm(1, *(d for _, (_, d) in hits))
+        vec = {f: (den,) + pad}
+        for c, (ents, d) in hits:
+            s = den // d
+            vec[c] = tuple(-s * v for v in ents[f])
+        out.append((vec, den))
+    return out
+
+
+def relations(vectors, N):
+    """Basis of the linear relations among packed vectors over Q(zeta_N):
+    the coefficient vectors c with sum_k c_k v_k = 0, as packed vectors
+    over Q(zeta_N), one per free column of the transposed system in
+    increasing order, with a 1 there.  The vectors are left unchanged."""
+    den = lcm(1, *(d for _, d in vectors))
+    cols = {}
+    for k, (ents, d) in enumerate(vectors):
+        s = den // d
+        for j, x in ents.items():
+            cols.setdefault(j, {})[k] = tuple(s * v for v in x)
+    # a homogeneous system: every row may share the denominator 1
+    rows = [(row, 1) for row in cols.values()]
+    piv, _ = eliminate(rows, len(vectors), N)
+    return _kernel(rows, piv, len(vectors), N)
+
+
 class _Packed:
     """Packed rows for `eliminate` over Q(zeta_N); entries read back as
     CycloScalars of conductor N, or as Fractions if not `cyclo_entries`."""
 
-    __slots__ = ("rows", "N", "ncols", "_cyclo", "_pad")
+    __slots__ = ("rows", "N", "ncols", "_cyclo", "_zero")
 
     def __init__(self, rows, ncols, N, cyclo_entries=True):
         self.rows, self.ncols, self.N, self._cyclo = rows, ncols, N, cyclo_entries
-        self._pad = (0,) * (cyclo._context(N).phi - 1)
+        self._zero = (0,) * cyclo._context(N).phi
 
     @classmethod
     def pack(cls, rows):
@@ -129,29 +182,19 @@ class _Packed:
             det = det.as_fraction()
         return piv, det
 
-    def entry(self, i, j):
-        ents, den = self.rows[i]
-        v = ents.get(j, (0,) + self._pad)
+    def scalar(self, v, den):
+        """The entry with coefficients v (None for zero) over den."""
+        v = v or self._zero
         if self._cyclo:
             return cyclo.CycloScalar(self.N, v, den)
         return Fraction(v[0], den)
 
+    def entry(self, i, j):
+        ents, den = self.rows[i]
+        return self.scalar(ents.get(j), den)
+
     def row(self, i):
         return [self.entry(i, j) for j in range(self.ncols)]
-
-    def nullspace(self, ncols, zero, one):
-        piv, _ = self.eliminate()
-        pivset = set(piv)
-        basis = []
-        for f in range(ncols):
-            if f in pivset:
-                continue
-            vec = [zero] * ncols
-            vec[f] = one
-            for i, c in enumerate(piv):
-                vec[c] = -self.entry(i, f)
-            basis.append(vec)
-        return basis
 
 
 def rref(rows):
@@ -199,37 +242,32 @@ def solve_in_span(basis_rows, target):
 
 def nullspace(rows, ncols, zero=0, one=1):
     """Basis of the right kernel of the matrix given by rows, one vector per
-    free column in increasing order."""
-    return _Packed.pack(rows).nullspace(ncols, zero, one)
-
-
-def packed_nullspace(rows, ncols, N, zero, one):
-    """`nullspace` of packed rows over Q(zeta_N), as `eliminate` takes them
-    (and reduces them in place); its entries are CycloScalars of
-    conductor N."""
-    return _Packed(rows, ncols, N).nullspace(ncols, zero, one)
-
-
-def _sub_scaled(dst, f, src):
-    """dst -= f * src on sparse {column: value} rows, dropping zeros."""
-    for j, x in src.items():
-        y = dst[j] - f * x if j in dst else -(f * x)
-        if y:
-            dst[j] = y
-        else:
-            del dst[j]
+    free column in increasing order: one there, zero at the other free
+    columns."""
+    packed = _Packed.pack(rows)
+    piv, _ = packed.eliminate()
+    free = sorted(set(range(ncols)) - set(piv))
+    out = []
+    kern = _kernel(packed.rows, piv, ncols, packed.N)
+    for f, (ents, den) in zip(free, kern):
+        vec = [zero] * ncols
+        vec[f] = one
+        for c in piv:
+            vec[c] = packed.scalar(ents.get(c), den)
+        out.append(vec)
+    return out
 
 
 class Span:
-    """Incremental row space of exact vectors, kept in reduced row echelon form.
+    """Incremental row space of rational vectors, kept in reduced row echelon
+    form by the pivot and row steps of `eliminate`.
 
-    Works over any exact field whose elements support +, -, *, / and test
-    false exactly when zero (Fraction, CycloScalar).  Rows are sparse
-    {column: value} dicts keyed by their pivot column; each has a 1 at its
-    pivot and a 0 at every other pivot.  A vector's entries at the pivots
-    are therefore its coordinates, so reducing it is one pass of O(rank x
-    width), and the stored form is unique for a given row space.
-    """
+    A vector is a packed row over Q: ({column: (numerator,)}, den), with no
+    zero entry stored.  Each stored row has pivot 1 and a 0 at every other
+    pivot, and is kept as its entries off the pivot over its denominator.
+    A vector's entries at the pivots are therefore its coordinates, so
+    reducing it is one pass over them, and the stored form is unique for a
+    given row space."""
 
     __slots__ = ("_rows",)
 
@@ -239,39 +277,26 @@ class Span:
             self.add(v)
 
     def _residue(self, v):
-        r = {j: x for j, x in enumerate(v) if x}
-        for c in [c for c in r if c in self._rows]:
-            _sub_scaled(r, r[c], self._rows[c])
-        return r
+        row, den = dict(v[0]), v[1]
+        for c in [c for c in row if c in self._rows]:
+            prow, d = self._rows[c]
+            row, den = _clear(row, den, row.pop(c), prow.items(), d, (), 1)
+        return row, den
 
     def contains(self, v):
-        return not self._residue(v)
+        return not self._residue(v)[0]
 
     def add(self, v):
         """Extend the span by v; returns whether v was independent of it."""
-        r = self._residue(v)
-        if not r:
+        row, den = self._residue(v)
+        if not row:
             return False
-        p = min(r)
-        lead = r[p]
-        r = {j: x / lead for j, x in r.items()}
-        for row in self._rows.values():
-            if p in row:
-                _sub_scaled(row, row[p], r)
-        self._rows[p] = r
+        p = min(row)
+        row, den = _unit_pivot(row, p, 1, (), 1)
+        del row[p]
+        for c, (prow, d) in self._rows.items():
+            f = prow.pop(p, None)
+            if f is not None:
+                self._rows[c] = _clear(prow, d, f, row.items(), den, (), 1)
+        self._rows[p] = row, den
         return True
-
-    def nullspace(self, ncols, zero, one):
-        """Basis of the vectors x of length ncols with row . x = 0 for every
-        row, one per free column in increasing order."""
-        out = []
-        for f in range(ncols):
-            if f in self._rows:
-                continue
-            vec = [zero] * ncols
-            vec[f] = one
-            for c, row in self._rows.items():
-                if f in row:
-                    vec[c] = -row[f]
-            out.append(vec)
-        return out

@@ -30,7 +30,7 @@ from .errors import (
     StaticOnlyAlgebra,
     UnsupportedOrder,
 )
-from .linalg import Span
+from .linalg import Span, relations
 from .loop import (
     AffineElement,
     LoopElement,
@@ -267,29 +267,30 @@ def check_extension_bijection(algebra, k):
 # real form bases (exact rational kernels of the reality constraints)
 # ---------------------------------------------------------------------------
 
-class _QSlot:
-    """Q-linear coordinates for the matrix coefficient space of an algebra
-    over a fixed cyclotomic field."""
+def _qvec(parts, M):
+    """One packed row over Q from (column offset, matrix) parts over
+    Q(zeta_M): coordinate t of entry (i, j) of an n x n matrix goes to column
+    offset + (i * n + j) * phi(M) + t."""
+    phi = _context(M).phi
+    mats = [(off, x.promote(M)) for off, x in parts]
+    den = lcm(1, *(x.den for _, x in mats))
+    out = {}
+    for off, x in mats:
+        s = den // x.den
+        for i, (row, _) in enumerate(x.packed_rows()):
+            for j, v in row.items():
+                col = off + (i * x.n + j) * phi
+                for t, c in enumerate(v):
+                    if c:
+                        out[col + t] = (s * c,)
+    return out, den
 
-    def __init__(self, algebra, M):
-        self.algebra = algebra
-        self.M = M
-        self.phi = _context(M).phi
-        self.dim = algebra.size * algebra.size
 
-    def flatten(self, mat):
-        mat = mat.promote(self.M) if self.M % mat.N == 0 else mat.promote(
-            lcm(self.M, mat.N))
-        assert mat.N == self.M, "conductor escaped the ambient field"
-        return [Fraction(c, x.den) for row in mat.scalars() for x in row for c in x.nums]
-
-    def nvars(self):
-        return self.dim * self.phi
-
-
-def _slot_field(algebra, twist_order, extra=4):
-    M = lcm(extra, 2 * twist_order)
-    return lcm(M, 4)
+def _combinations(units, rels, n, M):
+    """The matrices sum_k c_k units[k], one per packed rational relation c."""
+    return [sum((units[k] * c for k, (c,) in ents.items()),
+                CycloMatrix.zeros(n, M)) * Fraction(1, den)
+            for ents, den in rels]
 
 
 def _algebra_units(algebra, M):
@@ -324,32 +325,19 @@ def real_form_basis(algebra, pair, N=None):
     l = sigma.order(bound=64)
     if N is None:
         N = 2 * l + 4
-    M = _slot_field(algebra, l)
-    slot = _QSlot(algebra, M)
+    M = lcm(4, 2 * l)
     units = _algebra_units(algebra, M)
-    basis = {}
+    # the second constraint's coordinates follow the first's
+    second = algebra.size ** 2 * _context(M).phi
+    out = []
     for n in range(-N, N + 1):
         zeta = root_of_unity(2 * l, n % (2 * l))
         zinv = root_of_unity(2 * l, (-n) % (2 * l))
-        rows = []
-        for u in units:
-            img1 = tplus.apply_matrix(u) - u
-            img2 = (tminus.apply_matrix(u * zeta) * zinv) - u
-            rows.append(slot.flatten(img1) + slot.flatten(img2))
-        cols = [[rows[j][i] for j in range(len(units))]
-                for i in range(len(rows[0]))]
-        kern = Span(cols).nullspace(len(units), Fraction(0), Fraction(1))
-        vecs = []
-        for v in kern:
-            acc = CycloMatrix.zeros(algebra.size, M)
-            for coeff, u in zip(v, units):
-                if coeff:
-                    acc = acc + u * coeff
-            vecs.append(LoopElement(algebra, sigma, l, {n: acc}))
-        basis[n] = vecs
-    out = []
-    for n in range(-N, N + 1):
-        out.extend(basis[n])
+        rows = [_qvec([(0, tplus.apply_matrix(u) - u),
+                       (second, tminus.apply_matrix(u * zeta) * zinv - u)], M)
+                for u in units]
+        out.extend(LoopElement(algebra, sigma, l, {n: acc}) for acc in
+                   _combinations(units, relations(rows, 1), algebra.size, M))
     i = root_of_unity(4, 1)
     zero = LoopElement.zero(algebra, sigma, l)
     out.append(AffineElement(zero, c=i))
@@ -382,15 +370,12 @@ class RealFormBasis:
     def closed_under_bracket(self):
         """Brackets of window elements with window-bounded support must be
         rational combinations of the basis."""
-        slotM = _slot_field(self.algebra, self.l)
-        slot = _QSlot(self.algebra, slotM)
-        span = Span(_affine_qvec(b, slot, self.window, self.l)
-                    for b in self.basis)
-        return _brackets_in(self.basis, self.basis, span, slot, self.window,
-                            self.l)
+        M = lcm(4, 2 * self.l)
+        span = Span(_affine_qvec(b, M, self.window) for b in self.basis)
+        return _brackets_in(self.basis, self.basis, span, M, self.window)
 
 
-def _brackets_in(xs, ys, span, slot, N, l):
+def _brackets_in(xs, ys, span, M, N):
     """Whether every bracket [x, y] supported in the window lies in span.
 
     When xs is ys each unordered pair is bracketed once: [x, x] = 0, and
@@ -399,23 +384,21 @@ def _brackets_in(xs, ys, span, slot, N, l):
         z = affine_bracket(x, y)
         if z.is_zero() or any(abs(n) > N for n in z.loop.support()):
             continue
-        if not span.contains(_affine_qvec(z, slot, N, l)):
+        if not span.contains(_affine_qvec(z, M, N)):
             return False
     return True
 
 
-def _affine_qvec(elt, slot, N, l):
-    out = []
-    for n in range(-N, N + 1):
-        M = elt.loop.coeffs.get(n)
-        if M is None:
-            out.extend([Fraction(0)] * slot.nvars())
-        else:
-            out.extend(slot.flatten(M))
-    for s in (elt.c, elt.d):
-        sc = s.promote(slot.M)
-        out.extend(Fraction(c, sc.den) for c in sc.nums)
-    return out
+def _affine_qvec(elt, M, N):
+    """The packed rational row of an affine element over Q(zeta_M): its
+    coefficients at degrees -N .. N, then c and d.  Coefficients outside the
+    window are ignored."""
+    block = elt.loop.algebra.size ** 2 * _context(M).phi
+    parts = [((n + N) * block, x) for n, x in elt.loop.coeffs.items()
+             if abs(n) <= N]
+    top = (2 * N + 1) * block
+    c, d = (CycloMatrix.from_scalars([[s]]) for s in (elt.c, elt.d))
+    return _qvec(parts + [(top, c), (top + block, d)], M)
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +416,13 @@ def compact_window_basis(algebra, twist, l, N):
                 M = b.matrix * z
                 out.append(LoopElement(algebra, twist, l,
                                        {n: M, -n: om(M)}, validate=False))
-    # n = 0: omega-fixed part of the twist-fixed subalgebra
-    M0 = _slot_field(algebra, l)
-    slot = _QSlot(algebra, M0)
-    zero_modes = sigma_eigenspace(algebra, twist, l, 0)
-    # solve omega(v) = v inside the span of zero_modes over Q
-    units = []
-    for b in zero_modes:
-        for z in (CycloScalar.from_rational(1), i):
-            units.append(b.matrix * z)
-    rows = []
-    for u in units:
-        rows.append(slot.flatten(om(u) - u))
-    cols = [[rows[j][idx] for j in range(len(units))]
-            for idx in range(len(rows[0]))]
-    for v in Span(cols).nullspace(len(units), Fraction(0), Fraction(1)):
-        acc = CycloMatrix.zeros(algebra.size, M0)
-        for coeff, u in zip(v, units):
-            if coeff:
-                acc = acc + u * coeff
+    # n = 0: omega-fixed part of the twist-fixed subalgebra, solving
+    # omega(v) = v inside the span of zero_modes over Q
+    M0 = lcm(4, 2 * l)
+    units = [b.matrix * z for b in sigma_eigenspace(algebra, twist, l, 0)
+             for z in (CycloScalar.from_rational(1), i)]
+    rows = [_qvec([(0, om(u) - u)], M0) for u in units]
+    for acc in _combinations(units, relations(rows, 1), algebra.size, M0):
         if not acc.is_zero():
             out.append(LoopElement(algebra, twist, l, {0: acc}, validate=False))
     return out
@@ -480,7 +451,7 @@ def cartan_decomposition(phi, N=None):
                              "window")
     tw = phi.twist
     l = phi.l
-    M = _slot_field(algebra, l)
+    M = lcm(4, 2 * l)
     if M % (phi.t0.denominator * l):
         raise NotCompactMode("rotation by 2 pi t0 = 2 pi %s has phases outside "
                              "the window field Q(zeta_%d)" % (phi.t0, M))
@@ -490,7 +461,6 @@ def cartan_decomposition(phi, N=None):
         N = 2 * l + 4
     # constant curve and target twist tw: images stay at conductor l
     ext = affine_extend(phi)
-    slot = _QSlot(algebra, M)
     zero = LoopElement.zero(algebra, tw, l)
     elts = [AffineElement(b) for b in compact_window_basis(algebra, tw, l, N)]
     elts += [AffineElement(zero, c=1), AffineElement(zero, d=1)]
@@ -505,7 +475,7 @@ def cartan_decomposition(phi, N=None):
             combo = AffineElement((e.loop + img.loop * sign) * half,
                                   (e.c + img.c * sign) * half,
                                   (e.d + img.d * sign) * half)
-            if span.add(_affine_qvec(combo, slot, N, l)):
+            if span.add(_affine_qvec(combo, M, N)):
                 out.append(combo)
         return out, span
 
@@ -515,9 +485,9 @@ def cartan_decomposition(phi, N=None):
     noncompact = list(Kb) + [AffineElement(x.loop * i, x.c * i, x.d * i)
                              for x in Pb]
     inclusions = {
-        "KK_in_K": _brackets_in(Kb, Kb, kspan, slot, N, l),
-        "KP_in_P": _brackets_in(Kb, Pb, pspan, slot, N, l),
-        "PP_in_K": _brackets_in(Pb, Pb, kspan, slot, N, l),
+        "KK_in_K": _brackets_in(Kb, Kb, kspan, M, N),
+        "KP_in_P": _brackets_in(Kb, Pb, pspan, M, N),
+        "PP_in_K": _brackets_in(Pb, Pb, kspan, M, N),
     }
     return {"K": Kb, "P": Pb, "noncompact": noncompact, "window": N,
             "inclusions": inclusions}

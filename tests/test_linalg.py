@@ -1,12 +1,14 @@
-"""The exact elimination in linalg (the dense `eliminate` on packed rows
-behind matrix inverse, determinant, rank, `rref`, solving and conductor
-restriction, and the incremental `Span`) against a plain rank computation, a
+"""The exact elimination in linalg (`eliminate` on packed rows behind matrix
+inverse, determinant, rank, `rref`, solving, conductor restriction and
+`relations`, and the incremental `Span` on packed rational rows, which
+shares its pivot and row steps) against a plain rank computation, a
 permutation-expansion determinant and the object-level Gauss-Jordan loop
 written here."""
 
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 
@@ -62,13 +64,33 @@ def probes(rng, rows, ncols):
     return out
 
 
+def qrow(v):
+    """A vector of Fractions as a packed row over Q."""
+    den = lcm(1, *(x.denominator for x in v))
+    return ({j: (x.numerator * (den // x.denominator),)
+             for j, x in enumerate(v) if x}, den)
+
+
+def unpack(vec, n):
+    """A packed row over Q as n Fractions."""
+    ents, den = vec
+    return [Fraction(ents[j][0], den) if j in ents else Fraction(0)
+            for j in range(n)]
+
+
+def right_kernel(rows, ncols):
+    """The relations among the columns of rows, as Fraction vectors."""
+    cols = [qrow([r[j] for r in rows]) for j in range(ncols)]
+    return [unpack(c, ncols) for c in linalg.relations(cols, 1)]
+
+
 def check_span(rows, ncols, vectors):
     span = Span()
     for i, v in enumerate(rows):
-        assert span.add(v) == (rank(rows[:i + 1]) > rank(rows[:i]))
+        assert span.add(qrow(v)) == (rank(rows[:i + 1]) > rank(rows[:i]))
     for v in vectors:
-        assert span.contains(v) == (rank(rows + [v]) == rank(rows))
-    kern = span.nullspace(ncols, Fraction(0), Fraction(1))
+        assert span.contains(qrow(v)) == (rank(rows + [v]) == rank(rows))
+    kern = right_kernel(rows, ncols)
     assert len(kern) == ncols - rank(rows)
     assert rank(kern) == len(kern)
     for x in kern:
@@ -83,19 +105,24 @@ def test_span_against_rank(seed):
     rows, ncols = random_matrix(rng)
     kern = check_span(rows, ncols, probes(rng, rows, ncols))
     # the reduced form depends only on the row space, so neither the row
-    # order nor redundant rows change the kernel basis
+    # order nor redundant rows change the kernel basis or the span
     shuffled = rows[::-1] + [[2 * x for x in r] for r in rows]
-    assert Span(shuffled).nullspace(ncols, Fraction(0), Fraction(1)) == kern
+    assert right_kernel(shuffled, ncols) == kern
+    span = Span(qrow(r) for r in shuffled)
+    assert all(span.contains(qrow(r)) for r in rows)
+    assert not any(span.add(qrow(r)) for r in rows)
 
 
-def test_span_over_cyclotomic_scalars():
-    i = root_of_unity(4, 1)
-    one, zero = CycloScalar.from_rational(1), CycloScalar.from_rational(0)
-    span = Span([[one, i, zero]])
-    assert not span.add([i, i * i, zero])
-    assert span.contains([i * 3, -one * 3, zero])
-    assert not span.contains([one, one, zero])
-    assert span.nullspace(3, zero, one) == [[-i, one, zero], [zero, zero, one]]
+def test_relations_among_packed_vectors():
+    """Over Q(zeta_4), in the basis (1, i): v1 = i v0, v2 = 0 and v3 (over the
+    denominator 2) is independent of v0.  Each relation has a 1 at its free
+    vector; the inputs are left as they were."""
+    vecs = [({0: (1, 0), 1: (0, 1)}, 1), ({0: (0, 1), 1: (-1, 0)}, 1),
+            ({}, 1), ({0: (1, 0), 1: (1, 0), 2: (1, 0)}, 2)]
+    copy = [(dict(ents), den) for ents, den in vecs]
+    assert linalg.relations(vecs, 4) == [({0: (0, -1), 1: (1, 0)}, 1),
+                                         ({2: (1, 0)}, 1)]
+    assert vecs == copy
 
 
 def test_span_property():
@@ -396,8 +423,11 @@ def seeded_rows(rng, N, nrows, ncols, density, rank=None):
 def check_square_against_reference(A):
     assert A.det().to_json() == reference_det(A).to_json()
     zero, one = CycloScalar.from_rational(0), CycloScalar.from_rational(1)
-    assert (js(linalg.packed_nullspace(A.packed_rows(), A.n, A.N, zero, one))
-            == js(reference_nullspace(A.scalars(), A.n, zero, one)))
+    # the relations among the columns of A form its right kernel
+    pad = CycloScalar.from_rational(0, A.N).nums
+    kern = [[CycloScalar(A.N, ents.get(k, pad), den) for k in range(A.n)]
+            for ents, den in linalg.relations(A.transpose().packed_rows(), A.N)]
+    assert kern == reference_nullspace(A.scalars(), A.n, zero, one)
     try:
         want = reference_inverse(A).to_json()
     except ZeroDivisionError:

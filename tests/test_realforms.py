@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kmaut.algebra import make_algebra
+from kmaut.algebra import make_algebra, sigma_eigenspace
 from kmaut.autg import (
     InvLabel,
     identity_automorphism,
@@ -21,7 +21,7 @@ from kmaut.realforms import (
     real_form_basis,
     sl2_catalogue,
 )
-from kmaut.tables import realize_entry, valid_ks
+from kmaut.tables import enumerate_second_kind, realize_entry, valid_ks
 
 
 def test_conj_linear_extension_order():
@@ -107,6 +107,37 @@ def test_real_form_basis_sl2():
     dims = rb.coefficient_dims()
     assert rb.l == 2
     assert all(dims[n] == (1 if n % 2 == 0 else 2) for n in dims)
+    assert rb.closed_under_bracket()
+
+
+def second_kind_pairs(algebras):
+    """One case per second-kind table entry of the given algebras."""
+    cases = []
+    for family, n in algebras:
+        alg = make_algebra(family, n, "compact")
+        for k in valid_ks(alg):
+            for e in enumerate_second_kind(alg, k).entries:
+                name = "%s%d-%r-%r" % (family, n, e[1], e[2])
+                marks = ()
+                if name == "a3-rho1-rho4":
+                    marks = pytest.mark.xfail(strict=True, reason=(
+                        "dims 8, 8, 8 against 4, 4, 4 and not closed"))
+                cases.append(pytest.param(alg, (e[1], e[2]), id=name,
+                                          marks=marks))
+    return cases
+
+
+@pytest.mark.parametrize("alg,pair", second_kind_pairs(
+    [("a", 2), ("a", 3), ("b", 2), ("c", 3)]))
+def test_real_form_basis_second_kind_tables(alg, pair):
+    """At window 1 each degree's real dimension is the complex dimension of
+    the twist's eigenspace there, and the basis is closed under brackets."""
+    rb = real_form_basis(alg, pair, N=1)
+    sigma = (standard_involution(alg, pair[1]).inverse()
+             .compose(standard_involution(alg, pair[0])))
+    want = {n: len(sigma_eigenspace(alg, sigma, rb.l, n % rb.l))
+            for n in (-1, 0, 1)}
+    assert rb.coefficient_dims() == {n: d for n, d in want.items() if d}
     assert rb.closed_under_bracket()
 
 
@@ -219,7 +250,7 @@ def test_cartan_uniqueness_surrogate():
     from kmaut.cyclo import CycloMatrix
     from kmaut.loopaut import conjugate_constant, invariant_first_kind
     from kmaut.linalg import Span
-    from kmaut.realforms import _QSlot, _affine_qvec, _slot_field
+    from kmaut.realforms import _affine_qvec
 
     su2 = make_algebra("a", 1, "compact")
     iden = identity_automorphism(su2)
@@ -232,9 +263,9 @@ def test_cartan_uniqueness_surrogate():
     N = 2
     rep1 = cartan_decomposition(phi1, N=N)
     rep2 = cartan_decomposition(phi2, N=N)
-    slot = _QSlot(su2, _slot_field(su2, 1))
-    k2 = Span(_affine_qvec(e, slot, N, 1) for e in rep2["K"])
-    p2 = Span(_affine_qvec(e, slot, N, 1) for e in rep2["P"])
+    M = 4  # the window field Q(zeta_lcm(4, 2l)) at l = 1
+    k2 = Span(_affine_qvec(e, M, N) for e in rep2["K"])
+    p2 = Span(_affine_qvec(e, M, N) for e in rep2["P"])
     from kmaut.loop import AffineElement, LoopElement
 
     def push(e):
@@ -244,9 +275,32 @@ def test_cartan_uniqueness_surrogate():
         return AffineElement(loop, e.c, e.d)
 
     for e in rep1["K"]:
-        assert k2.contains(_affine_qvec(push(e), slot, N, 1))
+        assert k2.contains(_affine_qvec(push(e), M, N))
     for e in rep1["P"]:
-        assert p2.contains(_affine_qvec(push(e), slot, N, 1))
+        assert p2.contains(_affine_qvec(push(e), M, N))
+
+
+def test_affine_qvec_coordinates():
+    """Coefficients, c and d over different denominators land in one packed
+    rational row, coordinate t of entry (i, j) at degree n at column
+    ((n + N) * size^2 + i * size + j) * phi + t, then c and d, one block
+    each; degrees outside the window are ignored."""
+    from kmaut.cyclo import CycloMatrix, root_of_unity
+    from kmaut.loop import AffineElement, LoopElement
+    from kmaut.realforms import _affine_qvec
+
+    su2 = make_algebra("a", 1, "compact")
+    i = root_of_unity(4, 1)
+    A = CycloMatrix.from_scalars([[i * Fraction(1, 2), 0],
+                                  [Fraction(2, 3), i * Fraction(-1, 2)]])
+    loop = LoopElement(su2, identity_automorphism(su2), 1, {0: A, 2: A},
+                       validate=False)
+    ents, den = _affine_qvec(AffineElement(loop, Fraction(1, 5),
+                                           i * Fraction(3, 7)), 4, 1)
+    # phi(4) = 2, so each degree, and c and d, take a block of 8 columns
+    assert {j: Fraction(v, den) for j, (v,) in ents.items()} == {
+        9: Fraction(1, 2), 12: Fraction(2, 3), 15: Fraction(-1, 2),
+        24: Fraction(1, 5), 33: Fraction(3, 7)}
 
 
 def test_sl2_catalogue():
