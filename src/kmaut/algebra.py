@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from . import linalg
-from .cyclo import (CycloMatrix, CycloScalar, _divisors, _rational_root,
-                    finite_order_eigenprojectors, root_index, root_of_unity)
+from .cyclo import (CycloMatrix, CycloScalar, finite_order_eigenprojectors,
+                    root_index, root_of_unity)
 from .errors import (
     AlgebraMismatch,
     MembershipError,
@@ -417,150 +417,31 @@ def zero_semisimple(algebra):
                              [Fraction(0)], validate=False)
 
 
-def _char_poly(M):
-    """Characteristic polynomial coefficients (monic, highest first) via the
-    trace recursion; exact."""
-    n = M.n
-    one = CycloScalar.from_rational(1)
-    coeffs = [one]
-    A = M
-    traces = []
-    P = M
-    for k in range(1, n + 1):
-        traces.append(P.trace())
-        if k < n:
-            P = P * M
-    for k in range(1, n + 1):
-        s = CycloScalar.from_rational(0)
-        for i in range(1, k + 1):
-            s = s + traces[i - 1] * coeffs[k - i]
-        coeffs.append(s * Fraction(-1, k))
-    return coeffs
-
-
-def semisimple_rates(M):
-    """Distinct rationals r with spectrum(M) = {i*r}; exact, or raises.
-
-    Handles the two shapes that occur here: all-rational matrices (rotation
-    style, spectrum in i*Q symmetric) and i*(rational) matrices.
-    """
-    i = root_of_unity(4, 1)
-    if M.is_zero():
-        return (Fraction(0),)
-    rational = all(M.entry(r, c).is_rational()
-                   for r in range(M.n) for c in range(M.n))
-    if not rational:
-        Mr = M * (-i)
-        if all(Mr.entry(r, c).is_rational()
-               for r in range(M.n) for c in range(M.n)):
-            coeffs = [c.as_fraction() for c in _char_poly(Mr)]
-            roots = _rational_roots(coeffs)
-            return tuple(sorted(roots))
-        raise OrderMismatch("matrix is not i * (rational diagonalizable)")
-    coeffs = [c.as_fraction() for c in _char_poly(M)]
-    # real antisymmetric-type: p(x) = prod (x^2 + r^2) * x^z
-    n = len(coeffs) - 1
-    z = 0
-    while z < n and coeffs[n - z] == 0:
-        z += 1
-    body = coeffs[:n - z + 1]
-    if (len(body) - 1) % 2:
-        raise OrderMismatch("odd nonzero spectrum for a real matrix")
-    even = body[::2]
-    if any(c != 0 for c in body[1::2]):
-        raise OrderMismatch("real matrix spectrum is not purely imaginary")
-    uroots = _rational_roots(even)  # roots u = x^2 = -r^2
-    rates = set()
-    if z:
-        rates.add(Fraction(0))
-    for u in uroots:
-        r2 = -u
-        r = _rational_root(r2, 2)
-        if r is None:
-            raise OrderMismatch("irrational eigenvalue rate")
-        rates.update((r, -r))
-    return tuple(sorted(rates))
-
-
-def _rational_roots(coeffs):
-    """All rational roots (with multiplicity collapsed) of a polynomial given
-    by coefficients highest-first; every root is required to be rational."""
-    work = [Fraction(c) for c in coeffs]
-    roots = set()
-    deg = len(work) - 1
-    while deg > 0:
-        den = 1
-        for c in work:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in work]
-        lead, const = ints[0], ints[-1]
-        if const == 0:
-            roots.add(Fraction(0))
-            work = work[:-1]
-            deg -= 1
-            continue
-        found = None
-        for p in _divisors_signed(abs(const)):
-            for q in _divisors_signed(abs(lead)):
-                if q < 0:
-                    continue
-                cand = Fraction(p, q)
-                val = Fraction(0)
-                for c in work:
-                    val = val * cand + c
-                if val == 0:
-                    found = cand
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise OrderMismatch("polynomial has an irrational root")
-        roots.add(found)
-        # synthetic division
-        new = [work[0]]
-        for c in work[1:-1]:
-            new.append(c + new[-1] * found)
-        work = new
-        deg -= 1
-    return roots
-
-
-def _divisors_signed(n):
-    return [s * d for d in _divisors(n) for s in (1, -1)]
-
-
 def combine_semisimple(parts):
-    """Sum of commuting semisimple elements, with merged eigenvalue data.
-
-    The candidate eigenrates are all sums of the parts' rates; wrong
-    candidates are harmless (their projectors vanish) and the stated list is
-    validated exactly.
-    """
+    """Sum of commuting semisimple elements.  Commuting parts share their
+    eigenspaces, so the projector of a rate t of the sum is the sum of the
+    products of one projector per part whose rates add up to t."""
     assert parts
-    algebra = parts[0].algebra
-    acc = CycloMatrix.zeros(algebra.size)
-    cands = {Fraction(0)}
-    first = True
     for i, p in enumerate(parts):
         for q in parts[i + 1:]:
             if not (p.matrix * q.matrix - q.matrix * p.matrix).is_zero():
                 raise OrderMismatch("semisimple parts do not commute")
+    acc, joint = parts[0].matrix, dict(parts[0].projectors())
+    for p in parts[1:]:
         acc = acc + p.matrix
-        if first:
-            cands = set(p.eigenrates)
-            first = False
-        else:
-            cands = {a + b for a in cands for b in p.eigenrates}
-    sums = sorted(cands)
-    elt = SemisimpleElement(algebra, acc, sums, validate=True)
-    # drop rates whose projector vanishes
-    projs = elt.projectors()
-    out = SemisimpleElement(algebra, acc, [r for r, _ in projs], validate=False)
-    if len(projs) > 1:
-        # The Lagrange projector of a rate is the same matrix over every set
-        # of rates that holds the spectrum.  A lone rate's projector is I,
-        # which the result rebuilds at conductor 1.
-        out._projs = projs
+        nxt = {}
+        for a, P in joint.items():
+            for b, Q in p.projectors():
+                R = P * Q
+                if not R.is_zero():
+                    nxt[a + b] = nxt[a + b] + R if a + b in nxt else R
+        joint = nxt
+    out = SemisimpleElement(parts[0].algebra, acc, sorted(joint), validate=False)
+    if len(joint) > 1:
+        # at the conductor of the Lagrange projectors of the sum; a lone
+        # rate's projector is I, which the result rebuilds at conductor 1
+        N = lcm(acc.N, 4)
+        out._projs = tuple((r, joint[r].promote(N)) for r in out.eigenrates)
     return out
 
 

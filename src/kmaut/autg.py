@@ -24,12 +24,13 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import (CycloMatrix, CycloScalar, _rational_root, pfaffian,
-                    root_of_unity)
+from .cyclo import (CycloMatrix, CycloScalar, _json_int, _rational_root,
+                    pfaffian, root_of_unity)
 from .errors import (
     InvalidLabel,
     MalformedData,
     NotInvolution,
+    OrderMismatch,
     OrderExceedsBound,
     Unclassifiable,
     UnsupportedExceptional,
@@ -95,6 +96,27 @@ def _canonical_scale(G):
             if s:
                 return G * s.inverse()
     return G
+
+
+def _image_rates(M, rates):
+    """The rates of M in so(8), the image of a semisimple element with the
+    given rates.  Automorphisms keep the adjoint spectrum, so a rate t of M is
+    (a + b) / 2 for differences a = t + t', b = t - t' of the source rates;
+    the spectrum is symmetric, so t >= 0 is tested, and nullities adding up
+    to 8 prove that M is diagonalizable with the rates found."""
+    den = lcm(*(r.denominator for r in rates))  # integer sums are fast
+    diffs = {int((r - s) * den) for r in rates for s in rates}
+    iE = CycloMatrix.identity(M.n) * root_of_unity(4, 1)
+    found, total = set(), 0
+    for ab in sorted({a + b for a in diffs for b in diffs if a + b >= 0}):
+        t = Fraction(ab, 2 * den)
+        nullity = M.n - (M - iE * t).rank()
+        if nullity:
+            found.update((t, -t))
+            total += nullity if t == 0 else 2 * nullity
+            if total == M.n:
+                return sorted(found)
+    raise OrderMismatch("image is not i * (rational diagonalizable)")
 
 
 class Automorphism:
@@ -193,9 +215,8 @@ class Automorphism:
         M = self.apply_matrix(x.matrix)
         rates = x.eigenrates
         if self._G is None:
-            from .algebra import semisimple_rates
-            return SemisimpleElement(self.algebra, M, semisimple_rates(M))
-        if self._w:
+            rates = _image_rates(M, rates)
+        elif self._w:
             rates = tuple(sorted(-r for r in rates))
         return SemisimpleElement(self.algebra, M, rates, validate=False)
 
@@ -340,11 +361,15 @@ class Automorphism:
             raise MalformedData("%s takes a %dx%d matrix, not %dx%d"
                                 % (algebra.label(), size, size, M.n, M.n))
         if group:
-            return Automorphism(algebra, M, w=int(obj.get("outer_power", 0)),
+            return Automorphism(algebra, M,
+                                w=_json_int(obj, "outer_power", 0, (0, 1)),
                                 conj=bool(obj.get("conj_linear", False)),
                                 label=obj.get("label"))
-        return Automorphism(algebra, operator=M,
-                            word=tuple(obj["outer_power"]),
+        w = obj.get("outer_power")
+        if not (isinstance(w, list) and all(type(x) is int for x in w)
+                and sorted(w) == [0, 1, 2]):
+            raise MalformedData("an operator's outer_power permutes [0, 1, 2]")
+        return Automorphism(algebra, operator=M, word=tuple(w),
                             conj=bool(obj.get("conj_linear", False)),
                             label=obj.get("label"))
 
@@ -597,6 +622,8 @@ class InvLabel:
 
 def parse_label(algebra, text):
     """Parse 'rho2', "rho2'", 'id', 'mu', 'muAdJ', 'AdJ', "AdJ'", 'AdjE'."""
+    if not isinstance(text, str):
+        raise InvalidLabel("a label is a string, not %r" % (text,))
     t = text.strip()
     prime = 0
     while t.endswith("'"):
@@ -939,25 +966,3 @@ def label_outer_action(algebra):
             return lab
         gens = [xmap]
     return gens
-
-
-def label_orbit_maps(algebra):
-    """All label maps induced by the outer group (the full group, not just
-    generators)."""
-    gens = label_outer_action(algebra)
-    maps = [lambda lab: lab]
-    frontier = [maps[0]]
-    seen = {tuple((repr(lab), repr(lab)) for lab in standard_labels(algebra))}
-    while frontier:
-        new_frontier = []
-        for f in frontier:
-            for g in gens:
-                h = (lambda f=f, g=g: (lambda lab: g(f(lab))))()
-                sig = tuple((repr(lab), repr(h(lab)))
-                            for lab in standard_labels(algebra))
-                if sig not in seen:
-                    seen.add(sig)
-                    maps.append(h)
-                    new_frontier.append(h)
-        frontier = new_frontier
-    return maps

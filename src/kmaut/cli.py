@@ -11,7 +11,8 @@ import argparse
 import json
 import sys
 from .autg import InvLabel, parse_label
-from .errors import KmautError
+from .cyclo import _json_int
+from .errors import InvalidLabel, KmautError, MalformedData
 from .loopaut import (
     FirstKindInvariant,
     SecondKindInvariant,
@@ -97,20 +98,27 @@ def cmd_conjugate(args):
 
 
 def _invariant_from_json(obj):
+    if not (isinstance(obj, dict) and isinstance(obj.get("algebra"), dict)
+            and isinstance(obj["algebra"].get("family"), str)):
+        raise MalformedData("an invariant is an object with an algebra object")
     algebra = algebra_from_args(obj["algebra"]["family"],
                                 obj["algebra"].get("n"))
     if obj["kind"] == 1:
         rho = parse_label(algebra, obj["rho"]) if obj.get("rho") else InvLabel(0)
         beta = obj["beta"]
-        row = pi0_row(algebra, rho if obj.get("p", 0) == 0 else InvLabel(0))
-        entry = next(e for e in row.entries
-                     if e.rep == (beta["rep"] if isinstance(beta, dict) else beta))
+        p = _json_int(obj, "p", 0)
+        row = pi0_row(algebra, rho if p == 0 else InvLabel(0))
+        rep = beta["rep"] if isinstance(beta, dict) else beta
+        entry = next((e for e in row.entries if e.rep == rep), None)
+        if entry is None:
+            raise InvalidLabel("no component class %r in this row" % (rep,))
         cc = ComponentClass(row.rho_label, entry.rep, entry.k)
-        return FirstKindInvariant(algebra, int(obj.get("q", 2)),
-                                  int(obj.get("p", 0)), rho, cc)
+        return FirstKindInvariant(algebra, _json_int(obj, "q", 2), p, rho, cc)
+    if not (isinstance(obj["pair"], list) and len(obj["pair"]) == 2):
+        raise MalformedData("a second-kind pair holds two labels")
     pair = tuple(parse_label(algebra, x) for x in obj["pair"])
-    return SecondKindInvariant(algebra, int(obj.get("order", 2)), pair,
-                               int(obj["k"]))
+    return SecondKindInvariant(algebra, _json_int(obj, "order", 2), pair,
+                               _json_int(obj, "k"))
 
 
 def cmd_realize(args):

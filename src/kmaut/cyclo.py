@@ -401,15 +401,8 @@ class CycloScalar:
     def from_json(obj):
         if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise MalformedData("a scalar is {\"conductor\": N, \"coeffs\": [...]}")
-        N, coeffs = obj.get("conductor"), obj["coeffs"]
-        # type(...) is int also rejects bools; floats are not exact data
-        if type(N) is not int or not all(type(c) in (str, int) for c in coeffs):
-            raise MalformedData("a scalar has an integer conductor and exact "
-                                "string or integer coefficients")
-        try:
-            coeffs = [Fraction(c) for c in coeffs]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedData("scalar data: %s" % exc) from None
+        N = _json_int(obj, "conductor")
+        coeffs = [_json_rational(c, "a coefficient") for c in obj["coeffs"]]
         # phi(N) from N alone: the context of a large N takes seconds to build
         _check_conductor(N)
         phi = _totient(N)
@@ -430,6 +423,25 @@ class CycloScalar:
                 q = Fraction(c, self.den)
                 terms.append("%s*z%d^%d" % (q, self.N, i) if i else str(q))
         return "CycloScalar(%s)" % " + ".join(terms)
+
+
+def _json_int(obj, key, default=None, allowed=None):
+    """obj[key], default if missing: an int (not a bool) and one of allowed."""
+    value = obj.get(key, default)
+    if type(value) is not int or value not in (allowed or (value,)):
+        raise MalformedData("%s must be %s, not %r" % (
+            key, "one of %s" % (allowed,) if allowed else "an integer", value))
+    return value
+
+
+def _json_rational(value, what):
+    """The rational number of an exact string such as "3/4" or an int."""
+    if type(value) not in (str, int):
+        raise MalformedData("%s must be an exact string or integer" % what)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedData("%s %r is not rational" % (what, value)) from None
 
 
 def _coerce(x):

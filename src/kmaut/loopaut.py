@@ -30,15 +30,17 @@ from .autg import (
     identity_automorphism,
     involution_int_class,
     label_out_word,
+    label_outer_action,
     triality_automorphism,
 )
-from .cyclo import (CycloMatrix, CycloScalar, _rational_root,
-                    finite_order_eigenprojectors, root_index, root_of_unity)
+from .cyclo import (CycloMatrix, CycloScalar, _json_int, _json_rational,
+                    _rational_root, root_of_unity)
 from .errors import (
     InfiniteOrderScaling,
     InvalidLoopData,
     NotFiniteOrder,
     OrderExceedsBound,
+    OrderMismatch,
     PeriodicityViolation,
     ScalingNotExtendable,
     ScalingNotRational,
@@ -272,11 +274,13 @@ class StandardLoopAutomorphism:
         if obj.get("X"):
             X = SemisimpleElement(phi0.algebra,
                                   CycloMatrix.from_json(obj["X"]["matrix"]),
-                                  [Fraction(r) for r in obj["X"]["rates"]])
-        return StandardLoopAutomorphism(twist, int(obj["l"]),
-                                        int(obj["epsilon"]),
-                                        Fraction(obj["t0"]), X, phi0,
-                                        Fraction(obj.get("scale", "1")))
+                                  [_json_rational(r, "a rate")
+                                   for r in obj["X"]["rates"]])
+        return StandardLoopAutomorphism(twist, _json_int(obj, "l"),
+                                        _json_int(obj, "epsilon", None, (1, -1)),
+                                        _json_rational(obj["t0"], "t0"), X, phi0,
+                                        _json_rational(obj.get("scale", "1"),
+                                                       "scale"))
 
 
 def _rat_pow(r, e):
@@ -468,10 +472,23 @@ class SecondKindInvariant:
 
 def _certificate(aut):
     """Exact conjugation-invariant certificate of a finite-order automorphism:
-    its outer order plus the eigenvalue multiset of its action."""
+    its outer order plus the eigenvalue multiset of its action.  The
+    multiplicity of zeta_o^k is (1/o) sum_j zeta_o^(-jk) tr(A^j) for the
+    operator A, whose eigenvalues are o-th roots of unity, so that
+    tr(A^(o-j)) is the conjugate of tr(A^j)."""
     o = aut.order(bound=64)
-    dims = tuple((root_index(val, o), int(P.trace().as_fraction()))
-                 for val, P in finite_order_eigenprojectors(aut.operator(), o))
+    A = aut.operator()
+    if aut.conj and not (A ** o).is_identity():  # o is the semilinear order
+        raise OrderMismatch("operator does not satisfy A^%d = I" % o)
+    tr, P = [CycloScalar.from_rational(A.n)], CycloMatrix.identity(A.n)
+    for j in range(1, o // 2 + 1):  # P = A^(j-1)
+        tr.append(P.trace_mul(A))
+        if j < o // 2:
+            P = P * A
+    tr += [tr[j].conj() for j in range(o - len(tr), 0, -1)]
+    ms = [sum(t * root_of_unity(o, -j * k) for j, t in enumerate(tr))
+          * Fraction(1, o) for k in range(o)]
+    dims = tuple((k, int(m.as_fraction())) for k, m in enumerate(ms) if m)
     return ("cert", o, aut.out_order(), dims)
 
 
@@ -541,9 +558,14 @@ def _bezout(pprime, qprime):
 
 def canonical_pair(algebra, la, lb):
     """Canonical form of an unordered involution-label pair under swap and
-    the simultaneous outer action."""
-    from .autg import label_orbit_maps
-    return min(tuple(sorted((f(la), f(lb)))) for f in label_orbit_maps(algebra))
+    the simultaneous outer action: the least pair of its orbit under the
+    generators of the outer group."""
+    gens = label_outer_action(algebra)
+    orbit, new = set(), {(la, lb)}
+    while new:
+        orbit |= new
+        new = {(g(a), g(b)) for a, b in new for g in gens} - orbit
+    return min(tuple(sorted(pair)) for pair in orbit)
 
 
 def invariant_second_kind(phi, bound=64):

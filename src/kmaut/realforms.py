@@ -130,7 +130,7 @@ def invariant_conj_linear(phi, bound=64):
         if p == 1:
             # (1, id, [beta * omega]) with beta the inverse constant part
             beta_lin = const.phi0.inverse().compose(omega_automorphism(algebra))
-            sig_k = _out_order_linear(beta_lin)
+            sig_k = beta_lin.out_order()
             row = pi0_row(algebra, InvLabel(0))
             rep = next(e.rep for e in row.entries if e.k == sig_k)
             cc = ComponentClass(InvLabel(0), rep, sig_k)
@@ -158,13 +158,8 @@ def invariant_conj_linear(phi, bound=64):
     lp = conj_linear_int_class(phi_plus)
     lm = conj_linear_int_class(phi_minus)
     pair = canonical_pair(algebra, lp, lm)
-    k = _out_order_linear(phi_minus.inverse().compose(phi_plus))
+    k = phi_minus.inverse().compose(phi_plus).out_order()
     return ConjLinearInvariant(algebra, 2, pair=pair, k=k)
-
-
-def _out_order_linear(aut):
-    from .autg import _porder
-    return _porder(aut.word())
 
 
 # ---------------------------------------------------------------------------

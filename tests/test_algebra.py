@@ -11,8 +11,8 @@ from kmaut.algebra import (
     compact_conjugation,
     killing_form,
     make_algebra,
-    semisimple_rates,
     sigma_eigenspace,
+    zero_semisimple,
 )
 from kmaut import linalg
 from kmaut.autg import (
@@ -24,6 +24,7 @@ from kmaut.autg import (
     triality_automorphism,
 )
 from kmaut.cyclo import CycloMatrix, root_of_unity
+from kmaut.selftest import random_inner_automorphism
 from kmaut.errors import (
     MembershipError,
     OrderMismatch,
@@ -369,7 +370,11 @@ def test_semisimple_rates_and_exp():
     X = alg.torus_element([1, 1, 0, 0])
     g = X.exp_2pi(Fraction(1, 2))
     assert (g * g).is_identity()
-    assert semisimple_rates(X.matrix) == (Fraction(-1), Fraction(0), Fraction(1))
+    assert X.eigenrates == (Fraction(-1), Fraction(0), Fraction(1))
+    # stated rates are checked exactly
+    SemisimpleElement(alg, X.matrix, [-1, 0, 1])
+    with pytest.raises(OrderMismatch):
+        SemisimpleElement(alg, X.matrix, [-1, 1])
     Y = alg.plane_rotation(0, 1, Fraction(1, 2))
     Z = combine_semisimple([Y, Y])
     assert Z.matrix == Y.matrix * 2
@@ -379,7 +384,73 @@ def test_combine_semisimple_rejects_noncommuting_parts():
     alg = sl2()
     i = root_of_unity(4, 1)
     e, f, h = efh(alg)
-    parts = [SemisimpleElement(alg, M * i, semisimple_rates(M * i))
+    parts = [SemisimpleElement(alg, M * i, [-1, 1])
              for M in (h.matrix, e.matrix + f.matrix)]
     with pytest.raises(OrderMismatch, match="do not commute"):
         combine_semisimple(parts)
+
+
+def _commuting_parts(fam, n):
+    """Lists of commuting semisimple elements: torus elements and rotations
+    in disjoint planes, with sums of one rate among them."""
+    alg = make_algebra(fam, n, "compact")
+    half = Fraction(1, 2)
+    if fam == "a":
+        T1 = alg.torus_element([1, 1, -1, -1])
+        T2 = alg.torus_element([half, half, 0, -1])
+    elif fam == "c":
+        T1 = alg.torus_element([1, 1, 0])
+        T2 = alg.torus_element([half, half, -1])
+    else:
+        T1 = alg.torus_element([1, -1, 0, 2])
+        T2 = alg.torus_element([half, 0, 1, 0])
+    R1 = alg.plane_rotation(0, 1, half)
+    R2 = alg.torus_element([0, 0, 2]) if fam == "c" \
+        else alg.plane_rotation(2, 3, 2)
+    return alg, [
+        [T1, T2], [T1, R1, R2], [R1, R2], [T2, T1, R1.scaled(3)],
+        [T1, T1.scaled(-1)], [R1, R1.scaled(-1), zero_semisimple(alg)],
+        [zero_semisimple(alg)], [R2],
+        # a zero part at conductor 3 raises the conductor of the sum
+        [R1, SemisimpleElement(alg, CycloMatrix.zeros(alg.size, 3), [0])],
+    ]
+
+
+@pytest.mark.parametrize("fam,n", [("a", 3), ("c", 3), ("d", 4)])
+def test_combine_semisimple_projectors_match_lagrange(fam, n):
+    alg, cases = _commuting_parts(fam, n)
+    for parts in cases:
+        out = combine_semisimple(parts)
+        # the rates of the sum: the sums of part rates whose Lagrange
+        # projectors do not vanish
+        sums = {Fraction(0)}
+        for p in parts:
+            sums = {a + b for a in sums for b in p.eigenrates}
+        wide = SemisimpleElement(alg, out.matrix, sorted(sums))
+        rates = [r for r, _ in wide.projectors()]
+        assert list(out.eigenrates) == rates
+        ref = SemisimpleElement(alg, out.matrix, rates)
+        # to_json also compares the conductor of each projector
+        assert [(r, P.to_json()) for r, P in out.projectors()] \
+            == [(r, P.to_json()) for r, P in ref.projectors()]
+
+
+def test_triality_images_take_rates_from_the_adjoint_spectrum():
+    d4 = make_algebra("d", 4, "compact")
+    th = triality_automorphism(d4)
+    rng = random.Random(17)
+    auts = [th, triality_automorphism(d4, 2),
+            th.compose(standard_involution(d4, "rho1")),
+            th.compose(random_inner_automorphism(d4, rng))]
+    i = root_of_unity(4, 1)
+    E = CycloMatrix.identity(8)
+    rates = [[1, 1, 0, 0], [1, 0, 0, 0], [2, 1, 1, 0]] \
+        + [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
+           for _ in range(3)]
+    for r in rates:
+        X = d4.torus_element(r)
+        for aut in auts:
+            Y = aut.apply_semisimple(X)
+            assert Y.matrix == aut.apply_matrix(X.matrix)
+            nullities = [8 - (Y.matrix - E * (i * t)).rank() for t in Y.eigenrates]
+            assert all(nullities) and sum(nullities) == 8

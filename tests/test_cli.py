@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from kmaut.algebra import make_algebra
-from kmaut.autg import identity_automorphism, standard_involution
+from kmaut.autg import (identity_automorphism, mu_automorphism,
+                        standard_involution, triality_automorphism)
 from kmaut.cli import main
 from kmaut.loopaut import StandardLoopAutomorphism
 from kmaut.tables import enumerate_first_kind, realize_entry
@@ -96,6 +97,12 @@ def test_realform_verb(tmp_path, capsys):
     assert dims["0"] == 1 and dims["1"] == 2
 
 
+def _assert_typed_error(rc, out):
+    assert rc == 2
+    # a typed error, not a raw exception that the CLI prefixes with its type
+    assert not json.loads(out)["error"].startswith(("ValueError", "TypeError"))
+
+
 def test_bad_inputs(tmp_path, capsys):
     rc, out = run_cli(["realform", "--pair", "mu", "--algebra", "a1"], capsys)
     assert rc == 2
@@ -106,19 +113,66 @@ def test_bad_inputs(tmp_path, capsys):
     rc, out = run_cli(["invariant", "--in", str(tmp_path / "missing.json")],
                       capsys)
     assert rc == 2
+    first = {"kind": 1, "algebra": {"family": "a", "n": 2}, "p": 0,
+             "rho": "rho1", "beta": {"rep": "id"}, "q": 2}
+    second = {"kind": 2, "algebra": {"family": "a", "n": 1},
+              "pair": ["mu", "id"], "k": 1, "order": 2}
+    for bad in [dict(first, beta={"rep": "no-such-rep"}),
+                dict(second, pair=["mu"]), dict(first, algebra="a2"),
+                dict(second, algebra=["a", 1]), [first], dict(first, q=2.5),
+                dict(second, pair=[1, 2]), dict(second, k=True)]:
+        path.write_text(json.dumps(bad))
+        _assert_typed_error(*run_cli(["realize", "--in", str(path)], capsys))
 
 
-@pytest.mark.parametrize("field,value", [("scale", "-1"), ("scale", "0"),
-                                         ("l", 0), ("l", -2)])
+def _write_outer_aut(tmp_path, family, n, phi0_of):
+    """An automorphism whose constant part phi0_of(algebra) is outer."""
+    alg = make_algebra(family, n, "compact")
+    phi = StandardLoopAutomorphism(identity_automorphism(alg), 1, 1, 0, None,
+                                   phi0_of(alg))
+    path = tmp_path / ("aut-%s%d.json" % (family, n))
+    path.write_text(json.dumps(phi.to_json()))
+    return path
+
+
+@pytest.mark.parametrize("field,value", [
+    ("scale", "-1"), ("scale", "0"), ("l", 0), ("l", -2),
+    ("l", 1.5), ("l", True), ("l", "2"), ("epsilon", 0), ("epsilon", 5),
+    ("phi0.outer_power", 5), ("phi0.outer_power", "1"),
+    ("phi0.outer_power", 1.5), ("t0", "1/0"), ("scale", "1/0"), ("t0", [1]),
+    ("phi0.outer_power", [0, 1]), ("phi0.outer_power", [0, 1, 5])])
 def test_conjugate_rejects_out_of_range_data(tmp_path, capsys, field, value):
-    good = _write_aut(tmp_path)
-    payload = json.loads(good.read_text())
-    payload[field] = value
+    good = base = _write_aut(tmp_path)
+    if field == "phi0.outer_power":
+        # outer_power 1 of mu on su(3), which a truncated 1.5 would keep; a
+        # list is the word of an operator, which only so(8) takes
+        base = _write_outer_aut(tmp_path, "d", 4, triality_automorphism) \
+            if isinstance(value, list) \
+            else _write_outer_aut(tmp_path, "a", 2, mu_automorphism)
+    payload = json.loads(base.read_text())
+    *keys, last = field.split(".")
+    target = payload
+    for key in keys:
+        target = target[key]
+    target[last] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     rc, out = run_cli(["conjugate", "--a", str(bad), "--b", str(good)], capsys)
-    assert rc == 2
-    assert "error" in json.loads(out)
+    _assert_typed_error(rc, out)
+
+
+def test_selftest_verb_reports_failures(monkeypatch, capsys):
+    from kmaut import selftest
+
+    def failing(deep=False):
+        return ("stub", False, "fails on purpose")
+
+    monkeypatch.setattr(selftest, "ALL_CHECKS",
+                        [selftest.check_table3_counts, failing])
+    rc, out = run_cli(["selftest"], capsys)
+    assert rc == 1
+    assert "stub" in out and "FAIL" in out
+    assert out.splitlines()[-1] == "1/2 criteria passed"
 
 
 def _cut_rows(m):
@@ -164,10 +218,7 @@ def test_invariant_rejects_malformed_matrix(tmp_path, capsys, edit):
     edit(payload["twist"]["matrix"])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
-    rc, out = run_cli(["invariant", "--in", str(bad)], capsys)
-    assert rc == 2
-    # a typed error, not a raw exception that the CLI prefixes with its type
-    assert not json.loads(out)["error"].startswith(("ValueError", "TypeError"))
+    _assert_typed_error(*run_cli(["invariant", "--in", str(bad)], capsys))
 
 
 def test_table_output_byte_stable(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,8 +11,10 @@ from kmaut.autg import (
     identity_automorphism,
     mu_automorphism,
     standard_involution,
+    triality_automorphism,
 )
-from kmaut.cyclo import CycloMatrix, root_of_unity
+from kmaut.cyclo import (CycloMatrix, finite_order_eigenprojectors,
+                         root_index, root_of_unity)
 from kmaut.errors import (
     InfiniteOrderScaling,
     PeriodicityViolation,
@@ -21,6 +24,7 @@ from kmaut.errors import (
 from kmaut.loop import AffineElement, LoopElement, affine_bracket, affine_form
 from kmaut.loopaut import (
     StandardLoopAutomorphism,
+    _certificate,
     affine_extend,
     conjugacy_test,
     conjugate_constant,
@@ -466,3 +470,34 @@ def test_from_json_still_validates():
                     "rates": [str(r) for r in X.eigenrates]}
     with pytest.raises(PeriodicityViolation):
         StandardLoopAutomorphism.from_json(payload)
+
+
+def _class_p(phi):
+    """The class P that invariant_first_kind certifies for phi."""
+    q = phi.order()
+    _, tw, const = normalize_to_constant(phi)
+    p = int(const.t0 * q) % q
+    r = gcd(p, q) if p else q
+    return const.phi0.power(q // r).compose(tw.power(p // r))
+
+
+def test_certificate_matches_eigenprojector_ranks():
+    d4 = make_algebra("d", 4, "compact")
+    th = triality_automorphism(d4)
+    cases = [th] + [th.compose(standard_involution(d4, lab))
+                    for lab in ("rho1", "rho2", "rho3", "rho4")]
+    cases.append(_class_p(dict(stability_fixtures())["q6"]))
+    for n in (2, 3):
+        alg = make_algebra("a", n, "compact")
+        for o in (3, 4, 6):
+            A = Automorphism(alg, CycloMatrix.diag(
+                [root_of_unity(o, k) for k in [1, 2] + [0] * (n - 1)]))
+            cases += [A, A.compose(mu_automorphism(alg))]
+    orders = set()
+    for aut in cases:
+        o = aut.order()
+        orders.add(o)
+        ranks = tuple((root_index(val, o), P.rank()) for val, P
+                      in finite_order_eigenprojectors(aut.operator(), o))
+        assert _certificate(aut) == ("cert", o, aut.out_order(), ranks)
+    assert orders == {2, 3, 4, 6}
