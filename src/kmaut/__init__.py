@@ -69,6 +69,8 @@ from .loopaut import (
     StandardLoopAutomorphism,
     affine_extend,
     conjugacy_test,
+    invariant,
+    invariant_conj_linear,
     invariant_first_kind,
     invariant_second_kind,
     normalize_to_constant,
@@ -81,7 +83,6 @@ from .pi0 import ComponentClass, component_signature, pi0_table
 from .realforms import (
     cartan_decomposition,
     conj_linear_extend,
-    invariant_conj_linear,
     real_form_basis,
     sl2_catalogue,
 )
@@ -103,7 +104,7 @@ __all__ = [
     "conj_linear_extend", "conjugacy_test", "derivative",
     "derived_algebra_witness", "enumerate_first_kind",
     "enumerate_second_kind", "finite_order_eigenprojectors",
-    "identity_automorphism", "invariant_conj_linear", "invariant_first_kind",
+    "identity_automorphism", "invariant", "invariant_conj_linear", "invariant_first_kind",
     "invariant_second_kind", "involution_int_class", "is_inner",
     "killing_form", "loop_bracket", "loop_form", "make_algebra",
     "membership_condition", "mu_automorphism", "normalize_to_constant",

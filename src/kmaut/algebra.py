@@ -404,12 +404,15 @@ class SemisimpleElement(AlgebraElement):
         return acc
 
     def scaled(self, c):
+        """c * X; for c != 0 the projector of rate c*r is that of rate r."""
         c = Fraction(c)
         if c == 0:
             return zero_semisimple(self.algebra)
-        return SemisimpleElement(self.algebra, self.matrix * c,
-                                 sorted({c * r for r in self.eigenrates}),
-                                 validate=False)
+        out = SemisimpleElement(self.algebra, self.matrix * c,
+                                sorted({c * r for r in self.eigenrates}),
+                                validate=False)
+        out._projs = tuple(sorted((c * r, P) for r, P in self.projectors()))
+        return out
 
 
 def zero_semisimple(algebra):

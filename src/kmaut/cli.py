@@ -18,11 +18,10 @@ from .loopaut import (
     SecondKindInvariant,
     StandardLoopAutomorphism,
     conjugacy_test,
-    invariant_first_kind,
-    invariant_second_kind,
+    invariant,
 )
 from .pi0 import ComponentClass, pi0_row
-from .realforms import invariant_conj_linear, real_form_basis
+from .realforms import real_form_basis
 from .tables import (
     algebra_from_args,
     enumerate_first_kind,
@@ -79,13 +78,7 @@ def _load(path):
 
 def cmd_invariant(args):
     phi = StandardLoopAutomorphism.from_json(_load(args.infile))
-    if phi.phi0.conj:
-        inv = invariant_conj_linear(phi)
-    elif phi.epsilon == 1:
-        inv = invariant_first_kind(phi)
-    else:
-        inv = invariant_second_kind(phi)
-    _emit(args, inv.to_json())
+    _emit(args, invariant(phi).to_json())
     return 0
 
 
@@ -101,8 +94,10 @@ def _invariant_from_json(obj):
     if not (isinstance(obj, dict) and isinstance(obj.get("algebra"), dict)
             and isinstance(obj["algebra"].get("family"), str)):
         raise MalformedData("an invariant is an object with an algebra object")
-    algebra = algebra_from_args(obj["algebra"]["family"],
-                                obj["algebra"].get("n"))
+    n = obj["algebra"].get("n")
+    if n is not None:
+        n = _json_int(obj["algebra"], "n")
+    algebra = algebra_from_args(obj["algebra"]["family"], n)
     if obj["kind"] == 1:
         rho = parse_label(algebra, obj["rho"]) if obj.get("rho") else InvLabel(0)
         beta = obj["beta"]

@@ -8,7 +8,8 @@ cyclotomic arithmetic.
 
 Invariants: the first-kind triple (p, rho, [beta]) and the second-kind pair
 [phi+, phi-], canonicalized at the label level for classes of order <= 2 and
-as exact joint-eigenvalue certificates otherwise.
+as exact joint-eigenvalue certificates otherwise, and the invariant of a
+conjugate-linear involution; `invariant` picks the one that applies.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from math import gcd, lcm
 from .algebra import (
     SemisimpleElement,
     combine_semisimple,
+    tau_matrix,
     zero_semisimple,
 )
 from .autg import (
@@ -27,10 +29,12 @@ from .autg import (
     _pcomp,
     _pinv,
     _porder,
+    conj_linear_int_class,
     identity_automorphism,
     involution_int_class,
     label_out_word,
     label_outer_action,
+    omega_automorphism,
     triality_automorphism,
 )
 from .cyclo import (CycloMatrix, CycloScalar, _json_int, _json_rational,
@@ -39,17 +43,18 @@ from .errors import (
     InfiniteOrderScaling,
     InvalidLoopData,
     NotFiniteOrder,
+    NotInvolution,
     OrderExceedsBound,
-    OrderMismatch,
     PeriodicityViolation,
     ScalingNotExtendable,
     ScalingNotRational,
     TwistMismatch,
     Unclassifiable,
+    UnsupportedOrder,
     WrongKind,
 )
 from .loop import AffineElement, LoopElement, loop_form
-from .pi0 import ComponentClass, component_signature, pi0_row
+from .pi0 import component_signature, id_row_class
 
 _ONE = Fraction(1)
 
@@ -58,7 +63,7 @@ class StandardLoopAutomorphism:
     """phi u(t) = e^(ad tX) phi0(u(eps t + 2 pi t0)) o (scale factor)."""
 
     __slots__ = ("algebra", "twist", "l", "epsilon", "t0", "X", "phi0",
-                 "scale", "_target")
+                 "scale", "_target", "_order")
 
     def __init__(self, twist, l, epsilon, t0, X, phi0, scale=_ONE,
                  validate=True):
@@ -76,12 +81,16 @@ class StandardLoopAutomorphism:
         self.X = X if X is not None else zero_semisimple(self.algebra)
         self.scale = Fraction(scale)
         self._target = None
+        self._order = None
         if validate:
             if self.scale <= 0 or l < 1:
                 raise InvalidLoopData("need scale > 0 and l >= 1, got %s and %s"
                                       % (self.scale, l))
             if twist.algebra != self.algebra:
                 raise TwistMismatch("twist and phi0 live on different algebras")
+            if twist.conj:
+                raise TwistMismatch("the twist is conjugate-linear; a twist "
+                                    "is complex-linear")
             if not twist.power(l).is_identity():
                 raise TwistMismatch("twist^l is not the identity")
             tgt = self.target_twist()
@@ -230,16 +239,21 @@ class StandardLoopAutomorphism:
                 and self.X.matrix.is_zero() and self.phi0.is_identity())
 
     def order(self, bound=64):
-        if not self.is_endomorphism():
-            raise TwistMismatch("order needs source twist == target twist")
-        if self.epsilon == 1 and self.scale != 1:
-            raise InfiniteOrderScaling("first kind with nontrivial scale")
-        cur = self
-        for q in range(1, bound + 1):
-            if cur.is_identity():
-                return q
-            cur = self.compose(cur)
-        raise OrderExceedsBound("no order <= %d" % bound)
+        """The least q <= bound with self^q = id; found once, then kept."""
+        if self._order is None:
+            if not self.is_endomorphism():
+                raise TwistMismatch("order needs source twist == target twist")
+            if self.epsilon == 1 and self.scale != 1:
+                raise InfiniteOrderScaling("first kind with nontrivial scale")
+            cur = self
+            for q in range(1, bound + 1):
+                if cur.is_identity():
+                    self._order = q
+                    break
+                cur = self.compose(cur)
+        if self._order is None or self._order > bound:
+            raise OrderExceedsBound("no order <= %d" % bound)
+        return self._order
 
     def __eq__(self, other):
         if not isinstance(other, StandardLoopAutomorphism):
@@ -309,11 +323,13 @@ def conjugate_shift(phi, c):
     t0 = phi.t0 + (phi.epsilon - 1) * c
     shift = Automorphism(phi.algebra, phi.X.exp_2pi(c)) \
         if not phi.X.matrix.is_zero() else identity_automorphism(phi.algebra)
-    # the target twist fixes X, so it commutes with the shift and is kept
+    # the target twist fixes X, so it commutes with the shift and is kept;
+    # a conjugate has the order of phi
     out = StandardLoopAutomorphism(phi.twist, phi.l, phi.epsilon, t0, phi.X,
                                    shift.compose(phi.phi0), phi.scale,
                                    validate=False)
     out._target = phi.target_twist()
+    out._order = phi._order
     return out
 
 
@@ -375,14 +391,14 @@ def target_twist(phi):
     return phi.target_twist()
 
 
-def normalize_to_constant(phi, bound=64):
+def normalize_to_constant(phi):
     """Quasiconjugate a finite-order automorphism to one with constant curve.
 
     Returns (Y, new_twist, phi_const) with Y - eps phi0 Y + X = 0 exactly.
     """
     if phi.scale != 1:
         raise NotFiniteOrder("normalize needs scale 1")
-    q = phi.order(bound)
+    q = phi.order()
     if phi.X.matrix.is_zero():
         return (zero_semisimple(phi.algebra), phi.twist, phi)
     parts = []
@@ -470,16 +486,66 @@ class SecondKindInvariant:
                 "pair": [repr(x) for x in self.pair], "k": self.k}
 
 
+class ConjLinearInvariant:
+    """Invariant of a conjugate-linear involution: type 1 carries a
+    first-kind style triple over the enlarged class set, type 2 a pair of
+    real-form labels."""
+
+    __slots__ = ("algebra", "type", "p", "rho", "beta", "beta_bar", "pair", "k")
+
+    def __init__(self, algebra, type_, p=None, rho=None, beta=None,
+                 beta_bar=False, pair=None, k=None):
+        self.algebra = algebra
+        self.type = type_
+        self.p = p
+        self.rho = rho
+        self.beta = beta
+        self.beta_bar = beta_bar
+        self.pair = pair
+        self.k = k
+
+    def key(self):
+        if self.type == 1:
+            return (self.algebra.label(), 1, self.p, repr(self.rho),
+                    self.beta.rep if self.beta else None, self.beta_bar)
+        return (self.algebra.label(), 2, tuple(repr(x) for x in self.pair),
+                self.k)
+
+    def __eq__(self, other):
+        return isinstance(other, ConjLinearInvariant) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __repr__(self):
+        if self.type == 1:
+            if self.p == 0:
+                return "ConjLinear1(p=0, rho=%s*omega, beta=%s)" % (
+                    self.rho, self.beta.rep if self.beta else "?")
+            return "ConjLinear1(p=1, beta=%s*omega)" % (
+                self.beta.rep if self.beta else "?")
+        return "ConjLinear2(pair=[%s*omega, %s*omega], k=%d)" % (
+            self.pair[0], self.pair[1], self.k)
+
+    def to_json(self):
+        if self.type == 1:
+            return {"kind": 1, "conj_linear": True, "p": self.p,
+                    "rho": repr(self.rho) if self.rho is not None else None,
+                    "beta": self.beta.rep if self.beta else None,
+                    "beta_conj": self.beta_bar}
+        return {"kind": 2, "conj_linear": True,
+                "pair": [repr(x) for x in self.pair], "k": self.k}
+
+
 def _certificate(aut):
-    """Exact conjugation-invariant certificate of a finite-order automorphism:
-    its outer order plus the eigenvalue multiset of its action.  The
-    multiplicity of zeta_o^k is (1/o) sum_j zeta_o^(-jk) tr(A^j) for the
-    operator A, whose eigenvalues are o-th roots of unity, so that
-    tr(A^(o-j)) is the conjugate of tr(A^j)."""
+    """Exact conjugation-invariant certificate of a complex-linear
+    finite-order automorphism: its outer order plus the eigenvalue multiset
+    of its action.  The multiplicity of zeta_o^k is
+    (1/o) sum_j zeta_o^(-jk) tr(A^j) for the operator A, whose eigenvalues
+    are o-th roots of unity, so that tr(A^(o-j)) is the conjugate of
+    tr(A^j)."""
     o = aut.order(bound=64)
     A = aut.operator()
-    if aut.conj and not (A ** o).is_identity():  # o is the semilinear order
-        raise OrderMismatch("operator does not satisfy A^%d = I" % o)
     tr, P = [CycloScalar.from_rational(A.n)], CycloMatrix.identity(A.n)
     for j in range(1, o // 2 + 1):  # P = A^(j-1)
         tr.append(P.trace_mul(A))
@@ -492,43 +558,47 @@ def _certificate(aut):
     return ("cert", o, aut.out_order(), dims)
 
 
-def _unprime_transport(algebra, lab):
-    """Outer conjugator mapping a primed class to its standard-list class."""
+def _unprime(lab, rho, beta):
+    """(lab, rho, beta) moved by an outer conjugator that maps the primed
+    class lab of the involution rho to its standard-list class; unchanged
+    when lab is not primed."""
     if lab.prime == 0:
-        return None
+        return lab, rho, beta
+    algebra = rho.algebra
     if algebra.family == "d" and algebra.param == 4:
-        return triality_automorphism(algebra, 3 - lab.prime)
-    from .algebra import tau_matrix
-    return Automorphism(algebra, tau_matrix(1, algebra.size))
+        gamma = triality_automorphism(algebra, 3 - lab.prime)
+    else:
+        gamma = Automorphism(algebra, tau_matrix(1, algebra.size))
+    gi = gamma.inverse()
+    rho = gamma.compose(rho).compose(gi)
+    lab = involution_int_class(rho)
+    assert lab.prime == 0
+    return lab, rho, gamma.compose(beta).compose(gi)
 
 
-def invariant_first_kind(phi, bound=64):
+def invariant_first_kind(phi):
     """The first-kind invariant of a finite-order orientation-preserving
-    automorphism."""
+    complex-linear automorphism."""
     if phi.epsilon != 1:
         raise WrongKind("automorphism is of the second kind")
+    if phi.phi0.conj:
+        raise WrongKind("automorphism is conjugate-linear")
     if phi.scale != 1:
         raise InfiniteOrderScaling("first kind with scale != 1 has infinite order")
-    q = phi.order(bound)
-    _, tw, const = normalize_to_constant(phi, bound)
+    q = phi.order()
+    _, tw, const = normalize_to_constant(phi)
     p_frac = const.t0 * q
     assert p_frac.denominator == 1
     p = int(p_frac) % q
     r = gcd(p, q) if p else q
     pprime, qprime = p // r, q // r
-    l, m = _bezout(pprime, qprime)
+    l = pow(pprime, -1, qprime)
+    m = (1 - l * pprime) // qprime
     P = const.phi0.power(qprime).compose(tw.power(pprime))
     beta = const.phi0.power(-l).compose(tw.power(m))
     algebra = phi.algebra
     if P.compose(P).is_identity():
-        lab = involution_int_class(P)
-        gamma = _unprime_transport(algebra, lab)
-        if gamma is not None:
-            gi = gamma.inverse()
-            P = gamma.compose(P).compose(gi)
-            beta = gamma.compose(beta).compose(gi)
-            lab = involution_int_class(P)
-            assert lab.prime == 0
+        lab, P, beta = _unprime(involution_int_class(P), P, beta)
         cc = component_signature(P, beta)
         return FirstKindInvariant(algebra, q, p, lab, cc)
     # order of the class exceeds two: the class certificate covers the rho
@@ -536,24 +606,6 @@ def invariant_first_kind(phi, bound=64):
     # conjugacy tests on such invariants return "undecided"
     cert_rho = _certificate(P)
     return FirstKindInvariant(algebra, q, p, cert_rho, "unclassified", raw=True)
-
-
-def _bezout(pprime, qprime):
-    """The unique l, m with l*pprime + m*qprime = 1 and 0 <= l < qprime."""
-    if qprime == 1:
-        return 0, 1
-    # extended euclid
-    a, b = pprime, qprime
-    x0, x1 = 1, 0
-    y0, y1 = 0, 1
-    while b:
-        qd, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - qd * x1
-        y0, y1 = y1, y0 - qd * y1
-    assert a == 1, "p' and q' are not coprime"
-    l = x0 % qprime
-    m = (1 - l * pprime) // qprime
-    return l, m
 
 
 def canonical_pair(algebra, la, lb):
@@ -568,22 +620,24 @@ def canonical_pair(algebra, la, lb):
     return min(tuple(sorted(pair)) for pair in orbit)
 
 
-def invariant_second_kind(phi, bound=64):
+def invariant_second_kind(phi):
     """The second-kind invariant [phi+, phi-] of a finite even-order
-    orientation-reversing automorphism."""
+    orientation-reversing complex-linear automorphism."""
     if phi.epsilon != -1:
         raise WrongKind("automorphism is of the first kind")
+    if phi.phi0.conj:
+        raise WrongKind("automorphism is conjugate-linear")
     work = phi
     if phi.scale != 1:
         s_par = normalizing_scale(phi)
         work = conjugate_scale(phi, s_par)
         assert work.scale == 1
-    ord2q = work.order(bound)
+    ord2q = work.order()
     if ord2q % 2:
         raise WrongKind("second-kind automorphisms have even order")
     work = conjugate_shift(work, work.t0 / 2)
     assert work.t0 == 0
-    _, tw, const = normalize_to_constant(work, bound)
+    _, tw, const = normalize_to_constant(work)
     phi_plus = const.phi0
     phi_minus = const.phi0.compose(tw.inverse())
     assert phi_plus.compose(phi_plus) == phi_minus.compose(phi_minus)
@@ -601,6 +655,49 @@ def invariant_second_kind(phi, bound=64):
     return SecondKindInvariant(algebra, ord2q, pair, k, raw=True)
 
 
+def invariant_conj_linear(phi):
+    """Invariant of a conjugate-linear involution of a complex loop algebra."""
+    if not phi.phi0.conj:
+        raise NotInvolution("expected a conjugate-linear automorphism")
+    if phi.order() != 2:
+        raise UnsupportedOrder("only conjugate-linear involutions are classified")
+    _, tw, const = normalize_to_constant(phi)
+    algebra = phi.algebra
+    om = omega_automorphism(algebra)
+    if phi.epsilon == -1:
+        phi_minus = const.phi0.compose(tw.inverse())
+        lp = conj_linear_int_class(const.phi0)
+        lm = conj_linear_int_class(phi_minus)
+        pair = canonical_pair(algebra, lp, lm)
+        k = phi_minus.inverse().compose(const.phi0).out_order()
+        return ConjLinearInvariant(algebra, 2, pair=pair, k=k)
+    p_frac = const.t0 * 2
+    assert p_frac.denominator == 1
+    if int(p_frac) % 2:
+        # (1, id, [beta * omega]) with beta the inverse constant part
+        k = const.phi0.inverse().compose(om).out_order()
+        return ConjLinearInvariant(algebra, 1, p=1, rho=InvLabel(0),
+                                   beta=id_row_class(algebra, k),
+                                   beta_bar=True)
+    lab, lin, beta = _unprime(conj_linear_int_class(const.phi0),
+                              const.phi0.compose(om), tw)
+    if lin.is_identity():
+        lin = identity_automorphism(algebra)
+    return ConjLinearInvariant(algebra, 1, p=0, rho=lab,
+                               beta=component_signature(lin, beta))
+
+
+def invariant(phi):
+    """The invariant of a finite-order standard automorphism, chosen by
+    linearity and kind: conjugate-linear involutions, then the first and
+    the second kind."""
+    if phi.phi0.conj:
+        return invariant_conj_linear(phi)
+    if phi.epsilon == 1:
+        return invariant_first_kind(phi)
+    return invariant_second_kind(phi)
+
+
 def opposite(inv):
     """The image of a first-kind invariant under the orientation-reversal
     involution: (0, rho, [b]) -> (0, rho, [b^(-1)]) and
@@ -613,21 +710,17 @@ def opposite(inv):
                               raw=inv.raw)
 
 
-def conjugacy_test(phi, psi, bound=64):
-    """conjugate / not_conjugate / undecided, via kind, order and invariant."""
-    if phi.epsilon != psi.epsilon:
+def conjugacy_test(phi, psi):
+    """conjugate / not_conjugate / undecided, via linearity, kind, order and
+    invariant."""
+    if (phi.phi0.conj, phi.epsilon) != (psi.phi0.conj, psi.epsilon):
         return "not_conjugate"
-    if phi.order(bound) != psi.order(bound):
+    if phi.order() != psi.order():
         return "not_conjugate"
-    if phi.epsilon == 1:
-        i1, i2 = invariant_first_kind(phi, bound), invariant_first_kind(psi, bound)
-    else:
-        i1, i2 = invariant_second_kind(phi, bound), invariant_second_kind(psi, bound)
-    if i1 == i2:
-        if getattr(i1, "raw", False):
-            return "undecided"
-        return "conjugate"
-    return "not_conjugate"
+    i1 = invariant(phi)
+    if i1 != invariant(psi):
+        return "not_conjugate"
+    return "undecided" if getattr(i1, "raw", False) else "conjugate"
 
 
 def square_map(inv):
@@ -638,11 +731,8 @@ def square_map(inv):
     if isinstance(la, tuple):
         raise Unclassifiable("square map needs label-level pairs")
     word = _pcomp(_pinv(label_out_word(algebra, lb)), label_out_word(algebra, la))
-    k = _porder(word)
-    row = pi0_row(algebra, InvLabel(0))
-    rep = next((e.rep for e in row.entries if e.k == k), None)
-    cc = ComponentClass(InvLabel(0), rep, k)
-    return FirstKindInvariant(algebra, 1, 0, InvLabel(0), cc)
+    return FirstKindInvariant(algebra, 1, 0, InvLabel(0),
+                              id_row_class(algebra, _porder(word)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ simultaneous conjugation, projective rescaling and choice of representative.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .algebra import tau_matrix, j_matrix
+from .algebra import _KEYS_CACHED, tau_matrix, j_matrix
 from .autg import (
     Automorphism,
     ID_PERM,
@@ -99,14 +100,16 @@ class Pi0Row:
         return entry._sig_cache
 
 
-_ROW_CACHE = {}
-
-
+@lru_cache(maxsize=_KEYS_CACHED)
 def pi0_row(algebra, rho_label):
-    key = (algebra, rho_label)
-    if key not in _ROW_CACHE:
-        _ROW_CACHE[key] = _build_row(algebra, rho_label)
-    return _ROW_CACHE[key]
+    return _build_row(algebra, rho_label)
+
+
+def id_row_class(algebra, k):
+    """The first component class of outer order k in the row of rho = id."""
+    rep = next((e.rep for e in pi0_row(algebra, InvLabel(0)).entries
+                if e.k == k), None)
+    return ComponentClass(InvLabel(0), rep, k)
 
 
 def pi0_table(algebra, rho_label):

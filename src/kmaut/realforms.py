@@ -1,9 +1,10 @@
-"""Conjugate-linear automorphisms of complex loop algebras, their invariants,
-real form bases and Cartan decompositions.
+"""Conjugate-linear automorphisms of complex loop algebras, the extension
+maps on their invariants, real form bases and Cartan decompositions.
 
 A conjugate-linear automorphism is a standard automorphism whose constant
-part carries the compact conjugation; every invariant computation reduces to
-the complex-linear machinery through the composition with that conjugation.
+part carries the compact conjugation; its invariant (`loopaut.invariant`)
+reduces to the complex-linear machinery through the composition with that
+conjugation.
 Real form coefficient spaces are computed as exact rational kernels of the
 defining reality constraints, one Fourier slot at a time.
 """
@@ -17,9 +18,7 @@ from math import lcm
 from .algebra import make_algebra, sigma_eigenspace
 from .autg import (
     InvLabel,
-    conj_linear_int_class,
     identity_automorphism,
-    involution_int_class,
     omega_automorphism,
     standard_involution,
 )
@@ -37,14 +36,14 @@ from .loop import (
     affine_bracket,
 )
 from .loopaut import (
+    ConjLinearInvariant,
     FirstKindInvariant,
     SecondKindInvariant,
     StandardLoopAutomorphism,
     affine_extend,
-    canonical_pair,
-    normalize_to_constant,
+    invariant_conj_linear,
 )
-from .pi0 import ComponentClass, component_signature, pi0_row
+from .pi0 import ComponentClass, pi0_row
 from .tables import enumerate_first_kind, enumerate_second_kind
 
 
@@ -61,105 +60,6 @@ def conj_linear_extend(phi):
     om = omega_automorphism(phi.algebra)
     return StandardLoopAutomorphism(phi.twist, phi.l, phi.epsilon, phi.t0,
                                     phi.X, phi.phi0.compose(om), phi.scale)
-
-
-class ConjLinearInvariant:
-    """Invariant of a conjugate-linear involution: type 1 carries a
-    first-kind style triple over the enlarged class set, type 2 a pair of
-    real-form labels."""
-
-    __slots__ = ("algebra", "type", "p", "rho", "beta", "beta_bar", "pair", "k")
-
-    def __init__(self, algebra, type_, p=None, rho=None, beta=None,
-                 beta_bar=False, pair=None, k=None):
-        self.algebra = algebra
-        self.type = type_
-        self.p = p
-        self.rho = rho
-        self.beta = beta
-        self.beta_bar = beta_bar
-        self.pair = pair
-        self.k = k
-
-    def key(self):
-        if self.type == 1:
-            return (self.algebra.label(), 1, self.p, repr(self.rho),
-                    self.beta.rep if self.beta else None, self.beta_bar)
-        return (self.algebra.label(), 2, tuple(repr(x) for x in self.pair),
-                self.k)
-
-    def __eq__(self, other):
-        return isinstance(other, ConjLinearInvariant) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        if self.type == 1:
-            if self.p == 0:
-                return "ConjLinear1(p=0, rho=%s*omega, beta=%s)" % (
-                    self.rho, self.beta.rep if self.beta else "?")
-            return "ConjLinear1(p=1, beta=%s*omega)" % (
-                self.beta.rep if self.beta else "?")
-        return "ConjLinear2(pair=[%s*omega, %s*omega], k=%d)" % (
-            self.pair[0], self.pair[1], self.k)
-
-    def to_json(self):
-        if self.type == 1:
-            return {"kind": 1, "conj_linear": True, "p": self.p,
-                    "rho": repr(self.rho) if self.rho is not None else None,
-                    "beta": self.beta.rep if self.beta else None,
-                    "beta_conj": self.beta_bar}
-        return {"kind": 2, "conj_linear": True,
-                "pair": [repr(x) for x in self.pair], "k": self.k}
-
-
-def invariant_conj_linear(phi, bound=64):
-    """Invariant of a conjugate-linear involution of a complex loop algebra."""
-    if not phi.phi0.conj:
-        raise NotInvolution("expected a conjugate-linear automorphism")
-    order = phi.order(bound)
-    if order != 2:
-        raise UnsupportedOrder("only conjugate-linear involutions are classified")
-    _, tw, const = normalize_to_constant(phi, bound)
-    algebra = phi.algebra
-    if phi.epsilon == 1:
-        p_frac = const.t0 * 2
-        assert p_frac.denominator == 1
-        p = int(p_frac) % 2
-        if p == 1:
-            # (1, id, [beta * omega]) with beta the inverse constant part
-            beta_lin = const.phi0.inverse().compose(omega_automorphism(algebra))
-            sig_k = beta_lin.out_order()
-            row = pi0_row(algebra, InvLabel(0))
-            rep = next(e.rep for e in row.entries if e.k == sig_k)
-            cc = ComponentClass(InvLabel(0), rep, sig_k)
-            return ConjLinearInvariant(algebra, 1, p=1, rho=InvLabel(0),
-                                       beta=cc, beta_bar=True)
-        lab = conj_linear_int_class(const.phi0)
-        lin = const.phi0.compose(omega_automorphism(algebra))
-        from .loopaut import _unprime_transport
-        gamma = _unprime_transport(algebra, lab)
-        beta = tw
-        if gamma is not None:
-            gi = gamma.inverse()
-            lin = gamma.compose(lin).compose(gi)
-            beta = gamma.compose(beta).compose(gi)
-            lab = involution_int_class(lin)
-        if lin.is_identity():
-            cc = component_signature(identity_automorphism(algebra), beta)
-        else:
-            cc = component_signature(lin, beta)
-        return ConjLinearInvariant(algebra, 1, p=0, rho=lab, beta=cc)
-    # type 2
-    work = const
-    phi_plus = work.phi0
-    phi_minus = work.phi0.compose(tw.inverse())
-    lp = conj_linear_int_class(phi_plus)
-    lm = conj_linear_int_class(phi_minus)
-    pair = canonical_pair(algebra, lp, lm)
-    k = phi_minus.inverse().compose(phi_plus).out_order()
-    return ConjLinearInvariant(algebra, 2, pair=pair, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -186,63 +86,39 @@ def invariant_extension_map(inv):
     raise UnsupportedOrder("not an order-two invariant")
 
 
+def _first_kind_classes(algebra, k):
+    """(q, p, rho, component class) of the order-one and order-two
+    first-kind classes of outer order k: the identity on each twist class of
+    order k (q = 1), then the first-kind table row (q = 2)."""
+    ident = InvLabel(0)
+    for x in pi0_row(algebra, ident).entries:
+        if x.k == k:
+            yield 1, 0, ident, ComponentClass(ident, x.rep, x.k)
+    for e in enumerate_first_kind(algebra, k).entries:
+        p, rho, rep = (0, e[1], e[2]) if e[0] == "1a" else (1, ident, e[1])
+        x = next(x for x in pi0_row(algebra, rho).entries if x.rep == rep)
+        yield 2, p, rho, ComponentClass(rho, x.rep, x.k)
+
+
 def enumerate_conj_linear(algebra, k, type_):
     """Independent enumeration of the conjugate-linear involution classes of
-    the complexification, from the enlarged component-class data."""
-    out = []
+    the complexification, from the enlarged component-class data; type 1
+    starts from the compact conjugations themselves, one class for each
+    outer class of order k."""
     if type_ == 1:
-        # extensions of the identity: the compact conjugations themselves,
-        # one class for each outer class of order k
-        for x in pi0_row(algebra, InvLabel(0)).entries:
-            if x.k == k:
-                cc = ComponentClass(InvLabel(0), x.rep, x.k)
-                out.append(ConjLinearInvariant(algebra, 1, p=0,
-                                               rho=InvLabel(0), beta=cc))
-        row2 = enumerate_first_kind(algebra, k)
-        for e in row2.entries:
-            if e[0] == "1a":
-                row = pi0_row(algebra, e[1])
-                cc = next(ComponentClass(e[1], x.rep, x.k)
-                          for x in row.entries if x.rep == e[2])
-                out.append(ConjLinearInvariant(algebra, 1, p=0, rho=e[1],
-                                               beta=cc))
-            else:
-                row = pi0_row(algebra, InvLabel(0))
-                cc = next(ComponentClass(InvLabel(0), x.rep, x.k)
-                          for x in row.entries if x.rep == e[1])
-                out.append(ConjLinearInvariant(algebra, 1, p=1,
-                                               rho=InvLabel(0), beta=cc,
-                                               beta_bar=True))
-        return out
-    row3 = enumerate_second_kind(algebra, k)
-    for e in row3.entries:
-        out.append(ConjLinearInvariant(algebra, 2, pair=(e[1], e[2]), k=k))
-    return out
+        return [ConjLinearInvariant(algebra, 1, p=p, rho=rho, beta=cc,
+                                    beta_bar=p == 1)
+                for _, p, rho, cc in _first_kind_classes(algebra, k)]
+    return [ConjLinearInvariant(algebra, 2, pair=(e[1], e[2]), k=k)
+            for e in enumerate_second_kind(algebra, k).entries]
 
 
 def check_extension_bijection(algebra, k):
     """Exhaustive matching of the compact-side order-2 invariant sets against
     the conjugate-linear sets under the extension maps."""
-    from .tables import realize_entry
     report = {"algebra": algebra.label(), "k": k, "type1": None, "type2": None}
-    row1 = enumerate_first_kind(algebra, k)
-    compact_side = []
-    # order-one part: the identity automorphism on each twist class
-    for x in pi0_row(algebra, InvLabel(0)).entries:
-        if x.k == k:
-            cc = ComponentClass(InvLabel(0), x.rep, x.k)
-            compact_side.append(FirstKindInvariant(algebra, 1, 0, InvLabel(0), cc))
-    for e in row1.entries:
-        if e[0] == "1a":
-            row = pi0_row(algebra, e[1])
-            cc = next(ComponentClass(e[1], x.rep, x.k)
-                      for x in row.entries if x.rep == e[2])
-            compact_side.append(FirstKindInvariant(algebra, 2, 0, e[1], cc))
-        else:
-            row = pi0_row(algebra, InvLabel(0))
-            cc = next(ComponentClass(InvLabel(0), x.rep, x.k)
-                      for x in row.entries if x.rep == e[1])
-            compact_side.append(FirstKindInvariant(algebra, 2, 1, InvLabel(0), cc))
+    compact_side = [FirstKindInvariant(algebra, q, p, rho, cc)
+                    for q, p, rho, cc in _first_kind_classes(algebra, k)]
     mapped = [invariant_extension_map(i) for i in compact_side]
     target = enumerate_conj_linear(algebra, k, 1)
     report["type1"] = (len(set(mapped)) == len(mapped)

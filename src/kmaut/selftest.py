@@ -33,6 +33,7 @@ from .loopaut import (
     conjugate_reflection,
     conjugate_scale,
     conjugate_shift,
+    invariant,
     invariant_first_kind,
     invariant_second_kind,
     normalize_to_constant,
@@ -425,14 +426,10 @@ def check_invariant_stability(deep=False, rounds=30, seed=23):
     if deep:
         rounds *= 2
     for name, phi in stability_fixtures():
-        if phi.epsilon == 1:
-            base = invariant_first_kind(phi)
-        else:
-            base = invariant_second_kind(phi)
+        base = invariant(phi)
         for _ in range(rounds):
             conj = random_conjugation(phi, rng)
-            inv = invariant_first_kind(conj) if phi.epsilon == 1 \
-                else invariant_second_kind(conj)
+            inv = invariant(conj)
             if inv != base:
                 bad.append((name, repr(base), repr(inv)))
                 break
@@ -527,11 +524,7 @@ def check_normalization(deep=False, count=50, seed=31):
         if const.order(32) != q:
             bad.append(("order", done))
             break
-        inv1 = invariant_first_kind(phi2) if phi2.epsilon == 1 \
-            else invariant_second_kind(phi2)
-        inv2 = invariant_first_kind(const) if phi2.epsilon == 1 \
-            else invariant_second_kind(const)
-        if inv1 != inv2:
+        if invariant(phi2) != invariant(const):
             bad.append(("invariant", done))
             break
         done += 1

@@ -9,6 +9,7 @@ from the static label data and are marked as such.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .algebra import make_algebra
 from .autg import (
@@ -247,11 +248,9 @@ def membership_condition(inv, sigma):
             raise StaticOnlyAlgebra("certificate invariants carry no label data")
         q = inv.q
         p = inv.p
-        from math import gcd
         r = gcd(p, q) if p else q
         pprime, qprime = p // r, q // r
-        from .loopaut import _bezout
-        l, m = _bezout(pprime, qprime)
+        l = pow(pprime, -1, qprime)
         wrho = label_out_word(algebra, inv.rho)
         wbeta = _entry_word(algebra, inv.rho, inv.beta.rep)
         word = ID_PERM

@@ -354,6 +354,37 @@ def test_algebra_tables_are_bounded():
     assert tau == CycloMatrix.diag([-1, 1, 1])
 
 
+@pytest.mark.parametrize("fam,n,rates", [
+    ("a", 3, [Fraction(1, 2), 1, -1, Fraction(-1, 2)]),
+    ("c", 3, [1, Fraction(1, 2), 0]),
+    ("d", 4, [1, 1, 0, Fraction(1, 3)])])
+def test_scaled_keeps_projectors(fam, n, rates):
+    """c X keeps the projectors of X, each at rate c r: the same as a fresh
+    element built from c X and its rates."""
+    alg = make_algebra(fam, n, "compact")
+    X = alg.torus_element(rates)
+    for c in (2, Fraction(-1, 3)):
+        Y = X.scaled(c)
+        fresh = SemisimpleElement(alg, X.matrix * c, Y.eigenrates)
+        assert Y._projs is not None
+        assert ([(r, P.to_json()) for r, P in Y._projs]
+                == [(r, P.to_json()) for r, P in fresh.projectors()])
+
+
+def test_pi0_rows_are_bounded():
+    """User input keys the pi0 rows too: the row table keeps at most its
+    bound."""
+    from kmaut import pi0
+    from kmaut.autg import InvLabel
+    for k in range(1, 70):
+        alg = make_algebra("a", k)
+        pi0.pi0_row(alg, InvLabel(0))
+        pi0.pi0_row(alg, InvLabel(1))
+    info = pi0.pi0_row.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert info.misses > info.maxsize
+
+
 def test_sigma_eigenspace_rejects_wrong_order_and_conjugate_linear():
     alg = make_algebra("a", 2, "complex")
     with pytest.raises(OrderMismatch):

@@ -120,9 +120,33 @@ def test_bad_inputs(tmp_path, capsys):
     for bad in [dict(first, beta={"rep": "no-such-rep"}),
                 dict(second, pair=["mu"]), dict(first, algebra="a2"),
                 dict(second, algebra=["a", 1]), [first], dict(first, q=2.5),
-                dict(second, pair=[1, 2]), dict(second, k=True)]:
+                dict(second, pair=[1, 2]), dict(second, k=True),
+                dict(second, algebra={"family": "a", "n": 1.5}),
+                dict(second, algebra={"family": "a", "n": "2"})]:
         path.write_text(json.dumps(bad))
         _assert_typed_error(*run_cli(["realize", "--in", str(path)], capsys))
+
+
+def test_conjugate_accepts_conj_linear_involutions(tmp_path, capsys):
+    """A realized a1 second-kind pair made conjugate-linear is conjugate to
+    itself, and not to its complex-linear original."""
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps({"kind": 2, "algebra": {"family": "a", "n": 1},
+                               "pair": ["rho1", "id"], "k": 1}))
+    rc, out = run_cli(["realize", "--in", str(inv)], capsys)
+    assert rc == 0
+    lin = tmp_path / "lin.json"
+    lin.write_text(out)
+    payload = json.loads(out)
+    payload["phi0"]["conj_linear"] = True
+    conj = tmp_path / "x.json"
+    conj.write_text(json.dumps(payload))
+    for a, b, verdict in ((conj, conj, "conjugate"),
+                          (conj, lin, "not_conjugate")):
+        rc, out = run_cli(["conjugate", "--a", str(a), "--b", str(b)], capsys)
+        assert rc == 0 and json.loads(out) == {"result": verdict}
+    rc, out = run_cli(["invariant", "--in", str(conj)], capsys)
+    assert rc == 0 and json.loads(out)["conj_linear"] is True
 
 
 def _write_outer_aut(tmp_path, family, n, phi0_of):

@@ -10,6 +10,7 @@ from kmaut.autg import (
     InvLabel,
     identity_automorphism,
     mu_automorphism,
+    omega_automorphism,
     standard_involution,
     triality_automorphism,
 )
@@ -17,8 +18,10 @@ from kmaut.cyclo import (CycloMatrix, finite_order_eigenprojectors,
                          root_index, root_of_unity)
 from kmaut.errors import (
     InfiniteOrderScaling,
+    OrderExceedsBound,
     PeriodicityViolation,
     TwistMismatch,
+    UnsupportedOrder,
     WrongKind,
 )
 from kmaut.loop import AffineElement, LoopElement, affine_bracket, affine_form
@@ -31,6 +34,7 @@ from kmaut.loopaut import (
     conjugate_exp,
     conjugate_scale,
     conjugate_shift,
+    invariant,
     invariant_first_kind,
     invariant_second_kind,
     normalize_to_constant,
@@ -39,6 +43,7 @@ from kmaut.loopaut import (
     square_map,
     tau_scaling,
 )
+from kmaut.realforms import conj_linear_extend
 from kmaut.selftest import (
     antifixed_direction,
     random_conjugation,
@@ -129,6 +134,11 @@ def test_twist_mismatch():
     u = LoopElement(alg, tau, 2, {1: e})
     with pytest.raises(TwistMismatch):
         phi.apply(u)
+    # a twist is complex-linear
+    su2 = make_algebra("a", 1, "compact")
+    with pytest.raises(TwistMismatch):
+        StandardLoopAutomorphism(omega_automorphism(su2), 2, 1, 0, None,
+                                 identity_automorphism(su2))
 
 
 def test_compose_against_apply():
@@ -284,6 +294,72 @@ def test_conjugacy_test_results():
     rot = Automorphism(su3, CycloMatrix.diag([w, 1, w.inverse()]))
     f1 = StandardLoopAutomorphism(rot, 3, 1, 0, None, rot)
     assert conjugacy_test(f1, f1) == "undecided"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_conjugacy_test_conj_linear_second_kind(n):
+    from kmaut.tables import realize_second_kind
+    alg = make_algebra("a", n, "compact")
+    lin = realize_second_kind(alg, InvLabel(1), InvLabel(0))
+    c = conj_linear_extend(lin)
+    assert conjugacy_test(c, conjugate_shift(c, Fraction(1, 4))) == "conjugate"
+    other = conj_linear_extend(realize_second_kind(alg, InvLabel(0),
+                                                   InvLabel(0)))
+    assert conjugacy_test(c, other) == "not_conjugate"
+    assert conjugacy_test(c, lin) == "not_conjugate"
+
+
+def test_conjugacy_test_conj_linear_first_kind():
+    su2 = make_algebra("a", 1, "compact")
+    iden = identity_automorphism(su2)
+    om = omega_automorphism(su2)
+    tau = standard_involution(su2, "rho1")
+    a = StandardLoopAutomorphism(iden, 1, 1, 0, None, om)
+    b = StandardLoopAutomorphism(iden, 1, 1, 0, None, tau.compose(om))
+    assert conjugacy_test(a, a) == "conjugate"
+    assert conjugacy_test(a, b) == "not_conjugate"
+    assert invariant(a) == invariant(conjugate_shift(a, Fraction(1, 3)))
+
+
+def test_conj_linear_beyond_involutions_is_a_typed_error():
+    """A conjugate-linear map of order 6 is not classified: a typed error,
+    not an "undecided" verdict from the linear certificate."""
+    su3 = make_algebra("a", 2, "compact")
+    w = root_of_unity(3, 1)
+    A = Automorphism(su3, CycloMatrix.diag([w, w ** 2, 1]))
+    f = StandardLoopAutomorphism(identity_automorphism(su3), 1, 1, 0, None,
+                                 A.compose(omega_automorphism(su3)))
+    assert f.order() == 6
+    with pytest.raises(UnsupportedOrder):
+        conjugacy_test(f, f)
+    with pytest.raises(WrongKind):
+        invariant_first_kind(f)
+    with pytest.raises(WrongKind):
+        invariant_second_kind(conj_linear_extend(StandardLoopAutomorphism(
+            identity_automorphism(su3), 1, -1, 0, None, A)))
+
+
+def test_order_loop_runs_once(monkeypatch):
+    """The order of a map is found once: repeated order() calls and the
+    invariants inside conjugacy_test reuse it, as does a rotated copy."""
+    calls = {}
+    compose = StandardLoopAutomorphism.compose
+
+    def counting(self, other):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return compose(self, other)
+
+    monkeypatch.setattr(StandardLoopAutomorphism, "compose", counting)
+    for name, q in (("q4", 4), ("2nd", 2)):
+        a, b = (dict(stability_fixtures())[name] for _ in range(2))
+        assert a.order() == a.order() == q
+        assert calls[id(a)] == q - 1
+        assert conjugacy_test(a, b) == "conjugate"
+        assert calls[id(a)] == calls[id(b)] == q - 1
+        shifted = conjugate_shift(a, Fraction(1, 3))
+        assert shifted.order() == q and id(shifted) not in calls
+        with pytest.raises(OrderExceedsBound):
+            a.order(bound=q - 1)
 
 
 def test_square_map_examples():
