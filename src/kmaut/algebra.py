@@ -112,7 +112,8 @@ class SimpleAlgebra:
         return (self.family, self.param, self.mode)
 
     def __eq__(self, other):
-        return isinstance(other, SimpleAlgebra) and self._key() == other._key()
+        return self is other or (isinstance(other, SimpleAlgebra)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -240,7 +241,7 @@ class SimpleAlgebra:
     # -- operations -------------------------------------------------------------
 
     def bracket_matrix(self, X, Y):
-        return X * Y - Y * X
+        return X.commutator(Y)
 
     def killing_matrix(self, X, Y):
         return X.trace_mul(Y) * self.killing_scale

@@ -306,6 +306,8 @@ class Automorphism:
         raise OrderExceedsBound("no order <= %d" % bound)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Automorphism):
             return NotImplemented
         if self.algebra != other.algebra or self.conj != other.conj:

@@ -664,31 +664,39 @@ class CycloMatrix:
             ctx = _context(a.N)
             rows = kernel.matmul(a.rows, b.rows, ctx.red, ctx.phi, a.n)
             return CycloMatrix(a.n, a.N, a.den * b.den, tuple(rows))
-        s = _coerce(other)
-        if s is None:
+        if isinstance(other, CycloScalar):
+            M, nums, den = lcm(self.N, other.N), other.nums, other.den
+        elif isinstance(other, (int, Fraction)):
+            M, nums, den = self.N, (other.numerator,), other.denominator
+        else:
             return NotImplemented
-        M = lcm(self.N, s.N)
-        if not s:
+        if not any(nums):
             return CycloMatrix.zeros(self.n, M)
-        if M == self.N and not any(s.nums[1:]):
+        if M == self.N and not any(nums[1:]):
             # a rational scalar in the matrix's field: integer multiples
-            c = s.nums[0]
+            c = nums[0]
             rows = tuple({j: tuple(x * c for x in v) for j, v in row.items()}
                          for row in self.rows)
-            return CycloMatrix(self.n, M, self.den * s.den, rows)
-        b = s.promote(M).nums
+            return CycloMatrix(self.n, M, self.den * den, rows)
+        b = other.promote(M).nums
         ctx = _context(M)
         N, red, phi = self.N, ctx.red, ctx.phi
         # a product of nonzero field elements is nonzero
         rows = tuple({j: kernel.conv_reduce(_lift(v, N, M), b, red, phi)
                       for j, v in row.items()} for row in self.rows)
-        return CycloMatrix(self.n, M, self.den * s.den, rows)
+        return CycloMatrix(self.n, M, self.den * den, rows)
 
-    def __rmul__(self, other):
-        s = _coerce(other)
-        if s is None:
-            return NotImplemented
-        return self * s
+    # scalars commute with matrices
+    __rmul__ = __mul__
+
+    def commutator(self, other):
+        """self * other - other * self, with the conductors paired once and
+        both products reduced in one pass of the kernel."""
+        assert self.n == other.n
+        a, b = self._pair(other)
+        ctx = _context(a.N)
+        rows = kernel.commutator(a.rows, b.rows, ctx.red, ctx.phi)
+        return CycloMatrix(a.n, a.N, a.den * b.den, tuple(rows))
 
     def _combine(self, other, sign):
         """self + sign * other; entries that cancel are deleted."""

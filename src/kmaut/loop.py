@@ -227,28 +227,45 @@ def loop_form(u, v):
     return total
 
 
+def _rates(u):
+    """r(u)_n = (n/l) u_n at each coefficient's own conductor; u' = i r(u)."""
+    return {n: M * Fraction(n, u.l) for n, M in u.coeffs.items() if n}
+
+
 def derivative(u):
     """u' with coefficientwise factor i*n/l."""
     i = root_of_unity(4, 1)
-    out = {}
-    for n, M in u.coeffs.items():
-        if n:
-            out[n] = M * (i * Fraction(n, u.l))
-    return LoopElement(u.algebra, u.twist, u.l, out, validate=False)
+    return LoopElement(u.algebra, u.twist, u.l,
+                       {n: M * i for n, M in _rates(u).items()}, validate=False)
 
 
 def affine_bracket(x, y):
-    """[u + a c + b d, v + g c + e d] = [u,v]_0 + b v' - e u' + (u', v) c."""
+    """[u + a c + b d, v + g c + e d] = [u,v]_0 + b v' - e u' + (u', v) c.
+
+    With u' = i r(u), the derivative terms of each degree are summed as
+    b r(v)_n - e r(u)_n and multiplied by i once, and the cocycle is
+    i (r(u), v).  A degree that receives a derivative term is lifted to the
+    conductor of i even where that term cancels, and the cocycle only where
+    some degree pairs, as forming u' and v' first would."""
     u, v = x.loop, y.loop
     u._compat(v)
-    lb = loop_bracket(u, v)
-    du = derivative(u)
-    if not x.d.is_zero():
-        lb = lb + derivative(v) * x.d
-    if not y.d.is_zero():
-        lb = lb - du * y.d
-    cocycle = loop_form(du, v)
-    return AffineElement(lb, cocycle, _ZERO)
+    b, e = x.d, y.d
+    ru = _rates(u)
+    terms = {n: M * (b * Fraction(n, v.l))
+             for n, M in v.coeffs.items() if n} if b else {}
+    if e:
+        for n, M in ru.items():
+            terms[n] = terms[n] - M * e if n in terms else M * -e
+    i = root_of_unity(4, 1)
+    out = loop_bracket(u, v).coeffs
+    for n, D in terms.items():
+        D = D * i
+        out[n] = out[n] + D if n in out else D
+    cocycle = loop_form(LoopElement(u.algebra, u.twist, u.l, ru, validate=False), v)
+    if any(-n in v.coeffs for n in ru):
+        cocycle = cocycle * i
+    return AffineElement(LoopElement(u.algebra, u.twist, u.l, out, validate=False),
+                         cocycle, _ZERO)
 
 
 def affine_form(x, y):

@@ -100,7 +100,12 @@ class Pi0Row:
         return entry._sig_cache
 
 
-@lru_cache(maxsize=_KEYS_CACHED)
+# One row per (algebra, involution label): a sweep over the classification
+# tables of a2-a7, b2-b5, c3-c6 and d4-d8 keys about a hundred, which all stay.
+_ROWS_CACHED = 4 * _KEYS_CACHED
+
+
+@lru_cache(maxsize=_ROWS_CACHED)
 def pi0_row(algebra, rho_label):
     return _build_row(algebra, rho_label)
 

@@ -376,13 +376,35 @@ def test_pi0_rows_are_bounded():
     bound."""
     from kmaut import pi0
     from kmaut.autg import InvLabel
-    for k in range(1, 70):
+    for k in range(1, pi0.pi0_row.cache_info().maxsize // 2 + 6):
         alg = make_algebra("a", k)
         pi0.pi0_row(alg, InvLabel(0))
         pi0.pi0_row(alg, InvLabel(1))
     info = pi0.pi0_row.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
     assert info.misses > info.maxsize
+
+
+def test_pi0_rows_hold_a_table_sweep():
+    """Every row of a sweep over the classification tables stays cached: a
+    second pass over the same rows builds none of them again."""
+    from kmaut import pi0
+    from kmaut.algebra import _KEYS_CACHED
+    from kmaut.autg import standard_list
+    algs = [make_algebra(fam, n) for fam, ns in
+            (("a", range(2, 8)), ("b", range(2, 6)), ("c", range(3, 7)),
+             ("d", range(4, 9))) for n in ns]
+    keys = [(alg, lab) for alg in algs for lab in standard_list(alg)]
+    assert len(keys) > _KEYS_CACHED
+    pi0.pi0_row.cache_clear()
+    for alg, lab in keys:
+        pi0.pi0_row(alg, lab)
+    misses = pi0.pi0_row.cache_info().misses
+    assert misses == len(keys)
+    for alg, lab in keys:
+        pi0.pi0_row(alg, lab)
+    info = pi0.pi0_row.cache_info()
+    assert info.misses == misses and info.hits == len(keys)
 
 
 def test_sigma_eigenspace_rejects_wrong_order_and_conjugate_linear():

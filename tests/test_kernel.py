@@ -107,6 +107,21 @@ def test_pure_matmul_matches_triple_loop(case):
     assert all(type(v) is tuple and any(v) for r in got for v in r.values())
 
 
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_commutator_matches_two_products(case):
+    """AB - BA from one pass equals the difference of the two triple loops,
+    and stores no entry that cancels."""
+    N, n, A, B = CASES[case]
+    ctx = _context(N)
+    got = kernel.commutator(pack(A), pack(B), ctx.red, ctx.phi)
+    AB, BA = ref_matmul(A, B, POLY[N], n), ref_matmul(B, A, POLY[N], n)
+    assert unpack(got, n, ctx.phi) == [
+        tuple(tuple(x - y for x, y in zip(p, q)) for p, q in zip(r, t))
+        for r, t in zip(AB, BA)]
+    assert all(type(v) is tuple and any(v) for r in got for v in r.values())
+    assert kernel.commutator(pack(A), pack(A), ctx.red, ctx.phi) == [{}] * n
+
+
 @pytest.mark.parametrize("N", sorted(POLY))
 def test_matmul_drops_cancelled_entries(N):
     """Row (a, b) times column (b, -a) cancels in every ring; the product
@@ -220,9 +235,12 @@ def test_scalar_multiple_matches_entrywise(N):
         for s in SCALARS:
             assert same(M * s, entrywise_scale(M, s)), (N, density, s)
             assert same(s * M, M * s)
-    for s in (Fraction(2, 3), -2, 0):
+    # ints and Fractions take the integer path, at M's conductor
+    for s in (Fraction(2, 3), Fraction(-5, 4), Fraction(0), -2, 0):
         M = rand_matrix(rng, 4, N, 0.5)
         assert same(M * s, entrywise_scale(M, CycloScalar.from_rational(s)))
+        assert (M * s).to_json() == (M * CycloScalar.from_rational(s)).to_json()
+        assert same(s * M, M * s) and (M * s).N == N
 
 
 @pytest.mark.parametrize("N,M", [(1, 4), (1, 12), (3, 12), (4, 12), (4, 4)])
@@ -273,5 +291,39 @@ def test_products_property():
         assert X.trace_mul(Y) == P.trace()
         s = Y.entry(0, 0)
         assert same(X * s, entrywise_scale(X, s))
+
+    check()
+
+
+def test_commutator_property():
+    """X.commutator(Y) is X*Y - Y*X to the byte, at equal and mixed
+    conductors, for zero matrices and for pairs that commute."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.sampled_from([1, 3, 4, 12]), st.sampled_from([1, 3, 4, 12]),
+               st.integers(1, 5), st.floats(0, 1),
+               st.sampled_from(["random", "zero", "commuting"]),
+               st.integers(0, 2**32 - 1))
+    @hyp.example(1, 4, 3, 0.5, "random", 1)
+    @hyp.example(1, 4, 3, 0.5, "zero", 2)
+    @hyp.example(4, 1, 3, 0.5, "commuting", 3)
+    def check(NX, NY, n, density, kind, seed):
+        rng = random.Random(seed)
+        X = rand_matrix(rng, n, NX, density)
+        if kind == "zero":
+            Y = CycloMatrix.zeros(n, NY)
+        elif kind == "commuting":
+            # a polynomial in X, carried to conductor lcm(NX, NY)
+            s = rand_matrix(rng, 1, NY, 1.0).entry(0, 0)
+            Y = X * X * s + X * Fraction(1, 2) + CycloMatrix.identity(n, NY)
+        else:
+            Y = rand_matrix(rng, n, NY, density)
+        for A, B in ((X, Y), (Y, X)):
+            # to_json carries the conductor tag of every entry
+            assert A.commutator(B).to_json() == (A * B - B * A).to_json()
+        if kind != "random":
+            assert X.commutator(Y).is_zero()
 
     check()

@@ -104,6 +104,60 @@ def test_affine_bracket_center_and_derivation():
     assert z.d.is_zero()
 
 
+def reference_bracket(x, y):
+    """The bracket formed term by term from the public derivative:
+    [u,v]_0 + b v' - e u' + (u', v) c."""
+    u, v = x.loop, y.loop
+    out = loop_bracket(u, v)
+    du = derivative(u)
+    if not x.d.is_zero():
+        out = out + derivative(v) * x.d
+    if not y.d.is_zero():
+        out = out - du * y.d
+    return AffineElement(out, loop_form(du, v), 0)
+
+
+def test_affine_bracket_matches_reference_formula():
+    """affine_bracket applies i once per degree and once to the cocycle; its
+    output, conductor tags included, is the term-by-term formula's."""
+    i = root_of_unity(4, 1)
+    alg = make_algebra("a", 2, "complex")
+    mu = mu_automorphism(alg)
+    from kmaut.algebra import sigma_eigenspace
+    g0 = [b.matrix for b in sigma_eigenspace(alg, mu, 2, 0)]
+    g1 = [b.matrix for b in sigma_eigenspace(alg, mu, 2, 1)]
+    u = LoopElement(alg, mu, 2, {0: g0[0], 1: g1[0], -2: g0[1]})
+    v = LoopElement(alg, mu, 2, {2: g0[2], -1: g1[1]})
+    w = LoopElement(alg, mu, 2, {0: g0[1], 1: g1[0] * 2})
+    cases = [
+        # b w'_1 - e u'_1 cancels next to a nonzero bracket in degree 1,
+        # which still carries the conductor of i
+        (AffineElement(LoopElement(alg, mu, 2, {0: g0[0], 1: g1[0]}), 1, 1),
+         AffineElement(w, 0, 2)),
+        # cancels in every degree, where the loop bracket is zero
+        (AffineElement(u, 1, 2), AffineElement(u * 2, 0, 4)),
+        # no degree of u pairs with -n in v: the cocycle stays rational
+        (AffineElement(LoopElement(alg, mu, 2, {1: g1[0]}), 0, 1),
+         AffineElement(LoopElement(alg, mu, 2, {1: g1[1], 2: g0[0]}), 0, -1)),
+        # b = e = 0: no derivative terms
+        (AffineElement(u, 3, 0), AffineElement(v, -1, 0)),
+        # d of conductor 4 and a coefficient of conductor 4
+        (AffineElement(u, 0, i), AffineElement(v * i, 0, Fraction(1, 2))),
+    ]
+    rng = random.Random(12)
+    tw = standard_involution(make_algebra("d", 4, "complex"), "rho1")
+    for _ in range(10):
+        x, y = (random_affine_element(tw.algebra, tw, 2, rng) for _ in range(2))
+        cases += [(x, y), (x, x), (x, y * i)]
+    for x, y in cases:
+        assert affine_bracket(x, y).to_json() == reference_bracket(x, y).to_json()
+    x, y = cases[0]
+    top = affine_bracket(x, y).loop.coefficient(1)
+    assert top == loop_bracket(x.loop, y.loop).coefficient(1) and top.N == 4
+    assert affine_bracket(*cases[1]).loop.is_zero()
+    assert affine_bracket(*cases[2]).c.N == 1
+
+
 def test_affine_form_values():
     alg, iden, e, f, h = sl2_setup()
     c = central_element(alg, iden, 1)
