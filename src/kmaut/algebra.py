@@ -13,8 +13,8 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
-from .cyclo import (CycloMatrix, CycloScalar, finite_order_eigenprojectors,
-                    root_index, root_of_unity)
+from .cyclo import (CycloMatrix, _context, _json_int, _json_object,
+                    finite_order_eigenprojectors, root_index, root_of_unity)
 from .errors import (
     AlgebraMismatch,
     MembershipError,
@@ -131,7 +131,9 @@ class SimpleAlgebra:
 
     @staticmethod
     def from_json(obj):
-        return SimpleAlgebra(obj["family"], obj.get("n"), obj.get("mode", "compact"))
+        _json_object(obj, "an algebra")
+        n = None if obj.get("n") is None else _json_int(obj, "n")
+        return SimpleAlgebra(obj["family"], n, obj.get("mode", "compact"))
 
     # -- matrix model ----------------------------------------------------------
 
@@ -199,44 +201,46 @@ class SimpleAlgebra:
         J = j_matrix(self.param)
         return (M.transpose() * J + J * M).is_zero()
 
-    def coords(self, M):
-        """Coordinates of M w.r.t. basis(); closed form, no linear solve."""
-        self._need_matrix()
-        out = []
-        m = self.size
-        if self.family == "a":
-            for i in range(m):
-                for j in range(m):
-                    if i != j:
-                        out.append(M.entry(i, j))
-            acc = CycloScalar.from_rational(0)
-            for k in range(m - 1):
-                acc = acc + M.entry(k, k)
-                out.append(acc)
-        elif self.family in ("b", "d"):
-            for i in range(m):
-                for j in range(i + 1, m):
-                    out.append(M.entry(i, j))
-        else:
-            n = self.param
-            for i in range(n):
-                for j in range(n):
-                    out.append(M.entry(i, j))
-            for i in range(n):
-                for j in range(i, n):
-                    out.append(M.entry(i, n + j))
-            for i in range(n):
-                for j in range(i, n):
-                    out.append(M.entry(n + i, j))
-        return out
+    @lru_cache(maxsize=_KEYS_CACHED)
+    def _supports(self):
+        """Per basis element, its entries (i, j, +-1) in row order."""
+        return tuple(tuple((i, j, v[0]) for i, row in enumerate(b.rows)
+                           for j, v in sorted(row.items()))
+                     for b in self.basis())
 
-    def from_coords(self, coords):
+    def coords(self, M):
+        """Coordinates of M w.r.t. basis(), as a packed row (entries, den)
+        over M's conductor; closed form, no linear solve: the entry at the
+        first +1 of each basis element, summed over the a-family Cartan."""
         self._need_matrix()
-        acc = CycloMatrix.zeros(self.size)
-        for c, b in zip(coords, self.basis()):
-            if c:
-                acc = acc + b * c
-        return acc
+        out = {}
+        for k, ((i, j, _), *_) in enumerate(self._supports()):
+            if j in M.rows[i]:
+                out[k] = M.rows[i][j]
+        if self.family == "a":
+            # the k-th Cartan coordinate is the sum of the first k + 1
+            # diagonal entries
+            acc = zero = (0,) * _context(M.N).phi
+            for k in range(self.dim - self.size + 1, self.dim):
+                acc = tuple(x + y for x, y in zip(acc, out.pop(k, zero)))
+                if any(acc):
+                    out[k] = acc
+        return out, M.den
+
+    def from_coords(self, vec, N=1):
+        """The matrix of the packed row vec = (entries, den) of coordinates
+        over Q(zeta_N): each coordinate goes to the +-1 entries of its basis
+        element.  The zero vector gives the zero matrix of conductor 1."""
+        self._need_matrix()
+        rows = tuple({} for _ in range(self.size))
+        for k, v in vec[0].items():
+            for i, j, s in self._supports()[k]:
+                w = rows[i].get(j, (0,) * len(v))
+                rows[i][j] = tuple(x + s * y for x, y in zip(w, v))
+        rows = tuple({j: v for j, v in row.items() if any(v)} for row in rows)
+        if not any(rows):
+            return CycloMatrix.zeros(self.size)
+        return CycloMatrix(self.size, N, vec[1], rows)
 
     # -- operations -------------------------------------------------------------
 
@@ -493,7 +497,9 @@ def _eigenspace_bases(algebra, sigma, l):
     out = {n: () for n in range(l)}
     for val, P in finite_order_eigenprojectors(sigma.operator(), l):
         # the columns of P are the projections of the basis, in coordinates
-        rows = linalg.row_space_basis(P.transpose().scalars())
-        out[root_index(val, l)] = tuple(algebra.from_coords(r) for r in rows)
+        rows = P.transpose().packed_rows()
+        piv, _ = linalg.eliminate(rows, P.n, P.N)
+        out[root_index(val, l)] = tuple(algebra.from_coords(r, P.N)
+                                        for r in rows[:len(piv)])
     sigma.eigenbases[l] = out
     return out

@@ -24,8 +24,8 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import (CycloMatrix, CycloScalar, _json_int, _rational_root,
-                    pfaffian, root_of_unity)
+from .cyclo import (CycloMatrix, CycloScalar, _json_int, _json_object,
+                    _rational_root, pfaffian, root_of_unity)
 from .errors import (
     InvalidLabel,
     MalformedData,
@@ -160,7 +160,7 @@ class Automorphism:
             if e:
                 raise Unclassifiable("automorphism involves the order-3 outer "
                                      "generator; no defining form")
-            G = _descend_to_group(self.algebra, self._op)
+            G = _descend_to_group(self)
             self._G = G
             self._w = 0
         return self._G, self._w
@@ -200,9 +200,9 @@ class Automorphism:
 
     def _apply_linear(self, M):
         if self._G is None:
-            coords = self.algebra.coords(M)
-            new = self._op.matvec(coords)
-            return self.algebra.from_coords(new)
+            # zero at conductor 1, else over the lcm of the two conductors
+            alg, op = self.algebra, self._op
+            return alg.from_coords(op.matvec(alg.coords(M), M.N), lcm(op.N, M.N))
         if self._w:
             M = -M.transpose()
         return self._G * M * self._ginv()
@@ -224,10 +224,10 @@ class Automorphism:
         """Linear-part operator on basis coordinates (dim x dim)."""
         if self._op is not None:
             return self._op
-        cols = [self.algebra.coords(self._apply_linear(b))
-                for b in self.algebra.basis()]
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
-        return CycloMatrix.from_scalars(rows)
+        imgs = [self._apply_linear(b) for b in self.algebra.basis()]
+        N = lcm(*(M.N for M in imgs))
+        cols = [self.algebra.coords(M.promote(N)) for M in imgs]
+        return CycloMatrix.from_packed(len(cols), N, cols).transpose()
 
     # -- group structure ---------------------------------------------------------
 
@@ -352,6 +352,7 @@ class Automorphism:
     @staticmethod
     def from_json(obj):
         from .algebra import SimpleAlgebra
+        _json_object(obj, "an automorphism")
         algebra = SimpleAlgebra.from_json(obj["algebra"])
         algebra = make_algebra(algebra.family, algebra.param, algebra.mode)
         M = CycloMatrix.from_json(obj["matrix"])
@@ -529,16 +530,16 @@ def triality_automorphism(algebra, power=1):
                         label="theta" if power == 1 else "theta2")
 
 
-def _descend_to_group(algebra, op):
-    """Recover G with Ad(G) == op (op a bracket automorphism with trivial
-    outer part).  Solves G X = op(X) G over the defining representation."""
-    n = algebra.size
+def _descend_to_group(aut):
+    """Recover G with Ad(G) == aut, an operator-form automorphism with
+    trivial outer part, by solving G X = aut(X) G on the defining matrices."""
+    n = aut.algebra.size
     # candidates for G, cut down by G b - img G = 0 one basis element at a time
     kern = [CycloMatrix.from_scalars([[int(r == p and c == q) for c in range(n)]
                                       for r in range(n)])
             for p in range(n) for q in range(n)]
-    for b in algebra.basis():
-        img = algebra.from_coords(op.matvec(algebra.coords(b)))
+    for b in aut.algebra.basis():
+        img = aut._apply_linear(b)
         cuts = [K * b - img * K for K in kern]
         # the relations sum_k c_k cut_k = 0, entry (i, j) of a cut at
         # column i * n + j

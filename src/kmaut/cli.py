@@ -60,9 +60,6 @@ def cmd_tables(args):
     rows = []
     for kind in kinds:
         for k in ks:
-            if k not in valid_ks(algebra):
-                raise KmautError("k = %d is not valid for %s"
-                                 % (k, algebra.label()))
             rows.append(enumerate_first_kind(algebra, k) if kind == 1
                         else enumerate_second_kind(algebra, k))
     _emit(args, [r.to_json() for r in rows],

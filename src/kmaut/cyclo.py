@@ -244,19 +244,16 @@ class CycloScalar:
             return self
         if self.N % M != 0:
             raise ConductorOverflow("conductor %d does not divide %d" % (M, self.N))
-        emb = _embedding(M, self.N)
-        phiN = _context(self.N).phi
-        phiM = _context(M).phi
-        cols = [list(v) for v in emb]
-        target = [Fraction(c, self.den) for c in self.nums]
-        sol = linalg.solve([[Fraction(cols[j][i]) for j in range(phiM)]
-                            for i in range(phiN)], target)
-        if sol is None:
+        # nums has at most one relation with the independent embedded powers,
+        # sum_j c_j zeta_M^j + nums = 0, and then x = -sum_j c_j zeta_M^j / den
+        vecs = [({i: (c,) for i, c in enumerate(v) if c}, 1)
+                for v in (*_embedding(M, self.N), self.nums)]
+        rels = linalg.relations(vecs, 1)
+        if not rels:
             raise ConductorOverflow("value does not lie in Q(zeta_%d)" % M)
-        den = 1
-        for s in sol:
-            den = lcm(den, s.denominator)
-        return CycloScalar(M, tuple(int(s * den) for s in sol), den)
+        ents, den = rels[0]
+        return CycloScalar(M, tuple(-ents.get(j, (0,))[0]
+                                    for j in range(len(vecs) - 1)), den * self.den)
 
     def min_conductor(self):
         """Smallest divisor conductor that contains this value."""
@@ -432,6 +429,12 @@ def _json_int(obj, key, default=None, allowed=None):
         raise MalformedData("%s must be %s, not %r" % (
             key, "one of %s" % (allowed,) if allowed else "an integer", value))
     return value
+
+
+def _json_object(obj, what):
+    """MalformedData naming what obj is meant to be, unless it is an object."""
+    if not isinstance(obj, dict):
+        raise MalformedData("%s must be a JSON object" % what)
 
 
 def _json_rational(value, what):
@@ -821,16 +824,15 @@ class CycloMatrix:
             raise ZeroDivisionError("singular matrix")
         return CycloMatrix.from_packed(n, self.N, rows, offset=n)
 
-    def matvec(self, vec):
-        """Apply to a coordinate vector of CycloScalar; returns a list."""
-        out = []
-        for row in self.rows:
-            acc = CycloScalar.from_rational(0)
-            for j, v in row.items():
-                if vec[j]:
-                    acc = acc + CycloScalar(self.N, v, self.den) * vec[j]
-            out.append(acc)
-        return out
+    def matvec(self, vec, N=1):
+        """Apply to a packed vector (entries, den) over Q(zeta_N), as the
+        product with a one-column matrix; returns the packed image over
+        Q(zeta_lcm(self.N, N)), not in lowest terms."""
+        M, ents = lcm(self.N, N), vec[0]
+        ctx = _context(M)
+        col = [{0: _lift(ents[k], N, M)} if k in ents else {} for k in range(self.n)]
+        rows = kernel.matmul(self.promote(M).rows, col, ctx.red, ctx.phi, self.n)
+        return {i: row[0] for i, row in enumerate(rows) if row}, self.den * vec[1]
 
     # -- io ------------------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Exact linear algebra over Q and Q(zeta_N) on packed integer rows: per row,
 a dict from column to the integer coefficient tuple of a nonzero entry, over
 one denominator.  `eliminate` is the one Gauss-Jordan elimination; its pivot
-and row steps also keep `Span`, an incremental row space over Q.
-`relations` finds the relations among packed vectors; `rref`, `solve`,
-`nullspace` and `row_space_basis` take rows of Fraction or CycloScalar."""
+and row steps also keep `Span`, an incremental row space over Q(zeta_N).
+`relations` finds the relations among packed vectors.  `rref`, `solve`,
+`solve_in_span` and `nullspace` take rows of Fraction or CycloScalar; no
+package code calls them, they serve the benchmark's tracer and the tests."""
 
 from fractions import Fraction
 from math import lcm
@@ -212,13 +213,6 @@ def rref(rows):
     return piv, det
 
 
-def row_space_basis(rows):
-    """Independent spanning subset of the given rows, in reduced form."""
-    packed = _Packed.pack(rows)
-    piv, _ = packed.eliminate()
-    return [packed.row(i) for i in range(len(piv))]
-
-
 def solve(A, b):
     """A solution x of A x = b (A a list of rows), or None if there is none.
 
@@ -259,20 +253,21 @@ def nullspace(rows, ncols, zero=0, one=1):
 
 
 class Span:
-    """Incremental row space of rational vectors, kept in reduced row echelon
-    form by the pivot and row steps of `eliminate`.
+    """Incremental row space of vectors over Q(zeta_N), kept in reduced row
+    echelon form by the pivot and row steps of `eliminate`.
 
-    A vector is a packed row over Q: ({column: (numerator,)}, den), with no
-    zero entry stored.  Each stored row has pivot 1 and a 0 at every other
-    pivot, and is kept as its entries off the pivot over its denominator.
-    A vector's entries at the pivots are therefore its coordinates, so
-    reducing it is one pass over them, and the stored form is unique for a
-    given row space."""
+    A vector is a packed row over Q(zeta_N), with no zero entry stored.
+    Each stored row has pivot 1 and a 0 at every other pivot, and is kept
+    as its entries off the pivot over its denominator.  A vector's entries
+    at the pivots are therefore its coordinates, so reducing it is one pass
+    over them, and the stored form is unique for a given row space."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_N", "_field")
 
-    def __init__(self, vectors=()):
-        self._rows = {}
+    def __init__(self, vectors=(), N=1):
+        ctx = cyclo._context(N)
+        # (red, phi) of Q(zeta_N), as `_clear` and `_unit_pivot` take them
+        self._rows, self._N, self._field = {}, N, (ctx.red, ctx.phi)
         for v in vectors:
             self.add(v)
 
@@ -280,7 +275,7 @@ class Span:
         row, den = dict(v[0]), v[1]
         for c in [c for c in row if c in self._rows]:
             prow, d = self._rows[c]
-            row, den = _clear(row, den, row.pop(c), prow.items(), d, (), 1)
+            row, den = _clear(row, den, row.pop(c), prow.items(), d, *self._field)
         return row, den
 
     def contains(self, v):
@@ -292,11 +287,11 @@ class Span:
         if not row:
             return False
         p = min(row)
-        row, den = _unit_pivot(row, p, 1, (), 1)
+        row, den = _unit_pivot(row, p, self._N, *self._field)
         del row[p]
         for c, (prow, d) in self._rows.items():
             f = prow.pop(p, None)
             if f is not None:
-                self._rows[c] = _clear(prow, d, f, row.items(), den, (), 1)
+                self._rows[c] = _clear(prow, d, f, row.items(), den, *self._field)
         self._rows[p] = row, den
         return True

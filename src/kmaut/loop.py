@@ -9,11 +9,12 @@ algebra, the exact pairing cocycle (u', v) c.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from . import linalg
 from .algebra import AlgebraElement, sigma_eigenspace
-from .cyclo import CycloMatrix, CycloScalar, root_of_unity
+from .cyclo import CycloMatrix, CycloScalar, _context, _json_int, root_of_unity
 from .errors import TwistMismatch, WindowTooSmall
+from .linalg import Span
 
 _ZERO = CycloScalar.from_rational(0)
 
@@ -126,7 +127,7 @@ class LoopElement:
         twist = Automorphism.from_json(obj["twist"])
         coeffs = {int(n): CycloMatrix.from_json(m)
                   for n, m in obj["coeffs"].items()}
-        return LoopElement(twist.algebra, twist, int(obj["l"]), coeffs)
+        return LoopElement(twist.algebra, twist, _json_int(obj, "l"), coeffs)
 
     def __repr__(self):
         return "LoopElement(%s, l=%d, support=%s)" % (
@@ -294,18 +295,19 @@ def window_basis(algebra, twist, l, N):
     return out
 
 
-def _affine_coords(x, index, ncols):
-    """Coordinate vector of an affine element over the window index map."""
-    vec = [_ZERO] * ncols
+def _affine_row(x, N, M):
+    """The packed row over Q(zeta_M) of an affine element on the window
+    [-N, N]: the coords of its degree-n coefficient from column
+    (n + N) * dim on, then c and d."""
     alg = x.loop.algebra
-    for n, M in x.loop.coeffs.items():
-        coords = alg.coords(M)
-        base = index[n]
-        for j, cval in enumerate(coords):
-            vec[base + j] = vec[base + j] + cval
-    vec[-2] = vec[-2] + x.c
-    vec[-1] = vec[-1] + x.d
-    return vec
+    top = (2 * N + 1) * alg.dim
+    parts = [((n + N) * alg.dim, alg.coords(A.promote(M)))
+             for n, A in x.loop.coeffs.items()]
+    parts += [(col, ({0: s.promote(M).nums}, s.den))
+              for col, s in ((top, x.c), (top + 1, x.d)) if s]
+    den = lcm(1, *(d for _, (_, d) in parts))
+    return {base + j: tuple(c * (den // d) for c in v)
+            for base, (ents, d) in parts for j, v in ents.items()}, den
 
 
 def derived_algebra_witness(algebra, twist, l, N):
@@ -313,36 +315,31 @@ def derived_algebra_witness(algebra, twist, l, N):
     coefficient of degree <= N/2, and that d is not in the bracket span."""
     if N < 2 * l:
         raise WindowTooSmall("window must be at least twice the conductor")
-    dim = algebra.dim
-    index = {n: (n + N) * dim for n in range(-N, N + 1)}
-    ncols = (2 * N + 1) * dim + 2
     gens = window_basis(algebra, twist, l, N)
-    rows = []
+    brackets = []
     for i, u in enumerate(gens):
         for v in gens[i:]:
             if max(abs(min(u.support() + v.support(), default=0)),
                    abs(max(u.support() + v.support(), default=0))) > N:
                 continue
             br = affine_bracket(AffineElement(u), AffineElement(v))
-            if all(abs(n) <= N for n in br.loop.support()):
-                if not br.is_zero():
-                    rows.append(_affine_coords(br, index, ncols))
-    cvec = [_ZERO] * ncols
-    cvec[-2] = CycloScalar.from_rational(1)
-    rows.append(cvec)
-    basis = linalg.row_space_basis(rows)
-    half = N // 2
+            if all(abs(n) <= N for n in br.loop.support()) and not br.is_zero():
+                brackets.append(br)
+    targets = [AffineElement(u) for u in window_basis(algebra, twist, l, N // 2)]
+    # one field for every row: the lcm of the conductors met
+    M = lcm(1, *(s.N for x in brackets + targets
+                 for s in [x.c, x.d, *x.loop.coeffs.values()]))
+    span = Span((_affine_row(x, N, M) for x in brackets), M)
+    top, one = (2 * N + 1) * algebra.dim, (1,) + (0,) * (_context(M).phi - 1)
+    span.add(({top: one}, 1))
     report = {"window": N, "c_in_span": True, "d_in_span": False,
               "checked": 0}
-    for u in window_basis(algebra, twist, l, half):
-        target = _affine_coords(AffineElement(u), index, ncols)
-        if linalg.solve_in_span(basis, target) is None:
+    for x in targets:
+        if not span.contains(_affine_row(x, N, M)):
             report["c_in_span"] = False
-            report["missing"] = repr(u)
+            report["missing"] = repr(x.loop)
             break
         report["checked"] += 1
-    dvec = [_ZERO] * ncols
-    dvec[-1] = CycloScalar.from_rational(1)
-    report["d_in_span"] = linalg.solve_in_span(basis, dvec) is not None
+    report["d_in_span"] = span.contains(({top + 1: one}, 1))
     report["ok"] = report["c_in_span"] and not report["d_in_span"]
     return report

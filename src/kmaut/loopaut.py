@@ -37,8 +37,8 @@ from .autg import (
     omega_automorphism,
     triality_automorphism,
 )
-from .cyclo import (CycloMatrix, CycloScalar, _json_int, _json_rational,
-                    _rational_root, root_of_unity)
+from .cyclo import (CycloMatrix, CycloScalar, _json_int, _json_object,
+                    _json_rational, _rational_root, root_of_unity)
 from .errors import (
     InfiniteOrderScaling,
     InvalidLoopData,
@@ -282,6 +282,7 @@ class StandardLoopAutomorphism:
 
     @staticmethod
     def from_json(obj):
+        _json_object(obj, "a loop automorphism")
         twist = Automorphism.from_json(obj["twist"])
         phi0 = Automorphism.from_json(obj["phi0"])
         X = None

@@ -23,7 +23,7 @@ from kmaut.autg import (
     standard_involution,
     triality_automorphism,
 )
-from kmaut.cyclo import CycloMatrix, root_of_unity
+from kmaut.cyclo import CycloMatrix, CycloScalar, _context, root_of_unity
 from kmaut.selftest import random_inner_automorphism
 from kmaut.errors import (
     MembershipError,
@@ -102,12 +102,60 @@ def test_coords_roundtrip():
     rng = random.Random(0)
     for alg in [sl2(), make_algebra("b", 2, "complex"),
                 make_algebra("c", 3, "complex"), make_algebra("d", 4, "complex")]:
-        coef = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                for _ in range(alg.dim)]
-        M = alg.from_coords(coef)
+        den = rng.randint(1, 6)
+        vec = ({k: (rng.randint(-3, 3) or 1,) for k in range(alg.dim)
+                if rng.random() < 0.7}, den)
+        M = alg.from_coords(vec)
         assert alg.contains_matrix(M)
-        back = alg.coords(M)
-        assert all(x == y for x, y in zip(back, coef))
+        ents, d = alg.coords(M)
+        assert {k: Fraction(v[0], d) for k, v in ents.items()} \
+            == {k: Fraction(v[0], den) for k, v in vec[0].items()}
+
+
+def _coords_scalars(alg, M):
+    """coords(M) read back as one CycloScalar per basis element."""
+    ents, den = alg.coords(M)
+    zero = (0,) * _context(M.N).phi
+    return [CycloScalar(M.N, ents.get(k, zero), den) for k in range(alg.dim)]
+
+
+@pytest.mark.parametrize("N", [1, 4, 12])
+@pytest.mark.parametrize("family,n", [("a", 1), ("a", 3), ("b", 2),
+                                      ("c", 3), ("d", 4)])
+def test_packed_coords_roundtrip(family, n, N):
+    """from_coords and coords are inverse on packed rows over Q(zeta_N):
+    zero coordinates stay unstored, the a-family Cartan coordinates are
+    partial sums of the diagonal, and the zero vector gives the zero
+    matrix of conductor 1."""
+    rng = random.Random(N * 100 + n)
+    alg = make_algebra(family, n, "complex")
+    phi = _context(N).phi
+    for _ in range(4):
+        den = rng.randint(1, 5)
+        coef = {k: tuple(rng.randint(-2, 2) for _ in range(phi))
+                for k in range(alg.dim) if rng.random() < 0.5}
+        coef = {k: v for k, v in coef.items() if any(v)}
+        M = alg.from_coords((coef, den), N)
+        want = CycloMatrix.zeros(alg.size)
+        for k, v in coef.items():
+            want = want + alg.basis()[k] * CycloScalar(N, v, den)
+        assert M.to_json() == want.to_json() and M.N == want.N
+        assert alg.contains_matrix(M)
+        assert all(any(v) for v in alg.coords(M)[0].values())
+        got = _coords_scalars(alg, M)
+        assert got == [CycloScalar(N, coef.get(k, (0,) * phi), den)
+                       for k in range(alg.dim)]
+        if family == "a":
+            # the k-th Cartan coordinate is the sum of the first k + 1
+            # diagonal entries
+            base = alg.dim - alg.size + 1
+            for k in range(alg.size - 1):
+                total = sum((M.entry(t, t) for t in range(k + 1)),
+                            CycloScalar.from_rational(0, N))
+                assert got[base + k] == total
+    Z = alg.from_coords(({}, 3), N)
+    assert Z.is_zero() and Z.N == 1
+    assert alg.coords(CycloMatrix.zeros(alg.size, N)) == ({}, 1)
 
 
 @pytest.mark.parametrize("family,n", [("a", 1), ("a", 2), ("b", 2)])
@@ -138,8 +186,7 @@ def test_jacobi_sampled_triples_large(family, n):
 
 def _ad_matrix(alg, M):
     cols = [alg.coords(alg.bracket_matrix(M, b)) for b in alg.basis()]
-    return CycloMatrix.from_scalars(
-        [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))])
+    return CycloMatrix.from_packed(alg.dim, M.N, cols).transpose()
 
 
 @pytest.mark.parametrize("family,n", [("a", 1), ("a", 2), ("b", 2),
@@ -226,7 +273,7 @@ def test_sigma_eigenspace_sl2():
     e, f, h = efh(alg)
     # g0 = span h
     assert g0[0].matrix == h.matrix or g0[0].matrix == -h.matrix \
-        or alg.coords(g0[0].matrix)[1] == 0
+        or 1 not in alg.coords(g0[0].matrix)[0]
     # bracket compatibility [g1, g1] in g0
     br = alg.bracket_matrix(g1[0].matrix, g1[1].matrix)
     img = tau.apply_matrix(br)
@@ -261,8 +308,16 @@ def _averaged_eigenspace(alg, sigma, l, n):
         assert cur == b
         acc = acc * Fraction(1, l)
         if not acc.is_zero():
-            rows.append(alg.coords(acc))
-    return [alg.from_coords(r) for r in linalg.row_space_basis(rows)]
+            rows.append(_coords_scalars(alg, acc))
+    piv, _ = linalg.rref(rows)
+    out = []
+    for r in rows[:len(piv)]:
+        M = CycloMatrix.zeros(alg.size)
+        for c, b in zip(r, alg.basis()):
+            if c:
+                M = M + b * c
+        out.append(M)
+    return out
 
 
 def _finite_order_twists():

@@ -265,9 +265,9 @@ def test_d4_triality_descent(monkeypatch):
     seen = []
     descend = autg._descend_to_group
 
-    def recording(algebra, op):
-        G = descend(algebra, op)
-        seen.append((op, G))
+    def recording(aut):
+        G = descend(aut)
+        seen.append((aut.operator(), G))
         return G
 
     monkeypatch.setattr(autg, "_descend_to_group", recording)
@@ -281,5 +281,7 @@ def test_d4_triality_descent(monkeypatch):
         assert G * G.transpose() == CycloMatrix.identity(8)
         Gi = G.inverse()
         for b in so8.basis():
-            img = so8.from_coords(op.matvec(so8.coords(b)))
+            ents, den = op.matvec(so8.coords(b))
+            assert ents and all(any(v) for v in ents.values())
+            img = so8.from_coords((ents, den), op.N)
             assert G * b * Gi == img

@@ -40,7 +40,7 @@ def test_tables_invalid_k(capsys):
     rc, out = run_cli(["tables", "--family", "b", "--n", "2", "--k", "2"],
                       capsys)
     assert rc == 2
-    assert "error" in json.loads(out)
+    assert json.loads(out) == {"error": "k = 2 is not valid for b2"}
 
 
 def _write_aut(tmp_path, name="aut.json"):
@@ -125,6 +125,15 @@ def test_bad_inputs(tmp_path, capsys):
                 dict(second, algebra={"family": "a", "n": "2"})]:
         path.write_text(json.dumps(bad))
         _assert_typed_error(*run_cli(["realize", "--in", str(path)], capsys))
+    # automorphisms: every JSON object is checked to be one, and n is an int
+    aut = json.loads(_write_aut(tmp_path, "good.json").read_text())
+    for bad in [dict(aut, twist=dict(aut["twist"], algebra="a1")),
+                dict(aut, phi0=dict(aut["phi0"], algebra=["a", 1])),
+                dict(aut, twist=None), dict(aut, phi0=None), [aut],
+                dict(aut, phi0=dict(aut["phi0"],
+                                    algebra={"family": "a", "n": True}))]:
+        path.write_text(json.dumps(bad))
+        _assert_typed_error(*run_cli(["invariant", "--in", str(path)], capsys))
 
 
 def test_conjugate_accepts_conj_linear_involutions(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The exact elimination in linalg (`eliminate` on packed rows behind matrix
 inverse, determinant, rank, `rref`, solving, conductor restriction and
-`relations`, and the incremental `Span` on packed rational rows, which
+`relations`, and the incremental `Span` on packed rows over Q(zeta_N), which
 shares its pivot and row steps) against a plain rank computation, a
 permutation-expansion determinant and the object-level Gauss-Jordan loop
 written here."""
@@ -13,7 +13,7 @@ from math import lcm
 import pytest
 
 from kmaut import kernel, linalg
-from kmaut.cyclo import CycloMatrix, CycloScalar, root_of_unity
+from kmaut.cyclo import CycloMatrix, CycloScalar, _context, root_of_unity
 from kmaut.errors import ConductorOverflow
 from kmaut.linalg import Span
 
@@ -68,6 +68,13 @@ def qrow(v):
     """A vector of Fractions as a packed row over Q."""
     den = lcm(1, *(x.denominator for x in v))
     return ({j: (x.numerator * (den // x.denominator),)
+             for j, x in enumerate(v) if x}, den)
+
+
+def pack(v, N):
+    """A vector of CycloScalars as a packed row over Q(zeta_N)."""
+    den = lcm(1, *(x.den for x in v))
+    return ({j: tuple(c * (den // x.den) for c in x.promote(N).nums)
              for j, x in enumerate(v) if x}, den)
 
 
@@ -144,6 +151,45 @@ def test_span_property():
     prop()
 
 
+@pytest.mark.parametrize("N", [1, 4, 12])
+def test_span_over_cyclotomic_fields(N):
+    """Span(N=...) membership and independence agree with the rank that
+    `eliminate` finds over Q(zeta_N)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ctx = _context(N)
+    entry = st.tuples(*[st.integers(-2, 2)] * ctx.phi)
+
+    def rank(vecs, ncols):
+        return len(linalg.eliminate([(dict(e), d) for e, d in vecs],
+                                    ncols, N)[0])
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(st.lists(entry, min_size=n, max_size=n),
+                           st.integers(1, 3)), max_size=6),
+        st.just(n))))
+    def prop(case):
+        raw, ncols = case
+        vecs = [({j: v for j, v in enumerate(row) if any(v)}, den)
+                for row, den in raw]
+        # zeta_N times a vector keeps the rank: dependence over the field,
+        # not over Q
+        z = ctx.power(1)
+        vecs += [({j: kernel.conv_reduce(v, z, ctx.red, ctx.phi)
+                   for j, v in e.items()}, d) for e, d in vecs[:2]]
+        span = Span(N=N)
+        for i, v in enumerate(vecs):
+            assert span.add(v) == (rank(vecs[:i + 1], ncols) > rank(vecs[:i], ncols))
+        r = rank(vecs, ncols)
+        for j in range(ncols):
+            probe = ({j: (1,) + (0,) * (ctx.phi - 1)}, 1)
+            assert span.contains(probe) == (rank(vecs + [probe], ncols) == r)
+        assert all(span.contains(v) for v in vecs)
+
+    prop()
+
+
 def leibniz_det(rows):
     """Determinant as the signed sum over permutations."""
     n = len(rows)
@@ -204,7 +250,7 @@ def test_dense_elimination_against_references(seed, N):
     kern = linalg.nullspace(rows, n, zero, one)
     assert len(kern) == n - r and rank(kern) == len(kern)
     for x in kern:
-        assert all(v == 0 for v in A.matvec(x))
+        assert not A.matvec(pack(x, A.N), A.N)[0]
     # a combination of the rows is solved exactly; a vector off their span
     # (rank goes up) has no solution
     coef = [Fraction(rng.randint(-2, 2)) for _ in rows]
@@ -445,7 +491,6 @@ def check_rows_against_reference(rows, ncols, rng):
     piv, det = linalg.rref(got)
     rpiv, rdet = reference_rref(want)
     assert (piv, js(det), js(got)) == (rpiv, js(rdet), js(want))
-    assert js(linalg.row_space_basis(rows)) == js(want[:len(rpiv)])
     assert (js(linalg.nullspace(rows, ncols, zero, one))
             == js(reference_nullspace(rows, ncols, zero, one)))
     if rows:

@@ -6,7 +6,7 @@ import pytest
 from kmaut.algebra import make_algebra
 from kmaut.autg import identity_automorphism, mu_automorphism, standard_involution
 from kmaut.cyclo import CycloMatrix, root_of_unity
-from kmaut.errors import TwistMismatch, WindowTooSmall
+from kmaut.errors import MalformedData, TwistMismatch, WindowTooSmall
 from kmaut.loop import (
     AffineElement,
     LoopElement,
@@ -226,3 +226,12 @@ def test_re_conductor_and_json():
     x = AffineElement(u, Fraction(1, 2), Fraction(-2))
     back = AffineElement.from_json(x.to_json())
     assert back == x
+
+
+@pytest.mark.parametrize("l", [True, "2", 1.5, None])
+def test_loop_json_rejects_a_non_integer_conductor(l):
+    alg, iden, e, f, h = sl2_setup()
+    obj = LoopElement(alg, iden, 1, {1: e}).to_json()
+    obj["l"] = l
+    with pytest.raises(MalformedData):
+        LoopElement.from_json(obj)
