@@ -20,7 +20,7 @@ from .loopaut import (
     conjugacy_test,
     invariant,
 )
-from .pi0 import ComponentClass, pi0_row
+from .pi0 import ComponentClass, pair_k, pi0_row
 from .realforms import real_form_basis
 from .tables import (
     algebra_from_args,
@@ -32,14 +32,9 @@ from .tables import (
 
 
 def _emit(args, payload, text_fn=None, latex_fn=None):
-    mode = getattr(args, "emit", "json") or "json"
-    if mode == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif mode == "latex" and latex_fn is not None:
-        print(latex_fn())
-    else:
-        print(text_fn() if text_fn is not None else
-              json.dumps(payload, indent=2, sort_keys=True))
+    """JSON, or the text or latex form where the verb has an --emit option."""
+    fn = {"text": text_fn, "latex": latex_fn}.get(getattr(args, "emit", None))
+    print(fn() if fn else json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _row_latex(rows):
@@ -95,22 +90,29 @@ def _invariant_from_json(obj):
     if n is not None:
         n = _json_int(obj["algebra"], "n")
     algebra = algebra_from_args(obj["algebra"]["family"], n)
-    if obj["kind"] == 1:
+    if _json_int(obj, "kind", allowed=(1, 2)) == 1:
         rho = parse_label(algebra, obj["rho"]) if obj.get("rho") else InvLabel(0)
+        if "beta" not in obj:
+            raise MalformedData("a first-kind invariant names its class beta")
         beta = obj["beta"]
-        p = _json_int(obj, "p", 0)
+        q, p = _json_int(obj, "q", 2), _json_int(obj, "p", 0)
+        if not 0 <= p < q:
+            raise MalformedData("p must satisfy 0 <= p < q = %d, not %d" % (q, p))
         row = pi0_row(algebra, rho if p == 0 else InvLabel(0))
-        rep = beta["rep"] if isinstance(beta, dict) else beta
+        rep = beta.get("rep") if isinstance(beta, dict) else beta
         entry = next((e for e in row.entries if e.rep == rep), None)
         if entry is None:
             raise InvalidLabel("no component class %r in this row" % (rep,))
         cc = ComponentClass(row.rho_label, entry.rep, entry.k)
-        return FirstKindInvariant(algebra, _json_int(obj, "q", 2), p, rho, cc)
-    if not (isinstance(obj["pair"], list) and len(obj["pair"]) == 2):
+        return FirstKindInvariant(algebra, q, p, rho, cc)
+    if not (isinstance(obj.get("pair"), list) and len(obj["pair"]) == 2):
         raise MalformedData("a second-kind pair holds two labels")
     pair = tuple(parse_label(algebra, x) for x in obj["pair"])
-    return SecondKindInvariant(algebra, _json_int(obj, "order", 2), pair,
-                               _json_int(obj, "k"))
+    k, outer = _json_int(obj, "k"), pair_k(algebra, *pair)
+    if k != outer:
+        raise MalformedData("k = %d is not the outer order %d of the pair"
+                            % (k, outer))
+    return SecondKindInvariant(algebra, _json_int(obj, "order", 2), pair, k)
 
 
 def cmd_realize(args):
@@ -187,18 +189,15 @@ def build_parser():
 
     i = sub.add_parser("invariant", help="invariant of a serialized automorphism")
     i.add_argument("--in", dest="infile", required=True)
-    i.add_argument("--emit", choices=["json", "text"], default="json")
     i.set_defaults(fn=cmd_invariant)
 
     c = sub.add_parser("conjugate", help="decide conjugacy of two automorphisms")
     c.add_argument("--a", required=True)
     c.add_argument("--b", required=True)
-    c.add_argument("--emit", choices=["json", "text"], default="json")
     c.set_defaults(fn=cmd_conjugate)
 
     r = sub.add_parser("realize", help="realize an invariant as an automorphism")
     r.add_argument("--in", dest="infile", required=True)
-    r.add_argument("--emit", choices=["json", "text"], default="json")
     r.set_defaults(fn=cmd_realize)
 
     f = sub.add_parser("realform", help="window basis of a real form")

@@ -246,7 +246,7 @@ class CycloScalar:
             raise ConductorOverflow("conductor %d does not divide %d" % (M, self.N))
         # nums has at most one relation with the independent embedded powers,
         # sum_j c_j zeta_M^j + nums = 0, and then x = -sum_j c_j zeta_M^j / den
-        vecs = [({i: (c,) for i, c in enumerate(v) if c}, 1)
+        vecs = [linalg.flatten(({0: v}, 1), self.N)
                 for v in (*_embedding(M, self.N), self.nums)]
         rels = linalg.relations(vecs, 1)
         if not rels:

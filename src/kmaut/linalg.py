@@ -2,7 +2,8 @@
 a dict from column to the integer coefficient tuple of a nonzero entry, over
 one denominator.  `eliminate` is the one Gauss-Jordan elimination; its pivot
 and row steps also keep `Span`, an incremental row space over Q(zeta_N).
-`relations` finds the relations among packed vectors.  `rref`, `solve`,
+`relations` finds the relations among packed vectors, and `flatten` writes a
+packed row over Q(zeta_N) as one over Q.  `rref`, `solve`,
 `solve_in_span` and `nullspace` take rows of Fraction or CycloScalar; no
 package code calls them, they serve the benchmark's tracer and the tests."""
 
@@ -125,6 +126,14 @@ def _kernel(rows, piv, ncols, N):
             vec[c] = tuple(-s * v for v in ents[f])
         out.append((vec, den))
     return out
+
+
+def flatten(vec, N):
+    """The packed row over Q of a packed row over Q(zeta_N): coordinate t
+    of column j goes to column j * phi(N) + t."""
+    phi = cyclo._context(N).phi
+    return {j * phi + t: (c,) for j, v in vec[0].items()
+            for t, c in enumerate(v) if c}, vec[1]
 
 
 def relations(vectors, N):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import AlgebraElement, sigma_eigenspace
-from .cyclo import CycloMatrix, CycloScalar, _context, _json_int, root_of_unity
+from .cyclo import CycloMatrix, CycloScalar, _json_int, root_of_unity
 from .errors import TwistMismatch, WindowTooSmall
 from .linalg import Span
 
@@ -295,19 +295,27 @@ def window_basis(algebra, twist, l, N):
     return out
 
 
-def _affine_row(x, N, M):
-    """The packed row over Q(zeta_M) of an affine element on the window
-    [-N, N]: the coords of its degree-n coefficient from column
-    (n + N) * dim on, then c and d."""
-    alg = x.loop.algebra
-    top = (2 * N + 1) * alg.dim
-    parts = [((n + N) * alg.dim, alg.coords(A.promote(M)))
-             for n, A in x.loop.coeffs.items()]
-    parts += [(col, ({0: s.promote(M).nums}, s.den))
-              for col, s in ((top, x.c), (top + 1, x.d)) if s]
+def join_rows(parts):
+    """One packed row from (column offset, packed row) parts over one field:
+    the entries of each part shifted by its offset, over the lcm of the
+    parts' denominators."""
     den = lcm(1, *(d for _, (_, d) in parts))
     return {base + j: tuple(c * (den // d) for c in v)
             for base, (ents, d) in parts for j, v in ents.items()}, den
+
+
+def _affine_row(x, N, M):
+    """The packed row over Q(zeta_M) of an affine element on the window
+    [-N, N]: the coords of its degree-n coefficient from column
+    (n + N) * dim on, then c and d.  Degrees outside the window are
+    ignored."""
+    alg = x.loop.algebra
+    top = (2 * N + 1) * alg.dim
+    parts = [((n + N) * alg.dim, alg.coords(A.promote(M)))
+             for n, A in x.loop.coeffs.items() if abs(n) <= N]
+    parts += [(col, ({0: s.promote(M).nums}, s.den))
+              for col, s in ((top, x.c), (top + 1, x.d)) if s]
+    return join_rows(parts)
 
 
 def derived_algebra_witness(algebra, twist, l, N):
@@ -330,8 +338,7 @@ def derived_algebra_witness(algebra, twist, l, N):
     M = lcm(1, *(s.N for x in brackets + targets
                  for s in [x.c, x.d, *x.loop.coeffs.values()]))
     span = Span((_affine_row(x, N, M) for x in brackets), M)
-    top, one = (2 * N + 1) * algebra.dim, (1,) + (0,) * (_context(M).phi - 1)
-    span.add(({top: one}, 1))
+    span.add(_affine_row(central_element(algebra, twist, l), N, M))
     report = {"window": N, "c_in_span": True, "d_in_span": False,
               "checked": 0}
     for x in targets:
@@ -340,6 +347,7 @@ def derived_algebra_witness(algebra, twist, l, N):
             report["missing"] = repr(x.loop)
             break
         report["checked"] += 1
-    report["d_in_span"] = span.contains(({top + 1: one}, 1))
+    report["d_in_span"] = span.contains(
+        _affine_row(derivation_element(algebra, twist, l), N, M))
     report["ok"] = report["c_in_span"] and not report["d_in_span"]
     return report

@@ -6,7 +6,9 @@ part carries the compact conjugation; its invariant (`loopaut.invariant`)
 reduces to the complex-linear machinery through the composition with that
 conjugation.
 Real form coefficient spaces are computed as exact rational kernels of the
-defining reality constraints, one Fourier slot at a time.
+defining reality constraints, one Fourier slot at a time, on rows of algebra
+coordinates over Q(zeta_M) (`loop._affine_row` for affine elements,
+`algebra.coords` for constraint matrices) flattened over Q.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from .errors import (
     StaticOnlyAlgebra,
     UnsupportedOrder,
 )
-from .linalg import Span, relations
+from .linalg import Span, flatten, relations
 from .loop import (
     AffineElement,
     LoopElement,
+    _affine_row,
     affine_bracket,
+    join_rows,
 )
 from .loopaut import (
     ConjLinearInvariant,
@@ -138,23 +142,12 @@ def check_extension_bijection(algebra, k):
 # real form bases (exact rational kernels of the reality constraints)
 # ---------------------------------------------------------------------------
 
-def _qvec(parts, M):
-    """One packed row over Q from (column offset, matrix) parts over
-    Q(zeta_M): coordinate t of entry (i, j) of an n x n matrix goes to column
-    offset + (i * n + j) * phi(M) + t."""
-    phi = _context(M).phi
-    mats = [(off, x.promote(M)) for off, x in parts]
-    den = lcm(1, *(x.den for _, x in mats))
-    out = {}
-    for off, x in mats:
-        s = den // x.den
-        for i, (row, _) in enumerate(x.packed_rows()):
-            for j, v in row.items():
-                col = off + (i * x.n + j) * phi
-                for t, c in enumerate(v):
-                    if c:
-                        out[col + t] = (s * c,)
-    return out, den
+def _constraint_row(algebra, mats, M):
+    """The packed rational row of constraint matrices in the algebra over
+    Q(zeta_M): the coords of the k-th from column k * dim on, flattened over
+    Q."""
+    return flatten(join_rows([(k * algebra.dim, algebra.coords(x.promote(M)))
+                              for k, x in enumerate(mats)]), M)
 
 
 def _combinations(units, rels, n, M):
@@ -166,15 +159,8 @@ def _combinations(units, rels, n, M):
 
 def _algebra_units(algebra, M):
     """Q-spanning set of the algebra's coefficient space over Q(zeta_M)."""
-    phi = _context(M).phi
-    out = []
-    for b in algebra.basis():
-        for t in range(phi):
-            nums = [0] * phi
-            nums[t] = 1
-            z = CycloScalar(M, tuple(nums), 1)
-            out.append(b * z)
-    return out
+    return [b * root_of_unity(M, t) for b in algebra.basis()
+            for t in range(_context(M).phi)]
 
 
 def real_form_basis(algebra, pair, N=None):
@@ -198,14 +184,13 @@ def real_form_basis(algebra, pair, N=None):
         N = 2 * l + 4
     M = lcm(4, 2 * l)
     units = _algebra_units(algebra, M)
-    # the second constraint's coordinates follow the first's
-    second = algebra.size ** 2 * _context(M).phi
     out = []
     for n in range(-N, N + 1):
         zeta = root_of_unity(2 * l, n % (2 * l))
         zinv = root_of_unity(2 * l, (-n) % (2 * l))
-        rows = [_qvec([(0, tplus.apply_matrix(u) - u),
-                       (second, tminus.apply_matrix(u * zeta) * zinv - u)], M)
+        rows = [_constraint_row(algebra, [
+                    tplus.apply_matrix(u) - u,
+                    tminus.apply_matrix(u * zeta) * zinv - u], M)
                 for u in units]
         out.extend(LoopElement(algebra, sigma, l, {n: acc}) for acc in
                    _combinations(units, relations(rows, 1), algebra.size, M))
@@ -261,15 +246,9 @@ def _brackets_in(xs, ys, span, M, N):
 
 
 def _affine_qvec(elt, M, N):
-    """The packed rational row of an affine element over Q(zeta_M): its
-    coefficients at degrees -N .. N, then c and d.  Coefficients outside the
-    window are ignored."""
-    block = elt.loop.algebra.size ** 2 * _context(M).phi
-    parts = [((n + N) * block, x) for n, x in elt.loop.coeffs.items()
-             if abs(n) <= N]
-    top = (2 * N + 1) * block
-    c, d = (CycloMatrix.from_scalars([[s]]) for s in (elt.c, elt.d))
-    return _qvec(parts + [(top, c), (top + block, d)], M)
+    """The packed rational row of an affine element over Q(zeta_M) on the
+    window [-N, N]: its `loop._affine_row`, flattened over Q."""
+    return flatten(_affine_row(elt, N, M), M)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +271,7 @@ def compact_window_basis(algebra, twist, l, N):
     M0 = lcm(4, 2 * l)
     units = [b.matrix * z for b in sigma_eigenspace(algebra, twist, l, 0)
              for z in (CycloScalar.from_rational(1), i)]
-    rows = [_qvec([(0, om(u) - u)], M0) for u in units]
+    rows = [_constraint_row(algebra, [om(u) - u], M0) for u in units]
     for acc in _combinations(units, relations(rows, 1), algebra.size, M0):
         if not acc.is_zero():
             out.append(LoopElement(algebra, twist, l, {0: acc}, validate=False))

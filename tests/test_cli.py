@@ -100,7 +100,8 @@ def test_realform_verb(tmp_path, capsys):
 def _assert_typed_error(rc, out):
     assert rc == 2
     # a typed error, not a raw exception that the CLI prefixes with its type
-    assert not json.loads(out)["error"].startswith(("ValueError", "TypeError"))
+    assert not json.loads(out)["error"].startswith(
+        ("ValueError", "TypeError", "KeyError"))
 
 
 def test_bad_inputs(tmp_path, capsys):
@@ -122,7 +123,17 @@ def test_bad_inputs(tmp_path, capsys):
                 dict(second, algebra=["a", 1]), [first], dict(first, q=2.5),
                 dict(second, pair=[1, 2]), dict(second, k=True),
                 dict(second, algebra={"family": "a", "n": 1.5}),
-                dict(second, algebra={"family": "a", "n": "2"})]:
+                dict(second, algebra={"family": "a", "n": "2"}),
+                # only what was asked for is realized: kind is 1 or 2,
+                # 0 <= p < q, k is the outer order of the pair, and kind,
+                # beta and pair must be present
+                dict(second, kind=3), dict(second, kind="1"),
+                dict(first, kind=True),
+                dict(first, algebra={"family": "a", "n": 1}, p=7, q=2),
+                dict(first, p=-1), dict(second, pair=["rho1", "id"], k=3),
+                {key: v for key, v in second.items() if key != "kind"},
+                {key: v for key, v in first.items() if key != "beta"},
+                {key: v for key, v in second.items() if key != "pair"}]:
         path.write_text(json.dumps(bad))
         _assert_typed_error(*run_cli(["realize", "--in", str(path)], capsys))
     # automorphisms: every JSON object is checked to be one, and n is an int

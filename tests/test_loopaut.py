@@ -343,10 +343,13 @@ def test_order_loop_runs_once(monkeypatch):
     """The order of a map is found once: repeated order() calls and the
     invariants inside conjugacy_test reuse it, as does a rotated copy."""
     calls = {}
+    # every counted map stays alive, so no later object can reuse its id
+    counted = []
     compose = StandardLoopAutomorphism.compose
 
     def counting(self, other):
         calls[id(self)] = calls.get(id(self), 0) + 1
+        counted.append(self)
         return compose(self, other)
 
     monkeypatch.setattr(StandardLoopAutomorphism, "compose", counting)

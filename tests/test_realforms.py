@@ -282,9 +282,9 @@ def test_cartan_uniqueness_surrogate():
 
 def test_affine_qvec_coordinates():
     """Coefficients, c and d over different denominators land in one packed
-    rational row, coordinate t of entry (i, j) at degree n at column
-    ((n + N) * size^2 + i * size + j) * phi + t, then c and d, one block
-    each; degrees outside the window are ignored."""
+    rational row: coordinate t of algebra coordinate k of the degree-n
+    coefficient at column ((n + N) * dim + k) * phi + t, then c and d, one
+    coordinate each; degrees outside the window are ignored."""
     from kmaut.cyclo import CycloMatrix, root_of_unity
     from kmaut.loop import AffineElement, LoopElement
     from kmaut.realforms import _affine_qvec
@@ -297,10 +297,93 @@ def test_affine_qvec_coordinates():
                        validate=False)
     ents, den = _affine_qvec(AffineElement(loop, Fraction(1, 5),
                                            i * Fraction(3, 7)), 4, 1)
-    # phi(4) = 2, so each degree, and c and d, take a block of 8 columns
+    # dim = 3 and phi(4) = 2: A has coordinates 2/3 at E_10 and i/2 at H,
+    # degree 0 starts at coordinate 3, and c and d are coordinates 9 and 10
     assert {j: Fraction(v, den) for j, (v,) in ents.items()} == {
-        9: Fraction(1, 2), 12: Fraction(2, 3), 15: Fraction(-1, 2),
-        24: Fraction(1, 5), 33: Fraction(3, 7)}
+        8: Fraction(2, 3), 11: Fraction(1, 2), 18: Fraction(1, 5),
+        21: Fraction(3, 7)}
+
+
+def _entry_row(elt, M, N):
+    """The matrix-entry layout that `_affine_qvec` replaced, kept as a
+    reference: coordinate t of entry (i, j) of the degree-n coefficient at
+    column ((n + N) * size^2 + i * size + j) * phi + t, then c and d, one
+    block of size^2 * phi columns each; degrees outside the window are
+    ignored."""
+    from math import lcm
+    from kmaut.cyclo import CycloMatrix, _context
+
+    size = elt.loop.algebra.size
+    phi = _context(M).phi
+    block = size * size * phi
+    top = (2 * N + 1) * block
+    mats = [((n + N) * block, A) for n, A in elt.loop.coeffs.items()
+            if abs(n) <= N]
+    mats += [(top + k * block, CycloMatrix.from_scalars([[s]]))
+             for k, s in enumerate((elt.c, elt.d))]
+    mats = [(off, x.promote(M)) for off, x in mats]
+    den = lcm(1, *(x.den for _, x in mats))
+    out = {}
+    for off, x in mats:
+        for i, row in enumerate(x.rows):
+            for j, v in row.items():
+                for t, c in enumerate(v):
+                    if c:
+                        out[off + (i * x.n + j) * phi + t] = (den // x.den * c,)
+    return out, den
+
+
+def _cartan_bases(alg, entry):
+    phi = realize_entry(alg, entry)
+    rep = cartan_decomposition(phi, N=1)
+    return [rep["K"], rep["P"]], phi.l
+
+
+def _real_form_bases(alg, pair):
+    rb = real_form_basis(alg, pair, N=1)
+    return [rb.basis], rb.l
+
+
+@pytest.mark.parametrize("bases,alg,arg", [
+    (_cartan_bases, make_algebra("a", 2, "compact"),
+     ("1a", InvLabel(1), "id")),
+    (_cartan_bases, make_algebra("c", 3, "compact"),
+     ("2", InvLabel(1), InvLabel(2))),
+    (_real_form_bases, make_algebra("b", 2, "compact"),
+     (InvLabel(0), InvLabel(2))),
+    (_real_form_bases, make_algebra("c", 3, "compact"),
+     (InvLabel(1), InvLabel(2))),
+], ids=["cartan-a2", "cartan-c3", "realform-b2", "realform-c3"])
+def test_affine_qvec_matches_matrix_entries(bases, alg, arg):
+    """Algebra coordinates and matrix entries are two injective layouts of
+    one window: on the K and P bases of a Cartan decomposition, and on a
+    real form basis, both at window 1, they give every basis the same rank
+    and put every in-window bracket in the same spans."""
+    from itertools import combinations
+    from math import lcm
+    from kmaut.linalg import Span
+    from kmaut.loop import affine_bracket
+    from kmaut.realforms import _affine_qvec
+
+    N = 1
+    groups, l = bases(alg, arg)
+    M = lcm(4, 2 * l)
+    brackets = [z for x, y in combinations([x for g in groups for x in g], 2)
+                for z in [affine_bracket(x, y)]
+                if all(abs(n) <= N for n in z.loop.support())]
+    verdicts = []
+    for row in (_affine_qvec, _entry_row):
+        spans = [Span() for _ in groups]
+        ranks = [sum(s.add(row(x, M, N)) for x in g)
+                 for s, g in zip(spans, groups)]
+        members = [tuple(s.contains(row(z, M, N)) for s in spans)
+                   for z in brackets]
+        verdicts.append((ranks, members))
+    assert verdicts[0] == verdicts[1]
+    ranks, members = verdicts[0]
+    assert ranks == [len(g) for g in groups]
+    # K and P meet only in 0, so some bracket lies in one and not the other
+    assert len(groups) == 1 or {(True, False), (False, True)} <= set(members)
 
 
 def test_sl2_catalogue():
