@@ -498,7 +498,7 @@ def _eigenspace_bases(algebra, sigma, l):
     for val, P in finite_order_eigenprojectors(sigma.operator(), l):
         # the columns of P are the projections of the basis, in coordinates
         rows = P.transpose().packed_rows()
-        piv, _ = linalg.eliminate(rows, P.n, P.N)
+        piv, _ = linalg.rref(rows, P.n, P.N)
         out[root_index(val, l)] = tuple(algebra.from_coords(r, P.N)
                                         for r in rows[:len(piv)])
     sigma.eigenbases[l] = out

@@ -475,7 +475,7 @@ def _triality_operator():
     naug = 56
     system = [({j: (x,) for j, x in enumerate(row + [rhs[i] for rhs in rhss])
                 if x}, 1) for i, row in enumerate(rows)]
-    pivots, _ = linalg.eliminate(system, naug + 28, 1)
+    pivots, _ = linalg.rref(system, naug + 28, 1)
     assert pivots[-1] < naug, "octonion system has no solution"
     # free unknowns are 0; row pc of sol holds unknown pc for each of the 28 a
     sol = [({}, 1)] * naug

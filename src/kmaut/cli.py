@@ -17,6 +17,7 @@ from .loopaut import (
     FirstKindInvariant,
     SecondKindInvariant,
     StandardLoopAutomorphism,
+    canonical_pair,
     conjugacy_test,
     invariant,
 )
@@ -116,8 +117,19 @@ def _invariant_from_json(obj):
 
 
 def cmd_realize(args):
+    """Realize an invariant, and emit the realization only if its invariant
+    reads back as the one asked for (a second-kind pair in canonical
+    form)."""
     inv = _invariant_from_json(_load(args.infile))
     phi = realize(inv)
+    want = inv
+    if isinstance(inv, SecondKindInvariant):
+        want = SecondKindInvariant(inv.algebra, inv.order,
+                                   canonical_pair(inv.algebra, *inv.pair), inv.k)
+    got = invariant(phi)
+    if got != want:
+        raise MalformedData("%r is not realized: its realization reads back "
+                            "as %r" % (want, got))
     _emit(args, phi.to_json())
     return 0
 

@@ -244,16 +244,16 @@ class CycloScalar:
             return self
         if self.N % M != 0:
             raise ConductorOverflow("conductor %d does not divide %d" % (M, self.N))
-        # nums has at most one relation with the independent embedded powers,
-        # sum_j c_j zeta_M^j + nums = 0, and then x = -sum_j c_j zeta_M^j / den
-        vecs = [linalg.flatten(({0: v}, 1), self.N)
-                for v in (*_embedding(M, self.N), self.nums)]
-        rels = linalg.relations(vecs, 1)
-        if not rels:
+        # nums = sum_j c_j zeta_M^j over den, in the embedded powers of zeta_M
+        powers = _embedding(M, self.N)
+        sol = linalg.solve_in_span(
+            [linalg.flatten(({0: v}, 1), self.N) for v in powers],
+            linalg.flatten(({0: self.nums}, 1), self.N), 1)
+        if sol is None:
             raise ConductorOverflow("value does not lie in Q(zeta_%d)" % M)
-        ents, den = rels[0]
-        return CycloScalar(M, tuple(-ents.get(j, (0,))[0]
-                                    for j in range(len(vecs) - 1)), den * self.den)
+        ents, den = sol
+        return CycloScalar(M, tuple(ents.get(j, (0,))[0]
+                                    for j in range(len(powers))), den * self.den)
 
     def min_conductor(self):
         """Smallest divisor conductor that contains this value."""
@@ -786,8 +786,8 @@ class CycloMatrix:
         return CycloScalar(a.N, tuple(acc), a.den * b.den)
 
     def packed_rows(self):
-        """The rows as `linalg.eliminate` takes them, which it mutates: a
-        copy of each row dict, over the matrix denominator."""
+        """The rows as `linalg.rref` takes them, which it mutates: a copy of
+        each row dict, over the matrix denominator."""
         return [(dict(row), self.den) for row in self.rows]
 
     @staticmethod
@@ -804,10 +804,10 @@ class CycloMatrix:
 
     def rank(self):
         """The number of pivots of the packed elimination."""
-        return len(linalg.eliminate(self.packed_rows(), self.n, self.N)[0])
+        return len(linalg.rref(self.packed_rows(), self.n, self.N)[0])
 
     def det(self):
-        piv, det = linalg.eliminate(self.packed_rows(), self.n, self.N)
+        piv, det = linalg.rref(self.packed_rows(), self.n, self.N)
         if len(piv) < self.n:
             return CycloScalar.from_rational(0, self.N)
         return det
@@ -819,7 +819,7 @@ class CycloMatrix:
         rows = self.packed_rows()
         for i, (ents, _) in enumerate(rows):
             ents[n + i] = one
-        piv, _ = linalg.eliminate(rows, 2 * n, self.N)
+        piv, _ = linalg.rref(rows, 2 * n, self.N)
         if piv != list(range(n)):
             raise ZeroDivisionError("singular matrix")
         return CycloMatrix.from_packed(n, self.N, rows, offset=n)

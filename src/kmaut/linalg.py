@@ -1,19 +1,18 @@
 """Exact linear algebra over Q and Q(zeta_N) on packed integer rows: per row,
 a dict from column to the integer coefficient tuple of a nonzero entry, over
-one denominator.  `eliminate` is the one Gauss-Jordan elimination; its pivot
-and row steps also keep `Span`, an incremental row space over Q(zeta_N).
-`relations` finds the relations among packed vectors, and `flatten` writes a
-packed row over Q(zeta_N) as one over Q.  `rref`, `solve`,
-`solve_in_span` and `nullspace` take rows of Fraction or CycloScalar; no
-package code calls them, they serve the benchmark's tracer and the tests."""
+one denominator.  `rref` is the one Gauss-Jordan elimination; its pivot and
+row steps also keep `Span`, an incremental row space over Q(zeta_N).
+`nullspace` reads the right kernel off the reduced rows, `relations` finds
+the relations among packed vectors through it, `solve_in_span` the
+coefficients of a vector in the span of others, and `flatten` writes a
+packed row over Q(zeta_N) as one over Q."""
 
-from fractions import Fraction
 from math import lcm
 
 from . import cyclo, kernel
 
 
-def eliminate(rows, ncols, N):
+def rref(rows, ncols, N):
     """Row-reduce packed rows over Q(zeta_N) in place to reduced row echelon
     form.
 
@@ -108,10 +107,12 @@ def _strip(row, den):
     return {j: tuple(v // g for v in x) for j, x in row.items()}, den // g
 
 
-def _kernel(rows, piv, ncols, N):
-    """Basis of the right kernel of rows that `eliminate` reduced with
-    pivots piv: per free column f in increasing order, the packed vector
-    with 1 at f and minus the rows' entries of column f at the pivots."""
+def nullspace(rows, ncols, N):
+    """Basis of the right kernel of packed rows over Q(zeta_N), which `rref`
+    reduces in place: per free column f in increasing order, the packed
+    vector with 1 at f, 0 at the other free columns and minus the reduced
+    rows' entries of column f at the pivots."""
+    piv, _ = rref(rows, ncols, N)
     pad = (0,) * (cyclo._context(N).phi - 1)
     pivset = set(piv)
     out = []
@@ -139,8 +140,8 @@ def flatten(vec, N):
 def relations(vectors, N):
     """Basis of the linear relations among packed vectors over Q(zeta_N):
     the coefficient vectors c with sum_k c_k v_k = 0, as packed vectors
-    over Q(zeta_N), one per free column of the transposed system in
-    increasing order, with a 1 there.  The vectors are left unchanged."""
+    over Q(zeta_N), the `nullspace` of the transposed system.  The vectors
+    are left unchanged."""
     den = lcm(1, *(d for _, d in vectors))
     cols = {}
     for k, (ents, d) in enumerate(vectors):
@@ -148,122 +149,28 @@ def relations(vectors, N):
         for j, x in ents.items():
             cols.setdefault(j, {})[k] = tuple(s * v for v in x)
     # a homogeneous system: every row may share the denominator 1
-    rows = [(row, 1) for row in cols.values()]
-    piv, _ = eliminate(rows, len(vectors), N)
-    return _kernel(rows, piv, len(vectors), N)
+    return nullspace([(row, 1) for row in cols.values()], len(vectors), N)
 
 
-class _Packed:
-    """Packed rows for `eliminate` over Q(zeta_N); entries read back as
-    CycloScalars of conductor N, or as Fractions if not `cyclo_entries`."""
+def solve_in_span(vectors, target, N):
+    """The packed coefficients c over Q(zeta_N) with sum_k c_k v_k = target,
+    0 at every vector that depends on the ones before it, or None if target
+    is not in the span of the vectors.
 
-    __slots__ = ("rows", "N", "ncols", "_cyclo", "_zero")
-
-    def __init__(self, rows, ncols, N, cyclo_entries=True):
-        self.rows, self.ncols, self.N, self._cyclo = rows, ncols, N, cyclo_entries
-        self._zero = (0,) * cyclo._context(N).phi
-
-    @classmethod
-    def pack(cls, rows):
-        """Rows of Fraction, int or CycloScalar entries, packed over the lcm
-        of their conductors; Fractions if no entry was a CycloScalar."""
-        conductors = [x.N for row in rows for x in row
-                      if isinstance(x, cyclo.CycloScalar)]
-        N = lcm(1, *conductors)
-        pad = (0,) * (cyclo._context(N).phi - 1)
-        packed = []
-        for row in rows:
-            ents, den = {}, 1
-            for j, x in enumerate(row):
-                if x:
-                    if isinstance(x, cyclo.CycloScalar):
-                        x = x.promote(N)
-                        ents[j] = x.nums, x.den
-                    else:
-                        ents[j] = (x.numerator,) + pad, x.denominator
-                    den = lcm(den, ents[j][1])
-            packed.append(({j: v if d == den else tuple(c * (den // d) for c in v)
-                            for j, (v, d) in ents.items()}, den))
-        return cls(packed, len(rows[0]) if rows else 0, N, bool(conductors))
-
-    def eliminate(self):
-        piv, det = eliminate(self.rows, self.ncols, self.N)
-        if piv and not self._cyclo:
-            det = det.as_fraction()
-        return piv, det
-
-    def scalar(self, v, den):
-        """The entry with coefficients v (None for zero) over den."""
-        v = v or self._zero
-        if self._cyclo:
-            return cyclo.CycloScalar(self.N, v, den)
-        return Fraction(v[0], den)
-
-    def entry(self, i, j):
-        ents, den = self.rows[i]
-        return self.scalar(ents.get(j), den)
-
-    def row(self, i):
-        return [self.entry(i, j) for j in range(self.ncols)]
-
-
-def rref(rows):
-    """Row-reduce a list of rows of exact scalars in place to reduced row
-    echelon form, through `eliminate`.
-
-    Returns the pivot columns and the product of the pivots times the sign
-    of the row swaps, which for a square nonsingular input is its
-    determinant.  Entries come back as Fractions if no input entry was a
-    CycloScalar, else as CycloScalars at the lcm of the input conductors.
-    """
-    packed = _Packed.pack(rows)
-    piv, det = packed.eliminate()
-    rows[:] = [packed.row(i) for i in range(len(rows))]
-    return piv, det
-
-
-def solve(A, b):
-    """A solution x of A x = b (A a list of rows), or None if there is none.
-
-    Free coordinates of x are the integer 0."""
-    n = len(A[0]) if A else 0
-    packed = _Packed.pack([list(row) + [t] for row, t in zip(A, b)])
-    piv, _ = packed.eliminate()
-    if n in piv:
+    The column of target is free exactly when target lies in the span, and
+    it is then the last free column: the last relation among vectors and
+    target has a 1 at target, and c is minus the rest of it."""
+    n = len(vectors)
+    rels = relations([*vectors, target], N)
+    if not rels or n not in rels[-1][0]:
         return None
-    x = [0] * n
-    for i, c in enumerate(piv):
-        x[c] = packed.entry(i, n)
-    return x
-
-
-def solve_in_span(basis_rows, target):
-    """Coefficients expressing target in span(basis_rows), or None."""
-    return solve([[row[i] for row in basis_rows] for i in range(len(target))],
-                 target)
-
-
-def nullspace(rows, ncols, zero=0, one=1):
-    """Basis of the right kernel of the matrix given by rows, one vector per
-    free column in increasing order: one there, zero at the other free
-    columns."""
-    packed = _Packed.pack(rows)
-    piv, _ = packed.eliminate()
-    free = sorted(set(range(ncols)) - set(piv))
-    out = []
-    kern = _kernel(packed.rows, piv, ncols, packed.N)
-    for f, (ents, den) in zip(free, kern):
-        vec = [zero] * ncols
-        vec[f] = one
-        for c in piv:
-            vec[c] = packed.scalar(ents.get(c), den)
-        out.append(vec)
-    return out
+    ents, den = rels[-1]
+    return {k: tuple(-v for v in x) for k, x in ents.items() if k != n}, den
 
 
 class Span:
     """Incremental row space of vectors over Q(zeta_N), kept in reduced row
-    echelon form by the pivot and row steps of `eliminate`.
+    echelon form by the pivot and row steps of `rref`.
 
     A vector is a packed row over Q(zeta_N), with no zero entry stored.
     Each stored row has pivot 1 and a 0 at every other pivot, and is kept

@@ -8,7 +8,10 @@ conjugation.
 Real form coefficient spaces are computed as exact rational kernels of the
 defining reality constraints, one Fourier slot at a time, on rows of algebra
 coordinates over Q(zeta_M) (`loop._affine_row` for affine elements,
-`algebra.coords` for constraint matrices) flattened over Q.
+`algebra.coords` for constraint matrices) flattened over Q.  Complex
+conjugation fixes the real field F = Q(zeta_M)^+, of degree phi(M)/2, so a
+real structure is an F-space: its rational span holds F c and F d, and its
+Q-dimensions are [F : Q] times its dimensions over F.
 """
 
 from __future__ import annotations
@@ -157,18 +160,33 @@ def _combinations(units, rels, n, M):
             for ents, den in rels]
 
 
+def _field_basis(M):
+    """Q-basis of the window field Q(zeta_M): 1 and zeta_M^t for
+    1 <= t < phi(M)."""
+    return [CycloScalar.from_rational(1)] + [
+        root_of_unity(M, t) for t in range(1, _context(M).phi)]
+
+
 def _algebra_units(algebra, M):
     """Q-spanning set of the algebra's coefficient space over Q(zeta_M)."""
-    return [b * root_of_unity(M, t) for b in algebra.basis()
-            for t in range(_context(M).phi)]
+    return [b * z for b in algebra.basis() for z in _field_basis(M)]
+
+
+def _real_field_basis(M):
+    """Q-basis of F = Q(zeta_M)^+: 1 and zeta_M^t + zeta_M^(-t) for
+    1 <= t < phi(M)/2."""
+    return [CycloScalar.from_rational(1)] + [
+        root_of_unity(M, t) + root_of_unity(M, -t)
+        for t in range(1, _context(M).phi // 2)]
 
 
 def real_form_basis(algebra, pair, N=None):
     """Window basis of the real form attached to a second-kind pair.
 
-    For each |n| <= N this is an exact basis of
+    For each |n| <= N this is an exact rational basis of
     {v : v fixed by rho+ omega and zeta_(2l)^n v fixed by rho- omega},
-    returned as loop elements, together with i*c and i*d.
+    returned as loop elements, together with i f c and i f d for f in the
+    basis of F (`_real_field_basis`).
     """
     if algebra.is_exceptional:
         raise StaticOnlyAlgebra("no matrix model")
@@ -196,8 +214,9 @@ def real_form_basis(algebra, pair, N=None):
                    _combinations(units, relations(rows, 1), algebra.size, M))
     i = root_of_unity(4, 1)
     zero = LoopElement.zero(algebra, sigma, l)
-    out.append(AffineElement(zero, c=i))
-    out.append(AffineElement(zero, d=i))
+    for f in _real_field_basis(M):
+        out.append(AffineElement(zero, c=i * f))
+        out.append(AffineElement(zero, d=i * f))
     return RealFormBasis(algebra, pair, N, l,
                          [x if isinstance(x, AffineElement) else AffineElement(x)
                           for x in out])
@@ -217,11 +236,14 @@ class RealFormBasis:
         return [b for b in self.basis if not b.loop.is_zero()]
 
     def coefficient_dims(self):
+        """Dimension over F of each degree's coefficient space."""
         dims = {}
         for b in self.loop_elements():
             n = b.loop.support()[0]
             dims[n] = dims.get(n, 0) + 1
-        return dims
+        degree = _context(lcm(4, 2 * self.l)).phi // 2  # [F : Q]
+        assert all(d % degree == 0 for d in dims.values()), (dims, degree)
+        return {n: d // degree for n, d in dims.items()}
 
     def closed_under_bracket(self):
         """Brackets of window elements with window-bounded support must be
@@ -256,21 +278,23 @@ def _affine_qvec(elt, M, N):
 # ---------------------------------------------------------------------------
 
 def compact_window_basis(algebra, twist, l, N):
-    """Real basis of the compact form's window: u_(-n) = omega(u_n)."""
-    i = root_of_unity(4, 1)
+    """Rational basis of the compact form's window: u_(-n) = omega(u_n),
+    with u_n running over the eigenvectors of degree n times the Q-basis of
+    the window field."""
+    M0 = lcm(4, 2 * l)
+    scalars = _field_basis(M0)
     out = []
     om = algebra.omega_matrix
     for n in range(1, N + 1):
         for b in sigma_eigenspace(algebra, twist, l, n % l):
-            for z in (CycloScalar.from_rational(1), i):
+            for z in scalars:
                 M = b.matrix * z
                 out.append(LoopElement(algebra, twist, l,
                                        {n: M, -n: om(M)}, validate=False))
     # n = 0: omega-fixed part of the twist-fixed subalgebra, solving
     # omega(v) = v inside the span of zero_modes over Q
-    M0 = lcm(4, 2 * l)
     units = [b.matrix * z for b in sigma_eigenspace(algebra, twist, l, 0)
-             for z in (CycloScalar.from_rational(1), i)]
+             for z in scalars]
     rows = [_constraint_row(algebra, [om(u) - u], M0) for u in units]
     for acc in _combinations(units, relations(rows, 1), algebra.size, M0):
         if not acc.is_zero():
@@ -313,7 +337,8 @@ def cartan_decomposition(phi, N=None):
     ext = affine_extend(phi)
     zero = LoopElement.zero(algebra, tw, l)
     elts = [AffineElement(b) for b in compact_window_basis(algebra, tw, l, N)]
-    elts += [AffineElement(zero, c=1), AffineElement(zero, d=1)]
+    for f in _real_field_basis(M):
+        elts += [AffineElement(zero, c=f), AffineElement(zero, d=f)]
     imgs = [ext.apply(e) for e in elts]
     half = Fraction(1, 2)
 

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -298,7 +299,7 @@ def test_sigma_eigenspace_dimension_sum():
 def _averaged_eigenspace(alg, sigma, l, n):
     """Reference: the rows (1/l) sum_j zeta_l^(-n j) coords(sigma^j b) over
     the basis b, in reduced row echelon form."""
-    rows = []
+    avgs = []
     for b in alg.basis():
         acc = CycloMatrix.zeros(alg.size)
         cur = b
@@ -308,14 +309,16 @@ def _averaged_eigenspace(alg, sigma, l, n):
         assert cur == b
         acc = acc * Fraction(1, l)
         if not acc.is_zero():
-            rows.append(_coords_scalars(alg, acc))
-    piv, _ = linalg.rref(rows)
+            avgs.append(acc)
+    N = lcm(1, *(acc.N for acc in avgs))
+    rows = [alg.coords(acc.promote(N)) for acc in avgs]
+    piv, _ = linalg.rref(rows, alg.dim, N)
     out = []
-    for r in rows[:len(piv)]:
+    for ents, den in rows[:len(piv)]:
         M = CycloMatrix.zeros(alg.size)
-        for c, b in zip(r, alg.basis()):
-            if c:
-                M = M + b * c
+        for k, b in enumerate(alg.basis()):
+            if k in ents:
+                M = M + b * CycloScalar(N, ents[k], den)
         out.append(M)
     return out
 

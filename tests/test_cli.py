@@ -133,7 +133,10 @@ def test_bad_inputs(tmp_path, capsys):
                 dict(first, p=-1), dict(second, pair=["rho1", "id"], k=3),
                 {key: v for key, v in second.items() if key != "kind"},
                 {key: v for key, v in first.items() if key != "beta"},
-                {key: v for key, v in second.items() if key != "pair"}]:
+                {key: v for key, v in second.items() if key != "pair"},
+                # well formed, but the realization reads back otherwise: a
+                # translation (p = 1) ignores rho, and q = 1 realizes as q = 2
+                dict(first, p=1), dict(first, q=1)]:
         path.write_text(json.dumps(bad))
         _assert_typed_error(*run_cli(["realize", "--in", str(path)], capsys))
     # automorphisms: every JSON object is checked to be one, and n is an int

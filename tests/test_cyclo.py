@@ -71,16 +71,16 @@ def test_field_axioms_random():
 
 
 def _inverse_by_solve(x):
-    """Reference inverse: solve M y = e_0 over Q, where column i of M holds
-    the coordinates of x * z^i."""
+    """Reference inverse: the coefficients y over Q with
+    sum_i y_i x z^i = 1, in the coordinates of the power basis, by
+    `linalg.solve_in_span` on those coordinates as packed rows over Q."""
     phi = len(cyclotomic_poly(x.N)) - 1
     cols = [x * root_of_unity(x.N, i) for i in range(phi)]
-    M = [[Fraction(c.nums[r], c.den) for c in cols] for r in range(phi)]
-    y = linalg.solve(M, [Fraction(int(r == 0)) for r in range(phi)])
-    den = 1
-    for c in y:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return CycloScalar(x.N, tuple(int(c * den) for c in y), den)
+    ents, den = linalg.solve_in_span(
+        [({r: (v,) for r, v in enumerate(c.nums) if v}, c.den) for c in cols],
+        ({0: (1,)}, 1), 1)
+    return CycloScalar(x.N, tuple(ents.get(i, (0,))[0] for i in range(phi)),
+                       den)
 
 
 def test_inverse_matches_linear_solve():

@@ -118,20 +118,18 @@ def second_kind_pairs(algebras):
         for k in valid_ks(alg):
             for e in enumerate_second_kind(alg, k).entries:
                 name = "%s%d-%r-%r" % (family, n, e[1], e[2])
-                marks = ()
-                if name == "a3-rho1-rho4":
-                    marks = pytest.mark.xfail(strict=True, reason=(
-                        "dims 8, 8, 8 against 4, 4, 4 and not closed"))
-                cases.append(pytest.param(alg, (e[1], e[2]), id=name,
-                                          marks=marks))
+                cases.append(pytest.param(alg, (e[1], e[2]), id=name))
     return cases
 
 
 @pytest.mark.parametrize("alg,pair", second_kind_pairs(
-    [("a", 2), ("a", 3), ("b", 2), ("c", 3)]))
+    [("a", 2), ("a", 3), ("b", 2), ("c", 3), ("d", 4)]))
 def test_real_form_basis_second_kind_tables(alg, pair):
-    """At window 1 each degree's real dimension is the complex dimension of
-    the twist's eigenspace there, and the basis is closed under brackets."""
+    """At window 1 each degree's dimension over the real field F is the
+    complex dimension of the twist's eigenspace there, and the basis is
+    closed under brackets; for a3 (rho1, rho4) and five d4 pairs, whose
+    window field Q(zeta_8) or Q(zeta_12) has [F : Q] = 2, this needs F c
+    and F d in the span."""
     rb = real_form_basis(alg, pair, N=1)
     sigma = (standard_involution(alg, pair[1]).inverse()
              .compose(standard_involution(alg, pair[0])))
@@ -180,6 +178,19 @@ def test_cartan_decomposition_twisted():
     assert all(rep["inclusions"].values())
     kc = [e for e in rep["K"] if not e.c.is_zero() or not e.d.is_zero()]
     assert len(kc) == 2  # c and d are fixed
+
+
+def test_cartan_triality_entry_over_real_field():
+    """The d4 triality entry (rho3, rho3') at k = 3 has l = 3 and window
+    field Q(zeta_12): K and P have Q-dims 26 and 34 at window 1, F-dims 13
+    and 17 over F = Q(sqrt 3), and every bracket inclusion holds."""
+    d4 = make_algebra("d", 4, "compact")
+    entry = next(e for e in enumerate_second_kind(d4, 3).entries
+                 if (repr(e[1]), repr(e[2])) == ("rho3", "rho3'"))
+    rep = cartan_decomposition(realize_entry(d4, entry), N=1)
+    assert (len(rep["K"]), len(rep["P"])) == (26, 34)
+    assert rep["inclusions"] == {"KK_in_K": True, "KP_in_P": True,
+                                 "PP_in_K": True}
 
 
 def test_cartan_needs_compact_mode():
