@@ -136,7 +136,8 @@ class StandardLoopAutomorphism:
         lnew = self._image_conductor(lu)
         tgt = self.target_twist()
         out = {}
-        projs = self.X.projectors()
+        # a constant curve has the identity as its only projector
+        projs = None if self.has_constant_curve() else self.X.projectors()
         for n, M in u.coeffs.items():
             coeff = M
             if self.scale != 1:
@@ -152,6 +153,9 @@ class StandardLoopAutomorphism:
             if self.phi0.conj:
                 n2 = -n2
             coeff = self.phi0.apply_matrix(coeff)
+            if projs is None:
+                out[n2 * lnew // lu] = coeff
+                continue
             # e^(ad tX): split into eigencomponents, shift exponents
             for ra, Qa in projs:
                 for rb, Qb in projs:

@@ -139,6 +139,51 @@ def test_real_form_basis_second_kind_tables(alg, pair):
     assert rb.closed_under_bracket()
 
 
+def _pair_cases():
+    """Every a1 second-kind pair, and one pair each of a3, c3 and d4 whose
+    window fields are Q(zeta_8), Q(zeta_4) and Q(zeta_12)."""
+    from kmaut.autg import parse_label
+
+    cases = second_kind_pairs([("a", 1)])
+    for family, n, pair in [("a", 3, "rho1,rho4"), ("c", 3, "rho1,rho2"),
+                            ("d", 4, "rho1,rho2'")]:
+        alg = make_algebra(family, n, "compact")
+        cases.append(pytest.param(
+            alg, tuple(parse_label(alg, s) for s in pair.split(",")),
+            id="%s%d-%s" % (family, n, pair.replace(",", "-"))))
+    return cases
+
+
+@pytest.mark.parametrize("alg,pair", _pair_cases())
+def test_fixed_parts_satisfy_reality_constraints(alg, pair):
+    """The fixed-part bases at window 1 against the constraints that defined
+    real forms before: each degree-n coefficient v of a real form basis
+    element has rho+ omega(v) = v and rho- omega(zeta_(2l)^n v) =
+    zeta_(2l)^n v; each compact window element is compact; and the
+    extension of the realized involution fixes K and negates P."""
+    from kmaut.cyclo import root_of_unity
+    from kmaut.loopaut import affine_extend
+    from kmaut.realforms import compact_window_basis
+
+    om = omega_automorphism(alg)
+    tplus = standard_involution(alg, pair[0]).compose(om)
+    tminus = standard_involution(alg, pair[1]).compose(om)
+    rb = real_form_basis(alg, pair, N=1)
+    assert rb.loop_elements()
+    for x in rb.loop_elements():
+        for n, v in x.loop.coeffs.items():
+            zv = v * root_of_unity(2 * rb.l, n % (2 * rb.l))
+            assert tplus.apply_matrix(v) == v
+            assert tminus.apply_matrix(zv) == zv
+    phi = realize_entry(alg, ("2", *pair))
+    assert all(u.is_compact()
+               for u in compact_window_basis(alg, phi.twist, phi.l, 1))
+    rep = cartan_decomposition(phi, N=1)
+    ext = affine_extend(phi)
+    assert all(ext.apply(x) == x for x in rep["K"])
+    assert all(ext.apply(x) == -x for x in rep["P"])
+
+
 def test_cartan_decomposition_cases():
     su2 = make_algebra("a", 1, "compact")
     iden = identity_automorphism(su2)
