@@ -355,6 +355,7 @@ class Automorphism:
         _json_object(obj, "an automorphism")
         algebra = SimpleAlgebra.from_json(obj["algebra"])
         algebra = make_algebra(algebra.family, algebra.param, algebra.mode)
+        algebra._need_matrix()
         M = CycloMatrix.from_json(obj["matrix"])
         group = obj.get("rep", "group") == "group"
         if not group and (algebra.family, algebra.param) != ("d", 4):
@@ -363,11 +364,20 @@ class Automorphism:
         if M.n != size:
             raise MalformedData("%s takes a %dx%d matrix, not %dx%d"
                                 % (algebra.label(), size, size, M.n, M.n))
+        # a group matrix keeps its inverse: most parsed maps are composed
+        # or inverted, which needs it
+        try:
+            Minv = M.inverse()
+        except ZeroDivisionError:
+            raise MalformedData("the matrix of an automorphism must be "
+                                "invertible; this one is singular") from None
         if group:
-            return Automorphism(algebra, M,
-                                w=_json_int(obj, "outer_power", 0, (0, 1)),
-                                conj=bool(obj.get("conj_linear", False)),
-                                label=obj.get("label"))
+            out = Automorphism(algebra, M,
+                               w=_json_int(obj, "outer_power", 0, (0, 1)),
+                               conj=bool(obj.get("conj_linear", False)),
+                               label=obj.get("label"))
+            out._Ginv = Minv
+            return out
         w = obj.get("outer_power")
         if not (isinstance(w, list) and all(type(x) is int for x in w)
                 and sorted(w) == [0, 1, 2]):

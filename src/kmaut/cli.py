@@ -12,21 +12,21 @@ import json
 import sys
 from .autg import InvLabel, parse_label
 from .cyclo import _json_int
-from .errors import InvalidLabel, KmautError, MalformedData
+from .errors import KmautError, MalformedData
 from .loopaut import (
-    FirstKindInvariant,
     SecondKindInvariant,
     StandardLoopAutomorphism,
     canonical_pair,
     conjugacy_test,
     invariant,
 )
-from .pi0 import ComponentClass, pair_k, pi0_row
+from .pi0 import pair_k
 from .realforms import real_form_basis
 from .tables import (
     algebra_from_args,
     enumerate_first_kind,
     enumerate_second_kind,
+    first_kind_class,
     realize,
     valid_ks,
 )
@@ -99,13 +99,8 @@ def _invariant_from_json(obj):
         q, p = _json_int(obj, "q", 2), _json_int(obj, "p", 0)
         if not 0 <= p < q:
             raise MalformedData("p must satisfy 0 <= p < q = %d, not %d" % (q, p))
-        row = pi0_row(algebra, rho if p == 0 else InvLabel(0))
         rep = beta.get("rep") if isinstance(beta, dict) else beta
-        entry = next((e for e in row.entries if e.rep == rep), None)
-        if entry is None:
-            raise InvalidLabel("no component class %r in this row" % (rep,))
-        cc = ComponentClass(row.rho_label, entry.rep, entry.k)
-        return FirstKindInvariant(algebra, q, p, rho, cc)
+        return first_kind_class(algebra, q, p, rho, rep)
     if not (isinstance(obj.get("pair"), list) and len(obj["pair"]) == 2):
         raise MalformedData("a second-kind pair holds two labels")
     pair = tuple(parse_label(algebra, x) for x in obj["pair"])

@@ -42,6 +42,7 @@ from .cyclo import (CycloMatrix, CycloScalar, _json_int, _json_object,
 from .errors import (
     InfiniteOrderScaling,
     InvalidLoopData,
+    MalformedData,
     NotFiniteOrder,
     NotInvolution,
     OrderExceedsBound,
@@ -289,12 +290,15 @@ class StandardLoopAutomorphism:
         _json_object(obj, "a loop automorphism")
         twist = Automorphism.from_json(obj["twist"])
         phi0 = Automorphism.from_json(obj["phi0"])
-        X = None
-        if obj.get("X"):
+        X = obj.get("X")
+        if X is not None:
+            _json_object(X, "X")
+            if not isinstance(X.get("rates"), list):
+                raise MalformedData("X.rates must be a list of exact rates")
             X = SemisimpleElement(phi0.algebra,
-                                  CycloMatrix.from_json(obj["X"]["matrix"]),
+                                  CycloMatrix.from_json(X["matrix"]),
                                   [_json_rational(r, "a rate")
-                                   for r in obj["X"]["rates"]])
+                                   for r in X["rates"]])
         return StandardLoopAutomorphism(twist, _json_int(obj, "l"),
                                         _json_int(obj, "epsilon", None, (1, -1)),
                                         _json_rational(obj["t0"], "t0"), X, phi0,

@@ -23,12 +23,7 @@ from itertools import combinations, product
 from math import lcm
 
 from .algebra import make_algebra, sigma_eigenspace
-from .autg import (
-    InvLabel,
-    identity_automorphism,
-    omega_automorphism,
-    standard_involution,
-)
+from .autg import InvLabel, omega_automorphism, standard_involution
 from .cyclo import CycloScalar, _context, root_of_unity
 from .errors import (
     NotCompactMode,
@@ -51,15 +46,14 @@ from .loopaut import (
     StandardLoopAutomorphism,
     affine_extend,
     invariant,
-    invariant_conj_linear,
 )
-from .pi0 import ComponentClass, pi0_row
+from .pi0 import pi0_row
 from .tables import (
-    _component_rep,
+    entry_invariant,
     enumerate_first_kind,
     enumerate_second_kind,
+    first_kind_class,
     realize,
-    realize_entry,
 )
 
 
@@ -102,61 +96,42 @@ def invariant_extension_map(inv):
     raise UnsupportedOrder("not an order-two invariant")
 
 
-def _first_kind_classes(algebra, k):
-    """(q, p, rho, component class) of the order-one and order-two
-    first-kind classes of outer order k: the identity on each twist class of
-    order k (q = 1), then the first-kind table row (q = 2)."""
+def _classes(algebra, k):
+    """Invariants of the compact-side classes of order at most two and
+    outer order k, by type: the identity on each twist class of order k
+    (q = 1) and the first-kind table row (q = 2), then the second-kind
+    table row."""
     ident = InvLabel(0)
-    for x in pi0_row(algebra, ident).entries:
-        if x.k == k:
-            yield 1, 0, ident, ComponentClass(ident, x.rep, x.k)
-    for e in enumerate_first_kind(algebra, k).entries:
-        p, rho, rep = (0, e[1], e[2]) if e[0] == "1a" else (1, ident, e[1])
-        x = next(x for x in pi0_row(algebra, rho).entries if x.rep == rep)
-        yield 2, p, rho, ComponentClass(rho, x.rep, x.k)
+    type1 = [first_kind_class(algebra, 1, 0, ident, x.rep)
+             for x in pi0_row(algebra, ident).entries if x.k == k]
+    type1 += [entry_invariant(algebra, e)
+              for e in enumerate_first_kind(algebra, k).entries]
+    type2 = [entry_invariant(algebra, e)
+             for e in enumerate_second_kind(algebra, k).entries]
+    return {1: type1, 2: type2}
 
 
 def enumerate_conj_linear(algebra, k, type_):
-    """Independent enumeration of the conjugate-linear involution classes of
-    the complexification, from the enlarged component-class data; type 1
-    starts from the compact conjugations themselves, one class for each
-    outer class of order k."""
-    if type_ == 1:
-        return [ConjLinearInvariant(algebra, 1, p=p, rho=rho, beta=cc,
-                                    beta_bar=p == 1)
-                for _, p, rho, cc in _first_kind_classes(algebra, k)]
-    return [ConjLinearInvariant(algebra, 2, pair=(e[1], e[2]), k=k)
-            for e in enumerate_second_kind(algebra, k).entries]
+    """The conjugate-linear involution classes of the complexification of
+    type 1 or 2 and outer order k: the images of the compact-side classes
+    under the extension map; type 1 starts from the compact conjugations
+    themselves, one class for each outer class of order k."""
+    return [invariant_extension_map(inv) for inv in _classes(algebra, k)[type_]]
 
 
 def check_extension_bijection(algebra, k):
     """Realize every compact-side class of order at most two and outer
     order k, and require that the realization reads back as its class and
     its conjugate-linear extension as the class's image under the extension
-    map.  Type 1 takes the first-kind classes, q = 1 realized as the twist
-    itself with the identity as constant part; type 2 takes the second-kind
-    table entries."""
-    iden = identity_automorphism(algebra)
-
-    def reads_back(inv, phi):
+    map."""
+    def reads_back(inv):
+        phi = realize(inv)
         return (invariant(phi) == inv and invariant(conj_linear_extend(phi))
                 == invariant_extension_map(inv))
 
-    def realize_class(q, p, rho, cc):
-        inv = FirstKindInvariant(algebra, q, p, rho, cc)
-        if q == 2:
-            return inv, realize(inv)
-        beta = _component_rep(algebra, rho, cc.rep)
-        return inv, StandardLoopAutomorphism(beta, beta.order(bound=64), 1, 0,
-                                             None, iden)
-
     report = {"algebra": algebra.label(), "k": k}
-    report["type1"] = all(reads_back(*realize_class(*c))
-                          for c in _first_kind_classes(algebra, k))
-    report["type2"] = all(
-        reads_back(SecondKindInvariant(algebra, 2, (e[1], e[2]), k),
-                   realize_entry(algebra, e))
-        for e in enumerate_second_kind(algebra, k).entries)
+    for type_, invs in _classes(algebra, k).items():
+        report["type%d" % type_] = all(map(reads_back, invs))
     report["ok"] = report["type1"] and report["type2"]
     return report
 
@@ -394,39 +369,18 @@ def sl2_catalogue():
     t2 = enumerate_conj_linear(algebra, 1, 2)
     report["almost_split"] = [repr(i) for i in t2]
     report["almost_split_count"] = len(t2)
-    # verify each invariant by realizing a conjugate-linear involution
-    om = omega_automorphism(algebra)
-    iden = identity_automorphism(algebra)
-    tau = standard_involution(algebra, "rho1")
-    fixtures = [  # the compact form, L(sl(2,R)) and L_pi(sl(2,C), omega)
-        StandardLoopAutomorphism(iden, 1, 1, 0, None, om),
-        StandardLoopAutomorphism(iden, 1, 1, 0, None, tau.compose(om)),
-        StandardLoopAutomorphism(iden, 1, 1, Fraction(1, 2), None, om),
-    ]
-    verified = [invariant_conj_linear(f) for f in fixtures]
-    report["verified_type1"] = [repr(i) for i in verified]
     # second kind pairs with window bases
-    pairs = [(InvLabel(0), InvLabel(0)), (InvLabel(1), InvLabel(1)),
-             (InvLabel(0), InvLabel(1))]
     bases = {}
-    for pa in pairs:
-        rb = real_form_basis(algebra, pa)
-        dims = rb.coefficient_dims()
-        bases[repr(tuple(map(repr, pa)))] = {
-            "l": rb.l, "dims": dims, "closed": rb.closed_under_bracket()}
+    for inv in t2:
+        rb = real_form_basis(algebra, inv.pair)
+        bases[repr(tuple(map(repr, inv.pair)))] = {
+            "l": rb.l, "dims": rb.coefficient_dims(),
+            "closed": rb.closed_under_bracket()}
     report["almost_split_bases"] = bases
-    # verify the second-kind invariants through the machinery
-    ver2 = []
-    for pa in pairs:
-        plus = standard_involution(algebra, pa[0])
-        minus = standard_involution(algebra, pa[1])
-        tw = minus.inverse().compose(plus)
-        l = tw.order(bound=8)
-        phi = StandardLoopAutomorphism(tw, l, -1, 0, None,
-                                       plus.compose(om))
-        ver2.append(invariant_conj_linear(phi))
-    report["verified_type2"] = [repr(i) for i in ver2]
-    report["ok"] = (set(verified) <= set(t1) and set(ver2) == set(t2)
+    # realize every class and its conjugate-linear extension, and read
+    # both back
+    report["verified"] = check_extension_bijection(algebra, 1)["ok"]
+    report["ok"] = (report["verified"]
                     and report["almost_split_count"] == 3
                     and report["noncompact_almost_compact_count"] == 3
                     and report["almost_compact_count"] == 4

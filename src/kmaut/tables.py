@@ -1,5 +1,6 @@
 """Classification tables: enumerate involution invariants of both kinds for
-every algebra and outer class, realize each entry as a concrete automorphism,
+every algebra and outer class, read labels and table entries as invariants,
+realize every label class of order at most two as a concrete automorphism,
 and decide membership of invariants in the set attached to a twist.
 
 Classical rows are computed from the matrix models; exceptional rows come
@@ -19,19 +20,20 @@ from .autg import (
     _pcomp,
     _pinv,
     _porder,
+    identity_automorphism,
     label_out_word,
     standard_involution,
     standard_labels,
     standard_list,
 )
-from .errors import InvalidK, InvalidLabel, StaticOnlyAlgebra
+from .errors import InvalidK, InvalidLabel, StaticOnlyAlgebra, UnsupportedOrder
 from .loopaut import (
     FirstKindInvariant,
     SecondKindInvariant,
     StandardLoopAutomorphism,
     canonical_pair,
 )
-from .pi0 import pair_k, pi0_row
+from .pi0 import ComponentClass, pair_k, pi0_row
 
 
 class TableRow:
@@ -145,6 +147,23 @@ def enumerate_second_kind(algebra, k):
 # realization
 # ---------------------------------------------------------------------------
 
+def _row_entry(algebra, rho_label, rep):
+    """The entry named rep in the component row of rho_label."""
+    for e in pi0_row(algebra, rho_label).entries:
+        if e.rep == rep:
+            return e
+    raise InvalidLabel("no component class %r in the row of %r"
+                       % (rep, rho_label))
+
+
+def _component_rep(algebra, rho_label, rep):
+    """The representative automorphism of a component class."""
+    e = _row_entry(algebra, rho_label, rep)
+    if e.builder is None:
+        raise StaticOnlyAlgebra("representative %r is static" % rep)
+    return e.builder()
+
+
 def _entry_word(algebra, rho_label, rep):
     """Outer word of a component representative label."""
     if rep == "id":
@@ -153,89 +172,70 @@ def _entry_word(algebra, rho_label, rep):
         if algebra.family == "e6" and rep == "rho1":
             return (0, 2, 1)
         return ID_PERM
-    row = pi0_row(algebra, rho_label)
-    for e in row.entries:
-        if e.rep == rep and e.builder is not None:
-            return e.builder().word()
-    raise InvalidLabel("unknown representative %r" % rep)
+    return _component_rep(algebra, rho_label, rep).word()
 
 
-def _component_rep(algebra, rho_label, rep):
-    row = pi0_row(algebra, rho_label)
-    for e in row.entries:
-        if e.rep == rep:
-            if e.builder is None:
-                raise StaticOnlyAlgebra("representative %r is static" % rep)
-            return e.builder()
-    raise InvalidLabel("unknown representative %r in row %r" % (rep, rho_label))
+def first_kind_class(algebra, q, p, rho, rep):
+    """The label invariant (p, rho, [beta]) at order q, with beta the
+    component class named rep in the row of rho (p = 0) or of the identity
+    (p != 0)."""
+    row = rho if p == 0 else InvLabel(0)
+    e = _row_entry(algebra, row, rep)
+    return FirstKindInvariant(algebra, q, p, rho,
+                              ComponentClass(row, e.rep, e.k))
 
 
-def _row_frame(algebra, rho_label):
-    row = pi0_row(algebra, rho_label)
-    frame = row.frame()
-    if frame is None:
-        raise StaticOnlyAlgebra("%s has no matrix model" % algebra.label())
-    return frame
-
-
-def realize_first_kind(algebra, rho_label, sigma_rep):
-    """Constant-curve automorphism with invariant (0, rho, [sigma])."""
-    if algebra.is_exceptional:
-        raise StaticOnlyAlgebra("%s has no matrix model" % algebra.label())
-    frame = _row_frame(algebra, rho_label)
-    sigma = _component_rep(algebra, rho_label, sigma_rep)
-    l = sigma.order(bound=64)
-    return StandardLoopAutomorphism(sigma, l, 1, 0, None, frame)
-
-
-def realize_translation(algebra, beta_rep):
-    """Automorphism u(t) -> beta^(-1) u(t + pi) with invariant (1, id, [beta])."""
-    if algebra.is_exceptional:
-        raise StaticOnlyAlgebra("%s has no matrix model" % algebra.label())
-    beta = _component_rep(algebra, InvLabel(0), beta_rep)
-    twist = beta.compose(beta)
-    l = twist.order(bound=64)
-    return StandardLoopAutomorphism(twist, l, 1, Fraction(1, 2), None,
-                                    beta.inverse())
-
-
-def realize_second_kind(algebra, la, lb):
-    """Automorphism u(t) -> rho+(u(-t)) on the twist rho- rho+."""
-    if algebra.is_exceptional:
-        raise StaticOnlyAlgebra("%s has no matrix model" % algebra.label())
-    plus = standard_involution(algebra, la)
-    minus = standard_involution(algebra, lb)
-    twist = minus.inverse().compose(plus)
-    l = twist.order(bound=64)
-    return StandardLoopAutomorphism(twist, l, -1, 0, None, plus)
-
-
-def realize_entry(algebra, entry):
+def entry_invariant(algebra, entry):
+    """The invariant of a table entry: (0, rho, [sigma]) or (1, id, [beta])
+    at order two, or the pair [rho+, rho-] with its outer order."""
     if entry[0] == "1a":
-        return realize_first_kind(algebra, entry[1], entry[2])
+        return first_kind_class(algebra, 2, 0, entry[1], entry[2])
     if entry[0] == "1b":
-        return realize_translation(algebra, entry[1])
-    return realize_second_kind(algebra, entry[1], entry[2])
+        return first_kind_class(algebra, 2, 1, InvLabel(0), entry[1])
+    return SecondKindInvariant(algebra, 2, entry[1:],
+                               pair_k(algebra, entry[1], entry[2]))
 
 
 def realize(inv):
-    """Concrete constant-curve automorphism whose invariant is inv."""
+    """Constant-curve automorphism whose invariant is inv, for every label
+    class of order at most two: for (0, rho, [sigma]), u(t) -> rho(u(t)) on
+    the loop algebra twisted by sigma, with rho = id at q = 1 and rho != id
+    at q = 2; for (1, id, [beta]), u(t) -> beta^(-1) u(t + pi) on the twist
+    beta^2; for [rho+, rho-], u(t) -> rho+(u(-t)) on the twist
+    rho-^(-1) rho+."""
     algebra = inv.algebra
     if algebra.is_exceptional:
         raise StaticOnlyAlgebra("%s has no matrix model" % algebra.label())
-    if isinstance(inv, FirstKindInvariant):
-        if inv.raw:
-            raise StaticOnlyAlgebra("certificate invariants are not realizable")
-        if inv.q != 2 and inv.q != 1:
-            raise StaticOnlyAlgebra("only order <= 2 label invariants realize")
-        if inv.p == 0:
-            return realize_first_kind(algebra, inv.rho, inv.beta.rep)
-        return realize_translation(algebra, inv.beta.rep)
+    if not isinstance(inv, (FirstKindInvariant, SecondKindInvariant)):
+        raise InvalidLabel("not an invariant: %r" % (inv,))
+    if inv.raw:
+        raise StaticOnlyAlgebra("certificate invariants are not realizable")
     if isinstance(inv, SecondKindInvariant):
-        if inv.raw:
-            raise StaticOnlyAlgebra("certificate invariants are not realizable")
-        return realize_second_kind(algebra, inv.pair[0], inv.pair[1])
-    raise InvalidLabel("not an invariant: %r" % (inv,))
+        plus = standard_involution(algebra, inv.pair[0])
+        minus = standard_involution(algebra, inv.pair[1])
+        twist = minus.inverse().compose(plus)
+        return StandardLoopAutomorphism(twist, twist.order(bound=64), -1, 0,
+                                        None, plus)
+    if inv.q not in (1, 2):
+        raise UnsupportedOrder("only order <= 2 label invariants realize")
+    if inv.p == 0 and (inv.q == 1) != (inv.rho.p == 0):
+        raise InvalidLabel("at p = 0, rho = id gives the class of order "
+                           "q = 1 and every other rho one of order 2; "
+                           "rho = %r has no class at q = %d" % (inv.rho, inv.q))
+    beta = _component_rep(algebra, inv.beta.rho, inv.beta.rep)
+    if inv.p:
+        twist = beta.compose(beta)
+        return StandardLoopAutomorphism(twist, twist.order(bound=64), 1,
+                                        Fraction(1, 2), None, beta.inverse())
+    frame = pi0_row(algebra, inv.rho).frame() if inv.q == 2 \
+        else identity_automorphism(algebra)
+    return StandardLoopAutomorphism(beta, beta.order(bound=64), 1, 0, None,
+                                    frame)
+
+
+def realize_entry(algebra, entry):
+    """The realization of a table entry."""
+    return realize(entry_invariant(algebra, entry))
 
 
 def membership_condition(inv, sigma):

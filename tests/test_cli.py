@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,8 @@ from kmaut.algebra import make_algebra
 from kmaut.autg import (identity_automorphism, mu_automorphism,
                         standard_involution, triality_automorphism)
 from kmaut.cli import main
-from kmaut.loopaut import StandardLoopAutomorphism
+from kmaut.loopaut import StandardLoopAutomorphism, conjugate_exp
+from kmaut.selftest import antifixed_direction, stability_fixtures
 from kmaut.tables import enumerate_first_kind, realize_entry
 
 
@@ -86,6 +88,23 @@ def test_realize_verb_roundtrips(tmp_path, capsys):
     assert [repr(x) for x in got.pair] == ["rho0", "rho1"]
 
 
+def test_realize_verb_order_one_class(tmp_path, capsys):
+    """q = 1 with rho = id is the identity on a twisted loop algebra, and
+    its realization reads back as the class asked for."""
+    inv = {"kind": 1, "algebra": {"family": "a", "n": 2}, "q": 1, "p": 0,
+           "rho": "id", "beta": {"rep": "mu"}}
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps(inv))
+    rc, out = run_cli(["realize", "--in", str(path)], capsys)
+    assert rc == 0
+    aut = tmp_path / "aut.json"
+    aut.write_text(out)
+    rc, out = run_cli(["invariant", "--in", str(aut)], capsys)
+    assert rc == 0
+    assert json.loads(out) == {"beta": {"k": 2, "rep": "mu"}, "kind": 1,
+                               "p": 0, "q": 1, "rho": "id"}
+
+
 def test_realform_verb(tmp_path, capsys):
     rc, out = run_cli(["realform", "--pair", "mu,id", "--algebra", "a1",
                        "--window", "4"], capsys)
@@ -134,8 +153,8 @@ def test_bad_inputs(tmp_path, capsys):
                 {key: v for key, v in second.items() if key != "kind"},
                 {key: v for key, v in first.items() if key != "beta"},
                 {key: v for key, v in second.items() if key != "pair"},
-                # well formed, but the realization reads back otherwise: a
-                # translation (p = 1) ignores rho, and q = 1 realizes as q = 2
+                # well formed, but no class: a translation (p = 1) reads
+                # back with rho = id, and at q = 1 rho is id
                 dict(first, p=1), dict(first, q=1)]:
         path.write_text(json.dumps(bad))
         _assert_typed_error(*run_cli(["realize", "--in", str(path)], capsys))
@@ -282,3 +301,84 @@ def test_console_script_installed():
     assert proc.returncode == 0
     rows = json.loads(proc.stdout)
     assert rows[0]["count"] == "2+2"
+
+
+def _curved():
+    q2 = dict(stability_fixtures())["q2"]
+    return conjugate_exp(q2, antifixed_direction(q2.phi0, random.Random(5)))
+
+
+def _singular(payload):
+    row = payload["phi0"]["matrix"][0]
+    row[:] = [{"conductor": 1, "coeffs": ["0"]}] * len(row)
+
+
+def _x_not_object(payload):
+    payload["X"] = True
+
+
+def _x_empty(payload):
+    payload["X"] = {}
+
+
+def _rates_not_list(payload):
+    payload["X"]["rates"] = None
+
+
+def _exceptional_family(payload):
+    payload["phi0"]["algebra"]["family"] = "e8"
+
+
+@pytest.mark.parametrize("edit", [
+    _singular, _x_not_object, _x_empty, _rates_not_list, _exceptional_family])
+def test_invariant_rejects_at_parse(tmp_path, capsys, edit):
+    """Each of these once ended in a traceback past the JSON reader, or,
+    for an empty X, read as a constant curve."""
+    payload = _curved().to_json()
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    _assert_typed_error(*run_cli(["invariant", "--in", str(bad)], capsys))
+
+
+_FUZZ_VALUES = [None, True, 0, 1, -1, 2, 7, "0", "1/0", "x", 1.5, [], {},
+                [[]], "e8"]
+
+
+def _fields(node, path=()):
+    """The path of every field below a JSON value, depth first."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def test_invariant_fuzz_exits_0_or_2(tmp_path, capsys):
+    """One seeded mutation of every field of two automorphisms, a realized
+    table entry and one with a curve: each run exits 0 or 2 with a JSON
+    payload on stdout."""
+    rng = random.Random(5)
+    a2 = make_algebra("a", 2, "compact")
+    curved = _curved()
+    assert not curved.has_constant_curve()
+    path = tmp_path / "aut.json"
+    runs = 0
+    for phi in (realize_entry(a2, enumerate_first_kind(a2, 2).entries[0]),
+                curved):
+        base = phi.to_json()
+        for field in _fields(base):
+            payload = json.loads(json.dumps(base))
+            node = payload
+            for key in field[:-1]:
+                node = node[key]
+            if rng.random() < 0.1:
+                del node[field[-1]]
+            else:
+                node[field[-1]] = rng.choice(_FUZZ_VALUES)
+            path.write_text(json.dumps(payload))
+            rc, out = run_cli(["invariant", "--in", str(path)], capsys)
+            assert rc in (0, 2), (field, out)
+            json.loads(out)
+            runs += 1
+    assert runs > 200

@@ -298,13 +298,13 @@ def test_conjugacy_test_results():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_conjugacy_test_conj_linear_second_kind(n):
-    from kmaut.tables import realize_second_kind
+    from kmaut.tables import realize_entry
     alg = make_algebra("a", n, "compact")
-    lin = realize_second_kind(alg, InvLabel(1), InvLabel(0))
+    lin = realize_entry(alg, ("2", InvLabel(1), InvLabel(0)))
     c = conj_linear_extend(lin)
     assert conjugacy_test(c, conjugate_shift(c, Fraction(1, 4))) == "conjugate"
-    other = conj_linear_extend(realize_second_kind(alg, InvLabel(0),
-                                                   InvLabel(0)))
+    other = conj_linear_extend(
+        realize_entry(alg, ("2", InvLabel(0), InvLabel(0))))
     assert conjugacy_test(c, other) == "not_conjugate"
     assert conjugacy_test(c, lin) == "not_conjugate"
 
@@ -392,9 +392,9 @@ def test_d4_triality_pair_stability():
     """Second-kind invariants on so(8) with a primed class stay canonical
     under random conjugations (the outer-orbit rewriting at work)."""
     rng = random.Random(21)
-    from kmaut.tables import realize_second_kind
+    from kmaut.tables import realize_entry
     so8 = make_algebra("d", 4, "compact")
-    phi = realize_second_kind(so8, InvLabel(1), InvLabel(1, 1))
+    phi = realize_entry(so8, ("2", InvLabel(1), InvLabel(1, 1)))
     base = invariant_second_kind(phi)
     assert base.k == 3
     assert base.pair == (InvLabel(1), InvLabel(1, 1))

@@ -11,13 +11,12 @@ from kmaut.autg import (
     standard_involution,
 )
 from kmaut.errors import NotCompactMode
-from kmaut.loopaut import StandardLoopAutomorphism
+from kmaut.loopaut import StandardLoopAutomorphism, invariant_conj_linear
 from kmaut.realforms import (
     cartan_decomposition,
     check_extension_bijection,
     conj_linear_extend,
     enumerate_conj_linear,
-    invariant_conj_linear,
     real_form_basis,
     sl2_catalogue,
 )

@@ -2,12 +2,18 @@ import pytest
 
 from kmaut.algebra import make_algebra
 from kmaut.autg import InvLabel
-from kmaut.errors import InvalidK, StaticOnlyAlgebra
-from kmaut.loopaut import invariant_first_kind, invariant_second_kind
+from kmaut.errors import InvalidK, InvalidLabel, StaticOnlyAlgebra
+from kmaut.loopaut import (
+    invariant,
+    invariant_first_kind,
+    invariant_second_kind,
+)
+from kmaut.pi0 import pi0_row
 from kmaut.selftest import table2_expected, table3_expected
 from kmaut.tables import (
     enumerate_first_kind,
     enumerate_second_kind,
+    first_kind_class,
     membership_condition,
     realize,
     realize_entry,
@@ -87,6 +93,33 @@ def test_realize_roundtrip_samples():
                 assert invariant_second_kind(phi2) == inv
 
 
+@pytest.mark.parametrize("family,n,reps", [
+    ("a", 2, ["id", "mu"]), ("d", 4, ["id", "rho1", "theta"])])
+def test_realize_identity_row_classes(family, n, reps):
+    """Each class of the identity row is realized at q = 1, as the
+    identity on the loop algebra twisted by its representative, and reads
+    back as itself."""
+    alg = make_algebra(family, n, "compact")
+    ident = InvLabel(0)
+    assert [e.rep for e in pi0_row(alg, ident).entries] == reps
+    for rep in reps:
+        inv = first_kind_class(alg, 1, 0, ident, rep)
+        phi = realize(inv)
+        assert phi.order() == 1
+        assert invariant(phi) == inv
+
+
+def test_realize_refuses_what_is_no_class():
+    """At p = 0, rho = id is the class of order one and any other rho one
+    of order two; the other combinations name their cause."""
+    alg = make_algebra("a", 2, "compact")
+    for q, rho in ((2, InvLabel(0)), (1, InvLabel(1))):
+        inv = first_kind_class(alg, q, 0, rho, "id")
+        with pytest.raises(InvalidLabel, match="rho = id gives the class of "
+                                               "order q = 1"):
+            realize(inv)
+
+
 def test_realize_static_only():
     e6 = make_algebra("e6", None, "compact")
     row = enumerate_second_kind(e6, 1)
@@ -139,6 +172,7 @@ def test_square_map_lands_in_first_kind_set():
                 # the square is the identity with the same twist class
                 assert sq.q == 1 and sq.p == 0
                 assert membership_condition(sq, k)
+                assert invariant(realize(sq)) == sq
 
 
 def test_second_kind_order_always_even():
