@@ -18,6 +18,7 @@ from math import lcm
 
 from . import linalg
 from .algebra import (
+    _KEYS_CACHED,
     AlgebraElement,
     SemisimpleElement,
     make_algebra,
@@ -63,6 +64,11 @@ def _porder(p):
         cur = _pcomp(p, cur)
         k += 1
     return k
+
+
+def _ypow(e):
+    """The word of theta^e, e in 0..2."""
+    return ID_PERM if e == 0 else Y_PERM if e == 1 else _pcomp(Y_PERM, Y_PERM)
 
 
 def _theta_power_of(word):
@@ -122,7 +128,7 @@ def _image_rates(M, rates):
 class Automorphism:
     """A (possibly conjugate-linear) automorphism of a classical simple algebra."""
 
-    __slots__ = ("algebra", "conj", "_G", "_Ginv", "_w", "_op", "_word",
+    __slots__ = ("algebra", "conj", "_G", "_inv", "_w", "_op", "_word",
                  "label", "_canonG", "eigenbases")
 
     def __init__(self, algebra, G=None, w=0, conj=False, operator=None,
@@ -133,7 +139,8 @@ class Automorphism:
         self.label = label
         # {l: bases of the zeta_l^n eigenspaces}, filled by sigma_eigenspace
         self.eigenbases = {}
-        self._Ginv = None
+        # the inverse of the stored matrix, _G or else _op, once known
+        self._inv = None
         self._canonG = None
         if operator is not None:
             assert algebra.family == "d" and algebra.param == 4
@@ -163,13 +170,14 @@ class Automorphism:
             G = _descend_to_group(self)
             self._G = G
             self._w = 0
+            self._inv = None
         return self._G, self._w
 
     def _ginv(self):
         G, _ = self.parts()
-        if self._Ginv is None:
-            self._Ginv = G.inverse()
-        return self._Ginv
+        if self._inv is None:
+            self._inv = G.inverse()
+        return self._inv
 
     def word(self):
         """Position in the outer group as a permutation of {0,1,2}."""
@@ -268,13 +276,17 @@ class Automorphism:
             else:
                 K, Kinv = self._ginv(), G
             out = Automorphism(self.algebra, K, w=self._w, conj=self.conj)
-            out._Ginv = Kinv
+            out._inv = Kinv
             return out
-        Li = self.operator().inverse()
+        if self._inv is None:
+            self._inv = self._op.inverse()
+        L, Li = self._op, self._inv
         if self.conj:
-            Li = Li.conj()
-        return Automorphism(self.algebra, operator=Li,
-                            word=_pinv(self.word()), conj=self.conj)
+            L, Li = L.conj(), Li.conj()
+        out = Automorphism(self.algebra, operator=Li,
+                           word=_pinv(self.word()), conj=self.conj)
+        out._inv = L
+        return out
 
     def power(self, k):
         if k < 0:
@@ -364,8 +376,8 @@ class Automorphism:
         if M.n != size:
             raise MalformedData("%s takes a %dx%d matrix, not %dx%d"
                                 % (algebra.label(), size, size, M.n, M.n))
-        # a group matrix keeps its inverse: most parsed maps are composed
-        # or inverted, which needs it
+        # the matrix keeps its inverse: most parsed maps are composed or
+        # inverted, which needs it
         try:
             Minv = M.inverse()
         except ZeroDivisionError:
@@ -376,15 +388,17 @@ class Automorphism:
                                w=_json_int(obj, "outer_power", 0, (0, 1)),
                                conj=bool(obj.get("conj_linear", False)),
                                label=obj.get("label"))
-            out._Ginv = Minv
-            return out
-        w = obj.get("outer_power")
-        if not (isinstance(w, list) and all(type(x) is int for x in w)
-                and sorted(w) == [0, 1, 2]):
-            raise MalformedData("an operator's outer_power permutes [0, 1, 2]")
-        return Automorphism(algebra, operator=M, word=tuple(w),
-                            conj=bool(obj.get("conj_linear", False)),
-                            label=obj.get("label"))
+        else:
+            w = obj.get("outer_power")
+            if not (isinstance(w, list) and all(type(x) is int for x in w)
+                    and sorted(w) == [0, 1, 2]):
+                raise MalformedData("an operator's outer_power permutes "
+                                    "[0, 1, 2]")
+            out = Automorphism(algebra, operator=M, word=tuple(w),
+                               conj=bool(obj.get("conj_linear", False)),
+                               label=obj.get("label"))
+        out._inv = Minv
+        return out
 
 
 def identity_automorphism(algebra):
@@ -535,8 +549,7 @@ def triality_automorphism(algebra, power=1):
     power %= 3
     if power == 0:
         return identity_automorphism(algebra)
-    word = Y_PERM if power == 1 else _pcomp(Y_PERM, Y_PERM)
-    return Automorphism(algebra, operator=op ** power, word=word,
+    return Automorphism(algebra, operator=op ** power, word=_ypow(power),
                         label="theta" if power == 1 else "theta2")
 
 
@@ -629,8 +642,82 @@ class InvLabel:
     def __repr__(self):
         return "rho%d%s" % (self.p, "'" * self.prime)
 
-    def render(self):
-        return repr(self)
+
+@lru_cache(maxsize=_KEYS_CACHED)
+def _classes(algebra):
+    """The involution classes up to inner conjugation (identity excluded), in
+    label order: {InvLabel: (alias, outer word, builder)}.
+
+    The alias names a class in the matrix notation: mu (X -> -X^T), muadj
+    (mu o Ad J), adj (Ad J) or adie (Ad iE), else None.  The builder returns a
+    new standard involution of the class; it is None on exceptional
+    algebras, which have no matrix model.  The so(8) classes rho_p^(e) are
+    theta^e rho_p theta^-e."""
+    fam, m = algebra.family, algebra.size
+    if algebra.is_exceptional:
+        outer = (1, 4) if fam == "e6" else ()
+        return {InvLabel(p): (None, X_PERM if p in outer else ID_PERM, None)
+                for p in range(1, algebra.n_involutions + 1)}
+
+    def ad(matrix, *args, w=0):
+        return lambda: Automorphism(algebra, matrix(*args), w=w)
+
+    def theta_conj(e, base):
+        return lambda: triality_automorphism(algebra, e).compose(
+            base()).compose(triality_automorphism(algebra, -e))
+
+    n = algebra.param
+    if fam == "a":
+        out = {InvLabel(p): (None, ID_PERM, ad(tau_matrix, p, m))
+               for p in range(1, m // 2 + 1)}
+        if m >= 3:
+            out[InvLabel(m // 2 + 1)] = ("mu", X_PERM,
+                                         lambda: mu_automorphism(algebra))
+            if m % 2 == 0:
+                out[InvLabel(m // 2 + 2)] = ("muadj", X_PERM,
+                                             ad(j_matrix, m // 2, w=1))
+    elif fam == "b":
+        out = {InvLabel(p): (None, ID_PERM, ad(tau_matrix, p, m))
+               for p in range(1, n + 1)}
+    elif fam == "c":
+        # the quaternionic tau_p acts as diag(tau_p, tau_p) on C^2n
+        out = {InvLabel(p): (None, ID_PERM, ad(
+            CycloMatrix.diag, ([-1] * p + [1] * (n - p)) * 2))
+            for p in range(1, n // 2 + 1)}
+        i = root_of_unity(4, 1)
+        out[InvLabel(n // 2 + 1)] = ("adie", ID_PERM,
+                                     ad(CycloMatrix.diag, [i] * n + [-i] * n))
+    else:
+        out = {InvLabel(p): (None, X_PERM if p % 2 else ID_PERM,
+                             ad(tau_matrix, p, m)) for p in range(1, n + 1)}
+        if n == 4:
+            for p in (1, 2, 3):
+                _, w, base = out[InvLabel(p)]
+                for e in (1, 2):
+                    y = _ypow(e)
+                    out[InvLabel(p, e)] = (None, _pcomp(_pcomp(y, w), _pinv(y)),
+                                           theta_conj(e, base))
+        else:
+            out[InvLabel(n + 1)] = ("adj", ID_PERM, ad(j_matrix, n))
+            if n % 2 == 0:
+                out[InvLabel(n + 1, 1)] = ("adj", ID_PERM, ad(
+                    lambda: tau_matrix(1, m) * j_matrix(n) * tau_matrix(1, m)))
+    return dict(sorted(out.items()))
+
+
+def _named(algebra, alias):
+    """The first class label of the algebra with the given alias."""
+    return next(lab for lab, cls in _classes(algebra).items() if cls[0] == alias)
+
+
+def _class(algebra, label):
+    cls = _classes(algebra).get(label)
+    if cls is None:
+        raise InvalidLabel("label %r not valid for %s" % (label, algebra.label()))
+    return cls
+
+
+_ALIAS_SPELLINGS = {"mu*adj": "muadj", "adje": "adie"}
 
 
 def parse_label(algebra, text):
@@ -638,110 +725,38 @@ def parse_label(algebra, text):
     if not isinstance(text, str):
         raise InvalidLabel("a label is a string, not %r" % (text,))
     t = text.strip()
-    prime = 0
-    while t.endswith("'"):
-        prime += 1
-        t = t[:-1]
+    prime = len(t) - len(t.rstrip("'"))
+    t = t.rstrip("'")
     low = t.lower()
     if low in ("id", "rho0"):
         if prime:
             raise InvalidLabel("the identity class has no primed variants")
         return InvLabel(0)
-    if algebra.is_exceptional:
-        if low.startswith("rho"):
-            lab = InvLabel(int(t[3:]), prime)
-            if lab in standard_labels(algebra):
-                return lab
-        raise InvalidLabel("label %r not valid for %s" % (text, algebra.label()))
-    info = family_labels(algebra)
-    if low == "mu":
-        if algebra.family != "a" or prime:
-            raise InvalidLabel("mu label applies to the a family")
-        return InvLabel(1) if algebra.size == 2 else InvLabel(info["mu"])
-    if low in ("muadj", "mu*adj"):
-        if algebra.family != "a" or algebra.size % 2 or prime:
-            raise InvalidLabel("muAdJ needs su(2n)")
-        return InvLabel(info["muadj"])
-    if low == "adj":
-        if algebra.family == "d":
-            if algebra.param == 4:
-                raise InvalidLabel("for so(8), AdJ is a primed rho2 class")
-            lab = InvLabel(info["adj"], prime)
-            if lab not in standard_labels(algebra):
-                raise InvalidLabel("label %r not valid for %s"
-                                   % (text, algebra.label()))
+    low = _ALIAS_SPELLINGS.get(low, low)
+    if low == "mu" and not prime and (algebra.family, algebra.param) == ("a", 1):
+        return InvLabel(1)  # on su(2), mu is Ad J
+    for lab, (alias, _, _) in _classes(algebra).items():
+        if alias == low and lab.prime == prime:
             return lab
-        raise InvalidLabel("AdJ label applies to the d family")
-    if low in ("adie", "adje"):
-        if algebra.family != "c" or prime:
-            raise InvalidLabel("Ad iE applies to the c family")
-        return InvLabel(info["adie"])
     if low.startswith("rho"):
         try:
-            p = int(t[3:])
+            lab = InvLabel(int(t[3:]), prime)
         except ValueError:
-            raise InvalidLabel("bad label %r" % text)
-        lab = InvLabel(p, prime)
-        if lab not in standard_labels(algebra) and p != 0:
-            raise InvalidLabel("label %r not valid for %s" % (text, algebra.label()))
-        return lab
-    raise InvalidLabel("bad label %r" % text)
-
-
-def family_labels(algebra):
-    """Distinguished label indices for the family."""
-    fam = algebra.family
-    if fam == "a":
-        m = algebra.size
-        out = {"tau_max": m // 2, "mu": m // 2 + 1}
-        if m % 2 == 0:
-            out["muadj"] = m // 2 + 2
-        return out
-    if fam == "b":
-        return {"tau_max": algebra.param}
-    if fam == "c":
-        return {"tau_max": algebra.param // 2, "adie": algebra.param // 2 + 1}
-    if fam == "d":
-        n = algebra.param
-        if n == 4:
-            return {"tau_max": 4}
-        return {"tau_max": n, "adj": n + 1}
-    raise UnsupportedExceptional(fam)
+            lab = None
+        if lab in _classes(algebra):
+            return lab
+    raise InvalidLabel("label %r not valid for %s" % (text, algebra.label()))
 
 
 def standard_labels(algebra):
     """The involution classes up to inner conjugation (identity excluded)."""
-    fam = algebra.family
-    if fam in ("e6", "e7", "e8", "f4", "g2"):
-        return [InvLabel(p) for p in range(1, algebra.n_involutions + 1)]
-    info = family_labels(algebra)
-    out = [InvLabel(p) for p in range(1, info["tau_max"] + 1)]
-    if fam == "a":
-        if algebra.size >= 3:
-            out.append(InvLabel(info["mu"]))
-            if "muadj" in info:
-                out.append(InvLabel(info["muadj"]))
-    elif fam == "c":
-        out.append(InvLabel(info["adie"]))
-    elif fam == "d":
-        n = algebra.param
-        if n == 4:
-            out = [InvLabel(p, e) for p in (1, 2, 3) for e in (0, 1, 2)]
-            out.append(InvLabel(4))
-            out.sort()
-        else:
-            out.append(InvLabel(info["adj"]))
-            if n % 2 == 0:
-                out.append(InvLabel(info["adj"], 1))
-    return out
+    return list(_classes(algebra))
 
 
 def standard_list(algebra):
     """The standard involution list: unprimed classes only (one per
     conjugacy class under the full automorphism group)."""
-    if algebra.is_exceptional:
-        return standard_labels(algebra)
-    return [lab for lab in standard_labels(algebra) if lab.prime == 0]
+    return [lab for lab in _classes(algebra) if lab.prime == 0]
 
 
 def standard_involution(algebra, label):
@@ -749,51 +764,11 @@ def standard_involution(algebra, label):
     if isinstance(label, str):
         label = parse_label(algebra, label)
     algebra._need_matrix()
-    fam = algebra.family
-    p, prime = label.p, label.prime
-    if p == 0:
+    if label.p == 0:
         return identity_automorphism(algebra)
-    if label not in standard_labels(algebra):
-        raise InvalidLabel("label %r not valid for %s" % (label, algebra.label()))
-    info = family_labels(algebra)
-    name = label.render()
-    if fam == "a":
-        if p <= info["tau_max"]:
-            return Automorphism(algebra, tau_matrix(p, algebra.size), label=name)
-        if p == info["mu"]:
-            out = mu_automorphism(algebra)
-            out.label = name
-            return out
-        # mu o Ad(J)
-        half = algebra.size // 2
-        return Automorphism(algebra, j_matrix(half), w=1, label=name)
-    if fam in ("b", "d") and prime == 0 and p <= info["tau_max"]:
-        return Automorphism(algebra, tau_matrix(p, algebra.size), label=name)
-    if fam == "d" and algebra.param != 4 and p == info["adj"]:
-        half = algebra.param
-        J = j_matrix(half)
-        if prime == 1:
-            t1 = tau_matrix(1, algebra.size)
-            J = t1 * J * t1
-        return Automorphism(algebra, J, label=name)
-    if fam == "d" and algebra.param == 4 and prime:
-        base = standard_involution(algebra, InvLabel(p))
-        th = triality_automorphism(algebra, prime)
-        out = th.compose(base).compose(th.inverse())
-        out.label = name
-        return out
-    if fam == "c":
-        if p <= info["tau_max"]:
-            n = algebra.param
-            tq = tau_matrix(p, n)
-            rows = [[tq.entry(i, j) for j in range(n)] + [0] * n for i in range(n)]
-            rows += [[0] * n + [tq.entry(i, j) for j in range(n)] for i in range(n)]
-            return Automorphism(algebra, CycloMatrix.from_scalars(rows), label=name)
-        i = root_of_unity(4, 1)
-        n = algebra.param
-        D = CycloMatrix.diag([i] * n + [-i] * n)
-        return Automorphism(algebra, D, label=name)
-    raise InvalidLabel("label %r not valid for %s" % (label, algebra.label()))
+    out = _class(algebra, label)[2]()
+    out.label = repr(label)
+    return out
 
 
 def order(phi, bound=64):
@@ -815,11 +790,7 @@ def _adj_prime_anchor(param):
     the pfaffian value of the class defined as theta rho_2 theta^(-1)."""
     if param == 4:
         alg = make_algebra("d", 4, "compact")
-        th = triality_automorphism(alg)
-        rho2 = standard_involution(alg, InvLabel(2))
-        conj = th.compose(rho2).compose(th.inverse())
-        K = conj.parts()[0]
-        val = pfaffian(K)
+        val = pfaffian(standard_involution(alg, InvLabel(2, 1)).parts()[0])
         assert val == 1 or val == -1
         return val
     return pfaffian(j_matrix(param))
@@ -841,65 +812,45 @@ def involution_int_class(phi):
     if fam == "d" and algebra.param == 4 and not phi.has_parts:
         delta, e = _theta_power_of(phi.word())
         if e:
-            op = phi.operator()
-            fixdim = _fixed_dim(op)
+            fixdim = _fixed_dim(phi.operator())
             p = {21: 1, 16: 2, 13: 3}.get(fixdim)
             if p is None:
                 raise NotInvolution("unexpected fixed dimension %d" % fixdim)
             return InvLabel(p, e)
         # inner-or-reflection word: fall through with the descended matrix
     G, w = phi.parts()
+    if w:  # mu o Ad(G) on su(m)
+        ratio = _scalar_ratio(G, G.transpose())
+        if ratio == 1:
+            return _named(algebra, "mu")
+        if ratio == -1:
+            return _named(algebra, "muadj")
+        raise NotInvolution("outer part does not square to the identity")
+    c = (G * G).is_scalar()
+    if c is None:
+        raise NotInvolution("G^2 is not scalar")
     if fam == "a":
-        if w:
-            ratio = _scalar_ratio(G, G.transpose())
-            if ratio == 1:
-                return InvLabel(family_labels(algebra)["mu"])
-            if ratio == -1:
-                return InvLabel(family_labels(algebra)["muadj"])
-            raise NotInvolution("outer part does not square to the identity")
-        c = (G * G).is_scalar()
-        if c is None:
-            raise NotInvolution("G^2 is not scalar")
-        tr2 = G.trace() ** 2 * c.inverse()
-        d2 = tr2.as_fraction()
-        d = _rational_root(d2, 2)
+        # tr(G)^2 / c = (m - 2p)^2
+        d = _rational_root((G.trace() ** 2 * c.inverse()).as_fraction(), 2)
         assert d is not None and d.denominator == 1
-        p = (m - int(d)) // 2
-        if algebra.size == 2 and p == 1:
-            return InvLabel(1)
-        return InvLabel(p)
-    if fam in ("b", "d"):
-        c = (G * G).is_scalar()
-        if c == 1:
-            tr = G.trace().as_fraction()
-            p = (m - abs(int(tr))) // 2
-            return InvLabel(p)
-        if c == -1:
-            half = algebra.param if fam == "d" else None
-            if half is None or m % 2:
-                raise NotInvolution("S^2 = -1 impossible here")
-            if half % 2 == 1:
-                return InvLabel(family_labels(algebra)["adj"])
-            pf = pfaffian(G)
-            anchor = _adj_prime_anchor(algebra.param)
-            if algebra.param == 4:
-                return InvLabel(2, 1 if pf == anchor else 2)
-            return InvLabel(family_labels(algebra)["adj"],
-                            0 if pf == anchor else 1)
+        return InvLabel((m - int(d)) // 2)
+    if c == 1:
+        # G has (m - |tr G|) / 2 eigenvalues -1; in Sp(n) they come in
+        # pairs, and p is the quaternionic index
+        mult = (m - abs(int(G.trace().as_fraction()))) // 2
+        return InvLabel(mult // 2 if fam == "c" else mult)
+    if c != -1:
         raise NotInvolution("G^2 is not +-1")
     if fam == "c":
-        c = (G * G).is_scalar()
-        if c == 1:
-            tr = G.trace().as_fraction()
-            p = (m - abs(int(tr))) // 4
-            # complex multiplicities are even; p is the quaternionic index
-            mult = (m - abs(int(tr))) // 2
-            assert mult % 2 == 0
-            return InvLabel(mult // 2)
-        if c == -1:
-            return InvLabel(family_labels(algebra)["adie"])
-        raise NotInvolution("G^2 is not +-1 in Sp")
-    raise UnsupportedExceptional(fam)
+        return _named(algebra, "adie")
+    if fam == "b":
+        raise NotInvolution("S^2 = -1 impossible here")
+    if algebra.param % 2:
+        return _named(algebra, "adj")
+    level = 0 if pfaffian(G) == _adj_prime_anchor(algebra.param) else 1
+    if algebra.param == 4:
+        return InvLabel(2, level + 1)
+    return InvLabel(_named(algebra, "adj").p, level)
 
 
 def _fixed_dim(op):
@@ -928,54 +879,22 @@ def conj_linear_int_class(phi):
 
 def label_out_word(algebra, label):
     """Outer-group position of a class label."""
-    fam = algebra.family
-    p = label.p
-    if p == 0:
-        return ID_PERM
-    if fam == "a":
-        info = family_labels(algebra)
-        if algebra.size >= 3 and p > info["tau_max"]:
-            return X_PERM
-        return ID_PERM
-    if fam in ("b", "c") or fam in ("e7", "e8", "f4", "g2"):
-        return ID_PERM
-    if fam == "e6":
-        return X_PERM if p in (1, 4) else ID_PERM
-    # family d
-    n = algebra.param
-    if n != 4:
-        info = family_labels(algebra)
-        if p == info["adj"]:
-            return ID_PERM
-        return X_PERM if p % 2 else ID_PERM
-    base = X_PERM if p % 2 else ID_PERM
-    if label.prime == 0:
-        return base
-    y = Y_PERM if label.prime == 1 else _pcomp(Y_PERM, Y_PERM)
-    return _pcomp(_pcomp(y, base), _pinv(y))
+    return ID_PERM if label.p == 0 else _class(algebra, label)[1]
 
 
 def label_outer_action(algebra):
-    """Maps label -> label for each generator of the outer group."""
-    fam = algebra.family
-    gens = []
-    if fam == "d" and algebra.param == 4:
+    """Maps label -> label for each generator of the outer group.  Only the
+    split classes move: on so(8), x swaps and y cycles the prime levels of
+    rho1..rho3; on so(4m), x swaps the two Ad J classes."""
+    if algebra.family != "d" or algebra.param % 2:
+        return []
+    if algebra.param == 4:
         def xmap(lab):
-            if lab.p in (1, 2, 3) and lab.prime:
-                return InvLabel(lab.p, 3 - lab.prime)
-            return lab
+            return InvLabel(lab.p, -lab.prime % 3) if lab.p in (1, 2, 3) else lab
 
         def ymap(lab):
-            if lab.p in (1, 2, 3):
-                return InvLabel(lab.p, (lab.prime + 1) % 3)
-            return lab
-        gens = [xmap, ymap]
-    elif fam == "d" and algebra.param % 2 == 0:
-        info = family_labels(algebra)
-
-        def xmap(lab):
-            if lab.p == info["adj"]:
-                return InvLabel(lab.p, 1 - lab.prime)
-            return lab
-        gens = [xmap]
-    return gens
+            return (InvLabel(lab.p, (lab.prime + 1) % 3) if lab.p in (1, 2, 3)
+                    else lab)
+        return [xmap, ymap]
+    adj = _named(algebra, "adj").p
+    return [lambda lab: InvLabel(adj, 1 - lab.prime) if lab.p == adj else lab]

@@ -24,6 +24,7 @@ from .pi0 import pair_k
 from .realforms import real_form_basis
 from .tables import (
     algebra_from_args,
+    algebra_from_label,
     enumerate_first_kind,
     enumerate_second_kind,
     first_kind_class,
@@ -130,8 +131,7 @@ def cmd_realize(args):
 
 
 def cmd_realform(args):
-    fam, rank = args.algebra
-    algebra = algebra_from_args(fam, rank)
+    algebra = algebra_from_label(args.algebra)
     labels = [s.strip() for s in args.pair.split(",")]
     if len(labels) != 2:
         raise KmautError("--pair wants two labels, e.g. 'mu,id'")
@@ -230,11 +230,6 @@ def main(argv=None):
         if code != 0:
             print(json.dumps({"error": "argument parsing failed"}))
         return code
-    if args.verb == "realform":
-        label = args.algebra.strip().lower()
-        fam = label.rstrip("0123456789")
-        digits = label[len(fam):]
-        args.algebra = (fam, int(digits) if digits and fam in "abcd" else None)
     try:
         return args.fn(args)
     except KmautError as exc:

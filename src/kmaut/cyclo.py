@@ -11,6 +11,7 @@ Every operation is exact; there is no floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -437,14 +438,24 @@ def _json_object(obj, what):
         raise MalformedData("%s must be a JSON object" % what)
 
 
+_EXACT = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _json_rational(value, what):
-    """The rational number of an exact string such as "3/4" or an int."""
-    if type(value) not in (str, int):
-        raise MalformedData("%s must be an exact string or integer" % what)
-    try:
+    """The rational number of an int or of an exact string such as "-3/4"
+    (no exponents or decimals: "1e100000000" would expand to a hundred
+    million digits)."""
+    if type(value) is int:
         return Fraction(value)
+    match = _EXACT.fullmatch(value) if type(value) is str else None
+    if match is None:
+        raise MalformedData("%s must be an integer or an exact string such as "
+                            "\"-3/4\", not %.40r" % (what, value))
+    num, den = match.groups()
+    try:
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except (ValueError, ZeroDivisionError):
-        raise MalformedData("%s %r is not rational" % (what, value)) from None
+        raise MalformedData("%s %.40r is not rational" % (what, value)) from None
 
 
 def _coerce(x):

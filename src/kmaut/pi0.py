@@ -18,12 +18,13 @@ from .autg import (
     Automorphism,
     ID_PERM,
     InvLabel,
+    _classes,
     _d4_frame,
+    _named,
     _pcomp,
     _porder,
     _scalar_ratio,
     _theta_power_of,
-    family_labels,
     identity_automorphism,
     involution_int_class,
     label_out_word,
@@ -132,6 +133,10 @@ def _ad(algebra, M, label):
     return lambda: Automorphism(algebra, M, label=label)
 
 
+def _std(algebra, alias):
+    return lambda: standard_involution(algebra, _named(algebra, alias))
+
+
 def _build_row(algebra, lab):
     fam = algebra.family
     if lab.p == 0:
@@ -140,49 +145,40 @@ def _build_row(algebra, lab):
         return _exceptional_row(algebra, lab)
     if lab not in standard_list(algebra):
         raise InvalidLabel("no component row for %r on %s" % (lab, algebra.label()))
-    info = family_labels(algebra)
+    alias = _classes(algebra)[lab][0]
     m = algebra.size
     ident = Pi0Entry("id", 1, lambda: identity_automorphism(algebra))
     frame = lambda: standard_involution(algebra, lab)
     if fam == "a":
-        if lab.p <= info["tau_max"]:
+        if alias is None:
             if m >= 3 and 2 * lab.p == m:
                 half = m // 2
                 entries = [
                     ident,
                     Pi0Entry("AdJ", 1, _ad(algebra, j_matrix(half), "AdJ")),
-                    Pi0Entry("mu", 2,
-                             lambda: standard_involution(algebra, InvLabel(info["mu"]))),
-                    Pi0Entry("muAdJ", 2,
-                             lambda: standard_involution(algebra,
-                                                         InvLabel(info["muadj"]))),
+                    Pi0Entry("mu", 2, _std(algebra, "mu")),
+                    Pi0Entry("muAdJ", 2, _std(algebra, "muadj")),
                 ]
             elif m >= 3:
-                entries = [
-                    ident,
-                    Pi0Entry("mu", 2,
-                             lambda: standard_involution(algebra, InvLabel(info["mu"]))),
-                ]
+                entries = [ident, Pi0Entry("mu", 2, _std(algebra, "mu"))]
             else:
                 entries = [ident,
                            Pi0Entry("mu", 1, lambda: mu_automorphism(algebra))]
-        elif lab.p == info["mu"]:
+        elif alias == "mu":
             if m % 2 == 0:
                 entries = [
                     ident,
                     Pi0Entry("rho1", 1, _ad(algebra, tau_matrix(1, m), "rho1")),
-                    Pi0Entry("mu", 2, lambda: standard_involution(algebra, lab)),
+                    Pi0Entry("mu", 2, frame),
                     Pi0Entry("rho1*mu", 2, lambda: Automorphism(
                         algebra, tau_matrix(1, m), w=1, label="rho1*mu")),
                 ]
             else:
                 entries = [ident,
-                           Pi0Entry("mu", 2,
-                                    lambda: standard_involution(algebra, lab))]
+                           Pi0Entry("mu", 2, frame)]
         else:  # mu Ad J class
             entries = [ident,
-                       Pi0Entry("muAdJ", 2,
-                                lambda: standard_involution(algebra, lab))]
+                       Pi0Entry("muAdJ", 2, frame)]
         return Pi0Row(algebra, lab, frame, entries)
     if fam == "b":
         p = lab.p
@@ -193,7 +189,7 @@ def _build_row(algebra, lab):
         return Pi0Row(algebra, lab, frame, entries)
     if fam == "c":
         n = algebra.param
-        if lab.p == info["adie"]:
+        if alias == "adie":
             entries = [ident,
                        Pi0Entry("AdjE", 1, _ad(algebra, j_matrix(n), "AdjE"))]
         elif 2 * lab.p == n:
@@ -213,7 +209,7 @@ def _build_row(algebra, lab):
     n = algebra.param
     if n == 4:
         return _d4_row(algebra, lab)
-    if lab.prime == 0 and lab.p <= n:
+    if alias is None:
         p = lab.p
         if p == n:
             J = j_matrix(n)
@@ -232,8 +228,7 @@ def _build_row(algebra, lab):
                 entries = [
                     ident,
                     Pi0Entry("AdJ", 1, _ad(algebra, J, "AdJ")),
-                    Pi0Entry("rho%d" % p, 2,
-                             lambda: standard_involution(algebra, lab)),
+                    Pi0Entry("rho%d" % p, 2, frame),
                     Pi0Entry("rho%d*AdJ" % p, 2,
                              _ad(algebra, tau_matrix(p, m) * J, "rho%d*AdJ" % p)),
                 ]
@@ -249,8 +244,7 @@ def _build_row(algebra, lab):
             ]
         else:
             entries = [ident,
-                       Pi0Entry("rho%d" % p, 2,
-                                lambda: standard_involution(algebra, lab))]
+                       Pi0Entry("rho%d" % p, 2, frame)]
         return Pi0Row(algebra, lab, frame, entries)
     # the Ad J row (rows are indexed by the standard list, so unprimed only)
     tn = tau_matrix(n, m)
@@ -266,13 +260,10 @@ def _build_row(algebra, lab):
 def _d4_row(algebra, lab):
     m = 8
     ident = Pi0Entry("id", 1, lambda: identity_automorphism(algebra))
-    if lab.prime:
-        raise InvalidLabel("component rows are indexed by the standard list")
     frame = lambda: standard_involution(algebra, lab)
     if lab.p in (1, 3):
         entries = [ident,
-                   Pi0Entry("rho%d" % lab.p, 2,
-                            lambda: standard_involution(algebra, lab))]
+                   Pi0Entry("rho%d" % lab.p, 2, frame)]
         return Pi0Row(algebra, lab, frame, entries)
     if lab.p == 2:
         entries = [

@@ -43,12 +43,12 @@ from .loopaut import (
 from .pi0 import pi0_row
 from .realforms import check_extension_bijection, sl2_catalogue
 from .tables import (
+    _entry_word,
     entry_invariant,
     enumerate_first_kind,
     enumerate_second_kind,
     membership_condition,
     realize,
-    realize_entry,
     valid_ks,
 )
 
@@ -330,8 +330,8 @@ def check_table1_validation(deep=False):
                     continue
                 if frame is not None and frame.compose(rep) != rep.compose(frame):
                     bad.append((alg.label(), repr(lab), e.rep, "commute"))
-                if rep.out_order() != e.k:
-                    bad.append((alg.label(), repr(lab), e.rep, "k"))
+                if rep.word() != _entry_word(e):
+                    bad.append((alg.label(), repr(lab), e.rep, "word"))
                 sigs = row.entry_signatures(e)
                 for s in sigs:
                     owner = sig_owner.get(s)
@@ -447,16 +447,16 @@ def check_opposite(deep=False):
         refl = conjugate_reflection(phi)
         if invariant_first_kind(refl) != opposite(invariant_first_kind(phi)):
             bad.append((name, "reflection"))
-    # iota_2 fixes every enumerated order-2 invariant
-    for alg in [make_algebra("a", 2, "compact"), make_algebra("a", 3, "compact"),
-                make_algebra("d", 4, "compact"), make_algebra("c", 3, "compact")]:
+    # iota_2 fixes every order-2 invariant: the reflected realization of
+    # each first-kind table entry reads back as the entry
+    for alg in acceptance_algebras():
+        if alg.is_exceptional:
+            continue
         for k in valid_ks(alg):
-            row = enumerate_first_kind(alg, k)
-            for e in row.entries:
-                phi = realize_entry(alg, e)
-                inv = invariant_first_kind(phi)
-                if opposite(inv) != inv:
-                    bad.append((alg.label(), repr(inv), "iota2"))
+            for e in enumerate_first_kind(alg, k).entries:
+                inv = entry_invariant(alg, e)
+                if invariant_first_kind(conjugate_reflection(realize(inv))) != inv:
+                    bad.append((alg.label(), e, "iota2"))
     return ("opposite-iota", not bad, "reflection = opposite; iota2 = id"
             if not bad else repr(bad[:4]))
 
@@ -478,8 +478,6 @@ def check_realize_roundtrip(deep=False):
                         bad.append((alg.label(), k, e, repr(inv)))
                     if not membership_condition(inv, k):
                         bad.append((alg.label(), k, e, "membership"))
-                    if e[0] != "2" and opposite(inv) != inv:
-                        bad.append((alg.label(), k, e, "iota2"))
     return ("realize-roundtrip", not bad,
             "%d entries round-tripped" % checked if not bad else repr(bad[:4]))
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .algebra import make_algebra
+from .algebra import CLASSICAL, EXCEPTIONAL, make_algebra
 from .autg import (
     Automorphism,
     ID_PERM,
+    X_PERM,
+    Y_PERM,
     InvLabel,
     _pcomp,
     _pinv,
@@ -108,7 +110,7 @@ def enumerate_first_kind(algebra, k):
     for e in pi0_row(algebra, InvLabel(0)).entries:
         # translation-type invariants (1, id, [beta]) live on the twist
         # beta^2; its outer class has order = order of word(beta)^(-2)
-        w = _entry_word(algebra, InvLabel(0), e.rep)
+        w = _entry_word(e)
         sq = _pcomp(w, w)
         if _porder(_pinv(sq)) == k:
             entries_1b.append(("1b", e.rep))
@@ -164,15 +166,10 @@ def _component_rep(algebra, rho_label, rep):
     return e.builder()
 
 
-def _entry_word(algebra, rho_label, rep):
-    """Outer word of a component representative label."""
-    if rep == "id":
-        return ID_PERM
-    if algebra.is_exceptional:
-        if algebra.family == "e6" and rep == "rho1":
-            return (0, 2, 1)
-        return ID_PERM
-    return _component_rep(algebra, rho_label, rep).word()
+def _entry_word(entry):
+    """Outer word of a component class (a row entry or a ComponentClass): the
+    representative of outer order k has the word of that order."""
+    return {1: ID_PERM, 2: X_PERM, 3: Y_PERM}[entry.k]
 
 
 def first_kind_class(algebra, q, p, rho, rep):
@@ -252,7 +249,7 @@ def membership_condition(inv, sigma):
         pprime, qprime = p // r, q // r
         l = pow(pprime, -1, qprime)
         wrho = label_out_word(algebra, inv.rho)
-        wbeta = _entry_word(algebra, inv.rho, inv.beta.rep)
+        wbeta = _entry_word(inv.beta)
         word = ID_PERM
         for _ in range(l):
             word = _pcomp(word, wrho)
@@ -273,4 +270,17 @@ def algebra_from_args(family, n=None, mode="compact"):
             raise InvalidLabel("classical families need a rank")
         return make_algebra(family, int(n), mode)
     return make_algebra(family, None, mode)
+
+
+def algebra_from_label(label):
+    """The compact algebra named like a1, d4 or e6."""
+    label = label.strip().lower()
+    if label in EXCEPTIONAL:
+        return make_algebra(label)
+    rank = label[1:]
+    if not (label[:1] in CLASSICAL and rank.isascii() and rank.isdigit()):
+        raise InvalidLabel("unknown algebra %r: expected a classical family "
+                           "and rank such as a1 or d4, or one of %s"
+                           % (label, ", ".join(EXCEPTIONAL)))
+    return make_algebra(label[0], int(rank))
 

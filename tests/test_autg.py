@@ -21,12 +21,19 @@ from kmaut.selftest import random_inner_automorphism
 
 
 def test_standard_involutions_square_to_identity():
-    cases = [("a", 2), ("a", 3), ("b", 2), ("c", 3), ("d", 4), ("d", 5), ("d", 6)]
-    for fam, n in cases:
-        alg = make_algebra(fam, n, "compact")
+    """Every class label of the classical acceptance algebras parses back
+    from its name, and its standard involution squares to the identity,
+    sits at the label's outer word and is classified as the label."""
+    from kmaut.selftest import acceptance_algebras
+    for alg in acceptance_algebras():
+        if alg.is_exceptional:
+            continue
         for lab in standard_labels(alg):
+            assert parse_label(alg, repr(lab)) == lab
             phi = standard_involution(alg, lab)
-            assert phi.compose(phi).is_identity(), (fam, n, lab)
+            assert phi.compose(phi).is_identity(), (alg, lab)
+            assert phi.label == repr(lab)
+            assert phi.word() == label_out_word(alg, lab)
             assert involution_int_class(phi) == lab
 
 
@@ -201,6 +208,43 @@ def test_label_parsing():
         parse_label(su4, "AdJ")
 
 
+def test_label_parse_fixes():
+    """a1 has no mu o Ad J class (muAdJ used to parse to rho3), and a label
+    that is no integer fails as an invalid label on exceptional algebras too
+    (it was a bare ValueError)."""
+    su2 = make_algebra("a", 1, "compact")
+    assert parse_label(su2, "mu") == InvLabel(1)
+    for text in ["muAdJ", "mu*adj", "rho3"]:
+        with pytest.raises(InvalidLabel):
+            parse_label(su2, text)
+    for fam in ("e6", "e7", "e8", "f4", "g2"):
+        alg = make_algebra(fam, None, "compact")
+        for text in ["rho", "rhox", "rhox'", "rho1'", "mu"]:
+            with pytest.raises(InvalidLabel):
+                parse_label(alg, text)
+        assert parse_label(alg, "rho1") == InvLabel(1)
+
+
+def test_operator_inverse_is_carried():
+    """An so(8) operator map keeps the inverse of its operator: parsed from
+    JSON, and passed on by inverse(), for the complex-linear realized
+    (rho1, rho1') twist at k = 3 and for its conjugate-linear variant."""
+    from kmaut.loopaut import SecondKindInvariant
+    from kmaut.tables import realize
+    so8 = make_algebra("d", 4, "compact")
+    inv = SecondKindInvariant(so8, 2, (InvLabel(1), InvLabel(1, 1)), 3)
+    obj = realize(inv).twist.to_json()
+    assert obj["rep"] == "operator"
+    for conj in (False, True):
+        A = Automorphism.from_json(dict(obj, conj_linear=conj))
+        L = A.operator()
+        assert A._inv == L.inverse()
+        B = A.inverse()
+        assert B.operator() == (L.inverse().conj() if conj else L.inverse())
+        assert B._inv == B.operator().inverse()
+        assert A.compose(B).is_identity() and B.compose(A).is_identity()
+
+
 def test_label_out_words():
     e6 = make_algebra("e6", None, "compact")
     from kmaut.autg import ID_PERM
@@ -248,8 +292,8 @@ def test_inverse_and_compose_identities(w, conj):
         for out in (A.compose(Ai), Ai.compose(A)):
             assert out.is_identity()
         for aut in (A, Ai):
-            if aut._Ginv is not None:
-                assert aut._G * aut._Ginv == eye
+            if aut._inv is not None:
+                assert aut._G * aut._inv == eye
         x = su3.basis()[rng.randrange(8)] * root_of_unity(12, rng.randrange(12))
         assert Ai.apply_matrix(A.apply_matrix(x)) == x
 

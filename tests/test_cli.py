@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,44 @@ def test_realform_verb(tmp_path, capsys):
     assert payload["bracket_closed"] is True
     dims = payload["coefficient_dims"]
     assert dims["0"] == 1 and dims["1"] == 2
+
+
+def test_realform_reads_the_algebra_label(capsys):
+    """Exceptional names are algebras (with no matrix model, so no real form
+    basis); a family name is one letter, so ab1 is unknown."""
+    rc, out = run_cli(["realform", "--pair", "rho1,id", "--algebra", "e6"],
+                      capsys)
+    assert rc == 2 and "unknown family" not in json.loads(out)["error"]
+    assert "matrix model" in json.loads(out)["error"]
+    for label in ["ab1", "abcd1", "d", "e9", "a-1"]:
+        rc, out = run_cli(["realform", "--pair", "rho1,id", "--algebra", label],
+                          capsys)
+        assert rc == 2
+        assert json.loads(out)["error"].startswith("unknown algebra")
+
+
+def test_realform_rejects_labels_of_other_algebras(capsys):
+    """a1 has no mu o Ad J class: muAdJ used to parse to rho3."""
+    rc, out = run_cli(["realform", "--pair", "muAdJ,id", "--algebra", "a1"],
+                      capsys)
+    assert rc == 2
+    assert json.loads(out) == {"error": "label 'muAdJ' not valid for a1"}
+
+
+def test_exponent_strings_exit_2_fast(tmp_path, capsys):
+    """An exponent string in a coefficient or in t0 is refused before any
+    arithmetic: Fraction("1e100000000") alone ran past a minute."""
+    aut = json.loads(_write_aut(tmp_path).read_text())
+    coeff = json.loads(json.dumps(aut))
+    coeff["twist"]["matrix"][0][0] = {"conductor": 1,
+                                      "coeffs": ["1e100000000"]}
+    for bad in [dict(aut, t0="1e100000000"), coeff]:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        start = time.perf_counter()
+        rc, out = run_cli(["invariant", "--in", str(path)], capsys)
+        assert time.perf_counter() - start < 1
+        _assert_typed_error(rc, out)
 
 
 def _assert_typed_error(rc, out):

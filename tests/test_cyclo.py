@@ -15,6 +15,7 @@ from kmaut.cyclo import (
 )
 from kmaut.errors import (
     ConductorOverflow,
+    MalformedData,
     NotAntisymmetric,
     OddDimension,
     OrderMismatch,
@@ -126,6 +127,25 @@ def test_conductor_cap():
 def test_scalar_json_roundtrip():
     a = root_of_unity(8, 3) * Fraction(5, 6) + 2
     assert CycloScalar.from_json(a.to_json()) == a
+
+
+@pytest.mark.parametrize("coeff", ["1e100000000", "1.5", " 1/2", "1/2 ",
+                                   "0x10", "1_000", "1/-2", "inf", "nan",
+                                   "\u0661", "", True, 1.5, None])
+def test_scalar_json_takes_exact_strings_only(coeff):
+    """Only what to_json writes parses: an int or [-+]digits[/digits]; an
+    exponent such as 1e100000000 would expand to a hundred million digits."""
+    with pytest.raises(MalformedData):
+        CycloScalar.from_json({"conductor": 1, "coeffs": [coeff]})
+
+
+def test_scalar_json_exact_strings():
+    for coeff, want in [("-3/4", Fraction(-3, 4)), ("+2", 2), (7, 7),
+                        ("0/5", 0), ("12/8", Fraction(3, 2))]:
+        got = CycloScalar.from_json({"conductor": 1, "coeffs": [coeff]})
+        assert got == CycloScalar.from_rational(want)
+    with pytest.raises(MalformedData, match="not rational"):
+        CycloScalar.from_json({"conductor": 1, "coeffs": ["1/0"]})
 
 
 def test_matrix_ops():
