@@ -12,6 +12,7 @@ scalars of group commutators, eigenblock determinants and pfaffian signs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -663,8 +664,14 @@ def _classes(algebra):
         return lambda: Automorphism(algebra, matrix(*args), w=w)
 
     def theta_conj(e, base):
-        return lambda: triality_automorphism(algebra, e).compose(
-            base()).compose(triality_automorphism(algebra, -e))
+        # two 28x28 operator products, made once; each call gets a fresh
+        # Automorphism, whose parts and inverse fill lazily
+        @lru_cache(maxsize=1)
+        def conj():
+            return triality_automorphism(algebra, e).compose(
+                base()).compose(triality_automorphism(algebra, -e))
+        return lambda: Automorphism(algebra, operator=conj()._op,
+                                    word=conj()._word)
 
     n = algebra.param
     if fam == "a":
@@ -718,6 +725,8 @@ def _class(algebra, label):
 
 
 _ALIAS_SPELLINGS = {"mu*adj": "muadj", "adje": "adie"}
+# the printed form of rho<p> only: ASCII digits, no sign, space or leading 0
+_RHO_INDEX = re.compile(r"rho([1-9][0-9]*)")
 
 
 def parse_label(algebra, text):
@@ -738,13 +747,9 @@ def parse_label(algebra, text):
     for lab, (alias, _, _) in _classes(algebra).items():
         if alias == low and lab.prime == prime:
             return lab
-    if low.startswith("rho"):
-        try:
-            lab = InvLabel(int(t[3:]), prime)
-        except ValueError:
-            lab = None
-        if lab in _classes(algebra):
-            return lab
+    index = _RHO_INDEX.fullmatch(low)
+    if index and InvLabel(int(index[1]), prime) in _classes(algebra):
+        return InvLabel(int(index[1]), prime)
     raise InvalidLabel("label %r not valid for %s" % (text, algebra.label()))
 
 

@@ -397,20 +397,7 @@ class CycloScalar:
 
     @staticmethod
     def from_json(obj):
-        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
-            raise MalformedData("a scalar is {\"conductor\": N, \"coeffs\": [...]}")
-        N = _json_int(obj, "conductor")
-        coeffs = [_json_rational(c, "a coefficient") for c in obj["coeffs"]]
-        # phi(N) from N alone: the context of a large N takes seconds to build
-        _check_conductor(N)
-        phi = _totient(N)
-        if len(coeffs) != phi:
-            raise MalformedData("conductor %d takes %d coefficients, not %d"
-                                % (N, phi, len(coeffs)))
-        den = 1
-        for c in coeffs:
-            den = lcm(den, c.denominator)
-        return CycloScalar(N, tuple(int(c * den) for c in coeffs), den)
+        return CycloScalar(*_json_scalar(obj))
 
     def __repr__(self):
         if self.is_rational():
@@ -421,6 +408,28 @@ class CycloScalar:
                 q = Fraction(c, self.den)
                 terms.append("%s*z%d^%d" % (q, self.N, i) if i else str(q))
         return "CycloScalar(%s)" % " + ".join(terms)
+
+
+def _json_scalar(obj):
+    """The checked parts (N, numerators, den) of a JSON scalar
+    {"conductor": N, "coeffs": [...]}, over the lcm of the coefficient
+    denominators."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+        raise MalformedData("a scalar is {\"conductor\": N, \"coeffs\": [...]}")
+    N = _json_int(obj, "conductor")
+    # "0", the common coefficient, is what the exact-string match would give
+    coeffs = [0 if c == "0" else _json_rational(c, "a coefficient")
+              for c in obj["coeffs"]]
+    # phi(N) from N alone: the context of a large N takes seconds to build
+    _check_conductor(N)
+    phi = _totient(N)
+    if len(coeffs) != phi:
+        raise MalformedData("conductor %d takes %d coefficients, not %d"
+                            % (N, phi, len(coeffs)))
+    if not any(coeffs):
+        return N, (0,) * phi, 1
+    den = lcm(*[c.denominator for c in coeffs])
+    return N, tuple([c.numerator * (den // c.denominator) for c in coeffs]), den
 
 
 def _json_int(obj, key, default=None, allowed=None):
@@ -856,8 +865,24 @@ class CycloMatrix:
         if not (isinstance(obj, list) and obj
                 and all(isinstance(row, list) and len(row) == len(obj) for row in obj)):
             raise MalformedData("a matrix is a nonempty square list of rows")
-        entries = [[CycloScalar.from_json(x) for x in row] for row in obj]
-        return CycloMatrix.from_scalars(entries)
+        # every entry is checked and counts towards the conductor, zero
+        # entries too; only the nonzero ones are stored
+        N = den = 1
+        ents = []
+        for row in obj:
+            out = {}
+            for j, x in enumerate(row):
+                M, nums, d = _json_scalar(x)
+                N = lcm(N, M)
+                if any(nums):
+                    out[j] = M, nums, d
+                    den = lcm(den, d)
+            ents.append(out)
+        if N > MAX_CONDUCTOR:
+            raise ConductorOverflow("conductor %d exceeds cap" % N)
+        rows = tuple({j: tuple(c * (den // d) for c in _lift(nums, M, N))
+                      for j, (M, nums, d) in row.items()} for row in ents)
+        return CycloMatrix(len(obj), N, den, rows)
 
     def __repr__(self):
         return "CycloMatrix(%d, conductor=%d)" % (self.n, self.N)

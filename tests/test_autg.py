@@ -223,6 +223,33 @@ def test_label_parse_fixes():
             with pytest.raises(InvalidLabel):
                 parse_label(alg, text)
         assert parse_label(alg, "rho1") == InvLabel(1)
+    # only the printed form of rho<p> parses (int() took all four as rho1)
+    su3 = make_algebra("a", 2, "compact")
+    for text in ["rho 1", "rho+1", "rho01", "rho\u0661"]:
+        with pytest.raises(InvalidLabel):
+            parse_label(su3, text)
+    for text in ["rho1", "RHO1", " Rho1 "]:
+        assert parse_label(su3, text) == InvLabel(1)
+
+
+def test_primed_so8_classes_are_fresh():
+    """A primed so(8) class is built once per algebra, but every call returns
+    a new Automorphism equal to theta^e rho_p theta^-e: parts and inverse
+    fill lazily, so no two callers may share one."""
+    so8 = make_algebra("d", 4, "compact")
+    for p in (1, 2, 3):
+        base = standard_involution(so8, InvLabel(p))
+        for e in (1, 2):
+            lab = InvLabel(p, e)
+            want = triality_automorphism(so8, e).compose(base).compose(
+                triality_automorphism(so8, -e))
+            a, b = standard_involution(so8, lab), standard_involution(so8, lab)
+            assert a is not b and a == b == want
+            assert a.label == b.label == repr(lab)
+            assert a._inv is None and b._inv is None
+            if (p, e) == (2, 1):
+                a.parts()
+                assert a._G is not None and b._G is None
 
 
 def test_operator_inverse_is_carried():

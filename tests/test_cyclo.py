@@ -468,3 +468,135 @@ def test_sparse_rows_property():
                 assert hash(A) == hash(B)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# JSON matrices: read straight into packed rows
+# ---------------------------------------------------------------------------
+
+def reference_from_json(obj):
+    """The reader as it was: one CycloScalar per entry, packed by
+    from_scalars."""
+    return CycloMatrix.from_scalars([[CycloScalar.from_json(x) for x in row]
+                                     for row in obj])
+
+
+def json_coeff(rng):
+    """A coefficient string as to_json writes it, or unreduced, signed or
+    a plain int."""
+    num, den = rng.randint(-4, 4), rng.randint(1, 4)
+    return rng.choice([0, "0", "-0", "+0", "0/3", str(num), "+%d" % abs(num),
+                       num, "%d/%d" % (num, den), "%d/%d" % (2 * num, 2 * den)])
+
+
+def json_matrix(rng, n, conductors, density):
+    """An n x n JSON matrix whose entries take random conductors; an entry
+    is zero with probability 1 - density, also at a large conductor."""
+    out = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            N = rng.choice(conductors)
+            phi = len(root_of_unity(N, 0).nums)
+            coeffs = [json_coeff(rng) if rng.random() < density
+                      else rng.choice(["0", 0, "-0", "0/5"]) for _ in range(phi)]
+            row.append({"conductor": N, "coeffs": coeffs})
+        out.append(row)
+    return out
+
+
+def same_packed(A, B):
+    return (A.n, A.N, A.den, A.rows) == (B.n, B.N, B.den, B.rows)
+
+
+def test_matrix_json_matches_the_scalar_path():
+    for obj in (
+            # conductors 3 and 4 give 12
+            [[{"conductor": 3, "coeffs": ["1", "-2/4"]},
+              {"conductor": 4, "coeffs": ["+3", "0"]}],
+             [{"conductor": 1, "coeffs": ["-0"]}, {"conductor": 1, "coeffs": [1]}]],
+            # a zero entry at conductor 4 still sets the conductor
+            [[{"conductor": 1, "coeffs": ["2/4"]}, {"conductor": 4, "coeffs": ["0", "0"]}],
+             [{"conductor": 1, "coeffs": ["0"]}, {"conductor": 1, "coeffs": ["-1/6"]}]],
+            # all zero
+            [[{"conductor": 5, "coeffs": ["0", "-0", "0/7", 0]}]]):
+        got = CycloMatrix.from_json(obj)
+        assert same_packed(got, reference_from_json(obj))
+        assert_sparse(got)
+    assert CycloMatrix.from_json(obj).N == 5
+
+
+def test_matrix_json_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(st.sampled_from([(1,), (1, 3, 4), (3, 4), (1, 4, 12), (5, 8)]),
+               st.integers(1, 4), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def check(conductors, n, density, seed):
+        obj = json_matrix(random.Random(seed), n, conductors, density)
+        got = CycloMatrix.from_json(obj)
+        assert same_packed(got, reference_from_json(obj))
+        assert_sparse(got)
+
+    check()
+
+
+def entry(N=1, coeffs=("1",)):
+    return {"conductor": N, "coeffs": list(coeffs)}
+
+
+SCALAR_SHAPE = 'a scalar is {"conductor": N, "coeffs": [...]}'
+
+
+@pytest.mark.parametrize("bad, exc, message", [
+    (["1"], MalformedData, SCALAR_SHAPE),
+    ({"conductor": 1}, MalformedData, SCALAR_SHAPE),
+    ({"conductor": 1, "coeffs": "1"}, MalformedData, SCALAR_SHAPE),
+    (entry(4, ["1", "0", "0"]), MalformedData,
+     "conductor 4 takes 2 coefficients, not 3"),
+    (entry(1, ["1/0"]), MalformedData, "a coefficient '1/0' is not rational"),
+    (entry(1, ["1e5"]), MalformedData,
+     'a coefficient must be an integer or an exact string such as "-3/4", '
+     "not '1e5'"),
+    (entry(True), MalformedData, "conductor must be an integer, not True"),
+    (entry(0, []), ConductorOverflow, "conductor must be positive"),
+    # the syntax of every coefficient is checked before the conductor
+    (entry(0, ["1e5"]), MalformedData, "a coefficient must be an integer"),
+])
+def test_matrix_json_errors(bad, exc, message):
+    """One checked entry reader: a bad entry fails the scalar and the
+    matrix reader alike, wherever it sits in the matrix."""
+    with pytest.raises(exc) as scalar_err:
+        CycloScalar.from_json(bad)
+    assert str(scalar_err.value).startswith(message)
+    good = entry()
+    for obj in ([[bad]], [[good, good], [good, bad]], [[bad, good], [good, good]]):
+        with pytest.raises(exc) as err:
+            CycloMatrix.from_json(obj)
+        assert str(err.value) == str(scalar_err.value)
+
+
+def test_matrix_json_shape_errors():
+    for obj in ([], [[]], [[entry()], [entry()]], [[entry(), entry()]],
+                [entry()], {"0": [entry()]}):
+        with pytest.raises(MalformedData, match="nonempty square list of rows"):
+            CycloMatrix.from_json(obj)
+
+
+def test_matrix_json_conductor_cap_builds_no_context(monkeypatch):
+    """Conductors 997 and 1009 are each allowed, but their lcm is over
+    MAX_CONDUCTOR: the reader fails before any context is built, also when
+    both entries are zero."""
+    from kmaut import cyclo
+
+    def no_context(*args):
+        raise AssertionError("context built for %r" % (args,))
+
+    monkeypatch.setattr(cyclo, "_context", no_context)
+    monkeypatch.setattr(cyclo, "_embedding", no_context)
+    for coeff in ("1", "0"):
+        obj = [[entry(997, [coeff] + ["0"] * 995), entry(1)],
+               [entry(1), entry(1009, [coeff] + ["0"] * 1007)]]
+        with pytest.raises(ConductorOverflow, match="^conductor 1005973 exceeds cap$"):
+            CycloMatrix.from_json(obj)
