@@ -129,8 +129,8 @@ def _image_rates(M, rates):
 class Automorphism:
     """A (possibly conjugate-linear) automorphism of a classical simple algebra."""
 
-    __slots__ = ("algebra", "conj", "_G", "_inv", "_w", "_op", "_word",
-                 "label", "_canonG", "eigenbases")
+    __slots__ = ("algebra", "conj", "_G", "_inv", "_inv_later", "_w", "_op",
+                 "_word", "label", "_canonG", "eigenbases")
 
     def __init__(self, algebra, G=None, w=0, conj=False, operator=None,
                  word=None, label=None):
@@ -140,8 +140,11 @@ class Automorphism:
         self.label = label
         # {l: bases of the zeta_l^n eigenspaces}, filled by sigma_eigenspace
         self.eigenbases = {}
-        # the inverse of the stored matrix, _G or else _op, once known
+        # the inverse of the stored matrix, _G or else _op, once known; a
+        # product whose factors' inverses were known makes its own from them
+        # on first use, through _inv_later
         self._inv = None
+        self._inv_later = None
         self._canonG = None
         if operator is not None:
             assert algebra.family == "d" and algebra.param == 4
@@ -177,21 +180,26 @@ class Automorphism:
     def _ginv(self):
         G, _ = self.parts()
         if self._inv is None:
-            self._inv = G.inverse()
+            if self._inv_later is not None:
+                self._inv, self._inv_later = self._inv_later(), None
+            else:
+                self._inv = group_inverse(self.algebra, G)
         return self._inv
 
     def word(self):
         """Position in the outer group as a permutation of {0,1,2}."""
-        if self._word is not None:
-            return self._word
-        fam = self.algebra.family
-        if fam == "a" and self._w:
-            return X_PERM
-        if fam == "d":
-            det = self._G.det()
-            if det == -1:
-                return X_PERM
-        return ID_PERM
+        if self._word is None:
+            # kept: a group-form map never changes its G or w
+            self._word = ID_PERM
+            if self.algebra.family == "a" and self._w:
+                self._word = X_PERM
+            elif self.algebra.family == "d":
+                # G^T G = c I gives det(G) = +-c^l; -c^l is a reflection,
+                # whatever the scale of G
+                c = _form_adjoint(self.algebra, self._G)[1]
+                if self._G.det() != c ** self.algebra.param:
+                    self._word = X_PERM
+        return self._word
 
     def is_inner(self):
         return self.word() == ID_PERM and not self.conj
@@ -246,17 +254,26 @@ class Automorphism:
         conj = self.conj ^ other.conj
         if self._G is not None and other._G is not None:
             # K = other's G passed through omega^c then mu^w of self, using
-            # inv(K^T) = inv(K)^T and inv(K^*) = inv(K)^*
+            # inv(K^T) = inv(K)^T and inv(K^*) = inv(K)^*; Kinv makes K^-1
+            # from what other holds, or is None if other's inverse is unknown
+            G2, G2inv = other._G, other._inv
             if self.conj and self._w:
-                K = other._G.conj()
+                K = G2.conj()
+                Kinv = None if G2inv is None else G2inv.conj
             elif self.conj:
-                K = other._ginv().conj_transpose()
+                K, Kinv = other._ginv().conj_transpose(), G2.conj_transpose
             elif self._w:
-                K = other._ginv().transpose()
+                K, Kinv = other._ginv().transpose(), G2.transpose
             else:
-                K = other._G
-            return Automorphism(self.algebra, self._G * K,
-                                w=self._w + other._w, conj=conj)
+                K = G2
+                Kinv = None if G2inv is None else lambda: G2inv
+            out = Automorphism(self.algebra, self._G * K,
+                               w=self._w + other._w, conj=conj)
+            # (G K)^-1 = K^-1 G^-1: one product, made only if asked for
+            Ginv = self._inv
+            if Ginv is not None and Kinv is not None:
+                out._inv_later = lambda: Kinv() * Ginv
+            return out
         L1 = self.operator()
         L2 = other.operator()
         if self.conj:
@@ -267,7 +284,9 @@ class Automorphism:
     def inverse(self):
         if self._G is not None:
             G = self._G
-            # Kinv: the inverse of K, where it comes for free
+            # Kinv: the inverse of K, where it comes for free; from a known
+            # G^-1, the transposes are made only if asked for
+            Ginv = self._inv
             if self._w and self.conj:
                 K, Kinv = self._ginv().conj(), G.conj()
             elif self._w:
@@ -278,6 +297,9 @@ class Automorphism:
                 K, Kinv = self._ginv(), G
             out = Automorphism(self.algebra, K, w=self._w, conj=self.conj)
             out._inv = Kinv
+            if Kinv is None and Ginv is not None:
+                out._inv_later = (Ginv.transpose if self._w
+                                  else Ginv.conj_transpose)
             return out
         if self._inv is None:
             self._inv = self._op.inverse()
@@ -290,16 +312,20 @@ class Automorphism:
         return out
 
     def power(self, k):
+        """self^k by binary expansion: bit_length(k) - 1 squarings and
+        popcount(k) - 1 products; power(1) is self itself."""
         if k < 0:
             return self.inverse().power(-k)
-        out = identity_automorphism(self.algebra)
-        base = self
-        while k:
+        if k == 0:
+            return identity_automorphism(self.algebra)
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out.compose(base)
-            base = base.compose(base)
+                out = base if out is None else out.compose(base)
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base.compose(base)
 
     def is_identity(self):
         if self.conj:
@@ -378,12 +404,8 @@ class Automorphism:
             raise MalformedData("%s takes a %dx%d matrix, not %dx%d"
                                 % (algebra.label(), size, size, M.n, M.n))
         # the matrix keeps its inverse: most parsed maps are composed or
-        # inverted, which needs it
-        try:
-            Minv = M.inverse()
-        except ZeroDivisionError:
-            raise MalformedData("the matrix of an automorphism must be "
-                                "invertible; this one is singular") from None
+        # inverted, which needs it; a group matrix outside its group fails here
+        Minv = group_inverse(algebra, M) if group else _eliminated_inverse(M)
         if group:
             out = Automorphism(algebra, M,
                                w=_json_int(obj, "outer_power", 0, (0, 1)),
@@ -400,6 +422,42 @@ class Automorphism:
                                label=obj.get("label"))
         out._inv = Minv
         return out
+
+
+def _eliminated_inverse(M):
+    try:
+        return M.inverse()
+    except ZeroDivisionError:
+        raise MalformedData("the matrix of an automorphism must be "
+                            "invertible; this one is singular") from None
+
+
+def _form_adjoint(algebra, G):
+    """(A, c) with A G = c I and c != 0, for A = G^T on so(m) and A = J G^T J
+    on sp(2n), J = j_matrix: Ad(G) keeps the algebra exactly when such a c
+    exists (G^T G = c I, or G^T J G = -c J).  MalformedData if there is none,
+    which is also the case for a singular G."""
+    A = G.transpose()
+    if algebra.family == "c":
+        J = j_matrix(algebra.param)
+        A = J * A * J
+    c = (A * G).is_scalar()
+    if c is None or c.is_zero():
+        raise MalformedData("the matrix of a %s automorphism must satisfy "
+                            "G^T J G = c J with c != 0 for its form J; this "
+                            "one does not" % algebra.label())
+    return A, c
+
+
+def group_inverse(algebra, G):
+    """G^-1 for the matrix G of a group-form automorphism.  On b, c and d it
+    is A / c from the defining form (see _form_adjoint), which also checks
+    that G is in the group; on a, where every invertible G is, it is
+    eliminated.  Either way a G that is not in the group is MalformedData."""
+    if algebra.family == "a":
+        return _eliminated_inverse(G)
+    A, c = _form_adjoint(algebra, G)
+    return A if c == 1 else A * c.inverse()
 
 
 def identity_automorphism(algebra):

@@ -857,8 +857,14 @@ class CycloMatrix:
     # -- io ------------------------------------------------------------------
 
     def to_json(self):
-        return [[self.entry(i, j).to_json() for j in range(self.n)]
-                for i in range(self.n)]
+        """Each entry as CycloScalar.to_json writes it, straight from the
+        packed rows."""
+        N, den, phi = self.N, self.den, _context(self.N).phi
+        return [[{"conductor": N,
+                  "coeffs": ["0"] * phi if v is None
+                  else [str(c) if den == 1 else str(Fraction(c, den)) for c in v]}
+                 for v in map(row.get, range(self.n))]
+                for row in self.rows]
 
     @staticmethod
     def from_json(obj):

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
+
 import pytest
 
 from kmaut.algebra import j_matrix, make_algebra, tau_matrix
 from kmaut.autg import (
     Automorphism,
     InvLabel,
+    group_inverse,
     identity_automorphism,
     involution_int_class,
     label_out_word,
@@ -15,9 +18,10 @@ from kmaut.autg import (
     triality_automorphism,
 )
 from kmaut.cyclo import CycloMatrix, root_of_unity
-from kmaut.errors import InvalidLabel, NotInvolution, OrderExceedsBound
+from kmaut.errors import (InvalidLabel, MalformedData, NotInvolution,
+                          OrderExceedsBound)
 from kmaut.pi0 import component_signature, pi0_table
-from kmaut.selftest import random_inner_automorphism
+from kmaut.selftest import random_inner_automorphism, random_inner_matrix
 
 
 def test_standard_involutions_square_to_identity():
@@ -319,8 +323,7 @@ def test_inverse_and_compose_identities(w, conj):
         for out in (A.compose(Ai), Ai.compose(A)):
             assert out.is_identity()
         for aut in (A, Ai):
-            if aut._inv is not None:
-                assert aut._G * aut._inv == eye
+            assert aut._G * aut._ginv() == eye
         x = su3.basis()[rng.randrange(8)] * root_of_unity(12, rng.randrange(12))
         assert Ai.apply_matrix(A.apply_matrix(x)) == x
 
@@ -356,3 +359,163 @@ def test_d4_triality_descent(monkeypatch):
             assert ents and all(any(v) for v in ents.values())
             img = so8.from_coords((ents, den), op.N)
             assert G * b * Gi == img
+
+
+_FORM_ALGEBRAS = [("b", 2), ("b", 3), ("b", 4), ("c", 3), ("c", 4), ("d", 4),
+                  ("d", 5)]
+
+
+def _scale(index, q):
+    """1, a rational q, zeta_4 or zeta_4 q."""
+    return [1, q, root_of_unity(4, 1), root_of_unity(4, 1) * q][index]
+
+
+def test_group_inverse_matches_elimination():
+    """On b, c and d the inverse read from the defining form is the
+    eliminated one, also for scaled group matrices."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.sampled_from(_FORM_ALGEBRAS), st.integers(0, 3),
+               st.fractions(min_value=-5, max_value=5, max_denominator=6)
+               .filter(bool), st.integers(0, 2**32 - 1))
+    def check(fam_n, scale, q, seed):
+        alg = make_algebra(*fam_n, "compact")
+        G = random_inner_matrix(alg, random.Random(seed)) * _scale(scale, q)
+        assert group_inverse(alg, G) == G.inverse()
+
+    check()
+
+
+@pytest.mark.parametrize("fam,n", _FORM_ALGEBRAS[::2] + [("a", 2)])
+def test_group_inverse_rejects_matrices_outside_the_group(fam, n):
+    """A matrix off the group by one entry, or singular, is MalformedData
+    naming the matrix, from group_inverse and from the JSON reader."""
+    alg = make_algebra(fam, n, "compact")
+    G = random_inner_matrix(alg, random.Random(3))
+    rows = [[Fraction(int(i == j == 0)) for j in range(G.n)]
+            for i in range(G.n)]
+    singular = G - CycloMatrix.from_scalars(rows) * G
+    # the zero matrix has A G = 0 I, a scalar but not a nonzero one
+    bad = [singular, CycloMatrix.zeros(G.n)]
+    if fam != "a":
+        rows[0][0], rows[0][1] = Fraction(0), Fraction(1, 3)
+        bad.append(G + CycloMatrix.from_scalars(rows))
+    for M in bad:
+        with pytest.raises(MalformedData, match="matrix"):
+            group_inverse(alg, M)
+        obj = Automorphism(alg, G).to_json()
+        obj["matrix"] = M.to_json()
+        with pytest.raises(MalformedData, match="matrix"):
+            Automorphism.from_json(obj)
+
+
+def _known_inverse(alg, rng, w, conj):
+    A = Automorphism(alg, random_inner_matrix(alg, rng), w=w, conj=conj)
+    A._ginv()
+    return A
+
+
+@pytest.mark.parametrize("fam,n,w,conj", [
+    ("a", 3, 0, False), ("a", 3, 1, False), ("a", 3, 0, True),
+    ("a", 3, 1, True), ("c", 3, 0, False), ("c", 3, 0, True)])
+def test_carried_inverse_in_each_compose_branch(fam, n, w, conj):
+    """self's w and conj pick the compose branch; when both factors know
+    their inverses, the product's is made from them on first use and equals
+    the eliminated inverse of the product."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    alg = make_algebra(fam, n, "compact")
+
+    @hyp.settings(max_examples=15, deadline=None)
+    @hyp.given(st.integers(0, 1), st.booleans(), st.integers(0, 2**32 - 1))
+    def check(w2, conj2, seed):
+        rng = random.Random(seed)
+        A = _known_inverse(alg, rng, w, conj)
+        B = _known_inverse(alg, rng, w2 if fam == "a" else 0, conj2)
+        P = A.compose(B)
+        assert P._inv is None and P._inv_later is not None
+        assert P._ginv() == P._G.inverse()
+        assert P._inv_later is None
+
+    check()
+
+
+def test_no_carried_inverse_without_both_factors():
+    rng = random.Random(2)
+    a3 = make_algebra("a", 3, "compact")
+    A = _known_inverse(a3, rng, 0, False)
+    B = Automorphism(a3, random_inner_matrix(a3, rng))
+    assert A.compose(B)._inv_later is None
+    assert B.compose(A)._inv_later is None
+    P = A.compose(B)
+    assert P._ginv() == P._G.inverse()
+
+
+def _maps_for_power():
+    rng = random.Random(11)
+    a3 = make_algebra("a", 3, "compact")
+    c3 = make_algebra("c", 3, "compact")
+    so8 = make_algebra("d", 4, "compact")
+    return [Automorphism(a3, random_inner_matrix(a3, rng), w=1, conj=True),
+            Automorphism(a3, random_inner_matrix(a3, rng), w=1),
+            random_inner_automorphism(c3, rng),
+            standard_involution(so8, "rho1"),
+            triality_automorphism(so8)]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_power_is_repeated_compose(index):
+    phi = _maps_for_power()[index]
+    step = phi
+    for k in range(-4, 10):
+        if k < 0:
+            step = phi.inverse()
+        ref = identity_automorphism(phi.algebra)
+        for _ in range(abs(k)):
+            ref = ref.compose(step if k < 0 else phi)
+        assert phi.power(k) == ref, k
+    assert phi.power(1) is phi
+
+
+def test_power_follows_the_binary_expansion(monkeypatch):
+    """power(k) makes bit_length(k) - 1 squarings and popcount(k) - 1
+    products, no more."""
+    phi = _maps_for_power()[0]
+    calls = []
+    compose = Automorphism.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(Automorphism, "compose", counting)
+    for k in range(1, 40):
+        calls.clear()
+        phi.power(k)
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_d_word_ignores_the_scale(n):
+    """G, 2G and zeta_4 G are one map of so(2n): one word, one outer
+    order, one hash, also read back from JSON."""
+    rng = random.Random(n)
+    alg = make_algebra("d", n, "compact")
+    labels = ["rho1", "rho2", "rho3"] + (["AdJ"] if n == 5 else ["rho4"])
+    Gs = [standard_involution(alg, lab).parts()[0] for lab in labels]
+    Gs.append(random_inner_matrix(alg, rng))
+    Gs.append(Gs[0] * random_inner_matrix(alg, rng))
+    for G in Gs:
+        maps = [Automorphism(alg, G * s)
+                for s in (1, 2, root_of_unity(4, 1), Fraction(-1, 3))]
+        obj = maps[0].to_json()
+        obj["matrix"] = (G * 2).to_json()
+        maps.append(Automorphism.from_json(obj))
+        for phi in maps[1:]:
+            assert phi == maps[0]
+            assert phi.word() == maps[0].word()
+            assert phi.out_order() == maps[0].out_order()
+            assert hash(phi) == hash(maps[0])
+    assert Automorphism(alg, Gs[0] * 2).word() != Automorphism(alg, Gs[1]).word()

@@ -380,6 +380,25 @@ def test_invariant_rejects_at_parse(tmp_path, capsys, edit):
     _assert_typed_error(*run_cli(["invariant", "--in", str(bad)], capsys))
 
 
+@pytest.mark.parametrize("fam,n", [("b", 2), ("c", 3), ("d", 4)])
+def test_invariant_rejects_a_matrix_outside_the_group(tmp_path, capsys, fam, n):
+    """One off-diagonal 1/3 added to phi0 of a realized first-kind entry
+    keeps the matrix invertible but takes it out of the group: exit 2 at
+    parse with an error about the matrix, not about the order it would
+    have had."""
+    alg = make_algebra(fam, n, "compact")
+    entry = enumerate_first_kind(alg, 1).entries[0]
+    payload = realize_entry(alg, entry).to_json()
+    scalar = payload["phi0"]["matrix"][0][1]
+    scalar["coeffs"][0] = str(Fraction(scalar["coeffs"][0]) + Fraction(1, 3))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc, out = run_cli(["invariant", "--in", str(bad)], capsys)
+    _assert_typed_error(rc, out)
+    error = json.loads(out)["error"]
+    assert "matrix" in error and "order" not in error
+
+
 _FUZZ_VALUES = [None, True, 0, 1, -1, 2, 7, "0", "1/0", "x", 1.5, [], {},
                 [[]], "e8"]
 

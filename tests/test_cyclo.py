@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -538,6 +539,37 @@ def test_matrix_json_property():
         got = CycloMatrix.from_json(obj)
         assert same_packed(got, reference_from_json(obj))
         assert_sparse(got)
+
+    check()
+
+
+def reference_to_json(M):
+    """The writer as it was: one CycloScalar per entry."""
+    return [[M.entry(i, j).to_json() for j in range(M.n)] for i in range(M.n)]
+
+
+def test_matrix_to_json_matches_the_scalar_path():
+    """Byte-identical output with zero entries, mixed conductors and
+    denominators that share a factor with some or all numerators."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(st.sampled_from([(1,), (1, 3, 4), (3, 4), (1, 4, 12), (5, 8)]),
+               st.integers(1, 4), st.floats(0, 1), st.integers(0, 2**32 - 1),
+               st.integers(1, 6))
+    def check(conductors, n, density, seed, factor):
+        M = CycloMatrix.from_json(json_matrix(random.Random(seed), n,
+                                              conductors, density))
+        # the same matrix with a common factor kept in den and every entry
+        unreduced = CycloMatrix(
+            M.n, M.N, M.den * factor,
+            tuple({j: tuple(c * factor for c in v) for j, v in row.items()}
+                  for row in M.rows), _normalized=True)
+        for X, value in ((M, M), (unreduced, M), (M * M, M * M)):
+            got = json.dumps(X.to_json())
+            assert got == json.dumps(reference_to_json(X))
+            assert CycloMatrix.from_json(json.loads(got)) == value
 
     check()
 
