@@ -189,6 +189,29 @@ class SimpleAlgebra:
         assert len(out) == self.dim
         return tuple(out)
 
+    @lru_cache(maxsize=_KEYS_CACHED)
+    def structure_constants(self):
+        """The bracket and the Killing form on basis(), over one denominator:
+        (C, K, den) with coords([b_i, b_j]) the packed rational row
+        ({k: (c,) for k, c in C[i][j]}, den) and killing(b_i, b_j) =
+        K[i][j] / den.  C[i][j] lists the nonzero (k, c) pairs.  Each pair
+        i < j is computed once: C is antisymmetric and K symmetric."""
+        basis, n = self.basis(), self.dim
+        rows = {(i, j): self.coords(basis[i].commutator(basis[j]))
+                for i in range(n) for j in range(i + 1, n)}
+        gram = {(i, j): self.killing_matrix(basis[i], basis[j])
+                for i in range(n) for j in range(i, n)}
+        den = lcm(*(d for _, d in rows.values()),
+                  *(s.den for s in gram.values()))
+        C = [[()] * n for _ in range(n)]
+        K = [[0] * n for _ in range(n)]
+        for (i, j), (ents, d) in rows.items():
+            C[i][j] = tuple((k, c * (den // d)) for k, (c,) in ents.items())
+            C[j][i] = tuple((k, -c) for k, c in C[i][j])
+        for (i, j), s in gram.items():
+            K[i][j] = K[j][i] = s.nums[0] * (den // s.den)
+        return tuple(map(tuple, C)), tuple(map(tuple, K)), den
+
     def contains_matrix(self, M):
         """Exact membership in the complexified algebra."""
         self._need_matrix()

@@ -892,17 +892,22 @@ def involution_int_class(phi):
     c = (G * G).is_scalar()
     if c is None:
         raise NotInvolution("G^2 is not scalar")
-    if fam == "a":
-        # tr(G)^2 / c = (m - 2p)^2
+    s = c
+    if fam != "a":
+        # Ad(G) is Ad(G / sqrt(s)) for the form scalar s of G^T J G = s J
+        # (`_form_adjoint` gives -s on c), so G^2 = +-s, and the pfaffian
+        # is read as pf(G) / s^(m/4): the class does not depend on G's scale
+        s = _form_adjoint(algebra, G)[1]
+        s = -s if fam == "c" else s
+    if c == s:
+        # tr(G)^2 / c = (m - 2p)^2 for the smaller multiplicity p of the
+        # eigenvalues +-sqrt(c) of G; in Sp(n) they come in pairs, and p/2
+        # is the quaternionic index
         d = _rational_root((G.trace() ** 2 * c.inverse()).as_fraction(), 2)
         assert d is not None and d.denominator == 1
-        return InvLabel((m - int(d)) // 2)
-    if c == 1:
-        # G has (m - |tr G|) / 2 eigenvalues -1; in Sp(n) they come in
-        # pairs, and p is the quaternionic index
-        mult = (m - abs(int(G.trace().as_fraction()))) // 2
-        return InvLabel(mult // 2 if fam == "c" else mult)
-    if c != -1:
+        p = (m - int(d)) // 2
+        return InvLabel(p // 2 if fam == "c" else p)
+    if c != -s:
         raise NotInvolution("G^2 is not +-1")
     if fam == "c":
         return _named(algebra, "adie")
@@ -910,7 +915,8 @@ def involution_int_class(phi):
         raise NotInvolution("S^2 = -1 impossible here")
     if algebra.param % 2:
         return _named(algebra, "adj")
-    level = 0 if pfaffian(G) == _adj_prime_anchor(algebra.param) else 1
+    pf = pfaffian(G) * s.inverse() ** (algebra.param // 2)
+    level = 0 if pf == _adj_prime_anchor(algebra.param) else 1
     if algebra.param == 4:
         return InvLabel(2, level + 1)
     return InvLabel(_named(algebra, "adj").p, level)

@@ -9,12 +9,14 @@ algebra, the exact pairing cocycle (u', v) c.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
+from . import kernel
 from .algebra import AlgebraElement, sigma_eigenspace
-from .cyclo import CycloMatrix, CycloScalar, _json_int, root_of_unity
+from .cyclo import CycloMatrix, CycloScalar, _context, _json_int, root_of_unity
 from .errors import TwistMismatch, WindowTooSmall
-from .linalg import Span
+from .linalg import Span, _strip
 
 _ZERO = CycloScalar.from_rational(0)
 
@@ -318,26 +320,109 @@ def _affine_row(x, N, M):
     return join_rows(parts)
 
 
+def _row_parts(row, N, dim):
+    """The coefficients {n: {k: coordinates}} and the d coordinate (None if
+    zero) of an affine element's `_affine_row` on the window [-N, N]."""
+    top = (2 * N + 1) * dim
+    coeffs = {}
+    for col, v in row[0].items():
+        if col < top:
+            n, k = divmod(col, dim)
+            coeffs.setdefault(n - N, {})[k] = v
+    return coeffs, row[0].get(top + 1)
+
+
+def row_bracket(algebra, l, x, y, N, M):
+    """The row of [x, y] on the window [-N, N] (`_affine_row`) from the rows
+    x and y of two affine elements over Q(zeta_M) there, 4 | M, or None if
+    [x, y] has a nonzero coefficient outside the window.
+
+    The value is that of `affine_bracket`: for x = u + a c + b d and
+    y = v + g c + e d, the convolution sum_(p+q=n) [u_p, v_q] through the
+    structure constants, the derivative terms (n/l) i (b v_n - e u_n) and
+    the cocycle i sum_n (n/l) K(u_n, v_-n) c.  The degrees outside the
+    window are formed first, and the first nonzero one ends the call; the
+    zero bracket is the empty row."""
+    C, K, D = algebra.structure_constants()
+    dim = algebra.dim
+    ctx = _context(M)
+    red, phi = ctx.red, ctx.phi
+    conv = kernel.conv_reduce
+    u, b = _row_parts(x, N, dim)
+    v, e = _row_parts(y, N, dim)
+    # numerators over x's den * y's den * D * l
+    den = x[1] * y[1] * D * l
+    sums = {}
+    for p in u:
+        for q in v:
+            sums.setdefault(p + q, []).append((u[p], v[q]))
+    ents = {}
+    for n in sorted(sums, key=lambda n: abs(n) <= N):  # outside first
+        acc = {}
+        for up, vq in sums[n]:
+            for i, s in up.items():
+                Ci = C[i]
+                for j, t in vq.items():
+                    if Ci[j]:
+                        st = conv(s, t, red, phi)
+                        for k, c in Ci[j]:
+                            w = acc.get(k)
+                            if w is None:
+                                w = acc[k] = [0] * phi
+                            for r in range(phi):
+                                w[r] += c * st[r]
+        acc = {k: w for k, w in acc.items() if any(w)}
+        if acc and abs(n) > N:
+            return None
+        base = (n + N) * dim
+        for k, w in acc.items():
+            ents[base + k] = [l * a for a in w]
+    # (n/l) i (b v_n - e u_n) and the cocycle, over den / D before i
+    deriv = {}
+    for s, w, sign in ((b, v, D), (e, u, -D)):
+        for n, coeff in w.items():
+            if s and n:
+                for k, t in coeff.items():
+                    st = conv(s, t, red, phi)
+                    acc = deriv.setdefault((n + N) * dim + k, [0] * phi)
+                    for r in range(phi):
+                        acc[r] += sign * n * st[r]
+    cocycle = [0] * phi
+    for n, up in u.items():
+        vq = v.get(-n)
+        if n and vq:
+            for i, s in up.items():
+                Ki = K[i]
+                for j, t in vq.items():
+                    if Ki[j]:
+                        st = conv(s, t, red, phi)
+                        for r in range(phi):
+                            cocycle[r] += n * Ki[j] * st[r]
+    if any(cocycle):
+        deriv[(2 * N + 1) * dim] = cocycle
+    if deriv:
+        i = ctx.power(M // 4)
+        for col, w in deriv.items():
+            t = conv(tuple(w), i, red, phi)
+            w = ents.get(col)
+            ents[col] = t if w is None else [a + c for a, c in zip(w, t)]
+    row = {col: tuple(w) for col, w in ents.items() if any(w)}
+    return _strip(row, den) if row else ({}, 1)
+
+
 def derived_algebra_witness(algebra, twist, l, N):
     """Check on the window [-N, N] that brackets together with c span every
     coefficient of degree <= N/2, and that d is not in the bracket span."""
     if N < 2 * l:
         raise WindowTooSmall("window must be at least twice the conductor")
     gens = window_basis(algebra, twist, l, N)
-    brackets = []
-    for i, u in enumerate(gens):
-        for v in gens[i:]:
-            if max(abs(min(u.support() + v.support(), default=0)),
-                   abs(max(u.support() + v.support(), default=0))) > N:
-                continue
-            br = affine_bracket(AffineElement(u), AffineElement(v))
-            if all(abs(n) <= N for n in br.loop.support()) and not br.is_zero():
-                brackets.append(br)
+    # one field for every row: the conductors of the basis and that of i
+    M = lcm(4, *(A.N for u in gens for A in u.coeffs.values()))
+    rows = [_affine_row(AffineElement(u), N, M) for u in gens]
+    span = Span((z for x, y in combinations(rows, 2)
+                 for z in [row_bracket(algebra, l, x, y, N, M)]
+                 if z is not None), M)
     targets = [AffineElement(u) for u in window_basis(algebra, twist, l, N // 2)]
-    # one field for every row: the lcm of the conductors met
-    M = lcm(1, *(s.N for x in brackets + targets
-                 for s in [x.c, x.d, *x.loop.coeffs.values()]))
-    span = Span((_affine_row(x, N, M) for x in brackets), M)
     span.add(_affine_row(central_element(algebra, twist, l), N, M))
     report = {"window": N, "c_in_span": True, "d_in_span": False,
               "checked": 0}

@@ -14,6 +14,9 @@ rows of algebra coordinates over Q(zeta_M) (`loop._affine_row`) flattened
 over Q.  Complex conjugation fixes the real field F = Q(zeta_M)^+, of degree
 phi(M)/2, so a real structure is an F-space: its rational span holds F c and
 F d, and its Q-dimensions are [F : Q] times its dimensions over F.
+Bracket closure (`closed_under_bracket` and the three Cartan inclusions) is
+checked on the same rows: each bracket is formed from the rows of its two
+factors through the algebra's structure constants (`loop.row_bracket`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .loop import (
     AffineElement,
     LoopElement,
     _affine_row,
-    affine_bracket,
+    row_bracket,
     window_basis,
 )
 from .loopaut import (
@@ -239,15 +242,20 @@ class RealFormBasis:
 
 
 def _brackets_in(xs, ys, span, M, N):
-    """Whether every bracket [x, y] supported in the window lies in span.
+    """Whether every bracket [x, y] supported in the window lies in span,
+    each formed on rows through the structure constants
+    (`loop.row_bracket`) from the rows of x and y, computed once.
 
     When xs is ys each unordered pair is bracketed once: [x, x] = 0, and
     [y, x] = -[x, y] lies in span exactly when [x, y] does."""
-    for x, y in combinations(xs, 2) if xs is ys else product(xs, ys):
-        z = affine_bracket(x, y)
-        if z.is_zero() or any(abs(n) > N for n in z.loop.support()):
-            continue
-        if not span.contains(_affine_qvec(z, M, N)):
+    if not xs or not ys:
+        return True
+    alg, l = xs[0].loop.algebra, xs[0].loop.l
+    rx = [_affine_row(x, N, M) for x in xs]
+    ry = rx if xs is ys else [_affine_row(y, N, M) for y in ys]
+    for x, y in combinations(rx, 2) if xs is ys else product(rx, ry):
+        z = row_bracket(alg, l, x, y, N, M)
+        if z is not None and not span.contains(flatten(z, M)):
             return False
     return True
 

@@ -519,3 +519,32 @@ def test_d_word_ignores_the_scale(n):
             assert phi.out_order() == maps[0].out_order()
             assert hash(phi) == hash(maps[0])
     assert Automorphism(alg, Gs[0] * 2).word() != Automorphism(alg, Gs[1]).word()
+
+
+@pytest.mark.parametrize("fam,n", [("b", 2), ("c", 3), ("d", 4), ("d", 5)])
+def test_involution_class_ignores_the_scale(fam, n):
+    """G, 2G, -G/3 and zeta_4 G are one involution: every class with a
+    defining-form matrix reads as itself at each scale."""
+    alg = make_algebra(fam, n, "compact")
+    for lab in standard_labels(alg):
+        phi = standard_involution(alg, lab)
+        if not phi.has_parts:  # the so(8) classes built on operators
+            continue
+        G = phi.parts()[0]
+        for s in (1, 2, Fraction(-1, 3), root_of_unity(4, 1)):
+            assert involution_int_class(Automorphism(alg, G * s)) == lab, (lab, s)
+
+
+@pytest.mark.parametrize("fam,n", [("b", 2), ("c", 3), ("d", 5)])
+def test_scaled_first_kind_entry_reads_back(fam, n):
+    """The realized ('1a', rho1, 'id') entry with its phi0 matrix doubled
+    in JSON has the invariant of the entry."""
+    from kmaut.loopaut import StandardLoopAutomorphism, invariant
+    from kmaut.tables import realize_entry
+
+    alg = make_algebra(fam, n, "compact")
+    phi = realize_entry(alg, ("1a", InvLabel(1), "id"))
+    obj = phi.to_json()
+    obj["phi0"]["matrix"] = (
+        CycloMatrix.from_json(obj["phi0"]["matrix"]) * 2).to_json()
+    assert invariant(StandardLoopAutomorphism.from_json(obj)) == invariant(phi)

@@ -4,12 +4,18 @@ from fractions import Fraction
 import pytest
 
 from kmaut.algebra import make_algebra
-from kmaut.autg import identity_automorphism, mu_automorphism, standard_involution
+from kmaut.autg import (
+    identity_automorphism,
+    mu_automorphism,
+    standard_involution,
+    triality_automorphism,
+)
 from kmaut.cyclo import CycloMatrix, root_of_unity
 from kmaut.errors import MalformedData, TwistMismatch, WindowTooSmall
 from kmaut.loop import (
     AffineElement,
     LoopElement,
+    _affine_row,
     affine_bracket,
     affine_form,
     central_element,
@@ -18,8 +24,9 @@ from kmaut.loop import (
     derived_algebra_witness,
     loop_bracket,
     loop_form,
+    row_bracket,
 )
-from kmaut.selftest import random_affine_element
+from kmaut.selftest import random_affine_element, random_loop_element
 
 
 def sl2_setup():
@@ -206,7 +213,8 @@ def test_derived_algebra_witness():
     alg = make_algebra("a", 1, "complex")
     iden = identity_automorphism(alg)
     rep = derived_algebra_witness(alg, iden, 1, 2)
-    assert rep["ok"] and rep["c_in_span"] and not rep["d_in_span"]
+    assert rep == {"window": 2, "c_in_span": True, "d_in_span": False,
+                   "checked": 9, "ok": True}
     with pytest.raises(WindowTooSmall):
         derived_algebra_witness(alg, iden, 1, 1)
 
@@ -215,7 +223,96 @@ def test_derived_algebra_witness_twisted():
     alg = make_algebra("a", 2, "complex")
     mu = mu_automorphism(alg)
     rep = derived_algebra_witness(alg, mu, 2, 4)
-    assert rep["ok"]
+    assert rep == {"window": 4, "c_in_span": True, "d_in_span": False,
+                   "checked": 19, "ok": True}
+
+
+def _row_sum(rows):
+    """The sum of packed rows as {column: coordinates as Fractions}, with
+    the zero entries left out."""
+    out = {}
+    for ents, den in rows:
+        for j, v in ents.items():
+            acc = out.get(j, (0,) * len(v))
+            out[j] = tuple(a + Fraction(c, den) for a, c in zip(acc, v))
+    return {j: v for j, v in out.items() if any(v)}
+
+
+def _row_bracket_twists():
+    a3 = make_algebra("a", 3, "complex")
+    b2 = make_algebra("b", 2, "complex")
+    d4 = make_algebra("d", 4, "complex")
+    a1 = make_algebra("a", 1, "complex")
+    return [pytest.param(identity_automorphism(a1), 1, id="a1"),
+            pytest.param(mu_automorphism(a3), 2, id="a3-mu"),
+            pytest.param(standard_involution(b2, "rho1"), 2, id="b2-rho1"),
+            pytest.param(triality_automorphism(d4), 3, id="d4-triality")]
+
+
+@pytest.mark.parametrize("twist,l", _row_bracket_twists())
+def test_row_bracket_property(twist, l):
+    """On rows over Q(zeta_12), the bracket through the structure constants
+    is affine_bracket's: on a window that holds every degree sum it is the
+    row of affine_bracket, on a smaller one it is None exactly when
+    affine_bracket leaves the window, and it is antisymmetric and satisfies
+    Jacobi on rows.  The elements have nonzero c and d, coefficients over
+    Q(zeta_12) and support in [-2, 2]."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    alg, M, N = twist.algebra, 12, 2
+    nonzero = st.fractions(min_value=-3, max_value=3,
+                           max_denominator=4).filter(bool)
+
+    def element(rng, k, c, d):
+        loop = random_loop_element(alg, twist, l, rng, N, terms=3)
+        return AffineElement(loop * root_of_unity(M, k), c, d * root_of_unity(4, k))
+
+    @hyp.settings(max_examples=12, deadline=None)
+    @hyp.given(st.integers(0, 2**32 - 1), st.lists(
+        st.tuples(st.integers(0, M - 1), nonzero, nonzero),
+        min_size=3, max_size=3))
+    def check(seed, draws):
+        rng = random.Random(seed)
+        x, y, z = (element(rng, *t) for t in draws)
+
+        def br(a, b, W):
+            return row_bracket(alg, l, a, b, W, M)
+
+        for a, b in [(x, y), (y, z), (x, x)]:
+            want = affine_bracket(a, b)
+            got = br(_affine_row(a, 2 * N, M), _affine_row(b, 2 * N, M), 2 * N)
+            assert got == _affine_row(want, 2 * N, M)
+            small = br(_affine_row(a, N, M), _affine_row(b, N, M), N)
+            if any(abs(n) > N for n in want.loop.support()):
+                assert small is None
+            else:
+                assert small == _affine_row(want, N, M)
+        W = 3 * N
+        rx, ry, rz = (_affine_row(a, W, M) for a in (x, y, z))
+        assert not _row_sum([br(rx, ry, W), br(ry, rx, W)])
+        assert not _row_sum([br(rx, br(ry, rz, W), W),
+                             br(ry, br(rz, rx, W), W),
+                             br(rz, br(rx, ry, W), W)])
+
+    check()
+
+
+def test_row_bracket_reads_the_table_denominator(monkeypatch):
+    """The same structure constants over the denominator 3 give the same
+    rows: row_bracket takes no constant to be integral."""
+    rng = random.Random(5)
+    alg = make_algebra("a", 3, "complex")
+    mu = mu_automorphism(alg)
+    xs = [_affine_row(random_affine_element(alg, mu, 2, rng), 4, 4)
+          for _ in range(6)]
+    want = [row_bracket(alg, 2, x, y, 4, 4) for x in xs for y in xs]
+    C, K, den = alg.structure_constants()
+    thirds = (tuple(tuple(tuple((k, 3 * c) for k, c in cs) for cs in row)
+                    for row in C),
+              tuple(tuple(3 * v for v in row) for row in K), 3 * den)
+    monkeypatch.setattr(alg, "structure_constants", lambda: thirds)
+    assert [row_bracket(alg, 2, x, y, 4, 4) for x in xs for y in xs] == want
+    assert any(w and w[0] for w in want)
 
 
 def test_re_conductor_and_json():

@@ -448,3 +448,71 @@ def test_sl2_catalogue():
     assert cat["almost_compact_count"] == 4
     assert cat["noncompact_almost_compact_count"] == 3
     assert all(v["closed"] for v in cat["almost_split_bases"].values())
+
+
+def reference_brackets_in(xs, ys, span, M, N):
+    """The closure check as it was: each pair bracketed as affine elements
+    by `affine_bracket`, then written as a row."""
+    from itertools import combinations, product
+    from kmaut.loop import affine_bracket
+    from kmaut.realforms import _affine_qvec
+
+    for x, y in combinations(xs, 2) if xs is ys else product(xs, ys):
+        z = affine_bracket(x, y)
+        if z.is_zero() or any(abs(n) > N for n in z.loop.support()):
+            continue
+        if not span.contains(_affine_qvec(z, M, N)):
+            return False
+    return True
+
+
+def _closure_cases():
+    """(xs, ys, spans, M, N): the bases of the a1 pairs at windows 2 and 3
+    and of three a2 pairs at window 1, each against its own span, and the
+    K and P of every a1 table entry against the spans of the
+    three inclusions, at windows 2 and 3."""
+    from itertools import product
+    from math import lcm
+    from kmaut.tables import enumerate_first_kind, valid_ks
+
+    a1 = make_algebra("a", 1, "compact")
+    a2 = make_algebra("a", 2, "compact")
+    cases = []
+    pairs = [(a1, e[1:], N) for k in valid_ks(a1)
+             for e in enumerate_second_kind(a1, k).entries for N in (2, 3)]
+    pairs += [(a2, (InvLabel(p), InvLabel(q)), 1)
+              for p, q in [(0, 1), (0, 2), (1, 2)]]
+    for alg, pair, N in pairs:
+        rb = real_form_basis(alg, pair, N=N)
+        cases.append((rb.basis, rb.basis, rb.basis, lcm(4, 2 * rb.l), N))
+    for k in valid_ks(a1):
+        for table in (enumerate_first_kind, enumerate_second_kind):
+            for e, N in product(table(a1, k).entries, (2, 3)):
+                phi = realize_entry(a1, e)
+                rep = cartan_decomposition(phi, N=N)
+                K, P = rep["K"], rep["P"]
+                M = lcm(4, 2 * phi.l)
+                cases += [(K, K, K, M, N), (K, P, P, M, N), (P, P, K, M, N)]
+    return cases
+
+
+def test_brackets_in_matches_the_reference():
+    """The closure check on rows gives the verdict of the pairwise object
+    check, on each case's span and on spans with one to three random basis
+    vectors dropped, so that False verdicts are compared too."""
+    from kmaut.linalg import Span
+    from kmaut.realforms import _affine_qvec, _brackets_in
+
+    rng = random.Random(22)
+    verdicts = []
+    for xs, ys, gens, M, N in _closure_cases():
+        drops = [()] + [rng.sample(range(len(gens)), min(len(gens), k))
+                        for k in (1, 2, 3)]
+        for drop in drops if gens else [()]:
+            span = Span(_affine_qvec(g, M, N) for i, g in enumerate(gens)
+                        if i not in drop)
+            got = _brackets_in(xs, ys, span, M, N)
+            assert got == reference_brackets_in(xs, ys, span, M, N), drop
+            verdicts.append(got)
+    # 180 spans: 49 True, 131 False
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 100
