@@ -83,6 +83,7 @@ from .pi0 import ComponentClass, component_signature, pi0_table
 from .realforms import (
     cartan_decomposition,
     conj_linear_extend,
+    real_form,
     real_form_basis,
     sl2_catalogue,
 )
@@ -109,8 +110,8 @@ __all__ = [
     "killing_form", "loop_bracket", "loop_form", "make_algebra",
     "membership_condition", "mu_automorphism", "normalize_to_constant",
     "omega_automorphism", "opposite", "order", "out_class", "parse_label",
-    "pfaffian", "pi0_table", "real_form_basis", "realize", "root_of_unity",
-    "sigma_eigenspace", "sl2_catalogue", "square_map", "standard_involution",
-    "standard_list", "target_twist", "tau_scaling", "triality_automorphism",
-    "__version__",
+    "pfaffian", "pi0_table", "real_form", "real_form_basis", "realize",
+    "root_of_unity", "sigma_eigenspace", "sl2_catalogue", "square_map",
+    "standard_involution", "standard_list", "target_twist", "tau_scaling",
+    "triality_automorphism", "__version__",
 ]

@@ -43,6 +43,7 @@ from .errors import (
     InfiniteOrderScaling,
     InvalidLoopData,
     MalformedData,
+    NotCompactMode,
     NotFiniteOrder,
     NotInvolution,
     OrderExceedsBound,
@@ -664,6 +665,17 @@ def invariant_second_kind(phi):
     return SecondKindInvariant(algebra, ord2q, pair, k, raw=True)
 
 
+def conj_linear_extend(phi):
+    """The conjugate-linear extension: compose the constant part with the
+    compact conjugation.  Kind is preserved; the order doubles or not
+    according to divisibility by four."""
+    if phi.algebra.mode != "compact":
+        raise NotCompactMode("extension starts from a compact-mode automorphism")
+    om = omega_automorphism(phi.algebra)
+    return StandardLoopAutomorphism(phi.twist, phi.l, phi.epsilon, phi.t0,
+                                    phi.X, phi.phi0.compose(om), phi.scale)
+
+
 def invariant_conj_linear(phi):
     """Invariant of a conjugate-linear involution of a complex loop algebra."""
     if not phi.phi0.conj:
@@ -750,7 +762,8 @@ def square_map(inv):
 
 class AffineExtension:
     """Form-preserving extension of a standard loop automorphism to the
-    two-dimensional extension: fixes gamma by 2 gamma = -eps (x, x)."""
+    two-dimensional extension: fixes gamma by 2 gamma = -eps (x, x).  A
+    conjugate-linear phi conjugates the coefficients of c and d."""
 
     __slots__ = ("phi", "x_loop", "gamma", "_tw", "_l")
 
@@ -770,7 +783,9 @@ class AffineExtension:
 
     def apply(self, elt):
         eps = self.phi.epsilon
-        u = elt.loop
+        u, c, d = elt.loop, elt.c, elt.d
+        if self.phi.phi0.conj:
+            c, d = c.conj(), d.conj()
         if not u.is_zero():
             phiu = self.phi.apply(u)
             L = lcm(phiu.l, self._l)
@@ -779,13 +794,9 @@ class AffineExtension:
         else:
             phiu = LoopElement.zero(self.phi.algebra, self._tw, self._l)
             xl = self.x_loop
-        cpart = elt.c * eps + loop_form(xl, phiu)
-        dpart = elt.d * eps
-        out_loop = phiu
-        if not elt.d.is_zero():
-            out_loop = out_loop - xl * (elt.d * eps)
-        cpart = cpart + elt.d * self.gamma
-        return AffineElement(out_loop, cpart, dpart)
+        cpart = c * eps + loop_form(xl, phiu) + d * self.gamma
+        out_loop = phiu - xl * (d * eps) if d else phiu
+        return AffineElement(out_loop, cpart, d * eps)
 
     def image_c(self):
         return AffineElement(LoopElement.zero(self.phi.algebra, self._tw, self._l),

@@ -1,19 +1,20 @@
-"""Conjugate-linear automorphisms of complex loop algebras, the extension
-maps on their invariants, real form bases and Cartan decompositions.
+"""The extension maps on the invariants of conjugate-linear automorphisms,
+real form bases and Cartan decompositions.
 
 A conjugate-linear automorphism is a standard automorphism whose constant
-part carries the compact conjugation; its invariant (`loopaut.invariant`)
-reduces to the complex-linear machinery through the composition with that
-conjugation.
-Real forms are the fixed points of conjugate-linear involutions and a
-Cartan decomposition is the +-1 split of an involution, so every real
-structure here is a fixed part, taken by one routine (`_fixed_part`) from
-pairs (e, phi(e)) whose e span a phi-stable rational space: the averages
-(e + phi(e)) / 2 span the fixed vectors over Q.  Independence is decided on
-rows of algebra coordinates over Q(zeta_M) (`loop._affine_row`) flattened
-over Q.  Complex conjugation fixes the real field F = Q(zeta_M)^+, of degree
-phi(M)/2, so a real structure is an F-space: its rational span holds F c and
-F d, and its Q-dimensions are [F : Q] times its dimensions over F.
+part carries the compact conjugation (`loopaut.conj_linear_extend`); its
+invariant (`loopaut.invariant`) reduces to the complex-linear machinery
+through the composition with that conjugation.
+Every real structure here is a fixed part, taken by one routine
+(`_fixed_part`) from pairs (e, phi(e)) whose e span a phi-stable rational
+space: the averages (e + phi(e)) / 2 span the fixed vectors over Q.  The
+real form of a compact involution is the fixed part of its conjugate-linear
+extension (`real_form`); it is K + iP for the +-1 split K + P of the
+involution on the compact window (`cartan_decomposition`).  Independence
+is decided on rows of algebra coordinates over Q(zeta_M)
+(`loop._affine_row`) flattened over Q.  Complex conjugation fixes the real
+field F = Q(zeta_M)^+, of degree phi(M)/2, so a real structure is an
+F-space, and its Q-dimensions are [F : Q] times its dimensions over F.
 Bracket closure (`closed_under_bracket` and the three Cartan inclusions) is
 checked on the same rows: each bracket is formed from the rows of its two
 factors through the algebra's structure constants (`loop.row_bracket`).
@@ -26,14 +27,9 @@ from itertools import combinations, product
 from math import lcm
 
 from .algebra import make_algebra, sigma_eigenspace
-from .autg import InvLabel, omega_automorphism, standard_involution
+from .autg import InvLabel, omega_automorphism
 from .cyclo import CycloScalar, _context, root_of_unity
-from .errors import (
-    NotCompactMode,
-    NotInvolution,
-    StaticOnlyAlgebra,
-    UnsupportedOrder,
-)
+from .errors import NotCompactMode, NotInvolution, UnsupportedOrder
 from .linalg import Span, flatten
 from .loop import (
     AffineElement,
@@ -46,11 +42,11 @@ from .loopaut import (
     ConjLinearInvariant,
     FirstKindInvariant,
     SecondKindInvariant,
-    StandardLoopAutomorphism,
     affine_extend,
+    conj_linear_extend,
     invariant,
 )
-from .pi0 import pi0_row
+from .pi0 import pair_k, pi0_row
 from .tables import (
     entry_invariant,
     enumerate_first_kind,
@@ -58,21 +54,6 @@ from .tables import (
     first_kind_class,
     realize,
 )
-
-
-# ---------------------------------------------------------------------------
-# conjugate-linear extension and invariants
-# ---------------------------------------------------------------------------
-
-def conj_linear_extend(phi):
-    """The conjugate-linear extension: compose the constant part with the
-    compact conjugation.  Kind is preserved; the order doubles or not
-    according to divisibility by four."""
-    if phi.algebra.mode != "compact":
-        raise NotCompactMode("extension starts from a compact-mode automorphism")
-    om = omega_automorphism(phi.algebra)
-    return StandardLoopAutomorphism(phi.twist, phi.l, phi.epsilon, phi.t0,
-                                    phi.X, phi.phi0.compose(om), phi.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -174,48 +155,77 @@ def _fixed_part(pairs, M, N, sign=1):
     return out, span
 
 
-def real_form_basis(algebra, pair, N=None):
-    """Window basis of the real form attached to a second-kind pair.
+def _window_involution(phi, N):
+    """The conductor M = lcm(4, 2l) of the window field and the window N
+    (2l + 4 by default) of a compact involution phi, which must map the
+    compact window onto itself: its curve is constant, its twist and
+    constant part commute with the compact conjugation and its rotation
+    phases lie in Q(zeta_M).  Otherwise NotCompactMode, or NotInvolution for
+    an order above two, is raised before any work."""
+    if phi.algebra.mode != "compact":
+        raise NotCompactMode("real forms and Cartan decompositions live on "
+                             "the compact form")
+    om = omega_automorphism(phi.algebra)
+    if any(a.compose(om) != om.compose(a) for a in (phi.twist, phi.phi0)):
+        raise NotCompactMode("twist and constant part must commute with the "
+                             "compact conjugation")
+    if not phi.X.matrix.is_zero():
+        raise NotCompactMode("a nonconstant curve moves degrees out of the "
+                             "window")
+    M = lcm(4, 2 * phi.l)
+    if M % (phi.t0.denominator * phi.l):
+        raise NotCompactMode("rotation by 2 pi t0 = 2 pi %s has phases outside "
+                             "the window field Q(zeta_%d)" % (phi.t0, M))
+    if phi.order(bound=8) not in (1, 2):
+        raise NotInvolution("input is not an involution")
+    return M, 2 * phi.l + 4 if N is None else N
 
-    The real form is the fixed part of the conjugate-linear involution
-    u(t) -> rho+ omega(u(-t)) on the loop algebra twisted by
-    sigma = rho-^(-1) rho+: for each |n| <= N, a rational basis of the
-    fixed vectors among the degree-n sigma-eigenvectors times Q(zeta_M),
-    returned as affine elements, together with i f c and i f d for f in
-    the basis of F (`_real_field_basis`).
-    """
-    if algebra.is_exceptional:
-        raise StaticOnlyAlgebra("no matrix model")
-    la, lb = pair
-    plus = standard_involution(algebra, la)
-    minus = standard_involution(algebra, lb)
-    sigma = minus.inverse().compose(plus)
-    l = sigma.order(bound=64)
-    if N is None:
-        N = 2 * l + 4
-    M = lcm(4, 2 * l)
-    # on loop elements only: the extension leaves c and d unconjugated,
-    # and the real form holds them as i F c and i F d, added below
-    phi = StandardLoopAutomorphism(sigma, l, -1, 0, None,
-                                   plus.compose(omega_automorphism(algebra)))
-    units = [u * z for u in window_basis(algebra, sigma, l, N)
-             for z in _field_basis(M)]
-    out, _ = _fixed_part(((AffineElement(u), AffineElement(
-        phi.apply(u, validate=False))) for u in units), M, N)
+
+def real_form(phi, N=None):
+    """Window basis of the real form of a compact involution phi of either
+    kind, the identity included: the fixed part of its conjugate-linear
+    extension psi on the window [-N, N] of phi's twist.
+
+    The units are the degree-n twist eigenvectors u times the Q-basis z of
+    Q(zeta_M), paired with psi(u z) = psi(u) conj(z).  psi conjugates c and
+    d and multiplies them by eps, so it fixes F c and F d on the first kind
+    and i F c and i F d on the second, which are added as they are.  A
+    first-kind psi maps degree n to -n, so there each element pairs degrees
+    -n and n."""
+    M, N = _window_involution(phi, N)
+    algebra, tw, l = phi.algebra, phi.twist, phi.l
+    psi = conj_linear_extend(phi)
+    scalars = _field_basis(M)
+
+    def pairs():
+        for u in window_basis(algebra, tw, l, N):
+            pu = psi.apply(u, validate=False)
+            for z in scalars:
+                yield AffineElement(u * z), AffineElement(pu * z.conj())
+
+    out, _ = _fixed_part(pairs(), M, N)
     i = root_of_unity(4, 1)
-    zero = LoopElement.zero(algebra, sigma, l)
+    zero = LoopElement.zero(algebra, tw, l)
     for f in _real_field_basis(M):
-        out.append(AffineElement(zero, c=i * f))
-        out.append(AffineElement(zero, d=i * f))
-    return RealFormBasis(algebra, pair, N, l, out)
+        f = f if phi.epsilon == 1 else i * f
+        out += [AffineElement(zero, c=f), AffineElement(zero, d=f)]
+    return RealFormBasis(algebra, phi, N, l, out)
+
+
+def real_form_basis(algebra, pair, N=None):
+    """Window basis of the real form attached to a second-kind pair: the
+    real form of the pair's realization, u(t) -> rho+(u(-t)) on the loop
+    algebra twisted by rho-^(-1) rho+."""
+    inv = SecondKindInvariant(algebra, 2, pair, pair_k(algebra, *pair))
+    return real_form(realize(inv), N)
 
 
 class RealFormBasis:
-    __slots__ = ("algebra", "pair", "window", "l", "basis")
+    __slots__ = ("algebra", "phi", "window", "l", "basis")
 
-    def __init__(self, algebra, pair, window, l, basis):
+    def __init__(self, algebra, phi, window, l, basis):
         self.algebra = algebra
-        self.pair = pair
+        self.phi = phi
         self.window = window
         self.l = l
         self.basis = basis
@@ -224,7 +234,9 @@ class RealFormBasis:
         return [b for b in self.basis if not b.loop.is_zero()]
 
     def coefficient_dims(self):
-        """Dimension over F of each degree's coefficient space."""
+        """Dimension over F of each degree's coefficient space.  On the
+        first kind each element pairs degrees -n and n and is counted at
+        -n."""
         dims = {}
         for b in self.loop_elements():
             n = b.loop.support()[0]
@@ -297,36 +309,12 @@ def compact_window_basis(algebra, twist, l, N):
 
 
 def cartan_decomposition(phi, N=None):
-    """Exact +-1 eigenbasis split of an involution on the compact window,
-    plus the noncompact form basis K + iP.
-
-    The involution must map the compact window onto itself: its curve is
-    constant, its twist and constant part commute with the compact
-    conjugation, and its rotation phases lie in the window's field; otherwise
-    NotCompactMode is raised before any work.
-
-    Returns a dict with K, P, noncompact (lists of AffineElement) and the
-    window bracket-closure verdicts."""
-    algebra = phi.algebra
-    if algebra.mode != "compact":
-        raise NotCompactMode("cartan decompositions live on the compact form")
-    om = omega_automorphism(algebra)
-    if any(a.compose(om) != om.compose(a) for a in (phi.twist, phi.phi0)):
-        raise NotCompactMode("twist and constant part must commute with the "
-                             "compact conjugation")
-    if not phi.X.matrix.is_zero():
-        raise NotCompactMode("a nonconstant curve moves degrees out of the "
-                             "window")
-    tw = phi.twist
-    l = phi.l
-    M = lcm(4, 2 * l)
-    if M % (phi.t0.denominator * l):
-        raise NotCompactMode("rotation by 2 pi t0 = 2 pi %s has phases outside "
-                             "the window field Q(zeta_%d)" % (phi.t0, M))
-    if phi.order(bound=8) not in (1, 2):
-        raise NotInvolution("input is not an involution")
-    if N is None:
-        N = 2 * l + 4
+    """Exact +-1 eigenbasis split K + P of a compact involution on the
+    compact window, under the guard of `real_form`, whose basis spans
+    K + iP.  Returns a dict with K and P (lists of AffineElement), the window
+    and the window bracket-closure verdicts."""
+    M, N = _window_involution(phi, N)
+    algebra, tw, l = phi.algebra, phi.twist, phi.l
     # constant curve and target twist tw: images stay at conductor l
     ext = affine_extend(phi)
     zero = LoopElement.zero(algebra, tw, l)
@@ -336,16 +324,12 @@ def cartan_decomposition(phi, N=None):
     pairs = [(e, ext.apply(e)) for e in elts]
     Kb, kspan = _fixed_part(pairs, M, N)
     Pb, pspan = _fixed_part(pairs, M, N, -1)
-    i = root_of_unity(4, 1)
-    noncompact = list(Kb) + [AffineElement(x.loop * i, x.c * i, x.d * i)
-                             for x in Pb]
     inclusions = {
         "KK_in_K": _brackets_in(Kb, Kb, kspan, M, N),
         "KP_in_P": _brackets_in(Kb, Pb, pspan, M, N),
         "PP_in_K": _brackets_in(Pb, Pb, kspan, M, N),
     }
-    return {"K": Kb, "P": Pb, "noncompact": noncompact, "window": N,
-            "inclusions": inclusions}
+    return {"K": Kb, "P": Pb, "window": N, "inclusions": inclusions}
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +338,18 @@ def cartan_decomposition(phi, N=None):
 
 def sl2_catalogue():
     """Almost compact and almost split real forms of the rank-one complex
-    loop algebra, with verified invariants and window bases."""
+    loop algebra, with verified invariants and the window basis of every
+    class: the real form of the class's realization."""
     algebra = make_algebra("a", 1, "compact")
     report = {}
+    for type_, invs in _classes(algebra, 1).items():
+        bases = report["almost_compact_bases" if type_ == 1
+                       else "almost_split_bases"] = {}
+        for inv in invs:
+            rb = real_form(realize(inv))
+            bases[repr(invariant_extension_map(inv))] = {
+                "l": rb.l, "dims": rb.coefficient_dims(),
+                "closed": rb.closed_under_bracket()}
     # almost compact = conjugate-linear type 1 classes
     t1 = enumerate_conj_linear(algebra, 1, 1)
     names = {}
@@ -377,14 +370,6 @@ def sl2_catalogue():
     t2 = enumerate_conj_linear(algebra, 1, 2)
     report["almost_split"] = [repr(i) for i in t2]
     report["almost_split_count"] = len(t2)
-    # second kind pairs with window bases
-    bases = {}
-    for inv in t2:
-        rb = real_form_basis(algebra, inv.pair)
-        bases[repr(tuple(map(repr, inv.pair)))] = {
-            "l": rb.l, "dims": rb.coefficient_dims(),
-            "closed": rb.closed_under_bracket()}
-    report["almost_split_bases"] = bases
     # realize every class and its conjugate-linear extension, and read
     # both back
     report["verified"] = check_extension_bijection(algebra, 1)["ok"]
@@ -392,5 +377,7 @@ def sl2_catalogue():
                     and report["almost_split_count"] == 3
                     and report["noncompact_almost_compact_count"] == 3
                     and report["almost_compact_count"] == 4
-                    and all(v["closed"] for v in bases.values()))
+                    and all(v["closed"] for key in ("almost_compact_bases",
+                                                    "almost_split_bases")
+                            for v in report[key].values()))
     return report

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 from .algebra import SemisimpleElement, make_algebra, sigma_eigenspace
 from .autg import (
@@ -18,6 +19,7 @@ from .autg import (
     standard_list,
 )
 from .cyclo import CycloMatrix, CycloScalar, pfaffian, root_of_unity
+from .linalg import Span
 from .loop import (
     AffineElement,
     LoopElement,
@@ -41,14 +43,22 @@ from .loopaut import (
     tau_scaling,
 )
 from .pi0 import pi0_row
-from .realforms import check_extension_bijection, sl2_catalogue
+from .realforms import (
+    _affine_qvec,
+    cartan_decomposition,
+    check_extension_bijection,
+    real_form,
+    sl2_catalogue,
+)
 from .tables import (
     _entry_word,
+    algebra_from_label,
     entry_invariant,
     enumerate_first_kind,
     enumerate_second_kind,
     membership_condition,
     realize,
+    realize_entry,
     valid_ks,
 )
 
@@ -585,6 +595,36 @@ def check_sl2_catalogue(deep=False):
             if ok else repr(cat))
 
 
+def check_cartan_tables(deep=False):
+    """Every first- and second-kind table entry of a2, a3, b2 and c3 (and
+    d4 when deep) at window 1: the three Cartan inclusions hold, and the
+    real form of the entry's realization spans K + iP over Q."""
+    i = root_of_unity(4, 1)
+    bad, checked = [], 0
+    for alg in map(algebra_from_label,
+                   ["a2", "a3", "b2", "c3"] + (["d4"] if deep else [])):
+        for k in valid_ks(alg):
+            for row in (enumerate_first_kind(alg, k),
+                        enumerate_second_kind(alg, k)):
+                for e in row.entries:
+                    phi = realize_entry(alg, e)
+                    rep = cartan_decomposition(phi, N=1)
+                    M = lcm(4, 2 * phi.l)
+                    kip = rep["K"] + [x * i for x in rep["P"]]
+                    span = Span(_affine_qvec(x, M, 1) for x in kip)
+                    basis = real_form(phi, N=1).basis
+                    checked += 1
+                    if not all(rep["inclusions"].values()):
+                        bad.append((alg.label(), e, "inclusions"))
+                    if len(basis) != len(kip) or not all(
+                            span.contains(_affine_qvec(x, M, 1))
+                            for x in basis):
+                        bad.append((alg.label(), e, "real form"))
+    return ("cartan-tables", not bad,
+            "%d entries: inclusions hold, real form = K + iP" % checked
+            if not bad else repr(bad[:4]))
+
+
 def check_pfaffian_separation(deep=False):
     bad = []
     for m in (2, 3):
@@ -616,6 +656,7 @@ ALL_CHECKS = [
     check_tau_laws,
     check_extension_bijections,
     check_sl2_catalogue,
+    check_cartan_tables,
     check_pfaffian_separation,
 ]
 

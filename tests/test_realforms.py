@@ -17,6 +17,7 @@ from kmaut.realforms import (
     check_extension_bijection,
     conj_linear_extend,
     enumerate_conj_linear,
+    real_form,
     real_form_basis,
     sl2_catalogue,
 )
@@ -107,6 +108,66 @@ def test_real_form_basis_sl2():
     assert rb.l == 2
     assert all(dims[n] == (1 if n % 2 == 0 else 2) for n in dims)
     assert rb.closed_under_bracket()
+
+
+def test_affine_extension_conjugates_c_and_d():
+    """A conjugate-linear extension sends z c to eps conj(z) c: i c goes to
+    i c on the second kind and to -i c on the first."""
+    from kmaut.cyclo import root_of_unity
+    from kmaut.loop import AffineElement, LoopElement
+    from kmaut.loopaut import affine_extend
+
+    a1 = make_algebra("a", 1, "compact")
+    i = root_of_unity(4, 1)
+    for entry, image in [(("2", InvLabel(0), InvLabel(0)), i),
+                         (("1a", InvLabel(1), "id"), -i)]:
+        psi = conj_linear_extend(realize_entry(a1, entry))
+        ext = affine_extend(psi)
+        zero = LoopElement.zero(a1, psi.twist, psi.l)
+        assert ext.apply(AffineElement(zero, c=i)).c == image, entry
+        assert ext.apply(AffineElement(zero, d=i)).d == image, entry
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_real_form_is_fixed_by_the_extension(kind):
+    """The real form of every a1 table entry of either kind, c and d
+    included, is fixed by the affine extension of its conjugate-linear
+    extension and closed under brackets; on the first kind each element
+    pairs degrees -n and n, so its dimensions are counted at -n <= 0."""
+    from kmaut.loopaut import affine_extend
+    from kmaut.tables import enumerate_first_kind
+
+    a1 = make_algebra("a", 1, "compact")
+    table = enumerate_first_kind if kind == 1 else enumerate_second_kind
+    for e in table(a1, 1).entries:
+        phi = realize_entry(a1, e)
+        rb = real_form(phi, N=2)
+        ext = affine_extend(conj_linear_extend(phi))
+        assert all(ext.apply(x) == x for x in rb.basis), e
+        assert rb.closed_under_bracket(), e
+        dims = rb.coefficient_dims()
+        assert (min(dims), max(dims)) == (-2, 0 if kind == 1 else 2), e
+
+
+def test_real_form_typed_errors():
+    """A nonconstant curve, an automorphism of order four and an
+    exceptional algebra are refused with typed errors."""
+    from kmaut.errors import NotInvolution, StaticOnlyAlgebra
+    from kmaut.loopaut import conjugate_exp
+    from kmaut.selftest import antifixed_direction
+
+    a1 = make_algebra("a", 1, "compact")
+    phi = realize_entry(a1, ("1a", InvLabel(1), "id"))
+    psi = conjugate_exp(phi, antifixed_direction(phi.phi0, random.Random(1)))
+    with pytest.raises(NotCompactMode, match="curve"):
+        real_form(psi)
+    iden = identity_automorphism(a1)
+    quarter = StandardLoopAutomorphism(iden, 1, 1, Fraction(1, 4), None, iden)
+    with pytest.raises(NotInvolution):
+        real_form(quarter)
+    e6 = make_algebra("e6")
+    with pytest.raises(StaticOnlyAlgebra, match="matrix model"):
+        real_form_basis(e6, (InvLabel(1), InvLabel(0)))
 
 
 def second_kind_pairs(algebras):
@@ -203,7 +264,7 @@ def test_cartan_decomposition_cases():
     # c and d flip sign under the second kind: they sit in P
     cd = [e for e in rep["P"] if not e.c.is_zero() or not e.d.is_zero()]
     assert len(cd) == 2
-    assert len(rep["noncompact"]) == len(rep["K"]) + len(rep["P"])
+    assert len(real_form(refl, N=2).basis) == len(rep["K"]) + len(rep["P"])
 
 
 def test_cartan_decomposition_twisted():
@@ -448,6 +509,8 @@ def test_sl2_catalogue():
     assert cat["almost_compact_count"] == 4
     assert cat["noncompact_almost_compact_count"] == 3
     assert all(v["closed"] for v in cat["almost_split_bases"].values())
+    assert len(cat["almost_compact_bases"]) == 4
+    assert all(v["closed"] for v in cat["almost_compact_bases"].values())
 
 
 def reference_brackets_in(xs, ys, span, M, N):
