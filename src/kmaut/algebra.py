@@ -194,22 +194,53 @@ class SimpleAlgebra:
         """The bracket and the Killing form on basis(), over one denominator:
         (C, K, den) with coords([b_i, b_j]) the packed rational row
         ({k: (c,) for k, c in C[i][j]}, den) and killing(b_i, b_j) =
-        K[i][j] / den.  C[i][j] lists the nonzero (k, c) pairs.  Each pair
-        i < j is computed once: C is antisymmetric and K symmetric."""
-        basis, n = self.basis(), self.dim
-        rows = {(i, j): self.coords(basis[i].commutator(basis[j]))
-                for i in range(n) for j in range(i + 1, n)}
-        gram = {(i, j): self.killing_matrix(basis[i], basis[j])
-                for i in range(n) for j in range(i, n)}
-        den = lcm(*(d for _, d in rows.values()),
-                  *(s.den for s in gram.values()))
+        K[i][j] / den.  C[i][j] lists the nonzero (k, c) pairs in increasing
+        k.  C is antisymmetric and K symmetric.  Both come in closed form
+        from the +-1 entries of the basis (`_supports`): only entries that
+        meet are multiplied, the entries of b_i b_j - b_j b_i are read as
+        `coords` reads a matrix, and K is the killing scale times
+        tr(b_i b_j)."""
+        sup, n, m = self._supports(), self.dim, self.size
+        in_row = {}
+        for b, ents in enumerate(sup):
+            for i, j, s in ents:
+                in_row.setdefault(i, []).append((b, j, s))
+        # every product of an entry (i, j) of b_a with an entry (j, j2) of
+        # b_b, summed into the entries of [b_a, b_b] (a < b) and the traces
+        # of b_a b_b (a <= b)
+        comm, trace = {}, {}
+        for a, ents in enumerate(sup):
+            for i, j, s in ents:
+                for b, j2, s2 in in_row.get(j, ()):
+                    v = s * s2
+                    if a <= b and i == j2:
+                        trace[a, b] = trace.get((a, b), 0) + v
+                    if a != b:
+                        e = comm.setdefault((a, b) if a < b else (b, a), {})
+                        e[i, j2] = e.get((i, j2), 0) + (v if a < b else -v)
+        # the entry coords reads per basis element; on the a family the
+        # Cartan coordinates are prefix sums of the diagonal instead
+        cartan = n - m + 1 if self.family == "a" else n
+        read = {sup[k][0][:2]: k for k in range(cartan)}
         C = [[()] * n for _ in range(n)]
+        for (a, b), e in comm.items():
+            row = {read[p]: v for p, v in e.items() if v and p in read}
+            acc = 0
+            for k in range(cartan, n):
+                acc += e.get((k - cartan,) * 2, 0)
+                if acc:
+                    row[k] = acc
+            C[a][b] = tuple(sorted(row.items()))
+            C[b][a] = tuple((k, -c) for k, c in C[a][b])
+        # the Killing value of each distinct trace is formed once
+        value = {t: self.killing_scale * t for t in set(trace.values())}
+        den = lcm(1, *(q.denominator for q in value.values()))
+        if den != 1:
+            C = [[tuple((k, c * den) for k, c in cs) for cs in row] for row in C]
         K = [[0] * n for _ in range(n)]
-        for (i, j), (ents, d) in rows.items():
-            C[i][j] = tuple((k, c * (den // d)) for k, (c,) in ents.items())
-            C[j][i] = tuple((k, -c) for k, c in C[i][j])
-        for (i, j), s in gram.items():
-            K[i][j] = K[j][i] = s.nums[0] * (den // s.den)
+        for (i, j), t in trace.items():
+            q = value[t]
+            K[i][j] = K[j][i] = q.numerator * (den // q.denominator)
         return tuple(map(tuple, C)), tuple(map(tuple, K)), den
 
     def contains_matrix(self, M):

@@ -2,8 +2,21 @@
 central/derivation extension.
 
 A loop element is a finite map n -> u_n with u_n in the zeta_l^n eigenspace
-of the twist; the bracket is coefficient convolution plus, on the extended
-algebra, the exact pairing cocycle (u', v) c.
+of the twist.  Each coefficient u_n is stored as its coordinates on
+`algebra.basis()`: a packed row (N, {k: coefficient tuple}, den) over
+Q(zeta_N) in lowest terms, N being the conductor that u_n's matrix carries.
+Matrices are met only at the boundary: the constructor reads them through
+`coords`, and `coeffs`, `coefficient` and `to_json` write them through
+`from_coords`.
+
+Everything else is bilinear in the coordinates.  The bracket is coefficient
+convolution through the structure constants (C, K, den) of the algebra, in
+the one convolution `_convolve` that the window rows of `row_bracket` share;
+the extended algebra adds the derivation terms and the cocycle (u', v) c,
+which pair coefficients through the Killing Gram matrix K.  Each result
+coefficient carries the conductor the matrix computation gives it: the lcm
+of the conductors of its nonzero contributions, lifted to that of i where a
+derivative term reaches it.
 """
 
 from __future__ import annotations
@@ -14,60 +27,230 @@ from math import lcm
 
 from . import kernel
 from .algebra import AlgebraElement, sigma_eigenspace
-from .cyclo import CycloMatrix, CycloScalar, _context, _json_int, root_of_unity
-from .errors import TwistMismatch, WindowTooSmall
+from .cyclo import (CycloMatrix, CycloScalar, _context, _json_int, _lift,
+                    root_of_unity)
+from .errors import MembershipError, TwistMismatch, WindowTooSmall
 from .linalg import Span, _strip
 
 _ZERO = CycloScalar.from_rational(0)
+_I = root_of_unity(4, 1)
 
+
+# ---------------------------------------------------------------------------
+# coefficient rows (N, {k: coefficient tuple}, den)
+# ---------------------------------------------------------------------------
+
+def _lift_row(row, M):
+    """The entries of a coefficient row over Q(zeta_M), N | M."""
+    N, ents, _ = row
+    if N == M:
+        return ents
+    return {k: _lift(v, N, M) for k, v in ents.items()}
+
+
+def _normal(row):
+    """The row in lowest terms, or None if it is zero."""
+    N, ents, den = row
+    if not ents:
+        return None
+    ents, den = _strip(ents, den)
+    return N, ents, den
+
+
+def _row_eq(a, b):
+    """Whether two rows in lowest terms hold the same value: lifting to a
+    common conductor keeps them in lowest terms."""
+    if a[0] == b[0]:
+        return a[1:] == b[1:]
+    M = lcm(a[0], b[0])
+    return a[2] == b[2] and _lift_row(a, M) == _lift_row(b, M)
+
+
+def _combine(a, b, sign=1):
+    """a + sign * b at the lcm of the conductors.  Entries that cancel are
+    deleted, so the sum may be the empty row, which keeps its conductor."""
+    N = a[0] if a[0] == b[0] else lcm(a[0], b[0])
+    ea, eb = _lift_row(a, N), _lift_row(b, N)
+    den = lcm(a[2], b[2])
+    fa, fb = den // a[2], sign * (den // b[2])
+    out = dict(ea) if fa == 1 else {k: tuple(x * fa for x in v)
+                                    for k, v in ea.items()}
+    for k, y in eb.items():
+        x = out.get(k)
+        if x is None:
+            out[k] = tuple(c * fb for c in y)
+        else:
+            v = tuple(p + q * fb for p, q in zip(x, y))
+            if any(v):
+                out[k] = v
+            else:
+                del out[k]
+    return N, out, den
+
+
+def _scale(row, s):
+    """row * s for a CycloScalar, int or Fraction s, at the lcm of the
+    conductors (a rational s keeps the row's); the empty row if s = 0."""
+    N = row[0]
+    if isinstance(s, CycloScalar):
+        M = lcm(N, s.N)
+        nums, sden = _lift(s.nums, s.N, M), s.den
+    else:
+        s = Fraction(s)
+        M, nums, sden = N, (s.numerator,), s.denominator
+    if not any(nums):
+        return M, {}, 1
+    ents = _lift_row(row, M)
+    if not any(nums[1:]):
+        c = nums[0]
+        return M, {k: tuple(x * c for x in v) for k, v in ents.items()}, \
+            row[2] * sden
+    ctx = _context(M)
+    conv = kernel.conv_reduce
+    return M, {k: conv(v, nums, ctx.red, ctx.phi) for k, v in ents.items()}, \
+        row[2] * sden
+
+
+def _convolve(acc, x, y, C, red, phi):
+    """Add sum_(i, j) x_i y_j C[i][j] into acc ({k: list of phi integers}):
+    the numerators of [sum_i x_i b_i, sum_j y_j b_j] in coordinates, over
+    the denominators of x, y and the structure constants."""
+    conv = kernel.conv_reduce
+    for i, s in x.items():
+        Ci = C[i]
+        for j, t in y.items():
+            cij = Ci[j]
+            if cij:
+                st = conv(s, t, red, phi)
+                for k, c in cij:
+                    w = acc.get(k)
+                    if w is None:
+                        acc[k] = [c * a for a in st]
+                    else:
+                        for r in range(phi):
+                            w[r] += c * st[r]
+
+
+def _pairing(x, y, K, red, phi):
+    """sum_(i, j) x_i y_j K[i][j] as phi integers: the numerators of the
+    Killing form of two coordinate vectors over the denominators of x, y
+    and the Gram matrix."""
+    conv = kernel.conv_reduce
+    acc = [0] * phi
+    for i, s in x.items():
+        Ki = K[i]
+        for j, t in y.items():
+            kij = Ki[j]
+            if kij:
+                st = conv(s, t, red, phi)
+                for r in range(phi):
+                    acc[r] += kij * st[r]
+    return acc
+
+
+def _form(algebra, pairs):
+    """sum f K(x, y) over (f, x, y), f rational and x, y coefficient rows,
+    as a CycloScalar at the lcm of the conductors of the rows: the zero of
+    conductor 1 when there are no pairs."""
+    _, K, D = algebra.structure_constants()
+    N = lcm(1, *(r[0] for _, x, y in pairs for r in (x, y)))
+    ctx = _context(N)
+    acc, den = [0] * ctx.phi, 1
+    for f, x, y in pairs:
+        f = Fraction(f)
+        val = _pairing(_lift_row(x, N), _lift_row(y, N), K, ctx.red, ctx.phi)
+        d = x[2] * y[2] * D * f.denominator
+        g = lcm(den, d)
+        acc = [a * (g // den) + f.numerator * w * (g // d)
+               for a, w in zip(acc, val)]
+        den = g
+    return CycloScalar(N, tuple(acc), den)
+
+
+# ---------------------------------------------------------------------------
+# elements
+# ---------------------------------------------------------------------------
 
 class LoopElement:
     """Finite Laurent sum u(t) = sum_n u_n e^(i n t / l) with twist-eigenspace
-    coefficients."""
+    coefficients, each held as the coordinate row (N, entries, den) of
+    `rows[n]`."""
 
-    __slots__ = ("algebra", "twist", "l", "coeffs")
+    __slots__ = ("algebra", "twist", "l", "rows")
 
     def __init__(self, algebra, twist, l, coeffs, validate=True):
-        self.algebra = algebra
-        self.twist = twist
-        self.l = l
-        clean = {}
+        """Read the coefficient matrices (or AlgebraElements) of coeffs into
+        coordinates.  With validate, each must lie in the algebra (it is
+        what its coordinates write back) and in its twist eigenspace;
+        without, a matrix outside the algebra silently becomes the element
+        of its coordinates."""
+        if validate and twist.algebra != algebra:
+            raise TwistMismatch("twist lives on a different algebra")
+        rows = {}
         for n, M in coeffs.items():
             if isinstance(M, AlgebraElement):
                 M = M.matrix
-            if not M.is_zero():
-                clean[int(n)] = M
-        self.coeffs = clean
-        if validate:
-            if twist.algebra != algebra:
-                raise TwistMismatch("twist lives on a different algebra")
-            for n, M in clean.items():
-                img = twist.apply_matrix(M)
-                if img != M * root_of_unity(l, n % l):
+            if M.is_zero():
+                continue
+            n = int(n)
+            if validate:
+                if M.n != algebra.size or algebra.from_coords(
+                        algebra.coords(M), M.N) != M:
+                    raise MembershipError(
+                        "coefficient %d is not in %r" % (n, algebra))
+                if twist.apply_matrix(M) != M * root_of_unity(l, n % l):
                     raise TwistMismatch(
                         "coefficient %d is not in the twist eigenspace" % n)
+            row = _normal((M.N,) + algebra.coords(M))
+            if row is not None:
+                rows[n] = row
+        self.algebra = algebra
+        self.twist = twist
+        self.l = l
+        self.rows = rows
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
+    def from_rows(algebra, twist, l, rows):
+        """The element of coordinate rows {n: (N, entries, den)}, unchecked;
+        empty rows are dropped and the others put in lowest terms."""
+        out = LoopElement.__new__(LoopElement)
+        out.algebra, out.twist, out.l = algebra, twist, l
+        out.rows = {n: r for n, r in ((n, _normal(r)) for n, r in rows.items())
+                    if r is not None}
+        return out
+
+    @staticmethod
     def zero(algebra, twist, l):
-        return LoopElement(algebra, twist, l, {}, validate=False)
+        return LoopElement.from_rows(algebra, twist, l, {})
 
     @staticmethod
     def constant(x, twist, l):
         return LoopElement(x.algebra, twist, l, {0: x.matrix})
 
+    def _like(self, rows):
+        return LoopElement.from_rows(self.algebra, self.twist, self.l, rows)
+
     def support(self):
-        return sorted(self.coeffs)
+        return sorted(self.rows)
+
+    @property
+    def coeffs(self):
+        """{n: coefficient matrix}, each written through `from_coords` at its
+        degree's conductor."""
+        fc = self.algebra.from_coords
+        return {n: fc((ents, den), N) for n, (N, ents, den) in self.rows.items()}
 
     def coefficient(self, n):
-        M = self.coeffs.get(n)
-        if M is None:
+        row = self.rows.get(n)
+        if row is None:
             return CycloMatrix.zeros(self.algebra.size)
-        return M
+        N, ents, den = row
+        return self.algebra.from_coords((ents, den), N)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.rows
 
     def _compat(self, other):
         if (self.algebra != other.algebra or self.l != other.l
@@ -78,27 +261,28 @@ class LoopElement:
         if not isinstance(other, LoopElement):
             return NotImplemented
         self._compat(other)
-        return self.coeffs.keys() == other.coeffs.keys() and all(
-            self.coeffs[n] == other.coeffs[n] for n in self.coeffs)
+        return self.rows.keys() == other.rows.keys() and all(
+            _row_eq(r, other.rows[n]) for n, r in self.rows.items())
+
+    def _plus(self, other, sign):
+        self._compat(other)
+        out = dict(self.rows)
+        for n, r in other.rows.items():
+            out[n] = _combine(out[n], r, sign) if n in out \
+                else (r if sign == 1 else _scale(r, -1))
+        return self._like(out)
 
     def __add__(self, other):
-        self._compat(other)
-        out = dict(self.coeffs)
-        for n, M in other.coeffs.items():
-            out[n] = out[n] + M if n in out else M
-        return LoopElement(self.algebra, self.twist, self.l, out, validate=False)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return LoopElement(self.algebra, self.twist, self.l,
-                           {n: -M for n, M in self.coeffs.items()}, validate=False)
+        return self * -1
 
     def __mul__(self, scalar):
-        return LoopElement(self.algebra, self.twist, self.l,
-                           {n: M * scalar for n, M in self.coeffs.items()},
-                           validate=False)
+        return self._like({n: _scale(r, scalar) for n, r in self.rows.items()})
 
     __rmul__ = __mul__
 
@@ -109,9 +293,8 @@ class LoopElement:
         if l_new % self.l:
             raise TwistMismatch("conductor %d does not refine %d" % (l_new, self.l))
         f = l_new // self.l
-        return LoopElement(self.algebra, self.twist, l_new,
-                           {n * f: M for n, M in self.coeffs.items()},
-                           validate=False)
+        return LoopElement.from_rows(self.algebra, self.twist, l_new,
+                                     {n * f: r for n, r in self.rows.items()})
 
     def is_compact(self):
         """Reality constraint of the compact form: u_(-n) = omega(u_n)."""
@@ -196,79 +379,69 @@ class AffineElement:
 # ---------------------------------------------------------------------------
 
 def loop_bracket(u, v):
-    """Pointwise bracket: coefficient convolution."""
+    """Pointwise bracket: the convolution sum_(a+b=n) [u_a, v_b] through the
+    structure constants.  Each pair is formed at the lcm of its conductors,
+    and a nonzero one is summed into degree n, which so carries the lcm of
+    the conductors of its nonzero pairs; a degree whose pairs cancel is
+    dropped."""
     u._compat(v)
-    alg = u.algebra
+    C, _, D = u.algebra.structure_constants()
     out = {}
-    for a, Ma in u.coeffs.items():
-        for b, Mb in v.coeffs.items():
-            B = alg.bracket_matrix(Ma, Mb)
-            if not B.is_zero():
+    for a, x in u.rows.items():
+        for b, y in v.rows.items():
+            N = x[0] if x[0] == y[0] else lcm(x[0], y[0])
+            ctx = _context(N)
+            acc = {}
+            _convolve(acc, _lift_row(x, N), _lift_row(y, N), C, ctx.red, ctx.phi)
+            ents = {k: tuple(w) for k, w in acc.items() if any(w)}
+            if ents:
+                row = N, ents, x[2] * y[2] * D
                 n = a + b
-                out[n] = out[n] + B if n in out else B
-    return LoopElement(alg, u.twist, u.l, out, validate=False)
+                out[n] = _combine(out[n], row) if n in out else row
+    return u._like(out)
 
 
 def loop_form(u, v):
     """Averaged invariant form: only exponent pairs summing to zero pair up.
 
     Pairs whose exponent sum is a nonzero multiple of l integrate to zero
-    over a full period; pairs whose sum is not a multiple of l have zero
-    pairing by eigenspace orthogonality, which is asserted exactly instead
-    of being integrated."""
+    over a full period, and pairs whose sum is not a multiple of l pair to
+    zero by eigenspace orthogonality.  The value carries the lcm of the
+    conductors of the pairing coefficients."""
     u._compat(v)
-    alg = u.algebra
-    total = _ZERO
-    for a, Ma in u.coeffs.items():
-        for b, Mb in v.coeffs.items():
-            s = a + b
-            if s == 0:
-                total = total + alg.killing_matrix(Ma, Mb)
-            elif s % u.l != 0:
-                val = alg.killing_matrix(Ma, Mb)
-                assert val.is_zero(), "eigenspace orthogonality violated"
-    return total
-
-
-def _rates(u):
-    """r(u)_n = (n/l) u_n at each coefficient's own conductor; u' = i r(u)."""
-    return {n: M * Fraction(n, u.l) for n, M in u.coeffs.items() if n}
+    return _form(u.algebra, [(1, x, v.rows[-n]) for n, x in u.rows.items()
+                             if -n in v.rows])
 
 
 def derivative(u):
-    """u' with coefficientwise factor i*n/l."""
-    i = root_of_unity(4, 1)
-    return LoopElement(u.algebra, u.twist, u.l,
-                       {n: M * i for n, M in _rates(u).items()}, validate=False)
+    """u' with coefficientwise factor i*n/l, at the lcm of each coefficient's
+    conductor and that of i."""
+    return u._like({n: _scale(r, _I * Fraction(n, u.l))
+                    for n, r in u.rows.items() if n})
 
 
 def affine_bracket(x, y):
     """[u + a c + b d, v + g c + e d] = [u,v]_0 + b v' - e u' + (u', v) c.
 
-    With u' = i r(u), the derivative terms of each degree are summed as
-    b r(v)_n - e r(u)_n and multiplied by i once, and the cocycle is
-    i (r(u), v).  A degree that receives a derivative term is lifted to the
-    conductor of i even where that term cancels, and the cocycle only where
-    some degree pairs, as forming u' and v' first would."""
+    The derivative terms of each degree are (n/l) (i b v_n - i e u_n), with
+    i b v_n at the lcm of the conductors of v_n, b and i (i e u_n likewise),
+    so a degree that receives one is lifted to the conductor of i even
+    where the terms cancel.  The cocycle is i sum_n (n/l) K(u_n, v_-n),
+    multiplied by i only when some degree n != 0 pairs."""
     u, v = x.loop, y.loop
     u._compat(v)
-    b, e = x.d, y.d
-    ru = _rates(u)
-    terms = {n: M * (b * Fraction(n, v.l))
-             for n, M in v.coeffs.items() if n} if b else {}
-    if e:
-        for n, M in ru.items():
-            terms[n] = terms[n] - M * e if n in terms else M * -e
-    i = root_of_unity(4, 1)
-    out = loop_bracket(u, v).coeffs
-    for n, D in terms.items():
-        D = D * i
-        out[n] = out[n] + D if n in out else D
-    cocycle = loop_form(LoopElement(u.algebra, u.twist, u.l, ru, validate=False), v)
-    if any(-n in v.coeffs for n in ru):
-        cocycle = cocycle * i
-    return AffineElement(LoopElement(u.algebra, u.twist, u.l, out, validate=False),
-                         cocycle, _ZERO)
+    l = u.l
+    out = dict(loop_bracket(u, v).rows)
+    for s, w in ((_I * x.d, v.rows), (_I * -y.d, u.rows)):
+        if s:
+            for n, r in w.items():
+                if n:
+                    t = _scale(r, s * Fraction(n, l))
+                    out[n] = _combine(out[n], t) if n in out else t
+    pairs = [(Fraction(n, l), r, v.rows[-n]) for n, r in u.rows.items()
+             if n and -n in v.rows]
+    cocycle = _form(u.algebra, pairs) * _I if pairs else _ZERO
+    return AffineElement(u._like(out), cocycle, _ZERO)
 
 
 def affine_form(x, y):
@@ -308,13 +481,13 @@ def join_rows(parts):
 
 def _affine_row(x, N, M):
     """The packed row over Q(zeta_M) of an affine element on the window
-    [-N, N]: the coords of its degree-n coefficient from column
-    (n + N) * dim on, then c and d.  Degrees outside the window are
-    ignored."""
+    [-N, N]: the stored coordinates of its degree-n coefficient, lifted to
+    Q(zeta_M), from column (n + N) * dim on, then c and d.  Degrees outside
+    the window are ignored."""
     alg = x.loop.algebra
     top = (2 * N + 1) * alg.dim
-    parts = [((n + N) * alg.dim, alg.coords(A.promote(M)))
-             for n, A in x.loop.coeffs.items() if abs(n) <= N]
+    parts = [((n + N) * alg.dim, (_lift_row(r, M), r[2]))
+             for n, r in x.loop.rows.items() if abs(n) <= N]
     parts += [(col, ({0: s.promote(M).nums}, s.den))
               for col, s in ((top, x.c), (top + 1, x.d)) if s]
     return join_rows(parts)
@@ -360,17 +533,7 @@ def row_bracket(algebra, l, x, y, N, M):
     for n in sorted(sums, key=lambda n: abs(n) <= N):  # outside first
         acc = {}
         for up, vq in sums[n]:
-            for i, s in up.items():
-                Ci = C[i]
-                for j, t in vq.items():
-                    if Ci[j]:
-                        st = conv(s, t, red, phi)
-                        for k, c in Ci[j]:
-                            w = acc.get(k)
-                            if w is None:
-                                w = acc[k] = [0] * phi
-                            for r in range(phi):
-                                w[r] += c * st[r]
+            _convolve(acc, up, vq, C, red, phi)
         acc = {k: w for k, w in acc.items() if any(w)}
         if acc and abs(n) > N:
             return None
@@ -391,13 +554,8 @@ def row_bracket(algebra, l, x, y, N, M):
     for n, up in u.items():
         vq = v.get(-n)
         if n and vq:
-            for i, s in up.items():
-                Ki = K[i]
-                for j, t in vq.items():
-                    if Ki[j]:
-                        st = conv(s, t, red, phi)
-                        for r in range(phi):
-                            cocycle[r] += n * Ki[j] * st[r]
+            for r, a in enumerate(_pairing(up, vq, K, red, phi)):
+                cocycle[r] += n * a
     if any(cocycle):
         deriv[(2 * N + 1) * dim] = cocycle
     if deriv:
@@ -417,7 +575,7 @@ def derived_algebra_witness(algebra, twist, l, N):
         raise WindowTooSmall("window must be at least twice the conductor")
     gens = window_basis(algebra, twist, l, N)
     # one field for every row: the conductors of the basis and that of i
-    M = lcm(4, *(A.N for u in gens for A in u.coeffs.values()))
+    M = lcm(4, *(r[0] for u in gens for r in u.rows.values()))
     rows = [_affine_row(AffineElement(u), N, M) for u in gens]
     span = Span((z for x, y in combinations(rows, 2)
                  for z in [row_bracket(algebra, l, x, y, N, M)]

@@ -565,3 +565,34 @@ def test_triality_images_take_rates_from_the_adjoint_spectrum():
             assert Y.matrix == aut.apply_matrix(X.matrix)
             nullities = [8 - (Y.matrix - E * (i * t)).rank() for t in Y.eigenrates]
             assert all(nullities) and sum(nullities) == 8
+
+
+def reference_structure_constants(alg):
+    """The tables as a commutator and `coords` per pair and a Killing value
+    per pair give them: the build that the closed form replaces."""
+    basis, n = alg.basis(), alg.dim
+    rows = {(i, j): alg.coords(basis[i].commutator(basis[j]))
+            for i in range(n) for j in range(i + 1, n)}
+    gram = {(i, j): alg.killing_matrix(basis[i], basis[j])
+            for i in range(n) for j in range(i, n)}
+    den = lcm(*(d for _, d in rows.values()),
+              *(s.den for s in gram.values()))
+    C = [[()] * n for _ in range(n)]
+    K = [[0] * n for _ in range(n)]
+    for (i, j), (ents, d) in rows.items():
+        C[i][j] = tuple((k, c * (den // d)) for k, (c,) in ents.items())
+        C[j][i] = tuple((k, -c) for k, c in C[i][j])
+    for (i, j), s in gram.items():
+        K[i][j] = K[j][i] = s.nums[0] * (den // s.den)
+    return tuple(map(tuple, C)), tuple(map(tuple, K)), den
+
+
+@pytest.mark.parametrize("fam,n", [("a", n) for n in range(1, 8)]
+                         + [("b", n) for n in range(2, 6)]
+                         + [("c", n) for n in range(3, 7)]
+                         + [("d", n) for n in range(4, 9)])
+def test_structure_constants_match_the_commutator_build(fam, n):
+    """The closed-form tables are those of the commutator build: the same
+    C, K and den, each C[i][j] listing its (k, c) in the same order."""
+    alg = make_algebra(fam, n, "complex")
+    assert alg.structure_constants() == reference_structure_constants(alg)

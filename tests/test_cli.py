@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,17 @@ def test_realform_verb(tmp_path, capsys):
     assert payload["bracket_closed"] is True
     dims = payload["coefficient_dims"]
     assert dims["0"] == 1 and dims["1"] == 2
+
+
+def test_realform_json_matches_its_golden_copy(capsys):
+    """The JSON is byte-identical to a committed copy, the conductor written
+    with every coefficient included: the zero c of the d element, for one,
+    stays at conductor 1."""
+    rc, out = run_cli(["realform", "--pair", "mu,id", "--algebra", "a1",
+                       "--window", "4", "--emit", "json"], capsys)
+    assert rc == 0
+    golden = Path(__file__).parent / "golden" / "realform-a1-mu-id-w4.json"
+    assert out == golden.read_text()
 
 
 def test_realform_reads_the_algebra_label(capsys):

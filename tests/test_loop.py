@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from kmaut.autg import (
     standard_involution,
     triality_automorphism,
 )
-from kmaut.cyclo import CycloMatrix, root_of_unity
-from kmaut.errors import MalformedData, TwistMismatch, WindowTooSmall
+from kmaut.algebra import sigma_eigenspace
+from kmaut.cyclo import CycloMatrix, CycloScalar, root_of_unity
+from kmaut.errors import (MalformedData, MembershipError, TwistMismatch,
+                          WindowTooSmall)
 from kmaut.loop import (
     AffineElement,
     LoopElement,
@@ -163,6 +166,20 @@ def test_affine_bracket_matches_reference_formula():
     assert top == loop_bracket(x.loop, y.loop).coefficient(1) and top.N == 4
     assert affine_bracket(*cases[1]).loop.is_zero()
     assert affine_bracket(*cases[2]).c.N == 1
+
+
+def test_affine_bracket_drops_the_conductor_of_a_cancelled_degree():
+    """In degree 1 the pairs [h, z3 e] and [e, z3 h] cancel, so that degree's
+    conductor 3 is dropped, and the derivative term -e u'_1 alone gives it
+    the conductor 4 of i."""
+    alg, iden, e, f, h = sl2_setup()
+    z3 = root_of_unity(3, 1)
+    x = AffineElement(LoopElement(alg, iden, 1, {0: h, 1: e}))
+    y = AffineElement(LoopElement(alg, iden, 1, {0: h * z3, 1: e * z3}), 0, 1)
+    got = affine_bracket(x, y)
+    assert got.loop.coefficient(1).N == 4
+    assert got.to_json() == reference_bracket(x, y).to_json() \
+        == reference_affine_bracket(x, y).to_json()
 
 
 def test_affine_form_values():
@@ -332,3 +349,176 @@ def test_loop_json_rejects_a_non_integer_conductor(l):
     obj["l"] = l
     with pytest.raises(MalformedData):
         LoopElement.from_json(obj)
+
+
+def test_membership_is_checked_where_a_coefficient_enters():
+    """A coefficient is stored as its coordinates, so a matrix outside the
+    algebra is refused by the checked constructor and by from_json; the
+    unchecked constructor keeps the element its coordinates write back."""
+    alg = make_algebra("a", 2, "complex")
+    iden = identity_automorphism(alg)
+    one = CycloMatrix.identity(3)
+    for bad in (one, CycloMatrix.identity(2)):
+        with pytest.raises(MembershipError):
+            LoopElement(alg, iden, 1, {0: bad})
+    obj = LoopElement(alg, iden, 1, {}).to_json()
+    obj["coeffs"] = {"0": one.to_json()}
+    with pytest.raises(MembershipError):
+        LoopElement.from_json(obj)
+    obj["c"] = obj["d"] = CycloScalar.from_rational(0).to_json()
+    with pytest.raises(MembershipError):
+        AffineElement.from_json(obj)
+    u = LoopElement(alg, iden, 1, {0: one}, validate=False)
+    assert u.coefficient(0) == CycloMatrix.diag([1, 1, -2])
+
+
+def reference_loop_bracket(alg, U, V):
+    """The convolution of two coefficient maps {n: matrix} through the
+    matrix commutator; degrees that cancel are dropped."""
+    out = {}
+    for a, Ma in U.items():
+        for b, Mb in V.items():
+            B = alg.bracket_matrix(Ma, Mb)
+            if not B.is_zero():
+                n = a + b
+                out[n] = out[n] + B if n in out else B
+    return {n: M for n, M in out.items() if not M.is_zero()}
+
+
+def reference_loop_form(alg, l, U, V):
+    """The averaged form of two coefficient maps through the matrix trace."""
+    total = CycloScalar.from_rational(0)
+    for a, Ma in U.items():
+        for b, Mb in V.items():
+            if a + b == 0:
+                total = total + alg.killing_matrix(Ma, Mb)
+            elif (a + b) % l:
+                assert alg.killing_matrix(Ma, Mb).is_zero()
+    return total
+
+
+def reference_affine_bracket(x, y):
+    """The affine bracket on coefficient matrices: the convolution, the
+    derivative terms i (n/l) (b v_n - e u_n) summed per degree and
+    multiplied by i once, and the cocycle i (r(u), v) with r(u)_n =
+    (n/l) u_n, multiplied by i only where some degree pairs.  Each matrix
+    carries the conductor its arithmetic gives it."""
+    u, v = x.loop, y.loop
+    alg, l = u.algebra, u.l
+    U, V = u.coeffs, v.coeffs
+    b, e = x.d, y.d
+    ru = {n: M * Fraction(n, l) for n, M in U.items() if n}
+    terms = {n: M * (b * Fraction(n, l)) for n, M in V.items() if n} if b else {}
+    if e:
+        for n, M in ru.items():
+            terms[n] = terms[n] - M * e if n in terms else M * -e
+    i = root_of_unity(4, 1)
+    out = reference_loop_bracket(alg, U, V)
+    for n, D in terms.items():
+        D = D * i
+        out[n] = out[n] + D if n in out else D
+    cocycle = reference_loop_form(alg, l, ru, V)
+    if any(-n in V for n in ru):
+        cocycle = cocycle * i
+    return AffineElement(LoopElement(alg, u.twist, l, out, validate=False),
+                         cocycle, 0)
+
+
+def _affine_twists():
+    a1 = make_algebra("a", 1, "complex")
+    a2 = make_algebra("a", 2, "complex")
+    b2 = make_algebra("b", 2, "complex")
+    d4 = make_algebra("d", 4, "complex")
+    return [pytest.param(identity_automorphism(a1), 1, id="a1"),
+            pytest.param(mu_automorphism(a2), 2, id="a2-mu"),
+            pytest.param(standard_involution(b2, "rho1"), 2, id="b2-rho1"),
+            pytest.param(standard_involution(d4, "rho1"), 2, id="d4-rho1")]
+
+
+def _affine_strategy(twist, l):
+    """Affine elements with up to three terms of degree in [-2, 2], each an
+    eigenbasis vector times q zeta_N^k, and c, d of the same form (zero
+    included), so that coefficients and c, d carry conductors 1 to 12."""
+    st = pytest.importorskip("hypothesis.strategies")
+    alg = twist.algebra
+    bases = {n: [b.matrix for b in sigma_eigenspace(alg, twist, l, n % l)]
+             for n in range(-2, 3)}
+
+    def scalars(zero):
+        q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        return st.builds(lambda q, N, k: root_of_unity(N, k % N) * q,
+                         q if zero else q.filter(bool),
+                         st.sampled_from((1, 2, 3, 4, 6, 12)),
+                         st.integers(0, 11))
+
+    @st.composite
+    def element(draw):
+        coeffs = {}
+        for _ in range(draw(st.integers(0, 3))):
+            n = draw(st.integers(-2, 2))
+            if bases[n]:
+                M = draw(st.sampled_from(bases[n])) * draw(scalars(False))
+                coeffs[n] = coeffs[n] + M if n in coeffs else M
+        return AffineElement(LoopElement(alg, twist, l, coeffs, validate=False),
+                             draw(scalars(True)), draw(scalars(True)))
+
+    return element()
+
+
+def _no_shrink(hyp):
+    # a failing draw is small already, and shrinking it through the matrix
+    # reference on d4 takes minutes
+    return [hyp.Phase.explicit, hyp.Phase.reuse, hyp.Phase.generate]
+
+
+def _dumps(x):
+    return json.dumps(x.to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("twist,l", _affine_twists())
+def test_affine_bracket_laws_property(twist, l):
+    """On random affine elements: the bracket is antisymmetric and satisfies
+    Jacobi, affine_form is invariant, coefficients whose degrees do not sum
+    to a multiple of l are Killing-orthogonal (which loop_form takes for
+    granted), and the bracket's JSON is that of the matrix computation,
+    every coefficient's conductor and that of c included."""
+    hyp = pytest.importorskip("hypothesis")
+    elements = _affine_strategy(twist, l)
+    alg = twist.algebra
+
+    @hyp.settings(max_examples=15, deadline=None, phases=_no_shrink(hyp))
+    @hyp.given(elements, elements, elements)
+    def check(x, y, z):
+        xy, yz, zx = affine_bracket(x, y), affine_bracket(y, z), affine_bracket(z, x)
+        assert (xy + affine_bracket(y, x)).is_zero()
+        assert (affine_bracket(x, yz) + affine_bracket(y, zx)
+                + affine_bracket(z, xy)).is_zero()
+        assert affine_form(xy, z) == affine_form(x, yz)
+        for u, v in ((x.loop, y.loop), (xy.loop, z.loop)):
+            for a in u.support():
+                for b in v.support():
+                    if (a + b) % l:
+                        assert alg.killing_matrix(u.coefficient(a),
+                                                  v.coefficient(b)).is_zero()
+        for a, b in ((x, y), (y, x), (x, x), (xy, z)):
+            assert _dumps(affine_bracket(a, b)) \
+                == _dumps(reference_affine_bracket(a, b))
+
+    check()
+
+
+@pytest.mark.parametrize("twist,l", _affine_twists())
+def test_affine_json_round_trip_property(twist, l):
+    """An affine element and a bracket read back from their JSON write the
+    same bytes again."""
+    hyp = pytest.importorskip("hypothesis")
+    elements = _affine_strategy(twist, l)
+
+    @hyp.settings(max_examples=15, deadline=None, phases=_no_shrink(hyp))
+    @hyp.given(elements, elements)
+    def check(x, y):
+        for a in (x, affine_bracket(x, y)):
+            back = AffineElement.from_json(json.loads(_dumps(a)))
+            assert back == a and _dumps(back) == _dumps(a)
+
+    check()
