@@ -299,7 +299,7 @@ class SimpleAlgebra:
     # -- operations -------------------------------------------------------------
 
     def bracket_matrix(self, X, Y):
-        return X.commutator(Y)
+        return X * Y - Y * X
 
     def killing_matrix(self, X, Y):
         return X.trace_mul(Y) * self.killing_scale

@@ -449,6 +449,13 @@ def _form_adjoint(algebra, G):
     return A, c
 
 
+def _form_scalar(algebra, G):
+    """The scalar s of G^T J G = s J on b, c and d (J = I on so(m)): Ad(G) is
+    Ad(G / sqrt(s)), whose matrix is at form scalar one."""
+    c = _form_adjoint(algebra, G)[1]
+    return -c if algebra.family == "c" else c
+
+
 def group_inverse(algebra, G):
     """G^-1 for the matrix G of a group-form automorphism.  On b, c and d it
     is A / c from the defining form (see _form_adjoint), which also checks
@@ -654,7 +661,8 @@ def _descend_to_group(aut):
 
 
 def _cyclo_sqrt(c):
-    """A square root of c when c = q * (root of unity) with q rational > 0."""
+    """A square root of c when c = q * zeta for a root of unity zeta and a
+    rational q whose absolute value is a square, else None."""
     from .cyclo import root_index
     if c.is_rational():
         q = c.as_fraction()
@@ -668,9 +676,17 @@ def _cyclo_sqrt(c):
                 return CycloScalar.from_rational(num) * root_of_unity(4, 1)
         return None
     cm = c.min_conductor()
-    k = root_index(cm, cm.N)
-    if k is not None:
-        return root_of_unity(2 * cm.N, k)
+    # |c|^2 = q^2, and c / |q| is then the root of unity, or minus it
+    q2 = cm * cm.conj()
+    q = _rational_root(q2.as_fraction(), 2) if q2.is_rational() else None
+    r = None if q is None else _rational_root(q, 2)
+    if r is None:
+        return None
+    u = cm * Fraction(1, q)
+    for sign, unit in ((1, 1), (-1, root_of_unity(4, 1))):
+        k = root_index(u * sign, cm.N)
+        if k is not None:
+            return root_of_unity(2 * cm.N, k) * unit * r
     return None
 
 
@@ -894,11 +910,10 @@ def involution_int_class(phi):
         raise NotInvolution("G^2 is not scalar")
     s = c
     if fam != "a":
-        # Ad(G) is Ad(G / sqrt(s)) for the form scalar s of G^T J G = s J
-        # (`_form_adjoint` gives -s on c), so G^2 = +-s, and the pfaffian
-        # is read as pf(G) / s^(m/4): the class does not depend on G's scale
-        s = _form_adjoint(algebra, G)[1]
-        s = -s if fam == "c" else s
+        # Ad(G) is Ad(G / sqrt(s)) for the form scalar s, so G^2 = +-s, and
+        # the pfaffian is read as pf(G) / s^(m/4): the class does not depend
+        # on G's scale
+        s = _form_scalar(algebra, G)
     if c == s:
         # tr(G)^2 / c = (m - 2p)^2 for the smaller multiplicity p of the
         # eigenvalues +-sqrt(c) of G; in Sp(n) they come in pairs, and p/2

@@ -712,15 +712,6 @@ class CycloMatrix:
     # scalars commute with matrices
     __rmul__ = __mul__
 
-    def commutator(self, other):
-        """self * other - other * self, with the conductors paired once and
-        both products reduced in one pass of the kernel."""
-        assert self.n == other.n
-        a, b = self._pair(other)
-        ctx = _context(a.N)
-        rows = kernel.commutator(a.rows, b.rows, ctx.red, ctx.phi)
-        return CycloMatrix(a.n, a.N, a.den * b.den, tuple(rows))
-
     def _combine(self, other, sign):
         """self + sign * other; entries that cancel are deleted."""
         assert isinstance(other, CycloMatrix) and self.n == other.n

@@ -4,9 +4,8 @@ Vectors are int tuples of length phi (coefficients in the power basis of a
 cyclotomic integer ring), `red` holds the reduction rows for the exponents
 phi .. 2*phi-2.  A matrix is a sequence of n sparse rows, each a dict from
 column to the nonzero vector in that column; a zero entry is never stored.
-`matmul` (AB) and `commutator` (AB - BA) take and return such rows, and share
-one accumulate-and-reduce loop.  The products skip zero coefficients, so their
-cost follows the number of nonzeros.
+`matmul` takes and returns such rows; it skips zero coefficients, so its cost
+follows the number of nonzeros.
 """
 
 from math import gcd
@@ -36,54 +35,38 @@ def conv_reduce(a, b, red, phi):
 
 
 def matmul(A, B, red, phi, n):
-    # The size n is not needed by the sparse product.
-    return _products(((A, B, 1),), red, phi)
-
-
-def commutator(A, B, red, phi):
-    """Rows of AB - BA: row i of both products goes into one work row, which
-    is reduced once."""
-    return _products(((A, B, 1), (B, A, -1)), red, phi)
-
-
-def _products(terms, red, phi):
-    # Rows of the sum of s * L R over the terms (L, R, s).  Every stored l_ik
-    # meets only the stored r_kj, so the cost follows the nonzeros; entries
-    # that cancel to zero are dropped.
-    n = len(terms[0][0])
+    """Rows of AB.  Every stored a_ik meets only the stored b_kj, so the cost
+    follows the nonzeros; entries that cancel to zero are dropped.  The size
+    n is not needed by the sparse product."""
     out = []
     if phi == 1:
-        for i in range(n):
+        for row in A:
             acc = {}
-            for L, R, s in terms:
-                for k, a in L[i].items():
-                    ak = s * a[0]
-                    for j, b in R[k].items():
-                        acc[j] = acc.get(j, 0) + ak * b[0]
+            for k, a in row.items():
+                a = a[0]
+                for j, b in B[k].items():
+                    acc[j] = acc.get(j, 0) + a * b[0]
             out.append({j: (c,) for j, c in acc.items() if c})
         return out
     width = 2 * phi - 1
-    # each row of R as (column, nonzero coefficients) pairs
-    terms = [(L, [[(j, [(q, bq) for q, bq in enumerate(b) if bq])
-                   for j, b in Rk.items()] for Rk in R], s)
-             for L, R, s in terms]
-    for i in range(n):
+    # each row of B as (column, nonzero coefficients) pairs
+    Bnz = [[(j, [(q, bq) for q, bq in enumerate(b) if bq])
+            for j, b in Bk.items()] for Bk in B]
+    for row in A:
         work = {}
-        for L, Rnz, s in terms:
-            for k, a in L[i].items():
-                Rk = Rnz[k]
-                if not Rk:
-                    continue
-                for p, ap in enumerate(a):
-                    if ap:
-                        ap *= s
-                        for j, b in Rk:
-                            w = work.get(j)
-                            if w is None:
-                                w = work[j] = [0] * width
-                            for q, bq in b:
-                                w[p + q] += ap * bq
-        row = {}
+        for k, a in row.items():
+            Bk = Bnz[k]
+            if not Bk:
+                continue
+            for p, ap in enumerate(a):
+                if ap:
+                    for j, b in Bk:
+                        w = work.get(j)
+                        if w is None:
+                            w = work[j] = [0] * width
+                        for q, bq in b:
+                            w[p + q] += ap * bq
+        out_row = {}
         for j, w in work.items():
             for t in range(width - 1, phi - 1, -1):
                 top = w[t]
@@ -95,8 +78,8 @@ def _products(terms, red, phi):
                             w[j2] += top * rj
             v = tuple(w[:phi])
             if any(v):
-                row[j] = v
-        out.append(row)
+                out_row[j] = v
+        out.append(out_row)
     return out
 
 

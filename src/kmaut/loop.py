@@ -180,10 +180,9 @@ class LoopElement:
 
     def __init__(self, algebra, twist, l, coeffs, validate=True):
         """Read the coefficient matrices (or AlgebraElements) of coeffs into
-        coordinates.  With validate, each must lie in the algebra (it is
-        what its coordinates write back) and in its twist eigenspace;
-        without, a matrix outside the algebra silently becomes the element
-        of its coordinates."""
+        coordinates.  With validate, each must lie in the algebra and in its
+        twist eigenspace; without, a matrix outside the algebra silently
+        becomes the element of its coordinates."""
         if validate and twist.algebra != algebra:
             raise TwistMismatch("twist lives on a different algebra")
         rows = {}
@@ -194,8 +193,7 @@ class LoopElement:
                 continue
             n = int(n)
             if validate:
-                if M.n != algebra.size or algebra.from_coords(
-                        algebra.coords(M), M.N) != M:
+                if not algebra.contains_matrix(M):
                     raise MembershipError(
                         "coefficient %d is not in %r" % (n, algebra))
                 if twist.apply_matrix(M) != M * root_of_unity(l, n % l):

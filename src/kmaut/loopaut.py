@@ -129,8 +129,9 @@ class StandardLoopAutomorphism:
 
     # -- action -------------------------------------------------------------------
 
-    def apply(self, u, validate=True):
-        """Image of a loop element; lives over the target twist."""
+    def apply(self, u):
+        """Image of a loop element; lives over the target twist.  It is built
+        unchecked: the image of an element is one by construction."""
         if u.twist != self.twist:
             raise TwistMismatch("element does not live over the source twist")
         lu = u.l
@@ -169,7 +170,7 @@ class StandardLoopAutomorphism:
                     assert key.denominator == 1
                     key = int(key)
                     out[key] = out[key] + piece if key in out else piece
-        return LoopElement(self.algebra, tgt, lnew, out, validate=validate)
+        return LoopElement(self.algebra, tgt, lnew, out, validate=False)
 
     # -- normal form and composition -----------------------------------------------
 
@@ -776,8 +777,10 @@ class AffineExtension:
         self._tw = tgt
         self._l = phi._image_conductor(phi.l)
         x = phi.X
+        # X was checked where it entered, as a SemisimpleElement fixed by
+        # the target twist
         self.x_loop = LoopElement(phi.algebra, tgt, self._l,
-                                  {0: x.matrix}, validate=True)
+                                  {0: x.matrix}, validate=False)
         kxx = phi.algebra.killing_matrix(x.matrix, x.matrix)
         self.gamma = kxx * Fraction(-phi.epsilon, 2)
 

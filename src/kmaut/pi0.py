@@ -5,7 +5,11 @@ lies in.
 Signatures are frame-free: they are built from the central scalar of the
 group commutator of the two matrix parts, from determinants of eigenblock
 restrictions, and from the outer word; all of these are invariant under
-simultaneous conjugation, projective rescaling and choice of representative.
+simultaneous conjugation and choice of representative.  Determinants and
+squares change with a matrix's scale, so the rules read each matrix at
+scalar one: divided by a square root of its form scalar on b, c and d, and
+of G^2 for an inner involution on a.  A rescaled matrix thus has the
+signature of the unscaled one, or, where Q(zeta) holds no such root, none.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from .autg import (
     ID_PERM,
     InvLabel,
     _classes,
+    _cyclo_sqrt,
     _d4_frame,
+    _form_scalar,
     _named,
     _pcomp,
     _porder,
@@ -366,9 +372,30 @@ def _block_dets(S0, B):
 
 
 def _sgn(x):
-    f = x.as_fraction()
-    assert f in (1, -1), f
-    return int(f)
+    if x == 1 or x == -1:
+        return int(x.as_fraction())
+    raise NoSignatureRule("signature value %r is not +-1" % (x,))
+
+
+def _unit_scale(phi):
+    """phi with its matrix G divided by a square root of its scalar, which
+    the rules below read at one: the form scalar s of G^T J G = s J on b, c
+    and d, and the scalar G^2 of an inner involution on a.  NoSignatureRule
+    when Q(zeta) holds no such root."""
+    if not phi.has_parts:
+        return phi
+    G = phi.parts()[0]
+    if phi.algebra.family == "a":
+        s = (G * G).is_scalar()
+    else:
+        s = _form_scalar(phi.algebra, G)
+    if s is None or s == 1:
+        return phi
+    r = _cyclo_sqrt(s)
+    if r is None:
+        raise NoSignatureRule("no square root of the scalar %r of the matrix"
+                              % (s,))
+    return Automorphism(phi.algebra, G * r.inverse())
 
 
 def raw_signature(rho, beta):
@@ -386,6 +413,8 @@ def raw_signature(rho, beta):
         raise NonCommuting("beta does not commute with rho")
     if rho.is_identity():
         return _out_signature(beta)
+    if fam != "a":
+        rho, beta = _unit_scale(rho), _unit_scale(beta)
     m = algebra.size
     is_tau4_row = False
     if fam == "d" and algebra.param == 4:
@@ -404,7 +433,9 @@ def raw_signature(rho, beta):
         if rho.is_inner():
             S0 = rho.parts()[0]
             if S0.trace().is_zero():
-                return (e, _sgn(_commutator_scalar(rho, beta)))
+                # an outer beta leaves rho's scale squared in the scalar
+                r = _unit_scale(rho) if e else rho
+                return (e, _sgn(_commutator_scalar(r, beta)))
             return (e,)
         S0 = rho.parts()[0]
         mu_type = _scalar_ratio(S0, S0.transpose()) == 1

@@ -199,7 +199,7 @@ def real_form(phi, N=None):
 
     def pairs():
         for u in window_basis(algebra, tw, l, N):
-            pu = psi.apply(u, validate=False)
+            pu = psi.apply(u)
             for z in scalars:
                 yield AffineElement(u * z), AffineElement(pu * z.conj())
 

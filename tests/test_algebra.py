@@ -571,7 +571,7 @@ def reference_structure_constants(alg):
     """The tables as a commutator and `coords` per pair and a Killing value
     per pair give them: the build that the closed form replaces."""
     basis, n = alg.basis(), alg.dim
-    rows = {(i, j): alg.coords(basis[i].commutator(basis[j]))
+    rows = {(i, j): alg.coords(basis[i] * basis[j] - basis[j] * basis[i])
             for i in range(n) for j in range(i + 1, n)}
     gram = {(i, j): alg.killing_matrix(basis[i], basis[j])
             for i in range(n) for j in range(i, n)}

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from kmaut.algebra import j_matrix, make_algebra, tau_matrix
 from kmaut.autg import (
     Automorphism,
     InvLabel,
+    _cyclo_sqrt,
     group_inverse,
     identity_automorphism,
     involution_int_class,
@@ -17,9 +19,9 @@ from kmaut.autg import (
     standard_labels,
     triality_automorphism,
 )
-from kmaut.cyclo import CycloMatrix, root_of_unity
-from kmaut.errors import (InvalidLabel, MalformedData, NotInvolution,
-                          OrderExceedsBound)
+from kmaut.cyclo import CycloMatrix, CycloScalar, root_of_unity
+from kmaut.errors import (InvalidLabel, MalformedData, NoSignatureRule,
+                          NotInvolution, OrderExceedsBound)
 from kmaut.pi0 import component_signature, pi0_table
 from kmaut.selftest import random_inner_automorphism, random_inner_matrix
 
@@ -535,16 +537,102 @@ def test_involution_class_ignores_the_scale(fam, n):
             assert involution_int_class(Automorphism(alg, G * s)) == lab, (lab, s)
 
 
-@pytest.mark.parametrize("fam,n", [("b", 2), ("c", 3), ("d", 5)])
+@pytest.mark.parametrize("fam,n", [("a", 3), ("b", 2), ("c", 3), ("d", 4),
+                                   ("d", 5)])
 def test_scaled_first_kind_entry_reads_back(fam, n):
-    """The realized ('1a', rho1, 'id') entry with its phi0 matrix doubled
-    in JSON has the invariant of the entry."""
+    """Every realized first-kind entry with its phi0 matrix, or its twist's,
+    scaled in JSON by 2, i, -1, 1/3 or 3 zeta_3 has the invariant of the
+    entry: the component signatures read the matrices at scalar one."""
+    from kmaut.loopaut import StandardLoopAutomorphism, invariant
+    from kmaut.tables import (enumerate_first_kind, realize_entry,
+                              valid_ks)
+
+    alg = make_algebra(fam, n, "compact")
+    scales = (2, root_of_unity(4, 1), -1, Fraction(1, 3),
+              root_of_unity(3, 1) * 3)
+    for k in valid_ks(alg):
+        for entry in enumerate_first_kind(alg, k).entries:
+            phi = realize_entry(alg, entry)
+            want = invariant(phi)
+            for key in ("phi0", "twist"):
+                if phi.to_json()[key]["rep"] != "group":
+                    continue
+                for s in scales:
+                    obj = phi.to_json()
+                    obj[key]["matrix"] = (
+                        CycloMatrix.from_json(obj[key]["matrix"]) * s).to_json()
+                    got = invariant(StandardLoopAutomorphism.from_json(obj))
+                    assert got == want, (entry, key, s)
+
+
+def test_scale_without_a_known_root_is_never_misread():
+    """A phi0 scaled by 1 + i has the scalar 2i, which is not a rational
+    square times a root of unity: the entry reads back as itself or raises
+    NoSignatureRule, never a wrong class or an untyped error."""
     from kmaut.loopaut import StandardLoopAutomorphism, invariant
     from kmaut.tables import realize_entry
 
-    alg = make_algebra(fam, n, "compact")
-    phi = realize_entry(alg, ("1a", InvLabel(1), "id"))
-    obj = phi.to_json()
-    obj["phi0"]["matrix"] = (
-        CycloMatrix.from_json(obj["phi0"]["matrix"]) * 2).to_json()
-    assert invariant(StandardLoopAutomorphism.from_json(obj)) == invariant(phi)
+    for fam, n, entry in (("a", 3, ("1a", InvLabel(2), "mu")),
+                          ("b", 2, ("1a", InvLabel(1), "id")),
+                          ("c", 3, ("1a", InvLabel(1), "id")),
+                          ("d", 5, ("1a", InvLabel(2), "id"))):
+        phi = realize_entry(make_algebra(fam, n, "compact"), entry)
+        obj = phi.to_json()
+        obj["phi0"]["matrix"] = (CycloMatrix.from_json(obj["phi0"]["matrix"])
+                                 * (1 + root_of_unity(4, 1))).to_json()
+        try:
+            got = invariant(StandardLoopAutomorphism.from_json(obj))
+        except NoSignatureRule:
+            continue
+        assert got == invariant(phi), entry
+
+
+def test_cyclo_sqrt_of_a_rational_square_times_a_root_of_unity():
+    for r in (1, 3, Fraction(1, 2)):
+        for N, k in ((1, 0), (3, 1), (4, 1), (5, 2), (8, 3), (12, 5)):
+            for sign in (1, -1):
+                c = root_of_unity(N, k) * (sign * r * r)
+                s = _cyclo_sqrt(c)
+                assert s is not None and s * s == c, (r, N, k, sign)
+    for c in (CycloScalar.from_rational(2), root_of_unity(3, 1) * 2,
+              root_of_unity(8, 1) + 1, root_of_unity(4, 1) * 2):
+        assert _cyclo_sqrt(c) is None
+
+
+def _json_text(x):
+    return json.dumps(x.to_json())
+
+
+def test_automorphism_json_round_trip_to_the_byte():
+    """to_json -> from_json -> to_json writes the same bytes for group maps
+    of every family at any scale, outer on a and conjugate-linear."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.sampled_from(_FORM_ALGEBRAS + [("a", 2), ("a", 3)]),
+               st.integers(0, 3),
+               st.fractions(min_value=-5, max_value=5, max_denominator=6)
+               .filter(bool), st.integers(0, 1), st.booleans(),
+               st.integers(0, 2**32 - 1))
+    def check(fam_n, scale, q, w, conj, seed):
+        alg = make_algebra(*fam_n, "compact")
+        G = random_inner_matrix(alg, random.Random(seed)) * _scale(scale, q)
+        text = _json_text(Automorphism(alg, G, w=w, conj=conj))
+        assert _json_text(Automorphism.from_json(json.loads(text))) == text
+
+    check()
+
+
+def test_so8_operator_json_round_trip_to_the_byte():
+    """The same for so(8) operators: triality, its square, and its
+    composites with a group map, conjugate-linear included."""
+    so8 = make_algebra("d", 4, "compact")
+    th = triality_automorphism(so8)
+    g = random_inner_automorphism(so8, random.Random(8))
+    cg = Automorphism(so8, g.parts()[0], conj=True)
+    for phi in (th, th.compose(th), th.compose(g), g.compose(th),
+                th.compose(cg)):
+        assert not phi.has_parts
+        text = _json_text(phi)
+        assert _json_text(Automorphism.from_json(json.loads(text))) == text

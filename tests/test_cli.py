@@ -452,3 +452,21 @@ def test_invariant_fuzz_exits_0_or_2(tmp_path, capsys):
             json.loads(out)
             runs += 1
     assert runs > 200
+
+
+@pytest.mark.parametrize("fam,n", [("a", 2), ("b", 2), ("c", 3), ("d", 4)])
+def test_invariant_json_round_trip_to_the_byte(fam, n):
+    """An entry invariant's to_json, with its algebra added as `realize
+    --in` takes it, reads back to the same invariant and the same bytes."""
+    from kmaut.cli import _invariant_from_json
+    from kmaut.tables import entry_invariant, enumerate_second_kind, valid_ks
+
+    alg = make_algebra(fam, n, "compact")
+    for k in valid_ks(alg):
+        for row in (enumerate_first_kind(alg, k), enumerate_second_kind(alg, k)):
+            for entry in row.entries:
+                inv = entry_invariant(alg, entry)
+                text = json.dumps(inv.to_json())
+                obj = dict(json.loads(text), algebra={"family": fam, "n": n})
+                back = _invariant_from_json(obj)
+                assert back == inv and json.dumps(back.to_json()) == text

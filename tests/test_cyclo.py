@@ -543,6 +543,31 @@ def test_matrix_json_property():
     check()
 
 
+def test_scalar_and_matrix_json_round_trip_to_the_byte():
+    """to_json -> from_json -> to_json writes the same bytes for matrices
+    read from random JSON (mixed conductors, zero entries, unreduced
+    coefficients) and for each of their entries as a scalar."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(st.sampled_from([(1,), (1, 3, 4), (3, 4), (1, 4, 12), (5, 8)]),
+               st.integers(1, 4), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def check(conductors, n, density, seed):
+        M = CycloMatrix.from_json(
+            json_matrix(random.Random(seed), n, conductors, density))
+        text = json.dumps(M.to_json())
+        assert json.dumps(CycloMatrix.from_json(json.loads(text)).to_json()) \
+            == text
+        for i in range(n):
+            for j in range(n):
+                text = json.dumps(M.entry(i, j).to_json())
+                back = CycloScalar.from_json(json.loads(text))
+                assert json.dumps(back.to_json()) == text
+
+    check()
+
+
 def reference_to_json(M):
     """The writer as it was: one CycloScalar per entry."""
     return [[M.entry(i, j).to_json() for j in range(M.n)] for i in range(M.n)]

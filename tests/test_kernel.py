@@ -109,17 +109,21 @@ def test_pure_matmul_matches_triple_loop(case):
 
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_commutator_matches_two_products(case):
-    """AB - BA from one pass equals the difference of the two triple loops,
-    and stores no entry that cancels."""
+    """AB - BA as `bracket_matrix` forms it, two kernel products and a
+    difference, equals the difference of the two triple loops and stores no
+    entry that cancels."""
     N, n, A, B = CASES[case]
     ctx = _context(N)
-    got = kernel.commutator(pack(A), pack(B), ctx.red, ctx.phi)
+    X = CycloMatrix(n, N, 1, tuple(pack(A)))
+    Y = CycloMatrix(n, N, 1, tuple(pack(B)))
+    got = X * Y - Y * X
     AB, BA = ref_matmul(A, B, POLY[N], n), ref_matmul(B, A, POLY[N], n)
-    assert unpack(got, n, ctx.phi) == [
+    assert got.den == 1
+    assert unpack(got.rows, n, ctx.phi) == [
         tuple(tuple(x - y for x, y in zip(p, q)) for p, q in zip(r, t))
         for r, t in zip(AB, BA)]
-    assert all(type(v) is tuple and any(v) for r in got for v in r.values())
-    assert kernel.commutator(pack(A), pack(A), ctx.red, ctx.phi) == [{}] * n
+    assert all(type(v) is tuple and any(v) for r in got.rows for v in r.values())
+    assert (X * X - X * X).rows == ({},) * n
 
 
 @pytest.mark.parametrize("N", sorted(POLY))
@@ -296,8 +300,9 @@ def test_products_property():
 
 
 def test_commutator_property():
-    """X.commutator(Y) is X*Y - Y*X to the byte, at equal and mixed
-    conductors, for zero matrices and for pairs that commute."""
+    """X*Y - Y*X, the matrix bracket, is the entrywise commutator and is
+    antisymmetric to the byte at equal and mixed conductors; zero matrices
+    and pairs that commute give the zero matrix."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -320,10 +325,15 @@ def test_commutator_property():
             Y = X * X * s + X * Fraction(1, 2) + CycloMatrix.identity(n, NY)
         else:
             Y = rand_matrix(rng, n, NY, density)
-        for A, B in ((X, Y), (Y, X)):
-            # to_json carries the conductor tag of every entry
-            assert A.commutator(B).to_json() == (A * B - B * A).to_json()
+        zero = CycloScalar.from_rational(0)
+        C = X * Y - Y * X
+        assert C == CycloMatrix.from_scalars(
+            [[sum((X.entry(i, k) * Y.entry(k, j) - Y.entry(i, k) * X.entry(k, j)
+                   for k in range(n)), zero)
+              for j in range(n)] for i in range(n)])
+        # to_json carries the conductor tag of every entry
+        assert C.to_json() == (-(Y * X - X * Y)).to_json()
         if kind != "random":
-            assert X.commutator(Y).is_zero()
+            assert C.is_zero() and not any(C.rows)
 
     check()

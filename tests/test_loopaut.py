@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -500,6 +501,47 @@ def test_standard_automorphism_json_roundtrip():
     phi = conjugate_exp(phi_c, Y)
     back = StandardLoopAutomorphism.from_json(phi.to_json())
     assert back == phi
+
+
+@pytest.mark.parametrize("fam,n", [("a", 2), ("b", 2), ("c", 3), ("d", 4)])
+def test_standard_automorphism_json_round_trip_to_the_byte(fam, n):
+    """to_json -> from_json -> to_json writes the same bytes for randomly
+    conjugated table realizations (curves, shifts, operator twists on so(8))
+    at scales 1 and 3/2."""
+    from kmaut.tables import realize_entry
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    algebra = make_algebra(fam, n, "compact")
+    entries = list(_table_entries(algebra))
+
+    @hyp.settings(max_examples=15, deadline=None)
+    @hyp.given(st.sampled_from(entries), st.sampled_from([1, Fraction(3, 2)]),
+               st.integers(0, 2**32 - 1))
+    def check(entry, scale, seed):
+        phi = random_conjugation(realize_entry(algebra, entry),
+                                 random.Random(seed))
+        phi = StandardLoopAutomorphism(phi.twist, phi.l, phi.epsilon, phi.t0,
+                                       phi.X, phi.phi0, scale)
+        text = json.dumps(phi.to_json())
+        back = StandardLoopAutomorphism.from_json(json.loads(text))
+        assert json.dumps(back.to_json()) == text
+
+    check()
+
+
+@pytest.mark.parametrize("fam,n", [("a", 2), ("a", 3), ("b", 2), ("b", 3),
+                                   ("c", 3), ("d", 4), ("d", 5)])
+def test_invariant_of_a_conjugated_entry_is_the_entry_invariant(fam, n):
+    """invariant(random_conjugation(realize(e))) is entry_invariant(e) for
+    every table entry, three random conjugations each."""
+    from kmaut.tables import entry_invariant, realize
+    rng = random.Random(37)
+    algebra = make_algebra(fam, n, "compact")
+    for entry in _table_entries(algebra):
+        want = entry_invariant(algebra, entry)
+        phi = realize(want)
+        for _ in range(3):
+            assert invariant(random_conjugation(phi, rng)) == want, entry
 
 
 def _table_entries(algebra):
