@@ -296,6 +296,13 @@ class SimpleAlgebra:
             return CycloMatrix.zeros(self.size)
         return CycloMatrix(self.size, N, vec[1], rows)
 
+    def coords_operator(self, mats):
+        """The operator on coordinates whose k-th column is coords(mats[k]),
+        the image of the k-th basis element, over the lcm of the conductors."""
+        N = lcm(*(M.N for M in mats))
+        cols = [self.coords(M.promote(N)) for M in mats]
+        return CycloMatrix.from_packed(len(cols), N, cols).transpose()
+
     # -- operations -------------------------------------------------------------
 
     def bracket_matrix(self, X, Y):

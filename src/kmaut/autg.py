@@ -241,10 +241,8 @@ class Automorphism:
         """Linear-part operator on basis coordinates (dim x dim)."""
         if self._op is not None:
             return self._op
-        imgs = [self._apply_linear(b) for b in self.algebra.basis()]
-        N = lcm(*(M.N for M in imgs))
-        cols = [self.algebra.coords(M.promote(N)) for M in imgs]
-        return CycloMatrix.from_packed(len(cols), N, cols).transpose()
+        return self.algebra.coords_operator(
+            [self._apply_linear(b) for b in self.algebra.basis()])
 
     # -- group structure ---------------------------------------------------------
 

@@ -203,7 +203,9 @@ def _normalize(nums, den):
 # ---------------------------------------------------------------------------
 
 class CycloScalar:
-    """An exact element of Q(zeta_N)."""
+    """An exact element of Q(zeta_N), N the conductor it was computed in, a
+    zero's too: root_of_unity(4, 1) * 0 has conductor 4, from_rational(0)
+    conductor 1; the two are ==, but `to_json` writes each at its own N."""
 
     __slots__ = ("N", "nums", "den")
 
@@ -392,6 +394,7 @@ class CycloScalar:
     # -- io ------------------------------------------------------------------
 
     def to_json(self):
+        """At the stored conductor, a zero's too (see the class docstring)."""
         return {"conductor": self.N,
                 "coeffs": [str(Fraction(c, self.den)) for c in self.nums]}
 

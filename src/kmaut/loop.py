@@ -5,9 +5,9 @@ A loop element is a finite map n -> u_n with u_n in the zeta_l^n eigenspace
 of the twist.  Each coefficient u_n is stored as its coordinates on
 `algebra.basis()`: a packed row (N, {k: coefficient tuple}, den) over
 Q(zeta_N) in lowest terms, N being the conductor that u_n's matrix carries.
-Matrices are met only at the boundary: the constructor reads them through
-`coords`, and `coeffs`, `coefficient` and `to_json` write them through
-`from_coords`.
+Matrices are met only at the JSON and public boundary: the constructor
+reads them through `coords`, and `coeffs`, `coefficient` and `to_json` write
+them through `from_coords`.  Loop automorphisms (`loopaut`) act on the rows.
 
 Everything else is bilinear in the coordinates.  The bracket is coefficient
 convolution through the structure constants (C, K, den) of the algebra, in
@@ -222,10 +222,6 @@ class LoopElement:
     @staticmethod
     def zero(algebra, twist, l):
         return LoopElement.from_rows(algebra, twist, l, {})
-
-    @staticmethod
-    def constant(x, twist, l):
-        return LoopElement(x.algebra, twist, l, {0: x.matrix})
 
     def _like(self, rows):
         return LoopElement.from_rows(self.algebra, self.twist, self.l, rows)

@@ -4,7 +4,8 @@ An automorphism is stored as (epsilon, t0, X, phi0, scale): it maps
 u(t) to e^(ad tX) phi0 (u(eps t + 2 pi t0)) after multiplying the n-th
 coefficient by scale^(n/l).  X is a rational-semisimple torus element whose
 exponential has finite order, so every operation below stays inside exact
-cyclotomic arithmetic.
+cyclotomic arithmetic.  `apply` acts on coordinate rows: matrices are met
+only at the JSON and public boundary.
 
 Invariants: the first-kind triple (p, rho, [beta]) and the second-kind pair
 [phi+, phi-], canonicalized at the label level for classes of order <= 2 and
@@ -37,8 +38,9 @@ from .autg import (
     omega_automorphism,
     triality_automorphism,
 )
-from .cyclo import (CycloMatrix, CycloScalar, _json_int, _json_object,
-                    _json_rational, _rational_root, root_of_unity)
+from .cyclo import (CycloMatrix, CycloScalar, _apply_table, _context,
+                    _galois_table, _json_int, _json_object, _json_rational,
+                    _rational_root, root_of_unity)
 from .errors import (
     InfiniteOrderScaling,
     InvalidLoopData,
@@ -55,7 +57,7 @@ from .errors import (
     UnsupportedOrder,
     WrongKind,
 )
-from .loop import AffineElement, LoopElement, loop_form
+from .loop import AffineElement, LoopElement, _combine, _scale, loop_form
 from .pi0 import component_signature, id_row_class
 
 _ONE = Fraction(1)
@@ -65,7 +67,7 @@ class StandardLoopAutomorphism:
     """phi u(t) = e^(ad tX) phi0(u(eps t + 2 pi t0)) o (scale factor)."""
 
     __slots__ = ("algebra", "twist", "l", "epsilon", "t0", "X", "phi0",
-                 "scale", "_target", "_order")
+                 "scale", "_target", "_order", "_step", "_ops")
 
     def __init__(self, twist, l, epsilon, t0, X, phi0, scale=_ONE,
                  validate=True):
@@ -84,6 +86,8 @@ class StandardLoopAutomorphism:
         self.scale = Fraction(scale)
         self._target = None
         self._order = None
+        self._step = None
+        self._ops = {}
         if validate:
             if self.scale <= 0 or l < 1:
                 raise InvalidLoopData("need scale > 0 and l >= 1, got %s and %s"
@@ -113,13 +117,28 @@ class StandardLoopAutomorphism:
     def _image_conductor(self, l):
         """Conductor of the image of an element of conductor l: a multiple
         of l, of the target twist's order and of every difference of
-        X-rates, so that the X-shifts stay integral."""
-        out = lcm(l, self.target_twist().order(bound=256))
-        rates = [r for r, _ in self.X.projectors()]
-        for r1 in rates:
-            for r2 in rates:
-                out = lcm(out, Fraction(r1 - r2).denominator)
-        return out
+        X-rates, so that the X-shifts stay integral; all but l is kept."""
+        if self._step is None:
+            self._step = lcm(self.target_twist().order(bound=256),
+                             *(d.denominator for d, _ in self._operators(1)))
+        return lcm(l, self._step)
+
+    def _operators(self, N):
+        """[(r_a - r_b, coordinate operator of v -> Q_a phi0(v) Q_b)] over the
+        pairs of projectors of X (X = 0 has the one projector I), from the
+        images of the real basis (a conjugate-linear phi0 gets conj(v));
+        kept promoted to each row conductor N met, not by matvec per call."""
+        ops = self._ops.get(N)
+        if ops is None:
+            if not self._ops:
+                alg, projs = self.algebra, self.X.projectors()
+                imgs = [self.phi0.apply_matrix(b) for b in alg.basis()]
+                self._ops[1] = [(ra - rb, alg.coords_operator(
+                    imgs if len(projs) == 1 else [Qa * M * Qb for M in imgs]))
+                    for ra, Qa in projs for rb, Qb in projs]
+            ops = self._ops[N] = [(d, op.promote(lcm(N, op.N)))
+                                  for d, op in self._ops[1]]
+        return ops
 
     def is_endomorphism(self):
         return self.target_twist() == self.twist
@@ -130,47 +149,37 @@ class StandardLoopAutomorphism:
     # -- action -------------------------------------------------------------------
 
     def apply(self, u):
-        """Image of a loop element; lives over the target twist.  It is built
-        unchecked: the image of an element is one by construction."""
+        """Image of a loop element over the target twist, built on its rows,
+        unchecked (an image is an element by construction); each image row
+        carries the conductor of the row, the phase and the operator."""
         if u.twist != self.twist:
             raise TwistMismatch("element does not live over the source twist")
         lu = u.l
         a, b = self.t0.numerator, self.t0.denominator
         lnew = self._image_conductor(lu)
-        tgt = self.target_twist()
+        sign = -self.epsilon if self.phi0.conj else self.epsilon
         out = {}
-        # a constant curve has the identity as its only projector
-        projs = None if self.has_constant_curve() else self.X.projectors()
-        for n, M in u.coeffs.items():
-            coeff = M
+        for n, row in u.rows.items():
             if self.scale != 1:
                 # the factor is scale^n on the automorphism's own conductor
                 fr = _rat_pow(self.scale, Fraction(n * self.l, lu))
                 if fr is None:
                     raise ScalingNotRational("scale factor is irrational")
-                coeff = coeff * fr
+                row = _scale(row, fr)
             # substitution t -> eps t + 2 pi a/b : phase and sign flip
-            phase = root_of_unity(b * lu, (n * a) % (b * lu))
-            coeff = coeff * phase
-            n2 = self.epsilon * n
+            row = _scale(row, root_of_unity(b * lu, (n * a) % (b * lu)))
+            N, ents, den = row
             if self.phi0.conj:
-                n2 = -n2
-            coeff = self.phi0.apply_matrix(coeff)
-            if projs is None:
-                out[n2 * lnew // lu] = coeff
-                continue
-            # e^(ad tX): split into eigencomponents, shift exponents
-            for ra, Qa in projs:
-                for rb, Qb in projs:
-                    piece = Qa * coeff * Qb
-                    if piece.is_zero():
-                        continue
-                    expo = Fraction(n2, lu) + (ra - rb)
-                    key = expo * lnew
-                    assert key.denominator == 1
-                    key = int(key)
-                    out[key] = out[key] + piece if key in out else piece
-        return LoopElement(self.algebra, tgt, lnew, out, validate=False)
+                t, p = _galois_table(N, N - 1), _context(N).phi
+                ents = {k: _apply_table(v, t, p) for k, v in ents.items()}
+            # e^(ad tX): the eigencomponents of rate d shift the exponent
+            for d, op in self._operators(N):
+                img = (op.N,) + op.matvec((ents, den), N)
+                if img[1]:
+                    key = sign * n * (lnew // lu) + int(d * lnew)
+                    out[key] = _combine(out[key], img) if key in out else img
+        return LoopElement.from_rows(self.algebra, self.target_twist(), lnew,
+                                     out)
 
     # -- normal form and composition -----------------------------------------------
 
@@ -766,20 +775,18 @@ class AffineExtension:
     two-dimensional extension: fixes gamma by 2 gamma = -eps (x, x).  A
     conjugate-linear phi conjugates the coefficients of c and d."""
 
-    __slots__ = ("phi", "x_loop", "gamma", "_tw", "_l")
+    __slots__ = ("phi", "x_loop", "gamma", "_l")
 
     def __init__(self, phi):
         if phi.scale != 1:
             raise ScalingNotExtendable(
                 "scalings extend separately (as exponentials of the derivation)")
         self.phi = phi
-        tgt = phi.target_twist()
-        self._tw = tgt
         self._l = phi._image_conductor(phi.l)
         x = phi.X
         # X was checked where it entered, as a SemisimpleElement fixed by
         # the target twist
-        self.x_loop = LoopElement(phi.algebra, tgt, self._l,
+        self.x_loop = LoopElement(phi.algebra, phi.target_twist(), self._l,
                                   {0: x.matrix}, validate=False)
         kxx = phi.algebra.killing_matrix(x.matrix, x.matrix)
         self.gamma = kxx * Fraction(-phi.epsilon, 2)
@@ -789,27 +796,20 @@ class AffineExtension:
         u, c, d = elt.loop, elt.c, elt.d
         if self.phi.phi0.conj:
             c, d = c.conj(), d.conj()
-        if not u.is_zero():
-            phiu = self.phi.apply(u)
-            L = lcm(phiu.l, self._l)
-            phiu = phiu.re_conductor(L)
-            xl = self.x_loop.re_conductor(L)
-        else:
-            phiu = LoopElement.zero(self.phi.algebra, self._tw, self._l)
-            xl = self.x_loop
+        phiu = self.phi.apply(u)
+        L = lcm(phiu.l, self._l)
+        phiu = phiu.re_conductor(L)
+        xl = self.x_loop.re_conductor(L)
         cpart = c * eps + loop_form(xl, phiu) + d * self.gamma
         out_loop = phiu - xl * (d * eps) if d else phiu
         return AffineElement(out_loop, cpart, d * eps)
 
     def image_c(self):
-        return AffineElement(LoopElement.zero(self.phi.algebra, self._tw, self._l),
-                             CycloScalar.from_rational(self.phi.epsilon),
-                             CycloScalar.from_rational(0))
+        return AffineElement(self.x_loop * 0, self.phi.epsilon)
 
     def image_d(self):
         eps = self.phi.epsilon
-        return AffineElement(self.x_loop * Fraction(-eps), self.gamma,
-                             CycloScalar.from_rational(eps))
+        return AffineElement(self.x_loop * -eps, self.gamma, eps)
 
 
 def affine_extend(phi):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .algebra import make_algebra, sigma_eigenspace
+from .algebra import make_algebra
 from .autg import InvLabel, omega_automorphism
 from .cyclo import CycloScalar, _context, root_of_unity
 from .errors import NotCompactMode, NotInvolution, UnsupportedOrder
@@ -42,6 +42,7 @@ from .loopaut import (
     ConjLinearInvariant,
     FirstKindInvariant,
     SecondKindInvariant,
+    StandardLoopAutomorphism,
     affine_extend,
     conj_linear_extend,
     invariant,
@@ -204,6 +205,8 @@ def real_form(phi, N=None):
                 yield AffineElement(u * z), AffineElement(pu * z.conj())
 
     out, _ = _fixed_part(pairs(), M, N)
+    # c and d go in by hand: through the extension, the zero c of the d
+    # elements would keep conductor 4 (a zero does) and change the JSON
     i = root_of_unity(4, 1)
     zero = LoopElement.zero(algebra, tw, l)
     for f in _real_field_basis(M):
@@ -283,29 +286,19 @@ def _affine_qvec(elt, M, N):
 # ---------------------------------------------------------------------------
 
 def compact_window_basis(algebra, twist, l, N):
-    """Rational basis of the compact form's window: u_(-n) = omega(u_n),
-    with u_n running over the eigenvectors of degree n times the Q-basis of
-    the window field."""
+    """Rational basis of the compact form's window, the fixed points of the
+    loop map omega^: u(t) -> omega(u(t)), degree n to -n: u + omega^(u) for
+    u an eigenvector of degree 1 <= n <= N times a Q-basis element of the
+    window field, then the omega^-fixed part at n = 0."""
     M0 = lcm(4, 2 * l)
-    scalars = _field_basis(M0)
-    out = []
-    om = algebra.omega_matrix
-    for n in range(1, N + 1):
-        for b in sigma_eigenspace(algebra, twist, l, n % l):
-            for z in scalars:
-                M = b.matrix * z
-                out.append(LoopElement(algebra, twist, l,
-                                       {n: M, -n: om(M)}, validate=False))
-    # n = 0: the omega-fixed part of the twist-fixed subalgebra
-    def zero_mode(A):
-        return AffineElement(LoopElement(algebra, twist, l, {0: A},
-                                         validate=False))
-
-    units = [b.matrix * z for b in sigma_eigenspace(algebra, twist, l, 0)
-             for z in scalars]
-    fixed, _ = _fixed_part(((zero_mode(A), zero_mode(om(A))) for A in units),
-                           M0, 0)
-    return out + [x.loop for x in fixed]
+    hat = StandardLoopAutomorphism(twist, l, 1, 0, None,
+                                   omega_automorphism(algebra))
+    units = [(u.support()[0], u * z) for u in window_basis(algebra, twist, l, N)
+             for z in _field_basis(M0)]
+    fixed, _ = _fixed_part(((AffineElement(u), AffineElement(hat.apply(u)))
+                            for n, u in units if n == 0), M0, 0)
+    return [u + hat.apply(u) for n, u in units if n > 0] + \
+        [x.loop for x in fixed]
 
 
 def cartan_decomposition(phi, N=None):

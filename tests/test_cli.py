@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -127,6 +128,16 @@ def test_realform_json_matches_its_golden_copy(capsys):
     assert rc == 0
     golden = Path(__file__).parent / "golden" / "realform-a1-mu-id-w4.json"
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("case", json.loads(
+    (Path(__file__).parent / "golden" / "realform-digests.json").read_text()))
+def test_realform_json_matches_its_golden_digest(case, capsys):
+    """The JSON of an outer a3 pair and of a c3 pair, which the a1 golden
+    copy does not reach, hashes to its committed sha256."""
+    rc, out = run_cli(["realform"] + case["args"], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
 def test_realform_reads_the_algebra_label(capsys):

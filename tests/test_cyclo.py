@@ -130,6 +130,16 @@ def test_scalar_json_roundtrip():
     assert CycloScalar.from_json(a.to_json()) == a
 
 
+def test_zero_keeps_the_conductor_it_was_computed_in():
+    """Equal zeros computed along different paths write different JSON:
+    each keeps its conductor."""
+    computed = root_of_unity(4, 1) * 0
+    rational = CycloScalar.from_rational(0)
+    assert computed == rational
+    assert computed.to_json() == {"conductor": 4, "coeffs": ["0", "0"]}
+    assert rational.to_json() == {"conductor": 1, "coeffs": ["0"]}
+
+
 @pytest.mark.parametrize("coeff", ["1e100000000", "1.5", " 1/2", "1/2 ",
                                    "0x10", "1_000", "1/-2", "inf", "nan",
                                    "\u0661", "", True, 1.5, None])

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -21,6 +21,7 @@ from kmaut.errors import (
     InfiniteOrderScaling,
     OrderExceedsBound,
     PeriodicityViolation,
+    ScalingNotRational,
     TwistMismatch,
     UnsupportedOrder,
     WrongKind,
@@ -29,6 +30,7 @@ from kmaut.loop import AffineElement, LoopElement, affine_bracket, affine_form
 from kmaut.loopaut import (
     StandardLoopAutomorphism,
     _certificate,
+    _rat_pow,
     affine_extend,
     conjugacy_test,
     conjugate_constant,
@@ -622,3 +624,126 @@ def test_certificate_matches_eigenprojector_ranks():
                       in finite_order_eigenprojectors(aut.operator(), o))
         assert _certificate(aut) == ("cert", o, aut.out_order(), ranks)
     assert orders == {2, 3, 4, 6}
+
+
+def reference_apply(phi, u):
+    """The image of u on coefficient matrices: each coefficient u_n is
+    scaled, rotated by its phase, mapped by phi0 and split by the projector
+    pairs Q_a (.) Q_b of X into degrees shifted by r_a - r_b; a constant
+    curve keeps phi0(u_n) whole.  Each matrix carries the conductor its
+    arithmetic gives it."""
+    lu = u.l
+    a, b = phi.t0.numerator, phi.t0.denominator
+    rates = [r for r, _ in phi.X.projectors()]
+    lnew = lcm(lu, phi.target_twist().order(bound=256),
+               *(Fraction(r1 - r2).denominator for r1 in rates for r2 in rates))
+    out = {}
+    projs = None if phi.has_constant_curve() else phi.X.projectors()
+    for n, M in u.coeffs.items():
+        coeff = M
+        if phi.scale != 1:
+            fr = _rat_pow(phi.scale, Fraction(n * phi.l, lu))
+            if fr is None:
+                raise ScalingNotRational("scale factor is irrational")
+            coeff = coeff * fr
+        coeff = coeff * root_of_unity(b * lu, (n * a) % (b * lu))
+        n2 = -phi.epsilon * n if phi.phi0.conj else phi.epsilon * n
+        coeff = phi.phi0.apply_matrix(coeff)
+        if projs is None:
+            out[n2 * lnew // lu] = coeff
+            continue
+        for ra, Qa in projs:
+            for rb, Qb in projs:
+                piece = Qa * coeff * Qb
+                if not piece.is_zero():
+                    key = (Fraction(n2, lu) + (ra - rb)) * lnew
+                    assert key.denominator == 1
+                    key = int(key)
+                    out[key] = out[key] + piece if key in out else piece
+    return LoopElement(phi.algebra, phi.target_twist(), lnew, out,
+                       validate=False)
+
+
+def _image_json(phi, u, apply):
+    """The image's JSON text, or the name of the error apply raised."""
+    try:
+        return json.dumps(apply(phi, u).to_json(), sort_keys=True)
+    except ScalingNotRational as err:
+        return type(err).__name__
+
+
+def _apply_cases(algebra, rng):
+    """The realized table entries of the algebra, of both kinds, three
+    random conjugations of each in a row, the conjugate-linear extensions of
+    all of these and the second-kind ones conjugated by the scaling of
+    parameter 3/2, where those exist."""
+    from kmaut.tables import realize_entry
+    for entry in _table_entries(algebra):
+        chain = [realize_entry(algebra, entry)]
+        for _ in range(3):
+            chain.append(random_conjugation(chain[-1], rng))
+        for phi in chain:
+            yield phi
+            try:
+                yield conj_linear_extend(phi)
+            except PeriodicityViolation:
+                pass
+            if phi.epsilon == -1:
+                try:
+                    yield conjugate_scale(phi, Fraction(3, 2))
+                except ScalingNotRational:
+                    pass
+
+
+@pytest.mark.parametrize("fam,n", [("a", 1), ("a", 2), ("a", 3), ("b", 2),
+                                   ("c", 3), ("d", 4)])
+def test_apply_on_rows_matches_the_matrix_path(fam, n):
+    """StandardLoopAutomorphism.apply on coordinate rows writes the JSON of
+    the matrix-path image to the byte, conductors included, and raises
+    where it raises.  Every algebra reaches conjugate-linear and scaled
+    maps, and all but c3, which has no anti-fixed direction to twist along,
+    nonconstant curves."""
+    rng = random.Random(26)
+    seen = {"curve": 0, "conj": 0, "scale": 0}
+    for phi in _apply_cases(make_algebra(fam, n, "compact"), rng):
+        seen["curve"] += not phi.has_constant_curve()
+        seen["conj"] += phi.phi0.conj
+        seen["scale"] += phi.scale != 1
+        u = random_loop_element(phi.algebra, phi.twist, phi.l, rng,
+                                window=3, terms=3)
+        assert _image_json(phi, u, StandardLoopAutomorphism.apply) \
+            == _image_json(phi, u, reference_apply), phi
+    assert seen["conj"] and seen["scale"] and (seen["curve"] or fam == "c"), \
+        seen
+
+
+def test_apply_crosses_no_matrix(monkeypatch):
+    """After a warm-up call, apply reads and writes no coefficient matrix:
+    no `coords` and no `from_coords` call, on a conjugate-linear map and on
+    a map with a nonconstant curve."""
+    from kmaut.algebra import SimpleAlgebra
+    from kmaut.tables import realize_entry
+    rng = random.Random(5)
+    su3 = make_algebra("a", 2, "compact")
+    mu3 = mu_automorphism(su3)
+    phi = conjugate_exp(StandardLoopAutomorphism(
+        identity_automorphism(su3), 1, 1, Fraction(1, 4), None, mu3),
+        antifixed_direction(mu3, random.Random(15)))
+    assert not phi.has_constant_curve()
+    psi = conj_linear_extend(realize_entry(su3, next(
+        e for e in _table_entries(su3) if e[0] == "2" and e[1] != e[2])))
+    assert psi.phi0.conj
+    calls = []
+    for name in ("coords", "from_coords"):
+        real = getattr(SimpleAlgebra, name)
+        monkeypatch.setattr(SimpleAlgebra, name,
+                            lambda self, *a, _f=real, _n=name:
+                            calls.append(_n) or _f(self, *a))
+    for m in (phi, psi):
+        us = [random_loop_element(m.algebra, m.twist, m.l, rng, window=3,
+                                  terms=3) for _ in range(3)]
+        m.apply(us[0])
+        del calls[:]
+        for u in us:
+            m.apply(u)
+        assert calls == [], m
