@@ -129,8 +129,8 @@ def _image_rates(M, rates):
 class Automorphism:
     """A (possibly conjugate-linear) automorphism of a classical simple algebra."""
 
-    __slots__ = ("algebra", "conj", "_G", "_inv", "_inv_later", "_w", "_op",
-                 "_word", "label", "_canonG", "eigenbases")
+    __slots__ = ("algebra", "conj", "_G", "_inv", "_w", "_op", "_word",
+                 "label", "_canonG", "eigenbases")
 
     def __init__(self, algebra, G=None, w=0, conj=False, operator=None,
                  word=None, label=None):
@@ -140,11 +140,9 @@ class Automorphism:
         self.label = label
         # {l: bases of the zeta_l^n eigenspaces}, filled by sigma_eigenspace
         self.eigenbases = {}
-        # the inverse of the stored matrix, _G or else _op, once known; a
-        # product whose factors' inverses were known makes its own from them
-        # on first use, through _inv_later
+        # the inverse of the stored matrix, _G or else _op: None while
+        # unknown, else made or the zero-argument function that makes it
         self._inv = None
-        self._inv_later = None
         self._canonG = None
         if operator is not None:
             assert algebra.family == "d" and algebra.param == 4
@@ -171,20 +169,20 @@ class Automorphism:
             if e:
                 raise Unclassifiable("automorphism involves the order-3 outer "
                                      "generator; no defining form")
-            G = _descend_to_group(self)
-            self._G = G
-            self._w = 0
-            self._inv = None
+            self._G, self._inv = _descend_to_group(self), None
         return self._G, self._w
 
     def _ginv(self):
-        G, _ = self.parts()
-        if self._inv is None:
-            if self._inv_later is not None:
-                self._inv, self._inv_later = self._inv_later(), None
-            else:
-                self._inv = group_inverse(self.algebra, G)
-        return self._inv
+        """The inverse of the stored matrix, made by the function in _inv,
+        else by group_inverse, else (an operator) by elimination."""
+        inv = self._inv
+        if inv is None:
+            inv = (self._op.inverse() if self._G is None
+                   else group_inverse(self.algebra, self._G))
+        elif callable(inv):
+            inv = inv()
+        self._inv = inv
+        return inv
 
     def word(self):
         """Position in the outer group as a permutation of {0,1,2}."""
@@ -238,74 +236,58 @@ class Automorphism:
         return SemisimpleElement(self.algebra, M, rates, validate=False)
 
     def operator(self):
-        """Linear-part operator on basis coordinates (dim x dim)."""
-        if self._op is not None:
-            return self._op
-        return self.algebra.coords_operator(
-            [self._apply_linear(b) for b in self.algebra.basis()])
+        """Linear-part operator on basis coordinates (dim x dim), kept once
+        built; a group-form map then holds both forms, as a descended one."""
+        if self._op is None:
+            self._op = self.algebra.coords_operator(
+                [self._apply_linear(b) for b in self.algebra.basis()])
+        return self._op
 
     # -- group structure ---------------------------------------------------------
 
     def compose(self, other):
-        """self o other (other acts first)."""
+        """self o other (other acts first), stored as M1 K for K = T(M2), T
+        the mu^w omega^c of self; K^-1 M1^-1, K^-1 = T(M2^-1), is carried
+        (made on first use) when both factors' inverses are made once K is."""
         assert self.algebra == other.algebra
-        conj = self.conj ^ other.conj
+        conj, c, w = self.conj ^ other.conj, self.conj, self._w
         if self._G is not None and other._G is not None:
-            # K = other's G passed through omega^c then mu^w of self, using
-            # inv(K^T) = inv(K)^T and inv(K^*) = inv(K)^*; Kinv makes K^-1
-            # from what other holds, or is None if other's inverse is unknown
-            G2, G2inv = other._G, other._inv
-            if self.conj and self._w:
-                K = G2.conj()
-                Kinv = None if G2inv is None else G2inv.conj
-            elif self.conj:
-                K, Kinv = other._ginv().conj_transpose(), G2.conj_transpose
-            elif self._w:
-                K, Kinv = other._ginv().transpose(), G2.transpose
-            else:
-                K = G2
-                Kinv = None if G2inv is None else lambda: G2inv
-            out = Automorphism(self.algebra, self._G * K,
-                               w=self._w + other._w, conj=conj)
-            # (G K)^-1 = K^-1 G^-1: one product, made only if asked for
-            Ginv = self._inv
-            if Ginv is not None and Kinv is not None:
-                out._inv_later = lambda: Kinv() * Ginv
+            M2 = other._G
+            out = Automorphism(self.algebra,
+                               self._G * _transport(c, w, M2, other._ginv),
+                               w=w + other._w, conj=conj)
+            inv1, inv2 = self._inv, other._inv
+            if isinstance(inv1, CycloMatrix) and isinstance(inv2, CycloMatrix):
+                out._inv = lambda: _transport(c, w, inv2, M2) * inv1
             return out
-        L1 = self.operator()
-        L2 = other.operator()
-        if self.conj:
-            L2 = L2.conj()
-        return Automorphism(self.algebra, operator=L1 * L2,
-                            word=_pcomp(self.word(), other.word()), conj=conj)
+        # on basis coordinates (w = 0) omega is conjugation: T(L) = conj(L)
+        L1, L2 = self.operator(), other.operator()
+        out = Automorphism(self.algebra, operator=L1 * (L2.conj() if c else L2),
+                           word=_pcomp(self.word(), other.word()), conj=conj)
+        # _inv of a map with parts inverts G, not its operator
+        inv1, inv2 = (f._inv if f._G is None else None for f in (self, other))
+        if isinstance(inv1, CycloMatrix) and isinstance(inv2, CycloMatrix):
+            out._inv = lambda: (inv2.conj() if c else inv2) * inv1
+        return out
 
     def inverse(self):
+        """Ad(K) mu^w omega^c for K = T(G^-1), whose K^-1 = T(G) is made if
+        T needs no inverse, else carried if G^-1 was made before."""
+        c, w = self.conj, self._w
         if self._G is not None:
-            G = self._G
-            # Kinv: the inverse of K, where it comes for free; from a known
-            # G^-1, the transposes are made only if asked for
-            Ginv = self._inv
-            if self._w and self.conj:
-                K, Kinv = self._ginv().conj(), G.conj()
-            elif self._w:
-                K, Kinv = G.transpose(), None
-            elif self.conj:
-                K, Kinv = G.conj_transpose(), None
-            else:
-                K, Kinv = self._ginv(), G
-            out = Automorphism(self.algebra, K, w=self._w, conj=self.conj)
-            out._inv = Kinv
-            if Kinv is None and Ginv is not None:
-                out._inv_later = (Ginv.transpose if self._w
-                                  else Ginv.conj_transpose)
+            G, Ginv = self._G, self._inv
+            out = Automorphism(self.algebra, _transport(c, w, self._ginv, G),
+                               w=w, conj=c)
+            if c == w:
+                out._inv = _transport(c, w, G, None)
+            elif isinstance(Ginv, CycloMatrix):
+                out._inv = lambda: _transport(c, w, G, Ginv)
             return out
-        if self._inv is None:
-            self._inv = self._op.inverse()
-        L, Li = self._op, self._inv
-        if self.conj:
+        L, Li = self._op, self._ginv()
+        if c:
             L, Li = L.conj(), Li.conj()
         out = Automorphism(self.algebra, operator=Li,
-                           word=_pinv(self.word()), conj=self.conj)
+                           word=_pinv(self.word()), conj=c)
         out._inv = L
         return out
 
@@ -420,6 +402,17 @@ class Automorphism:
                                label=obj.get("label"))
         out._inv = Minv
         return out
+
+
+def _transport(conj, w, M, Minv):
+    """T(M) with T o Ad(M) = Ad(T(M)) o T for T = mu^w omega^conj: M,
+    conj(M), (M^-1)^T or (M^-1)^*.  M and Minv = M^-1 are each made or a
+    zero-argument function that makes it, called only if T needs it."""
+    if bool(conj) == bool(w):
+        M = M() if callable(M) else M
+        return M.conj() if conj else M
+    Minv = Minv() if callable(Minv) else Minv
+    return Minv.conj_transpose() if conj else Minv.transpose()
 
 
 def _eliminated_inverse(M):
@@ -613,8 +606,10 @@ def triality_automorphism(algebra, power=1):
     power %= 3
     if power == 0:
         return identity_automorphism(algebra)
-    return Automorphism(algebra, operator=op ** power, word=_ypow(power),
-                        label="theta" if power == 1 else "theta2")
+    out = Automorphism(algebra, operator=op ** power, word=_ypow(power),
+                       label="theta" if power == 1 else "theta2")
+    out._inv = op if power == 2 else lambda: op * op  # theta^-1 = theta^2
+    return out
 
 
 def _descend_to_group(aut):
@@ -737,13 +732,17 @@ def _classes(algebra):
 
     def theta_conj(e, base):
         # two 28x28 operator products, made once; each call gets a fresh
-        # Automorphism, whose parts and inverse fill lazily
+        # Automorphism, whose parts fill lazily
         @lru_cache(maxsize=1)
         def conj():
             return triality_automorphism(algebra, e).compose(
                 base()).compose(triality_automorphism(algebra, -e))
-        return lambda: Automorphism(algebra, operator=conj()._op,
-                                    word=conj()._word)
+
+        def fresh():  # an involution: its operator is its own inverse
+            out = Automorphism(algebra, operator=conj()._op, word=conj()._word)
+            out._inv = out._op
+            return out
+        return fresh
 
     n = algebra.param
     if fam == "a":

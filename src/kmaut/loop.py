@@ -426,7 +426,7 @@ def affine_bracket(x, y):
     u._compat(v)
     l = u.l
     out = dict(loop_bracket(u, v).rows)
-    for s, w in ((_I * x.d, v.rows), (_I * -y.d, u.rows)):
+    for s, w in ((x.d and _I * x.d, v.rows), (y.d and _I * -y.d, u.rows)):
         if s:
             for n, r in w.items():
                 if n:

@@ -99,8 +99,8 @@ class StandardLoopAutomorphism:
                                     "is complex-linear")
             if not twist.power(l).is_identity():
                 raise TwistMismatch("twist^l is not the identity")
-            tgt = self.target_twist()
-            if tgt.apply_matrix(self.X.matrix) != self.X.matrix:
+            tgt, X = self.target_twist(), self.X.matrix
+            if not X.is_zero() and tgt.apply_matrix(X) != X:
                 raise PeriodicityViolation("target twist does not fix X")
 
     # -- derived data -----------------------------------------------------------
@@ -660,10 +660,10 @@ def invariant_second_kind(phi):
     _, tw, const = normalize_to_constant(work)
     phi_plus = const.phi0
     phi_minus = const.phi0.compose(tw.inverse())
-    assert phi_plus.compose(phi_plus) == phi_minus.compose(phi_minus)
+    sq = phi_plus.compose(phi_plus)
+    assert sq == phi_minus.compose(phi_minus)
     algebra = phi.algebra
     k = _porder(_pcomp(_pinv(phi_minus.word()), phi_plus.word()))
-    sq = phi_plus.compose(phi_plus)
     if sq.is_identity():
         lp = involution_int_class(phi_plus)
         lm = involution_int_class(phi_minus)

@@ -240,8 +240,9 @@ def test_label_parse_fixes():
 
 def test_primed_so8_classes_are_fresh():
     """A primed so(8) class is built once per algebra, but every call returns
-    a new Automorphism equal to theta^e rho_p theta^-e: parts and inverse
-    fill lazily, so no two callers may share one."""
+    a new Automorphism equal to theta^e rho_p theta^-e, holding its operator
+    as its own inverse: parts fill lazily, and replace that inverse on the
+    map they fill only, so no two callers may share one."""
     so8 = make_algebra("d", 4, "compact")
     for p in (1, 2, 3):
         base = standard_involution(so8, InvLabel(p))
@@ -252,10 +253,13 @@ def test_primed_so8_classes_are_fresh():
             a, b = standard_involution(so8, lab), standard_involution(so8, lab)
             assert a is not b and a == b == want
             assert a.label == b.label == repr(lab)
-            assert a._inv is None and b._inv is None
+            eye = CycloMatrix.identity(a.operator().n)
+            assert a.operator() * a._inv == eye
+            assert b._inv is b.operator()
             if (p, e) == (2, 1):
                 a.parts()
                 assert a._G is not None and b._G is None
+                assert a._inv is None and b._inv is b.operator()
 
 
 def test_operator_inverse_is_carried():
@@ -423,9 +427,10 @@ def _known_inverse(alg, rng, w, conj):
     ("a", 3, 0, False), ("a", 3, 1, False), ("a", 3, 0, True),
     ("a", 3, 1, True), ("c", 3, 0, False), ("c", 3, 0, True)])
 def test_carried_inverse_in_each_compose_branch(fam, n, w, conj):
-    """self's w and conj pick the compose branch; when both factors know
-    their inverses, the product's is made from them on first use and equals
-    the eliminated inverse of the product."""
+    """self's w and conj pick the transport of the other factor; when both
+    factors know their inverses, the product holds a function that makes its
+    inverse from them on first use, which equals the eliminated inverse of
+    the product and then takes its place."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     alg = make_algebra(fam, n, "compact")
@@ -437,9 +442,9 @@ def test_carried_inverse_in_each_compose_branch(fam, n, w, conj):
         A = _known_inverse(alg, rng, w, conj)
         B = _known_inverse(alg, rng, w2 if fam == "a" else 0, conj2)
         P = A.compose(B)
-        assert P._inv is None and P._inv_later is not None
+        assert callable(P._inv)
         assert P._ginv() == P._G.inverse()
-        assert P._inv_later is None
+        assert isinstance(P._inv, CycloMatrix)
 
     check()
 
@@ -449,10 +454,66 @@ def test_no_carried_inverse_without_both_factors():
     a3 = make_algebra("a", 3, "compact")
     A = _known_inverse(a3, rng, 0, False)
     B = Automorphism(a3, random_inner_matrix(a3, rng))
-    assert A.compose(B)._inv_later is None
-    assert B.compose(A)._inv_later is None
+    assert A.compose(B)._inv is None
+    assert B.compose(A)._inv is None
     P = A.compose(B)
     assert P._ginv() == P._G.inverse()
+
+
+def test_operator_product_carries_its_inverse(monkeypatch):
+    """A product of two so(8) operator maps whose inverses are made (theta
+    after _ginv(), which makes it as theta^2, and a primed class, its own
+    inverse) inverts with no elimination; so do conjugate-linear ones, also
+    with a complex factor, which the conjugation transports."""
+    so8 = make_algebra("d", 4, "compact")
+    theta = triality_automorphism(so8)
+    theta._ginv()
+    rho = standard_involution(so8, InvLabel(1, 1))
+    rho_bar = Automorphism.from_json(dict(rho.to_json(), conj_linear=True))
+    # Ad of a complex rotation in the (0, 1) plane: (5/4)^2 + (3i/4)^2 = 1
+    a, b = Fraction(5, 4), root_of_unity(4, 1) * Fraction(3, 4)
+    rows = [[int(i == j) for j in range(8)] for i in range(8)]
+    rows[0][:2], rows[1][:2] = [a, b], [-b, a]
+    L = Automorphism(so8, CycloMatrix.from_scalars(rows)).operator()
+    assert L != L.conj()
+    g = Automorphism(so8, operator=L)
+    g._ginv()
+    products = [theta.compose(rho), rho.compose(theta),
+                theta.compose(rho_bar), rho_bar.compose(theta),
+                rho_bar.compose(g), g.compose(rho_bar)]
+    # the operator of (L o omega)^-1 is conj(L^-1)
+    want = [P.operator().inverse().conj() if P.conj
+            else P.operator().inverse() for P in products]
+    calls = []
+    eliminate = CycloMatrix.inverse
+
+    def counting(M):
+        calls.append(M.n)
+        return eliminate(M)
+
+    monkeypatch.setattr(CycloMatrix, "inverse", counting)
+    for P, Li in zip(products, want):
+        Q = P.inverse()
+        assert Q.operator() == Li
+        assert P.compose(Q).is_identity() and Q.compose(P).is_identity()
+    assert calls == []
+
+
+def test_operator_of_a_group_map_is_kept(monkeypatch):
+    """operator() builds the basis images of a group-form map once."""
+    so8 = make_algebra("d", 4, "compact")
+    phi = standard_involution(so8, "rho2")
+    calls = []
+    build = type(so8).coords_operator
+
+    def counting(alg, mats):
+        calls.append(len(mats))
+        return build(alg, mats)
+
+    monkeypatch.setattr(type(so8), "coords_operator", counting)
+    assert phi.operator() is phi.operator()
+    assert calls == [28]
+    assert phi.has_parts and phi.to_json()["rep"] == "group"
 
 
 def _maps_for_power():
