@@ -540,27 +540,24 @@ def compact_conjugation(algebra):
 
 
 def sigma_eigenspace(algebra, sigma, l, n):
-    """Exact basis of the zeta_l^n eigenspace of sigma on the complexified algebra.
+    """Exact basis of the zeta_l^n eigenspace of sigma on the complexified
+    algebra: a new list of the elements that sigma keeps for each n.
 
     sigma is a complex-linear automorphism of the algebra; its l-th power
     must be the identity (checked on its operator).
     """
-    bases = _eigenspace_bases(algebra, sigma, l)
-    return [AlgebraElement(algebra, M, validate=False) for M in bases[n % l]]
-
-
-def _eigenspace_bases(algebra, sigma, l):
-    hit = sigma.eigenbases.get(l)
-    if hit is not None:
-        return hit
-    if sigma.conj:
-        raise TwistMismatch("sigma is conjugate-linear; a twist is complex-linear")
-    out = {n: () for n in range(l)}
-    for val, P in finite_order_eigenprojectors(sigma.operator(), l):
-        # the columns of P are the projections of the basis, in coordinates
-        rows = P.transpose().packed_rows()
-        piv, _ = linalg.rref(rows, P.n, P.N)
-        out[root_index(val, l)] = tuple(algebra.from_coords(r, P.N)
-                                        for r in rows[:len(piv)])
-    sigma.eigenbases[l] = out
-    return out
+    bases = sigma.eigenbases.get(l)
+    if bases is None:
+        if sigma.conj:
+            raise TwistMismatch("sigma is conjugate-linear; a twist is "
+                                "complex-linear")
+        bases = {k: () for k in range(l)}
+        for val, P in finite_order_eigenprojectors(sigma.operator(), l):
+            # the columns of P are the projections of the basis, in coordinates
+            rows = P.transpose().packed_rows()
+            piv, _ = linalg.rref(rows, P.n, P.N)
+            bases[root_index(val, l)] = tuple(
+                AlgebraElement(algebra, algebra.from_coords(r, P.N),
+                               validate=False) for r in rows[:len(piv)])
+        sigma.eigenbases[l] = bases
+    return list(bases[n % l])

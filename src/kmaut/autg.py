@@ -83,26 +83,22 @@ def _theta_power_of(word):
     return delta, e
 
 
-def _scalar_ratio(M1, M2):
-    """The scalar c with M1 == c * M2, or None."""
-    for i in range(M2.n):
-        for j in range(M2.n):
-            s = M2.entry(i, j)
-            if s:
-                c = M1.entry(i, j) * s.inverse()
-                if M1 == M2 * c:
-                    return c
-                return None
+def _first_entry(M):
+    """(i, j) of the first stored entry of M, or None when M is zero."""
+    for i, row in enumerate(M.rows):
+        for j in row:
+            return i, j
     return None
 
 
-def _canonical_scale(G):
-    for i in range(G.n):
-        for j in range(G.n):
-            s = G.entry(i, j)
-            if s:
-                return G * s.inverse()
-    return G
+def _scalar_ratio(M1, M2):
+    """The scalar c with M1 == c * M2, or None; read at the first stored
+    entry of M2."""
+    ij = _first_entry(M2)
+    if ij is None:
+        return None
+    c = M1.entry(*ij) * M2.entry(*ij).inverse()
+    return c if M1 == M2 * c else None
 
 
 def _image_rates(M, rates):
@@ -130,7 +126,7 @@ class Automorphism:
     """A (possibly conjugate-linear) automorphism of a classical simple algebra."""
 
     __slots__ = ("algebra", "conj", "_G", "_inv", "_w", "_op", "_word",
-                 "label", "_canonG", "eigenbases")
+                 "label", "eigenbases")
 
     def __init__(self, algebra, G=None, w=0, conj=False, operator=None,
                  word=None, label=None):
@@ -138,12 +134,11 @@ class Automorphism:
         self.algebra = algebra
         self.conj = bool(conj)
         self.label = label
-        # {l: bases of the zeta_l^n eigenspaces}, filled by sigma_eigenspace
+        # {l: {n: the zeta_l^n eigenspace basis}}, filled by sigma_eigenspace
         self.eigenbases = {}
         # the inverse of the stored matrix, _G or else _op: None while
         # unknown, else made or the zero-argument function that makes it
         self._inv = None
-        self._canonG = None
         if operator is not None:
             assert algebra.family == "d" and algebra.param == 4
             self._G = None
@@ -194,7 +189,7 @@ class Automorphism:
             elif self.algebra.family == "d":
                 # G^T G = c I gives det(G) = +-c^l; -c^l is a reflection,
                 # whatever the scale of G
-                c = _form_adjoint(self.algebra, self._G)[1]
+                c = _form_scalar(self)
                 if self._G.det() != c ** self.algebra.param:
                     self._word = X_PERM
         return self._word
@@ -332,13 +327,9 @@ class Automorphism:
         if self.algebra != other.algebra or self.conj != other.conj:
             return False
         if self._G is not None and other._G is not None:
-            if self._w != other._w:
-                return False
-            if self._canonG is None:
-                self._canonG = _canonical_scale(self._G)
-            if other._canonG is None:
-                other._canonG = _canonical_scale(other._G)
-            return self._canonG == other._canonG
+            # Ad(G) = Ad(c G): one map for every nonzero multiple of G
+            return (self._w == other._w
+                    and _scalar_ratio(self._G, other._G) is not None)
         if self.word() != other.word():
             return False
         return self.operator() == other.operator()
@@ -423,11 +414,33 @@ def _eliminated_inverse(M):
                             "invertible; this one is singular") from None
 
 
-def _form_adjoint(algebra, G):
-    """(A, c) with A G = c I and c != 0, for A = G^T on so(m) and A = J G^T J
-    on sp(2n), J = j_matrix: Ad(G) keeps the algebra exactly when such a c
-    exists (G^T G = c I, or G^T J G = -c J).  MalformedData if there is none,
-    which is also the case for a singular G."""
+def _form_scalar(phi):
+    """The scalar s of G^T J G = s J on b, c and d (J = I on so(m)) for the
+    matrix G of phi, read at the first stored entry (i, j) of the inverse the
+    map keeps, G^-1 = A / c (see group_inverse), as c = A[i][j] / G^-1[i][j].
+    A[i][j] is G[j][i] on so(m); on sp(2n) it is J[i][i'] G[j'][i'] J[j'][j]
+    for the partners i' = i +- n, j' = j +- n, and s = -c."""
+    G, Ginv = phi._G, phi._ginv()
+    i, j = _first_entry(Ginv)
+    if phi.algebra.family == "c":
+        n = phi.algebra.param
+        a = G.entry((j + n) % (2 * n), (i + n) % (2 * n))
+        # -A[i][j], as J[i][i'] J[j'][j] is -1 when i, j lie in one half
+        a = a if (i < n) == (j < n) else -a
+    else:
+        a = G.entry(j, i)
+    return a * Ginv.entry(i, j).inverse()
+
+
+def group_inverse(algebra, G):
+    """G^-1 for the matrix G of a group-form automorphism.  On b, c and d it
+    is A / c for A = G^T on so(m) and A = J G^T J on sp(2n), J = j_matrix:
+    Ad(G) keeps the algebra exactly when A G = c I for some c != 0 (G^T G =
+    c I, or G^T J G = -c J), so this is also the check that G is in the
+    group; on a, where every invertible G is, it is eliminated.  Either way
+    a G that is not in the group, a singular one included, is MalformedData."""
+    if algebra.family == "a":
+        return _eliminated_inverse(G)
     A = G.transpose()
     if algebra.family == "c":
         J = j_matrix(algebra.param)
@@ -437,24 +450,6 @@ def _form_adjoint(algebra, G):
         raise MalformedData("the matrix of a %s automorphism must satisfy "
                             "G^T J G = c J with c != 0 for its form J; this "
                             "one does not" % algebra.label())
-    return A, c
-
-
-def _form_scalar(algebra, G):
-    """The scalar s of G^T J G = s J on b, c and d (J = I on so(m)): Ad(G) is
-    Ad(G / sqrt(s)), whose matrix is at form scalar one."""
-    c = _form_adjoint(algebra, G)[1]
-    return -c if algebra.family == "c" else c
-
-
-def group_inverse(algebra, G):
-    """G^-1 for the matrix G of a group-form automorphism.  On b, c and d it
-    is A / c from the defining form (see _form_adjoint), which also checks
-    that G is in the group; on a, where every invertible G is, it is
-    eliminated.  Either way a G that is not in the group is MalformedData."""
-    if algebra.family == "a":
-        return _eliminated_inverse(G)
-    A, c = _form_adjoint(algebra, G)
     return A if c == 1 else A * c.inverse()
 
 
@@ -606,7 +601,8 @@ def triality_automorphism(algebra, power=1):
     power %= 3
     if power == 0:
         return identity_automorphism(algebra)
-    out = Automorphism(algebra, operator=op ** power, word=_ypow(power),
+    out = Automorphism(algebra, operator=op if power == 1 else op * op,
+                       word=_ypow(power),
                        label="theta" if power == 1 else "theta2")
     out._inv = op if power == 2 else lambda: op * op  # theta^-1 = theta^2
     return out
@@ -910,7 +906,7 @@ def involution_int_class(phi):
         # Ad(G) is Ad(G / sqrt(s)) for the form scalar s, so G^2 = +-s, and
         # the pfaffian is read as pf(G) / s^(m/4): the class does not depend
         # on G's scale
-        s = _form_scalar(algebra, G)
+        s = _form_scalar(phi)
     if c == s:
         # tr(G)^2 / c = (m - 2p)^2 for the smaller multiplicity p of the
         # eigenvalues +-sqrt(c) of G; in Sp(n) they come in pairs, and p/2

@@ -749,18 +749,6 @@ class CycloMatrix:
                      for row in self.rows)
         return CycloMatrix(self.n, self.N, self.den, rows, _normalized=True)
 
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CycloMatrix.identity(self.n, self.N)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def transpose(self):
         cols = tuple({} for _ in range(self.n))
         for i, row in enumerate(self.rows):

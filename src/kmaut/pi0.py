@@ -5,11 +5,14 @@ lies in.
 Signatures are frame-free: they are built from the central scalar of the
 group commutator of the two matrix parts, from determinants of eigenblock
 restrictions, and from the outer word; all of these are invariant under
-simultaneous conjugation and choice of representative.  Determinants and
-squares change with a matrix's scale, so the rules read each matrix at
-scalar one: divided by a square root of its form scalar on b, c and d, and
-of G^2 for an inner involution on a.  A rescaled matrix thus has the
-signature of the unscaled one, or, where Q(zeta) holds no such root, none.
+simultaneous conjugation and choice of representative.  Ad(G) = Ad(c G), so
+a rule must not see the scale of a matrix.  The a and c rules read ratios
+in which it cancels: a commutator scalar, over the scalar G^2 of rho's
+matrix where an outer beta leaves rho's scale squared in it.  Only the b
+and d rules, whose eigenblock determinants and squares are read at form
+scalar one, divide each matrix by a square root of its form scalar; a
+rescaled matrix there has the signature of the unscaled one, or, where
+Q(zeta) holds no such root, none.
 """
 
 from __future__ import annotations
@@ -378,24 +381,19 @@ def _sgn(x):
 
 
 def _unit_scale(phi):
-    """phi with its matrix G divided by a square root of its scalar, which
-    the rules below read at one: the form scalar s of G^T J G = s J on b, c
-    and d, and the scalar G^2 of an inner involution on a.  NoSignatureRule
+    """phi with its matrix G divided by a square root of the form scalar s
+    of G^T J G = s J, at which the b and d rules read it.  NoSignatureRule
     when Q(zeta) holds no such root."""
     if not phi.has_parts:
         return phi
-    G = phi.parts()[0]
-    if phi.algebra.family == "a":
-        s = (G * G).is_scalar()
-    else:
-        s = _form_scalar(phi.algebra, G)
-    if s is None or s == 1:
+    s = _form_scalar(phi)
+    if s == 1:
         return phi
     r = _cyclo_sqrt(s)
     if r is None:
         raise NoSignatureRule("no square root of the scalar %r of the matrix"
                               % (s,))
-    return Automorphism(phi.algebra, G * r.inverse())
+    return Automorphism(phi.algebra, phi.parts()[0] * r.inverse())
 
 
 def raw_signature(rho, beta):
@@ -413,7 +411,7 @@ def raw_signature(rho, beta):
         raise NonCommuting("beta does not commute with rho")
     if rho.is_identity():
         return _out_signature(beta)
-    if fam != "a":
+    if fam in ("b", "d"):
         rho, beta = _unit_scale(rho), _unit_scale(beta)
     m = algebra.size
     is_tau4_row = False
@@ -433,9 +431,12 @@ def raw_signature(rho, beta):
         if rho.is_inner():
             S0 = rho.parts()[0]
             if S0.trace().is_zero():
-                # an outer beta leaves rho's scale squared in the scalar
-                r = _unit_scale(rho) if e else rho
-                return (e, _sgn(_commutator_scalar(r, beta)))
+                c = _commutator_scalar(rho, beta)
+                if e:
+                    # S0 B = c B S0^-T carries S0's scale squared: read c
+                    # over the scalar S0^2
+                    c = c * (S0 * S0).is_scalar().inverse()
+                return (e, _sgn(c))
             return (e,)
         S0 = rho.parts()[0]
         mu_type = _scalar_ratio(S0, S0.transpose()) == 1
@@ -451,8 +452,12 @@ def raw_signature(rho, beta):
         dm, dp = _block_dets(S0, B)
         return (_sgn(dm),)
     if fam == "c":
-        S0 = rho.parts()[0]
-        if (S0 * S0).is_scalar() == -1 or S0.trace().is_zero():
+        # S0 B = c B S0 whatever the scales of S0 and B.  The rule covers the
+        # classes of trace zero, Ad(iE) among them: G^-1 = J^-1 G^T J / s for
+        # the form scalar s puts s / lambda in the spectrum of G with lambda,
+        # at its multiplicity, and s / lambda swaps the eigenvalues
+        # +-sqrt(-s) of an S0 with S0^2 = -s
+        if rho.parts()[0].trace().is_zero():
             return (_sgn(_commutator_scalar(rho, beta)),)
         return ()
     # family d

@@ -296,6 +296,20 @@ def test_sigma_eigenspace_dimension_sum():
         assert total == alg.dim
 
 
+def test_sigma_eigenspace_elements_are_kept():
+    """The twist keeps the eigenspace elements: each call returns a new
+    list of the same elements, so a caller's edit to it changes nothing."""
+    alg = make_algebra("a", 2, "complex")
+    sigma = standard_involution(alg, "mu")
+    for n in range(2):
+        first = sigma_eigenspace(alg, sigma, 2, n)
+        again = sigma_eigenspace(alg, sigma, 2, n)
+        assert first is not again and len(first) == len(again) > 0
+        assert all(x is y for x, y in zip(first, again))
+        first.clear()
+        assert len(sigma_eigenspace(alg, sigma, 2, n)) == len(again)
+
+
 def _averaged_eigenspace(alg, sigma, l, n):
     """Reference: the rows (1/l) sum_j zeta_l^(-n j) coords(sigma^j b) over
     the basis b, in reduced row echelon form."""

@@ -139,6 +139,26 @@ def test_triality_properties():
         assert lhs == rhs
 
 
+def test_triality_powers_take_at_most_one_product(monkeypatch):
+    """theta is the cached operator and theta^2 its one square."""
+    from kmaut.autg import _triality_operator
+    so8 = make_algebra("d", 4, "compact")
+    op = _triality_operator()
+    calls = []
+    mul = CycloMatrix.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycloMatrix, "__mul__", counting)
+    for power, want in ((1, 0), (2, 1)):
+        calls.clear()
+        theta = triality_automorphism(so8, power)
+        assert len(calls) == want, power
+        assert theta._op == (op if power == 1 else mul(op, op))
+
+
 def test_primed_classes_d4():
     so8 = make_algebra("d", 4, "compact")
     for p in (1, 2, 3):
@@ -598,12 +618,18 @@ def test_involution_class_ignores_the_scale(fam, n):
             assert involution_int_class(Automorphism(alg, G * s)) == lab, (lab, s)
 
 
+# sqrt 2 = zeta_8 + zeta_8^-1
+_SQRT2 = root_of_unity(8, 1) + root_of_unity(8, 7)
+
+
 @pytest.mark.parametrize("fam,n", [("a", 3), ("b", 2), ("c", 3), ("d", 4),
                                    ("d", 5)])
 def test_scaled_first_kind_entry_reads_back(fam, n):
     """Every realized first-kind entry with its phi0 matrix, or its twist's,
     scaled in JSON by 2, i, -1, 1/3 or 3 zeta_3 has the invariant of the
-    entry: the component signatures read the matrices at scalar one."""
+    entry, and on a and c, whose rules read ratios with no square root, also
+    scaled by 1 + i or sqrt 2; the b and d rules read the matrices at form
+    scalar one."""
     from kmaut.loopaut import StandardLoopAutomorphism, invariant
     from kmaut.tables import (enumerate_first_kind, realize_entry,
                               valid_ks)
@@ -611,6 +637,8 @@ def test_scaled_first_kind_entry_reads_back(fam, n):
     alg = make_algebra(fam, n, "compact")
     scales = (2, root_of_unity(4, 1), -1, Fraction(1, 3),
               root_of_unity(3, 1) * 3)
+    if fam in ("a", "c"):
+        scales += (1 + root_of_unity(4, 1), _SQRT2)
     for k in valid_ks(alg):
         for entry in enumerate_first_kind(alg, k).entries:
             phi = realize_entry(alg, entry)
@@ -628,7 +656,8 @@ def test_scaled_first_kind_entry_reads_back(fam, n):
 
 def test_scale_without_a_known_root_is_never_misread():
     """A phi0 scaled by 1 + i has the scalar 2i, which is not a rational
-    square times a root of unity: the entry reads back as itself or raises
+    square times a root of unity.  The a and c rules take no root, so those
+    entries read back as themselves; a b or d entry reads back or raises
     NoSignatureRule, never a wrong class or an untyped error."""
     from kmaut.loopaut import StandardLoopAutomorphism, invariant
     from kmaut.tables import realize_entry
@@ -644,8 +673,61 @@ def test_scale_without_a_known_root_is_never_misread():
         try:
             got = invariant(StandardLoopAutomorphism.from_json(obj))
         except NoSignatureRule:
+            assert fam in ("b", "d"), entry
             continue
         assert got == invariant(phi), entry
+
+
+@pytest.mark.parametrize("fam,n", [("b", 2), ("c", 3), ("d", 5)])
+def test_parsed_involution_class_forms_no_form_product(fam, n, monkeypatch):
+    """A b, c or d involution read from JSON keeps its inverse, which holds
+    its form scalar: its class takes two matrix products, the square test
+    and G G, at any scale."""
+    from kmaut import kernel
+    alg = make_algebra(fam, n, "compact")
+    calls = []
+    matmul = kernel.matmul
+
+    def counting(*args):
+        calls.append(1)
+        return matmul(*args)
+
+    for lab in standard_labels(alg):
+        G = standard_involution(alg, lab).parts()[0]
+        for s in (1, 1 + root_of_unity(4, 1)):
+            phi = Automorphism.from_json(Automorphism(alg, G * s).to_json())
+            monkeypatch.setattr(kernel, "matmul", counting)
+            calls.clear()
+            assert involution_int_class(phi) == lab, (lab, s)
+            assert len(calls) == 2, (lab, s)
+            monkeypatch.setattr(kernel, "matmul", matmul)
+
+
+@pytest.mark.parametrize("fam,n", _FORM_ALGEBRAS)
+def test_form_scalar_is_read_off_the_kept_inverse(fam, n, monkeypatch):
+    """_form_scalar gives the s of G^T J G = s J (J = I on so(m)) with no
+    matrix product, on random group matrices at several scales."""
+    from kmaut import kernel
+    from kmaut.autg import _form_scalar
+    alg = make_algebra(fam, n, "compact")
+    J = j_matrix(n) if fam == "c" else CycloMatrix.identity(alg.size)
+    rng = random.Random(n)
+    cases = []
+    for _ in range(3):
+        G0 = random_inner_matrix(alg, rng)
+        for scale in (1, 2, 1 + root_of_unity(4, 1), _SQRT2,
+                      root_of_unity(3, 1) * Fraction(-1, 3)):
+            phi = Automorphism(alg, G0 * scale)
+            phi._ginv()
+            G = phi._G
+            cases.append((phi, (G.transpose() * J * G * J.transpose()).is_scalar()))
+
+    def no_product(*args):
+        raise AssertionError("a matrix product")
+
+    monkeypatch.setattr(kernel, "matmul", no_product)
+    for phi, want in cases:
+        assert want is not None and _form_scalar(phi) == want
 
 
 def test_cyclo_sqrt_of_a_rational_square_times_a_root_of_unity():
