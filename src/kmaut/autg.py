@@ -432,6 +432,15 @@ def _form_scalar(phi):
     return a * Ginv.entry(i, j).inverse()
 
 
+def _unit_trace(S, s):
+    """|m - 2p| for an m x m matrix S with S^2 = s E, whose eigenvalues
+    +-sqrt(s) have multiplicities p and m - p: the rational root of
+    tr(S)^2 / s."""
+    d = _rational_root((S.trace() ** 2 * s.inverse()).as_fraction(), 2)
+    assert d is not None and d.denominator == 1
+    return int(d)
+
+
 def group_inverse(algebra, G):
     """G^-1 for the matrix G of a group-form automorphism.  On b, c and d it
     is A / c for A = G^T on so(m) and A = J G^T J on sp(2n), J = j_matrix:
@@ -610,7 +619,11 @@ def triality_automorphism(algebra, power=1):
 
 def _descend_to_group(aut):
     """Recover G with Ad(G) == aut, an operator-form automorphism with
-    trivial outer part, by solving G X = aut(X) G on the defining matrices."""
+    trivial outer part, by solving G X = aut(X) G on the defining matrices.
+    A nonzero solution has a kernel that so(m) keeps, hence none, and
+    normalizes so(m), so it lies in the conformal orthogonal group; it is
+    returned at the scale the solve gives it, since every rule that reads a
+    group matrix reads ratios in which the scale cancels."""
     n = aut.algebra.size
     # candidates for G, cut down by G b - img G = 0 one basis element at a time
     kern = [CycloMatrix.from_scalars([[int(r == p and c == q) for c in range(n)]
@@ -635,48 +648,7 @@ def _descend_to_group(aut):
             break
     if not kern:
         raise Unclassifiable("operator is not inner for the defining representation")
-    G = kern[0]
-    # normalize into the group: scale so that G G^T = I; the class rules
-    # downstream (eigenvalue counts, pfaffian signs) assume a group matrix,
-    # so an unnormalizable scaling must fail loudly rather than misclassify
-    gg = G * G.transpose()
-    c = gg.is_scalar()
-    if c is None or c.is_zero():
-        raise Unclassifiable("descended matrix is not conformal-orthogonal")
-    s = _cyclo_sqrt(c)
-    if s is None:
-        raise Unclassifiable("descended matrix admits no group normalization")
-    return G * s.inverse()
-
-
-def _cyclo_sqrt(c):
-    """A square root of c when c = q * zeta for a root of unity zeta and a
-    rational q whose absolute value is a square, else None."""
-    from .cyclo import root_index
-    if c.is_rational():
-        q = c.as_fraction()
-        if q > 0:
-            num = _rational_root(q, 2)
-            if num is not None:
-                return CycloScalar.from_rational(num)
-        else:
-            num = _rational_root(-q, 2)
-            if num is not None:
-                return CycloScalar.from_rational(num) * root_of_unity(4, 1)
-        return None
-    cm = c.min_conductor()
-    # |c|^2 = q^2, and c / |q| is then the root of unity, or minus it
-    q2 = cm * cm.conj()
-    q = _rational_root(q2.as_fraction(), 2) if q2.is_rational() else None
-    r = None if q is None else _rational_root(q, 2)
-    if r is None:
-        return None
-    u = cm * Fraction(1, q)
-    for sign, unit in ((1, 1), (-1, root_of_unity(4, 1))):
-        k = root_index(u * sign, cm.N)
-        if k is not None:
-            return root_of_unity(2 * cm.N, k) * unit * r
-    return None
+    return kern[0]
 
 
 # ---------------------------------------------------------------------------
@@ -861,11 +833,18 @@ def _adj_prime_anchor(param):
     """For so(4m): the pfaffian value of the unprimed Ad(J) class; for so(8)
     the pfaffian value of the class defined as theta rho_2 theta^(-1)."""
     if param == 4:
-        alg = make_algebra("d", 4, "compact")
-        val = pfaffian(standard_involution(alg, InvLabel(2, 1)).parts()[0])
+        val = _unit_pfaffian(standard_involution(make_algebra("d", 4, "compact"),
+                                                 InvLabel(2, 1)))
         assert val == 1 or val == -1
         return val
     return pfaffian(j_matrix(param))
+
+
+def _unit_pfaffian(phi):
+    """pf(G) / s^(m/4) for the matrix G of phi on so(m), m = 4k, and its form
+    scalar s: the pfaffian of G / sqrt(s), whatever the scale of G."""
+    return (pfaffian(phi.parts()[0])
+            * _form_scalar(phi).inverse() ** (phi.algebra.param // 2))
 
 
 def involution_int_class(phi):
@@ -877,13 +856,13 @@ def involution_int_class(phi):
         raise NotInvolution("conjugate-linear input; use conj_linear_int_class")
     if phi.is_identity():
         return InvLabel(0)
-    if not phi.compose(phi).is_identity():
-        raise NotInvolution("automorphism does not square to the identity")
     fam = algebra.family
     m = algebra.size
     if fam == "d" and algebra.param == 4 and not phi.has_parts:
         delta, e = _theta_power_of(phi.word())
         if e:
+            if not phi.compose(phi).is_identity():
+                raise NotInvolution("automorphism does not square to the identity")
             fixdim = _fixed_dim(phi.operator())
             p = {21: 1, 16: 2, 13: 3}.get(fixdim)
             if p is None:
@@ -891,16 +870,16 @@ def involution_int_class(phi):
             return InvLabel(p, e)
         # inner-or-reflection word: fall through with the descended matrix
     G, w = phi.parts()
-    if w:  # mu o Ad(G) on su(m)
+    if w:  # (Ad(G) o mu)^2 = Ad(G G^-T): an involution when G = +-G^T
         ratio = _scalar_ratio(G, G.transpose())
         if ratio == 1:
             return _named(algebra, "mu")
         if ratio == -1:
             return _named(algebra, "muadj")
-        raise NotInvolution("outer part does not square to the identity")
+        raise NotInvolution("automorphism does not square to the identity")
     c = (G * G).is_scalar()
     if c is None:
-        raise NotInvolution("G^2 is not scalar")
+        raise NotInvolution("automorphism does not square to the identity")
     s = c
     if fam != "a":
         # Ad(G) is Ad(G / sqrt(s)) for the form scalar s, so G^2 = +-s, and
@@ -911,9 +890,7 @@ def involution_int_class(phi):
         # tr(G)^2 / c = (m - 2p)^2 for the smaller multiplicity p of the
         # eigenvalues +-sqrt(c) of G; in Sp(n) they come in pairs, and p/2
         # is the quaternionic index
-        d = _rational_root((G.trace() ** 2 * c.inverse()).as_fraction(), 2)
-        assert d is not None and d.denominator == 1
-        p = (m - int(d)) // 2
+        p = (m - _unit_trace(G, c)) // 2
         return InvLabel(p // 2 if fam == "c" else p)
     if c != -s:
         raise NotInvolution("G^2 is not +-1")
@@ -923,8 +900,7 @@ def involution_int_class(phi):
         raise NotInvolution("S^2 = -1 impossible here")
     if algebra.param % 2:
         return _named(algebra, "adj")
-    pf = pfaffian(G) * s.inverse() ** (algebra.param // 2)
-    level = 0 if pf == _adj_prime_anchor(algebra.param) else 1
+    level = 0 if _unit_pfaffian(phi) == _adj_prime_anchor(algebra.param) else 1
     if algebra.param == 4:
         return InvLabel(2, level + 1)
     return InvLabel(_named(algebra, "adj").p, level)

@@ -6,13 +6,17 @@ Signatures are frame-free: they are built from the central scalar of the
 group commutator of the two matrix parts, from determinants of eigenblock
 restrictions, and from the outer word; all of these are invariant under
 simultaneous conjugation and choice of representative.  Ad(G) = Ad(c G), so
-a rule must not see the scale of a matrix.  The a and c rules read ratios
-in which it cancels: a commutator scalar, over the scalar G^2 of rho's
-matrix where an outer beta leaves rho's scale squared in it.  Only the b
-and d rules, whose eigenblock determinants and squares are read at form
-scalar one, divide each matrix by a square root of its form scalar; a
-rescaled matrix there has the signature of the unscaled one, or, where
-Q(zeta) holds no such root, none.
+a rule must not see the scale of a matrix, and every rule reads ratios in
+which it cancels.  The a and c rules read a commutator scalar, over the
+scalar G^2 of rho's matrix where an outer beta leaves rho's scale squared
+in it.  The b and d rules read beta's eigenblock determinants over the
+power of its form scalar s_B that makes them +-1: det(B|V) / s_B^(dim V/2)
+on a block V of even dimension, else only det(B) / s_B^(m/2), on the
+eigenspaces of rho's unit involution S d / tr(S) (d the rational root of
+tr(S)^2 / s).  A traceless S of so(4k) has no such unit; there the block
+determinants are read off the even part of a determinant polynomial.  No
+rule takes a square root, so a matrix at any scale has the signature of
+the unscaled one.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .autg import (
     ID_PERM,
     InvLabel,
     _classes,
-    _cyclo_sqrt,
     _d4_frame,
     _form_scalar,
     _named,
@@ -34,6 +37,7 @@ from .autg import (
     _porder,
     _scalar_ratio,
     _theta_power_of,
+    _unit_trace,
     identity_automorphism,
     involution_int_class,
     label_out_word,
@@ -42,7 +46,7 @@ from .autg import (
     standard_list,
     triality_automorphism,
 )
-from .cyclo import CycloMatrix, CycloScalar
+from .cyclo import CycloMatrix
 from .errors import (
     InvalidLabel,
     NonCommuting,
@@ -362,38 +366,39 @@ def _commutator_scalar(rho, beta):
     return c
 
 
-def _block_dets(S0, B):
-    """(det B|V-, det B|V+) for the +-1 eigenblocks of S0 (S0^2 = E)."""
-    n = S0.n
-    E = CycloMatrix.identity(n)
-    half = Fraction(1, 2)
-    Pm = (E - S0) * half
-    Pp = (E + S0) * half
-    dm = (B * Pm + Pp).det()
-    dp = (B * Pp + Pm).det()
-    return dm, dp
+def _block_det(S0, B, sign):
+    """det B|V for the sign eigenspace V of S0 (S0^2 = E), which B keeps: the
+    determinant of B on V and of the identity on the other eigenspace."""
+    E = CycloMatrix.identity(S0.n)
+    P = (E + S0 * sign) * Fraction(1, 2)
+    return (B * P + E - P).det()
+
+
+def _mean_block_det(S, B, s):
+    """(det B|V+ + det B|V-) / 2 over the +-sqrt(s) eigenspaces of a
+    traceless S with S^2 = s E on C^2n, B in its centralizer.  G(t) =
+    det(t (B + E) + (B - E) S) is det(2 sqrt(s) B|V+) (2 sqrt(s))^n at t =
+    sqrt(s), and the same with V+ and V- swapped at t = -sqrt(s), so the even
+    part of G, of degree n in t^2, is 4^n s^n times the mean at t^2 = s; it
+    is interpolated from t = 0, +-1, ..., +-n, with no square root of s."""
+    n = S.n // 2
+    E = CycloMatrix.identity(S.n)
+    A1, A0 = B + E, (B - E) * S
+    even = [A0.det()] + [((A1 * k + A0).det() + (A0 - A1 * k).det())
+                         * Fraction(1, 2) for k in range(1, n + 1)]
+    at_s = 0
+    for k, g in enumerate(even):
+        for j in range(n + 1):
+            if j != k:
+                g = g * (s - j * j) * Fraction(1, k * k - j * j)
+        at_s = at_s + g
+    return at_s * (s ** n * 4 ** n).inverse()
 
 
 def _sgn(x):
     if x == 1 or x == -1:
         return int(x.as_fraction())
     raise NoSignatureRule("signature value %r is not +-1" % (x,))
-
-
-def _unit_scale(phi):
-    """phi with its matrix G divided by a square root of the form scalar s
-    of G^T J G = s J, at which the b and d rules read it.  NoSignatureRule
-    when Q(zeta) holds no such root."""
-    if not phi.has_parts:
-        return phi
-    s = _form_scalar(phi)
-    if s == 1:
-        return phi
-    r = _cyclo_sqrt(s)
-    if r is None:
-        raise NoSignatureRule("no square root of the scalar %r of the matrix"
-                              % (s,))
-    return Automorphism(phi.algebra, phi.parts()[0] * r.inverse())
 
 
 def raw_signature(rho, beta):
@@ -411,21 +416,15 @@ def raw_signature(rho, beta):
         raise NonCommuting("beta does not commute with rho")
     if rho.is_identity():
         return _out_signature(beta)
-    if fam in ("b", "d"):
-        rho, beta = _unit_scale(rho), _unit_scale(beta)
     m = algebra.size
-    is_tau4_row = False
     if fam == "d" and algebra.param == 4:
-        if not rho.has_parts:
+        if not rho.has_parts and _theta_power_of(rho.word())[1]:
             raise NoSignatureRule("rho involves the order-3 outer generator")
-        G0 = rho.parts()[0]
-        is_tau4_row = (G0 * G0).is_scalar() == 1 and G0.trace().is_zero()
-        if not beta.has_parts:
-            delta, e = _theta_power_of(beta.word())
-            if e:
-                if is_tau4_row:
-                    return ("theta",)
-                return None
+        if not beta.has_parts and _theta_power_of(beta.word())[1]:
+            S = rho.parts()[0]
+            if S.trace().is_zero() and (S * S).is_scalar() == _form_scalar(rho):
+                return ("theta",)  # the tau_4 row
+            return None
     if fam == "a":
         e = 0 if beta.is_inner() else 1
         if rho.is_inner():
@@ -447,10 +446,6 @@ def raw_signature(rho, beta):
         if e == 0:
             return (0, _mu_det_sign(rho, beta))
         return (1, _mu_det_sign(rho, beta.compose(rho)))
-    if fam == "b":
-        S0, B = _orient(rho, beta, normalize_b_det=True)
-        dm, dp = _block_dets(S0, B)
-        return (_sgn(dm),)
     if fam == "c":
         # S0 B = c B S0 whatever the scales of S0 and B.  The rule covers the
         # classes of trace zero, Ad(iE) among them: G^-1 = J^-1 G^T J / s for
@@ -460,38 +455,39 @@ def raw_signature(rho, beta):
         if rho.parts()[0].trace().is_zero():
             return (_sgn(_commutator_scalar(rho, beta)),)
         return ()
-    # family d
-    S0 = rho.parts()[0]
-    if (S0 * S0).is_scalar() == -1:
-        c = _sgn(_commutator_scalar(rho, beta))
-        return (c, _sgn(beta.parts()[0].det()))
+    # b and d: B / sqrt(s_B) is orthogonal, so det B|V / s_B^(dim V / 2) is
+    # +-1 on a block V of even dimension, C^m itself when m is even
+    S, B = rho.parts()[0], beta.parts()[0]
+    s, sB = _form_scalar(rho), _form_scalar(beta)
+
+    def unit(det, dim):
+        return _sgn(det * sB.inverse() ** (dim // 2))
+
+    tr = S.trace()
+    # the +-1 eigenspaces V-, V+ of S0 = S d / tr(S), dim V- = p <= dim V+
+    d = 0 if tr.is_zero() else _unit_trace(S, s)
+    p = (m - d) // 2
+    S0 = None if d == 0 else S * (tr.inverse() * d)
+    if fam == "b":
+        # det B0|V- = det B0|V+ for the B0 = +-B / sqrt(s_B) of determinant
+        # one, and the sign of B0 drops out on the even block
+        sign, dim = (-1, p) if p % 2 == 0 else (1, m - p)
+        return (unit(_block_det(S0, B, sign), dim),)
     c = _sgn(_commutator_scalar(rho, beta))
-    if c == -1:
-        return (-1, _sgn(beta.parts()[0].det()))
-    S0c, B = _orient(rho, beta)
-    dm, dp = _block_dets(S0c, B)
-    pair = (_sgn(dm), _sgn(dp))
-    tr = int(S0c.trace().as_fraction())
-    p = (m - abs(tr)) // 2
-    q = m - p
-    orbit = {pair}
-    if p % 2 == 1 and q % 2 == 1:
-        orbit.add((-pair[0], -pair[1]))
-    if p == q:
-        orbit |= {(b, a) for (a, b) in orbit}
-    return (1, min(orbit))
-
-
-def _orient(rho, beta, normalize_b_det=False):
-    """Canonically oriented matrix parts for eigenblock determinants."""
-    S0 = rho.parts()[0]
-    tr = S0.trace().as_fraction()
-    if tr < 0:
-        S0 = -S0
-    B = beta.parts()[0]
-    if normalize_b_det and B.det() == CycloScalar.from_rational(-1):
-        B = -B
-    return S0, B
+    if c == -1 or (S * S).is_scalar() == -s:
+        return (c, unit(B.det(), m))
+    # the signs (a, b) on (V-, V+) up to (-a, -b) when p and q = m - p are
+    # odd, and up to (b, a) when p = q: the smallest of the orbit
+    if p % 2:
+        return (1, (-1, -unit(B.det(), m)))
+    if S0 is not None:
+        return (1, (unit(_block_det(S0, B, -1), p),
+                    unit(_block_det(S0, B, 1), m - p)))
+    # traceless S on so(4k): (-1, 1) when ab = -1, else (a, a)
+    if unit(B.det(), m) == -1:
+        return (1, (-1, 1))
+    a = unit(_mean_block_det(S, B, s), m // 2)
+    return (1, (a, a))
 
 
 def _mu_det_sign(rho, beta):

@@ -8,7 +8,6 @@ from kmaut.algebra import j_matrix, make_algebra, tau_matrix
 from kmaut.autg import (
     Automorphism,
     InvLabel,
-    _cyclo_sqrt,
     group_inverse,
     identity_automorphism,
     involution_int_class,
@@ -19,8 +18,8 @@ from kmaut.autg import (
     standard_labels,
     triality_automorphism,
 )
-from kmaut.cyclo import CycloMatrix, CycloScalar, root_of_unity
-from kmaut.errors import (InvalidLabel, MalformedData, NoSignatureRule,
+from kmaut.cyclo import CycloMatrix, root_of_unity
+from kmaut.errors import (InvalidLabel, MalformedData,
                           NotInvolution, OrderExceedsBound)
 from kmaut.pi0 import component_signature, pi0_table
 from kmaut.selftest import random_inner_automorphism, random_inner_matrix
@@ -626,19 +625,16 @@ _SQRT2 = root_of_unity(8, 1) + root_of_unity(8, 7)
                                    ("d", 5)])
 def test_scaled_first_kind_entry_reads_back(fam, n):
     """Every realized first-kind entry with its phi0 matrix, or its twist's,
-    scaled in JSON by 2, i, -1, 1/3 or 3 zeta_3 has the invariant of the
-    entry, and on a and c, whose rules read ratios with no square root, also
-    scaled by 1 + i or sqrt 2; the b and d rules read the matrices at form
-    scalar one."""
+    scaled in JSON by 2, i, -1, 1/3, 3 zeta_3, 1 + i or sqrt 2 has the
+    invariant of the entry: every rule reads ratios, with no square root of
+    a scalar that Q(zeta) may not hold."""
     from kmaut.loopaut import StandardLoopAutomorphism, invariant
     from kmaut.tables import (enumerate_first_kind, realize_entry,
                               valid_ks)
 
     alg = make_algebra(fam, n, "compact")
     scales = (2, root_of_unity(4, 1), -1, Fraction(1, 3),
-              root_of_unity(3, 1) * 3)
-    if fam in ("a", "c"):
-        scales += (1 + root_of_unity(4, 1), _SQRT2)
+              root_of_unity(3, 1) * 3, 1 + root_of_unity(4, 1), _SQRT2)
     for k in valid_ks(alg):
         for entry in enumerate_first_kind(alg, k).entries:
             phi = realize_entry(alg, entry)
@@ -656,9 +652,8 @@ def test_scaled_first_kind_entry_reads_back(fam, n):
 
 def test_scale_without_a_known_root_is_never_misread():
     """A phi0 scaled by 1 + i has the scalar 2i, which is not a rational
-    square times a root of unity.  The a and c rules take no root, so those
-    entries read back as themselves; a b or d entry reads back or raises
-    NoSignatureRule, never a wrong class or an untyped error."""
+    square times a root of unity.  No rule takes a root, so every family's
+    entry reads back as itself."""
     from kmaut.loopaut import StandardLoopAutomorphism, invariant
     from kmaut.tables import realize_entry
 
@@ -670,19 +665,57 @@ def test_scale_without_a_known_root_is_never_misread():
         obj = phi.to_json()
         obj["phi0"]["matrix"] = (CycloMatrix.from_json(obj["phi0"]["matrix"])
                                  * (1 + root_of_unity(4, 1))).to_json()
-        try:
-            got = invariant(StandardLoopAutomorphism.from_json(obj))
-        except NoSignatureRule:
-            assert fam in ("b", "d"), entry
-            continue
+        got = invariant(StandardLoopAutomorphism.from_json(obj))
         assert got == invariant(phi), entry
+
+
+def _hadamard_case(n):
+    """(so(2n), H x E_n, E_2 x D) for H = [[1, 1], [1, -1]], whose form
+    scalar 2 has no square root in Q, and D = diag(-1, 1, ..., 1)."""
+    def kron(X, Y):
+        return CycloMatrix.from_scalars([[x * y for x in xrow for y in yrow]
+                                         for xrow in X for yrow in Y])
+    E = [[int(i == j) for j in range(n)] for i in range(n)]
+    D = [[-x if i == 0 else x for x in row] for i, row in enumerate(E)]
+    return (make_algebra("d", n, "compact"), kron([[1, 1], [1, -1]], E),
+            kron([[1, 0], [0, 1]], D))
+
+
+@pytest.mark.parametrize("n,flip", [(4, "AdJ"), (6, "rho1*tau7")])
+def test_unit_matrix_outside_the_field_reads_its_component(n, flip):
+    """rho = Ad(H x E) is traceless with S^2 = 2 E, so its unit involution
+    S / sqrt 2 is not over Q.  beta = Ad(E x E) and Ad(H x E) lie in the id
+    component, Ad(E x D) and Ad(H x D) in the one whose eigenblock
+    determinants are both -1."""
+    alg, HE, ED = _hadamard_case(n)
+    rho = Automorphism(alg, HE)
+    lab = InvLabel(n)
+    for B, want in ((CycloMatrix.identity(2 * n), "id"), (HE, "id"),
+                    (ED, flip), (HE * ED, flip)):
+        cls = component_signature(rho, Automorphism(alg, B))
+        assert (cls.rho, cls.rep) == (lab, want), (B, cls)
+
+
+def test_descended_unit_matrix_outside_the_field_reads_its_component():
+    """The same rho on so(8) given as an operator descends to a matrix at
+    the scale the solve gives it, which no rule normalizes; the signature
+    rule descends it too when no class was read first."""
+    from kmaut.pi0 import raw_signature
+    alg, HE, ED = _hadamard_case(4)
+    rho = Automorphism(alg, HE)
+
+    def op():
+        return Automorphism(alg, operator=rho.operator(), word=(0, 1, 2))
+    cls = component_signature(op(), Automorphism(alg, ED))
+    assert (cls.rho, cls.rep) == (InvLabel(4), "AdJ")
+    assert raw_signature(op(), Automorphism(alg, ED)) == (1, (-1, -1))
 
 
 @pytest.mark.parametrize("fam,n", [("b", 2), ("c", 3), ("d", 5)])
 def test_parsed_involution_class_forms_no_form_product(fam, n, monkeypatch):
     """A b, c or d involution read from JSON keeps its inverse, which holds
-    its form scalar: its class takes two matrix products, the square test
-    and G G, at any scale."""
+    its form scalar: its class takes one matrix product, G G, which is also
+    the involution test, at any scale."""
     from kmaut import kernel
     alg = make_algebra(fam, n, "compact")
     calls = []
@@ -699,7 +732,7 @@ def test_parsed_involution_class_forms_no_form_product(fam, n, monkeypatch):
             monkeypatch.setattr(kernel, "matmul", counting)
             calls.clear()
             assert involution_int_class(phi) == lab, (lab, s)
-            assert len(calls) == 2, (lab, s)
+            assert len(calls) == 1, (lab, s)
             monkeypatch.setattr(kernel, "matmul", matmul)
 
 
@@ -728,18 +761,6 @@ def test_form_scalar_is_read_off_the_kept_inverse(fam, n, monkeypatch):
     monkeypatch.setattr(kernel, "matmul", no_product)
     for phi, want in cases:
         assert want is not None and _form_scalar(phi) == want
-
-
-def test_cyclo_sqrt_of_a_rational_square_times_a_root_of_unity():
-    for r in (1, 3, Fraction(1, 2)):
-        for N, k in ((1, 0), (3, 1), (4, 1), (5, 2), (8, 3), (12, 5)):
-            for sign in (1, -1):
-                c = root_of_unity(N, k) * (sign * r * r)
-                s = _cyclo_sqrt(c)
-                assert s is not None and s * s == c, (r, N, k, sign)
-    for c in (CycloScalar.from_rational(2), root_of_unity(3, 1) * 2,
-              root_of_unity(8, 1) + 1, root_of_unity(4, 1) * 2):
-        assert _cyclo_sqrt(c) is None
 
 
 def _json_text(x):
