@@ -460,7 +460,10 @@ class SemisimpleElement(AlgebraElement):
         return self._projs
 
     def exp_2pi(self, t=Fraction(1)):
-        """The group element e^(2*pi*t*X), exact for rational t."""
+        """The group element e^(2*pi*t*X), exact for rational t; I at
+        conductor 1, with no projector, for X = 0."""
+        if self.matrix.is_zero():
+            return CycloMatrix.identity(self.matrix.n)
         t = Fraction(t)
         acc = CycloMatrix.zeros(self.matrix.n)
         for rate, P in self.projectors():

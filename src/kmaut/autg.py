@@ -179,6 +179,22 @@ class Automorphism:
         self._inv = inv
         return inv
 
+    def _is_plain_identity(self):
+        """Complex-linear with w = 0 and the unit matrix as its G: a product
+        with it is the other factor, byte for byte."""
+        return (not self.conj and not self._w and self._G is not None
+                and _is_unit(self._G))
+
+    def _unlabeled(self):
+        """The same map with no label: its matrix or operator, word and kept
+        inverse, shared."""
+        out = object.__new__(Automorphism)
+        out.algebra, out.conj, out._G, out._inv = (self.algebra, self.conj,
+                                                   self._G, self._inv)
+        out._w, out._op, out._word = self._w, self._op, self._word
+        out.label, out.eigenbases = None, {}
+        return out
+
     def word(self):
         """Position in the outer group as a permutation of {0,1,2}."""
         if self._word is None:
@@ -215,7 +231,7 @@ class Automorphism:
             return alg.from_coords(op.matvec(alg.coords(M), M.N), lcm(op.N, M.N))
         if self._w:
             M = -M.transpose()
-        return self._G * M * self._ginv()
+        return M if _is_unit(self._G) else self._G * M * self._ginv()
 
     def apply(self, x):
         return AlgebraElement(x.algebra, self.apply_matrix(x.matrix), validate=False)
@@ -245,15 +261,21 @@ class Automorphism:
         the mu^w omega^c of self; K^-1 M1^-1, K^-1 = T(M2^-1), is carried
         (made on first use) when both factors' inverses are made once K is."""
         assert self.algebra == other.algebra
+        # a plain identity leaves the other factor as it is, in its form
+        if other._is_plain_identity():
+            return self._unlabeled()
+        if self._is_plain_identity():
+            return other._unlabeled()
         conj, c, w = self.conj ^ other.conj, self.conj, self._w
         if self._G is not None and other._G is not None:
             M2 = other._G
             out = Automorphism(self.algebra,
-                               self._G * _transport(c, w, M2, other._ginv),
+                               _product(self._G,
+                                        _transport(c, w, M2, other._ginv)),
                                w=w + other._w, conj=conj)
             inv1, inv2 = self._inv, other._inv
             if isinstance(inv1, CycloMatrix) and isinstance(inv2, CycloMatrix):
-                out._inv = lambda: _transport(c, w, inv2, M2) * inv1
+                out._inv = lambda: _product(_transport(c, w, inv2, M2), inv1)
             return out
         # on basis coordinates (w = 0) omega is conjugation: T(L) = conj(L)
         L1, L2 = self.operator(), other.operator()
@@ -378,8 +400,10 @@ class Automorphism:
         # inverted, which needs it; a group matrix outside its group fails here
         Minv = group_inverse(algebra, M) if group else _eliminated_inverse(M)
         if group:
-            out = Automorphism(algebra, M,
-                               w=_json_int(obj, "outer_power", 0, (0, 1)),
+            # mu exists on the a family only; elsewhere w = 1 would be lost
+            w = _json_int(obj, "outer_power", 0,
+                          (0, 1) if algebra.family == "a" else (0,))
+            out = Automorphism(algebra, M, w=w,
                                conj=bool(obj.get("conj_linear", False)),
                                label=obj.get("label"))
         else:
@@ -404,6 +428,17 @@ def _transport(conj, w, M, Minv):
         return M.conj() if conj else M
     Minv = Minv() if callable(Minv) else Minv
     return Minv.conj_transpose() if conj else Minv.transpose()
+
+
+def _is_unit(G):
+    """G is I at conductor 1: a product with it is the other factor at that
+    factor's own conductor, so it is skipped."""
+    return G.N == 1 and G.is_identity()
+
+
+def _product(A, B):
+    """A B, formed only when neither factor is the unit matrix."""
+    return B if _is_unit(A) else A if _is_unit(B) else A * B
 
 
 def _eliminated_inverse(M):
@@ -447,7 +482,10 @@ def group_inverse(algebra, G):
     Ad(G) keeps the algebra exactly when A G = c I for some c != 0 (G^T G =
     c I, or G^T J G = -c J), so this is also the check that G is in the
     group; on a, where every invertible G is, it is eliminated.  Either way
-    a G that is not in the group, a singular one included, is MalformedData."""
+    a G that is not in the group, a singular one included, is MalformedData.
+    The unit matrix is its own inverse."""
+    if _is_unit(G):
+        return G
     if algebra.family == "a":
         return _eliminated_inverse(G)
     A = G.transpose()

@@ -854,17 +854,25 @@ class CycloMatrix:
                 and all(isinstance(row, list) and len(row) == len(obj) for row in obj)):
             raise MalformedData("a matrix is a nonempty square list of rows")
         # every entry is checked and counts towards the conductor, zero
-        # entries too; only the nonzero ones are stored
+        # entries too; only the nonzero ones are stored.  An entry equal to
+        # the zero entry {"conductor": M, "coeffs": ["0"] * phi(M)} of an int
+        # M already checked here passes by that one comparison (True == 1
+        # and 1.0 == 1, hence the type test)
         N = den = 1
-        ents = []
+        ents, zeros = [], {}
         for row in obj:
             out = {}
             for j, x in enumerate(row):
+                M = x.get("conductor") if type(x) is dict else None
+                if type(M) is int and x == zeros.get(M):
+                    continue
                 M, nums, d = _json_scalar(x)
                 N = lcm(N, M)
                 if any(nums):
                     out[j] = M, nums, d
                     den = lcm(den, d)
+                elif M not in zeros:
+                    zeros[M] = {"conductor": M, "coeffs": ["0"] * len(nums)}
             ents.append(out)
         if N > MAX_CONDUCTOR:
             raise ConductorOverflow("conductor %d exceeds cap" % N)

@@ -341,8 +341,7 @@ def conjugate_shift(phi, c):
     """Conjugation by u(t) -> u(t + 2 pi c)."""
     c = Fraction(c)
     t0 = phi.t0 + (phi.epsilon - 1) * c
-    shift = Automorphism(phi.algebra, phi.X.exp_2pi(c)) \
-        if not phi.X.matrix.is_zero() else identity_automorphism(phi.algebra)
+    shift = Automorphism(phi.algebra, phi.X.exp_2pi(c))
     # the target twist fixes X, so it commutes with the shift and is kept;
     # a conjugate has the order of phi
     out = StandardLoopAutomorphism(phi.twist, phi.l, phi.epsilon, t0, phi.X,

@@ -449,7 +449,8 @@ def test_carried_inverse_in_each_compose_branch(fam, n, w, conj):
     """self's w and conj pick the transport of the other factor; when both
     factors know their inverses, the product holds a function that makes its
     inverse from them on first use, which equals the eliminated inverse of
-    the product and then takes its place."""
+    the product and then takes its place (a random matrix may be the unit,
+    and then the product is the other factor, with its inverse made)."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     alg = make_algebra(fam, n, "compact")
@@ -461,7 +462,8 @@ def test_carried_inverse_in_each_compose_branch(fam, n, w, conj):
         A = _known_inverse(alg, rng, w, conj)
         B = _known_inverse(alg, rng, w2 if fam == "a" else 0, conj2)
         P = A.compose(B)
-        assert callable(P._inv)
+        # a plain identity factor hands over the other one's made inverse
+        assert callable(P._inv) != any(f._is_plain_identity() for f in (A, B))
         assert P._ginv() == P._G.inverse()
         assert isinstance(P._inv, CycloMatrix)
 
@@ -800,3 +802,77 @@ def test_so8_operator_json_round_trip_to_the_byte():
         assert not phi.has_parts
         text = _json_text(phi)
         assert _json_text(Automorphism.from_json(json.loads(text))) == text
+
+
+def _identity_factors():
+    """Factors of every kind, each with its inverse made: an a2 map with
+    w = 1, labeled c3 and d5 group maps, a conjugate-linear a2 map and the
+    so(8) triality operator."""
+    rng = random.Random(30)
+    a2 = make_algebra("a", 2, "compact")
+    out = [Automorphism(a2, random_inner_matrix(a2, rng), w=1),
+           standard_involution(make_algebra("c", 3, "compact"), "rho1"),
+           standard_involution(make_algebra("d", 5, "compact"), "rho1"),
+           Automorphism(a2, random_inner_matrix(a2, rng), conj=True),
+           triality_automorphism(make_algebra("d", 4, "compact"))]
+    for phi in out:
+        phi._ginv()
+    return out
+
+
+@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_identity_factor_forms_no_product(index, side, monkeypatch):
+    """Composing with the identity on either side makes no matrix product
+    and builds no coordinate operator; the result is the other factor, with
+    no label, and it and its matrix invert with no elimination."""
+    from kmaut import kernel
+    phi = _identity_factors()[index]
+    one = identity_automorphism(phi.algebra)
+    calls = []
+    matmul, build, eliminate = (kernel.matmul, type(phi.algebra).coords_operator,
+                                CycloMatrix.inverse)
+    monkeypatch.setattr(kernel, "matmul",
+                        lambda *a: calls.append("matmul") or matmul(*a))
+    monkeypatch.setattr(type(phi.algebra), "coords_operator",
+                        lambda alg, mats: calls.append("operator")
+                        or build(alg, mats))
+    monkeypatch.setattr(CycloMatrix, "inverse",
+                        lambda M: calls.append("inverse") or eliminate(M))
+    P = one.compose(phi) if side == "left" else phi.compose(one)
+    composed = calls.count("matmul"), calls.count("operator")
+    Q, _ = P.inverse(), P._ginv()
+    monkeypatch.undo()
+    assert (composed, calls.count("inverse")) == ((0, 0), 0)
+    assert P == phi and P.label is None
+    assert Q == phi.inverse()
+
+
+def test_target_twist_of_a_constant_curve_forms_only_the_twist_conjugate(
+        monkeypatch):
+    """A constant curve's e^(2 pi X) is the identity: target_twist() makes
+    the products of phi0 sigma phi0^-1 and no other."""
+    from kmaut import kernel
+    from kmaut.loopaut import StandardLoopAutomorphism
+    from kmaut.tables import enumerate_second_kind, realize_entry
+    b2 = make_algebra("b", 2, "compact")
+    entry = enumerate_second_kind(b2, 1).entries[-1]
+    text = json.dumps(realize_entry(b2, entry).to_json())
+    calls = []
+    matmul = kernel.matmul
+    counts = []
+    for conjugate_only in (True, False):
+        phi = StandardLoopAutomorphism.from_json(json.loads(text))
+        assert phi.has_constant_curve() and not phi.phi0.is_identity()
+        phi._target = None
+        monkeypatch.setattr(kernel, "matmul",
+                            lambda *a: calls.append(1) or matmul(*a))
+        calls.clear()
+        if conjugate_only:
+            phi.phi0.compose(phi.twist.power(phi.epsilon)) \
+                .compose(phi.phi0.inverse())
+        else:
+            phi.target_twist()
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts[0] > 0 and counts[1] == counts[0]

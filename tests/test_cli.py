@@ -481,3 +481,23 @@ def test_invariant_json_round_trip_to_the_byte(fam, n):
                 obj = dict(json.loads(text), algebra={"family": fam, "n": n})
                 back = _invariant_from_json(obj)
                 assert back == inv and json.dumps(back.to_json()) == text
+
+
+@pytest.mark.parametrize("fam,n", [("b", 2), ("c", 3), ("d", 5)])
+def test_outer_power_one_off_the_a_family_exits_2(tmp_path, capsys, fam, n):
+    """mu exists on the a family only: rho1 of b2, c3 or d5 with
+    "outer_power": 1 once read back as rho1 itself."""
+    from kmaut.autg import Automorphism
+    from kmaut.errors import MalformedData
+    alg = make_algebra(fam, n, "compact")
+    rho = dict(standard_involution(alg, "rho1").to_json(), outer_power=1)
+    with pytest.raises(MalformedData, match="outer_power"):
+        Automorphism.from_json(rho)
+    payload = realize_entry(alg, enumerate_first_kind(alg, 1).entries[0]) \
+        .to_json()
+    payload["phi0"] = rho
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc, out = run_cli(["invariant", "--in", str(bad)], capsys)
+    _assert_typed_error(rc, out)
+    assert "outer_power" in json.loads(out)["error"]

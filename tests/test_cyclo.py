@@ -667,3 +667,51 @@ def test_matrix_json_conductor_cap_builds_no_context(monkeypatch):
                [entry(1), entry(1009, [coeff] + ["0"] * 1007)]]
         with pytest.raises(ConductorOverflow, match="^conductor 1005973 exceeds cap$"):
             CycloMatrix.from_json(obj)
+
+
+_ZERO1, _ZERO4 = entry(1, ["0"]), entry(4, ["0", "0"])
+
+
+@pytest.mark.parametrize("case", [
+    dict(_ZERO1, conductor=True), dict(_ZERO1, conductor=1.0),
+    entry(0, ["0"]), entry(-4, ["0", "0"]), dict(_ZERO1, conductor="1"),
+    dict(_ZERO1, conductor=[1]), {"coeffs": ["0"]},
+    entry(1, [0]), entry(4, [0, "0"]),
+    entry(4, ["0"]), entry(1, ["0", "0"]),
+    dict(_ZERO4, extra=1),
+    entry(3, ["0", "0"]), entry(12, ["0"] * 4),
+], ids=["bool_conductor", "float_conductor", "conductor_0", "conductor_-4",
+        "string_conductor", "list_conductor", "no_conductor",
+        "int_coeff", "int_coeff_4", "short_list", "long_list", "extra_key",
+        "new_conductor_3", "new_conductor_12"])
+def test_matrix_json_entries_next_to_checked_zeros(case):
+    """Only an exact copy of the zero entry of an int conductor already read
+    in the matrix skips the entry reader; every near miss reads, or fails
+    with the same error, as the entry reader makes it."""
+    obj = [[_ZERO1, _ZERO4, entry()], [entry(), case, _ZERO1],
+           [_ZERO4, entry(), entry()]]
+    try:
+        want = reference_from_json(obj)
+    except (MalformedData, ConductorOverflow) as err:
+        with pytest.raises(type(err)) as got:
+            CycloMatrix.from_json(obj)
+        assert str(got.value) == str(err)
+    else:
+        assert same_packed(CycloMatrix.from_json(obj), want)
+
+
+def test_matrix_json_reads_one_zero_entry_per_conductor(monkeypatch):
+    """Zero entries at conductor 4 beside nonzero ones at conductor 1: the
+    entry reader runs for each nonzero entry and for the first zero, and the
+    matrix keeps conductor 4."""
+    from kmaut import cyclo
+    obj = [[entry(), _ZERO4, _ZERO4], [_ZERO4, entry(1, ["-1/2"]), _ZERO4],
+           [_ZERO4, _ZERO4, entry()]]
+    calls = []
+    read = cyclo._json_scalar
+    monkeypatch.setattr(cyclo, "_json_scalar",
+                        lambda x: calls.append(x) or read(x))
+    got = CycloMatrix.from_json(obj)
+    assert len(calls) == 4
+    monkeypatch.undo()
+    assert got.N == 4 and same_packed(got, reference_from_json(obj))
