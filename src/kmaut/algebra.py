@@ -444,16 +444,23 @@ class SemisimpleElement(AlgebraElement):
                 raise OrderMismatch("stated eigenvalue rates are wrong")
 
     def projectors(self):
-        """[(rate, projector onto the i*rate eigenspace)], nonzero only."""
+        """[(rate, projector onto the i*rate eigenspace)], nonzero only: the
+        product over b != a of (X - i b E) / (i (a - b)), started at its
+        first factor, so no product has the identity E as an operand; a
+        single rate has the projector E, at conductor 1."""
         if self._projs is None:
             i = root_of_unity(4, 1)
-            E = CycloMatrix.identity(self.matrix.n)
+            n = self.matrix.n
+            iE = CycloMatrix.diag([i] * n)
             out = []
             for a in self.eigenrates:
-                P = E
+                P = None
                 for b in self.eigenrates:
                     if b != a:
-                        P = P * (self.matrix - E * (i * b)) * (i * (a - b)).inverse()
+                        F = self.matrix - iE * b
+                        P = (F if P is None else P * F) * (i * (a - b)).inverse()
+                if P is None:
+                    P = CycloMatrix.identity(n)
                 if not P.is_zero():
                     out.append((a, P))
             self._projs = tuple(out)

@@ -11,12 +11,12 @@ them through `from_coords`.  Loop automorphisms (`loopaut`) act on the rows.
 
 Everything else is bilinear in the coordinates.  The bracket is coefficient
 convolution through the structure constants (C, K, den) of the algebra, in
-the one convolution `_convolve` that the window rows of `row_bracket` share;
-the extended algebra adds the derivation terms and the cocycle (u', v) c,
-which pair coefficients through the Killing Gram matrix K.  Each result
-coefficient carries the conductor the matrix computation gives it: the lcm
-of the conductors of its nonzero contributions, lifted to that of i where a
-derivative term reaches it.
+the one convolution `_convolve` that the window rows of `_parts_bracket`
+share; the extended algebra adds the derivation terms and the cocycle
+(u', v) c, which pair coefficients through the Killing Gram matrix K.  Each
+result coefficient carries the conductor the matrix computation gives it:
+the lcm of the conductors of its nonzero contributions, lifted to that of i
+where a derivative term reaches it.
 """
 
 from __future__ import annotations
@@ -338,7 +338,8 @@ class AffineElement:
                              self.d + other.d)
 
     def __sub__(self, other):
-        return self + (-other)
+        return AffineElement(self.loop - other.loop, self.c - other.c,
+                             self.d - other.d)
 
     def __neg__(self):
         return AffineElement(-self.loop, -self.c, -self.d)
@@ -488,37 +489,50 @@ def _affine_row(x, N, M):
 
 
 def _row_parts(row, N, dim):
-    """The coefficients {n: {k: coordinates}} and the d coordinate (None if
-    zero) of an affine element's `_affine_row` on the window [-N, N]."""
+    """The coefficients {n: {k: coordinates}}, the d coordinate (None if
+    zero) and the denominator of an affine element's `_affine_row` on the
+    window [-N, N]: the split form that `_parts_bracket` takes."""
     top = (2 * N + 1) * dim
     coeffs = {}
     for col, v in row[0].items():
         if col < top:
             n, k = divmod(col, dim)
             coeffs.setdefault(n - N, {})[k] = v
-    return coeffs, row[0].get(top + 1)
+    return coeffs, row[0].get(top + 1), row[1]
 
 
 def row_bracket(algebra, l, x, y, N, M):
-    """The row of [x, y] on the window [-N, N] (`_affine_row`) from the rows
-    x and y of two affine elements over Q(zeta_M) there, 4 | M, or None if
-    [x, y] has a nonzero coefficient outside the window.
+    """The row of [x, y] on the window [-N, N] (`_affine_row`) in lowest
+    terms, from the rows x and y of two affine elements over Q(zeta_M)
+    there, 4 | M, or None if [x, y] has a nonzero coefficient outside the
+    window (`_parts_bracket`); the zero bracket is the empty row."""
+    xp, yp = (_row_parts(r, N, algebra.dim) for r in (x, y))
+    z = _parts_bracket(algebra, l, xp, yp, N, M)
+    return z if z is None else _strip(*z)
+
+
+def _parts_bracket(algebra, l, x, y, N, M):
+    """The row of [x, y] on the window [-N, N], not in lowest terms, from
+    the `_row_parts` x and y of two affine elements over Q(zeta_M), 4 | M,
+    or None if [x, y] has a nonzero coefficient outside the window.  A
+    caller that brackets an element with many others splits it once, and
+    one that only tests or extends a `Span` skips the reduction, which the
+    span makes itself.
 
     The value is that of `affine_bracket`: for x = u + a c + b d and
     y = v + g c + e d, the convolution sum_(p+q=n) [u_p, v_q] through the
     structure constants, the derivative terms (n/l) i (b v_n - e u_n) and
     the cocycle i sum_n (n/l) K(u_n, v_-n) c.  The degrees outside the
-    window are formed first, and the first nonzero one ends the call; the
-    zero bracket is the empty row."""
+    window are formed first, and the first nonzero one ends the call."""
     C, K, D = algebra.structure_constants()
     dim = algebra.dim
     ctx = _context(M)
     red, phi = ctx.red, ctx.phi
     conv = kernel.conv_reduce
-    u, b = _row_parts(x, N, dim)
-    v, e = _row_parts(y, N, dim)
+    u, b, xden = x
+    v, e, yden = y
     # numerators over x's den * y's den * D * l
-    den = x[1] * y[1] * D * l
+    den = xden * yden * D * l
     sums = {}
     for p in u:
         for q in v:
@@ -558,8 +572,7 @@ def row_bracket(algebra, l, x, y, N, M):
             t = conv(tuple(w), i, red, phi)
             w = ents.get(col)
             ents[col] = t if w is None else [a + c for a, c in zip(w, t)]
-    row = {col: tuple(w) for col, w in ents.items() if any(w)}
-    return _strip(row, den) if row else ({}, 1)
+    return {col: tuple(w) for col, w in ents.items() if any(w)}, den
 
 
 def derived_algebra_witness(algebra, twist, l, N):
@@ -570,9 +583,10 @@ def derived_algebra_witness(algebra, twist, l, N):
     gens = window_basis(algebra, twist, l, N)
     # one field for every row: the conductors of the basis and that of i
     M = lcm(4, *(r[0] for u in gens for r in u.rows.values()))
-    rows = [_affine_row(AffineElement(u), N, M) for u in gens]
-    span = Span((z for x, y in combinations(rows, 2)
-                 for z in [row_bracket(algebra, l, x, y, N, M)]
+    parts = [_row_parts(_affine_row(AffineElement(u), N, M), N, algebra.dim)
+             for u in gens]
+    span = Span((z for x, y in combinations(parts, 2)
+                 for z in [_parts_bracket(algebra, l, x, y, N, M)]
                  if z is not None), M)
     targets = [AffineElement(u) for u in window_basis(algebra, twist, l, N // 2)]
     span.add(_affine_row(central_element(algebra, twist, l), N, M))

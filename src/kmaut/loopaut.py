@@ -106,12 +106,15 @@ class StandardLoopAutomorphism:
     # -- derived data -----------------------------------------------------------
 
     def target_twist(self):
-        """sigma~ = e^(ad 2 pi X) phi0 sigma^eps phi0^(-1)."""
+        """sigma~ = e^(ad 2 pi X) phi0 sigma^eps phi0^(-1); the source twist
+        itself when the two are equal, so that an endomorphism's images
+        share its twist object and compare to its elements by identity."""
         if self._target is None:
             E2 = Automorphism(self.algebra, self.X.exp_2pi(1))
             mid = self.phi0.compose(self.twist.power(self.epsilon)) \
                            .compose(self.phi0.inverse())
-            self._target = E2.compose(mid)
+            tgt = E2.compose(mid)
+            self._target = self.twist if tgt == self.twist else tgt
         return self._target
 
     def _image_conductor(self, l):

@@ -16,8 +16,10 @@ is decided on rows of algebra coordinates over Q(zeta_M)
 field F = Q(zeta_M)^+, of degree phi(M)/2, so a real structure is an
 F-space, and its Q-dimensions are [F : Q] times its dimensions over F.
 Bracket closure (`closed_under_bracket` and the three Cartan inclusions) is
-checked on the same rows: each bracket is formed from the rows of its two
-factors through the algebra's structure constants (`loop.row_bracket`).
+checked on the same rows: each element's row is split once
+(`loop._row_parts`), each bracket is formed from the split rows of its two
+factors through the algebra's structure constants (`loop._parts_bracket`),
+and its row reaches the span unreduced, since the span reduces it.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ from math import lcm
 from .algebra import make_algebra
 from .autg import InvLabel, omega_automorphism
 from .cyclo import CycloScalar, _context, root_of_unity
-from .errors import NotCompactMode, NotInvolution, UnsupportedOrder
+from .errors import (NotCompactMode, NotInvolution, OrderExceedsBound,
+                     UnsupportedOrder)
 from .linalg import Span, flatten
 from .loop import (
     AffineElement,
     LoopElement,
     _affine_row,
-    row_bracket,
+    _parts_bracket,
+    _row_parts,
     window_basis,
 )
 from .loopaut import (
@@ -150,7 +154,7 @@ def _fixed_part(pairs, M, N, sign=1):
     span = Span()
     out = []
     for e, img in pairs:
-        x = (e + img * sign) * half
+        x = (e + img if sign == 1 else e - img) * half
         if span.add(_affine_qvec(x, M, N)):
             out.append(x)
     return out, span
@@ -162,7 +166,8 @@ def _window_involution(phi, N):
     compact window onto itself: its curve is constant, its twist and
     constant part commute with the compact conjugation and its rotation
     phases lie in Q(zeta_M).  Otherwise NotCompactMode, or NotInvolution for
-    an order above two, is raised before any work."""
+    an order above two, is raised before any work: the order is sought up
+    to two only, so a non-involution costs two compositions."""
     if phi.algebra.mode != "compact":
         raise NotCompactMode("real forms and Cartan decompositions live on "
                              "the compact form")
@@ -177,8 +182,10 @@ def _window_involution(phi, N):
     if M % (phi.t0.denominator * phi.l):
         raise NotCompactMode("rotation by 2 pi t0 = 2 pi %s has phases outside "
                              "the window field Q(zeta_%d)" % (phi.t0, M))
-    if phi.order(bound=8) not in (1, 2):
-        raise NotInvolution("input is not an involution")
+    try:
+        phi.order(bound=2)
+    except OrderExceedsBound:
+        raise NotInvolution("input is not an involution") from None
     return M, 2 * phi.l + 4 if N is None else N
 
 
@@ -259,17 +266,22 @@ class RealFormBasis:
 def _brackets_in(xs, ys, span, M, N):
     """Whether every bracket [x, y] supported in the window lies in span,
     each formed on rows through the structure constants
-    (`loop.row_bracket`) from the rows of x and y, computed once.
+    (`loop._parts_bracket`) from the rows of x and y, each split once;
+    a bracket's row reaches the span unreduced.
 
     When xs is ys each unordered pair is bracketed once: [x, x] = 0, and
     [y, x] = -[x, y] lies in span exactly when [x, y] does."""
     if not xs or not ys:
         return True
     alg, l = xs[0].loop.algebra, xs[0].loop.l
-    rx = [_affine_row(x, N, M) for x in xs]
-    ry = rx if xs is ys else [_affine_row(y, N, M) for y in ys]
-    for x, y in combinations(rx, 2) if xs is ys else product(rx, ry):
-        z = row_bracket(alg, l, x, y, N, M)
+
+    def split(elts):
+        return [_row_parts(_affine_row(x, N, M), N, alg.dim) for x in elts]
+
+    px = split(xs)
+    py = px if xs is ys else split(ys)
+    for x, y in combinations(px, 2) if xs is ys else product(px, py):
+        z = _parts_bracket(alg, l, x, y, N, M)
         if z is not None and not span.contains(flatten(z, M)):
             return False
     return True

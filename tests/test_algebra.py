@@ -443,6 +443,42 @@ def test_scaled_keeps_projectors(fam, n, rates):
                 == [(r, P.to_json()) for r, P in fresh.projectors()])
 
 
+@pytest.mark.parametrize("fam,n,rates", [
+    ("a", 3, [Fraction(1, 2), 1, -1, Fraction(-1, 2)]),
+    ("c", 3, [1, Fraction(1, 2), 0]),
+    ("d", 4, [1, 1, 0, Fraction(1, 3)]),
+    ("b", 2, [1, Fraction(1, 2)])])
+def test_projectors_multiply_no_identity(monkeypatch, fam, n, rates):
+    """The Lagrange projectors start at their first factor: no matrix
+    product inside projectors() has an identity operand, and each
+    projector is byte for byte the product started at I.  The zero element
+    keeps its one projector I at conductor 1."""
+    alg = make_algebra(fam, n, "compact")
+    X = alg.torus_element(rates)
+    i, E = root_of_unity(4, 1), CycloMatrix.identity(alg.size)
+    want = []
+    for a in X.eigenrates:
+        P = E
+        for b in X.eigenrates:
+            if b != a:
+                P = P * (X.matrix - E * (i * b)) * (i * (a - b)).inverse()
+        if not P.is_zero():
+            want.append((a, P.to_json()))
+    operands = []
+    mul = CycloMatrix.__mul__
+
+    def counting(self, other):
+        operands.extend(m for m in (self, other) if isinstance(m, CycloMatrix))
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloMatrix, "__mul__", counting)
+    got = [(r, P.to_json()) for r, P in X.projectors()]
+    assert operands and not any(m.is_identity() for m in operands)
+    assert got == want
+    (rate, P), = zero_semisimple(alg).projectors()
+    assert rate == 0 and P.is_identity() and P.N == 1
+
+
 def test_pi0_rows_are_bounded():
     """User input keys the pi0 rows too: the row table keeps at most its
     bound."""

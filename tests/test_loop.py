@@ -19,6 +19,8 @@ from kmaut.loop import (
     AffineElement,
     LoopElement,
     _affine_row,
+    _parts_bracket,
+    _row_parts,
     affine_bracket,
     affine_form,
     central_element,
@@ -28,6 +30,7 @@ from kmaut.loop import (
     loop_bracket,
     loop_form,
     row_bracket,
+    window_basis,
 )
 from kmaut.selftest import random_affine_element, random_loop_element
 
@@ -312,6 +315,54 @@ def test_row_bracket_property(twist, l):
                              br(rz, br(rx, ry, W), W)])
 
     check()
+
+
+@pytest.mark.parametrize("fam,n,twist_of,l", [
+    pytest.param("a", 1, identity_automorphism, 1, id="a1"),
+    pytest.param("a", 2, mu_automorphism, 2, id="a2-mu"),
+    pytest.param("b", 2, lambda alg: standard_involution(alg, "rho1"), 2,
+                 id="b2-rho1")])
+def test_parts_bracket_is_row_bracket_unreduced(fam, n, twist_of, l):
+    """The bracket core on split rows gives the value of row_bracket, not
+    necessarily in lowest terms, and the same verdict on membership in a
+    fixed span: that of the window elements of degree at most 1 and c, on
+    the window [-2, 2] over Q(zeta_12).  The second factor is drawn from
+    degrees up to w, so that both verdicts occur."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from kmaut.linalg import Span, _strip
+
+    alg = make_algebra(fam, n, "complex")
+    twist, M, N = twist_of(alg), 12, 2
+    span = Span([_affine_row(AffineElement(u), N, M)
+                 for u in window_basis(alg, twist, l, 1)]
+                + [_affine_row(central_element(alg, twist, l), N, M)], M)
+
+    def verdict(seed, k, w):
+        """Whether [x, y] lies in the span, None if it leaves the window."""
+        rng = random.Random(seed)
+        x = random_affine_element(alg, twist, l, rng, 1) * root_of_unity(M, k)
+        y = random_affine_element(alg, twist, l, rng, w)
+        rx, ry = _affine_row(x, N, M), _affine_row(y, N, M)
+        want = row_bracket(alg, l, rx, ry, N, M)
+        got = _parts_bracket(alg, l, _row_parts(rx, N, alg.dim),
+                             _row_parts(ry, N, alg.dim), N, M)
+        if want is None:
+            assert got is None
+            return None
+        assert _row_sum([got]) == _row_sum([want])
+        assert _strip(*got) == want
+        assert span.contains(got) == span.contains(want)
+        return span.contains(want)
+
+    @hyp.settings(max_examples=15, deadline=None)
+    @hyp.given(st.integers(0, 2**32 - 1), st.integers(0, M - 1),
+               st.integers(0, 2))
+    def check(seed, k, w):
+        verdict(seed, k, w)
+
+    check()
+    assert {verdict(s, s % M, s % 3) for s in range(24)} >= {True, False}
 
 
 def test_row_bracket_reads_the_table_denominator(monkeypatch):

@@ -579,3 +579,144 @@ def test_brackets_in_matches_the_reference():
             verdicts.append(got)
     # 180 spans: 49 True, 131 False
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 100
+
+
+@pytest.mark.parametrize("m,order", [(6, 3), (10, 5), (24, 12)])
+def test_window_involution_refuses_any_order_above_two(monkeypatch, m, order):
+    """Ad diag(zeta_m, zeta_m^-1) on a1 has order m/2; each order above two
+    is NotInvolution from real_form and cartan_decomposition alike, found
+    with at most two compositions."""
+    from kmaut.autg import Automorphism
+    from kmaut.cyclo import CycloMatrix, root_of_unity
+    from kmaut.errors import NotInvolution
+
+    a1 = make_algebra("a", 1, "compact")
+    D = CycloMatrix.diag([root_of_unity(m, 1), root_of_unity(m, -1)])
+    calls = []
+    compose = StandardLoopAutomorphism.compose
+
+    def counting(self, other):
+        calls.append(self)
+        return compose(self, other)
+
+    monkeypatch.setattr(StandardLoopAutomorphism, "compose", counting)
+    for build in (real_form, cartan_decomposition):
+        phi = StandardLoopAutomorphism(identity_automorphism(a1), 1, 1, 0,
+                                       None, Automorphism(a1, D))
+        del calls[:]
+        with pytest.raises(NotInvolution):
+            build(phi, N=1)
+        assert len(calls) <= 2
+    monkeypatch.undo()
+    assert phi.order() == order
+
+
+def _mutation_entries():
+    a1 = make_algebra("a", 1, "compact")
+    c3 = make_algebra("c", 3, "compact")
+    return [pytest.param(a1, ("1a", InvLabel(1), "id"), id="a1-1a-rho1-id"),
+            pytest.param(c3, ("2", InvLabel(0), InvLabel(1)),
+                         id="c3-rho0-rho1")]
+
+
+@pytest.mark.parametrize("alg,entry", _mutation_entries())
+def test_closure_checks_fail_on_the_wrong_span(alg, entry):
+    """The closure checks still say False when they should: [K, K] checked
+    against P's span, and a real form basis with one element left out of
+    the span it is checked against."""
+    from math import lcm
+
+    from kmaut.linalg import Span
+    from kmaut.realforms import RealFormBasis, _affine_qvec, _brackets_in
+
+    phi = realize_entry(alg, entry)
+    N, M = 1, lcm(4, 2 * phi.l)
+    rep = cartan_decomposition(phi, N=N)
+    assert all(rep["inclusions"].values())
+    K, P = rep["K"], rep["P"]
+    pspan = Span(_affine_qvec(x, M, N) for x in P)
+    assert _brackets_in(K, K, pspan, M, N) is False
+    rb = real_form(phi, N=N)
+    assert rb.closed_under_bracket()
+    cut = RealFormBasis(alg, phi, N, rb.l, rb.basis[1:])
+    assert cut.closed_under_bracket() is False
+
+
+def test_target_twist_is_the_source_object_for_an_endomorphism():
+    """An endomorphism's target twist is its twist object itself, and so is
+    the twist of each image; a map whose target differs keeps its own."""
+    from kmaut.autg import Automorphism
+    from kmaut.cyclo import CycloMatrix, root_of_unity
+    from kmaut.loop import window_basis
+    from kmaut.loopaut import SecondKindInvariant
+    from kmaut.tables import realize
+
+    a2 = make_algebra("a", 2, "compact")
+    inv = SecondKindInvariant(a2, 2, (InvLabel(0), InvLabel(1)), 1)
+    phi = realize(inv)
+    assert phi.is_endomorphism() and phi.target_twist() is phi.twist
+    u = window_basis(a2, phi.twist, phi.l, 1)[0]
+    assert phi.apply(u).twist is phi.twist
+    a1 = make_algebra("a", 1, "compact")
+    iden = identity_automorphism(a1)
+    # eps = -1 with phi0 = id over tau of order 4: the target is tau^-1
+    tau = Automorphism(a1, CycloMatrix.diag([root_of_unity(8, 1),
+                                             root_of_unity(8, -1)]))
+    psi = StandardLoopAutomorphism(tau, 4, -1, 0, None, iden)
+    assert psi.target_twist() is not psi.twist
+    assert psi.target_twist() != psi.twist
+    assert psi.target_twist() == tau.inverse()
+
+
+def _realform_batch():
+    """The inputs of the benchmark's `realform` batch: real form bases of
+    the a1 second-kind pairs at windows 2 and 3, of a1 (rho0, rho0) and
+    (rho0, rho1) at window 4 and of three a2 pairs at window 1, and Cartan
+    decompositions of the a1 table entries at windows 2 and 3."""
+    a1 = make_algebra("a", 1, "compact")
+    a2 = make_algebra("a", 2, "compact")
+    bases = [(a1, e[1:], N) for k in valid_ks(a1)
+             for e in enumerate_second_kind(a1, k).entries for N in (2, 3)]
+    bases += [(a1, (InvLabel(0), InvLabel(q)), 4) for q in (0, 1)]
+    bases += [(a2, (InvLabel(p), InvLabel(q)), 1)
+              for p, q in [(0, 1), (0, 2), (1, 2)]]
+    from kmaut.tables import enumerate_first_kind
+    cartans = [(realize_entry(a1, e), N) for k in valid_ks(a1)
+               for table in (enumerate_first_kind, enumerate_second_kind)
+               for e in table(a1, k).entries for N in (2, 3)]
+    return bases, cartans
+
+
+def test_realform_batch_compares_twists_and_splits_rows_once(monkeypatch):
+    """On the realform batch, twists are compared by matrix ratio at most
+    100 times (1,020 when images carried a composite twist), and each
+    element entering a closure check has its row split exactly once."""
+    from kmaut import autg, realforms
+
+    counts = {"ratio": 0, "split": 0, "elements": 0}
+    ratio, split, brackets_in = (autg._scalar_ratio, realforms._row_parts,
+                                 realforms._brackets_in)
+
+    def counting_ratio(*a):
+        counts["ratio"] += 1
+        return ratio(*a)
+
+    def counting_split(*a):
+        counts["split"] += 1
+        return split(*a)
+
+    def counting_brackets_in(xs, ys, *a):
+        counts["elements"] += len(xs) + (0 if xs is ys else len(ys))
+        return brackets_in(xs, ys, *a)
+
+    monkeypatch.setattr(autg, "_scalar_ratio", counting_ratio)
+    monkeypatch.setattr(realforms, "_row_parts", counting_split)
+    monkeypatch.setattr(realforms, "_brackets_in", counting_brackets_in)
+    bases, cartans = _realform_batch()
+    for alg, pair, N in bases:
+        rb = real_form_basis(alg, pair, N=N)
+        assert rb.closed_under_bracket()
+    for phi, N in cartans:
+        assert all(cartan_decomposition(phi, N=N)["inclusions"].values())
+    assert counts["ratio"] <= 100
+    assert counts["elements"] > 0 and counts["split"] == counts["elements"]
