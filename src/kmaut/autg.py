@@ -15,9 +15,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 
-from . import linalg
+from . import kernel, linalg
 from .algebra import (
     _KEYS_CACHED,
     AlgebraElement,
@@ -26,8 +27,8 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import (CycloMatrix, CycloScalar, _json_int, _json_object,
-                    _rational_root, pfaffian, root_of_unity)
+from .cyclo import (CycloMatrix, CycloScalar, _context, _json_int,
+                    _json_object, _rational_root, pfaffian, root_of_unity)
 from .errors import (
     InvalidLabel,
     MalformedData,
@@ -412,6 +413,7 @@ class Automorphism:
                     and sorted(w) == [0, 1, 2]):
                 raise MalformedData("an operator's outer_power permutes "
                                     "[0, 1, 2]")
+            _check_keeps_bracket(algebra, M)
             out = Automorphism(algebra, operator=M, word=tuple(w),
                                conj=bool(obj.get("conj_linear", False)),
                                label=obj.get("label"))
@@ -439,6 +441,26 @@ def _is_unit(G):
 def _product(A, B):
     """A B, formed only when neither factor is the unit matrix."""
     return B if _is_unit(A) else A if _is_unit(B) else A * B
+
+
+def _check_keeps_bracket(algebra, L):
+    """MalformedData unless the operator L, whose column k holds the
+    coordinates of the image of b_k, keeps every bracket of the basis:
+    L [b_i, b_j] = [L b_i, L b_j], both sides through the structure
+    constants C over den(L)^2 den(C)."""
+    from .loop import _convolve
+    C = algebra.structure_constants()[0]
+    ctx, cols = _context(L.N), L.transpose().rows
+    for i, j in combinations(range(algebra.dim), 2):
+        lhs = {}
+        for k, c in C[i][j]:
+            lhs = kernel.add_rows(lhs, 1, cols[k], c * L.den)
+        rhs = {}
+        _convolve(rhs, cols[i], cols[j], C, ctx.red, ctx.phi)
+        if lhs != {a: tuple(w) for a, w in rhs.items() if any(w)}:
+            raise MalformedData("the operator matrix is not an automorphism "
+                                "of %s: it does not keep the bracket of basis "
+                                "elements %d and %d" % (algebra.label(), i, j))
 
 
 def _eliminated_inverse(M):

@@ -136,8 +136,7 @@ def cmd_realform(args):
     if len(labels) != 2:
         raise KmautError("--pair wants two labels, e.g. 'mu,id'")
     pair = tuple(parse_label(algebra, s) for s in labels)
-    basis = real_form_basis(algebra, pair,
-                            N=args.window if args.window else None)
+    basis = real_form_basis(algebra, pair, N=args.window)
     payload = {
         "algebra": algebra.to_json(),
         "pair": [repr(x) for x in pair],

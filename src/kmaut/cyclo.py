@@ -35,60 +35,54 @@ _CONDUCTORS_CACHED = 64
 # cyclotomic polynomial contexts
 # ---------------------------------------------------------------------------
 
-def _poly_div_exact(num, den):
-    """Exact division of integer polynomials (lists, lowest degree first)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
-        q = c // den[-1]
-        out[k] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[k + j] -= q * dj
-    assert all(c == 0 for c in num)
-    return out
-
-
 @lru_cache(maxsize=_CONDUCTORS_CACHED)
 def cyclotomic_poly(N):
-    """Coefficients of the N-th cyclotomic polynomial, lowest degree first."""
-    if N == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (N - 1) + [1]  # x^N - 1
-    den = [1]
-    for d in range(1, N):
-        if N % d == 0:
-            phi_d = cyclotomic_poly(d)
-            new = [0] * (len(den) + len(phi_d) - 1)
-            for i, a in enumerate(den):
-                for j, b in enumerate(phi_d):
-                    new[i + j] += a * b
-            den = new
-    return tuple(_poly_div_exact(num, den))
+    """Coefficients of the N-th cyclotomic polynomial, lowest degree first:
+    the product of (x^(N/d) - 1)^mu(d) over the squarefree d | N."""
+    signed = [(1, 1)]  # (d, mu(d))
+    for p in _primes(N):
+        signed += [(d * p, -mu) for d, mu in signed]
+    poly = [1]
+    for d, mu in signed:
+        if mu == 1:  # times x^e - 1
+            old, e = poly, N // d
+            poly = [0] * e + old
+            for k, c in enumerate(old):
+                poly[k] -= c
+    for d, mu in signed:
+        if mu == -1:  # exactly divided by x^e - 1
+            e = N // d
+            q = [0] * (len(poly) - e)
+            for k in range(len(q)):
+                q[k] = (q[k - e] if k >= e else 0) - poly[k]
+            poly = q
+    return tuple(poly)
 
 
 def _check_conductor(N):
     if N < 1:
         raise ConductorOverflow("conductor must be positive")
     if N > MAX_CONDUCTOR:
-        raise ConductorOverflow("conductor %d exceeds cap %d" % (N, MAX_CONDUCTOR))
+        raise ConductorOverflow("conductor %d exceeds cap" % N)
+
+
+def _primes(N):
+    """The distinct primes dividing N, by trial division."""
+    out, p = [], 2
+    while p * p <= N:
+        if N % p == 0:
+            out.append(p)
+            while N % p == 0:
+                N //= p
+        p += 1
+    return out + [N] if N > 1 else out
 
 
 def _totient(N):
-    """Euler's phi(N), the degree of Q(zeta_N), by trial division."""
-    out = m = N
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
+    """Euler's phi(N), the degree of Q(zeta_N)."""
+    for p in _primes(N):
+        N -= N // p
+    return N
 
 
 class _Context:
@@ -114,34 +108,19 @@ class _Context:
             cur = shifted
             rows.append(cur)
         self.red = tuple(rows)
-        self._pows = None
+        # z^0 .. z^m for the largest m asked so far
+        self._pows = [(1,) + (0,) * (phi - 1)]
 
     def power(self, m):
-        """Coordinate vector of z^m (m >= 0), via the lazily built table."""
+        """Coordinate vector of z^m, m taken mod N."""
         m %= self.N
-        if m < self.phi:
-            vec = [0] * self.phi
-            vec[m] = 1
-            return tuple(vec)
-        if self._pows is None:
-            self._pows = {}
-        tab = self._pows
-        if m not in tab:
-            # walk up from the largest cached power (or z^(phi-1))
-            best = max((k for k in tab if k <= m), default=self.phi - 1)
-            if best < self.phi:
-                cur = list(self.power(best))
-            else:
-                cur = list(tab[best])
-            for k in range(best + 1, m + 1):
-                top = cur[-1]
-                cur = [0] + cur[:-1]
-                if top:
-                    for j, r in enumerate(self.red[0]):
-                        cur[j] += top * r
-                if k >= self.phi:
-                    tab[k] = tuple(cur)
-        return tab[m]
+        pows, z_phi = self._pows, self.red[0]
+        while len(pows) <= m:
+            cur = pows[-1]
+            top, nxt = cur[-1], (0,) + cur[:-1]
+            pows.append(tuple(s + top * r for s, r in zip(nxt, z_phi))
+                        if top else nxt)
+        return pows[m]
 
 
 @lru_cache(maxsize=_CONDUCTORS_CACHED)
@@ -237,8 +216,6 @@ class CycloScalar:
             return self
         if M % self.N != 0:
             raise ConductorOverflow("cannot lift conductor %d into %d" % (self.N, M))
-        if M > MAX_CONDUCTOR:
-            raise ConductorOverflow("conductor %d exceeds cap" % M)
         return CycloScalar(M, _lift(self.nums, self.N, M), self.den)
 
     def restrict(self, M):
@@ -479,11 +456,10 @@ def _coerce(x):
 
 
 def _common(a, b):
+    """Two scalars or two matrices over the lcm of their conductors."""
     if a.N == b.N:
         return a, b
     M = lcm(a.N, b.N)
-    if M > MAX_CONDUCTOR:
-        raise ConductorOverflow("conductor %d exceeds cap" % M)
     return a.promote(M), b.promote(M)
 
 
@@ -586,8 +562,8 @@ class CycloMatrix:
             scal.append([(j, _coerce(x)) for j, x in enumerate(row)
                          if x or isinstance(x, CycloScalar)])
         N = lcm(1, *(x.N for row in scal for _, x in row))
-        if N > MAX_CONDUCTOR:
-            raise ConductorOverflow("conductor %d exceeds cap" % N)
+        # all-zero entries build no context to check N
+        _check_conductor(N)
         den = lcm(1, *(x.den for row in scal for _, x in row))
         rows = tuple({j: tuple(c * (den // x.den) for c in x.promote(N).nums)
                       for j, x in row if x} for row in scal)
@@ -626,8 +602,10 @@ class CycloMatrix:
     def promote(self, M):
         if M == self.N:
             return self
-        if M % self.N or M > MAX_CONDUCTOR:
+        if M % self.N:
             raise ConductorOverflow("cannot lift conductor %d into %d" % (self.N, M))
+        # a zero matrix builds no context to check M
+        _check_conductor(M)
         N = self.N
         # the embedding is injective: a nonzero entry stays nonzero
         rows = tuple({j: _lift(v, N, M) for j, v in row.items()} for row in self.rows)
@@ -663,8 +641,7 @@ class CycloMatrix:
             return NotImplemented
         if self.n != other.n:
             return False
-        M = lcm(self.N, other.N)
-        a, b = self.promote(M), other.promote(M)
+        a, b = _common(self, other)
         return a.den == b.den and a.rows == b.rows
 
     def __hash__(self):
@@ -675,18 +652,10 @@ class CycloMatrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _pair(self, other):
-        if self.N == other.N:
-            return self, other
-        M = lcm(self.N, other.N)
-        if M > MAX_CONDUCTOR:
-            raise ConductorOverflow("conductor %d exceeds cap" % M)
-        return self.promote(M), other.promote(M)
-
     def __mul__(self, other):
         if isinstance(other, CycloMatrix):
             assert self.n == other.n
-            a, b = self._pair(other)
+            a, b = _common(self, other)
             ctx = _context(a.N)
             rows = kernel.matmul(a.rows, b.rows, ctx.red, ctx.phi, a.n)
             return CycloMatrix(a.n, a.N, a.den * b.den, tuple(rows))
@@ -718,25 +687,12 @@ class CycloMatrix:
     def _combine(self, other, sign):
         """self + sign * other; entries that cancel are deleted."""
         assert isinstance(other, CycloMatrix) and self.n == other.n
-        a, b = self._pair(other)
+        a, b = _common(self, other)
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, sign * (den // b.den)
-        rows = []
-        for ra, rb in zip(a.rows, b.rows):
-            row = dict(ra) if fa == 1 else {j: tuple(x * fa for x in v)
-                                            for j, v in ra.items()}
-            for j, vb in rb.items():
-                va = row.get(j)
-                if va is None:
-                    row[j] = tuple(y * fb for y in vb)
-                else:
-                    v = tuple(x + y * fb for x, y in zip(va, vb))
-                    if any(v):
-                        row[j] = v
-                    else:
-                        del row[j]
-            rows.append(row)
-        return CycloMatrix(a.n, a.N, den, tuple(rows))
+        rows = tuple(kernel.add_rows(ra, fa, rb, fb)
+                     for ra, rb in zip(a.rows, b.rows))
+        return CycloMatrix(a.n, a.N, den, rows)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -776,7 +732,7 @@ class CycloMatrix:
         """trace(self * other), summed over the nonzero pairs X[i][k] Y[k][i]
         without forming the product."""
         assert self.n == other.n
-        a, b = self._pair(other)
+        a, b = _common(self, other)
         ctx = _context(a.N)
         acc = [0] * ctx.phi
         for i, row in enumerate(a.rows):
@@ -874,8 +830,7 @@ class CycloMatrix:
                 elif M not in zeros:
                     zeros[M] = {"conductor": M, "coeffs": ["0"] * len(nums)}
             ents.append(out)
-        if N > MAX_CONDUCTOR:
-            raise ConductorOverflow("conductor %d exceeds cap" % N)
+        _check_conductor(N)
         rows = tuple({j: tuple(c * (den // d) for c in _lift(nums, M, N))
                       for j, (M, nums, d) in row.items()} for row in ents)
         return CycloMatrix(len(obj), N, den, rows)

@@ -5,7 +5,7 @@ cyclotomic integer ring), `red` holds the reduction rows for the exponents
 phi .. 2*phi-2.  A matrix is a sequence of n sparse rows, each a dict from
 column to the nonzero vector in that column; a zero entry is never stored.
 `matmul` takes and returns such rows; it skips zero coefficients, so its cost
-follows the number of nonzeros.
+follows the number of nonzeros.  `add_rows` is the one sparse row sum.
 """
 
 from math import gcd
@@ -80,6 +80,24 @@ def matmul(A, B, red, phi, n):
             if any(v):
                 out_row[j] = v
         out.append(out_row)
+    return out
+
+
+def add_rows(a, fa, b, fb):
+    """The sparse row fa * a + fb * b.  Entries that cancel are dropped, and
+    neither input row is changed."""
+    out = dict(a) if fa == 1 else {j: tuple(x * fa for x in v)
+                                   for j, v in a.items()}
+    for j, y in b.items():
+        x = out.get(j)
+        if x is None:
+            out[j] = tuple(c * fb for c in y)
+        else:
+            v = tuple(p + q * fb for p, q in zip(x, y))
+            if any(v):
+                out[j] = v
+            else:
+                del out[j]
     return out
 
 

@@ -72,20 +72,7 @@ def _combine(a, b, sign=1):
     N = a[0] if a[0] == b[0] else lcm(a[0], b[0])
     ea, eb = _lift_row(a, N), _lift_row(b, N)
     den = lcm(a[2], b[2])
-    fa, fb = den // a[2], sign * (den // b[2])
-    out = dict(ea) if fa == 1 else {k: tuple(x * fa for x in v)
-                                    for k, v in ea.items()}
-    for k, y in eb.items():
-        x = out.get(k)
-        if x is None:
-            out[k] = tuple(c * fb for c in y)
-        else:
-            v = tuple(p + q * fb for p, q in zip(x, y))
-            if any(v):
-                out[k] = v
-            else:
-                del out[k]
-    return N, out, den
+    return N, kernel.add_rows(ea, den // a[2], eb, sign * (den // b[2])), den
 
 
 def _scale(row, s):

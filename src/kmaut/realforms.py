@@ -32,7 +32,7 @@ from .algebra import make_algebra
 from .autg import InvLabel, omega_automorphism
 from .cyclo import CycloScalar, _context, root_of_unity
 from .errors import (NotCompactMode, NotInvolution, OrderExceedsBound,
-                     UnsupportedOrder)
+                     UnsupportedOrder, WindowTooSmall)
 from .linalg import Span, flatten
 from .loop import (
     AffineElement,
@@ -167,7 +167,10 @@ def _window_involution(phi, N):
     constant part commute with the compact conjugation and its rotation
     phases lie in Q(zeta_M).  Otherwise NotCompactMode, or NotInvolution for
     an order above two, is raised before any work: the order is sought up
-    to two only, so a non-involution costs two compositions."""
+    to two only, so a non-involution costs two compositions.  A negative
+    window N raises WindowTooSmall."""
+    if N is not None and N < 0:
+        raise WindowTooSmall("a window [-N, N] needs N >= 0, not %d" % N)
     if phi.algebra.mode != "compact":
         raise NotCompactMode("real forms and Cartan decompositions live on "
                              "the compact form")

@@ -301,6 +301,42 @@ def test_operator_inverse_is_carried():
         assert A.compose(B).is_identity() and B.compose(A).is_identity()
 
 
+def _k3_twist():
+    """The operator twist of the realized so(8) pair (rho1, rho1') at k = 3."""
+    from kmaut.loopaut import SecondKindInvariant
+    from kmaut.tables import realize
+    so8 = make_algebra("d", 4, "compact")
+    return realize(SecondKindInvariant(so8, 2, (InvLabel(1), InvLabel(1, 1)),
+                                       3)).twist
+
+
+def test_operator_maps_parse():
+    """theta, theta^2, the primed so(8) involutions and the k = 3 twist keep
+    the bracket, so each reads back as itself."""
+    so8 = make_algebra("d", 4, "compact")
+    maps = [triality_automorphism(so8), triality_automorphism(so8, 2),
+            _k3_twist()]
+    maps += [standard_involution(so8, InvLabel(p, e))
+             for p in (1, 2, 3) for e in (1, 2)]
+    for phi in maps:
+        obj = phi.to_json()
+        assert obj["rep"] == "operator"
+        assert Automorphism.from_json(obj) == phi
+
+
+def test_operator_off_the_bracket_is_refused():
+    """D L D^-1 for D = diag(2, 1, ..., 1) is invertible, of the same order
+    and outer power as L, but not an automorphism: it fails at parse."""
+    from kmaut.cyclo import CycloMatrix
+    twist = _k3_twist()
+    L = twist.operator()
+    D = CycloMatrix.diag([2] + [1] * (L.n - 1))
+    obj = dict(twist.to_json(), matrix=(D * L * D.inverse()).to_json())
+    with pytest.raises(MalformedData, match="operator matrix is not an "
+                                            "automorphism of d4"):
+        Automorphism.from_json(obj)
+
+
 def test_label_out_words():
     e6 = make_algebra("e6", None, "compact")
     from kmaut.autg import ID_PERM

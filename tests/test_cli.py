@@ -185,6 +185,42 @@ def _assert_typed_error(rc, out):
         ("ValueError", "TypeError", "KeyError"))
 
 
+def test_so8_operator_off_the_bracket_exits_2(tmp_path, capsys):
+    """The realized so(8) pair (rho1, rho1') at k = 3 with its twist operator
+    L replaced by D L D^-1, D = diag(2, 1, ..., 1): once read back as that
+    pair, it now exits 2 with an error naming the operator."""
+    from kmaut.cyclo import CycloMatrix
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps({"kind": 2, "algebra": {"family": "d", "n": 4},
+                               "pair": ["rho1", "rho1'"], "k": 3}))
+    rc, out = run_cli(["realize", "--in", str(inv)], capsys)
+    assert rc == 0
+    payload = json.loads(out)
+    L = CycloMatrix.from_json(payload["twist"]["matrix"])
+    D = CycloMatrix.diag([2] + [1] * (L.n - 1))
+    payload["twist"]["matrix"] = (D * L * D.inverse()).to_json()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc, out = run_cli(["invariant", "--in", str(bad)], capsys)
+    _assert_typed_error(rc, out)
+    assert "operator" in json.loads(out)["error"]
+
+
+def test_realform_window_zero_and_negative(capsys):
+    """--window 0 is the window [0, 0], not the default; a negative window
+    exits 2."""
+    rc, out = run_cli(["realform", "--pair", "mu,id", "--algebra", "a1",
+                       "--window", "0"], capsys)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["window"] == 0 and payload["bracket_closed"] is True
+    assert payload["coefficient_dims"] == {"0": 1}
+    rc, out = run_cli(["realform", "--pair", "mu,id", "--algebra", "a1",
+                       "--window", "-1"], capsys)
+    _assert_typed_error(rc, out)
+    assert "window" in json.loads(out)["error"]
+
+
 def test_bad_inputs(tmp_path, capsys):
     rc, out = run_cli(["realform", "--pair", "mu", "--algebra", "a1"], capsys)
     assert rc == 2

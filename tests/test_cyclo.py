@@ -31,6 +31,53 @@ def test_cyclotomic_polys():
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
 
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_cyclotomic_polys_multiply_to_x_n_minus_1():
+    """prod_(d | N) Phi_d = x^N - 1, and Phi_N has degree phi(N)."""
+    from kmaut.cyclo import _totient
+    for N in range(1, 301):
+        prod = [1]
+        for d in range(1, N + 1):
+            if N % d == 0:
+                prod = _times(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (N - 1) + [1]
+        assert len(cyclotomic_poly(N)) - 1 == _totient(N)
+
+
+def test_cyclotomic_poly_takes_no_divisor_polynomial():
+    """Phi_N comes from the binomials x^e - 1 alone: one cache miss, for N
+    itself, at a conductor with 48 divisors."""
+    cyclotomic_poly.cache_clear()
+    cyclotomic_poly(9240)
+    assert cyclotomic_poly.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 60])
+def test_power_table_matches_repeated_multiplication(N):
+    """power(m) for -N <= m < 3N, asked in a shuffled order of one fresh
+    context, against z^(m mod N) by shifts and long division by Phi_N."""
+    from kmaut.cyclo import _Context
+    poly = cyclotomic_poly(N)
+    phi = len(poly) - 1
+    want = [(1,) + (0,) * (phi - 1)]
+    for _ in range(N - 1):
+        v = [0] + list(want[-1])
+        top = v.pop()
+        want.append(tuple(c - top * p for c, p in zip(v, poly)))
+    ctx = _Context(N)
+    ms = list(range(-N, 3 * N))
+    random.Random(N).shuffle(ms)
+    for m in ms:
+        assert ctx.power(m) == want[m % N]
+
+
 def test_root_of_unity_basics():
     assert root_of_unity(1, 0) == 1
     i = root_of_unity(4, 1)
@@ -123,6 +170,26 @@ def test_mixed_conductor_promotion():
 def test_conductor_cap():
     with pytest.raises(ConductorOverflow):
         root_of_unity(10 ** 6 + 1, 1)
+
+
+def test_lift_past_the_cap_overflows():
+    """Conductors 997 and 1009 are each allowed, but their lcm is over the
+    cap: a product of scalars and a sum of matrices, zero or not, fail at
+    the first lift, before any context of the three is built."""
+    msg = "^conductor 1005973 exceeds cap$"
+
+    def z(N):  # zeta_N without its context
+        return (0, 1) + (0,) * (N - 3)
+
+    a, b = (CycloScalar(N, z(N), 1, _normalized=True) for N in (997, 1009))
+    with pytest.raises(ConductorOverflow, match=msg):
+        a * b
+    X, Y = (CycloMatrix(2, N, 1, ({0: z(N)}, {1: z(N)}), _normalized=True)
+            for N in (997, 1009))
+    with pytest.raises(ConductorOverflow, match=msg):
+        X + Y
+    with pytest.raises(ConductorOverflow, match=msg):
+        CycloMatrix.zeros(2, 997) + CycloMatrix.zeros(2, 1009)
 
 
 def test_scalar_json_roundtrip():

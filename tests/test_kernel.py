@@ -161,6 +161,35 @@ def test_conv_reduce_matches_long_division(N):
             assert got == ref_mul(a, b, POLY[N])
 
 
+def test_add_rows_drops_cancelled_entries_and_keeps_its_inputs():
+    """fa * a + fb * b entry by entry, with no zero tuple kept; the inputs,
+    which rref may go on to mutate, are neither changed nor returned."""
+    rng = random.Random(5)
+    for _ in range(200):
+        phi = rng.choice((1, 2, 4))
+        a = {j: tuple(rng.randint(-2, 2) for _ in range(phi))
+             for j in rng.sample(range(6), rng.randint(0, 6))}
+        a = {j: v for j, v in a.items() if any(v)}
+        # b shares some entries with a, some of them its exact negatives
+        b = {j: tuple(-x for x in v) if rng.random() < 0.5 else v
+             for j, v in a.items() if rng.random() < 0.6}
+        b.update({j: (1,) * phi for j in range(6, 6 + rng.randint(0, 2))})
+        fa, fb = rng.choice((1, 2)), rng.choice((1, -1, 3))
+        a0, b0 = dict(a), dict(b)
+        got = kernel.add_rows(a, fa, b, fb)
+        want = {}
+        for j in set(a) | set(b):
+            v = tuple(fa * x + fb * y for x, y in
+                      zip(a.get(j, (0,) * phi), b.get(j, (0,) * phi)))
+            if any(v):
+                want[j] = v
+        assert got == want
+        assert got is not a and got is not b and a == a0 and b == b0
+    a = {0: (1, 2), 1: (3, 0)}
+    assert kernel.add_rows(a, 1, {0: (1, 2)}, -1) == {1: (3, 0)}
+    assert a == {0: (1, 2), 1: (3, 0)}
+
+
 def test_rows_gcd_is_gcd_of_coefficients_and_den():
     rng = random.Random(5)
     for phi in (1, 2, 4):

@@ -267,6 +267,22 @@ def test_cartan_decomposition_cases():
     assert len(real_form(refl, N=2).basis) == len(rep["K"]) + len(rep["P"])
 
 
+def test_negative_window_is_refused():
+    """A window [-N, N] with N < 0 is WindowTooSmall from real_form and
+    cartan_decomposition alike, not an empty K whose inclusions all hold;
+    N = 0 is the constant window."""
+    from kmaut.errors import WindowTooSmall
+    su2 = make_algebra("a", 1, "compact")
+    phi = StandardLoopAutomorphism(identity_automorphism(su2), 1, 1, 0, None,
+                                   standard_involution(su2, "rho1"))
+    for build in (real_form, cartan_decomposition):
+        for N in (-1, -2):
+            with pytest.raises(WindowTooSmall):
+                build(phi, N=N)
+    rep = cartan_decomposition(phi, N=0)
+    assert rep["window"] == 0 and rep["K"] and all(rep["inclusions"].values())
+
+
 def test_cartan_decomposition_twisted():
     su2 = make_algebra("a", 1, "compact")
     tau = standard_involution(su2, "rho1")
