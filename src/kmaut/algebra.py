@@ -200,7 +200,7 @@ class SimpleAlgebra:
         meet are multiplied, the entries of b_i b_j - b_j b_i are read as
         `coords` reads a matrix, and K is the killing scale times
         tr(b_i b_j)."""
-        sup, n, m = self._supports(), self.dim, self.size
+        sup, n = self._supports(), self.dim
         in_row = {}
         for b, ents in enumerate(sup):
             for i, j, s in ents:
@@ -218,10 +218,9 @@ class SimpleAlgebra:
                     if a != b:
                         e = comm.setdefault((a, b) if a < b else (b, a), {})
                         e[i, j2] = e.get((i, j2), 0) + (v if a < b else -v)
-        # the entry coords reads per basis element; on the a family the
-        # Cartan coordinates are prefix sums of the diagonal instead
-        cartan = n - m + 1 if self.family == "a" else n
-        read = {sup[k][0][:2]: k for k in range(cartan)}
+        # read as coords reads: the a-family Cartan by diagonal prefix sums
+        read = self._reads()
+        cartan = len(read)
         C = [[()] * n for _ in range(n)]
         for (a, b), e in comm.items():
             row = {read[p]: v for p, v in e.items() if v and p in read}
@@ -262,21 +261,32 @@ class SimpleAlgebra:
                            for j, v in sorted(row.items()))
                      for b in self.basis())
 
+    @lru_cache(maxsize=_KEYS_CACHED)
+    def _reads(self):
+        """{(i, j): k}, (i, j) the first +1 of basis element k off the a-family
+        Cartan: the entry that holds its coordinate."""
+        sup = self._supports()
+        cartan = self.dim - self.size + 1 if self.family == "a" else self.dim
+        return {sup[k][0][:2]: k for k in range(cartan)}
+
     def coords(self, M):
         """Coordinates of M w.r.t. basis(), as a packed row (entries, den)
-        over M's conductor; closed form, no linear solve: the entry at the
-        first +1 of each basis element, summed over the a-family Cartan."""
+        over M's conductor; no linear solve: M's stored entries are read
+        through `_reads`, and the a-family Cartan summed over the diagonal."""
         self._need_matrix()
+        reads = self._reads()
         out = {}
-        for k, ((i, j, _), *_) in enumerate(self._supports()):
-            if j in M.rows[i]:
-                out[k] = M.rows[i][j]
+        for i, row in enumerate(M.rows):
+            for j, v in row.items():
+                k = reads.get((i, j))
+                if k is not None:
+                    out[k] = v
         if self.family == "a":
             # the k-th Cartan coordinate is the sum of the first k + 1
             # diagonal entries
             acc = zero = (0,) * _context(M.N).phi
-            for k in range(self.dim - self.size + 1, self.dim):
-                acc = tuple(x + y for x, y in zip(acc, out.pop(k, zero)))
+            for i, k in enumerate(range(self.dim - self.size + 1, self.dim)):
+                acc = tuple(x + y for x, y in zip(acc, M.rows[i].get(i, zero)))
                 if any(acc):
                     out[k] = acc
         return out, M.den

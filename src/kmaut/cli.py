@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from .autg import InvLabel, parse_label
 from .cyclo import _json_int
@@ -230,7 +231,15 @@ def main(argv=None):
             print(json.dumps({"error": "argument parsing failed"}))
         return code
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: the rest goes to the null device, quietly
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 1
     except KmautError as exc:
         print(json.dumps({"error": str(exc)}))
         return 2

@@ -145,9 +145,12 @@ def _galois_table(N, k):
 
 
 def _lift(nums, N, M):
-    """Map a coordinate vector from conductor N to conductor M (N | M)."""
+    """Map a coordinate vector from conductor N to conductor M (N | M); a
+    rational one (N in {1, 2}) is padded with zeros."""
     if N == M:
         return nums
+    if len(nums) == 1:
+        return (nums[0],) + (0,) * (_context(M).phi - 1)
     return _apply_table(nums, _embedding(N, M), _context(M).phi)
 
 

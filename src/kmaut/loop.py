@@ -11,12 +11,14 @@ them through `from_coords`.  Loop automorphisms (`loopaut`) act on the rows.
 
 Everything else is bilinear in the coordinates.  The bracket is coefficient
 convolution through the structure constants (C, K, den) of the algebra, in
-the one convolution `_convolve` that the window rows of `_parts_bracket`
-share; the extended algebra adds the derivation terms and the cocycle
-(u', v) c, which pair coefficients through the Killing Gram matrix K.  Each
-result coefficient carries the conductor the matrix computation gives it:
-the lcm of the conductors of its nonzero contributions, lifted to that of i
-where a derivative term reaches it.
+the one convolution helper `_convolution` over `_convolve`, which the window
+rows of `_parts_bracket` share; the extended algebra adds the derivation
+terms to the same raw rows and the cocycle (u', v) c, and each degree is put
+in lowest terms once.  The form and the cocycle are one weighted pairing sum
+through the Killing Gram matrix K (`_form`).  Each result coefficient
+carries the conductor the matrix computation gives it: the lcm of the
+conductors of its nonzero contributions, lifted to that of i where a
+derivative term reaches it.
 """
 
 from __future__ import annotations
@@ -75,27 +77,27 @@ def _combine(a, b, sign=1):
     return N, kernel.add_rows(ea, den // a[2], eb, sign * (den // b[2])), den
 
 
-def _scale(row, s):
-    """row * s for a CycloScalar, int or Fraction s, at the lcm of the
-    conductors (a rational s keeps the row's); the empty row if s = 0."""
+def _scale(row, s, n=1, l=1):
+    """row * s * n / l for a CycloScalar, int or Fraction s and integers n, l
+    (folded into s), at the lcm of the conductors (a rational s keeps the
+    row's); the empty row if s n = 0."""
     N = row[0]
     if isinstance(s, CycloScalar):
         M = lcm(N, s.N)
-        nums, sden = _lift(s.nums, s.N, M), s.den
+        nums, sden = tuple(n * a for a in _lift(s.nums, s.N, M)), s.den * l
     else:
         s = Fraction(s)
-        M, nums, sden = N, (s.numerator,), s.denominator
+        M, nums, sden = N, (s.numerator * n,), s.denominator * l
     if not any(nums):
         return M, {}, 1
     ents = _lift_row(row, M)
-    if not any(nums[1:]):
-        c = nums[0]
-        return M, {k: tuple(x * c for x in v) for k, v in ents.items()}, \
-            row[2] * sden
-    ctx = _context(M)
-    conv = kernel.conv_reduce
-    return M, {k: conv(v, nums, ctx.red, ctx.phi) for k, v in ents.items()}, \
-        row[2] * sden
+    if any(nums[1:]):
+        ctx = _context(M)
+        ents = {k: kernel.conv_reduce(v, nums, ctx.red, ctx.phi)
+                for k, v in ents.items()}
+    else:
+        ents = {k: tuple(x * nums[0] for x in v) for k, v in ents.items()}
+    return M, ents, row[2] * sden
 
 
 def _convolve(acc, x, y, C, red, phi):
@@ -118,40 +120,35 @@ def _convolve(acc, x, y, C, red, phi):
                             w[r] += c * st[r]
 
 
-def _pairing(x, y, K, red, phi):
-    """sum_(i, j) x_i y_j K[i][j] as phi integers: the numerators of the
-    Killing form of two coordinate vectors over the denominators of x, y
-    and the Gram matrix."""
+def _pairing(pairs, K, red, phi):
+    """sum_(w, x, y) w sum_(i, j) x_i y_j K[i][j] as phi integers, for integer
+    weights w: a weighted Killing pairing sum of coordinate vectors."""
     conv = kernel.conv_reduce
     acc = [0] * phi
-    for i, s in x.items():
-        Ki = K[i]
-        for j, t in y.items():
-            kij = Ki[j]
-            if kij:
-                st = conv(s, t, red, phi)
-                for r in range(phi):
-                    acc[r] += kij * st[r]
+    for w, x, y in pairs:
+        for i, s in x.items():
+            Ki = K[i]
+            for j, t in y.items():
+                kij = Ki[j]
+                if kij:
+                    st = conv(s, t, red, phi)
+                    kij *= w
+                    for r in range(phi):
+                        acc[r] += kij * st[r]
     return acc
 
 
-def _form(algebra, pairs):
-    """sum f K(x, y) over (f, x, y), f rational and x, y coefficient rows,
-    as a CycloScalar at the lcm of the conductors of the rows: the zero of
-    conductor 1 when there are no pairs."""
+def _form(algebra, pairs, N=1):
+    """sum w K(x, y) over (w, x, y), w an integer and x, y coefficient rows,
+    as (M, numerators, den) over Q(zeta_M), M the lcm of N and the rows'
+    conductors: the pairing sum that `loop_form` and the cocycle share."""
     _, K, D = algebra.structure_constants()
-    N = lcm(1, *(r[0] for _, x, y in pairs for r in (x, y)))
+    N = lcm(N, *(r[0] for _, x, y in pairs for r in (x, y)))
+    den = lcm(1, *(x[2] * y[2] for _, x, y in pairs))
     ctx = _context(N)
-    acc, den = [0] * ctx.phi, 1
-    for f, x, y in pairs:
-        f = Fraction(f)
-        val = _pairing(_lift_row(x, N), _lift_row(y, N), K, ctx.red, ctx.phi)
-        d = x[2] * y[2] * D * f.denominator
-        g = lcm(den, d)
-        acc = [a * (g // den) + f.numerator * w * (g // d)
-               for a, w in zip(acc, val)]
-        den = g
-    return CycloScalar(N, tuple(acc), den)
+    return N, _pairing([(w * (den // (x[2] * y[2])), _lift_row(x, N),
+                         _lift_row(y, N)) for w, x, y in pairs],
+                       K, ctx.red, ctx.phi), den * D
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +357,12 @@ class AffineElement:
 # operations
 # ---------------------------------------------------------------------------
 
-def loop_bracket(u, v):
-    """Pointwise bracket: the convolution sum_(a+b=n) [u_a, v_b] through the
-    structure constants.  Each pair is formed at the lcm of its conductors,
-    and a nonzero one is summed into degree n, which so carries the lcm of
-    the conductors of its nonzero pairs; a degree whose pairs cancel is
-    dropped."""
+def _convolution(u, v):
+    """The rows {n: (N, entries, den)} of sum_(a+b=n) [u_a, v_b] through the
+    structure constants, not in lowest terms.  Each pair is formed at the
+    lcm of its conductors, and a nonzero one is summed into degree n, which
+    so carries the lcm of the conductors of its nonzero pairs; a degree
+    whose pairs cancel is left out."""
     u._compat(v)
     C, _, D = u.algebra.structure_constants()
     out = {}
@@ -380,7 +377,12 @@ def loop_bracket(u, v):
                 row = N, ents, x[2] * y[2] * D
                 n = a + b
                 out[n] = _combine(out[n], row) if n in out else row
-    return u._like(out)
+    return {n: r for n, r in out.items() if r[1]}
+
+
+def loop_bracket(u, v):
+    """Pointwise bracket: `_convolution`, each degree in lowest terms."""
+    return u._like(_convolution(u, v))
 
 
 def loop_form(u, v):
@@ -391,14 +393,14 @@ def loop_form(u, v):
     zero by eigenspace orthogonality.  The value carries the lcm of the
     conductors of the pairing coefficients."""
     u._compat(v)
-    return _form(u.algebra, [(1, x, v.rows[-n]) for n, x in u.rows.items()
-                             if -n in v.rows])
+    pairs = [(1, x, v.rows[-n]) for n, x in u.rows.items() if -n in v.rows]
+    return CycloScalar(*_form(u.algebra, pairs))
 
 
 def derivative(u):
     """u' with coefficientwise factor i*n/l, at the lcm of each coefficient's
     conductor and that of i."""
-    return u._like({n: _scale(r, _I * Fraction(n, u.l))
+    return u._like({n: _scale(r, _I, n, u.l)
                     for n, r in u.rows.items() if n})
 
 
@@ -408,21 +410,26 @@ def affine_bracket(x, y):
     The derivative terms of each degree are (n/l) (i b v_n - i e u_n), with
     i b v_n at the lcm of the conductors of v_n, b and i (i e u_n likewise),
     so a degree that receives one is lifted to the conductor of i even
-    where the terms cancel.  The cocycle is i sum_n (n/l) K(u_n, v_-n),
-    multiplied by i only when some degree n != 0 pairs."""
+    where the terms cancel; each degree is put in lowest terms once.  The
+    cocycle is i sum_n (n/l) K(u_n, v_-n), at the conductor of i only when
+    some degree n != 0 pairs."""
     u, v = x.loop, y.loop
-    u._compat(v)
+    out = _convolution(u, v)
     l = u.l
-    out = dict(loop_bracket(u, v).rows)
     for s, w in ((x.d and _I * x.d, v.rows), (y.d and _I * -y.d, u.rows)):
         if s:
             for n, r in w.items():
                 if n:
-                    t = _scale(r, s * Fraction(n, l))
+                    t = _scale(r, s, n, l)
                     out[n] = _combine(out[n], t) if n in out else t
-    pairs = [(Fraction(n, l), r, v.rows[-n]) for n, r in u.rows.items()
+    pairs = [(n, r, v.rows[-n]) for n, r in u.rows.items()
              if n and -n in v.rows]
-    cocycle = _form(u.algebra, pairs) * _I if pairs else _ZERO
+    cocycle = _ZERO
+    if pairs:
+        N, nums, den = _form(u.algebra, pairs, 4)
+        ctx = _context(N)
+        cocycle = CycloScalar(N, kernel.conv_reduce(
+            nums, ctx.power(N // 4), ctx.red, ctx.phi), den * l)
     return AffineElement(u._like(out), cocycle, _ZERO)
 
 
@@ -545,12 +552,8 @@ def _parts_bracket(algebra, l, x, y, N, M):
                     acc = deriv.setdefault((n + N) * dim + k, [0] * phi)
                     for r in range(phi):
                         acc[r] += sign * n * st[r]
-    cocycle = [0] * phi
-    for n, up in u.items():
-        vq = v.get(-n)
-        if n and vq:
-            for r, a in enumerate(_pairing(up, vq, K, red, phi)):
-                cocycle[r] += n * a
+    cocycle = _pairing([(n, up, v[-n]) for n, up in u.items()
+                        if n and -n in v], K, red, phi)
     if any(cocycle):
         deriv[(2 * N + 1) * dim] = cocycle
     if deriv:

@@ -121,16 +121,30 @@ def _coords_scalars(alg, M):
 
 
 @pytest.mark.parametrize("N", [1, 4, 12])
-@pytest.mark.parametrize("family,n", [("a", 1), ("a", 3), ("b", 2),
-                                      ("c", 3), ("d", 4)])
+@pytest.mark.parametrize("family,n", [("a", n) for n in range(1, 8)]
+                         + [("b", n) for n in range(2, 6)]
+                         + [("c", n) for n in range(3, 7)]
+                         + [("d", n) for n in range(4, 9)])
 def test_packed_coords_roundtrip(family, n, N):
-    """from_coords and coords are inverse on packed rows over Q(zeta_N):
-    zero coordinates stay unstored, the a-family Cartan coordinates are
-    partial sums of the diagonal, and the zero vector gives the zero
-    matrix of conductor 1."""
+    """from_coords and coords are inverse on packed rows over Q(zeta_N), on
+    every algebra the benchmark and the selftest use: zero coordinates stay
+    unstored, the a-family Cartan coordinates are partial sums of the
+    diagonal, and the zero vector gives the zero matrix of conductor 1.
+    coords walks M's stored entries through `_reads`, which needs that off
+    the a-family Cartan the entry read for each basis element (its first
+    +1) is a different entry for every basis element and lies in no other
+    one."""
     rng = random.Random(N * 100 + n)
     alg = make_algebra(family, n, "complex")
     phi = _context(N).phi
+    basis, sup = alg.basis(), alg._supports()
+    cartan = alg.dim - alg.size + 1 if family == "a" else alg.dim
+    reads = [sup[k][0] for k in range(cartan)]
+    assert all(v == 1 for _, _, v in reads)
+    assert len({(i, j) for i, j, _ in reads}) == cartan
+    for k, (i, j, _) in enumerate(reads):
+        assert [t for t, b in enumerate(basis) if j in b.rows[i]] == [k]
+    assert alg._reads() == {(i, j): k for k, (i, j, _) in enumerate(reads)}
     for _ in range(4):
         den = rng.randint(1, 5)
         coef = {k: tuple(rng.randint(-2, 2) for _ in range(phi))
@@ -416,9 +430,10 @@ def test_algebra_tables_are_bounded():
     for family, lo, hi in (("a", 1, 17), ("b", 2, 10), ("c", 3, 10), ("d", 4, 10)):
         for k in range(lo, hi):
             for mode in ("compact", "complex"):
-                algebra.SimpleAlgebra(family, k, mode).basis()
+                alg = algebra.SimpleAlgebra(family, k, mode)
+                alg.coords(CycloMatrix.zeros(alg.size))
     for cache in (algebra.tau_matrix, algebra.j_matrix, algebra.make_algebra,
-                  algebra.SimpleAlgebra.basis):
+                  algebra.SimpleAlgebra.basis, algebra.SimpleAlgebra._reads):
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
         assert info.misses > info.maxsize

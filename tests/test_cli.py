@@ -392,6 +392,43 @@ def test_table_output_byte_stable(capsys):
     assert out1 == out2
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is that of a scratch file, which the CLI may point
+    at the null device."""
+
+    def __init__(self, path):
+        self.sink = open(path, "w")
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.sink.fileno()
+
+
+@pytest.mark.parametrize("args", [
+    ["tables", "--family", "a", "--n", "1", "--k", "1", "--kind", "2"],
+    ["realform", "--pair", "rho0,rho1", "--algebra", "a1", "--window", "1"],
+])
+def test_closed_stdout_ends_quietly(args, tmp_path, monkeypatch, capsys):
+    """When stdout's reader goes away, main returns 1 without raising and
+    without a second write: no JSON error follows the output it cut."""
+    pipe = _ClosedPipe(tmp_path / "sink")
+    monkeypatch.setattr(sys, "stdout", pipe)
+    try:
+        assert main(args) == 1
+    finally:
+        pipe.sink.close()
+    assert len(pipe.writes) == 1 and "error" not in pipe.writes[0]
+    assert capsys.readouterr().err == ""
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "kmaut.cli", "tables",
                            "--family", "a", "--n", "2", "--kind", "1",

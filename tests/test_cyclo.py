@@ -9,6 +9,11 @@ from kmaut import linalg
 from kmaut.cyclo import (
     CycloMatrix,
     CycloScalar,
+    _apply_table,
+    _context,
+    _embedding,
+    _lift,
+    _totient,
     cyclotomic_poly,
     finite_order_eigenprojectors,
     pfaffian,
@@ -165,6 +170,18 @@ def test_mixed_conductor_promotion():
     c = a * b
     assert c.N == 12
     assert c == root_of_unity(12, 3) * root_of_unity(12, 2)
+
+
+@pytest.mark.parametrize("N,M", [(N, M) for N in (1, 2)
+                                 for M in (3, 4, 5, 8, 12, 420) if M % N == 0])
+def test_rational_lift_pads_with_zeros(N, M):
+    """A coordinate vector of length 1 (N in {1, 2}) lifts to the tuple of
+    length phi(M) that the embedding table gives: its value, then zeros."""
+    for a in (0, 1, -3, 7, 10 ** 30):
+        got = _lift((a,), N, M)
+        assert type(got) is tuple and len(got) == _totient(M)
+        assert got == _apply_table((a,), _embedding(N, M), _context(M).phi)
+        assert got == (a,) + (0,) * (_totient(M) - 1)
 
 
 def test_conductor_cap():

@@ -32,7 +32,8 @@ from kmaut.loop import (
     row_bracket,
     window_basis,
 )
-from kmaut.selftest import random_affine_element, random_loop_element
+from kmaut.selftest import (default_twist, loop_test_algebras,
+                            random_affine_element, random_loop_element)
 
 
 def sl2_setup():
@@ -473,6 +474,59 @@ def reference_affine_bracket(x, y):
         cocycle = cocycle * i
     return AffineElement(LoopElement(alg, u.twist, l, out, validate=False),
                          cocycle, 0)
+
+
+def reference_derivative(u):
+    """u' on coefficient matrices: u_n times i n / l."""
+    i = root_of_unity(4, 1)
+    return LoopElement(u.algebra, u.twist, u.l,
+                       {n: M * (i * Fraction(n, u.l))
+                        for n, M in u.coeffs.items() if n}, validate=False)
+
+
+def _zeta3_scaled(x, rng):
+    """x with one coefficient times zeta_3 and its d made nonzero."""
+    u = x.loop
+    coeffs = u.coeffs
+    if coeffs:
+        n = rng.choice(sorted(coeffs))
+        coeffs[n] = coeffs[n] * root_of_unity(3, 1)
+    return AffineElement(LoopElement(u.algebra, u.twist, u.l, coeffs,
+                                     validate=False), x.c, x.d or 1)
+
+
+@pytest.mark.parametrize("alg", loop_test_algebras(), ids=lambda a: a.label())
+def test_affine_bracket_matches_the_matrix_path(alg):
+    """On every algebra of the identity checks, with its default twist, the
+    JSON of affine_bracket, loop_form and derivative is that of the matrix
+    computation, every coefficient's conductor and that of c included.  d
+    is nonzero on both sides, and one coefficient of x is scaled by
+    zeta_3, so that rows of conductors 1, 3, 4 and 12 (2, 6, 4 and 12
+    under mu) meet, and the lifts take the embedding tables as well as the
+    rational lift."""
+    twist, l = default_twist(alg)
+    rng = random.Random(alg.dim)
+    met = set()
+    for _ in range(4):
+        x, y, z = (random_affine_element(alg, twist, l, rng) for _ in range(3))
+        x = _zeta3_scaled(x, rng)
+        y = AffineElement(y.loop, y.c, y.d or Fraction(-1, 2))
+        xy = affine_bracket(x, y)
+        for a, b in ((x, y), (y, x), (x, x), (xy, z), (z, xy), (xy, x)):
+            got = affine_bracket(a, b)
+            assert got.to_json() == reference_affine_bracket(a, b).to_json()
+            u, v = a.loop, b.loop
+            met |= {(r[0], t[0]) for r in u.rows.values()
+                    for t in v.rows.values()}
+            assert loop_form(u, v).to_json() == reference_loop_form(
+                alg, l, u.coeffs, v.coeffs).to_json()
+            assert derivative(u).to_json() == reference_derivative(u).to_json()
+    # conductor 2 stands in for 1 and 6 for 3 where the twist's eigenspaces
+    # carry zeta_2; two irrational conductors meet through a lift table
+    conductors = {N for pair in met for N in pair}
+    assert {4, 12} <= conductors and {1, 2} & conductors \
+        and {3, 6} & conductors
+    assert any(a != b and min(a, b) > 2 for a, b in met)
 
 
 def _affine_twists():
