@@ -116,11 +116,15 @@ class _Context:
         m %= self.N
         pows, z_phi = self._pows, self.red[0]
         while len(pows) <= m:
-            cur = pows[-1]
-            top, nxt = cur[-1], (0,) + cur[:-1]
-            pows.append(tuple(s + top * r for s, r in zip(nxt, z_phi))
-                        if top else nxt)
+            pows.append(_times_z(pows[-1], z_phi))
         return pows[m]
+
+
+def _times_z(v, z_phi):
+    """The coordinate vector of z v, z^phi being z_phi: the step of every
+    walk through the powers of z."""
+    top, nxt = v[-1], (0,) + v[:-1]
+    return tuple(s + top * r for s, r in zip(nxt, z_phi)) if top else nxt
 
 
 @lru_cache(maxsize=_CONDUCTORS_CACHED)
@@ -139,9 +143,26 @@ def _embedding(N, M):
 
 @lru_cache(maxsize=4 * _CONDUCTORS_CACHED)
 def _galois_table(N, k):
-    """Images of basis powers under the field automorphism z -> z^k."""
+    """Images of basis powers under the field automorphism z -> z^k: the
+    vectors of z^(ik mod N), i < phi(N).  Below phi a power is a unit
+    vector, and up to 2 phi - 2 it is a reduction row; the ones above are
+    kept as one walk on from the last reduction row meets them, so that the
+    other powers are never held."""
     ctx = _context(N)
-    return tuple(ctx.power(i * k % N) for i in range(ctx.phi))
+    phi, red = ctx.phi, ctx.red
+    out = [None] * phi
+    m = phi + len(red) - 1
+    cur = red[-1]
+    for target, i in sorted((i * k % N, i) for i in range(phi)):
+        if target < phi:
+            out[i] = (0,) * target + (1,) + (0,) * (phi - 1 - target)
+        elif target - phi < len(red):
+            out[i] = red[target - phi]
+        else:
+            for _ in range(target - m):
+                cur = _times_z(cur, red[0])
+            out[i], m = cur, target
+    return tuple(out)
 
 
 def _lift(nums, N, M):
@@ -726,10 +747,14 @@ class CycloMatrix:
         return self.conj().transpose()
 
     def trace(self):
-        t = CycloScalar.from_rational(0, self.N)
-        for i in range(self.n):
-            t = t + self.entry(i, i)
-        return t
+        """The sum of the diagonal, formed on its coordinate tuples."""
+        acc = [0] * _context(self.N).phi
+        for i, row in enumerate(self.rows):
+            v = row.get(i)
+            if v is not None:
+                for t, c in enumerate(v):
+                    acc[t] += c
+        return CycloScalar(self.N, tuple(acc), self.den)
 
     def trace_mul(self, other):
         """trace(self * other), summed over the nonzero pairs X[i][k] Y[k][i]

@@ -5,7 +5,8 @@ cyclotomic integer ring), `red` holds the reduction rows for the exponents
 phi .. 2*phi-2.  A matrix is a sequence of n sparse rows, each a dict from
 column to the nonzero vector in that column; a zero entry is never stored.
 `matmul` takes and returns such rows; it skips zero coefficients, so its cost
-follows the number of nonzeros.  `add_rows` is the one sparse row sum.
+follows the number of nonzeros.  `conv_reduce` multiplies two vectors, in
+closed form at phi 1 and 2.  `add_rows` is the one sparse row sum.
 """
 
 from math import gcd
@@ -16,6 +17,13 @@ IMPL = "python"
 def conv_reduce(a, b, red, phi):
     if phi == 1:
         return (a[0] * b[0],)
+    if phi == 2:
+        # conductors 3, 4 and 6: z^2 = r0 + r1 z
+        a0, a1 = a
+        b0, b1 = b
+        top = a1 * b1
+        r0, r1 = red[0]
+        return (a0 * b0 + top * r0, a0 * b1 + a1 * b0 + top * r1)
     work = [0] * (2 * phi - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -10,16 +10,24 @@ Every real structure here is a fixed part, taken by one routine
 space: the averages (e + phi(e)) / 2 span the fixed vectors over Q.  The
 real form of a compact involution is the fixed part of its conjugate-linear
 extension (`real_form`); it is K + iP for the +-1 split K + P of the
-involution on the compact window (`cartan_decomposition`).  Independence
-is decided on rows of algebra coordinates over Q(zeta_M)
-(`loop._affine_row`) flattened over Q.  Complex conjugation fixes the real
-field F = Q(zeta_M)^+, of degree phi(M)/2, so a real structure is an
-F-space, and its Q-dimensions are [F : Q] times its dimensions over F.
-Bracket closure (`closed_under_bracket` and the three Cartan inclusions) is
-checked on the same rows: each element's row is split once
-(`loop._row_parts`), each bracket is formed from the split rows of its two
+involution on the compact window (`cartan_decomposition`), whose K and P
+come from one pass over the pairs.  Independence is decided on rows of
+algebra coordinates over Q(zeta_M) (`loop._affine_row`) flattened over Q.
+Complex conjugation fixes the real field F = Q(zeta_M)^+, of degree
+phi(M)/2, so a real structure is an F-space, and its Q-dimensions are
+[F : Q] times its dimensions over F.
+
+Each window row is formed once.  `_fixed_part` takes the rows of e and
+phi(e), forms the row of (e +- phi(e)) / 2 from them, and builds that
+element only when its row is independent; `real_form` forms the rows of a
+twist eigenvector u and of psi(u) once and scales them by each field basis
+element z and conj(z).  Bracket closure (`closed_under_bracket` and the
+three Cartan inclusions) is checked on the kept rows, each split once
+(`loop._row_parts`): each bracket is formed from the split rows of its two
 factors through the algebra's structure constants (`loop._parts_bracket`),
-and its row reaches the span unreduced, since the span reduces it.
+and its row reaches the span unreduced, since the span reduces it.  A pair
+whose factors have no d coordinate and whose degree sums |p + q| all exceed
+the window is skipped: its bracket is zero or leaves the window.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .autg import InvLabel, omega_automorphism
 from .cyclo import CycloScalar, _context, root_of_unity
 from .errors import (NotCompactMode, NotInvolution, OrderExceedsBound,
                      UnsupportedOrder, WindowTooSmall)
+from .kernel import add_rows
 from .linalg import Span, flatten
 from .loop import (
     AffineElement,
@@ -40,6 +49,7 @@ from .loop import (
     _affine_row,
     _parts_bracket,
     _row_parts,
+    _scale,
     window_basis,
 )
 from .loopaut import (
@@ -144,20 +154,32 @@ def _real_field_basis(M):
         for t in range(1, _context(M).phi // 2)]
 
 
-def _fixed_part(pairs, M, N, sign=1):
-    """The fixed part (sign 1) or the negated part (sign -1) of an
-    involution phi, from pairs (e, phi(e)) of affine elements over
-    Q(zeta_M) whose e span a phi-stable Q-space: each (e + sign phi(e)) / 2
-    independent of the ones before it, and their Q-span on the window
-    [-N, N]."""
+def _fixed_part(rows, build, M, N, dim=None, signs=(1,)):
+    """The fixed part (sign 1) and the negated part (sign -1) of an
+    involution phi, for each of signs, from pairs (e, phi(e)) of affine
+    elements over Q(zeta_M) whose e span a phi-stable Q-space.  Pair j is
+    given by rows[j], the rows of e and phi(e) on the window [-N, N]
+    (`loop._affine_row`), and build(j), which makes e and phi(e).
+
+    One pass over the pairs yields, per sign, each (e + sign phi(e)) / 2
+    whose row, formed from the pair's rows, is independent of the ones
+    before it, their Q-span and, given the algebra's dimension dim, their
+    `_row_parts`; an element is built only when its row is kept."""
     half = Fraction(1, 2)
-    span = Span()
-    out = []
-    for e, img in pairs:
-        x = (e + img if sign == 1 else e - img) * half
-        if span.add(_affine_qvec(x, M, N)):
-            out.append(x)
-    return out, span
+    parts = [([], Span(), []) for _ in signs]
+    for j, ((ee, de), (ei, di)) in enumerate(rows):
+        den = lcm(de, di)
+        made = None
+        for sign, (out, span, split) in zip(signs, parts):
+            row = add_rows(ee, den // de, ei, sign * (den // di)), 2 * den
+            if span.add(flatten(row, M)):
+                if made is None:
+                    made = build(j)
+                e, img = made
+                out.append((e + img if sign == 1 else e - img) * half)
+                if dim is not None:
+                    split.append(_row_parts(row, N, dim))
+    return parts
 
 
 def _window_involution(phi, N):
@@ -204,25 +226,40 @@ def real_form(phi, N=None):
     first-kind psi maps degree n to -n, so there each element pairs degrees
     -n and n."""
     M, N = _window_involution(phi, N)
-    algebra, tw, l = phi.algebra, phi.twist, phi.l
+    algebra, tw, l, dim = phi.algebra, phi.twist, phi.l, phi.algebra.dim
     psi = conj_linear_extend(phi)
-    scalars = _field_basis(M)
+    scalars = [(z, z.conj()) for z in _field_basis(M)]
+    units = [(u, psi.apply(u)) for u in window_basis(algebra, tw, l, N)]
 
-    def pairs():
-        for u in window_basis(algebra, tw, l, N):
-            pu = psi.apply(u)
-            for z in scalars:
-                yield AffineElement(u * z), AffineElement(pu * z.conj())
+    def rows():
+        for pair in units:
+            ru, rp = (_affine_row(AffineElement(v), N, M) for v in pair)
+            for z, zc in scalars:
+                yield _scaled(ru, z, M), _scaled(rp, zc, M)
 
-    out, _ = _fixed_part(pairs(), M, N)
+    def build(j):
+        (u, pu), (z, zc) = units[j // len(scalars)], scalars[j % len(scalars)]
+        return AffineElement(u * z), AffineElement(pu * zc)
+
+    [(out, span, split)] = _fixed_part(rows(), build, M, N, dim)
     # c and d go in by hand: through the extension, the zero c of the d
     # elements would keep conductor 4 (a zero does) and change the JSON
     i = root_of_unity(4, 1)
     zero = LoopElement.zero(algebra, tw, l)
     for f in _real_field_basis(M):
         f = f if phi.epsilon == 1 else i * f
-        out += [AffineElement(zero, c=f), AffineElement(zero, d=f)]
-    return RealFormBasis(algebra, phi, N, l, out)
+        for x in (AffineElement(zero, c=f), AffineElement(zero, d=f)):
+            row = _affine_row(x, N, M)
+            span.add(flatten(row, M))
+            split.append(_row_parts(row, N, dim))
+            out.append(x)
+    return RealFormBasis(algebra, phi, N, l, out, (span, split))
+
+
+def _scaled(row, z, M):
+    """The packed row over Q(zeta_M) times a scalar z of Q(zeta_M)."""
+    _, ents, den = _scale((M,) + row, z)
+    return ents, den
 
 
 def real_form_basis(algebra, pair, N=None):
@@ -234,14 +271,19 @@ def real_form_basis(algebra, pair, N=None):
 
 
 class RealFormBasis:
-    __slots__ = ("algebra", "phi", "window", "l", "basis")
+    """A real form's window basis.  `real_form` hands over the span of the
+    basis rows and their `_row_parts`, which it formed; a basis built
+    without them forms its own on each closure check."""
 
-    def __init__(self, algebra, phi, window, l, basis):
+    __slots__ = ("algebra", "phi", "window", "l", "basis", "_rows")
+
+    def __init__(self, algebra, phi, window, l, basis, rows=None):
         self.algebra = algebra
         self.phi = phi
         self.window = window
         self.l = l
         self.basis = basis
+        self._rows = rows
 
     def loop_elements(self):
         return [b for b in self.basis if not b.loop.is_zero()]
@@ -261,30 +303,36 @@ class RealFormBasis:
     def closed_under_bracket(self):
         """Brackets of window elements with window-bounded support must be
         rational combinations of the basis."""
-        M = lcm(4, 2 * self.l)
-        span = Span(_affine_qvec(b, M, self.window) for b in self.basis)
-        return _brackets_in(self.basis, self.basis, span, M, self.window)
+        M, N = lcm(4, 2 * self.l), self.window
+        span, split = self._rows or _span_and_parts(self.basis, M, N)
+        return _brackets_in(self.algebra, self.l, split, split, span, M, N)
 
 
-def _brackets_in(xs, ys, span, M, N):
-    """Whether every bracket [x, y] supported in the window lies in span,
-    each formed on rows through the structure constants
-    (`loop._parts_bracket`) from the rows of x and y, each split once;
-    a bracket's row reaches the span unreduced.
+def _span_and_parts(elts, M, N):
+    """The Q-span of the rows of affine elements over Q(zeta_M) on the
+    window [-N, N] and their `_row_parts`."""
+    rows = [_affine_row(x, N, M) for x in elts]
+    return (Span(flatten(r, M) for r in rows),
+            [_row_parts(r, N, x.loop.algebra.dim) for x, r in zip(elts, rows)])
+
+
+def _brackets_in(algebra, l, xs, ys, span, M, N):
+    """Whether every bracket [x, y] supported in the window [-N, N] lies in
+    span, for xs and ys the `_row_parts` of affine elements over Q(zeta_M)
+    whose loop parts have conductor l: each bracket is formed on rows
+    through the structure constants (`loop._parts_bracket`), and its row
+    reaches the span unreduced.
 
     When xs is ys each unordered pair is bracketed once: [x, x] = 0, and
-    [y, x] = -[x, y] lies in span exactly when [x, y] does."""
-    if not xs or not ys:
-        return True
-    alg, l = xs[0].loop.algebra, xs[0].loop.l
-
-    def split(elts):
-        return [_row_parts(_affine_row(x, N, M), N, alg.dim) for x in elts]
-
-    px = split(xs)
-    py = px if xs is ys else split(ys)
-    for x, y in combinations(px, 2) if xs is ys else product(px, py):
-        z = _parts_bracket(alg, l, x, y, N, M)
+    [y, x] = -[x, y] lies in span exactly when [x, y] does.  A pair where
+    neither factor has a d coordinate and every degree sum |p + q| exceeds
+    N is skipped: its bracket is the convolution of its loop parts alone,
+    which is zero or has a degree outside the window."""
+    for x, y in combinations(xs, 2) if xs is ys else product(xs, ys):
+        if x[1] is None and y[1] is None and all(
+                abs(p + q) > N for p in x[0] for q in y[0]):
+            continue
+        z = _parts_bracket(algebra, l, x, y, N, M)
         if z is not None and not span.contains(flatten(z, M)):
             return False
     return True
@@ -310,8 +358,11 @@ def compact_window_basis(algebra, twist, l, N):
                                    omega_automorphism(algebra))
     units = [(u.support()[0], u * z) for u in window_basis(algebra, twist, l, N)
              for z in _field_basis(M0)]
-    fixed, _ = _fixed_part(((AffineElement(u), AffineElement(hat.apply(u)))
-                            for n, u in units if n == 0), M0, 0)
+    pairs = [(AffineElement(u), AffineElement(hat.apply(u)))
+             for n, u in units if n == 0]
+    [(fixed, _, _)] = _fixed_part(
+        [tuple(_affine_row(x, 0, M0) for x in p) for p in pairs],
+        pairs.__getitem__, M0, 0)
     return [u + hat.apply(u) for n, u in units if n > 0] + \
         [x.loop for x in fixed]
 
@@ -330,12 +381,13 @@ def cartan_decomposition(phi, N=None):
     for f in _real_field_basis(M):
         elts += [AffineElement(zero, c=f), AffineElement(zero, d=f)]
     pairs = [(e, ext.apply(e)) for e in elts]
-    Kb, kspan = _fixed_part(pairs, M, N)
-    Pb, pspan = _fixed_part(pairs, M, N, -1)
+    (Kb, kspan, ks), (Pb, pspan, ps) = _fixed_part(
+        [tuple(_affine_row(x, N, M) for x in p) for p in pairs],
+        pairs.__getitem__, M, N, algebra.dim, (1, -1))
     inclusions = {
-        "KK_in_K": _brackets_in(Kb, Kb, kspan, M, N),
-        "KP_in_P": _brackets_in(Kb, Pb, pspan, M, N),
-        "PP_in_K": _brackets_in(Pb, Pb, kspan, M, N),
+        "KK_in_K": _brackets_in(algebra, l, ks, ks, kspan, M, N),
+        "KP_in_P": _brackets_in(algebra, l, ks, ps, pspan, M, N),
+        "PP_in_K": _brackets_in(algebra, l, ps, ps, kspan, M, N),
     }
     return {"K": Kb, "P": Pb, "window": N, "inclusions": inclusions}
 

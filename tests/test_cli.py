@@ -134,7 +134,9 @@ def test_realform_json_matches_its_golden_copy(capsys):
     (Path(__file__).parent / "golden" / "realform-digests.json").read_text()))
 def test_realform_json_matches_its_golden_digest(case, capsys):
     """The JSON of an outer a3 pair and of a c3 pair, which the a1 golden
-    copy does not reach, hashes to its committed sha256."""
+    copy does not reach, and of an a2 and a b2 pair at window 2, whose
+    closure checks skip pairs that leave the window, hashes to its
+    committed sha256."""
     rc, out = run_cli(["realform"] + case["args"], capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]

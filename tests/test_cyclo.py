@@ -371,6 +371,27 @@ def test_pfaffian_congruence():
     assert pfaffian(A.transpose() * M * A) == A.det() * pfaffian(M)
 
 
+def test_galois_table_matches_the_table_of_every_power():
+    """The Galois table is the tuple of z^(ik mod N), i < phi(N), read off
+    the full list of powers of z, for every N <= 200 and every k coprime to
+    N; the lazy power table of the conductor is not grown by it."""
+    from kmaut import cyclo
+
+    for N in range(1, 201):
+        ctx = cyclo._context(N)
+        phi, z_phi = ctx.phi, ctx.red[0]
+        pows = [(1,) + (0,) * (phi - 1)]
+        while len(pows) < N:  # z^m = z * z^(m-1), with z^phi = z_phi
+            top, low = pows[-1][-1], (0,) + pows[-1][:-1]
+            pows.append(tuple(s + top * r for s, r in zip(low, z_phi)))
+        held = len(ctx._pows)
+        for k in range(1, N + 1):
+            if gcd(k, N) == 1:
+                want = tuple(pows[i * k % N] for i in range(phi))
+                assert cyclo._galois_table.__wrapped__(N, k) == want, (N, k)
+        assert len(ctx._pows) == held
+
+
 def test_conductor_caches_are_bounded():
     """User input keys the per-conductor tables, so a run over many
     conductors must not keep them all."""

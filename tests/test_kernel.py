@@ -161,6 +161,42 @@ def test_conv_reduce_matches_long_division(N):
             assert got == ref_mul(a, b, POLY[N])
 
 
+def test_conv_reduce_at_degree_two_property():
+    """At conductors 3, 4 and 6, where phi = 2 and the product is in closed
+    form, conv_reduce is the schoolbook product reduced by Phi_N."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # Phi_3 = x^2 + x + 1, Phi_4 = x^2 + 1, Phi_6 = x^2 - x + 1
+    phi_n = {3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1)}
+    coeff = st.integers(-10**12, 10**12)
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.sampled_from(sorted(phi_n)), st.tuples(coeff, coeff),
+               st.tuples(coeff, coeff))
+    def check(N, a, b):
+        ctx = _context(N)
+        assert ctx.phi == 2
+        got = kernel.conv_reduce(a, b, ctx.red, ctx.phi)
+        assert type(got) is tuple
+        assert got == ref_mul(a, b, phi_n[N])
+
+    check()
+
+
+def test_trace_is_the_sum_of_the_diagonal():
+    """trace sums the diagonal coordinates; its value, conductor and lowest
+    terms are those of the entrywise CycloScalar sum."""
+    rng = random.Random(35)
+    for N in (1, 3, 4, 12):
+        for density in DENSITIES:
+            X = rand_matrix(rng, 4, N, density)
+            want = CycloScalar.from_rational(0, N)
+            for i in range(4):
+                want = want + X.entry(i, i)
+            got = X.trace()
+            assert (got.N, got.nums, got.den) == (want.N, want.nums, want.den)
+
+
 def test_add_rows_drops_cancelled_entries_and_keeps_its_inputs():
     """fa * a + fb * b entry by entry, with no zero tuple kept; the inputs,
     which rref may go on to mutate, are neither changed nor returned."""

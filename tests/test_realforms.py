@@ -546,9 +546,9 @@ def reference_brackets_in(xs, ys, span, M, N):
 
 
 def _closure_cases():
-    """(xs, ys, spans, M, N): the bases of the a1 pairs at windows 2 and 3
-    and of three a2 pairs at window 1, each against its own span, and the
-    K and P of every a1 table entry against the spans of the
+    """(algebra, l, xs, ys, gens, M, N): the bases of the a1 pairs at
+    windows 2 and 3 and of three a2 pairs at window 1, each against its own
+    span, and the K and P of every a1 table entry against the spans of the
     three inclusions, at windows 2 and 3."""
     from itertools import product
     from math import lcm
@@ -563,7 +563,8 @@ def _closure_cases():
               for p, q in [(0, 1), (0, 2), (1, 2)]]
     for alg, pair, N in pairs:
         rb = real_form_basis(alg, pair, N=N)
-        cases.append((rb.basis, rb.basis, rb.basis, lcm(4, 2 * rb.l), N))
+        cases.append((alg, rb.l, rb.basis, rb.basis, rb.basis,
+                      lcm(4, 2 * rb.l), N))
     for k in valid_ks(a1):
         for table in (enumerate_first_kind, enumerate_second_kind):
             for e, N in product(table(a1, k).entries, (2, 3)):
@@ -571,26 +572,29 @@ def _closure_cases():
                 rep = cartan_decomposition(phi, N=N)
                 K, P = rep["K"], rep["P"]
                 M = lcm(4, 2 * phi.l)
-                cases += [(K, K, K, M, N), (K, P, P, M, N), (P, P, K, M, N)]
+                cases += [(a1, phi.l) + c for c in [
+                    (K, K, K, M, N), (K, P, P, M, N), (P, P, K, M, N)]]
     return cases
 
 
 def test_brackets_in_matches_the_reference():
-    """The closure check on rows gives the verdict of the pairwise object
-    check, on each case's span and on spans with one to three random basis
-    vectors dropped, so that False verdicts are compared too."""
+    """The closure check on split rows gives the verdict of the pairwise
+    object check, on each case's span and on spans with one to three random
+    basis vectors dropped, so that False verdicts are compared too."""
     from kmaut.linalg import Span
-    from kmaut.realforms import _affine_qvec, _brackets_in
+    from kmaut.realforms import _affine_qvec, _brackets_in, _span_and_parts
 
     rng = random.Random(22)
     verdicts = []
-    for xs, ys, gens, M, N in _closure_cases():
+    for alg, l, xs, ys, gens, M, N in _closure_cases():
+        px = _span_and_parts(xs, M, N)[1]
+        py = px if ys is xs else _span_and_parts(ys, M, N)[1]
         drops = [()] + [rng.sample(range(len(gens)), min(len(gens), k))
                         for k in (1, 2, 3)]
         for drop in drops if gens else [()]:
             span = Span(_affine_qvec(g, M, N) for i, g in enumerate(gens)
                         if i not in drop)
-            got = _brackets_in(xs, ys, span, M, N)
+            got = _brackets_in(alg, l, px, py, span, M, N)
             assert got == reference_brackets_in(xs, ys, span, M, N), drop
             verdicts.append(got)
     # 180 spans: 49 True, 131 False
@@ -642,16 +646,15 @@ def test_closure_checks_fail_on_the_wrong_span(alg, entry):
     the span it is checked against."""
     from math import lcm
 
-    from kmaut.linalg import Span
-    from kmaut.realforms import RealFormBasis, _affine_qvec, _brackets_in
+    from kmaut.realforms import RealFormBasis, _brackets_in, _span_and_parts
 
     phi = realize_entry(alg, entry)
     N, M = 1, lcm(4, 2 * phi.l)
     rep = cartan_decomposition(phi, N=N)
     assert all(rep["inclusions"].values())
-    K, P = rep["K"], rep["P"]
-    pspan = Span(_affine_qvec(x, M, N) for x in P)
-    assert _brackets_in(K, K, pspan, M, N) is False
+    ks = _span_and_parts(rep["K"], M, N)[1]
+    pspan = _span_and_parts(rep["P"], M, N)[0]
+    assert _brackets_in(alg, phi.l, ks, ks, pspan, M, N) is False
     rb = real_form(phi, N=N)
     assert rb.closed_under_bracket()
     cut = RealFormBasis(alg, phi, N, rb.l, rb.basis[1:])
@@ -705,34 +708,68 @@ def _realform_batch():
 
 def test_realform_batch_compares_twists_and_splits_rows_once(monkeypatch):
     """On the realform batch, twists are compared by matrix ratio at most
-    100 times (1,020 when images carried a composite twist), and each
-    element entering a closure check has its row split exactly once."""
+    100 times (1,020 when images carried a composite twist); each basis
+    element of a real form, and each K and P element of a Cartan
+    decomposition, has its row split exactly once, however many closure
+    checks it enters; window rows are formed at most 900 times (1,588 when
+    each check formed its own) and brackets at most 2,826 times (3,488
+    before pairs that leave the window were skipped)."""
+    from collections import Counter
+
     from kmaut import autg, realforms
 
-    counts = {"ratio": 0, "split": 0, "elements": 0}
-    ratio, split, brackets_in = (autg._scalar_ratio, realforms._row_parts,
-                                 realforms._brackets_in)
+    counts = Counter()
 
-    def counting_ratio(*a):
-        counts["ratio"] += 1
-        return ratio(*a)
+    def counting(module, name):
+        f = getattr(module, name)
 
-    def counting_split(*a):
-        counts["split"] += 1
-        return split(*a)
+        def wrapped(*a):
+            counts[name] += 1
+            return f(*a)
+        monkeypatch.setattr(module, name, wrapped)
 
-    def counting_brackets_in(xs, ys, *a):
-        counts["elements"] += len(xs) + (0 if xs is ys else len(ys))
-        return brackets_in(xs, ys, *a)
-
-    monkeypatch.setattr(autg, "_scalar_ratio", counting_ratio)
-    monkeypatch.setattr(realforms, "_row_parts", counting_split)
-    monkeypatch.setattr(realforms, "_brackets_in", counting_brackets_in)
+    counting(autg, "_scalar_ratio")
+    for name in ("_row_parts", "_affine_row", "_parts_bracket"):
+        counting(realforms, name)
     bases, cartans = _realform_batch()
     for alg, pair, N in bases:
+        before = counts["_row_parts"]
         rb = real_form_basis(alg, pair, N=N)
         assert rb.closed_under_bracket()
+        assert counts["_row_parts"] - before == len(rb.basis)
     for phi, N in cartans:
-        assert all(cartan_decomposition(phi, N=N)["inclusions"].values())
-    assert counts["ratio"] <= 100
-    assert counts["elements"] > 0 and counts["split"] == counts["elements"]
+        before = counts["_row_parts"]
+        rep = cartan_decomposition(phi, N=N)
+        assert all(rep["inclusions"].values())
+        assert counts["_row_parts"] - before == len(rep["K"]) + len(rep["P"])
+    assert counts["_scalar_ratio"] <= 100
+    assert counts["_affine_row"] <= 900
+    assert counts["_parts_bracket"] <= 2826
+
+
+def test_pairs_the_degree_rule_skips_have_no_bracket_in_the_window():
+    """A pair where neither factor has a d coordinate and every degree sum
+    |p + q| exceeds the window, which the closure check skips, brackets to
+    None or to the empty row, over the a1 and a2 second-kind pairs at
+    windows 1-3; the rule skips some pair at each window."""
+    from itertools import product
+    from math import lcm
+
+    from kmaut.loop import _parts_bracket
+
+    def skipped(x, y, N):
+        return x[1] is None and y[1] is None and all(
+            abs(p + q) > N for p in x[0] for q in y[0])
+
+    for alg in (make_algebra("a", r, "compact") for r in (1, 2)):
+        for k in valid_ks(alg):
+            for e, N in product(enumerate_second_kind(alg, k).entries,
+                                (1, 2, 3)):
+                rb = real_form_basis(alg, e[1:], N=N)
+                M = lcm(4, 2 * rb.l)
+                pairs = [(x, y) for x, y in product(rb._rows[1], repeat=2)
+                         if skipped(x, y, N)]
+                assert pairs, (alg, e, N)
+                for x, y in pairs:
+                    z = _parts_bracket(alg, rb.l, x, y, N, M)
+                    assert z is None or not z[0], (alg, e, N)
