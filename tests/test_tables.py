@@ -1,5 +1,12 @@
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
 import pytest
 
+from kmaut import cli
 from kmaut.algebra import make_algebra
 from kmaut.autg import InvLabel
 from kmaut.errors import InvalidK, InvalidLabel, StaticOnlyAlgebra
@@ -191,3 +198,42 @@ def test_row_rendering():
     assert "a1^(1)" in text and "2+1" in text
     js = row.to_json()
     assert js["count"] == "2+1" and js["provenance"] == "computed"
+
+
+_TABLES_GOLDEN = Path(__file__).parent / "golden" / "tables-digests.json"
+
+
+def _tables_argvs():
+    """Every `kmaut tables` call of the byte-identity gate: a-d at n = 1..8
+    and the exceptional families, both kinds, k = 1..3, every emit format."""
+    algebras = [["--family", f, "--n", str(n)] for f in "abcd"
+                for n in range(1, 9)]
+    algebras += [["--family", f] for f in ("e6", "e7", "e8", "f4", "g2")]
+    return [["tables"] + alg + ["--kind", str(kind), "--k", str(k),
+                                "--emit", emit]
+            for alg in algebras for kind in (1, 2) for k in (1, 2, 3)
+            for emit in ("json", "text", "latex")]
+
+
+def _tables_digests():
+    """{argv joined by spaces: [exit code, sha256 of stdout]} over
+    `_tables_argvs`, run in-process through cli.main."""
+    out = {}
+    for argv in _tables_argvs():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        out[" ".join(argv)] = [code, hashlib.sha256(
+            buf.getvalue().encode()).hexdigest()]
+    return out
+
+
+def test_tables_output_is_byte_identical_to_the_golden_digests():
+    """Every table output, refused ones' error payloads included, hashes to
+    its committed digest with its committed exit code."""
+    want = json.loads(_TABLES_GOLDEN.read_text())
+    got = _tables_digests()
+    assert len(want) == 666
+    assert sorted(code for code, _ in want.values()).count(0) == 270
+    assert got.keys() == want.keys()
+    assert [a for a in want if got[a] != want[a]] == []
