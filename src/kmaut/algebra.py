@@ -3,11 +3,14 @@
 Classical families are realized inside their defining complex representation:
 sl(n+1,C), so(m,C) as antisymmetric matrices, sp(2n,C); the compact mode tags
 the same complexified model together with the conjugation fixing the compact
-real form.  Exceptional families carry no matrix model, only a static record.
+real form.  Each classical family is one record (`_FAMILIES`), and it is
+the only place that tells the families apart for matrix work.  Exceptional
+families carry no matrix model, only static data.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -64,6 +67,59 @@ def j_matrix(half):
     return CycloMatrix.from_scalars(rows)
 
 
+def _sl_basis(n, m):
+    return ([_unit(i, j, m) for i in range(m) for j in range(m) if i != j]
+            + [_unit(k, k, m) - _unit(k + 1, k + 1, m) for k in range(m - 1)])
+
+
+def _so_basis(n, m):
+    return [_unit(i, j, m) - _unit(j, i, m)
+            for i in range(m) for j in range(i + 1, m)]
+
+
+def _sp_basis(n, m):
+    out = [_unit(i, j, m) - _unit(n + j, n + i, m)
+           for i in range(n) for j in range(n)]
+    # the symmetric blocks above and below the diagonal
+    for a, b in ((0, n), (n, 0)):
+        out += [_unit(a + i, b + i, m) if i == j
+                else _unit(a + i, b + j, m) + _unit(a + j, b + i, m)
+                for i in range(n) for j in range(i, n)]
+    return out
+
+
+def _orthogonal_form(n, m):
+    return tuple(range(m)), (1,) * m
+
+
+def _symplectic_form(n, m):
+    # j_matrix(n): J[i][i + n] = 1 and J[i + n][i] = -1
+    return tuple(range(n, m)) + tuple(range(n)), (1,) * n + (-1,) * n
+
+
+# The matrix model of a classical family: its least rank; n -> the matrix
+# size m, the dimension and the order of the outer automorphism group;
+# (n, m) -> the scale c of killing(x, y) = c tr(xy), the basis, and the
+# form J as a signed permutation (pi, eps), J[i][pi(i)] = eps(i) (None on a,
+# which keeps no form); and the outer slot: "mu" where a map is Ad(G) o mu^w
+# (a), "det" where a reflection is read from det G (d), else None.
+_Family = namedtuple("_Family", "lo size dim out_order killing basis form outer")
+
+_FAMILIES = {
+    "a": _Family(1, lambda n: n + 1, lambda n: n * (n + 2),
+                 lambda n: 2 if n >= 2 else 1, lambda n, m: 2 * m,
+                 _sl_basis, None, "mu"),
+    "b": _Family(2, lambda n: 2 * n + 1, lambda n: n * (2 * n + 1),
+                 lambda n: 1, lambda n, m: m - 2, _so_basis, _orthogonal_form,
+                 None),
+    "c": _Family(3, lambda n: 2 * n, lambda n: n * (2 * n + 1), lambda n: 1,
+                 lambda n, m: 2 * n + 2, _sp_basis, _symplectic_form, None),
+    "d": _Family(4, lambda n: 2 * n, lambda n: n * (2 * n - 1),
+                 lambda n: 6 if n == 4 else 2, lambda n, m: m - 2, _so_basis,
+                 _orthogonal_form, "det"),
+}
+
+
 class SimpleAlgebra:
     """Descriptor plus (for classical families) a defining matrix model."""
 
@@ -73,40 +129,36 @@ class SimpleAlgebra:
         self.family = family
         self.param = param
         self.mode = mode
+        self.size = self.form = self.outer = self._model = None
         if family in EXCEPTIONAL:
+            if param is not None:
+                raise UnsupportedParam("family %s takes no rank, not %r"
+                                       % (family, param))
             self.dim, self.rank, self.out_order, self.n_involutions = \
                 _EXCEPTIONAL_DATA[family]
-            self.size = None
+            self.has_triality = False
             return
         if family not in CLASSICAL:
             raise UnsupportedParam("unknown family %r" % (family,))
-        n = param
-        lo = {"a": 1, "b": 2, "c": 3, "d": 4}[family]
-        if not isinstance(n, int) or n < lo:
-            raise UnsupportedParam("family %s needs integer rank >= %d" % (family, lo))
+        n, model = param, _FAMILIES[family]
+        if not isinstance(n, int) or n < model.lo:
+            raise UnsupportedParam("family %s needs integer rank >= %d"
+                                   % (family, model.lo))
+        self._model = model
         self.rank = n
-        if family == "a":
-            self.size = n + 1
-            self.dim = (n + 1) ** 2 - 1
-        elif family == "b":
-            self.size = 2 * n + 1
-            self.dim = self.size * (self.size - 1) // 2
-        elif family == "c":
-            self.size = 2 * n
-            self.dim = n * (2 * n + 1)
-        else:
-            self.size = 2 * n
-            self.dim = self.size * (self.size - 1) // 2
-        self.out_order = {"a": 2 if n >= 2 else 1,
-                          "b": 1,
-                          "c": 1,
-                          "d": 6 if n == 4 else 2}[family]
+        self.size = model.size(n)
+        self.dim = model.dim(n)
+        self.out_order = model.out_order(n)
+        self.form = model.form(n, self.size) if model.form else None
+        self.outer = model.outer
+        # so(8), whose outer group S3 holds the order-3 triality
+        self.has_triality = (family, n) == ("d", 4)
 
     # -- identity ------------------------------------------------------------
 
     @property
     def is_exceptional(self):
-        return self.family in EXCEPTIONAL
+        return self._model is None
 
     def _key(self):
         return (self.family, self.param, self.mode)
@@ -146,48 +198,28 @@ class SimpleAlgebra:
     def killing_scale(self):
         """c with killing(x, y) = c * tr(xy) in the defining representation."""
         self._need_matrix()
-        if self.family == "a":
-            return Fraction(2 * (self.param + 1))
-        if self.family in ("b", "d"):
-            return Fraction(self.size - 2)
-        return Fraction(2 * self.param + 2)
+        return Fraction(self._model.killing(self.param, self.size))
 
     @lru_cache(maxsize=_KEYS_CACHED)
     def basis(self):
         """Defining-representation basis, closed under bracket."""
         self._need_matrix()
-        m = self.size
-        out = []
-        if self.family == "a":
-            for i in range(m):
-                for j in range(m):
-                    if i != j:
-                        out.append(_unit(i, j, m))
-            for k in range(m - 1):
-                out.append(_unit(k, k, m) - _unit(k + 1, k + 1, m))
-        elif self.family in ("b", "d"):
-            for i in range(m):
-                for j in range(i + 1, m):
-                    out.append(_unit(i, j, m) - _unit(j, i, m))
-        else:
-            n = self.param
-            for i in range(n):
-                for j in range(n):
-                    out.append(_unit(i, j, m) - _unit(n + j, n + i, m))
-            for i in range(n):
-                for j in range(i, n):
-                    if i == j:
-                        out.append(_unit(i, n + i, m))
-                    else:
-                        out.append(_unit(i, n + j, m) + _unit(j, n + i, m))
-            for i in range(n):
-                for j in range(i, n):
-                    if i == j:
-                        out.append(_unit(n + i, i, m))
-                    else:
-                        out.append(_unit(n + i, j, m) + _unit(n + j, i, m))
+        out = tuple(self._model.basis(self.param, self.size))
         assert len(out) == self.dim
-        return tuple(out)
+        return out
+
+    def form_adjoint(self, M):
+        """J^-1 M^T J for the form J of b, c or d (J = I on so(m)), read off
+        its signed permutation: entry (i, j) is eps(pi i) eps(pi j) M[pi j][pi
+        i].  X is in the algebra exactly when its adjoint is -X, and G in the
+        conformal group exactly when its adjoint A has A G = s I, s != 0 the
+        form scalar of G^T J G = s J."""
+        pi, eps = self.form
+        rows = tuple({} for _ in range(M.n))
+        for r, row in enumerate(M.rows):
+            for c, v in row.items():
+                rows[pi[c]][pi[r]] = v if eps[r] == eps[c] else tuple(-x for x in v)
+        return CycloMatrix(M.n, M.N, M.den, rows, _normalized=True)
 
     @lru_cache(maxsize=_KEYS_CACHED)
     def structure_constants(self):
@@ -243,16 +275,14 @@ class SimpleAlgebra:
         return tuple(map(tuple, C)), tuple(map(tuple, K)), den
 
     def contains_matrix(self, M):
-        """Exact membership in the complexified algebra."""
+        """Exact membership in the complexified algebra: trace zero on a,
+        else M^T J + J M = 0, that is form_adjoint(M) = -M."""
         self._need_matrix()
         if M.n != self.size:
             return False
-        if self.family == "a":
+        if self.form is None:
             return M.trace().is_zero()
-        if self.family in ("b", "d"):
-            return (M.transpose() + M).is_zero()
-        J = j_matrix(self.param)
-        return (M.transpose() * J + J * M).is_zero()
+        return (self.form_adjoint(M) + M).is_zero()
 
     @lru_cache(maxsize=_KEYS_CACHED)
     def _supports(self):
@@ -342,31 +372,20 @@ class SimpleAlgebra:
         """
         self._need_matrix()
         rates = [Fraction(r) for r in rates]
-        i = root_of_unity(4, 1)
-        if self.family == "a":
-            assert len(rates) == self.size and sum(rates) == 0
-            M = CycloMatrix.diag([i * r for r in rates])
-            eig = sorted(set(rates))
-            return SemisimpleElement(self, M, eig)
-        if self.family == "c":
-            assert len(rates) == self.param
-            full = rates + [-r for r in rates]
-            M = CycloMatrix.diag([i * r for r in full])
-            eig = sorted(set(full))
-            return SemisimpleElement(self, M, eig)
-        half = self.size // 2
-        assert len(rates) == half
+        if self.family in ("a", "c"):
+            full = rates + ([-r for r in rates] if self.family == "c" else [])
+            assert len(full) == self.size and sum(full) == 0
+            M = CycloMatrix.diag([root_of_unity(4, 1) * r for r in full])
+            return SemisimpleElement(self, M, sorted(set(full)))
+        assert len(rates) == self.size // 2
         rows = [[Fraction(0)] * self.size for _ in range(self.size)]
         for k, r in enumerate(rates):
             rows[2 * k][2 * k + 1] = r
             rows[2 * k + 1][2 * k] = -r
-        M = CycloMatrix.from_scalars(rows)
-        eig = set()
-        for r in rates:
-            eig.update((r, -r))
+        eig = {x for r in rates for x in (r, -r)}
         if self.size % 2:
             eig.add(Fraction(0))
-        return SemisimpleElement(self, M, sorted(eig))
+        return SemisimpleElement(self, CycloMatrix.from_scalars(rows), sorted(eig))
 
     def plane_rotation(self, i, j, rate=Fraction(1)):
         """Rotation generator in the (i, j) coordinate plane; semisimple."""

@@ -36,7 +36,6 @@ from .errors import (
     OrderMismatch,
     OrderExceedsBound,
     Unclassifiable,
-    UnsupportedExceptional,
 )
 
 
@@ -141,14 +140,14 @@ class Automorphism:
         # unknown, else made or the zero-argument function that makes it
         self._inv = None
         if operator is not None:
-            assert algebra.family == "d" and algebra.param == 4
+            assert algebra.has_triality
             self._G = None
             self._w = 0
             self._op = operator
             self._word = word if word is not None else ID_PERM
         else:
             self._G = G if G is not None else CycloMatrix.identity(algebra.size)
-            self._w = w % 2 if algebra.family == "a" else 0
+            self._w = w % 2 if algebra.outer == "mu" else 0
             self._op = None
             self._word = None
 
@@ -201,9 +200,9 @@ class Automorphism:
         if self._word is None:
             # kept: a group-form map never changes its G or w
             self._word = ID_PERM
-            if self.algebra.family == "a" and self._w:
+            if self._w:
                 self._word = X_PERM
-            elif self.algebra.family == "d":
+            elif self.algebra.outer == "det":
                 # G^T G = c I gives det(G) = +-c^l; -c^l is a reflection,
                 # whatever the scale of G
                 c = _form_scalar(self)
@@ -386,12 +385,11 @@ class Automorphism:
     def from_json(obj):
         from .algebra import SimpleAlgebra
         _json_object(obj, "an automorphism")
-        algebra = SimpleAlgebra.from_json(obj["algebra"])
-        algebra = make_algebra(algebra.family, algebra.param, algebra.mode)
+        algebra = make_algebra(*SimpleAlgebra.from_json(obj["algebra"])._key())
         algebra._need_matrix()
         M = CycloMatrix.from_json(obj["matrix"])
         group = obj.get("rep", "group") == "group"
-        if not group and (algebra.family, algebra.param) != ("d", 4):
+        if not group and not algebra.has_triality:
             raise MalformedData("only so(8) takes an operator matrix")
         size = algebra.size if group else algebra.dim
         if M.n != size:
@@ -403,7 +401,7 @@ class Automorphism:
         if group:
             # mu exists on the a family only; elsewhere w = 1 would be lost
             w = _json_int(obj, "outer_power", 0,
-                          (0, 1) if algebra.family == "a" else (0,))
+                          (0, 1) if algebra.outer == "mu" else (0,))
             out = Automorphism(algebra, M, w=w,
                                conj=bool(obj.get("conj_linear", False)),
                                label=obj.get("label"))
@@ -474,19 +472,16 @@ def _eliminated_inverse(M):
 def _form_scalar(phi):
     """The scalar s of G^T J G = s J on b, c and d (J = I on so(m)) for the
     matrix G of phi, read at the first stored entry (i, j) of the inverse the
-    map keeps, G^-1 = A / c (see group_inverse), as c = A[i][j] / G^-1[i][j].
-    A[i][j] is G[j][i] on so(m); on sp(2n) it is J[i][i'] G[j'][i'] J[j'][j]
-    for the partners i' = i +- n, j' = j +- n, and s = -c."""
+    map keeps, G^-1 = A / s for the adjoint A = J^-1 G^T J (see
+    group_inverse), as s = A[i][j] / G^-1[i][j]: A[i][j] is the entry
+    G[pi j][pi i] of the form's signed permutation, signed by eps(pi i)
+    eps(pi j)."""
     G, Ginv = phi._G, phi._ginv()
     i, j = _first_entry(Ginv)
-    if phi.algebra.family == "c":
-        n = phi.algebra.param
-        a = G.entry((j + n) % (2 * n), (i + n) % (2 * n))
-        # -A[i][j], as J[i][i'] J[j'][j] is -1 when i, j lie in one half
-        a = a if (i < n) == (j < n) else -a
-    else:
-        a = G.entry(j, i)
-    return a * Ginv.entry(i, j).inverse()
+    pi, eps = phi.algebra.form
+    r, c = pi[j], pi[i]
+    a = G.entry(r, c)
+    return (a if eps[r] == eps[c] else -a) * Ginv.entry(i, j).inverse()
 
 
 def _unit_trace(S, s):
@@ -499,27 +494,24 @@ def _unit_trace(S, s):
 
 
 def group_inverse(algebra, G):
-    """G^-1 for the matrix G of a group-form automorphism.  On b, c and d it
-    is A / c for A = G^T on so(m) and A = J G^T J on sp(2n), J = j_matrix:
-    Ad(G) keeps the algebra exactly when A G = c I for some c != 0 (G^T G =
-    c I, or G^T J G = -c J), so this is also the check that G is in the
-    group; on a, where every invertible G is, it is eliminated.  Either way
-    a G that is not in the group, a singular one included, is MalformedData.
-    The unit matrix is its own inverse."""
+    """G^-1 for the matrix G of a group-form automorphism.  Where the
+    algebra keeps a form J it is A / s for the adjoint A = J^-1 G^T J
+    (`SimpleAlgebra.form_adjoint`): Ad(G) keeps the algebra exactly when
+    G^T J G = s J, that is A G = s I, for some s != 0, so this is also the
+    check that G is in the group; on a, where every invertible G is, it is
+    eliminated.  Either way a G that is not in the group, a singular one
+    included, is MalformedData.  The unit matrix is its own inverse."""
     if _is_unit(G):
         return G
-    if algebra.family == "a":
+    if algebra.form is None:
         return _eliminated_inverse(G)
-    A = G.transpose()
-    if algebra.family == "c":
-        J = j_matrix(algebra.param)
-        A = J * A * J
-    c = (A * G).is_scalar()
-    if c is None or c.is_zero():
+    A = algebra.form_adjoint(G)
+    s = (A * G).is_scalar()
+    if s is None or s.is_zero():
         raise MalformedData("the matrix of a %s automorphism must satisfy "
                             "G^T J G = c J with c != 0 for its form J; this "
                             "one does not" % algebra.label())
-    return A if c == 1 else A * c.inverse()
+    return A if s == 1 else A * s.inverse()
 
 
 def identity_automorphism(algebra):
@@ -528,7 +520,7 @@ def identity_automorphism(algebra):
 
 def mu_automorphism(algebra):
     """X -> -X^T; outer for su(m), m >= 3; equals Ad(J) on su(2)."""
-    assert algebra.family == "a"
+    assert algebra.outer == "mu"
     if algebra.size == 2:
         return Automorphism(algebra, j_matrix(1), label="mu")
     return Automorphism(algebra, CycloMatrix.identity(algebra.size), w=1,
@@ -631,16 +623,16 @@ def _triality_operator():
     return T1 * T2
 
 
-@lru_cache(maxsize=1)
-def _d4_frame():
-    """Exact companions of the so(8) outer generator.
+@lru_cache(maxsize=2)
+def _d4_frame(alg):
+    """Exact companions of the so(8) outer generator, for so(8) in either
+    mode.
 
     Returns (P, JP): P = exp(pi*W) for a fixed-by-theta torus element W with
     integer rotation rates; P is a diagonal +-1 involution of tau_4 type that
     commutes with the order-3 generator exactly, and JP is an antisymmetric
     orthogonal pairing of its eigenspaces.
     """
-    alg = make_algebra("d", 4, "compact")
     plane = {(2, 4): Fraction(-2), (3, 7): Fraction(1), (5, 6): Fraction(1)}
     rows = [[Fraction(0)] * 8 for _ in range(8)]
     for (i, j), rate in plane.items():
@@ -664,7 +656,7 @@ def _d4_frame():
 
 def triality_automorphism(algebra, power=1):
     """The order-3 outer automorphism of so(8) (or its square)."""
-    if not (algebra.family == "d" and algebra.param == 4):
+    if not algebra.has_triality:
         raise InvalidLabel("triality exists only for so(8)")
     op = _triality_operator()
     power %= 3
@@ -796,7 +788,7 @@ def _classes(algebra):
     else:
         out = {InvLabel(p): (None, X_PERM if p % 2 else ID_PERM,
                              ad(tau_matrix, p, m)) for p in range(1, n + 1)}
-        if n == 4:
+        if algebra.has_triality:
             for p in (1, 2, 3):
                 _, w, base = out[InvLabel(p)]
                 for e in (1, 2):
@@ -841,7 +833,7 @@ def parse_label(algebra, text):
             raise InvalidLabel("the identity class has no primed variants")
         return InvLabel(0)
     low = _ALIAS_SPELLINGS.get(low, low)
-    if low == "mu" and not prime and (algebra.family, algebra.param) == ("a", 1):
+    if low == "mu" and not prime and algebra.outer == "mu" and algebra.size == 2:
         return InvLabel(1)  # on su(2), mu is Ad J
     for lab, (alias, _, _) in _classes(algebra).items():
         if alias == low and lab.prime == prime:
@@ -888,16 +880,15 @@ def out_class(phi):
     return phi.word()
 
 
-@lru_cache(maxsize=8)
-def _adj_prime_anchor(param):
+@lru_cache(maxsize=_KEYS_CACHED)
+def _adj_prime_anchor(algebra):
     """For so(4m): the pfaffian value of the unprimed Ad(J) class; for so(8)
     the pfaffian value of the class defined as theta rho_2 theta^(-1)."""
-    if param == 4:
-        val = _unit_pfaffian(standard_involution(make_algebra("d", 4, "compact"),
-                                                 InvLabel(2, 1)))
+    if algebra.has_triality:
+        val = _unit_pfaffian(standard_involution(algebra, InvLabel(2, 1)))
         assert val == 1 or val == -1
         return val
-    return pfaffian(j_matrix(param))
+    return pfaffian(j_matrix(algebra.param))
 
 
 def _unit_pfaffian(phi):
@@ -910,15 +901,13 @@ def _unit_pfaffian(phi):
 def involution_int_class(phi):
     """Class of an involution up to conjugation with inner automorphisms."""
     algebra = phi.algebra
-    if algebra.is_exceptional:
-        raise UnsupportedExceptional("no matrix rule for %s" % algebra.family)
     if phi.conj:
         raise NotInvolution("conjugate-linear input; use conj_linear_int_class")
     if phi.is_identity():
         return InvLabel(0)
     fam = algebra.family
     m = algebra.size
-    if fam == "d" and algebra.param == 4 and not phi.has_parts:
+    if algebra.has_triality and not phi.has_parts:
         delta, e = _theta_power_of(phi.word())
         if e:
             if not phi.compose(phi).is_identity():
@@ -941,7 +930,7 @@ def involution_int_class(phi):
     if c is None:
         raise NotInvolution("automorphism does not square to the identity")
     s = c
-    if fam != "a":
+    if algebra.form is not None:
         # Ad(G) is Ad(G / sqrt(s)) for the form scalar s, so G^2 = +-s, and
         # the pfaffian is read as pf(G) / s^(m/4): the class does not depend
         # on G's scale
@@ -960,8 +949,8 @@ def involution_int_class(phi):
         raise NotInvolution("S^2 = -1 impossible here")
     if algebra.param % 2:
         return _named(algebra, "adj")
-    level = 0 if _unit_pfaffian(phi) == _adj_prime_anchor(algebra.param) else 1
-    if algebra.param == 4:
+    level = 0 if _unit_pfaffian(phi) == _adj_prime_anchor(algebra) else 1
+    if algebra.has_triality:
         return InvLabel(2, level + 1)
     return InvLabel(_named(algebra, "adj").p, level)
 
@@ -999,9 +988,9 @@ def label_outer_action(algebra):
     """Maps label -> label for each generator of the outer group.  Only the
     split classes move: on so(8), x swaps and y cycles the prime levels of
     rho1..rho3; on so(4m), x swaps the two Ad J classes."""
-    if algebra.family != "d" or algebra.param % 2:
+    if algebra.outer != "det" or algebra.param % 2:
         return []
-    if algebra.param == 4:
+    if algebra.has_triality:
         def xmap(lab):
             return InvLabel(lab.p, -lab.prime % 3) if lab.p in (1, 2, 3) else lab
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from .algebra import CLASSICAL, EXCEPTIONAL
 from .autg import InvLabel, parse_label
 from .cyclo import _json_int
 from .errors import KmautError, MalformedData
@@ -186,8 +187,7 @@ def build_parser():
     sub = p.add_subparsers(dest="verb", required=True)
 
     t = sub.add_parser("tables", help="emit classification table rows")
-    t.add_argument("--family", required=True,
-                   choices=["a", "b", "c", "d", "e6", "e7", "e8", "f4", "g2"])
+    t.add_argument("--family", required=True, choices=CLASSICAL + EXCEPTIONAL)
     t.add_argument("--n", type=int)
     t.add_argument("--k", type=int, choices=[1, 2, 3])
     t.add_argument("--kind", type=int, choices=[1, 2])

@@ -587,7 +587,7 @@ def _unprime(lab, rho, beta):
     if lab.prime == 0:
         return lab, rho, beta
     algebra = rho.algebra
-    if algebra.family == "d" and algebra.param == 4:
+    if algebra.has_triality:
         gamma = triality_automorphism(algebra, 3 - lab.prime)
     else:
         gamma = Automorphism(algebra, tau_matrix(1, algebra.size))
@@ -623,8 +623,10 @@ def invariant_first_kind(phi):
         lab, P, beta = _unprime(involution_int_class(P), P, beta)
         cc = component_signature(P, beta)
         return FirstKindInvariant(algebra, q, p, lab, cc)
-    # order of the class exceeds two: the class certificate covers the rho
-    # part exactly; the component of beta stays unclassified, which is why
+    # order of the class exceeds two: the class certificate (the outer order
+    # and the eigenvalue multiset) is necessary for conjugacy of the rho
+    # part, not sufficient; two classes may share it (see the homometric
+    # rulers in the tests), and the component of beta stays unclassified, so
     # conjugacy tests on such invariants return "undecided"
     cert_rho = _certificate(P)
     return FirstKindInvariant(algebra, q, p, cert_rho, "unclassified", raw=True)

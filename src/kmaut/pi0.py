@@ -219,9 +219,9 @@ def _build_row(algebra, lab):
             entries = [ident]
         return Pi0Row(algebra, lab, frame, entries)
     # family d
-    n = algebra.param
-    if n == 4:
+    if algebra.has_triality:
         return _d4_row(algebra, lab)
+    n = algebra.param
     if alias is None:
         p = lab.p
         if p == n:
@@ -292,7 +292,7 @@ def _d4_row(algebra, lab):
     # exactly.  The inner (-,-) block type and the J type lie in the same
     # component here (unlike so(4n), n >= 3), so the AdJ entry carries both
     # signatures.
-    P, JP = _d4_frame()
+    P, JP = _d4_frame(algebra)
     minus = [i for i in range(8) if P.entry(i, i) == -1]
     r1rows = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
     r1rows[minus[0]][minus[0]] = Fraction(-1)
@@ -312,24 +312,23 @@ def _d4_row(algebra, lab):
 
 def _out_row(algebra):
     """rho = id: conjugacy classes of the outer group."""
-    fam = algebra.family
     classical = not algebra.is_exceptional
     ident = Pi0Entry("id", 1,
                      (lambda: identity_automorphism(algebra)) if classical else None,
                      extra_sigs=[("out", 0)])
     entries = [ident]
-    if fam == "a" and algebra.size >= 3:
+    if algebra.outer == "mu" and algebra.out_order == 2:
         entries.append(Pi0Entry("mu", 2, lambda: mu_automorphism(algebra),
                                 extra_sigs=[("out", 1)]))
-    elif fam == "d":
+    elif algebra.outer == "det":
         m = algebra.size
         entries.append(Pi0Entry("rho1", 2, _ad(algebra, tau_matrix(1, m), "rho1"),
                                 extra_sigs=[("out", 1)]))
-        if algebra.param == 4:
+        if algebra.has_triality:
             entries.append(Pi0Entry("theta", 3,
                                     lambda: triality_automorphism(algebra),
                                     extra_sigs=[("out", 3)]))
-    elif fam == "e6":
+    elif algebra.family == "e6":
         entries.append(Pi0Entry("rho1", 2, None, extra_sigs=[("out", 1)]))
     return Pi0Row(algebra, InvLabel(0), None, entries)
 
@@ -408,8 +407,6 @@ def raw_signature(rho, beta):
     """
     algebra = rho.algebra
     fam = algebra.family
-    if algebra.is_exceptional:
-        return None
     if beta.conj or rho.conj:
         raise NoSignatureRule("signatures apply to complex-linear parts")
     if not _commute(rho, beta):
@@ -417,7 +414,7 @@ def raw_signature(rho, beta):
     if rho.is_identity():
         return _out_signature(beta)
     m = algebra.size
-    if fam == "d" and algebra.param == 4:
+    if algebra.has_triality:
         if not rho.has_parts and _theta_power_of(rho.word())[1]:
             raise NoSignatureRule("rho involves the order-3 outer generator")
         if not beta.has_parts and _theta_power_of(beta.word())[1]:
@@ -514,8 +511,6 @@ def component_signature(rho, beta):
     """Component of beta in the centralizer of the involution rho, matched
     against the representative row."""
     algebra = rho.algebra
-    if algebra.is_exceptional:
-        raise NoSignatureRule("exceptional algebras carry static rows only")
     lab = involution_int_class(rho)
     if lab.prime:
         raise NoSignatureRule("rows are indexed by the standard list; "

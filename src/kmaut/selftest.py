@@ -8,7 +8,8 @@ import time
 from fractions import Fraction
 from math import lcm
 
-from .algebra import SemisimpleElement, make_algebra, sigma_eigenspace
+from .algebra import (EXCEPTIONAL, SemisimpleElement, make_algebra,
+                      sigma_eigenspace)
 from .autg import (
     Automorphism,
     InvLabel,
@@ -122,34 +123,24 @@ def table3_expected(algebra, k):
 
 
 def acceptance_algebras():
-    out = []
-    for n in range(1, 8):
-        out.append(make_algebra("a", n, "compact"))
-    for n in range(2, 6):
-        out.append(make_algebra("b", n, "compact"))
-    for n in range(3, 7):
-        out.append(make_algebra("c", n, "compact"))
-    for n in range(4, 9):
-        out.append(make_algebra("d", n, "compact"))
-    for fam in ("e6", "e7", "e8", "f4", "g2"):
-        out.append(make_algebra(fam, None, "compact"))
-    return out
+    return ([make_algebra(fam, n, "compact") for fam, ranks in
+             (("a", range(1, 8)), ("b", range(2, 6)), ("c", range(3, 7)),
+              ("d", range(4, 9))) for n in ranks]
+            + [make_algebra(fam, None, "compact") for fam in EXCEPTIONAL])
 
 
 def loop_test_algebras():
     """Algebras for the random windowed identity checks (up to d6)."""
-    return [make_algebra("a", 1, "complex"), make_algebra("a", 2, "complex"),
-            make_algebra("a", 3, "complex"), make_algebra("b", 2, "complex"),
-            make_algebra("b", 3, "complex"), make_algebra("c", 3, "complex"),
-            make_algebra("d", 4, "complex"), make_algebra("d", 5, "complex"),
-            make_algebra("d", 6, "complex")]
+    return [make_algebra(fam, n, "complex") for fam, ranks in
+            (("a", (1, 2, 3)), ("b", (2, 3)), ("c", (3,)), ("d", (4, 5, 6)))
+            for n in ranks]
 
 
 def default_twist(algebra):
     """A representative nontrivial twist where one exists."""
-    if algebra.family == "a" and algebra.size >= 3:
+    if algebra.outer == "mu" and algebra.out_order == 2:
         return mu_automorphism(algebra), 2
-    if algebra.family == "d":
+    if algebra.outer == "det":
         return standard_involution(algebra, InvLabel(1)), 2
     return identity_automorphism(algebra), 1
 
@@ -241,27 +232,18 @@ def antifixed_direction(phi0, rng):
     algebra = phi0.algebra
     cands = []
     n = algebra.size
+    # i (E_ij + E_ji) is in sl(m) only; sp(2n) is not searched
+    kinds = {"a": (False, True), "c": ()}.get(algebra.family, (False,))
     for i in range(n):
         for j in range(i + 1, n):
-            for mk in (False, True):
-                if algebra.family in ("b", "d") and mk:
-                    continue
-                if algebra.family == "c":
-                    continue
+            for mk in kinds:
+                unit = [[Fraction(0)] * n for _ in range(n)]
+                unit[i][j] = Fraction(1)
+                unit[j][i] = Fraction(1 if mk else -1)
+                M = CycloMatrix.from_scalars(unit)
                 if mk:
-                    M = CycloMatrix.zeros(n)
-                    unit = [[Fraction(0)] * n for _ in range(n)]
-                    unit[i][j] = Fraction(1)
-                    unit[j][i] = Fraction(1)
-                    M = CycloMatrix.from_scalars(unit) * root_of_unity(4, 1)
-                else:
-                    unit = [[Fraction(0)] * n for _ in range(n)]
-                    unit[i][j] = Fraction(1)
-                    unit[j][i] = Fraction(-1)
-                    M = CycloMatrix.from_scalars(unit)
-                if not algebra.contains_matrix(M):
-                    continue
-                if phi0.apply_matrix(M) == -M:
+                    M = M * root_of_unity(4, 1)
+                if algebra.contains_matrix(M) and phi0.apply_matrix(M) == -M:
                     cands.append(M)
     if not cands:
         return None

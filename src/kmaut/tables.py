@@ -84,7 +84,7 @@ def _entry_text(e):
 
 
 def valid_ks(algebra):
-    if algebra.family == "d" and algebra.param == 4:
+    if algebra.has_triality:
         return (1, 2, 3)
     if algebra.out_order >= 2:
         return (1, 2)
@@ -265,7 +265,7 @@ def membership_condition(inv, sigma):
 
 def algebra_from_args(family, n=None, mode="compact"):
     family = family.lower()
-    if family in ("a", "b", "c", "d"):
+    if family in CLASSICAL:
         if n is None:
             raise InvalidLabel("classical families need a rank")
         return make_algebra(family, int(n), mode)

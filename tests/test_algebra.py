@@ -6,7 +6,9 @@ from math import lcm
 import pytest
 
 from kmaut.algebra import (
+    EXCEPTIONAL,
     SemisimpleElement,
+    SimpleAlgebra,
     bracket,
     combine_semisimple,
     compact_conjugation,
@@ -64,10 +66,39 @@ def test_param_ranges():
         make_algebra("d", 3, "compact")
 
 
-def test_exceptional_static_only():
-    e8 = make_algebra("e8", None, "compact")
-    with pytest.raises(UnsupportedExceptional):
-        e8.basis()
+_MATRIX_WORK = {
+    "basis": lambda alg: alg.basis(),
+    "coords": lambda alg: alg.coords(CycloMatrix.zeros(2)),
+    "contains_matrix": lambda alg: alg.contains_matrix(CycloMatrix.zeros(2)),
+    "structure_constants": lambda alg: alg.structure_constants(),
+    "compact_conjugation": compact_conjugation,
+    "Automorphism": Automorphism,
+    "standard_involution": lambda alg: standard_involution(alg, "rho1"),
+}
+
+
+@pytest.mark.parametrize("work", list(_MATRIX_WORK))
+@pytest.mark.parametrize("fam", EXCEPTIONAL)
+def test_exceptional_static_only(fam, work):
+    """Every piece of matrix work on an exceptional algebra is refused at
+    the one raise point, with its message."""
+    alg = make_algebra(fam, None, "compact")
+    with pytest.raises(UnsupportedExceptional) as err:
+        _MATRIX_WORK[work](alg)
+    assert str(err.value) == "%s has no matrix model; only static data" % fam
+
+
+@pytest.mark.parametrize("fam", EXCEPTIONAL)
+def test_exceptional_family_takes_no_rank(fam):
+    """An exceptional algebra is named by its family alone: a rank, from
+    the constructor or from JSON, is UnsupportedParam."""
+    assert make_algebra(fam) == make_algebra(fam, None)
+    assert SimpleAlgebra.from_json(make_algebra(fam).to_json()) == make_algebra(fam)
+    for n in (3, -7, 0):
+        with pytest.raises(UnsupportedParam, match="takes no rank"):
+            make_algebra(fam, n)
+        with pytest.raises(UnsupportedParam, match="takes no rank"):
+            SimpleAlgebra.from_json({"family": fam, "n": n})
 
 
 def test_sl2_relations():

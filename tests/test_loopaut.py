@@ -747,3 +747,29 @@ def test_apply_crosses_no_matrix(monkeypatch):
         for u in us:
             m.apply(u)
         assert calls == [], m
+
+
+def test_homometric_rulers_are_undecided_never_conjugate():
+    """On a5, Ad diag(zeta_36^a) for the homometric Golomb rulers
+    {0,1,4,10,12,17} and {0,1,8,11,13,17}: equal difference multisets, so
+    equal eigenvalue multisets on sl(6) and equal class certificates, yet
+    neither a translation (the centre) nor a reflection (the outer class)
+    relates them mod 36, so they are not conjugate in Aut sl(6).  The
+    certificate is necessary, not sufficient: the verdict is undecided."""
+    a5 = make_algebra("a", 5, "compact")
+    iden = identity_automorphism(a5)
+    rulers = ((0, 1, 4, 10, 12, 17), (0, 1, 8, 11, 13, 17))
+
+    def differences(r):
+        return sorted(x - y for x in r for y in r)
+
+    assert differences(rulers[0]) == differences(rulers[1])
+    for t in range(36):
+        for s in (1, -1):
+            assert sorted((s * x + t) % 36 for x in rulers[0]) != \
+                sorted(x % 36 for x in rulers[1])
+    x, y = (StandardLoopAutomorphism(iden, 1, 1, 0, None, Automorphism(
+        a5, CycloMatrix.diag([root_of_unity(36, a) for a in r])))
+        for r in rulers)
+    assert invariant(x).raw and invariant(x) == invariant(y)
+    assert conjugacy_test(x, y) == conjugacy_test(y, x) == "undecided"
