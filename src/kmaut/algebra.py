@@ -141,7 +141,7 @@ class SimpleAlgebra:
         if family not in CLASSICAL:
             raise UnsupportedParam("unknown family %r" % (family,))
         n, model = param, _FAMILIES[family]
-        if not isinstance(n, int) or n < model.lo:
+        if type(n) is not int or n < model.lo:  # a bool is no rank
             raise UnsupportedParam("family %s needs integer rank >= %d"
                                    % (family, model.lo))
         self._model = model
@@ -400,9 +400,10 @@ class SimpleAlgebra:
         return SemisimpleElement(self, M, eig)
 
 
-@lru_cache(maxsize=_KEYS_CACHED)
+@lru_cache(maxsize=_KEYS_CACHED, typed=True)
 def make_algebra(family, param=None, mode="compact"):
-    """Construct (and cache) an algebra descriptor."""
+    """Construct (and cache) an algebra descriptor; the key is typed, so a
+    rank True reaches the constructor, which refuses it."""
     return SimpleAlgebra(family, param, mode)
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
-from . import kernel, linalg
+from . import kernel
 from .algebra import (
     _KEYS_CACHED,
     AlgebraElement,
@@ -27,7 +27,7 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import (CycloMatrix, CycloScalar, _context, _json_int,
+from .cyclo import (CycloMatrix, _context, _json_int,
                     _json_object, _rational_root, pfaffian, root_of_unity)
 from .errors import (
     InvalidLabel,
@@ -557,69 +557,52 @@ def _octonion_table():
     return mult
 
 
+def _local_triality():
+    """(T1, T2), the 28x28 rational operators a -> a' and a -> a'' on basis
+    coordinates of so(8), in closed form from the octonion product.
+
+    Local triality: each a in so(8) has unique a', a'' in so(8) with
+    a(xy) = a'(x) y + x a''(y) for all octonions x, y, and a -> a', a -> a''
+    are Lie homomorphisms.  With L_q, R_q left and right multiplication by
+    e_q (q > 0), the alternative law gives u(xy) = (L_u + R_u)(x) y +
+    x (-L_u)(y) and (xy)u = (-R_u)(x) y + x (L_u + R_u)(y) for imaginary u.
+    The basis element A_0q = E_0q - E_q0 is -(L_q + R_q) / 2, so
+    A_0q' = -L_q / 2 and A_0q'' = -R_q / 2; and A_pq = -[A_0p, A_0q] gives
+    A_pq' = -[L_p, L_q] / 4 and A_pq'' = -[R_p, R_q] / 4.
+    """
+    # left[q][j] = (k, s) for e_q e_j = s e_k, right[q][j] for e_j e_q
+    left, right = [{} for _ in range(8)], [{} for _ in range(8)]
+    for (i, j), (k, s) in _octonion_table().items():
+        left[i][j] = right[j][i] = (k, s)
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    index = {pair: c for c, pair in enumerate(pairs)}
+
+    def coordinate_operator(mul):
+        # column (p, q) holds the entries (i < j) of 4 A_pq': -2 M_q M_0 for
+        # p = 0 (M_0 = I), else -[M_p, M_q], summed as sign M_a M_b e_j
+        rows = tuple({} for _ in pairs)
+        for c, (p, q) in enumerate(pairs):
+            img = {}
+            terms = ((q, 0, -2),) if p == 0 else ((p, q, -1), (q, p, 1))
+            for j in range(8):
+                for a, b, sign in terms:
+                    k, s = mul[b][j]
+                    k, t = mul[a][k]
+                    img[k, j] = img.get((k, j), 0) + sign * s * t
+            for (i, j), v in img.items():
+                if i < j and v:
+                    rows[index[i, j]][c] = (v,)
+        return CycloMatrix(len(pairs), 1, 4, rows)
+
+    return coordinate_operator(left), coordinate_operator(right)
+
+
 @lru_cache(maxsize=1)
 def _triality_operator():
-    """The 28x28 rational operator of the order-3 outer automorphism of so(8).
-
-    Solved from the octonion identity a(xy) = a'(x)y + x a''(y): the
-    composition a -> (a')'' has order 3, preserves brackets and has a
-    14-dimensional fixed algebra.
-    """
-    mult = _octonion_table()
-
-    def omult(u, v):
-        out = [0] * 8
-        for i in range(8):
-            if u[i]:
-                for j in range(8):
-                    if v[j]:
-                        k, s = mult[(i, j)]
-                        out[k] += s * u[i] * v[j]
-        return out
-
-    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
-    unit = [[int(r == i) for r in range(8)] for i in range(8)]
-    basis = []
-    for (i, j) in pairs:
-        M = [[0] * 8 for _ in range(8)]
-        M[i][j] = 1
-        M[j][i] = -1
-        basis.append(M)
-
-    rows = []
-    for p in range(8):
-        for q in range(8):
-            blocks = []
-            for m in range(28):
-                Mm = basis[m]
-                blocks.append(omult([Mm[r][p] for r in range(8)], unit[q]))
-            for m in range(28):
-                Mm = basis[m]
-                blocks.append(omult(unit[p], [Mm[r][q] for r in range(8)]))
-            for coord in range(8):
-                rows.append([blk[coord] for blk in blocks])
-    rhss = []
-    for m in range(28):
-        rhs = []
-        Mm = basis[m]
-        for p in range(8):
-            for q in range(8):
-                w = omult(unit[p], unit[q])
-                rhs.extend(sum(Mm[i][k] * w[k] for k in range(8)) for i in range(8))
-        rhss.append(rhs)
-
-    # the integer system [A | B] in packed rows over Q, unknowns a', a''
-    naug = 56
-    system = [({j: (x,) for j, x in enumerate(row + [rhs[i] for rhs in rhss])
-                if x}, 1) for i, row in enumerate(rows)]
-    pivots, _ = linalg.rref(system, naug + 28, 1)
-    assert pivots[-1] < naug, "octonion system has no solution"
-    # free unknowns are 0; row pc of sol holds unknown pc for each of the 28 a
-    sol = [({}, 1)] * naug
-    for i, pc in enumerate(pivots):
-        sol[pc] = system[i]
-    T1 = CycloMatrix.from_packed(28, 1, sol[:28], offset=naug)
-    T2 = CycloMatrix.from_packed(28, 1, sol[28:], offset=naug)
+    """The 28x28 rational operator of the order-3 outer automorphism of so(8),
+    a -> (a'')' = T1 T2 a for the local triality pair (T1, T2): it has order
+    3, keeps the bracket and fixes a 14-dimensional subalgebra."""
+    T1, T2 = _local_triality()
     return T1 * T2
 
 
@@ -670,37 +653,41 @@ def triality_automorphism(algebra, power=1):
 
 
 def _descend_to_group(aut):
-    """Recover G with Ad(G) == aut, an operator-form automorphism with
-    trivial outer part, by solving G X = aut(X) G on the defining matrices.
-    A nonzero solution has a kernel that so(m) keeps, hence none, and
-    normalizes so(m), so it lies in the conformal orthogonal group; it is
-    returned at the scale the solve gives it, since every rule that reads a
-    group matrix reads ratios in which the scale cancels."""
-    n = aut.algebra.size
-    # candidates for G, cut down by G b - img G = 0 one basis element at a time
-    kern = [CycloMatrix.from_scalars([[int(r == p and c == q) for c in range(n)]
-                                      for r in range(n)])
-            for p in range(n) for q in range(n)]
-    for b in aut.algebra.basis():
-        img = aut._apply_linear(b)
-        cuts = [K * b - img * K for K in kern]
-        # the relations sum_k c_k cut_k = 0, entry (i, j) of a cut at
-        # column i * n + j
-        N = lcm(*(C.N for C in cuts))
-        vecs = [({i * n + j: v
-                  for i, (ents, _) in enumerate(C.promote(N).packed_rows())
-                  for j, v in ents.items()}, C.den) for C in cuts]
-        rels = linalg.relations(vecs, N)
-        if len(rels) < len(kern):  # else every cut is zero
-            M = lcm(N, *(K.N for K in kern))
-            kern = [sum((kern[k] * CycloScalar(N, v, den)
-                         for k, v in ents.items()), CycloMatrix.zeros(n, M))
-                    for ents, den in rels]
-        if len(kern) <= 1:
-            break
-    if not kern:
-        raise Unclassifiable("operator is not inner for the defining representation")
-    return kern[0]
+    """Recover G with Ad(G) == aut, an so(8) operator-form automorphism whose
+    word has no triality part, from products of images of basis elements.
+
+    Write L = aut, A_ij = E_ij - E_ji and g_i for column i of G.  Since
+    Ad(G) keeps so(8), G^T G = s I, so L(X) L(Y) = G X Y G^T / s; and as
+    A_ki A_k0 = -E_i0 and A_10^2 + A_20^2 - A_12^2 = -2 E_00,
+      g_i g_0^T / s = -L(A_ki) L(A_k0) for any k not in {0, i},
+      g_0 g_0^T / s = -(L(A_10)^2 + L(A_20)^2 - L(A_12)^2) / 2.
+    Column r of these, for an r where the latter has a nonzero diagonal
+    entry, is G times (g_0)_r / s.  G is returned scaled so that its first
+    stored entry is 1.  G X = L(X) G is then checked on A_01 ... A_07, which
+    generate so(8); Unclassifiable if it fails, as when aut is not inner."""
+    alg, op = aut.algebra, aut.operator()
+    basis, reads, images = alg.basis(), alg._reads(), op.transpose().rows
+    # L(A_0q) and L(A_1q), read off the operator's columns
+    L = {(i, j): alg.from_coords((images[k], op.den), op.N)
+         for (i, j), k in reads.items() if i < 2}
+    S = L[0, 1] * L[0, 1] + L[0, 2] * L[0, 2] - L[1, 2] * L[1, 2]
+    r = next((r for r in range(8) if r in S.rows[r]), None)
+    if r is not None:
+        def times(A, B):  # A B e_r, packed
+            col = {j: row[r] for j, row in enumerate(B.rows) if r in row}
+            return A.matvec((col, B.den), B.N)
+
+        # column r of -g_i g_0^T / s, that is G times one scalar: S e_r / 2,
+        # L(A_12) L(A_02) e_r (k = 2) and -L(A_1i) L(A_01) e_r (k = 1)
+        minus = -L[0, 1]
+        cols = [({i: row[r] for i, row in enumerate(S.rows) if r in row},
+                 2 * S.den), times(L[1, 2], L[0, 2])]
+        cols += [times(L[1, i], minus) for i in range(2, 8)]
+        G = CycloMatrix.from_packed(8, S.N, cols).transpose()
+        G = G * G.entry(*_first_entry(G)).inverse()
+        if all(G * basis[reads[0, q]] == L[0, q] * G for q in range(1, 8)):
+            return G
+    raise Unclassifiable("operator is not inner for the defining representation")
 
 
 # ---------------------------------------------------------------------------

@@ -606,10 +606,15 @@ class CycloMatrix:
 
     @staticmethod
     def diag(values, N=None):
-        zero = CycloScalar.from_rational(0, N or 1)
-        return CycloMatrix.from_scalars(
-            [[v if i == j else zero for j in range(len(values))]
-             for i, v in enumerate(values)])
+        """The diagonal matrix of the values, as from_scalars builds it with
+        zeros of conductor N or 1 off the diagonal."""
+        vals = [_coerce(v) for v in values]
+        N = lcm((N or 1) if len(vals) > 1 else 1, *(x.N for x in vals))
+        _check_conductor(N)
+        den = lcm(1, *(x.den for x in vals))
+        rows = tuple({i: tuple(c * (den // x.den) for c in x.promote(N).nums)}
+                     if x else {} for i, x in enumerate(vals))
+        return CycloMatrix(len(vals), N, den, rows)
 
     # -- access ------------------------------------------------------------
 

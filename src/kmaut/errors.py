@@ -51,10 +51,6 @@ class NotInvolution(KmautError):
     pass
 
 
-class UnsupportedExceptional(KmautError):
-    """Requested a matrix-level computation on a static exceptional algebra."""
-
-
 class NonCommuting(KmautError):
     pass
 
@@ -104,7 +100,12 @@ class ScalingNotRational(KmautError):
 
 
 class StaticOnlyAlgebra(KmautError):
-    """The invariant refers to an algebra without a matrix model."""
+    """Matrix work asked of static data: an algebra without a matrix model
+    (`UnsupportedExceptional`) or a certificate invariant."""
+
+
+class UnsupportedExceptional(StaticOnlyAlgebra):
+    """Requested a matrix-level computation on a static exceptional algebra."""
 
 
 class InvalidK(KmautError):

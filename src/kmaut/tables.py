@@ -201,8 +201,7 @@ def realize(inv):
     beta^2; for [rho+, rho-], u(t) -> rho+(u(-t)) on the twist
     rho-^(-1) rho+."""
     algebra = inv.algebra
-    if algebra.is_exceptional:
-        raise StaticOnlyAlgebra("%s has no matrix model" % algebra.label())
+    algebra._need_matrix()
     if not isinstance(inv, (FirstKindInvariant, SecondKindInvariant)):
         raise InvalidLabel("not an invariant: %r" % (inv,))
     if inv.raw:

@@ -101,6 +101,37 @@ def test_exceptional_family_takes_no_rank(fam):
             SimpleAlgebra.from_json({"family": fam, "n": n})
 
 
+@pytest.mark.parametrize("a1_cached_first", [False, True])
+def test_a_bool_is_not_a_rank(a1_cached_first):
+    """True is refused as a rank by the constructor and by make_algebra,
+    whether or not a1 is in make_algebra's cache."""
+    make_algebra.cache_clear()
+    if a1_cached_first:
+        assert make_algebra("a", 1).param == 1
+    for build in (make_algebra, SimpleAlgebra):
+        for family, n in (("a", True), ("d", True), ("b", False)):
+            with pytest.raises(UnsupportedParam, match="integer rank"):
+                build(family, n)
+    assert make_algebra("a", 1).to_json()["n"] == 1
+
+
+@pytest.mark.parametrize("fam", EXCEPTIONAL)
+def test_exceptional_matrix_work_has_one_refusal(fam):
+    """Realizing an invariant, a real form basis and a standard involution
+    on an exceptional algebra raise one class with one message."""
+    from kmaut.autg import InvLabel
+    from kmaut.realforms import real_form_basis
+    from kmaut.tables import enumerate_second_kind, realize_entry
+    alg = make_algebra(fam)
+    work = [lambda: realize_entry(alg, enumerate_second_kind(alg, 1).entries[0]),
+            lambda: real_form_basis(alg, (InvLabel(1), InvLabel(0))),
+            lambda: standard_involution(alg, "rho1")]
+    for run in work:
+        with pytest.raises(UnsupportedExceptional) as err:
+            run()
+        assert str(err.value) == "%s has no matrix model; only static data" % fam
+
+
 def test_sl2_relations():
     alg = sl2()
     e, f, h = efh(alg)

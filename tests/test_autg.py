@@ -422,6 +422,133 @@ def test_d4_triality_descent(monkeypatch):
             assert G * b * Gi == img
 
 
+def _octonion_product(x, y):
+    """xy for octonions given as 8 rational coordinates."""
+    from kmaut.autg import _octonion_table
+    out = [Fraction(0)] * 8
+    for (i, j), (k, s) in _octonion_table().items():
+        if x[i] and y[j]:
+            out[k] += s * x[i] * y[j]
+    return out
+
+
+def _apply_so8(coords, x):
+    """A x for the so(8) element with the given coordinates at the pairs
+    (i < j): A[i][j] = c, A[j][i] = -c."""
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    out = [Fraction(0)] * 8
+    for (i, j), c in zip(pairs, coords):
+        out[i] += c * x[j]
+        out[j] -= c * x[i]
+    return out
+
+
+def test_local_triality_satisfies_the_octonion_identity():
+    """a(xy) = a'(x) y + x a''(y) for every basis element a of so(8) and
+    every pair of basis octonions x, y: the content of the local triality
+    pair, checked by octonion products."""
+    from kmaut.autg import _local_triality, _triality_operator
+    T1, T2 = _local_triality()
+    assert _triality_operator() == T1 * T2
+    unit = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
+    for m in range(28):
+        a = [Fraction(int(k == m)) for k in range(28)]
+        a1 = [T1.entry(k, m).as_fraction() for k in range(28)]
+        a2 = [T2.entry(k, m).as_fraction() for k in range(28)]
+        for x in unit:
+            for y in unit:
+                lhs = _apply_so8(a, _octonion_product(x, y))
+                rhs = [s + t for s, t in
+                       zip(_octonion_product(_apply_so8(a1, x), y),
+                           _octonion_product(x, _apply_so8(a2, y)))]
+                assert lhs == rhs, m
+
+
+def test_triality_operator_matches_its_golden_digest():
+    """The triality operator equals its recorded copy: rows, denominator
+    and conductor, through the sha256 of its JSON."""
+    import hashlib
+    from pathlib import Path
+    from kmaut.autg import _triality_operator
+    golden = json.loads((Path(__file__).parent / "golden"
+                         / "triality-operator.json").read_text())
+    op = _triality_operator()
+    assert (op.den, op.N) == (golden["den"], golden["conductor"])
+    digest = hashlib.sha256(json.dumps(op.to_json()).encode()).hexdigest()
+    assert digest == golden["sha256"]
+
+
+def _counting(monkeypatch, module, names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        fn = getattr(module, name)
+
+        def wrapped(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_triality_operator_needs_no_elimination(monkeypatch):
+    from kmaut import linalg
+    from kmaut.autg import _triality_operator
+    calls = _counting(monkeypatch, linalg, ["rref", "relations"])
+    _triality_operator.cache_clear()
+    _triality_operator()
+    assert calls == {"rref": 0, "relations": 0}
+
+
+def _conjugated_inner_maps(so8, rng, count):
+    """Operator-form inner maps g theta h theta^-1 g^-1, g a random inner
+    automorphism and h Ad exp(2 pi i t W) of conductor above 1."""
+    theta = triality_automorphism(so8)
+    out = []
+    for t in (Fraction(1, 5), Fraction(1, 3), Fraction(1, 8))[:count]:
+        g = random_inner_automorphism(so8, rng)
+        W = so8.torus_element([rng.randint(-2, 2) for _ in range(4)])
+        h = Automorphism(so8, W.exp_2pi(t))
+        out.append(g.compose(theta).compose(h).compose(theta.inverse())
+                   .compose(g.inverse()))
+    return out
+
+
+def test_descent_recovers_conjugated_maps_at_higher_conductor():
+    """The group matrix descended from an so(8) operator conjugated by
+    random inner automorphisms implements it on all 28 basis elements; it
+    is scaled to a first stored entry 1."""
+    from kmaut.autg import _descend_to_group, _first_entry
+    so8 = make_algebra("d", 4, "compact")
+    for L in _conjugated_inner_maps(so8, random.Random(37), 3):
+        assert not L.has_parts and L.operator().N > 1
+        G = _descend_to_group(L)
+        assert G.entry(*_first_entry(G)) == 1
+        Gi = G.inverse()
+        for b in so8.basis():
+            assert G * b * Gi == L._apply_linear(b)
+
+
+def test_descent_needs_no_elimination(monkeypatch):
+    from kmaut import linalg
+    from kmaut.autg import _descend_to_group
+    so8 = make_algebra("d", 4, "compact")
+    L, = _conjugated_inner_maps(so8, random.Random(3), 1)
+    L.operator()
+    calls = _counting(monkeypatch, linalg, ["rref", "relations"])
+    _descend_to_group(L)
+    assert calls == {"rref": 0, "relations": 0}
+
+
+def test_triality_does_not_descend():
+    from kmaut.autg import _descend_to_group
+    from kmaut.errors import Unclassifiable
+    so8 = make_algebra("d", 4, "compact")
+    for power in (1, 2):
+        with pytest.raises(Unclassifiable, match="not inner"):
+            _descend_to_group(triality_automorphism(so8, power))
+
+
 _FORM_ALGEBRAS = [("b", 2), ("b", 3), ("b", 4), ("c", 3), ("c", 4), ("d", 4),
                   ("d", 5)]
 
