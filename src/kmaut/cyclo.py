@@ -697,10 +697,10 @@ class CycloMatrix:
         if not any(nums):
             return CycloMatrix.zeros(self.n, M)
         if M == self.N and not any(nums[1:]):
-            # a rational scalar in the matrix's field: integer multiples
+            # a rational scalar: integer multiples, empty rows shared
             c = nums[0]
-            rows = tuple({j: tuple(x * c for x in v) for j, v in row.items()}
-                         for row in self.rows)
+            rows = tuple(row and {j: tuple([x * c for x in v])
+                                  for j, v in row.items()} for row in self.rows)
             return CycloMatrix(self.n, M, self.den * den, rows)
         b = other.promote(M).nums
         ctx = _context(M)

@@ -94,14 +94,14 @@ def matmul(A, B, red, phi, n):
 def add_rows(a, fa, b, fb):
     """The sparse row fa * a + fb * b.  Entries that cancel are dropped, and
     neither input row is changed."""
-    out = dict(a) if fa == 1 else {j: tuple(x * fa for x in v)
+    out = dict(a) if fa == 1 else {j: tuple([x * fa for x in v])
                                    for j, v in a.items()}
     for j, y in b.items():
         x = out.get(j)
         if x is None:
-            out[j] = tuple(c * fb for c in y)
+            out[j] = tuple([c * fb for c in y])
         else:
-            v = tuple(p + q * fb for p, q in zip(x, y))
+            v = tuple([p + q * fb for p, q in zip(x, y)])
             if any(v):
                 out[j] = v
             else:

@@ -9,23 +9,22 @@ Matrices are met only at the JSON and public boundary: the constructor
 reads them through `coords`, and `coeffs`, `coefficient` and `to_json` write
 them through `from_coords`.  Loop automorphisms (`loopaut`) act on the rows.
 
-Everything else is bilinear in the coordinates.  The bracket is coefficient
-convolution through the structure constants (C, K, den) of the algebra, in
-the one convolution helper `_convolution` over `_convolve`, which the window
-rows of `_parts_bracket` share; the extended algebra adds the derivation
-terms to the same raw rows and the cocycle (u', v) c, and each degree is put
-in lowest terms once.  The form and the cocycle are one weighted pairing sum
-through the Killing Gram matrix K (`_form`).  Each result coefficient
-carries the conductor the matrix computation gives it: the lcm of the
-conductors of its nonzero contributions, lifted to that of i where a
-derivative term reaches it.
+Everything else is bilinear in the coordinates.  The bracket is one pass
+over raw rows: `_convolution` forms each pair through the structure
+constants (`_convolve`, shared with `_parts_bracket`), each row lifted once
+per conductor; `affine_bracket` adds the derivation terms, i b and i e held
+as coordinates (`_times_i`), and the cocycle (u', v) c, and each degree is
+put in lowest terms once.  The form and the cocycle are one weighted pairing
+sum through the Killing Gram matrix K (`_form`); `affine_form` adds a e + b g
+as rows.  Each result coefficient carries the conductor the matrix
+computation gives it: the lcm of the conductors of its nonzero
+contributions, lifted to that of i where a derivative term reaches it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import gcd, lcm
 
 from . import kernel
 from .algebra import AlgebraElement, sigma_eigenspace
@@ -35,7 +34,7 @@ from .errors import MembershipError, TwistMismatch, WindowTooSmall
 from .linalg import Span, _strip
 
 _ZERO = CycloScalar.from_rational(0)
-_I = root_of_unity(4, 1)
+_I = 4, (0, 1), 1  # i, as (N, numerators, den)
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +50,12 @@ def _lift_row(row, M):
 
 
 def _normal(row):
-    """The row in lowest terms, or None if it is zero."""
+    """The row in lowest terms, zero entries dropped, or None if it is zero."""
     N, ents, den = row
-    if not ents:
-        return None
-    ents, den = _strip(ents, den)
-    return N, ents, den
+    g = gcd(den, *chain.from_iterable(ents.values()))
+    ents = {k: tuple(w) if g == 1 else tuple([c // g for c in w])
+            for k, w in ents.items() if any(w)}
+    return (N, ents, den // g) if ents else None
 
 
 def _row_eq(a, b):
@@ -78,26 +77,38 @@ def _combine(a, b, sign=1):
 
 
 def _scale(row, s, n=1, l=1):
-    """row * s * n / l for a CycloScalar, int or Fraction s and integers n, l
-    (folded into s), at the lcm of the conductors (a rational s keeps the
-    row's); the empty row if s n = 0."""
+    """row * s * n / l for s a CycloScalar, int, Fraction or raw (N, nums,
+    den) and integers n, l (folded into s), at the lcm of the conductors (a
+    rational s keeps the row's); the empty row if s n = 0."""
+    if not isinstance(s, tuple):
+        s = s if isinstance(s, CycloScalar) else _scalar(s)
+        s = s.N, s.nums, s.den
+    sN, nums, sden = s
     N = row[0]
-    if isinstance(s, CycloScalar):
-        M = lcm(N, s.N)
-        nums, sden = tuple(n * a for a in _lift(s.nums, s.N, M)), s.den * l
-    else:
-        s = Fraction(s)
-        M, nums, sden = N, (s.numerator * n,), s.denominator * l
-    if not any(nums):
+    M = N if N == sN else lcm(N, sN)
+    if not n or not any(nums):
         return M, {}, 1
-    ents = _lift_row(row, M)
     if any(nums[1:]):
         ctx = _context(M)
-        ents = {k: kernel.conv_reduce(v, nums, ctx.red, ctx.phi)
-                for k, v in ents.items()}
+        nums = [n * a for a in _lift(nums, sN, M)]
+        ents = {k: tuple([v[0] * a for a in nums]) if len(v) == 1 else
+                kernel.conv_reduce(_lift(v, N, M), nums, ctx.red, ctx.phi)
+                for k, v in row[1].items()}
     else:
-        ents = {k: tuple(x * nums[0] for x in v) for k, v in ents.items()}
-    return M, ents, row[2] * sden
+        c = n * nums[0]
+        ents = {k: tuple([x * c for x in v])
+                for k, v in _lift_row(row, M).items()}
+    return M, ents, row[2] * sden * l
+
+
+def _times_i(N, nums):
+    """i z as (lcm(N, 4), numerators), for z in Q(zeta_N) as numerators."""
+    if len(nums) == 1:  # N is 1 or 2
+        return 4, (0, nums[0])
+    M = lcm(N, 4)
+    ctx = _context(M)
+    return M, kernel.conv_reduce(_lift(nums, N, M), ctx.power(M // 4),
+                                 ctx.red, ctx.phi)
 
 
 def _convolve(acc, x, y, C, red, phi):
@@ -199,8 +210,7 @@ class LoopElement:
         empty rows are dropped and the others put in lowest terms."""
         out = LoopElement.__new__(LoopElement)
         out.algebra, out.twist, out.l = algebra, twist, l
-        out.rows = {n: r for n, r in ((n, _normal(r)) for n, r in rows.items())
-                    if r is not None}
+        out.rows = {n: r for n, row in rows.items() if (r := _normal(row))}
         return out
 
     @staticmethod
@@ -231,8 +241,8 @@ class LoopElement:
         return not self.rows
 
     def _compat(self, other):
-        if (self.algebra != other.algebra or self.l != other.l
-                or self.twist != other.twist):
+        a, b, s, t = self.algebra, other.algebra, self.twist, other.twist
+        if self.l != other.l or a is not b and a != b or s is not t and s != t:
             raise TwistMismatch("loop elements live on different twists")
 
     def __eq__(self, other):
@@ -297,6 +307,12 @@ class LoopElement:
             self.algebra.label(), self.l, self.support())
 
 
+def _scalar(s):
+    """An int, Fraction or None (zero) written at conductor 1."""
+    s = s or 0
+    return CycloScalar(1, (s.numerator,), s.denominator, _normalized=True)
+
+
 class AffineElement:
     """Loop element plus central and derivation coordinates."""
 
@@ -304,12 +320,8 @@ class AffineElement:
 
     def __init__(self, loop, c=None, d=None):
         self.loop = loop
-        self.c = c if c is not None else _ZERO
-        self.d = d if d is not None else _ZERO
-        if not isinstance(self.c, CycloScalar):
-            self.c = CycloScalar.from_rational(self.c)
-        if not isinstance(self.d, CycloScalar):
-            self.d = CycloScalar.from_rational(self.d)
+        self.c = c if isinstance(c, CycloScalar) else _scalar(c)
+        self.d = d if isinstance(d, CycloScalar) else _scalar(d)
 
     def __eq__(self, other):
         if not isinstance(other, AffineElement):
@@ -360,24 +372,28 @@ class AffineElement:
 def _convolution(u, v):
     """The rows {n: (N, entries, den)} of sum_(a+b=n) [u_a, v_b] through the
     structure constants, not in lowest terms.  Each pair is formed at the
-    lcm of its conductors, and a nonzero one is summed into degree n, which
-    so carries the lcm of the conductors of its nonzero pairs; a degree
-    whose pairs cancel is left out."""
+    lcm of its conductors (a row is lifted once per call), and a nonzero one
+    is summed into degree n, which so carries the lcm of the conductors of
+    its nonzero pairs; a degree whose pairs cancel is left out."""
     u._compat(v)
     C, _, D = u.algebra.structure_constants()
-    out = {}
+    lifted, out = {}, {}
+
+    def at(r, N):
+        return lifted.get((id(r), N)) or lifted.setdefault(
+            (id(r), N), _lift_row(r, N))
+
     for a, x in u.rows.items():
         for b, y in v.rows.items():
             N = x[0] if x[0] == y[0] else lcm(x[0], y[0])
             ctx = _context(N)
             acc = {}
-            _convolve(acc, _lift_row(x, N), _lift_row(y, N), C, ctx.red, ctx.phi)
-            ents = {k: tuple(w) for k, w in acc.items() if any(w)}
-            if ents:
-                row = N, ents, x[2] * y[2] * D
-                n = a + b
+            _convolve(acc, x[1] if x[0] == N else at(x, N),
+                      y[1] if y[0] == N else at(y, N), C, ctx.red, ctx.phi)
+            if any(map(any, acc.values())):
+                row, n = (N, acc, x[2] * y[2] * D), a + b
                 out[n] = _combine(out[n], row) if n in out else row
-    return {n: r for n, r in out.items() if r[1]}
+    return {n: r for n, r in out.items() if any(map(any, r[1].values()))}
 
 
 def loop_bracket(u, v):
@@ -416,27 +432,31 @@ def affine_bracket(x, y):
     u, v = x.loop, y.loop
     out = _convolution(u, v)
     l = u.l
-    for s, w in ((x.d and _I * x.d, v.rows), (y.d and _I * -y.d, u.rows)):
-        if s:
+    for s, w, sign in ((x.d, v.rows, 1), (y.d, u.rows, -1)):
+        if any(s.nums):
+            s = _times_i(s.N, s.nums) + (s.den * l,)
             for n, r in w.items():
                 if n:
-                    t = _scale(r, s, n, l)
+                    t = _scale(r, s, sign * n)
                     out[n] = _combine(out[n], t) if n in out else t
     pairs = [(n, r, v.rows[-n]) for n, r in u.rows.items()
              if n and -n in v.rows]
     cocycle = _ZERO
     if pairs:
-        N, nums, den = _form(u.algebra, pairs, 4)
-        ctx = _context(N)
-        cocycle = CycloScalar(N, kernel.conv_reduce(
-            nums, ctx.power(N // 4), ctx.red, ctx.phi), den * l)
+        N, nums, den = _form(u.algebra, pairs)
+        cocycle = CycloScalar(*_times_i(N, nums), den * l)
     return AffineElement(u._like(out), cocycle, _ZERO)
 
 
 def affine_form(x, y):
-    """(u + a c + b d, v + g c + e d) = (u, v) + a e + b g."""
-    x.loop._compat(y.loop)
-    return loop_form(x.loop, y.loop) + x.c * y.d + x.d * y.c
+    """(u + a c + b d, v + g c + e d) = (u, v) + a e + b g, at the lcm of the
+    conductors of its terms, with a e and b g formed as rows."""
+    f = loop_form(x.loop, y.loop)
+    row = f.N, {0: f.nums}, f.den
+    for s, t in ((x.c, y.d), (x.d, y.c)):
+        row = _combine(row, _scale((t.N, {0: t.nums}, t.den), s))
+    N, ents, den = row
+    return CycloScalar(N, ents.get(0, (0,) * _context(N).phi), den)
 
 
 def central_element(algebra, twist, l):

@@ -351,15 +351,22 @@ def _exceptional_row(algebra, lab):
 # frame-free signatures
 # ---------------------------------------------------------------------------
 
-def _commute(a, b):
-    return a.compose(b) == b.compose(a)
+def _commutator(rho, beta):
+    """(rho o beta, beta o rho, c), the products formed once and c with
+    matrix(rho o beta) = c * matrix(beta o rho), which tests that they
+    commute (else NonCommuting); operator maps leave c None."""
+    ab, ba = rho.compose(beta), beta.compose(rho)
+    group = ab.has_parts and ba.has_parts
+    c = _scalar_ratio(ab.parts()[0], ba.parts()[0]) if group else None
+    if (c is None or ab.parts()[1] != ba.parts()[1]) if group else ab != ba:
+        raise NonCommuting("beta does not commute with rho")
+    return ab, ba, c
 
 
-def _commutator_scalar(rho, beta):
-    """Central scalar c with matrix(rho o beta) = c * matrix(beta o rho)."""
-    ab = rho.compose(beta)
-    ba = beta.compose(rho)
-    c = _scalar_ratio(ab.parts()[0], ba.parts()[0])
+def _commutator_scalar(pair):
+    """The c of a `_commutator` triple, read from the parts if left None."""
+    ab, ba, c = pair
+    c = _scalar_ratio(ab.parts()[0], ba.parts()[0]) if c is None else c
     if c is None:
         raise NonCommuting("automorphisms do not commute")
     return c
@@ -409,8 +416,7 @@ def raw_signature(rho, beta):
     fam = algebra.family
     if beta.conj or rho.conj:
         raise NoSignatureRule("signatures apply to complex-linear parts")
-    if not _commute(rho, beta):
-        raise NonCommuting("beta does not commute with rho")
+    pair = _commutator(rho, beta)
     if rho.is_identity():
         return _out_signature(beta)
     m = algebra.size
@@ -427,7 +433,7 @@ def raw_signature(rho, beta):
         if rho.is_inner():
             S0 = rho.parts()[0]
             if S0.trace().is_zero():
-                c = _commutator_scalar(rho, beta)
+                c = _commutator_scalar(pair)
                 if e:
                     # S0 B = c B S0^-T carries S0's scale squared: read c
                     # over the scalar S0^2
@@ -441,8 +447,9 @@ def raw_signature(rho, beta):
         if m % 2:
             return (e,)
         if e == 0:
-            return (0, _mu_det_sign(rho, beta))
-        return (1, _mu_det_sign(rho, beta.compose(rho)))
+            return (0, _mu_det_sign(beta, pair))
+        beta = beta.compose(rho)
+        return (1, _mu_det_sign(beta, _commutator(rho, beta)))
     if fam == "c":
         # S0 B = c B S0 whatever the scales of S0 and B.  The rule covers the
         # classes of trace zero, Ad(iE) among them: G^-1 = J^-1 G^T J / s for
@@ -450,7 +457,7 @@ def raw_signature(rho, beta):
         # at its multiplicity, and s / lambda swaps the eigenvalues
         # +-sqrt(-s) of an S0 with S0^2 = -s
         if rho.parts()[0].trace().is_zero():
-            return (_sgn(_commutator_scalar(rho, beta)),)
+            return (_sgn(_commutator_scalar(pair)),)
         return ()
     # b and d: B / sqrt(s_B) is orthogonal, so det B|V / s_B^(dim V / 2) is
     # +-1 on a block V of even dimension, C^m itself when m is even
@@ -470,7 +477,7 @@ def raw_signature(rho, beta):
         # one, and the sign of B0 drops out on the even block
         sign, dim = (-1, p) if p % 2 == 0 else (1, m - p)
         return (unit(_block_det(S0, B, sign), dim),)
-    c = _sgn(_commutator_scalar(rho, beta))
+    c = _sgn(_commutator_scalar(pair))
     if c == -1 or (S * S).is_scalar() == -s:
         return (c, unit(B.det(), m))
     # the signs (a, b) on (V-, V+) up to (-a, -b) when p and q = m - p are
@@ -487,12 +494,12 @@ def raw_signature(rho, beta):
     return (1, (a, a))
 
 
-def _mu_det_sign(rho, beta):
+def _mu_det_sign(beta, pair):
     """det-ratio sign separating the inner components of the centralizer of
     an outer involution of su(2n): with B S0 B^T = (1/c) S0, the value
-    det(B) * c^n is +-1 and frame-independent."""
-    m = rho.algebra.size
-    c = _commutator_scalar(rho, beta)
+    det(B) * c^n is +-1 and frame-independent (pair: `_commutator`)."""
+    m = beta.algebra.size
+    c = _commutator_scalar(pair)
     B = beta.parts()[0]
     val = B.det() * (c ** (m // 2))
     return _sgn(val)

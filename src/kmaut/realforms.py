@@ -154,31 +154,30 @@ def _real_field_basis(M):
         for t in range(1, _context(M).phi // 2)]
 
 
-def _fixed_part(rows, build, M, N, dim=None, signs=(1,)):
+def _fixed_part(rows, build, M, signs=(1,)):
     """The fixed part (sign 1) and the negated part (sign -1) of an
     involution phi, for each of signs, from pairs (e, phi(e)) of affine
     elements over Q(zeta_M) whose e span a phi-stable Q-space.  Pair j is
-    given by rows[j], the rows of e and phi(e) on the window [-N, N]
+    given by rows[j], the rows of e and phi(e) on a window
     (`loop._affine_row`), and build(j), which makes e and phi(e).
 
     One pass over the pairs yields, per sign, each (e + sign phi(e)) / 2
     whose row, formed from the pair's rows, is independent of the ones
-    before it, their Q-span and, given the algebra's dimension dim, their
-    `_row_parts`; an element is built only when its row is kept."""
+    before it, their Q-span and their rows; an element is built only when
+    its row is kept."""
     half = Fraction(1, 2)
     parts = [([], Span(), []) for _ in signs]
     for j, ((ee, de), (ei, di)) in enumerate(rows):
         den = lcm(de, di)
         made = None
-        for sign, (out, span, split) in zip(signs, parts):
+        for sign, (out, span, kept) in zip(signs, parts):
             row = add_rows(ee, den // de, ei, sign * (den // di)), 2 * den
             if span.add(flatten(row, M)):
                 if made is None:
                     made = build(j)
                 e, img = made
                 out.append((e + img if sign == 1 else e - img) * half)
-                if dim is not None:
-                    split.append(_row_parts(row, N, dim))
+                kept.append(row)
     return parts
 
 
@@ -241,7 +240,7 @@ def real_form(phi, N=None):
         (u, pu), (z, zc) = units[j // len(scalars)], scalars[j % len(scalars)]
         return AffineElement(u * z), AffineElement(pu * zc)
 
-    [(out, span, split)] = _fixed_part(rows(), build, M, N, dim)
+    [(out, span, kept)] = _fixed_part(rows(), build, M)
     # c and d go in by hand: through the extension, the zero c of the d
     # elements would keep conductor 4 (a zero does) and change the JSON
     i = root_of_unity(4, 1)
@@ -249,11 +248,11 @@ def real_form(phi, N=None):
     for f in _real_field_basis(M):
         f = f if phi.epsilon == 1 else i * f
         for x in (AffineElement(zero, c=f), AffineElement(zero, d=f)):
-            row = _affine_row(x, N, M)
-            span.add(flatten(row, M))
-            split.append(_row_parts(row, N, dim))
+            kept.append(_affine_row(x, N, M))
+            span.add(flatten(kept[-1], M))
             out.append(x)
-    return RealFormBasis(algebra, phi, N, l, out, (span, split))
+    return RealFormBasis(algebra, phi, N, l, out,
+                         (span, [_row_parts(r, N, dim) for r in kept]))
 
 
 def _scaled(row, z, M):
@@ -362,7 +361,7 @@ def compact_window_basis(algebra, twist, l, N):
              for n, u in units if n == 0]
     [(fixed, _, _)] = _fixed_part(
         [tuple(_affine_row(x, 0, M0) for x in p) for p in pairs],
-        pairs.__getitem__, M0, 0)
+        pairs.__getitem__, M0)
     return [u + hat.apply(u) for n, u in units if n > 0] + \
         [x.loop for x in fixed]
 
@@ -370,8 +369,9 @@ def compact_window_basis(algebra, twist, l, N):
 def cartan_decomposition(phi, N=None):
     """Exact +-1 eigenbasis split K + P of a compact involution on the
     compact window, under the guard of `real_form`, whose basis spans
-    K + iP.  Returns a dict with K and P (lists of AffineElement), the window
-    and the window bracket-closure verdicts."""
+    K + iP.  Returns a dict with K and P (lists of AffineElement), their
+    rows over Q(zeta_M) on the window (`loop._affine_row`), the window and
+    the window bracket-closure verdicts."""
     M, N = _window_involution(phi, N)
     algebra, tw, l = phi.algebra, phi.twist, phi.l
     # constant curve and target twist tw: images stay at conductor l
@@ -381,15 +381,17 @@ def cartan_decomposition(phi, N=None):
     for f in _real_field_basis(M):
         elts += [AffineElement(zero, c=f), AffineElement(zero, d=f)]
     pairs = [(e, ext.apply(e)) for e in elts]
-    (Kb, kspan, ks), (Pb, pspan, ps) = _fixed_part(
+    (Kb, kspan, kr), (Pb, pspan, pr) = _fixed_part(
         [tuple(_affine_row(x, N, M) for x in p) for p in pairs],
-        pairs.__getitem__, M, N, algebra.dim, (1, -1))
+        pairs.__getitem__, M, (1, -1))
+    ks, ps = ([_row_parts(r, N, algebra.dim) for r in rs] for rs in (kr, pr))
     inclusions = {
         "KK_in_K": _brackets_in(algebra, l, ks, ks, kspan, M, N),
         "KP_in_P": _brackets_in(algebra, l, ks, ps, pspan, M, N),
         "PP_in_K": _brackets_in(algebra, l, ps, ps, kspan, M, N),
     }
-    return {"K": Kb, "P": Pb, "window": N, "inclusions": inclusions}
+    return {"K": Kb, "P": Pb, "rows": (kr, pr), "window": N,
+            "inclusions": inclusions}
 
 
 # ---------------------------------------------------------------------------

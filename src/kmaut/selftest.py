@@ -20,7 +20,7 @@ from .autg import (
     standard_list,
 )
 from .cyclo import CycloMatrix, CycloScalar, pfaffian, root_of_unity
-from .linalg import Span
+from .linalg import Span, flatten
 from .loop import (
     AffineElement,
     LoopElement,
@@ -45,7 +45,7 @@ from .loopaut import (
 )
 from .pi0 import pi0_row
 from .realforms import (
-    _affine_qvec,
+    _scaled,
     cartan_decomposition,
     check_extension_bijection,
     real_form,
@@ -578,9 +578,9 @@ def check_sl2_catalogue(deep=False):
 
 
 def check_cartan_tables(deep=False):
-    """Every first- and second-kind table entry of a2, a3, b2 and c3 (and
-    d4 when deep) at window 1: the three Cartan inclusions hold, and the
-    real form of the entry's realization spans K + iP over Q."""
+    """Table entries of a2, a3, b2 and c3 (and d4 when deep), both kinds, at
+    window 1: the Cartan inclusions hold, and K + iP has independent rows,
+    as many as the real form basis, inside the span that `real_form` keeps."""
     i = root_of_unity(4, 1)
     bad, checked = [], 0
     for alg in map(algebra_from_label,
@@ -591,16 +591,17 @@ def check_cartan_tables(deep=False):
                 for e in row.entries:
                     phi = realize_entry(alg, e)
                     rep = cartan_decomposition(phi, N=1)
-                    M = lcm(4, 2 * phi.l)
-                    kip = rep["K"] + [x * i for x in rep["P"]]
-                    span = Span(_affine_qvec(x, M, 1) for x in kip)
-                    basis = real_form(phi, N=1).basis
+                    rf, M = real_form(phi, N=1), lcm(4, 2 * phi.l)
+                    kr, pr = rep["rows"]
+                    kip = [flatten(r, M) for r in
+                           kr + [_scaled(r, i, M) for r in pr]]
                     checked += 1
                     if not all(rep["inclusions"].values()):
                         bad.append((alg.label(), e, "inclusions"))
-                    if len(basis) != len(kip) or not all(
-                            span.contains(_affine_qvec(x, M, 1))
-                            for x in basis):
+                    span = Span()
+                    if len(rf.basis) != len(kip) or not all(
+                            span.add(v) and rf._rows[0].contains(v)
+                            for v in kip):
                         bad.append((alg.label(), e, "real form"))
     return ("cartan-tables", not bad,
             "%d entries: inclusions hold, real form = K + iP" % checked

@@ -15,10 +15,12 @@ from kmaut.algebra import sigma_eigenspace
 from kmaut.cyclo import CycloMatrix, CycloScalar, root_of_unity
 from kmaut.errors import (MalformedData, MembershipError, TwistMismatch,
                           WindowTooSmall)
+from kmaut import loop as kloop
 from kmaut.loop import (
     AffineElement,
     LoopElement,
     _affine_row,
+    _convolution,
     _parts_bracket,
     _row_parts,
     affine_bracket,
@@ -627,3 +629,100 @@ def test_affine_json_round_trip_property(twist, l):
             assert back == a and _dumps(back) == _dumps(a)
 
     check()
+
+
+def test_convolution_lifts_each_row_once_per_conductor(monkeypatch):
+    """Rows of conductor 1 meet three rows of conductor 4 and one of
+    conductor 3: `_convolution` lifts each (row, conductor) once, where
+    lifting per pair made eight lifts, and its rows are those the pairs
+    give one by one."""
+    alg, iden, e, f, h = sl2_setup()
+    i, z3 = root_of_unity(4, 1), root_of_unity(3, 1)
+    u = LoopElement(alg, iden, 1, {0: h, 1: e})
+    v = LoopElement(alg, iden, 1, {0: f * i, 1: h * i, 2: e * i, -1: f * z3})
+    lifts, lift_row = [], kloop._lift_row
+
+    def counted(row, M):
+        if row[0] != M:
+            lifts.append((id(row), M))
+        return lift_row(row, M)
+
+    monkeypatch.setattr(kloop, "_lift_row", counted)
+    for a, b in ((u, v), (v, u), (u, u)):
+        lifts.clear()
+        got = a._like(_convolution(a, b))
+        inputs = {id(r) for r in list(a.rows.values()) + list(b.rows.values())}
+        lifted = [key for key in lifts if key[0] in inputs]
+        assert len(lifted) == len(set(lifted))
+        if a is u and b is v:
+            assert sorted(M for _, M in lifted) == [3, 3, 4, 4]
+        want = LoopElement.zero(alg, iden, 1)
+        for n, r in a.rows.items():
+            for m, t in b.rows.items():
+                want = want + loop_bracket(a._like({n: r}), b._like({m: t}))
+        assert got.to_json() == want.to_json()
+
+
+def test_rational_d_and_c_form_no_scalar_product(monkeypatch):
+    """With rational c and d, affine_bracket and affine_form multiply no
+    CycloScalars: i b and i e are formed as coordinates, and a e + b g as
+    rows."""
+    alg, iden, e, f, h = sl2_setup()
+    x = AffineElement(LoopElement(alg, iden, 1, {1: e, -1: f, 0: h}),
+                      Fraction(1, 2), 3)
+    y = AffineElement(LoopElement(alg, iden, 1, {-1: f * 2, 1: e, 2: h}),
+                      -1, Fraction(-5, 3))
+    want = [reference_affine_bracket(x, y).to_json(),
+            reference_affine_bracket(y, x).to_json()]
+    products = []
+    mul = CycloScalar.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(CycloScalar, "__mul__", counted)
+    monkeypatch.setattr(CycloScalar, "__rmul__", counted)
+    got = [affine_bracket(x, y), affine_bracket(y, x)]
+    form = affine_form(got[0], x)
+    assert not products
+    monkeypatch.undo()
+    assert [z.to_json() for z in got] == want
+    assert form == loop_form(got[0].loop, x.loop) + got[0].c * 3
+    assert got[0].c.N == 4 and got[0].loop.coefficient(1).N == 4
+
+
+@pytest.mark.parametrize("twist,l", _affine_twists())
+def test_rational_c_and_d_paths_property(twist, l):
+    """An int or Fraction c or d is the CycloScalar from_rational makes, and
+    the bracket, sums and form of elements holding them write the bytes of
+    the same elements given CycloScalar c and d, conductors included; at
+    conductor 4 the same values give equal (==) results."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    alg = twist.algebra
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    loops = _affine_strategy(twist, l).map(lambda x: x.loop)
+
+    @hyp.settings(max_examples=15, deadline=None, phases=_no_shrink(hyp))
+    @hyp.given(loops, loops, st.lists(rationals, min_size=4, max_size=4),
+               st.booleans())
+    def check(u, v, qs, as_int):
+        qs = [int(q) if as_int else q for q in qs]
+        a, b, g, e = qs
+        x, y = AffineElement(u, a, b), AffineElement(v, g, e)
+        for N, same in ((1, _dumps), (4, lambda z: z)):
+            xs, ys = (AffineElement(w.loop, *(CycloScalar.from_rational(q, N)
+                                              for q in pair))
+                      for w, pair in ((x, (a, b)), (y, (g, e))))
+            assert same(x) == same(xs) and same(y) == same(ys)
+            assert same(affine_bracket(x, y)) == same(affine_bracket(xs, ys))
+            assert same(x + y) == same(xs + ys)
+            assert same(x - y) == same(xs - ys)
+            f, fs = affine_form(x, y), affine_form(xs, ys)
+            assert f == fs and (N == 4 or f.to_json() == fs.to_json())
+        assert affine_form(x, y) == loop_form(u, v) + a * e + b * g
+
+    check()
+    assert AffineElement(LoopElement.zero(alg, twist, l)).to_json() == \
+        AffineElement(LoopElement.zero(alg, twist, l), 0, 0).to_json()
