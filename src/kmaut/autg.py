@@ -27,7 +27,7 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import (CycloMatrix, _context, _json_int,
+from .cyclo import (ONE, CycloMatrix, _context, _json_int,
                     _json_object, _rational_root, pfaffian, root_of_unity)
 from .errors import (
     InvalidLabel,
@@ -125,7 +125,7 @@ def _image_rates(M, rates):
 class Automorphism:
     """A (possibly conjugate-linear) automorphism of a classical simple algebra."""
 
-    __slots__ = ("algebra", "conj", "_G", "_inv", "_w", "_op", "_word",
+    __slots__ = ("algebra", "conj", "_G", "_inv", "_s", "_w", "_op", "_word",
                  "label", "eigenbases")
 
     def __init__(self, algebra, G=None, w=0, conj=False, operator=None,
@@ -139,6 +139,8 @@ class Automorphism:
         # the inverse of the stored matrix, _G or else _op: None while
         # unknown, else made or the zero-argument function that makes it
         self._inv = None
+        # the form scalar of _G (see _form_scalar), None until it is read
+        self._s = None
         if operator is not None:
             assert algebra.has_triality
             self._G = None
@@ -169,11 +171,14 @@ class Automorphism:
 
     def _ginv(self):
         """The inverse of the stored matrix, made by the function in _inv,
-        else by group_inverse, else (an operator) by elimination."""
+        else by group_inverse (which also finds the form scalar), else (an
+        operator) by elimination."""
         inv = self._inv
         if inv is None:
-            inv = (self._op.inverse() if self._G is None
-                   else group_inverse(self.algebra, self._G))
+            if self._G is None:
+                inv = self._op.inverse()
+            else:
+                inv, self._s = _inverse_and_scalar(self.algebra, self._G)
         elif callable(inv):
             inv = inv()
         self._inv = inv
@@ -191,6 +196,7 @@ class Automorphism:
         out = object.__new__(Automorphism)
         out.algebra, out.conj, out._G, out._inv = (self.algebra, self.conj,
                                                    self._G, self._inv)
+        out._s = self._s
         out._w, out._op, out._word = self._w, self._op, self._word
         out.label, out.eigenbases = None, {}
         return out
@@ -397,7 +403,8 @@ class Automorphism:
                                 % (algebra.label(), size, size, M.n, M.n))
         # the matrix keeps its inverse: most parsed maps are composed or
         # inverted, which needs it; a group matrix outside its group fails here
-        Minv = group_inverse(algebra, M) if group else _eliminated_inverse(M)
+        Minv, s = (_inverse_and_scalar(algebra, M) if group
+                   else (_eliminated_inverse(M), None))
         if group:
             # mu exists on the a family only; elsewhere w = 1 would be lost
             w = _json_int(obj, "outer_power", 0,
@@ -415,7 +422,7 @@ class Automorphism:
             out = Automorphism(algebra, operator=M, word=tuple(w),
                                conj=bool(obj.get("conj_linear", False)),
                                label=obj.get("label"))
-        out._inv = Minv
+        out._inv, out._s = Minv, s
         return out
 
 
@@ -471,17 +478,19 @@ def _eliminated_inverse(M):
 
 def _form_scalar(phi):
     """The scalar s of G^T J G = s J on b, c and d (J = I on so(m)) for the
-    matrix G of phi, read at the first stored entry (i, j) of the inverse the
-    map keeps, G^-1 = A / s for the adjoint A = J^-1 G^T J (see
-    group_inverse), as s = A[i][j] / G^-1[i][j]: A[i][j] is the entry
-    G[pi j][pi i] of the form's signed permutation, signed by eps(pi i)
-    eps(pi j)."""
+    matrix G of phi, kept on phi once known.  group_inverse finds it when it
+    makes G^-1; otherwise it is read at the first stored entry (i, j) of the
+    inverse the map keeps, G^-1 = A / s for the adjoint A = J^-1 G^T J, as
+    s = A[i][j] / G^-1[i][j]: A[i][j] is the entry G[pi j][pi i] of the
+    form's signed permutation, signed by eps(pi i) eps(pi j)."""
     G, Ginv = phi._G, phi._ginv()
-    i, j = _first_entry(Ginv)
-    pi, eps = phi.algebra.form
-    r, c = pi[j], pi[i]
-    a = G.entry(r, c)
-    return (a if eps[r] == eps[c] else -a) * Ginv.entry(i, j).inverse()
+    if phi._s is None:
+        i, j = _first_entry(Ginv)
+        pi, eps = phi.algebra.form
+        r, c = pi[j], pi[i]
+        a = G.entry(r, c)
+        phi._s = (a if eps[r] == eps[c] else -a) * Ginv.entry(i, j).inverse()
+    return phi._s
 
 
 def _unit_trace(S, s):
@@ -501,17 +510,23 @@ def group_inverse(algebra, G):
     check that G is in the group; on a, where every invertible G is, it is
     eliminated.  Either way a G that is not in the group, a singular one
     included, is MalformedData.  The unit matrix is its own inverse."""
+    return _inverse_and_scalar(algebra, G)[0]
+
+
+def _inverse_and_scalar(algebra, G):
+    """(G^-1, s) as group_inverse makes G^-1, with the form scalar s it
+    finds on the way (1 for the unit matrix, None on a)."""
     if _is_unit(G):
-        return G
+        return G, (None if algebra.form is None else ONE)
     if algebra.form is None:
-        return _eliminated_inverse(G)
+        return _eliminated_inverse(G), None
     A = algebra.form_adjoint(G)
     s = (A * G).is_scalar()
     if s is None or s.is_zero():
         raise MalformedData("the matrix of a %s automorphism must satisfy "
                             "G^T J G = c J with c != 0 for its form J; this "
                             "one does not" % algebra.label())
-    return A if s == 1 else A * s.inverse()
+    return (A if s == 1 else A * s.inverse()), s
 
 
 def identity_automorphism(algebra):

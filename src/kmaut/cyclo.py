@@ -797,23 +797,63 @@ class CycloMatrix:
         """The number of pivots of the packed elimination."""
         return len(linalg.rref(self.packed_rows(), self.n, self.N)[0])
 
+    def _permutation(self):
+        """The column of each row's one stored entry when every row and every
+        column holds exactly one (a monomial matrix), else None."""
+        cols = []
+        for row in self.rows:
+            if len(row) != 1:
+                return None
+            cols.append(next(iter(row)))
+        return cols if len(set(cols)) == self.n else None
+
     def det(self):
-        piv, det = linalg.rref(self.packed_rows(), self.n, self.N)
-        if len(piv) < self.n:
-            return CycloScalar.from_rational(0, self.N)
-        return det
+        """sign(pi) prod_i a_i / den^n for a monomial matrix with entries
+        a_i / den at (i, pi(i)); else the product of the pivots of
+        `linalg.rref`."""
+        cols = self._permutation()
+        if cols is None:
+            piv, det = linalg.rref(self.packed_rows(), self.n, self.N)
+            if len(piv) < self.n:
+                return CycloScalar.from_rational(0, self.N)
+            return det
+        ctx = _context(self.N)
+        prod = None
+        for row in self.rows:
+            a, = row.values()
+            prod = a if prod is None else kernel.conv_reduce(prod, a, ctx.red, ctx.phi)
+        if _is_odd(cols):
+            prod = tuple(-c for c in prod)
+        return CycloScalar(self.N, prod, self.den ** self.n)
 
     def inverse(self):
-        """The inverse, by elimination on [self | I] in packed rows."""
-        n = self.n
-        one = (self.den,) + (0,) * (_context(self.N).phi - 1)
+        """The inverse: for a monomial matrix, den / a_i at (pi(i), i) for its
+        entries a_i / den at (i, pi(i)); else by elimination on [self | I] in
+        packed rows."""
+        n, N = self.n, self.N
+        cols = self._permutation()
+        if cols is not None:
+            # (i, numerators, den) of 1 / a_i in the row pi(i) of the inverse
+            invs = [None] * n
+            for i, row in enumerate(self.rows):
+                a, = row.values()
+                if any(a[1:]):
+                    x = CycloScalar(N, a, 1, _normalized=True).inverse()
+                    invs[cols[i]] = i, x.nums, x.den
+                else:
+                    invs[cols[i]] = i, (1 if a[0] > 0 else -1,) + a[1:], abs(a[0])
+            den = lcm(*(d for _, _, d in invs))
+            rows = tuple({i: tuple(c * (self.den * den // d) for c in nums)}
+                         for i, nums, d in invs)
+            return CycloMatrix(n, N, den, rows)
+        one = (self.den,) + (0,) * (_context(N).phi - 1)
         rows = self.packed_rows()
         for i, (ents, _) in enumerate(rows):
             ents[n + i] = one
-        piv, _ = linalg.rref(rows, 2 * n, self.N)
+        piv, _ = linalg.rref(rows, 2 * n, N)
         if piv != list(range(n)):
             raise ZeroDivisionError("singular matrix")
-        return CycloMatrix.from_packed(n, self.N, rows, offset=n)
+        return CycloMatrix.from_packed(n, N, rows, offset=n)
 
     def matvec(self, vec, N=1):
         """Apply to a packed vector (entries, den) over Q(zeta_N), as the
@@ -870,6 +910,20 @@ class CycloMatrix:
 
     def __repr__(self):
         return "CycloMatrix(%d, conductor=%d)" % (self.n, self.N)
+
+
+def _is_odd(perm):
+    """Whether the permutation i -> perm[i] is odd: a cycle of length L is
+    L - 1 transpositions."""
+    odd, seen = False, [False] * len(perm)
+    for i in range(len(perm)):
+        j = perm[i]
+        while not seen[j]:
+            seen[j] = True
+            if j != i:
+                odd = not odd
+            j = perm[j]
+    return odd
 
 
 # ---------------------------------------------------------------------------

@@ -253,12 +253,24 @@ class LoopElement:
             _row_eq(r, other.rows[n]) for n, r in self.rows.items())
 
     def _plus(self, other, sign):
+        """self + sign * other.  Only a degree that both hold is put in
+        lowest terms again: the other rows, and their negations, already
+        are."""
         self._compat(other)
         out = dict(self.rows)
         for n, r in other.rows.items():
-            out[n] = _combine(out[n], r, sign) if n in out \
-                else (r if sign == 1 else _scale(r, -1))
-        return self._like(out)
+            if n in out:
+                r = _normal(_combine(out[n], r, sign))
+                if r is None:
+                    del out[n]
+                    continue
+            elif sign != 1:
+                r = _scale(r, -1)
+            out[n] = r
+        res = LoopElement.__new__(LoopElement)
+        res.algebra, res.twist, res.l, res.rows = (self.algebra, self.twist,
+                                                   self.l, out)
+        return res
 
     def __add__(self, other):
         return self._plus(other, 1)

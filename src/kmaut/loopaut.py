@@ -621,7 +621,7 @@ def invariant_first_kind(phi):
     algebra = phi.algebra
     if P.compose(P).is_identity():
         lab, P, beta = _unprime(involution_int_class(P), P, beta)
-        cc = component_signature(P, beta)
+        cc = component_signature(P, beta, lab)
         return FirstKindInvariant(algebra, q, p, lab, cc)
     # order of the class exceeds two: the class certificate (the outer order
     # and the eigenvalue multiset) is necessary for conjugacy of the rho
@@ -719,7 +719,7 @@ def invariant_conj_linear(phi):
     if lin.is_identity():
         lin = identity_automorphism(algebra)
     return ConjLinearInvariant(algebra, 1, p=0, rho=lab,
-                               beta=component_signature(lin, beta))
+                               beta=component_signature(lin, beta, lab))
 
 
 def invariant(phi):

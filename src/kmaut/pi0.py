@@ -514,11 +514,13 @@ def _out_signature(beta):
     return ("out", 3)
 
 
-def component_signature(rho, beta):
+def component_signature(rho, beta, lab=None):
     """Component of beta in the centralizer of the involution rho, matched
-    against the representative row."""
+    against the representative row; lab is rho's class if the caller holds
+    it already."""
     algebra = rho.algebra
-    lab = involution_int_class(rho)
+    if lab is None:
+        lab = involution_int_class(rho)
     if lab.prime:
         raise NoSignatureRule("rows are indexed by the standard list; "
                               "conjugate rho to an unprimed class first")

@@ -917,6 +917,8 @@ def test_form_scalar_is_read_off_the_kept_inverse(fam, n, monkeypatch):
                       root_of_unity(3, 1) * Fraction(-1, 3)):
             phi = Automorphism(alg, G0 * scale)
             phi._ginv()
+            # read s off the inverse, not the value group_inverse kept
+            phi._s = None
             G = phi._G
             cases.append((phi, (G.transpose() * J * G * J.transpose()).is_scalar()))
 
@@ -926,6 +928,34 @@ def test_form_scalar_is_read_off_the_kept_inverse(fam, n, monkeypatch):
     monkeypatch.setattr(kernel, "matmul", no_product)
     for phi, want in cases:
         assert want is not None and _form_scalar(phi) == want
+
+
+@pytest.mark.parametrize("fam,n", _FORM_ALGEBRAS)
+def test_form_scalar_is_found_once_per_automorphism(fam, n, monkeypatch):
+    """A parsed map keeps the s that group_inverse found (A G = s I) and
+    pays no scalar inverse for it; any other map pays one on the first read
+    and none after."""
+    from kmaut.autg import _form_scalar
+    from kmaut.cyclo import CycloScalar
+    alg = make_algebra(fam, n, "compact")
+    rng = random.Random(7 * n)
+    G = random_inner_matrix(alg, rng) * (1 + root_of_unity(4, 1))
+    parsed = Automorphism.from_json(Automorphism(alg, G).to_json())
+    made = parsed.compose(parsed)
+    made._ginv()
+    want = [_form_scalar(Automorphism(alg, G)),
+            _form_scalar(Automorphism(alg, made._G))]
+    inverses = []
+
+    def counting(self, _inverse=CycloScalar.inverse):
+        inverses.append(self)
+        return _inverse(self)
+
+    monkeypatch.setattr(CycloScalar, "inverse", counting)
+    for phi, paid, s in ((parsed, 0, want[0]), (made, 1, want[1])):
+        inverses.clear()
+        assert _form_scalar(phi) == s and _form_scalar(phi) == s
+        assert len(inverses) == paid, (fam, n, phi, inverses)
 
 
 def _json_text(x):

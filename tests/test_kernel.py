@@ -18,7 +18,8 @@ from kmaut import kernel
 from kmaut.cyclo import CycloMatrix, CycloScalar, _context
 
 # Phi_N, lowest degree first, for the conductors with phi = 1, 2, 4
-POLY = {1: (-1, 1), 4: (1, 0, 1), 12: (1, 0, -1, 0, 1)}
+POLY = {1: (-1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1),
+        12: (1, 0, -1, 0, 1)}
 DENSITIES = (0.0, 0.05, 0.2, 0.5, 1.0)
 
 
@@ -67,10 +68,30 @@ def rand_rows(rng, n, phi, density, zero_row=None, zero_col=None):
     return tuple(rows)
 
 
+def one_entry_rows(rng, n, phi, share):
+    """Rows of which about `share` hold one entry, rational, a multiple of z
+    or general, the others as rand_rows makes them at density 0.5."""
+    rows = list(rand_rows(rng, n, phi, 0.5))
+    for i in range(n):
+        if rng.random() < share:
+            vec = [0] * phi
+            kind = rng.randrange(3)
+            if kind == 0:
+                vec[0] = rng.choice((-3, -1, 1, 2))
+            elif kind == 1 or phi == 1:
+                vec[rng.randrange(phi)] = rng.choice((-2, 1, 3))
+            else:
+                vec = [rng.choice((-2, 1, 3)) for _ in range(phi)]
+            row = [(0,) * phi] * n
+            row[rng.randrange(n)] = tuple(vec)
+            rows[i] = tuple(row)
+    return tuple(rows)
+
+
 def kernel_cases():
     rng = random.Random(20260)
     cases = []
-    for N in sorted(POLY):
+    for N in (1, 4, 12):
         phi = len(POLY[N]) - 1
         for density in DENSITIES:
             for n in (1, 3, 6, 9):
@@ -82,6 +103,23 @@ def kernel_cases():
         zero = rand_rows(rng, 5, phi, 0.0)
         full = rand_rows(rng, 5, phi, 1.0)
         cases += [(N, 5, zero, full), (N, 5, full, zero), (N, 5, zero, zero)]
+    # rows of A with one stored entry (a times a row of B) at phi 1, 2, 4,
+    # alone and mixed with fuller rows
+    rng = random.Random(20261)
+    for N in (1, 4, 12):
+        phi = len(POLY[N]) - 1
+        for share in (1.0, 0.5):
+            for n in (1, 4, 7):
+                B = rand_rows(rng, n, phi, rng.choice(DENSITIES[1:]),
+                              zero_col=rng.randrange(n))
+                cases.append((N, n, one_entry_rows(rng, n, phi, share), B))
+    # phi = 2 in closed form at every conductor that has it
+    for N in (3, 4, 6):
+        for density in DENSITIES[1:]:
+            for n in (2, 5, 8):
+                A = rand_rows(rng, n, 2, density)
+                cases.append((N, n, A, rand_rows(rng, n, 2, density)))
+                cases.append((N, n, one_entry_rows(rng, n, 2, 0.5), A))
     return cases
 
 

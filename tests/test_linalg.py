@@ -402,6 +402,70 @@ def test_inverse_and_det_property():
 
     prop()
 
+    # monomial matrices (one nonzero entry per row and per column) take a
+    # closed form; it must write the elimination's det and inverse exactly
+    mono_phis = {1: 1, 3: 2, 4: 2, 5: 4, 8: 4, 12: 4}
+
+    def monomial(N, n):
+        entry = st.tuples(
+            st.lists(st.integers(-3, 3), min_size=mono_phis[N],
+                     max_size=mono_phis[N]).filter(any),
+            st.integers(1, 4)).map(lambda t: CycloScalar(N, *t))
+        return st.tuples(st.permutations(range(n)),
+                         st.lists(entry, min_size=n, max_size=n)).map(
+            lambda t: CycloMatrix.from_scalars(
+                [[t[1][i] if j == t[0][i] else 0 for j in range(n)]
+                 for i in range(n)]))
+
+    monomials = st.tuples(st.sampled_from(sorted(mono_phis)),
+                          st.integers(1, 5)).flatmap(lambda t: monomial(*t))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(monomials)
+    def mono_prop(A):
+        d, inv = A.det(), A.inverse()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CycloMatrix, "_permutation", lambda self: None)
+            assert d.to_json() == A.det().to_json()
+            assert inv.to_json() == A.inverse().to_json()
+        assert A * inv == CycloMatrix.identity(A.n)
+
+    mono_prop()
+
+
+@pytest.mark.parametrize("N", (1, 4, 12))
+def test_one_entry_rows_on_a_repeated_column_are_singular(N):
+    """One stored entry in each row, two of them in one column: the closed
+    form does not apply, and the elimination finds the matrix singular."""
+    z = root_of_unity(N, 1)
+    A = CycloMatrix.from_scalars([[0, z, 0], [2, 0, 0], [0, 3 * z, 0]])
+    assert A.det() == 0 and A.det().N == N
+    with pytest.raises(ZeroDivisionError):
+        A.inverse()
+
+
+def test_monomial_det_and_inverse_eliminate_nothing(monkeypatch):
+    """The determinant and the inverse of a monomial matrix are read off its
+    entries, with no call of `linalg.rref`; a matrix with a fuller row still
+    goes through it."""
+    calls = []
+
+    def counting(*args, _rref=linalg.rref):
+        calls.append(args[1])
+        return _rref(*args)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    z = root_of_unity(12, 1)
+    A = CycloMatrix.from_scalars([[0, 0, Fraction(1, 2)], [z, 0, 0],
+                                  [0, -3 - z, 0]])
+    assert A.det() == Fraction(1, 2) * z * (-3 - z)
+    assert A * A.inverse() == CycloMatrix.identity(3)
+    assert calls == []
+    B = CycloMatrix.from_scalars([[1, 0, 1], [z, 0, 0], [0, -3 - z, 0]])
+    B.det()
+    B.inverse()
+    assert calls == [3, 6]
+
 
 # -- the packed elimination against the object-level loop ---------------------
 
