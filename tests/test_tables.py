@@ -16,7 +16,8 @@ from kmaut.loopaut import (
     invariant_second_kind,
 )
 from kmaut.pi0 import pi0_row
-from kmaut.selftest import table2_expected, table3_expected
+from kmaut.selftest import (acceptance_algebras, table2_expected,
+                            table3_expected)
 from kmaut.tables import (
     enumerate_first_kind,
     enumerate_second_kind,
@@ -226,6 +227,39 @@ def _tables_digests():
         out[" ".join(argv)] = [code, hashlib.sha256(
             buf.getvalue().encode()).hexdigest()]
     return out
+
+
+_REALIZE_GOLDEN = Path(__file__).parent / "golden" / "realize-digests.json"
+
+
+def _realize_digests():
+    """{algebra, k and entry joined by spaces: sha256 of the sorted JSON of
+    the entry's realized map} over every first- and second-kind entry of the
+    classical acceptance algebras (a1-a7, b2-b5, c3-c6, d4-d8)."""
+    out = {}
+    for alg in acceptance_algebras():
+        if alg.is_exceptional:
+            continue
+        for k in valid_ks(alg):
+            for row in (enumerate_first_kind(alg, k),
+                        enumerate_second_kind(alg, k)):
+                for e in row.entries:
+                    text = json.dumps(realize_entry(alg, e).to_json(),
+                                      sort_keys=True)
+                    key = " ".join([alg.label(), str(k)] + list(map(str, e)))
+                    out[key] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_realized_entries_are_byte_identical_to_the_golden_digests():
+    """The matrices and labels of the row builders reach output only through
+    realized maps: every realized table entry hashes to its committed
+    digest."""
+    want = json.loads(_REALIZE_GOLDEN.read_text())
+    got = _realize_digests()
+    assert len(want) == 621
+    assert got.keys() == want.keys()
+    assert [a for a in want if got[a] != want[a]] == []
 
 
 def test_tables_output_is_byte_identical_to_the_golden_digests():
