@@ -137,6 +137,7 @@ class SimpleAlgebra:
             self.dim, self.rank, self.out_order, self.n_involutions = \
                 _EXCEPTIONAL_DATA[family]
             self.has_triality = False
+            self._hash = hash(self._key())
             return
         if family not in CLASSICAL:
             raise UnsupportedParam("unknown family %r" % (family,))
@@ -153,6 +154,9 @@ class SimpleAlgebra:
         self.outer = model.outer
         # so(8), whose outer group S3 holds the order-3 triality
         self.has_triality = (family, n) == ("d", 4)
+        # formed once the key is known valid, as nothing rebinds it: every
+        # lru_cache'd method looks the algebra up by it
+        self._hash = hash(self._key())
 
     # -- identity ------------------------------------------------------------
 
@@ -168,7 +172,7 @@ class SimpleAlgebra:
                                  and self._key() == other._key())
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         if self.is_exceptional:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from . import kernel
 from .algebra import (
@@ -184,12 +185,6 @@ class Automorphism:
         self._inv = inv
         return inv
 
-    def _is_plain_identity(self):
-        """Complex-linear with w = 0 and the unit matrix as its G: a product
-        with it is the other factor, byte for byte."""
-        return (not self.conj and not self._w and self._G is not None
-                and _is_unit(self._G))
-
     def _unlabeled(self):
         """The same map with no label: its matrix or operator, word and kept
         inverse, shared."""
@@ -267,18 +262,27 @@ class Automorphism:
         the mu^w omega^c of self; K^-1 M1^-1, K^-1 = T(M2^-1), is carried
         (made on first use) when both factors' inverses are made once K is."""
         assert self.algebra == other.algebra
-        # a plain identity leaves the other factor as it is, in its form
-        if other._is_plain_identity():
+        # each factor's matrix is tested for the unit once.  A plain identity
+        # (complex-linear, w = 0, the unit as its G) leaves the other factor
+        # as it is, in its form, byte for byte
+        unit1, unit2 = (f._G is not None and _is_unit(f._G)
+                        for f in (self, other))
+        if unit2 and not (other.conj or other._w):
             return self._unlabeled()
-        if self._is_plain_identity():
+        if unit1 and not (self.conj or self._w):
             return other._unlabeled()
         conj, c, w = self.conj ^ other.conj, self.conj, self._w
         if self._G is not None and other._G is not None:
             M2 = other._G
-            out = Automorphism(self.algebra,
-                               _product(self._G,
-                                        _transport(c, w, M2, other._ginv)),
-                               w=w + other._w, conj=conj)
+            K = _transport(c, w, M2, other._ginv)
+            # M1 K as _product forms it; K is M2 where T is trivial
+            if unit1:
+                G = K
+            elif unit2 if K is M2 else _is_unit(K):
+                G = self._G
+            else:
+                G = self._G * K
+            out = Automorphism(self.algebra, G, w=w + other._w, conj=conj)
             inv1, inv2 = self._inv, other._inv
             if isinstance(inv1, CycloMatrix) and isinstance(inv2, CycloMatrix):
                 out._inv = lambda: _product(_transport(c, w, inv2, M2), inv1)
@@ -626,10 +630,11 @@ def _d4_frame(alg):
     """Exact companions of the so(8) outer generator, for so(8) in either
     mode.
 
-    Returns (P, JP): P = exp(pi*W) for a fixed-by-theta torus element W with
-    integer rotation rates; P is a diagonal +-1 involution of tau_4 type that
-    commutes with the order-3 generator exactly, and JP is an antisymmetric
-    orthogonal pairing of its eigenspaces.
+    Returns (P, JP, R1): P = exp(pi*W) for a fixed-by-theta torus element W
+    with integer rotation rates; P is a diagonal +-1 involution of tau_4 type
+    that commutes with the order-3 generator exactly, JP is an antisymmetric
+    orthogonal pairing of its eigenspaces, and R1 the reflection in P's
+    first -1 axis.
     """
     plane = {(2, 4): Fraction(-2), (3, 7): Fraction(1), (5, 6): Fraction(1)}
     rows = [[Fraction(0)] * 8 for _ in range(8)]
@@ -649,7 +654,9 @@ def _d4_frame(alg):
         jrows[b][a] = Fraction(1)
         jrows[a][b] = Fraction(-1)
     JP = CycloMatrix.from_scalars(jrows)
-    return P, JP
+    r1rows = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
+    r1rows[minus[0]][minus[0]] = Fraction(-1)
+    return P, JP, CycloMatrix.from_scalars(r1rows)
 
 
 def triality_automorphism(algebra, power=1):
@@ -736,21 +743,45 @@ class InvLabel:
 @lru_cache(maxsize=_KEYS_CACHED)
 def _classes(algebra):
     """The involution classes up to inner conjugation (identity excluded), in
-    label order: {InvLabel: (alias, outer word, builder)}.
+    label order: {InvLabel: (alias, outer word, builder, row, frame)}.
 
     The alias names a class in the matrix notation: mu (X -> -X^T), muadj
     (mu o Ad J), adj (Ad J) or adie (Ad iE), else None.  The builder returns a
     new standard involution of the class; it is None on exceptional
     algebras, which have no matrix model.  The so(8) classes rho_p^(e) are
-    theta^e rho_p theta^-e."""
+    theta^e rho_p theta^-e.  The row lists the components of the centralizer
+    of an unprimed class after the identity component, as (rep, k, builder,
+    signatures): the representative's name, its outer order, a function that
+    returns it (None where only static data exist) and signatures it carries
+    besides the one read off its map.  The frame builds the involution that
+    the row's signatures are read against where it is not the standard one;
+    else it is None."""
     fam, m = algebra.family, algebra.size
     if algebra.is_exceptional:
-        outer = (1, 4) if fam == "e6" else ()
-        return {InvLabel(p): (None, X_PERM if p in outer else ID_PERM, None)
-                for p in range(1, algebra.n_involutions + 1)}
+        # static rows: the outer component of e6, two inner ones of e7
+        labels, outer, rows = range(1, algebra.n_involutions + 1), (), {}
+        if fam == "e6":
+            outer = (1, 4)
+            rows = dict.fromkeys(labels, (("rho1", 2, None, ()),))
+        elif fam == "e7":
+            rows = {p: (("sigma%d" % p, 1, None, ()),) for p in (1, 3)}
+        return {InvLabel(p): (None, X_PERM if p in outer else ID_PERM, None,
+                              rows.get(p, ()), None) for p in labels}
 
     def ad(matrix, *args, w=0):
         return lambda: Automorphism(algebra, matrix(*args), w=w)
+
+    def std(p):
+        return lambda: standard_involution(algebra, InvLabel(p))
+
+    def entry(rep, k, *factors, w=0, sigs=()):
+        # Ad(M) o mu^w named rep, M the product of the factors' matrices,
+        # formed on first use and shared by every map built after
+        M = lru_cache(maxsize=1)(lambda: reduce(mul, [f() for f in factors]))
+        return rep, k, lambda: Automorphism(algebra, M(), w=w, label=rep), sigs
+
+    def tau(p):
+        return lambda: tau_matrix(p, m)
 
     def theta_conj(e, base):
         # two 28x28 operator products, made once; each call gets a fresh
@@ -766,19 +797,32 @@ def _classes(algebra):
             return out
         return fresh
 
-    n = algebra.param
+    n, frames = algebra.param, {}
     if fam == "a":
         out = {InvLabel(p): (None, ID_PERM, ad(tau_matrix, p, m))
                for p in range(1, m // 2 + 1)}
-        if m >= 3:
-            out[InvLabel(m // 2 + 1)] = ("mu", X_PERM,
-                                         lambda: mu_automorphism(algebra))
+        if m < 3:  # on su(2) mu is Ad J, an inner automorphism
+            rows = {InvLabel(1): [("mu", 1, lambda: mu_automorphism(algebra),
+                                   ())]}
+        else:
+            mu, muadj = m // 2 + 1, m // 2 + 2
+            out[InvLabel(mu)] = ("mu", X_PERM, lambda: mu_automorphism(algebra))
+            by_mu = ("mu", 2, std(mu), ())
+            rows = {lab: [by_mu] for lab in out}
             if m % 2 == 0:
-                out[InvLabel(m // 2 + 2)] = ("muadj", X_PERM,
-                                             ad(j_matrix, m // 2, w=1))
+                out[InvLabel(muadj)] = ("muadj", X_PERM,
+                                        ad(j_matrix, m // 2, w=1))
+                by_muadj = ("muAdJ", 2, std(muadj), ())
+                rows[InvLabel(m // 2)] = [
+                    entry("AdJ", 1, partial(j_matrix, m // 2)), by_mu, by_muadj]
+                rows[InvLabel(mu)] = [entry("rho1", 1, tau(1)), by_mu,
+                                      entry("rho1*mu", 2, tau(1), w=1)]
+                rows[InvLabel(muadj)] = [by_muadj]
     elif fam == "b":
         out = {InvLabel(p): (None, ID_PERM, ad(tau_matrix, p, m))
                for p in range(1, n + 1)}
+        rows = {InvLabel(p): [entry("rho1*tau%d" % (p + 1), 1, tau(1),
+                                    tau(p + 1))] for p in range(1, n + 1)}
     elif fam == "c":
         # the quaternionic tau_p acts as diag(tau_p, tau_p) on C^2n
         out = {InvLabel(p): (None, ID_PERM, ad(
@@ -787,9 +831,29 @@ def _classes(algebra):
         i = root_of_unity(4, 1)
         out[InvLabel(n // 2 + 1)] = ("adie", ID_PERM,
                                      ad(CycloMatrix.diag, [i] * n + [-i] * n))
+
+        def quaternionic_j():
+            # block-antidiagonal in quaternionic indices, hence diag(Jq, Jq)
+            # in the complex 2n model
+            Jq = j_matrix(n // 2)
+            Jq = [[Jq.entry(r, c) for c in range(n)] for r in range(n)]
+            return CycloMatrix.from_scalars([r + [0] * n for r in Jq]
+                                            + [[0] * n + r for r in Jq])
+        rows = {InvLabel(n // 2 + 1): [entry("AdjE", 1, partial(j_matrix, n))]}
+        if n % 2 == 0:
+            rows[InvLabel(n // 2)] = [entry("AdJ", 1, quaternionic_j)]
     else:
         out = {InvLabel(p): (None, X_PERM if p % 2 else ID_PERM,
                              ad(tau_matrix, p, m)) for p in range(1, n + 1)}
+        rows = {}
+        for p in range(1, n):
+            if p % 2:
+                rows[InvLabel(p)] = [("rho%d" % p, 2, std(p), ())]
+            else:
+                rows[InvLabel(p)] = [
+                    entry("rho1*tau%d" % (p + 1), 1, tau(1), tau(p + 1)),
+                    entry("rho1", 2, tau(1)),
+                    entry("rho%d" % (p + 1), 2, tau(p + 1))]
         if algebra.has_triality:
             for p in (1, 2, 3):
                 _, w, base = out[InvLabel(p)]
@@ -797,12 +861,42 @@ def _classes(algebra):
                     y = _ypow(e)
                     out[InvLabel(p, e)] = (None, _pcomp(_pcomp(y, w), _pinv(y)),
                                            theta_conj(e, base))
+            # so(8) names the inner component of rho2 by its classes
+            rows[InvLabel(2)][0] = entry("rho1*rho3", 1, tau(1), tau(3))
+            # rho4 has a 5-class component group.  Its frame is the diagonal
+            # tau_4-type involution P that commutes with the order-3 outer
+            # generator exactly.  The inner (-,-) block type and the J type
+            # lie in the same component here (unlike so(4n), n >= 3), so the
+            # AdJ entry carries both signatures.
+            def d4(i):
+                return lambda: _d4_frame(algebra)[i]
+            JP, R1 = d4(1), d4(2)
+            frames[InvLabel(4)] = lambda: Automorphism(
+                algebra, _d4_frame(algebra)[0], label="rho4")
+            rows[InvLabel(4)] = [
+                entry("AdJ", 1, JP, sigs=((1, (-1, -1)),)),
+                entry("rho1", 2, R1), entry("rho1*AdJ", 2, R1, JP),
+                ("theta", 3, lambda: triality_automorphism(algebra),
+                 (("theta",),))]
         else:
             out[InvLabel(n + 1)] = ("adj", ID_PERM, ad(j_matrix, n))
+            J = partial(j_matrix, n)
             if n % 2 == 0:
                 out[InvLabel(n + 1, 1)] = ("adj", ID_PERM, ad(
                     lambda: tau_matrix(1, m) * j_matrix(n) * tau_matrix(1, m)))
-    return dict(sorted(out.items()))
+                rows[InvLabel(n)] = [
+                    entry("rho1*tau%d" % (n + 1), 1, tau(1), tau(n + 1)),
+                    entry("AdJ", 1, J), entry("rho1", 2, tau(1)),
+                    entry("rho1*AdJ", 2, tau(1), J)]
+            else:
+                rows[InvLabel(n)] = [entry("AdJ", 1, J),
+                                     ("rho%d" % n, 2, std(n), ()),
+                                     entry("rho%d*AdJ" % n, 2, tau(n), J)]
+            # the Ad J row (rows are indexed by the standard list, so
+            # unprimed only)
+            rows[InvLabel(n + 1)] = [entry("rho%d" % n, 1 + n % 2, tau(n))]
+    return {lab: cls + (tuple(rows.get(lab, ())), frames.get(lab))
+            for lab, cls in sorted(out.items())}
 
 
 def _named(algebra, alias):
@@ -837,7 +931,7 @@ def parse_label(algebra, text):
     low = _ALIAS_SPELLINGS.get(low, low)
     if low == "mu" and not prime and algebra.outer == "mu" and algebra.size == 2:
         return InvLabel(1)  # on su(2), mu is Ad J
-    for lab, (alias, _, _) in _classes(algebra).items():
+    for lab, (alias, *_) in _classes(algebra).items():
         if alias == low and lab.prime == prime:
             return lab
     index = _RHO_INDEX.fullmatch(low)

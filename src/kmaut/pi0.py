@@ -24,15 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import _KEYS_CACHED, tau_matrix, j_matrix
+from .algebra import _KEYS_CACHED, tau_matrix
 from .autg import (
     Automorphism,
     ID_PERM,
     InvLabel,
     _classes,
-    _d4_frame,
     _form_scalar,
-    _named,
     _pcomp,
     _porder,
     _scalar_ratio,
@@ -43,7 +41,6 @@ from .autg import (
     label_out_word,
     mu_automorphism,
     standard_involution,
-    standard_list,
     triality_automorphism,
 )
 from .cyclo import CycloMatrix
@@ -142,172 +139,21 @@ def pi0_table(algebra, rho_label):
             for e in row.entries]
 
 
-def _ad(algebra, M, label):
-    return lambda: Automorphism(algebra, M, label=label)
-
-
-def _std(algebra, alias):
-    return lambda: standard_involution(algebra, _named(algebra, alias))
-
-
 def _build_row(algebra, lab):
-    fam = algebra.family
+    """The row of an unprimed class: the identity component, then the
+    components that `_classes` lists with the class, read against the
+    class's frame, else its standard involution."""
     if lab.p == 0:
         return _out_row(algebra)
-    if algebra.is_exceptional:
-        return _exceptional_row(algebra, lab)
-    if lab not in standard_list(algebra):
+    cls = _classes(algebra).get(lab)
+    if cls is None or lab.prime:
         raise InvalidLabel("no component row for %r on %s" % (lab, algebra.label()))
-    alias = _classes(algebra)[lab][0]
-    m = algebra.size
-    ident = Pi0Entry("id", 1, lambda: identity_automorphism(algebra))
-    frame = lambda: standard_involution(algebra, lab)
-    if fam == "a":
-        if alias is None:
-            if m >= 3 and 2 * lab.p == m:
-                half = m // 2
-                entries = [
-                    ident,
-                    Pi0Entry("AdJ", 1, _ad(algebra, j_matrix(half), "AdJ")),
-                    Pi0Entry("mu", 2, _std(algebra, "mu")),
-                    Pi0Entry("muAdJ", 2, _std(algebra, "muadj")),
-                ]
-            elif m >= 3:
-                entries = [ident, Pi0Entry("mu", 2, _std(algebra, "mu"))]
-            else:
-                entries = [ident,
-                           Pi0Entry("mu", 1, lambda: mu_automorphism(algebra))]
-        elif alias == "mu":
-            if m % 2 == 0:
-                entries = [
-                    ident,
-                    Pi0Entry("rho1", 1, _ad(algebra, tau_matrix(1, m), "rho1")),
-                    Pi0Entry("mu", 2, frame),
-                    Pi0Entry("rho1*mu", 2, lambda: Automorphism(
-                        algebra, tau_matrix(1, m), w=1, label="rho1*mu")),
-                ]
-            else:
-                entries = [ident,
-                           Pi0Entry("mu", 2, frame)]
-        else:  # mu Ad J class
-            entries = [ident,
-                       Pi0Entry("muAdJ", 2, frame)]
-        return Pi0Row(algebra, lab, frame, entries)
-    if fam == "b":
-        p = lab.p
-        B = tau_matrix(1, m) * tau_matrix(p + 1, m)
-        entries = [ident,
-                   Pi0Entry("rho1*tau%d" % (p + 1), 1,
-                            _ad(algebra, B, "rho1*tau%d" % (p + 1)))]
-        return Pi0Row(algebra, lab, frame, entries)
-    if fam == "c":
-        n = algebra.param
-        if alias == "adie":
-            entries = [ident,
-                       Pi0Entry("AdjE", 1, _ad(algebra, j_matrix(n), "AdjE"))]
-        elif 2 * lab.p == n:
-            # the quaternionic J: block-antidiagonal in quaternionic indices,
-            # hence diag(Jq, Jq) in the complex 2n model
-            Jq = j_matrix(n // 2)
-            rows = [[Jq.entry(i, j) for j in range(n)] + [0] * n
-                    for i in range(n)]
-            rows += [[0] * n + [Jq.entry(i, j) for j in range(n)]
-                     for i in range(n)]
-            M = CycloMatrix.from_scalars(rows)
-            entries = [ident, Pi0Entry("AdJ", 1, _ad(algebra, M, "AdJ"))]
-        else:
-            entries = [ident]
-        return Pi0Row(algebra, lab, frame, entries)
-    # family d
-    if algebra.has_triality:
-        return _d4_row(algebra, lab)
-    n = algebra.param
-    if alias is None:
-        p = lab.p
-        if p == n:
-            J = j_matrix(n)
-            if n % 2 == 0:
-                entries = [
-                    ident,
-                    Pi0Entry("rho1*tau%d" % (p + 1), 1,
-                             _ad(algebra, tau_matrix(1, m) * tau_matrix(p + 1, m),
-                                 "rho1*tau%d" % (p + 1))),
-                    Pi0Entry("AdJ", 1, _ad(algebra, J, "AdJ")),
-                    Pi0Entry("rho1", 2, _ad(algebra, tau_matrix(1, m), "rho1")),
-                    Pi0Entry("rho1*AdJ", 2,
-                             _ad(algebra, tau_matrix(1, m) * J, "rho1*AdJ")),
-                ]
-            else:
-                entries = [
-                    ident,
-                    Pi0Entry("AdJ", 1, _ad(algebra, J, "AdJ")),
-                    Pi0Entry("rho%d" % p, 2, frame),
-                    Pi0Entry("rho%d*AdJ" % p, 2,
-                             _ad(algebra, tau_matrix(p, m) * J, "rho%d*AdJ" % p)),
-                ]
-        elif p % 2 == 0:
-            entries = [
-                ident,
-                Pi0Entry("rho1*tau%d" % (p + 1), 1,
-                         _ad(algebra, tau_matrix(1, m) * tau_matrix(p + 1, m),
-                             "rho1*tau%d" % (p + 1))),
-                Pi0Entry("rho1", 2, _ad(algebra, tau_matrix(1, m), "rho1")),
-                Pi0Entry("rho%d" % (p + 1), 2,
-                         _ad(algebra, tau_matrix(p + 1, m), "rho%d" % (p + 1))),
-            ]
-        else:
-            entries = [ident,
-                       Pi0Entry("rho%d" % p, 2, frame)]
-        return Pi0Row(algebra, lab, frame, entries)
-    # the Ad J row (rows are indexed by the standard list, so unprimed only)
-    tn = tau_matrix(n, m)
-    if n % 2 == 0:
-        entries = [ident,
-                   Pi0Entry("rho%d" % n, 1, _ad(algebra, tn, "rho%d" % n))]
-    else:
-        entries = [ident,
-                   Pi0Entry("rho%d" % n, 2, _ad(algebra, tn, "rho%d" % n))]
-    return Pi0Row(algebra, lab, frame, entries)
-
-
-def _d4_row(algebra, lab):
-    m = 8
-    ident = Pi0Entry("id", 1, lambda: identity_automorphism(algebra))
-    frame = lambda: standard_involution(algebra, lab)
-    if lab.p in (1, 3):
-        entries = [ident,
-                   Pi0Entry("rho%d" % lab.p, 2, frame)]
-        return Pi0Row(algebra, lab, frame, entries)
-    if lab.p == 2:
-        entries = [
-            ident,
-            Pi0Entry("rho1*rho3", 1,
-                     _ad(algebra, tau_matrix(1, m) * tau_matrix(3, m), "rho1*rho3")),
-            Pi0Entry("rho1", 2, _ad(algebra, tau_matrix(1, m), "rho1")),
-            Pi0Entry("rho3", 2, _ad(algebra, tau_matrix(3, m), "rho3")),
-        ]
-        return Pi0Row(algebra, lab, frame, entries)
-    # p == 4: the row with a 5-class component group.  Frame: the diagonal
-    # tau_4-type involution that commutes with the order-3 outer generator
-    # exactly.  The inner (-,-) block type and the J type lie in the same
-    # component here (unlike so(4n), n >= 3), so the AdJ entry carries both
-    # signatures.
-    P, JP = _d4_frame(algebra)
-    minus = [i for i in range(8) if P.entry(i, i) == -1]
-    r1rows = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
-    r1rows[minus[0]][minus[0]] = Fraction(-1)
-    R1 = CycloMatrix.from_scalars(r1rows)
-    frame = lambda: Automorphism(algebra, P, label="rho4")
-    entries = [
-        ident,
-        Pi0Entry("AdJ", 1, _ad(algebra, JP, "AdJ"),
-                 extra_sigs=[(1, (-1, -1))]),
-        Pi0Entry("rho1", 2, _ad(algebra, R1, "rho1")),
-        Pi0Entry("rho1*AdJ", 2, _ad(algebra, R1 * JP, "rho1*AdJ")),
-        Pi0Entry("theta", 3, lambda: triality_automorphism(algebra),
-                 extra_sigs=[("theta",)]),
-    ]
-    return Pi0Row(algebra, lab, frame, entries)
+    _, _, build, row, frame = cls
+    ident = Pi0Entry("id", 1, None if build is None
+                     else lambda: identity_automorphism(algebra))
+    if build is not None and frame is None:
+        frame = lambda: standard_involution(algebra, lab)
+    return Pi0Row(algebra, lab, frame, [ident] + [Pi0Entry(*e) for e in row])
 
 
 def _out_row(algebra):
@@ -322,29 +168,15 @@ def _out_row(algebra):
                                 extra_sigs=[("out", 1)]))
     elif algebra.outer == "det":
         m = algebra.size
-        entries.append(Pi0Entry("rho1", 2, _ad(algebra, tau_matrix(1, m), "rho1"),
-                                extra_sigs=[("out", 1)]))
+        entries.append(Pi0Entry("rho1", 2, lambda: Automorphism(
+            algebra, tau_matrix(1, m), label="rho1"), extra_sigs=[("out", 1)]))
         if algebra.has_triality:
             entries.append(Pi0Entry("theta", 3,
                                     lambda: triality_automorphism(algebra),
                                     extra_sigs=[("out", 3)]))
-    elif algebra.family == "e6":
+    elif algebra.out_order == 2:
         entries.append(Pi0Entry("rho1", 2, None, extra_sigs=[("out", 1)]))
     return Pi0Row(algebra, InvLabel(0), None, entries)
-
-
-def _exceptional_row(algebra, lab):
-    fam = algebra.family
-    if fam == "e6":
-        entries = [Pi0Entry("id", 1), Pi0Entry("rho1", 2)]
-    elif fam == "e7":
-        if lab.p in (1, 3):
-            entries = [Pi0Entry("id", 1), Pi0Entry("sigma%d" % lab.p, 1)]
-        else:
-            entries = [Pi0Entry("id", 1)]
-    else:
-        entries = [Pi0Entry("id", 1)]
-    return Pi0Row(algebra, lab, None, entries)
 
 
 # ---------------------------------------------------------------------------

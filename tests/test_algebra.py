@@ -115,6 +115,20 @@ def test_a_bool_is_not_a_rank(a1_cached_first):
     assert make_algebra("a", 1).to_json()["n"] == 1
 
 
+def test_hash_is_formed_once(monkeypatch):
+    """The hash is kept from construction, so a cache lookup forms no key;
+    an unhashable family or rank is still refused as a parameter."""
+    alg = SimpleAlgebra("b", 3)
+    key, calls = SimpleAlgebra._key, []
+    monkeypatch.setattr(SimpleAlgebra, "_key",
+                        lambda self: calls.append(1) or key(self))
+    assert hash(alg) == hash(("b", 3, "compact")) and calls == []
+    monkeypatch.undo()
+    for family, n in ((["a"], 1), ("a", [1]), ("e6", [1])):
+        with pytest.raises(UnsupportedParam):
+            SimpleAlgebra(family, n)
+
+
 @pytest.mark.parametrize("fam", EXCEPTIONAL)
 def test_exceptional_matrix_work_has_one_refusal(fam):
     """Realizing an invariant, a real form basis and a standard involution

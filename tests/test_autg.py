@@ -8,6 +8,7 @@ from kmaut.algebra import j_matrix, make_algebra, tau_matrix
 from kmaut.autg import (
     Automorphism,
     InvLabel,
+    _is_unit,
     group_inverse,
     identity_automorphism,
     involution_int_class,
@@ -625,8 +626,10 @@ def test_carried_inverse_in_each_compose_branch(fam, n, w, conj):
         A = _known_inverse(alg, rng, w, conj)
         B = _known_inverse(alg, rng, w2 if fam == "a" else 0, conj2)
         P = A.compose(B)
-        # a plain identity factor hands over the other one's made inverse
-        assert callable(P._inv) != any(f._is_plain_identity() for f in (A, B))
+        # a plain identity factor (complex-linear, w = 0, the unit as its G)
+        # hands over the other one's made inverse
+        assert callable(P._inv) != any(not (f.conj or f._w) and _is_unit(f._G)
+                                       for f in (A, B))
         assert P._ginv() == P._G.inverse()
         assert isinstance(P._inv, CycloMatrix)
 
@@ -1069,3 +1072,46 @@ def test_target_twist_of_a_constant_curve_forms_only_the_twist_conjugate(
         counts.append(len(calls))
         monkeypatch.undo()
     assert counts[0] > 0 and counts[1] == counts[0]
+
+
+def test_class_table_makes_no_so8_frame():
+    """Listing the classes of so(8), their component rows included, makes
+    none of the matrices of the rho4 row: they wait for its first use."""
+    from kmaut.autg import _classes, _d4_frame, standard_list
+    _classes.cache_clear()
+    _d4_frame.cache_clear()
+    d4 = make_algebra("d", 4, "complex")
+    _classes(d4)
+    standard_list(d4)
+    assert _d4_frame.cache_info().currsize == 0
+
+
+def _unit_test_pairs():
+    """(left, right) factors of group form: plain maps, mu and conjugate-
+    linear ones, the unit on either side and an identity at conductor 4."""
+    rng = random.Random(11)
+    a2, d5 = make_algebra("a", 2, "compact"), make_algebra("d", 5, "compact")
+    plain = [Automorphism(a2, random_inner_matrix(a2, rng)) for _ in range(2)]
+    mu = Automorphism(a2, random_inner_matrix(a2, rng), w=1)
+    bar = Automorphism(a2, random_inner_matrix(a2, rng), conj=True)
+    one, one4 = (Automorphism(a2, CycloMatrix.identity(3, N)) for N in (1, 4))
+    return [(standard_involution(d5, "rho1"), standard_involution(d5, "rho2")),
+            tuple(plain), (mu, plain[0]), (plain[0], mu), (bar, mu),
+            (mu, bar), (mu, one), (one, bar), (plain[0], one4), (one4, mu)]
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_compose_tests_each_factor_for_the_unit_once(index, monkeypatch):
+    """A product of two group-form maps tests no matrix for the unit twice
+    (the transported right factor is tested where it is another matrix),
+    and stores the matrix that `_product` forms, at its conductor."""
+    from kmaut import autg
+    left, right = _unit_test_pairs()[index]
+    T = autg._transport(left.conj, left._w, right._G, right._ginv)
+    want = autg._product(left._G, T).to_json()
+    tested, is_unit = [], autg._is_unit
+    monkeypatch.setattr(autg, "_is_unit",
+                        lambda G: tested.append(id(G)) or is_unit(G))
+    got = left.compose(right)
+    assert len(tested) == len(set(tested)) <= 3
+    assert got._G.to_json() == want
