@@ -1,13 +1,15 @@
 """Finite-order automorphisms of a simple algebra: construction, composition,
 order, inner/outer position, involution classes and component signatures.
 
-An automorphism is stored either in defining form Ad(G) o mu^w o omega^c
-(mu: the outer generator X -> -X^T of the a-family, omega: the compact
-conjugation X -> -conj(X)^T) or, for so(8) words that involve the order-3
-outer generator, as a linear operator on basis coordinates together with its
-position in the component group.  Involution classes and component signatures
-are decided by frame-free exact data: eigenvalue multiplicities, central
-scalars of group commutators, eigenblock determinants and pfaffian signs.
+Every automorphism of a classical algebra is stored in the one form
+Ad(G) o T^w o omega^c: G a matrix of the defining representation, omega the
+compact conjugation X -> -conj(X)^T, and T the outer generator that no
+matrix gives: mu: X -> -X^T on the a family (w = 0, 1) and the order-3
+triality theta on so(8) (w = 0, 1, 2), since Aut so(8) = PSO(8) x| S3.
+Elsewhere w = 0.  The operator on basis coordinates is a view, formed when
+asked for.  Involution classes and component signatures are decided by
+frame-free exact data: eigenvalue multiplicities, central scalars of group
+commutators, eigenblock determinants and pfaffian signs.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import combinations
 from math import lcm
 from operator import mul
 
-from . import kernel
 from .algebra import (
     _KEYS_CACHED,
     AlgebraElement,
@@ -28,8 +28,8 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import (ONE, CycloMatrix, _context, _json_int,
-                    _json_object, _rational_root, pfaffian, root_of_unity)
+from .cyclo import (ONE, CycloMatrix, _json_int, _json_object,
+                    _rational_root, pfaffian, root_of_unity)
 from .errors import (
     InvalidLabel,
     MalformedData,
@@ -74,14 +74,9 @@ def _ypow(e):
 
 
 def _theta_power_of(word):
-    """Decompose word = x^delta o y^e; return (delta, e)."""
-    delta = 0 if word in (ID_PERM, Y_PERM, _pcomp(Y_PERM, Y_PERM)) else 1
-    img = word[0]
-    if delta == 0:
-        e = {0: 0, 1: 1, 2: 2}[img]
-    else:
-        e = {0: 0, 2: 1, 1: 2}[img]
-    return delta, e
+    """(d, e) with word = x^d o y^e: word[0] is e, or x's image of e."""
+    d = int(word not in (ID_PERM, Y_PERM, _ypow(2)))
+    return d, X_PERM[word[0]] if d else word[0]
 
 
 def _first_entry(M):
@@ -124,91 +119,69 @@ def _image_rates(M, rates):
 
 
 class Automorphism:
-    """A (possibly conjugate-linear) automorphism of a classical simple algebra."""
+    """A (possibly conjugate-linear) automorphism Ad(G) o T^w o omega^conj of
+    a classical simple algebra, T the outer generator that no matrix gives:
+    mu on a (w in {0, 1}), theta on so(8) (w in {0, 1, 2}), none elsewhere."""
 
     __slots__ = ("algebra", "conj", "_G", "_inv", "_s", "_w", "_op", "_word",
-                 "label", "eigenbases")
+                 "_by_theta", "label", "eigenbases")
 
-    def __init__(self, algebra, G=None, w=0, conj=False, operator=None,
-                 word=None, label=None):
+    def __init__(self, algebra, G=None, w=0, conj=False, label=None):
         algebra._need_matrix()
         self.algebra = algebra
         self.conj = bool(conj)
         self.label = label
         # {l: {n: the zeta_l^n eigenspace basis}}, filled by sigma_eigenspace
         self.eigenbases = {}
-        # the inverse of the stored matrix, _G or else _op: None while
+        self._G = G if G is not None else CycloMatrix.identity(algebra.size)
+        self._w = (w % 2 if algebra.outer == "mu"
+                   else w % 3 if algebra.has_triality else 0)
+        # G^-1 and the form scalar of G (see _form_scalar): None while
         # unknown, else made or the zero-argument function that makes it
-        self._inv = None
-        # the form scalar of _G (see _form_scalar), None until it is read
-        self._s = None
-        if operator is not None:
-            assert algebra.has_triality
-            self._G = None
-            self._w = 0
-            self._op = operator
-            self._word = word if word is not None else ID_PERM
-        else:
-            self._G = G if G is not None else CycloMatrix.identity(algebra.size)
-            self._w = w % 2 if algebra.outer == "mu" else 0
-            self._op = None
-            self._word = None
+        self._inv = self._s = None
+        self._op = self._word = None  # the operator and the outer word
+        # made with theta: written in JSON as an operator, as every map of
+        # so(8) built with the triality is, whatever its outer class
+        self._by_theta = self._w != 0 and algebra.has_triality
 
     # -- basic structure -----------------------------------------------------
 
-    @property
-    def has_parts(self):
-        return self._G is not None
-
     def parts(self):
-        """(G, w) of the defining form; computed from the operator if needed."""
-        if self._G is None:
-            delta, e = _theta_power_of(self._word)
-            if e:
-                raise Unclassifiable("automorphism involves the order-3 outer "
-                                     "generator; no defining form")
-            self._G, self._inv = _descend_to_group(self), None
+        """(G, w) of the defining form."""
         return self._G, self._w
 
     def _ginv(self):
-        """The inverse of the stored matrix, made by the function in _inv,
-        else by group_inverse (which also finds the form scalar), else (an
-        operator) by elimination."""
+        """G^-1, made by the function in _inv, else by group_inverse (which
+        also finds the form scalar)."""
         inv = self._inv
         if inv is None:
-            if self._G is None:
-                inv = self._op.inverse()
-            else:
-                inv, self._s = _inverse_and_scalar(self.algebra, self._G)
-        elif callable(inv):
-            inv = inv()
-        self._inv = inv
+            inv, self._s = _inverse_and_scalar(self.algebra, self._G)
+        self._inv = inv = _made(inv)
         return inv
 
-    def _unlabeled(self):
-        """The same map with no label: its matrix or operator, word and kept
-        inverse, shared."""
+    def _unlabeled(self, by_theta=False):
+        """The same map with no label, sharing all it has made; made with
+        theta if it was or by_theta is set."""
         out = object.__new__(Automorphism)
         out.algebra, out.conj, out._G, out._inv = (self.algebra, self.conj,
                                                    self._G, self._inv)
-        out._s = self._s
-        out._w, out._op, out._word = self._w, self._op, self._word
-        out.label, out.eigenbases = None, {}
+        out._s, out._w, out._op, out._word = (self._s, self._w, self._op,
+                                              self._word)
+        out._by_theta, out.label, out.eigenbases = (self._by_theta or by_theta,
+                                                    None, {})
         return out
 
     def word(self):
         """Position in the outer group as a permutation of {0,1,2}."""
         if self._word is None:
-            # kept: a group-form map never changes its G or w
-            self._word = ID_PERM
-            if self._w:
-                self._word = X_PERM
-            elif self.algebra.outer == "det":
-                # G^T G = c I gives det(G) = +-c^l; -c^l is a reflection,
-                # whatever the scale of G
-                c = _form_scalar(self)
-                if self._G.det() != c ** self.algebra.param:
-                    self._word = X_PERM
+            alg, G = self.algebra, self._G
+            # G^T G = c I gives det(G) = +-c^l; -c^l is a reflection,
+            # whatever the scale of G
+            x = self._w if alg.outer == "mu" else alg.outer == "det" and (
+                G.det() != _form_scalar(self) ** alg.param)
+            self._word = X_PERM if x else ID_PERM
+            if alg.has_triality:
+                self._word = _pcomp(self._word, _ypow(self._w))
         return self._word
 
     def is_inner(self):
@@ -226,12 +199,12 @@ class Automorphism:
         return self._apply_linear(M)
 
     def _apply_linear(self, M):
-        if self._G is None:
-            # zero at conductor 1, else over the lcm of the two conductors
-            alg, op = self.algebra, self._op
-            return alg.from_coords(op.matvec(alg.coords(M), M.N), lcm(op.N, M.N))
         if self._w:
-            M = -M.transpose()
+            M = (_theta_image(self.algebra, M, self._w)
+                 if self.algebra.has_triality else -M.transpose())
+        return self._ad(M)
+
+    def _ad(self, M):
         return M if _is_unit(self._G) else self._G * M * self._ginv()
 
     def apply(self, x):
@@ -241,81 +214,76 @@ class Automorphism:
         """Image of a semisimple element, with transported eigenvalue data."""
         M = self.apply_matrix(x.matrix)
         rates = x.eigenrates
-        if self._G is None:
-            rates = _image_rates(M, rates)
-        elif self._w:
-            rates = tuple(sorted(-r for r in rates))
+        if self._w:
+            rates = (_image_rates(M, rates) if self.algebra.has_triality
+                     else tuple(sorted(-r for r in rates)))
         return SemisimpleElement(self.algebra, M, rates, validate=False)
 
     def operator(self):
-        """Linear-part operator on basis coordinates (dim x dim), kept once
-        built; a group-form map then holds both forms, as a descended one."""
+        """The linear part's operator on basis coordinates, kept once built."""
         if self._op is None:
             self._op = self.algebra.coords_operator(
-                [self._apply_linear(b) for b in self.algebra.basis()])
+                [self._ad(y) for y in _outer_basis(self.algebra, self._w)])
         return self._op
 
     # -- group structure ---------------------------------------------------------
 
     def compose(self, other):
         """self o other (other acts first), stored as M1 K for K = T(M2), T
-        the mu^w omega^c of self; K^-1 M1^-1, K^-1 = T(M2^-1), is carried
-        (made on first use) when both factors' inverses are made once K is."""
+        the T^w omega^c of self (`_transport`).  Off theta, K^-1 M1^-1 is
+        carried (made on first use) when both factors' inverses are made,
+        and s1 s2 where T is trivial and both form scalars are kept."""
         assert self.algebra == other.algebra
         # each factor's matrix is tested for the unit once.  A plain identity
         # (complex-linear, w = 0, the unit as its G) leaves the other factor
-        # as it is, in its form, byte for byte
-        unit1, unit2 = (f._G is not None and _is_unit(f._G)
-                        for f in (self, other))
+        # as it is, byte for byte, made with theta if either factor was
+        unit1, unit2 = _is_unit(self._G), _is_unit(other._G)
         if unit2 and not (other.conj or other._w):
-            return self._unlabeled()
+            return self._unlabeled(other._by_theta)
         if unit1 and not (self.conj or self._w):
-            return other._unlabeled()
-        conj, c, w = self.conj ^ other.conj, self.conj, self._w
-        if self._G is not None and other._G is not None:
-            M2 = other._G
-            K = _transport(c, w, M2, other._ginv)
-            # M1 K as _product forms it; K is M2 where T is trivial
-            if unit1:
-                G = K
-            elif unit2 if K is M2 else _is_unit(K):
-                G = self._G
-            else:
-                G = self._G * K
-            out = Automorphism(self.algebra, G, w=w + other._w, conj=conj)
-            inv1, inv2 = self._inv, other._inv
-            if isinstance(inv1, CycloMatrix) and isinstance(inv2, CycloMatrix):
-                out._inv = lambda: _product(_transport(c, w, inv2, M2), inv1)
-            return out
-        # on basis coordinates (w = 0) omega is conjugation: T(L) = conj(L)
-        L1, L2 = self.operator(), other.operator()
-        out = Automorphism(self.algebra, operator=L1 * (L2.conj() if c else L2),
-                           word=_pcomp(self.word(), other.word()), conj=conj)
-        # _inv of a map with parts inverts G, not its operator
-        inv1, inv2 = (f._inv if f._G is None else None for f in (self, other))
-        if isinstance(inv1, CycloMatrix) and isinstance(inv2, CycloMatrix):
-            out._inv = lambda: (inv2.conj() if c else inv2) * inv1
+            return other._unlabeled(self._by_theta)
+        alg, conj, c, w = self.algebra, self.conj ^ other.conj, self.conj, self._w
+        M2, theta = other._G, w if alg.has_triality else 0
+        flip = theta and not unit2 and _theta_power_of(other.word())[0]
+        K = _transport(alg, c, w, M2, other._ginv, flip)
+        # M1 K as _product forms it; K is M2 where T is trivial
+        if unit1:
+            G = K
+        elif unit2 if K is M2 else _is_unit(K):
+            G = self._G
+        else:
+            G = self._G * K
+        out = Automorphism(alg, G, w=(-w if flip else w) + other._w, conj=conj)
+        out._by_theta = self._by_theta or other._by_theta
+        if self._word and other._word:
+            out._word = _pcomp(self._word, other._word)
+        s1, s2 = self._s, other._s
+        if not (c or w) and s1 is not None and s2 is not None:
+            # K = M2: the scalars multiply (omega would invert s2)
+            out._s = lambda: _made(s1) * _made(s2)
+        inv1, inv2 = self._inv, other._inv
+        if (not theta and isinstance(inv1, CycloMatrix)
+                and isinstance(inv2, CycloMatrix)):
+            out._inv = lambda: _product(_transport(alg, c, w, inv2, M2), inv1)
         return out
 
     def inverse(self):
-        """Ad(K) mu^w omega^c for K = T(G^-1), whose K^-1 = T(G) is made if
-        T needs no inverse, else carried if G^-1 was made before."""
-        c, w = self.conj, self._w
-        if self._G is not None:
-            G, Ginv = self._G, self._inv
-            out = Automorphism(self.algebra, _transport(c, w, self._ginv, G),
-                               w=w, conj=c)
-            if c == w:
-                out._inv = _transport(c, w, G, None)
-            elif isinstance(Ginv, CycloMatrix):
-                out._inv = lambda: _transport(c, w, G, Ginv)
-            return out
-        L, Li = self._op, self._ginv()
-        if c:
-            L, Li = L.conj(), Li.conj()
-        out = Automorphism(self.algebra, operator=Li,
-                           word=_pinv(self.word()), conj=c)
-        out._inv = L
+        """Ad(K) T^v omega^c for K = T(G^-1), T = T^-w omega^c: v = w on a,
+        and -w on so(8) unless G is a reflection.  Off theta, K^-1 = T(G) is
+        made if T needs no inverse, else carried if G^-1 was made before."""
+        alg, c, w = self.algebra, self.conj, self._w
+        G, Ginv = self._G, self._inv
+        theta = w if alg.has_triality else 0
+        flip = theta and _theta_power_of(self.word())[0]
+        out = Automorphism(alg, _transport(alg, c, -w, self._ginv, G, flip),
+                           w=w if flip else -w, conj=c)
+        out._by_theta = self._by_theta
+        if self._word:
+            out._word = _pinv(self._word)
+        if not theta and c == w:
+            out._inv = _transport(alg, c, w, G, None)
+        elif not theta and isinstance(Ginv, CycloMatrix):
+            out._inv = lambda: _transport(alg, c, w, G, Ginv)
         return out
 
     def power(self, k):
@@ -335,13 +303,7 @@ class Automorphism:
             base = base.compose(base)
 
     def is_identity(self):
-        if self.conj:
-            return False
-        if self._G is not None:
-            if self._w:
-                return False
-            return self._G.is_scalar() is not None
-        return self._word == ID_PERM and self._op.is_identity()
+        return not (self.conj or self._w) and self._G.is_scalar() is not None
 
     def order(self, bound=64):
         cur = self
@@ -356,43 +318,42 @@ class Automorphism:
             return True
         if not isinstance(other, Automorphism):
             return NotImplemented
-        if self.algebra != other.algebra or self.conj != other.conj:
-            return False
-        if self._G is not None and other._G is not None:
-            # Ad(G) = Ad(c G): one map for every nonzero multiple of G
-            return (self._w == other._w
-                    and _scalar_ratio(self._G, other._G) is not None)
-        if self.word() != other.word():
-            return False
-        return self.operator() == other.operator()
+        # Ad(G) = Ad(c G): one map for every nonzero multiple of G
+        return (self.algebra == other.algebra and self.conj == other.conj
+                and self._w == other._w
+                and _scalar_ratio(self._G, other._G) is not None)
 
     def __hash__(self):
         return hash((self.algebra, self.conj, self.word()))
 
     def __repr__(self):
-        tag = self.label or ("parts(w=%d)" % self._w if self._G is not None
-                             else "operator")
-        return "Automorphism(%s, %s%s)" % (self.algebra.label(), tag,
-                                           ", conj" if self.conj else "")
+        return "Automorphism(%s, %s%s)" % (
+            self.algebra.label(), self.label or "parts(w=%d)" % self._w,
+            ", conj" if self.conj else "")
 
     # -- io ------------------------------------------------------------------------
 
     def to_json(self):
+        """The matrix G, or, for a map made with theta, the operator of its
+        linear part with its word."""
         out = {"algebra": self.algebra.to_json(), "conj_linear": self.conj}
         if self.label:
             out["label"] = self.label
-        if self._G is not None:
+        if self._by_theta:
+            out["rep"] = "operator"
+            out["outer_power"] = list(self.word())
+            out["matrix"] = self.operator().to_json()
+        else:
             out["rep"] = "group"
             out["outer_power"] = self._w
             out["matrix"] = self._G.to_json()
-        else:
-            out["rep"] = "operator"
-            out["outer_power"] = list(self._word)
-            out["matrix"] = self._op.to_json()
         return out
 
     @staticmethod
     def from_json(obj):
+        """A group matrix with its outer power, or an so(8) operator L with
+        its word x^d y^e: L o theta^-e descends to a G, and L must be
+        Ad(G) o theta^e, with that word."""
         from .algebra import SimpleAlgebra
         _json_object(obj, "an automorphism")
         algebra = make_algebra(*SimpleAlgebra.from_json(obj["algebra"])._key())
@@ -405,40 +366,76 @@ class Automorphism:
         if M.n != size:
             raise MalformedData("%s takes a %dx%d matrix, not %dx%d"
                                 % (algebra.label(), size, size, M.n, M.n))
-        # the matrix keeps its inverse: most parsed maps are composed or
-        # inverted, which needs it; a group matrix outside its group fails here
-        Minv, s = (_inverse_and_scalar(algebra, M) if group
-                   else (_eliminated_inverse(M), None))
+        conj, label = bool(obj.get("conj_linear", False)), obj.get("label")
         if group:
             # mu exists on the a family only; elsewhere w = 1 would be lost
-            w = _json_int(obj, "outer_power", 0,
-                          (0, 1) if algebra.outer == "mu" else (0,))
-            out = Automorphism(algebra, M, w=w,
-                               conj=bool(obj.get("conj_linear", False)),
-                               label=obj.get("label"))
+            w, G = _json_int(obj, "outer_power", 0,
+                             (0, 1) if algebra.outer == "mu" else (0,)), M
         else:
-            w = obj.get("outer_power")
-            if not (isinstance(w, list) and all(type(x) is int for x in w)
-                    and sorted(w) == [0, 1, 2]):
+            word = obj.get("outer_power")
+            if not (isinstance(word, list) and all(type(x) is int for x in word)
+                    and sorted(word) == [0, 1, 2]):
                 raise MalformedData("an operator's outer_power permutes "
                                     "[0, 1, 2]")
-            _check_keeps_bracket(algebra, M)
-            out = Automorphism(algebra, operator=M, word=tuple(w),
-                               conj=bool(obj.get("conj_linear", False)),
-                               label=obj.get("label"))
-        out._inv, out._s = Minv, s
+            w = _theta_power_of(tuple(word))[1]
+            # P = L o theta^-w, whose column k is the image of b_k
+            P = M * _triality_power(-w % 3) if w else M
+            cols = P.transpose().rows
+            image = lambda k: algebra.from_coords((cols[k], P.den), P.N)
+            G = _descend(algebra, image)
+            # P(b) G = G b on the whole basis makes G invertible (C^8 is
+            # irreducible), G^T G scalar (Schur) and L = Ad(G) o theta^w
+            if G is not None and any(image(k) * G != G * b
+                                     for k, b in enumerate(algebra.basis())):
+                G = None
+        out = Automorphism(algebra, G, w=w, conj=conj, label=label)
+        # the matrix keeps its inverse: most parsed maps are composed or
+        # inverted, which needs it; a group matrix outside its group fails here
+        out._inv, out._s = _inverse_and_scalar(algebra, out._G)
+        if not group:
+            if G is None or out.word() != tuple(word):
+                raise MalformedData("the operator matrix is not an automorphism"
+                                    " of %s with the outer_power %s"
+                                    % (algebra.label(), word))
+            out._op, out._by_theta = M, True
         return out
 
 
-def _transport(conj, w, M, Minv):
-    """T(M) with T o Ad(M) = Ad(T(M)) o T for T = mu^w omega^conj: M,
-    conj(M), (M^-1)^T or (M^-1)^*.  M and Minv = M^-1 are each made or a
-    zero-argument function that makes it, called only if T needs it."""
+def _transport(algebra, conj, w, M, Minv, flip=False):
+    """T(M) with T o Ad(M) = Ad(T(M)) o T' for T = T^w o omega^conj.  On a,
+    T' = T and T(M) is M, conj(M), (M^-1)^T or (M^-1)^*.  On so(8), omega^c
+    moves M as on w = 0, then `_past_theta` moves it past theta^w; T' = T,
+    or theta^-w o omega^conj where M is a reflection (flip: x y x = y^-1).
+    M and Minv = M^-1 are each made or a function that makes it."""
+    if w and algebra.has_triality:
+        K = _transport(algebra, conj, 0, M, Minv)
+        return K if _is_unit(K) else _past_theta(
+            algebra, w % 3, flip, K.N, K.den,
+            tuple(tuple(sorted(row.items())) for row in K.rows))
     if bool(conj) == bool(w):
-        M = M() if callable(M) else M
+        M = _made(M)
         return M.conj() if conj else M
-    Minv = Minv() if callable(Minv) else Minv
+    Minv = _made(Minv)
     return Minv.conj_transpose() if conj else Minv.transpose()
+
+
+@lru_cache(maxsize=256)
+def _past_theta(algebra, w, flip, N, den, rows):
+    """K' with theta^w Ad(K) = Ad(K') theta^v, v = -w for a reflection K
+    (flip), else w, for K with the given stored rows: the descent of
+    theta^w Ad(K) theta^-v.  Kept per K, since the same K recurs: within
+    one computation, where order, power and the target twist move the same
+    matrix past the same theta^w, and across computations in one process,
+    as the matrices of the table involutions and their products."""
+    K = CycloMatrix(8, N, den, tuple(map(dict, rows)), _normalized=True)
+    Kinv = group_inverse(algebra, K)
+    src = _outer_basis(algebra, (w if flip else -w) % 3)
+    return _descend(algebra, lambda k: _theta_image(algebra, K * src[k] * Kinv, w))
+
+
+def _made(x):
+    """x, or what x makes where it is a zero-argument function."""
+    return x() if callable(x) else x
 
 
 def _is_unit(G):
@@ -452,26 +449,6 @@ def _product(A, B):
     return B if _is_unit(A) else A if _is_unit(B) else A * B
 
 
-def _check_keeps_bracket(algebra, L):
-    """MalformedData unless the operator L, whose column k holds the
-    coordinates of the image of b_k, keeps every bracket of the basis:
-    L [b_i, b_j] = [L b_i, L b_j], both sides through the structure
-    constants C over den(L)^2 den(C)."""
-    from .loop import _convolve
-    C = algebra.structure_constants()[0]
-    ctx, cols = _context(L.N), L.transpose().rows
-    for i, j in combinations(range(algebra.dim), 2):
-        lhs = {}
-        for k, c in C[i][j]:
-            lhs = kernel.add_rows(lhs, 1, cols[k], c * L.den)
-        rhs = {}
-        _convolve(rhs, cols[i], cols[j], C, ctx.red, ctx.phi)
-        if lhs != {a: tuple(w) for a, w in rhs.items() if any(w)}:
-            raise MalformedData("the operator matrix is not an automorphism "
-                                "of %s: it does not keep the bracket of basis "
-                                "elements %d and %d" % (algebra.label(), i, j))
-
-
 def _eliminated_inverse(M):
     try:
         return M.inverse()
@@ -482,12 +459,15 @@ def _eliminated_inverse(M):
 
 def _form_scalar(phi):
     """The scalar s of G^T J G = s J on b, c and d (J = I on so(m)) for the
-    matrix G of phi, kept on phi once known.  group_inverse finds it when it
-    makes G^-1; otherwise it is read at the first stored entry (i, j) of the
-    inverse the map keeps, G^-1 = A / s for the adjoint A = J^-1 G^T J, as
-    s = A[i][j] / G^-1[i][j]: A[i][j] is the entry G[pi j][pi i] of the
-    form's signed permutation, signed by eps(pi i) eps(pi j)."""
-    G, Ginv = phi._G, phi._ginv()
+    matrix G of phi, kept on phi once known, or made by the function a
+    product keeps.  group_inverse finds it when it makes G^-1; otherwise it
+    is read at the first stored entry (i, j) of the inverse the map keeps,
+    G^-1 = A / s for the adjoint A = J^-1 G^T J, as s = A[i][j] /
+    G^-1[i][j]: A[i][j] is the entry G[pi j][pi i] of the form's signed
+    permutation, signed by eps(pi i) eps(pi j)."""
+    phi._s = _made(phi._s)
+    if phi._s is None:
+        G, Ginv = phi._G, phi._ginv()  # group_inverse finds s on the way
     if phi._s is None:
         i, j = _first_entry(Ginv)
         pi, eps = phi.algebra.form
@@ -659,57 +639,89 @@ def _d4_frame(alg):
     return P, JP, CycloMatrix.from_scalars(r1rows)
 
 
+@lru_cache(maxsize=2)
+def _triality_power(e):
+    """The operator of theta^e, e = 1 or 2."""
+    op = _triality_operator()
+    return op if e == 1 else op * op
+
+
+@lru_cache(maxsize=2)
+def _triality_columns(e):
+    """The columns of theta^e's operator: rational, four entries each."""
+    return _triality_power(e).transpose().rows
+
+
+def _theta_image(algebra, M, e):
+    """theta^e(M) for M in so(8), e = 1 or 2: each coordinate of M times a
+    column of the operator; zero at conductor 1."""
+    cols, (ents, den), out = _triality_columns(e), algebra.coords(M), {}
+    for k, v in ents.items():
+        for i, (c,) in cols[k].items():
+            w = out.get(i)
+            out[i] = tuple(c * x for x in v) if w is None else tuple(
+                y + c * x for x, y in zip(v, w))
+    return algebra.from_coords(({i: w for i, w in out.items() if any(w)},
+                                den * _triality_power(e).den), M.N)
+
+
+@lru_cache(maxsize=_KEYS_CACHED)
+def _outer_basis(algebra, w):
+    """T^w(b_k) for the basis b_k: theta^w on so(8), read off the columns of
+    its operator, and mu^w on a."""
+    if not w:
+        return algebra.basis()
+    if algebra.has_triality:
+        den = _triality_power(w).den
+        return tuple(algebra.from_coords((col, den))
+                     for col in _triality_columns(w))
+    return tuple(-b.transpose() for b in algebra.basis())
+
+
 def triality_automorphism(algebra, power=1):
     """The order-3 outer automorphism of so(8) (or its square)."""
     if not algebra.has_triality:
         raise InvalidLabel("triality exists only for so(8)")
-    op = _triality_operator()
     power %= 3
     if power == 0:
         return identity_automorphism(algebra)
-    out = Automorphism(algebra, operator=op if power == 1 else op * op,
-                       word=_ypow(power),
-                       label="theta" if power == 1 else "theta2")
-    out._inv = op if power == 2 else lambda: op * op  # theta^-1 = theta^2
-    return out
+    return Automorphism(algebra, w=power,
+                        label="theta" if power == 1 else "theta2")
 
 
-def _descend_to_group(aut):
-    """Recover G with Ad(G) == aut, an so(8) operator-form automorphism whose
-    word has no triality part, from products of images of basis elements.
+def _descend(algebra, image):
+    """G with Ad(G) = L for a map L of so(8) with no triality part, from
+    image(k) = L(b_k), read at A_01, A_02 and A_1q only.
 
-    Write L = aut, A_ij = E_ij - E_ji and g_i for column i of G.  Since
-    Ad(G) keeps so(8), G^T G = s I, so L(X) L(Y) = G X Y G^T / s; and as
-    A_ki A_k0 = -E_i0 and A_10^2 + A_20^2 - A_12^2 = -2 E_00,
+    Write A_ij = E_ij - E_ji and g_i for column i of G.  Since Ad(G) keeps
+    so(8), G^T G = s I, so L(X) L(Y) = G X Y G^T / s; and as A_ki A_k0 =
+    -E_i0 and A_10^2 + A_20^2 - A_12^2 = -2 E_00,
       g_i g_0^T / s = -L(A_ki) L(A_k0) for any k not in {0, i},
       g_0 g_0^T / s = -(L(A_10)^2 + L(A_20)^2 - L(A_12)^2) / 2.
     Column r of these, for an r where the latter has a nonzero diagonal
     entry, is G times (g_0)_r / s.  G is returned scaled so that its first
-    stored entry is 1.  G X = L(X) G is then checked on A_01 ... A_07, which
-    generate so(8); Unclassifiable if it fails, as when aut is not inner."""
-    alg, op = aut.algebra, aut.operator()
-    basis, reads, images = alg.basis(), alg._reads(), op.transpose().rows
-    # L(A_0q) and L(A_1q), read off the operator's columns
-    L = {(i, j): alg.from_coords((images[k], op.den), op.N)
-         for (i, j), k in reads.items() if i < 2}
+    stored entry is 1; None where g_0 g_0^T has no nonzero diagonal entry.
+    L is not checked to be Ad(G)."""
+    reads = algebra._reads()
+    L = {(i, j): image(reads[i, j]) for i in range(2) for j in range(i + 1, 8)
+         if i or j < 3}
     S = L[0, 1] * L[0, 1] + L[0, 2] * L[0, 2] - L[1, 2] * L[1, 2]
     r = next((r for r in range(8) if r in S.rows[r]), None)
-    if r is not None:
-        def times(A, B):  # A B e_r, packed
-            col = {j: row[r] for j, row in enumerate(B.rows) if r in row}
-            return A.matvec((col, B.den), B.N)
+    if r is None:
+        return None
 
-        # column r of -g_i g_0^T / s, that is G times one scalar: S e_r / 2,
-        # L(A_12) L(A_02) e_r (k = 2) and -L(A_1i) L(A_01) e_r (k = 1)
-        minus = -L[0, 1]
-        cols = [({i: row[r] for i, row in enumerate(S.rows) if r in row},
-                 2 * S.den), times(L[1, 2], L[0, 2])]
-        cols += [times(L[1, i], minus) for i in range(2, 8)]
-        G = CycloMatrix.from_packed(8, S.N, cols).transpose()
-        G = G * G.entry(*_first_entry(G)).inverse()
-        if all(G * basis[reads[0, q]] == L[0, q] * G for q in range(1, 8)):
-            return G
-    raise Unclassifiable("operator is not inner for the defining representation")
+    def times(A, B):  # A B e_r, packed
+        col = {j: row[r] for j, row in enumerate(B.rows) if r in row}
+        return A.matvec((col, B.den), B.N)
+
+    # column r of -g_i g_0^T / s, that is G times one scalar: S e_r / 2,
+    # L(A_12) L(A_02) e_r (k = 2) and -L(A_1i) L(A_01) e_r (k = 1)
+    minus = -L[0, 1]
+    cols = [({i: row[r] for i, row in enumerate(S.rows) if r in row},
+             2 * S.den), times(L[1, 2], L[0, 2])]
+    cols += [times(L[1, i], minus) for i in range(2, 8)]
+    G = CycloMatrix.from_packed(8, S.N, cols).transpose()
+    return G * G.entry(*_first_entry(G)).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -784,18 +796,11 @@ def _classes(algebra):
         return lambda: tau_matrix(p, m)
 
     def theta_conj(e, base):
-        # two 28x28 operator products, made once; each call gets a fresh
-        # Automorphism, whose parts fill lazily
-        @lru_cache(maxsize=1)
-        def conj():
-            return triality_automorphism(algebra, e).compose(
-                base()).compose(triality_automorphism(algebra, -e))
-
-        def fresh():  # an involution: its operator is its own inverse
-            out = Automorphism(algebra, operator=conj()._op, word=conj()._word)
-            out._inv = out._op
-            return out
-        return fresh
+        # theta^e base theta^-e, made once; each call gets its own copy
+        made = lru_cache(maxsize=1)(
+            lambda: triality_automorphism(algebra, e).compose(base()).compose(
+                triality_automorphism(algebra, -e)))
+        return lambda: made()._unlabeled()
 
     n, frames = algebra.param, {}
     if fam == "a":
@@ -1001,20 +1006,15 @@ def involution_int_class(phi):
         raise NotInvolution("conjugate-linear input; use conj_linear_int_class")
     if phi.is_identity():
         return InvLabel(0)
-    fam = algebra.family
-    m = algebra.size
-    if algebra.has_triality and not phi.has_parts:
-        delta, e = _theta_power_of(phi.word())
-        if e:
-            if not phi.compose(phi).is_identity():
-                raise NotInvolution("automorphism does not square to the identity")
-            fixdim = _fixed_dim(phi.operator())
-            p = {21: 1, 16: 2, 13: 3}.get(fixdim)
-            if p is None:
-                raise NotInvolution("unexpected fixed dimension %d" % fixdim)
-            return InvLabel(p, e)
-        # inner-or-reflection word: fall through with the descended matrix
     G, w = phi.parts()
+    if w and algebra.has_triality:
+        # phi in theta^w rho_p theta^-w has the word x y^w; theta^-w phi
+        # theta^w then has the word x and lies in rho_p itself
+        base = triality_automorphism(algebra, -w).compose(phi).compose(
+            triality_automorphism(algebra, w))
+        if base.parts()[1]:
+            raise NotInvolution("automorphism does not square to the identity")
+        return InvLabel(involution_int_class(base).p, w)
     if w:  # (Ad(G) o mu)^2 = Ad(G G^-T): an involution when G = +-G^T
         ratio = _scalar_ratio(G, G.transpose())
         if ratio == 1:
@@ -1025,7 +1025,9 @@ def involution_int_class(phi):
     c = (G * G).is_scalar()
     if c is None:
         raise NotInvolution("automorphism does not square to the identity")
-    s = c
+    m, s = algebra.size, c
+    # a symplectic form (eps -1 on half the axes) pairs the eigenvalues
+    symplectic = algebra.form is not None and -1 in algebra.form[1]
     if algebra.form is not None:
         # Ad(G) is Ad(G / sqrt(s)) for the form scalar s, so G^2 = +-s, and
         # the pfaffian is read as pf(G) / s^(m/4): the class does not depend
@@ -1036,23 +1038,20 @@ def involution_int_class(phi):
         # eigenvalues +-sqrt(c) of G; in Sp(n) they come in pairs, and p/2
         # is the quaternionic index
         p = (m - _unit_trace(G, c)) // 2
-        return InvLabel(p // 2 if fam == "c" else p)
+        return InvLabel(p // 2 if symplectic else p)
     if c != -s:
         raise NotInvolution("G^2 is not +-1")
-    if fam == "c":
+    if symplectic:
         return _named(algebra, "adie")
-    if fam == "b":
-        raise NotInvolution("S^2 = -1 impossible here")
-    if algebra.param % 2:
+    if m % 2:
+        # det(G)^2 = (-s)^m from G^2, but s^m from G^T G = s I
+        raise NotInvolution("G^2 = -s is impossible for odd m")
+    if m % 4:
         return _named(algebra, "adj")
     level = 0 if _unit_pfaffian(phi) == _adj_prime_anchor(algebra) else 1
     if algebra.has_triality:
         return InvLabel(2, level + 1)
     return InvLabel(_named(algebra, "adj").p, level)
-
-
-def _fixed_dim(op):
-    return op.n - (op - CycloMatrix.identity(op.n)).rank()
 
 
 def conj_linear_int_class(phi):

@@ -34,7 +34,6 @@ from .autg import (
     _pcomp,
     _porder,
     _scalar_ratio,
-    _theta_power_of,
     _unit_trace,
     identity_automorphism,
     involution_int_class,
@@ -185,23 +184,14 @@ def _out_row(algebra):
 
 def _commutator(rho, beta):
     """(rho o beta, beta o rho, c), the products formed once and c with
-    matrix(rho o beta) = c * matrix(beta o rho), which tests that they
-    commute (else NonCommuting); operator maps leave c None."""
+    G(rho o beta) = c * G(beta o rho), which, with one outer power, tests
+    that they commute (else NonCommuting)."""
     ab, ba = rho.compose(beta), beta.compose(rho)
-    group = ab.has_parts and ba.has_parts
-    c = _scalar_ratio(ab.parts()[0], ba.parts()[0]) if group else None
-    if (c is None or ab.parts()[1] != ba.parts()[1]) if group else ab != ba:
+    (A, v), (B, w) = ab.parts(), ba.parts()
+    c = _scalar_ratio(A, B)
+    if c is None or v != w:
         raise NonCommuting("beta does not commute with rho")
     return ab, ba, c
-
-
-def _commutator_scalar(pair):
-    """The c of a `_commutator` triple, read from the parts if left None."""
-    ab, ba, c = pair
-    c = _scalar_ratio(ab.parts()[0], ba.parts()[0]) if c is None else c
-    if c is None:
-        raise NonCommuting("automorphisms do not commute")
-    return c
 
 
 def _block_det(S0, B, sign):
@@ -253,9 +243,9 @@ def raw_signature(rho, beta):
         return _out_signature(beta)
     m = algebra.size
     if algebra.has_triality:
-        if not rho.has_parts and _theta_power_of(rho.word())[1]:
+        if rho.parts()[1]:
             raise NoSignatureRule("rho involves the order-3 outer generator")
-        if not beta.has_parts and _theta_power_of(beta.word())[1]:
+        if beta.parts()[1]:
             S = rho.parts()[0]
             if S.trace().is_zero() and (S * S).is_scalar() == _form_scalar(rho):
                 return ("theta",)  # the tau_4 row
@@ -265,7 +255,7 @@ def raw_signature(rho, beta):
         if rho.is_inner():
             S0 = rho.parts()[0]
             if S0.trace().is_zero():
-                c = _commutator_scalar(pair)
+                c = pair[2]
                 if e:
                     # S0 B = c B S0^-T carries S0's scale squared: read c
                     # over the scalar S0^2
@@ -289,7 +279,7 @@ def raw_signature(rho, beta):
         # at its multiplicity, and s / lambda swaps the eigenvalues
         # +-sqrt(-s) of an S0 with S0^2 = -s
         if rho.parts()[0].trace().is_zero():
-            return (_sgn(_commutator_scalar(pair)),)
+            return (_sgn(pair[2]),)
         return ()
     # b and d: B / sqrt(s_B) is orthogonal, so det B|V / s_B^(dim V / 2) is
     # +-1 on a block V of even dimension, C^m itself when m is even
@@ -309,7 +299,7 @@ def raw_signature(rho, beta):
         # one, and the sign of B0 drops out on the even block
         sign, dim = (-1, p) if p % 2 == 0 else (1, m - p)
         return (unit(_block_det(S0, B, sign), dim),)
-    c = _sgn(_commutator_scalar(pair))
+    c = _sgn(pair[2])
     if c == -1 or (S * S).is_scalar() == -s:
         return (c, unit(B.det(), m))
     # the signs (a, b) on (V-, V+) up to (-a, -b) when p and q = m - p are
@@ -331,7 +321,7 @@ def _mu_det_sign(beta, pair):
     an outer involution of su(2n): with B S0 B^T = (1/c) S0, the value
     det(B) * c^n is +-1 and frame-independent (pair: `_commutator`)."""
     m = beta.algebra.size
-    c = _commutator_scalar(pair)
+    c = pair[2]
     B = beta.parts()[0]
     val = B.det() * (c ** (m // 2))
     return _sgn(val)

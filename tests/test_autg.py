@@ -126,8 +126,8 @@ def test_triality_properties():
     assert not th.is_inner()
     assert th.out_order() == 3
     # fixed subalgebra has dimension 14
-    from kmaut.autg import _fixed_dim
-    assert _fixed_dim(th.operator()) == 14
+    op = th.operator()
+    assert op.n - (op - CycloMatrix.identity(op.n)).rank() == 14
     # bracket preservation on sampled pairs
     rng = random.Random(8)
     basis = so8.basis()
@@ -140,7 +140,8 @@ def test_triality_properties():
 
 
 def test_triality_powers_take_at_most_one_product(monkeypatch):
-    """theta is the cached operator and theta^2 its one square."""
+    """theta^e is the unit matrix with w = e, built with no product; its
+    operator is the cached operator, or that operator's square."""
     from kmaut.autg import _triality_operator
     so8 = make_algebra("d", 4, "compact")
     op = _triality_operator()
@@ -152,11 +153,14 @@ def test_triality_powers_take_at_most_one_product(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(CycloMatrix, "__mul__", counting)
-    for power, want in ((1, 0), (2, 1)):
+    for power in (1, 2):
         calls.clear()
         theta = triality_automorphism(so8, power)
-        assert len(calls) == want, power
-        assert theta._op == (op if power == 1 else mul(op, op))
+        assert calls == [], power
+        assert theta.parts() == (CycloMatrix.identity(8), power)
+    monkeypatch.undo()
+    for power, want in ((1, op), (2, op * op)):
+        assert triality_automorphism(so8, power).operator() == want
 
 
 def test_primed_classes_d4():
@@ -260,9 +264,8 @@ def test_label_parse_fixes():
 
 def test_primed_so8_classes_are_fresh():
     """A primed so(8) class is built once per algebra, but every call returns
-    a new Automorphism equal to theta^e rho_p theta^-e, holding its operator
-    as its own inverse: parts fill lazily, and replace that inverse on the
-    map they fill only, so no two callers may share one."""
+    a new Automorphism equal to theta^e rho_p theta^-e: each caller labels
+    and fills its own map, which shares the one matrix made."""
     so8 = make_algebra("d", 4, "compact")
     for p in (1, 2, 3):
         base = standard_involution(so8, InvLabel(p))
@@ -273,19 +276,15 @@ def test_primed_so8_classes_are_fresh():
             a, b = standard_involution(so8, lab), standard_involution(so8, lab)
             assert a is not b and a == b == want
             assert a.label == b.label == repr(lab)
-            eye = CycloMatrix.identity(a.operator().n)
-            assert a.operator() * a._inv == eye
-            assert b._inv is b.operator()
-            if (p, e) == (2, 1):
-                a.parts()
-                assert a._G is not None and b._G is None
-                assert a._inv is None and b._inv is b.operator()
+            assert a.parts()[0] is b.parts()[0]
+            assert a.eigenbases is not b.eigenbases
 
 
 def test_operator_inverse_is_carried():
-    """An so(8) operator map keeps the inverse of its operator: parsed from
-    JSON, and passed on by inverse(), for the complex-linear realized
-    (rho1, rho1') twist at k = 3 and for its conjugate-linear variant."""
+    """An so(8) operator map read from JSON keeps the inverse of the matrix
+    it descends to, and its inverse map has the inverse operator, for the
+    complex-linear realized (rho1, rho1') twist at k = 3 and for its
+    conjugate-linear variant."""
     from kmaut.loopaut import SecondKindInvariant
     from kmaut.tables import realize
     so8 = make_algebra("d", 4, "compact")
@@ -294,11 +293,11 @@ def test_operator_inverse_is_carried():
     assert obj["rep"] == "operator"
     for conj in (False, True):
         A = Automorphism.from_json(dict(obj, conj_linear=conj))
+        assert A.parts()[1] and isinstance(A._inv, CycloMatrix)
+        assert A.parts()[0] * A._inv == CycloMatrix.identity(8)
         L = A.operator()
-        assert A._inv == L.inverse()
         B = A.inverse()
         assert B.operator() == (L.inverse().conj() if conj else L.inverse())
-        assert B._inv == B.operator().inverse()
         assert A.compose(B).is_identity() and B.compose(A).is_identity()
 
 
@@ -336,6 +335,26 @@ def test_operator_off_the_bracket_is_refused():
     with pytest.raises(MalformedData, match="operator matrix is not an "
                                             "automorphism of d4"):
         Automorphism.from_json(obj)
+
+
+def test_operator_is_checked_on_every_column():
+    """The descent reads the images of eight basis elements only; a change
+    to the image of any one basis element is still refused, in an operator
+    with no triality part (where the descent reads the operator itself), in
+    the k = 3 twist and in theta."""
+    so8 = make_algebra("d", 4, "compact")
+    th = triality_automorphism(so8)
+    inner = standard_involution(so8, "rho1").compose(th.compose(th.inverse()))
+    assert inner.parts()[1] == 0
+    for phi in (inner, _k3_twist(), th):
+        L = phi.operator()
+        for k in range(L.n):
+            rows = [[L.entry(i, j) * (2 if j == k else 1) for j in range(L.n)]
+                    for i in range(L.n)]
+            obj = dict(phi.to_json(),
+                       matrix=CycloMatrix.from_scalars(rows).to_json())
+            with pytest.raises(MalformedData, match="operator matrix is not"):
+                Automorphism.from_json(obj)
 
 
 def test_label_out_words():
@@ -390,37 +409,33 @@ def test_inverse_and_compose_identities(w, conj):
         assert Ai.apply_matrix(A.apply_matrix(x)) == x
 
 
-def test_d4_triality_descent(monkeypatch):
-    """Every group matrix descended from a triality-realized so(8) table
-    entry implements its operator and is orthogonal."""
-    from kmaut import autg
-    from kmaut.loopaut import invariant_first_kind, invariant_second_kind
+def test_d4_triality_descent():
+    """Every so(8) table entry realized through the triality holds, as
+    realized and as read back from the operator it writes, a matrix G with
+    G G^T = I and Ad(G) o theta^w equal to that operator on every basis
+    element."""
     from kmaut.tables import (enumerate_first_kind, enumerate_second_kind,
                               realize_entry, valid_ks)
     so8 = make_algebra("d", 4, "compact")
-    seen = []
-    descend = autg._descend_to_group
-
-    def recording(aut):
-        G = descend(aut)
-        seen.append((aut.operator(), G))
-        return G
-
-    monkeypatch.setattr(autg, "_descend_to_group", recording)
+    seen = 0
     for k in valid_ks(so8):
-        for e in enumerate_first_kind(so8, k).entries:
-            invariant_first_kind(realize_entry(so8, e))
-        for e in enumerate_second_kind(so8, k).entries:
-            invariant_second_kind(realize_entry(so8, e))
+        for row in (enumerate_first_kind(so8, k), enumerate_second_kind(so8, k)):
+            for e in row.entries:
+                phi = realize_entry(so8, e)
+                for key in ("phi0", "twist"):
+                    obj = phi.to_json()[key]
+                    if obj["rep"] != "operator":
+                        continue
+                    op = CycloMatrix.from_json(obj["matrix"])
+                    for aut in (getattr(phi, key), Automorphism.from_json(obj)):
+                        G, w = aut.parts()
+                        assert G * G.transpose() == CycloMatrix.identity(8)
+                        Gi, theta = G.inverse(), triality_automorphism(so8, w)
+                        for b in so8.basis():
+                            img = so8.from_coords(op.matvec(so8.coords(b)), op.N)
+                            assert G * theta.apply_matrix(b) * Gi == img
+                        seen += 1
     assert seen
-    for op, G in seen:
-        assert G * G.transpose() == CycloMatrix.identity(8)
-        Gi = G.inverse()
-        for b in so8.basis():
-            ents, den = op.matvec(so8.coords(b))
-            assert ents and all(any(v) for v in ents.values())
-            img = so8.from_coords((ents, den), op.N)
-            assert G * b * Gi == img
 
 
 def _octonion_product(x, y):
@@ -502,52 +517,69 @@ def test_triality_operator_needs_no_elimination(monkeypatch):
 
 
 def _conjugated_inner_maps(so8, rng, count):
-    """Operator-form inner maps g theta h theta^-1 g^-1, g a random inner
-    automorphism and h Ad exp(2 pi i t W) of conductor above 1."""
+    """The factors of g theta h theta^-1 g^-1, g a random inner automorphism
+    and h Ad exp(2 pi i t W) of conductor above 1."""
     theta = triality_automorphism(so8)
     out = []
     for t in (Fraction(1, 5), Fraction(1, 3), Fraction(1, 8))[:count]:
         g = random_inner_automorphism(so8, rng)
         W = so8.torus_element([rng.randint(-2, 2) for _ in range(4)])
         h = Automorphism(so8, W.exp_2pi(t))
-        out.append(g.compose(theta).compose(h).compose(theta.inverse())
-                   .compose(g.inverse()))
+        out.append([g, theta, h, theta.inverse(), g.inverse()])
+    return out
+
+
+def _product_of(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = out.compose(f)
     return out
 
 
 def test_descent_recovers_conjugated_maps_at_higher_conductor():
-    """The group matrix descended from an so(8) operator conjugated by
-    random inner automorphisms implements it on all 28 basis elements; it
-    is scaled to a first stored entry 1."""
-    from kmaut.autg import _descend_to_group, _first_entry
+    """g theta h theta^-1 g^-1, h of conductor above 1, is a group matrix
+    (w = 0) at that conductor, which moves all 28 basis elements as the
+    factors do one after another."""
     so8 = make_algebra("d", 4, "compact")
-    for L in _conjugated_inner_maps(so8, random.Random(37), 3):
-        assert not L.has_parts and L.operator().N > 1
-        G = _descend_to_group(L)
-        assert G.entry(*_first_entry(G)) == 1
-        Gi = G.inverse()
+    for factors in _conjugated_inner_maps(so8, random.Random(37), 3):
+        L = _product_of(factors)
+        G, w = L.parts()
+        assert w == 0 and G.N > 1
         for b in so8.basis():
-            assert G * b * Gi == L._apply_linear(b)
+            x = b
+            for f in reversed(factors):
+                x = f.apply_matrix(x)
+            assert L.apply_matrix(b) == x
 
 
 def test_descent_needs_no_elimination(monkeypatch):
+    """Moving a group matrix past theta, as that product does, runs no
+    elimination once the factors' outer words, which it reads, are known."""
     from kmaut import linalg
-    from kmaut.autg import _descend_to_group
     so8 = make_algebra("d", 4, "compact")
-    L, = _conjugated_inner_maps(so8, random.Random(3), 1)
-    L.operator()
+    factors, = _conjugated_inner_maps(so8, random.Random(3), 1)
+    for f in factors:
+        f.word()
     calls = _counting(monkeypatch, linalg, ["rref", "relations"])
-    _descend_to_group(L)
+    _product_of(factors)
     assert calls == {"rref": 0, "relations": 0}
 
 
 def test_triality_does_not_descend():
-    from kmaut.autg import _descend_to_group
-    from kmaut.errors import Unclassifiable
+    """theta and theta^2 written with any word but their own, the word of
+    an inner map among them, are refused at parse, naming the word."""
+    from itertools import permutations
     so8 = make_algebra("d", 4, "compact")
     for power in (1, 2):
-        with pytest.raises(Unclassifiable, match="not inner"):
-            _descend_to_group(triality_automorphism(so8, power))
+        theta = triality_automorphism(so8, power)
+        obj = theta.to_json()
+        for word in map(list, permutations(range(3))):
+            bad = dict(obj, outer_power=word)
+            if word == obj["outer_power"]:
+                assert Automorphism.from_json(bad) == theta
+                continue
+            with pytest.raises(MalformedData, match="outer_power"):
+                Automorphism.from_json(bad)
 
 
 _FORM_ALGEBRAS = [("b", 2), ("b", 3), ("b", 4), ("c", 3), ("c", 4), ("d", 4),
@@ -648,10 +680,9 @@ def test_no_carried_inverse_without_both_factors():
 
 
 def test_operator_product_carries_its_inverse(monkeypatch):
-    """A product of two so(8) operator maps whose inverses are made (theta
-    after _ginv(), which makes it as theta^2, and a primed class, its own
-    inverse) inverts with no elimination; so do conjugate-linear ones, also
-    with a complex factor, which the conjugation transports."""
+    """A product of so(8) maps with a triality part (theta, a primed class,
+    a conjugate-linear one and a complex rotation) inverts with no
+    elimination, and the inverse has the inverse operator."""
     so8 = make_algebra("d", 4, "compact")
     theta = triality_automorphism(so8)
     theta._ginv()
@@ -661,9 +692,8 @@ def test_operator_product_carries_its_inverse(monkeypatch):
     a, b = Fraction(5, 4), root_of_unity(4, 1) * Fraction(3, 4)
     rows = [[int(i == j) for j in range(8)] for i in range(8)]
     rows[0][:2], rows[1][:2] = [a, b], [-b, a]
-    L = Automorphism(so8, CycloMatrix.from_scalars(rows)).operator()
-    assert L != L.conj()
-    g = Automorphism(so8, operator=L)
+    g = Automorphism(so8, CycloMatrix.from_scalars(rows))
+    assert g.operator() != g.operator().conj()
     g._ginv()
     products = [theta.compose(rho), rho.compose(theta),
                 theta.compose(rho_bar), rho_bar.compose(theta),
@@ -700,7 +730,7 @@ def test_operator_of_a_group_map_is_kept(monkeypatch):
     monkeypatch.setattr(type(so8), "coords_operator", counting)
     assert phi.operator() is phi.operator()
     assert calls == [28]
-    assert phi.has_parts and phi.to_json()["rep"] == "group"
+    assert phi.to_json()["rep"] == "group"
 
 
 def _maps_for_power():
@@ -773,16 +803,14 @@ def test_d_word_ignores_the_scale(n):
 
 @pytest.mark.parametrize("fam,n", [("b", 2), ("c", 3), ("d", 4), ("d", 5)])
 def test_involution_class_ignores_the_scale(fam, n):
-    """G, 2G, -G/3 and zeta_4 G are one involution: every class with a
-    defining-form matrix reads as itself at each scale."""
+    """G, 2G, -G/3 and zeta_4 G are one involution: every class, the so(8)
+    ones with a triality part included, reads as itself at each scale."""
     alg = make_algebra(fam, n, "compact")
     for lab in standard_labels(alg):
-        phi = standard_involution(alg, lab)
-        if not phi.has_parts:  # the so(8) classes built on operators
-            continue
-        G = phi.parts()[0]
+        G, w = standard_involution(alg, lab).parts()
         for s in (1, 2, Fraction(-1, 3), root_of_unity(4, 1)):
-            assert involution_int_class(Automorphism(alg, G * s)) == lab, (lab, s)
+            phi = Automorphism(alg, G * s, w=w)
+            assert involution_int_class(phi) == lab, (lab, s)
 
 
 # sqrt 2 = zeta_8 + zeta_8^-1
@@ -865,15 +893,17 @@ def test_unit_matrix_outside_the_field_reads_its_component(n, flip):
 
 
 def test_descended_unit_matrix_outside_the_field_reads_its_component():
-    """The same rho on so(8) given as an operator descends to a matrix at
-    the scale the solve gives it, which no rule normalizes; the signature
-    rule descends it too when no class was read first."""
+    """The same rho on so(8) read from JSON as an operator descends to a
+    matrix at the scale the solve gives it, which no rule normalizes; the
+    signature rule reads it too when no class was read first."""
     from kmaut.pi0 import raw_signature
     alg, HE, ED = _hadamard_case(4)
     rho = Automorphism(alg, HE)
 
     def op():
-        return Automorphism(alg, operator=rho.operator(), word=(0, 1, 2))
+        return Automorphism.from_json(dict(
+            rho.to_json(), rep="operator", outer_power=[0, 1, 2],
+            matrix=rho.operator().to_json()))
     cls = component_signature(op(), Automorphism(alg, ED))
     assert (cls.rho, cls.rep) == (InvLabel(4), "AdJ")
     assert raw_signature(op(), Automorphism(alg, ED)) == (1, (-1, -1))
@@ -935,18 +965,23 @@ def test_form_scalar_is_read_off_the_kept_inverse(fam, n, monkeypatch):
 
 @pytest.mark.parametrize("fam,n", _FORM_ALGEBRAS)
 def test_form_scalar_is_found_once_per_automorphism(fam, n, monkeypatch):
-    """A parsed map keeps the s that group_inverse found (A G = s I) and
-    pays no scalar inverse for it; any other map pays one on the first read
-    and none after."""
+    """A parsed map keeps the s that group_inverse found (A G = s I), and a
+    product of two such maps, complex-linear on the left, the product of
+    theirs: neither pays a scalar inverse for it.  Any other map, such as
+    the product with a conjugate-linear map on the left, pays one on the
+    first read and none after."""
     from kmaut.autg import _form_scalar
     from kmaut.cyclo import CycloScalar
     alg = make_algebra(fam, n, "compact")
     rng = random.Random(7 * n)
     G = random_inner_matrix(alg, rng) * (1 + root_of_unity(4, 1))
-    parsed = Automorphism.from_json(Automorphism(alg, G).to_json())
-    made = parsed.compose(parsed)
+    obj = Automorphism(alg, G).to_json()
+    parsed = Automorphism.from_json(obj)
+    product = parsed.compose(parsed)
+    made = Automorphism.from_json(dict(obj, conj_linear=True)).compose(parsed)
     made._ginv()
     want = [_form_scalar(Automorphism(alg, G)),
+            _form_scalar(Automorphism(alg, product._G)),
             _form_scalar(Automorphism(alg, made._G))]
     inverses = []
 
@@ -955,10 +990,33 @@ def test_form_scalar_is_found_once_per_automorphism(fam, n, monkeypatch):
         return _inverse(self)
 
     monkeypatch.setattr(CycloScalar, "inverse", counting)
-    for phi, paid, s in ((parsed, 0, want[0]), (made, 1, want[1])):
+    for phi, paid, s in ((parsed, 0, want[0]), (product, 0, want[1]),
+                         (made, 1, want[2])):
         inverses.clear()
         assert _form_scalar(phi) == s and _form_scalar(phi) == s
         assert len(inverses) == paid, (fam, n, phi, inverses)
+
+
+@pytest.mark.parametrize("fam,n", [("b", 2), ("c", 3), ("d", 5)])
+def test_compose_carries_the_form_scalar(fam, n):
+    """On random b, c and d products, conjugate-linear factors included,
+    the form scalar a product carries equals the one its matrix has: the
+    scalar of A G = s I read off a fresh inverse.  It is carried wherever
+    the left factor is complex-linear."""
+    from kmaut.autg import _form_scalar, _inverse_and_scalar
+    alg = make_algebra(fam, n, "compact")
+    rng = random.Random(n)
+    maps = []
+    for conj in (False, True, False, True):
+        G = random_inner_matrix(alg, rng) * _scale(rng.randrange(4), 2)
+        maps.append(Automorphism.from_json(
+            Automorphism(alg, G, conj=conj).to_json()))
+    for A in maps:
+        for B in maps:
+            for P in (A.compose(B), A.compose(B).compose(A)):
+                if P._s is not None:
+                    assert _form_scalar(P) == _inverse_and_scalar(alg, P._G)[1]
+            assert (A.compose(B)._s is not None) == (not A.conj)
 
 
 def _json_text(x):
@@ -995,7 +1053,22 @@ def test_so8_operator_json_round_trip_to_the_byte():
     cg = Automorphism(so8, g.parts()[0], conj=True)
     for phi in (th, th.compose(th), th.compose(g), g.compose(th),
                 th.compose(cg)):
-        assert not phi.has_parts
+        assert phi.to_json()["rep"] == "operator"
+        text = _json_text(phi)
+        assert _json_text(Automorphism.from_json(json.loads(text))) == text
+
+
+def test_product_with_a_theta_identity_is_written_as_an_operator():
+    """theta o theta^-1 is the plain identity, made with theta: a product
+    with it, on either side, is written as an operator like the identity
+    itself, and reads back to the same bytes."""
+    so8 = make_algebra("d", 4, "compact")
+    th = triality_automorphism(so8)
+    one = th.compose(th.inverse())
+    g = standard_involution(so8, "rho1")
+    for phi in (one, g.compose(one), one.compose(g),
+                identity_automorphism(so8).compose(one)):
+        assert phi.to_json()["rep"] == "operator"
         text = _json_text(phi)
         assert _json_text(Automorphism.from_json(json.loads(text))) == text
 
@@ -1107,7 +1180,8 @@ def test_compose_tests_each_factor_for_the_unit_once(index, monkeypatch):
     and stores the matrix that `_product` forms, at its conductor."""
     from kmaut import autg
     left, right = _unit_test_pairs()[index]
-    T = autg._transport(left.conj, left._w, right._G, right._ginv)
+    T = autg._transport(left.algebra, left.conj, left._w, right._G,
+                        right._ginv)
     want = autg._product(left._G, T).to_json()
     tested, is_unit = [], autg._is_unit
     monkeypatch.setattr(autg, "_is_unit",

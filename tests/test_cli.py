@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import json
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -15,7 +17,8 @@ from kmaut.autg import (identity_automorphism, mu_automorphism,
 from kmaut.cli import main
 from kmaut.loopaut import StandardLoopAutomorphism, conjugate_exp
 from kmaut.selftest import antifixed_direction, stability_fixtures
-from kmaut.tables import enumerate_first_kind, realize_entry
+from kmaut.tables import (enumerate_first_kind, enumerate_second_kind,
+                          realize_entry)
 
 
 def run_cli(args, capsys):
@@ -206,6 +209,32 @@ def test_so8_operator_off_the_bracket_exits_2(tmp_path, capsys):
     rc, out = run_cli(["invariant", "--in", str(bad)], capsys)
     _assert_typed_error(rc, out)
     assert "operator" in json.loads(out)["error"]
+
+
+def test_so8_operator_with_a_wrong_word_exits_2(tmp_path, capsys):
+    """The realized so(8) class (q 1, p 0, id, theta) reads back as itself
+    at k = 3; with its twist theta given the word [0, 1, 2] of an inner map,
+    it once read back as beta = id at k = 1, and now exits 2 with a JSON
+    error naming the word, and nothing on stderr."""
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps({"kind": 1, "algebra": {"family": "d", "n": 4},
+                               "q": 1, "p": 0, "rho": "id",
+                               "beta": {"rep": "theta"}}))
+    rc, out = run_cli(["realize", "--in", str(inv)], capsys)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["twist"]["rep"] == "operator"
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(payload))
+    rc, out = run_cli(["invariant", "--in", str(path)], capsys)
+    assert rc == 0 and json.loads(out)["beta"] == {"k": 3, "rep": "theta"}
+    payload["twist"]["outer_power"] = [0, 1, 2]
+    path.write_text(json.dumps(payload))
+    rc = main(["invariant", "--in", str(path)])
+    captured = capsys.readouterr()
+    _assert_typed_error(rc, captured.out)
+    assert "outer_power" in json.loads(captured.out)["error"]
+    assert captured.err == ""
 
 
 def test_realform_window_zero_and_negative(capsys):
@@ -510,20 +539,49 @@ def _fields(node, path=()):
         yield from _fields(value, path + (key,))
 
 
+class _OverBudget(BaseException):
+    """Raised by the alarm of `_budget`; no handler of the CLI catches it."""
+
+
+@contextlib.contextmanager
+def _budget(seconds):
+    """Fail, instead of stalling, when the block runs over its wall time."""
+    def expired(signum, frame):
+        raise _OverBudget("over the budget of %s s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_invariant_fuzz_exits_0_or_2(tmp_path, capsys):
     """One seeded mutation of every field of two automorphisms, a realized
-    table entry and one with a curve: each run exits 0 or 2 with a JSON
-    payload on stdout."""
+    table entry and one with a curve, and of every field but the matrix
+    entries of a realized so(8) entry whose twist has outer order three,
+    with a seeded sample of those entries: each run exits 0 or 2 with a
+    JSON payload on stdout, within a budget of wall time per input."""
     rng = random.Random(5)
-    a2 = make_algebra("a", 2, "compact")
+    a2, d4 = make_algebra("a", 2, "compact"), make_algebra("d", 4, "compact")
     curved = _curved()
     assert not curved.has_constant_curve()
+    so8 = realize_entry(d4, enumerate_second_kind(d4, 3).entries[0])
+    assert so8.to_json()["twist"]["rep"] == "operator"
     path = tmp_path / "aut.json"
     runs = 0
-    for phi in (realize_entry(a2, enumerate_first_kind(a2, 2).entries[0]),
-                curved):
+    for phi, sample in ((realize_entry(a2, enumerate_first_kind(a2, 2)
+                                       .entries[0]), None),
+                        (curved, None), (so8, 40)):
         base = phi.to_json()
-        for field in _fields(base):
+        fields = list(_fields(base))
+        if sample is not None:
+            inner = [f for f in fields if "matrix" in f[:-1]]
+            fields = ([f for f in fields if "matrix" not in f[:-1]]
+                      + rng.sample(inner, sample))
+        for field in fields:
             payload = json.loads(json.dumps(base))
             node = payload
             for key in field[:-1]:
@@ -533,11 +591,12 @@ def test_invariant_fuzz_exits_0_or_2(tmp_path, capsys):
             else:
                 node[field[-1]] = rng.choice(_FUZZ_VALUES)
             path.write_text(json.dumps(payload))
-            rc, out = run_cli(["invariant", "--in", str(path)], capsys)
+            with _budget(20):
+                rc, out = run_cli(["invariant", "--in", str(path)], capsys)
             assert rc in (0, 2), (field, out)
             json.loads(out)
             runs += 1
-    assert runs > 200
+    assert runs > 300
 
 
 @pytest.mark.parametrize("fam,n", [("a", 2), ("b", 2), ("c", 3), ("d", 4)])
