@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -773,3 +776,41 @@ def test_pairs_the_degree_rule_skips_have_no_bracket_in_the_window():
                 for x, y in pairs:
                     z = _parts_bracket(alg, rb.l, x, y, N, M)
                     assert z is None or not z[0], (alg, e, N)
+
+
+_CARTAN_GOLDEN = Path(__file__).parent / "golden" / "cartan-digests.json"
+
+
+def _cartan_digests():
+    """{algebra, k and entry joined by spaces: sha256 of the sorted JSON of
+    the K and P of the entry's Cartan decomposition and of its real form
+    basis, at window 1} over every first- and second-kind entry of a2, a3,
+    b2 and c3."""
+    from kmaut.tables import algebra_from_label, enumerate_first_kind
+
+    out = {}
+    for alg in map(algebra_from_label, ("a2", "a3", "b2", "c3")):
+        for k in valid_ks(alg):
+            for row in (enumerate_first_kind(alg, k),
+                        enumerate_second_kind(alg, k)):
+                for e in row.entries:
+                    phi = realize_entry(alg, e)
+                    rep = cartan_decomposition(phi, N=1)
+                    obj = {"K": [x.to_json() for x in rep["K"]],
+                           "P": [x.to_json() for x in rep["P"]],
+                           "real_form": [x.to_json()
+                                         for x in real_form(phi, N=1).basis]}
+                    text = json.dumps(obj, sort_keys=True)
+                    key = " ".join([alg.label(), str(k)] + list(map(str, e)))
+                    out[key] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_cartan_and_real_form_bases_are_byte_identical_to_the_golden_digests():
+    """K, P and the real form basis of every a2, a3, b2 and c3 table entry,
+    both kinds, at window 1, hash to their committed digests."""
+    want = json.loads(_CARTAN_GOLDEN.read_text())
+    got = _cartan_digests()
+    assert len(want) == 62
+    assert got.keys() == want.keys()
+    assert [a for a in want if got[a] != want[a]] == []
