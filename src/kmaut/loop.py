@@ -9,6 +9,10 @@ Matrices are met only at the JSON and public boundary: the constructor
 reads them through `coords`, and `coeffs`, `coefficient` and `to_json` write
 them through `from_coords`.  Loop automorphisms (`loopaut`) act on the rows.
 
+A window row holds an affine element on the degrees [-N, N] over one field
+Q(zeta_M) (`_affine_row`): a block {k: coordinates} per degree, then c and
+d (None if zero), over one denominator; `_packed` lays it out for `Span`.
+
 Everything else is bilinear in the coordinates.  The bracket is one pass
 over raw rows: `_convolution` forms each pair through the structure
 constants (`_convolve`, shared with `_parts_bracket`), each row lifted once
@@ -23,7 +27,7 @@ contributions, lifted to that of i where a derivative term reaches it.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import gcd, lcm
 
 from . import kernel
@@ -31,7 +35,7 @@ from .algebra import AlgebraElement, sigma_eigenspace
 from .cyclo import (CycloMatrix, CycloScalar, _context, _json_int, _lift,
                     root_of_unity)
 from .errors import MembershipError, TwistMismatch, WindowTooSmall
-from .linalg import Span, _strip
+from .linalg import Span
 
 _ZERO = CycloScalar.from_rational(0)
 _I = 4, (0, 1), 1  # i, as (N, numerators, den)
@@ -491,59 +495,55 @@ def window_basis(algebra, twist, l, N):
     return out
 
 
-def join_rows(parts):
-    """One packed row from (column offset, packed row) parts over one field:
-    the entries of each part shifted by its offset, over the lcm of the
-    parts' denominators."""
-    den = lcm(1, *(d for _, (_, d) in parts))
-    return {base + j: tuple(c * (den // d) for c in v)
-            for base, (ents, d) in parts for j, v in ents.items()}, den
-
-
 def _affine_row(x, N, M):
-    """The packed row over Q(zeta_M) of an affine element on the window
-    [-N, N]: the stored coordinates of its degree-n coefficient, lifted to
-    Q(zeta_M), from column (n + N) * dim on, then c and d.  Degrees outside
-    the window are ignored."""
-    alg = x.loop.algebra
-    top = (2 * N + 1) * alg.dim
-    parts = [((n + N) * alg.dim, (_lift_row(r, M), r[2]))
-             for n, r in x.loop.rows.items() if abs(n) <= N]
-    parts += [(col, ({0: s.promote(M).nums}, s.den))
-              for col, s in ((top, x.c), (top + 1, x.d)) if s]
-    return join_rows(parts)
+    """The window row ({n: {k: coordinates}}, c, d, den) over Q(zeta_M) of
+    an affine element on [-N, N]: the stored row of each degree n in the
+    window lifted to Q(zeta_M), and the coordinates of c and d (None if
+    zero), all over den.  Degrees outside the window are ignored."""
+    rows = [(n, r) for n, r in x.loop.rows.items() if abs(n) <= N]
+    cd = [s.promote(M) if s else None for s in (x.c, x.d)]
+    den = lcm(1, *(r[2] for _, r in rows), *(s.den for s in cd if s))
+
+    def over(v, d):
+        return v if d == den else tuple([a * (den // d) for a in v])
+    return ({n: _lift_row(r, M) if r[2] == den else
+             {k: over(v, r[2]) for k, v in _lift_row(r, M).items()}
+             for n, r in rows}, *(s and over(s.nums, s.den) for s in cd), den)
 
 
-def _row_parts(row, N, dim):
-    """The coefficients {n: {k: coordinates}}, the d coordinate (None if
-    zero) and the denominator of an affine element's `_affine_row` on the
-    window [-N, N]: the split form that `_parts_bracket` takes."""
-    top = (2 * N + 1) * dim
-    coeffs = {}
-    for col, v in row[0].items():
-        if col < top:
-            n, k = divmod(col, dim)
-            coeffs.setdefault(n - N, {})[k] = v
-    return coeffs, row[0].get(top + 1), row[1]
+def _window_sum(a, b, sign=1, m=1):
+    """The window row (a + sign b) / m of window rows a and b, for integers
+    sign and m; entries that cancel are dropped."""
+    den = lcm(a[3], b[3])
+    fa, fb = den // a[3], sign * (den // b[3])
+    blocks = {n: kernel.add_rows(a[0].get(n, {}), fa, b[0].get(n, {}), fb)
+              for n in a[0].keys() | b[0].keys()}
+    cd = {}
+    if a[1] or a[2] or b[1] or b[2]:
+        ca, cb = ({j: s for j, s in enumerate(r[1:3]) if s} for r in (a, b))
+        cd = kernel.add_rows(ca, fa, cb, fb)
+    return ({n: blk for n, blk in blocks.items() if blk}, cd.get(0),
+            cd.get(1), m * den)
 
 
-def row_bracket(algebra, l, x, y, N, M):
-    """The row of [x, y] on the window [-N, N] (`_affine_row`) in lowest
-    terms, from the rows x and y of two affine elements over Q(zeta_M)
-    there, 4 | M, or None if [x, y] has a nonzero coefficient outside the
-    window (`_parts_bracket`); the zero bracket is the empty row."""
-    xp, yp = (_row_parts(r, N, algebra.dim) for r in (x, y))
-    z = _parts_bracket(algebra, l, xp, yp, N, M)
-    return z if z is None else _strip(*z)
+def _packed(row, N, dim):
+    """The packed row (`linalg`) that `Span` takes of a window row on
+    [-N, N]: algebra coordinate k of degree n at column (n + N) * dim + k,
+    then c and d."""
+    coeffs, c, d, den = row
+    ents = {(n + N) * dim + k: v
+            for n, blk in coeffs.items() for k, v in blk.items()}
+    if c or d:
+        top = (2 * N + 1) * dim
+        ents.update((col, s) for col, s in ((top, c), (top + 1, d)) if s)
+    return ents, den
 
 
 def _parts_bracket(algebra, l, x, y, N, M):
-    """The row of [x, y] on the window [-N, N], not in lowest terms, from
-    the `_row_parts` x and y of two affine elements over Q(zeta_M), 4 | M,
-    or None if [x, y] has a nonzero coefficient outside the window.  A
-    caller that brackets an element with many others splits it once, and
-    one that only tests or extends a `Span` skips the reduction, which the
-    span makes itself.
+    """The window row of [x, y] on [-N, N] from the window rows x and y of
+    two affine elements over Q(zeta_M), 4 | M, with d None and not in
+    lowest terms (a `Span` reduces it), or None if [x, y] has a nonzero
+    coefficient outside the window.
 
     The value is that of `affine_bracket`: for x = u + a c + b d and
     y = v + g c + e d, the convolution sum_(p+q=n) [u_p, v_q] through the
@@ -551,50 +551,42 @@ def _parts_bracket(algebra, l, x, y, N, M):
     the cocycle i sum_n (n/l) K(u_n, v_-n) c.  The degrees outside the
     window are formed first, and the first nonzero one ends the call."""
     C, K, D = algebra.structure_constants()
-    dim = algebra.dim
     ctx = _context(M)
     red, phi = ctx.red, ctx.phi
     conv = kernel.conv_reduce
-    u, b, xden = x
-    v, e, yden = y
-    # numerators over x's den * y's den * D * l
-    den = xden * yden * D * l
+    u, _, b, xden = x
+    v, _, e, yden = y
+    cocycle = [(n, up, v[-n]) for n, up in u.items() if n and -n in v]
+    cocycle = cocycle and _pairing(cocycle, K, red, phi)
+    # numerators over x's den * y's den * D * f, f = l if a term has n/l
+    f = l if b or e or any(cocycle) else 1
     sums = {}
-    for p in u:
-        for q in v:
-            sums.setdefault(p + q, []).append((u[p], v[q]))
-    ents = {}
-    for n in sorted(sums, key=lambda n: abs(n) <= N):  # outside first
+    for p, q in product(u, v):
+        sums.setdefault(p + q, []).append((u[p], v[q]))
+    out = {}
+    for n in sorted(sums, key=abs, reverse=True):  # outside first
         acc = {}
         for up, vq in sums[n]:
             _convolve(acc, up, vq, C, red, phi)
-        acc = {k: w for k, w in acc.items() if any(w)}
+        acc = {k: tuple([f * a for a in w]) if f != 1 else tuple(w)
+               for k, w in acc.items() if any(w)}
         if acc and abs(n) > N:
             return None
-        base = (n + N) * dim
-        for k, w in acc.items():
-            ents[base + k] = [l * a for a in w]
-    # (n/l) i (b v_n - e u_n) and the cocycle, over den / D before i
-    deriv = {}
-    for s, w, sign in ((b, v, D), (e, u, -D)):
-        for n, coeff in w.items():
-            if s and n:
-                for k, t in coeff.items():
-                    st = conv(s, t, red, phi)
-                    acc = deriv.setdefault((n + N) * dim + k, [0] * phi)
-                    for r in range(phi):
-                        acc[r] += sign * n * st[r]
-    cocycle = _pairing([(n, up, v[-n]) for n, up in u.items()
-                        if n and -n in v], K, red, phi)
-    if any(cocycle):
-        deriv[(2 * N + 1) * dim] = cocycle
-    if deriv:
-        i = ctx.power(M // 4)
-        for col, w in deriv.items():
-            t = conv(tuple(w), i, red, phi)
-            w = ents.get(col)
-            ents[col] = t if w is None else [a + c for a, c in zip(w, t)]
-    return {col: tuple(w) for col, w in ents.items() if any(w)}, den
+        out[n] = acc
+    # (n/l) (i b v_n - i e u_n): numerators +-D n (i s) t over den
+    i = ctx.power(M // 4)
+    for s, w, sign in ((b, v, D), (e, u, -D)) if b or e else ():
+        s = s and conv(s, i, red, phi)
+        for n, coeff in w.items() if s else ():
+            blk = out.setdefault(n, {})
+            for k, t in coeff.items():
+                a = tuple([p + sign * n * q for p, q in zip(
+                    blk.pop(k, (0,) * phi), conv(s, t, red, phi))])
+                if any(a):
+                    blk[k] = a
+    return ({n: blk for n, blk in out.items() if blk},
+            conv(cocycle, i, red, phi) if any(cocycle) else None,
+            None, xden * yden * D * f)
 
 
 def derived_algebra_witness(algebra, twist, l, N):
@@ -605,22 +597,23 @@ def derived_algebra_witness(algebra, twist, l, N):
     gens = window_basis(algebra, twist, l, N)
     # one field for every row: the conductors of the basis and that of i
     M = lcm(4, *(r[0] for u in gens for r in u.rows.values()))
-    parts = [_row_parts(_affine_row(AffineElement(u), N, M), N, algebra.dim)
-             for u in gens]
-    span = Span((z for x, y in combinations(parts, 2)
+    rows = [_affine_row(AffineElement(u), N, M) for u in gens]
+    span = Span((_packed(z, N, algebra.dim) for x, y in combinations(rows, 2)
                  for z in [_parts_bracket(algebra, l, x, y, N, M)]
                  if z is not None), M)
-    targets = [AffineElement(u) for u in window_basis(algebra, twist, l, N // 2)]
-    span.add(_affine_row(central_element(algebra, twist, l), N, M))
+
+    def vector(x):
+        return _packed(_affine_row(x, N, M), N, algebra.dim)
+    span.add(vector(central_element(algebra, twist, l)))
     report = {"window": N, "c_in_span": True, "d_in_span": False,
               "checked": 0}
-    for x in targets:
-        if not span.contains(_affine_row(x, N, M)):
+    for u in window_basis(algebra, twist, l, N // 2):
+        if not span.contains(vector(AffineElement(u))):
             report["c_in_span"] = False
-            report["missing"] = repr(x.loop)
+            report["missing"] = repr(u)
             break
         report["checked"] += 1
     report["d_in_span"] = span.contains(
-        _affine_row(derivation_element(algebra, twist, l), N, M))
+        vector(derivation_element(algebra, twist, l)))
     report["ok"] = report["c_in_span"] and not report["d_in_span"]
     return report

@@ -11,23 +11,22 @@ space: the averages (e + phi(e)) / 2 span the fixed vectors over Q.  The
 real form of a compact involution is the fixed part of its conjugate-linear
 extension (`real_form`); it is K + iP for the +-1 split K + P of the
 involution on the compact window (`cartan_decomposition`), whose K and P
-come from one pass over the pairs.  Independence is decided on rows of
-algebra coordinates over Q(zeta_M) (`loop._affine_row`) flattened over Q.
-Complex conjugation fixes the real field F = Q(zeta_M)^+, of degree
-phi(M)/2, so a real structure is an F-space, and its Q-dimensions are
-[F : Q] times its dimensions over F.
+come from one pass over the pairs.  Complex conjugation fixes the real
+field F = Q(zeta_M)^+, of degree phi(M)/2, so a real structure is an
+F-space, and its Q-dimensions are [F : Q] times its dimensions over F.
 
-Each window row is formed once.  `_fixed_part` takes the rows of e and
-phi(e), forms the row of (e +- phi(e)) / 2 from them, and builds that
-element only when its row is independent; `real_form` forms the rows of a
-twist eigenvector u and of psi(u) once and scales them by each field basis
-element z and conj(z).  Bracket closure (`closed_under_bracket` and the
-three Cartan inclusions) is checked on the kept rows, each split once
-(`loop._row_parts`): each bracket is formed from the split rows of its two
-factors through the algebra's structure constants (`loop._parts_bracket`),
-and its row reaches the span unreduced, since the span reduces it.  A pair
-whose factors have no d coordinate and whose degree sums |p + q| all exceed
-the window is skipped: its bracket is zero or leaves the window.
+Each element's window row (`loop._affine_row`, one block per degree) is
+formed once.  `_fixed_part` takes the rows of e and phi(e), forms the row
+of (e +- phi(e)) / 2 from them, and builds that element only when its row,
+laid out by `loop._packed` and flattened over Q, is independent;
+`real_form` forms the rows of a twist eigenvector u and of psi(u) once and
+scales them by each field basis element z and conj(z).  Bracket closure
+(`closed_under_bracket` and the three Cartan inclusions) is checked on the
+kept rows: each bracket is formed from the rows of its two factors through
+the algebra's structure constants (`loop._parts_bracket`), and its row
+reaches the span unreduced, since the span reduces it.  A pair whose
+factors have no d coordinate and whose degree sums |p + q| all exceed the
+window is skipped: its bracket is zero or leaves the window.
 """
 
 from __future__ import annotations
@@ -41,15 +40,15 @@ from .autg import InvLabel, omega_automorphism
 from .cyclo import CycloScalar, _context, root_of_unity
 from .errors import (NotCompactMode, NotInvolution, OrderExceedsBound,
                      UnsupportedOrder, WindowTooSmall)
-from .kernel import add_rows
 from .linalg import Span, flatten
 from .loop import (
     AffineElement,
     LoopElement,
     _affine_row,
+    _packed,
     _parts_bracket,
-    _row_parts,
     _scale,
+    _window_sum,
     window_basis,
 )
 from .loopaut import (
@@ -154,12 +153,12 @@ def _real_field_basis(M):
         for t in range(1, _context(M).phi // 2)]
 
 
-def _fixed_part(rows, build, M, signs=(1,)):
+def _fixed_part(rows, build, M, N, dim, signs=(1,)):
     """The fixed part (sign 1) and the negated part (sign -1) of an
     involution phi, for each of signs, from pairs (e, phi(e)) of affine
     elements over Q(zeta_M) whose e span a phi-stable Q-space.  Pair j is
-    given by rows[j], the rows of e and phi(e) on a window
-    (`loop._affine_row`), and build(j), which makes e and phi(e).
+    given by rows[j], the window rows of e and phi(e) on [-N, N] in an
+    algebra of dimension dim, and build(j), which makes e and phi(e).
 
     One pass over the pairs yields, per sign, each (e + sign phi(e)) / 2
     whose row, formed from the pair's rows, is independent of the ones
@@ -167,12 +166,11 @@ def _fixed_part(rows, build, M, signs=(1,)):
     its row is kept."""
     half = Fraction(1, 2)
     parts = [([], Span(), []) for _ in signs]
-    for j, ((ee, de), (ei, di)) in enumerate(rows):
-        den = lcm(de, di)
+    for j, (re, ri) in enumerate(rows):
         made = None
         for sign, (out, span, kept) in zip(signs, parts):
-            row = add_rows(ee, den // de, ei, sign * (den // di)), 2 * den
-            if span.add(flatten(row, M)):
+            row = _window_sum(re, ri, sign, 2)
+            if span.add(flatten(_packed(row, N, dim), M)):
                 if made is None:
                     made = build(j)
                 e, img = made
@@ -230,17 +228,19 @@ def real_form(phi, N=None):
     scalars = [(z, z.conj()) for z in _field_basis(M)]
     units = [(u, psi.apply(u)) for u in window_basis(algebra, tw, l, N)]
 
-    def rows():
+    def rows():  # those of u z and psi(u) conj(z): one degree, no c or d
         for pair in units:
             ru, rp = (_affine_row(AffineElement(v), N, M) for v in pair)
-            for z, zc in scalars:
-                yield _scaled(ru, z, M), _scaled(rp, zc, M)
+            for zs in scalars:
+                yield [({n: _scale((M, blk, r[3]), z)[1]
+                         for n, blk in r[0].items()}, None, None, r[3] * z.den)
+                       for r, z in zip((ru, rp), zs)]
 
     def build(j):
         (u, pu), (z, zc) = units[j // len(scalars)], scalars[j % len(scalars)]
         return AffineElement(u * z), AffineElement(pu * zc)
 
-    [(out, span, kept)] = _fixed_part(rows(), build, M)
+    [(out, span, kept)] = _fixed_part(rows(), build, M, N, dim)
     # c and d go in by hand: through the extension, the zero c of the d
     # elements would keep conductor 4 (a zero does) and change the JSON
     i = root_of_unity(4, 1)
@@ -249,16 +249,9 @@ def real_form(phi, N=None):
         f = f if phi.epsilon == 1 else i * f
         for x in (AffineElement(zero, c=f), AffineElement(zero, d=f)):
             kept.append(_affine_row(x, N, M))
-            span.add(flatten(kept[-1], M))
+            span.add(flatten(_packed(kept[-1], N, dim), M))
             out.append(x)
-    return RealFormBasis(algebra, phi, N, l, out,
-                         (span, [_row_parts(r, N, dim) for r in kept]))
-
-
-def _scaled(row, z, M):
-    """The packed row over Q(zeta_M) times a scalar z of Q(zeta_M)."""
-    _, ents, den = _scale((M,) + row, z)
-    return ents, den
+    return RealFormBasis(algebra, phi, N, l, out, span, kept)
 
 
 def real_form_basis(algebra, pair, N=None):
@@ -270,18 +263,18 @@ def real_form_basis(algebra, pair, N=None):
 
 
 class RealFormBasis:
-    """A real form's window basis.  `real_form` hands over the span of the
-    basis rows and their `_row_parts`, which it formed; a basis built
-    without them forms its own on each closure check."""
+    """A real form's window basis, with the Q-span of its window rows and
+    the rows, which `real_form` formed."""
 
-    __slots__ = ("algebra", "phi", "window", "l", "basis", "_rows")
+    __slots__ = ("algebra", "phi", "window", "l", "basis", "_span", "_rows")
 
-    def __init__(self, algebra, phi, window, l, basis, rows=None):
+    def __init__(self, algebra, phi, window, l, basis, span, rows):
         self.algebra = algebra
         self.phi = phi
         self.window = window
         self.l = l
         self.basis = basis
+        self._span = span
         self._rows = rows
 
     def loop_elements(self):
@@ -302,22 +295,13 @@ class RealFormBasis:
     def closed_under_bracket(self):
         """Brackets of window elements with window-bounded support must be
         rational combinations of the basis."""
-        M, N = lcm(4, 2 * self.l), self.window
-        span, split = self._rows or _span_and_parts(self.basis, M, N)
-        return _brackets_in(self.algebra, self.l, split, split, span, M, N)
-
-
-def _span_and_parts(elts, M, N):
-    """The Q-span of the rows of affine elements over Q(zeta_M) on the
-    window [-N, N] and their `_row_parts`."""
-    rows = [_affine_row(x, N, M) for x in elts]
-    return (Span(flatten(r, M) for r in rows),
-            [_row_parts(r, N, x.loop.algebra.dim) for x, r in zip(elts, rows)])
+        return _brackets_in(self.algebra, self.l, self._rows, self._rows,
+                            self._span, lcm(4, 2 * self.l), self.window)
 
 
 def _brackets_in(algebra, l, xs, ys, span, M, N):
     """Whether every bracket [x, y] supported in the window [-N, N] lies in
-    span, for xs and ys the `_row_parts` of affine elements over Q(zeta_M)
+    span, for xs and ys the window rows of affine elements over Q(zeta_M)
     whose loop parts have conductor l: each bracket is formed on rows
     through the structure constants (`loop._parts_bracket`), and its row
     reaches the span unreduced.
@@ -328,19 +312,14 @@ def _brackets_in(algebra, l, xs, ys, span, M, N):
     N is skipped: its bracket is the convolution of its loop parts alone,
     which is zero or has a degree outside the window."""
     for x, y in combinations(xs, 2) if xs is ys else product(xs, ys):
-        if x[1] is None and y[1] is None and all(
+        if x[2] is None and y[2] is None and all(
                 abs(p + q) > N for p in x[0] for q in y[0]):
             continue
         z = _parts_bracket(algebra, l, x, y, N, M)
-        if z is not None and not span.contains(flatten(z, M)):
+        if z is not None and not span.contains(
+                flatten(_packed(z, N, algebra.dim), M)):
             return False
     return True
-
-
-def _affine_qvec(elt, M, N):
-    """The packed rational row of an affine element over Q(zeta_M) on the
-    window [-N, N]: its `loop._affine_row`, flattened over Q."""
-    return flatten(_affine_row(elt, N, M), M)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +340,7 @@ def compact_window_basis(algebra, twist, l, N):
              for n, u in units if n == 0]
     [(fixed, _, _)] = _fixed_part(
         [tuple(_affine_row(x, 0, M0) for x in p) for p in pairs],
-        pairs.__getitem__, M0)
+        pairs.__getitem__, M0, 0, algebra.dim)
     return [u + hat.apply(u) for n, u in units if n > 0] + \
         [x.loop for x in fixed]
 
@@ -369,9 +348,8 @@ def compact_window_basis(algebra, twist, l, N):
 def cartan_decomposition(phi, N=None):
     """Exact +-1 eigenbasis split K + P of a compact involution on the
     compact window, under the guard of `real_form`, whose basis spans
-    K + iP.  Returns a dict with K and P (lists of AffineElement), their
-    rows over Q(zeta_M) on the window (`loop._affine_row`), the window and
-    the window bracket-closure verdicts."""
+    K + iP.  Returns a dict with K and P (lists of AffineElement), the
+    window and the window bracket-closure verdicts."""
     M, N = _window_involution(phi, N)
     algebra, tw, l = phi.algebra, phi.twist, phi.l
     # constant curve and target twist tw: images stay at conductor l
@@ -381,17 +359,15 @@ def cartan_decomposition(phi, N=None):
     for f in _real_field_basis(M):
         elts += [AffineElement(zero, c=f), AffineElement(zero, d=f)]
     pairs = [(e, ext.apply(e)) for e in elts]
-    (Kb, kspan, kr), (Pb, pspan, pr) = _fixed_part(
+    (Kb, kspan, ks), (Pb, pspan, ps) = _fixed_part(
         [tuple(_affine_row(x, N, M) for x in p) for p in pairs],
-        pairs.__getitem__, M, (1, -1))
-    ks, ps = ([_row_parts(r, N, algebra.dim) for r in rs] for rs in (kr, pr))
+        pairs.__getitem__, M, N, algebra.dim, (1, -1))
     inclusions = {
         "KK_in_K": _brackets_in(algebra, l, ks, ks, kspan, M, N),
         "KP_in_P": _brackets_in(algebra, l, ks, ps, pspan, M, N),
         "PP_in_K": _brackets_in(algebra, l, ps, ps, kspan, M, N),
     }
-    return {"K": Kb, "P": Pb, "rows": (kr, pr), "window": N,
-            "inclusions": inclusions}
+    return {"K": Kb, "P": Pb, "window": N, "inclusions": inclusions}
 
 
 # ---------------------------------------------------------------------------

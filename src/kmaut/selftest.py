@@ -24,6 +24,8 @@ from .linalg import Span, flatten
 from .loop import (
     AffineElement,
     LoopElement,
+    _affine_row,
+    _packed,
     affine_bracket,
     affine_form,
     derived_algebra_witness,
@@ -45,7 +47,6 @@ from .loopaut import (
 )
 from .pi0 import pi0_row
 from .realforms import (
-    _scaled,
     cartan_decomposition,
     check_extension_bijection,
     real_form,
@@ -592,15 +593,15 @@ def check_cartan_tables(deep=False):
                     phi = realize_entry(alg, e)
                     rep = cartan_decomposition(phi, N=1)
                     rf, M = real_form(phi, N=1), lcm(4, 2 * phi.l)
-                    kr, pr = rep["rows"]
-                    kip = [flatten(r, M) for r in
-                           kr + [_scaled(r, i, M) for r in pr]]
+                    rows = [_affine_row(x, 1, M) for x in
+                            rep["K"] + [x * i for x in rep["P"]]]
+                    kip = [flatten(_packed(r, 1, alg.dim), M) for r in rows]
                     checked += 1
                     if not all(rep["inclusions"].values()):
                         bad.append((alg.label(), e, "inclusions"))
                     span = Span()
                     if len(rf.basis) != len(kip) or not all(
-                            span.add(v) and rf._rows[0].contains(v)
+                            span.add(v) and rf._span.contains(v)
                             for v in kip):
                         bad.append((alg.label(), e, "real form"))
     return ("cartan-tables", not bad,

@@ -21,8 +21,8 @@ from kmaut.loop import (
     LoopElement,
     _affine_row,
     _convolution,
+    _packed,
     _parts_bracket,
-    _row_parts,
     affine_bracket,
     affine_form,
     central_element,
@@ -31,7 +31,6 @@ from kmaut.loop import (
     derived_algebra_witness,
     loop_bracket,
     loop_form,
-    row_bracket,
     window_basis,
 )
 from kmaut.selftest import (default_twist, loop_test_algebras,
@@ -261,7 +260,14 @@ def _row_sum(rows):
     return {j: v for j, v in out.items() if any(v)}
 
 
-def _row_bracket_twists():
+def _lowest(row, N, dim):
+    """The packed row (`_packed`) of a window row in lowest terms, None for
+    None."""
+    from kmaut.linalg import _strip
+    return row if row is None else _strip(*_packed(row, N, dim))
+
+
+def _bracket_twists():
     a3 = make_algebra("a", 3, "complex")
     b2 = make_algebra("b", 2, "complex")
     d4 = make_algebra("d", 4, "complex")
@@ -272,14 +278,14 @@ def _row_bracket_twists():
             pytest.param(triality_automorphism(d4), 3, id="d4-triality")]
 
 
-@pytest.mark.parametrize("twist,l", _row_bracket_twists())
-def test_row_bracket_property(twist, l):
-    """On rows over Q(zeta_12), the bracket through the structure constants
-    is affine_bracket's: on a window that holds every degree sum it is the
-    row of affine_bracket, on a smaller one it is None exactly when
-    affine_bracket leaves the window, and it is antisymmetric and satisfies
-    Jacobi on rows.  The elements have nonzero c and d, coefficients over
-    Q(zeta_12) and support in [-2, 2]."""
+@pytest.mark.parametrize("twist,l", _bracket_twists())
+def test_parts_bracket_property(twist, l):
+    """On window rows over Q(zeta_12), the bracket through the structure
+    constants is affine_bracket's: on a window that holds every degree sum
+    it is, in lowest terms, the row of affine_bracket, on a smaller one it
+    is None exactly when affine_bracket leaves the window, and it is
+    antisymmetric and satisfies Jacobi on rows.  The elements have nonzero
+    c and d, coefficients over Q(zeta_12) and support in [-2, 2]."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     alg, M, N = twist.algebra, 12, 2
@@ -299,23 +305,27 @@ def test_row_bracket_property(twist, l):
         x, y, z = (element(rng, *t) for t in draws)
 
         def br(a, b, W):
-            return row_bracket(alg, l, a, b, W, M)
+            return _parts_bracket(alg, l, a, b, W, M)
 
         for a, b in [(x, y), (y, z), (x, x)]:
             want = affine_bracket(a, b)
-            got = br(_affine_row(a, 2 * N, M), _affine_row(b, 2 * N, M), 2 * N)
-            assert got == _affine_row(want, 2 * N, M)
+            W = 2 * N
+            got = br(_affine_row(a, W, M), _affine_row(b, W, M), W)
+            assert _lowest(got, W, alg.dim) == _lowest(
+                _affine_row(want, W, M), W, alg.dim)
             small = br(_affine_row(a, N, M), _affine_row(b, N, M), N)
             if any(abs(n) > N for n in want.loop.support()):
                 assert small is None
             else:
-                assert small == _affine_row(want, N, M)
+                assert _lowest(small, N, alg.dim) == _lowest(
+                    _affine_row(want, N, M), N, alg.dim)
         W = 3 * N
         rx, ry, rz = (_affine_row(a, W, M) for a in (x, y, z))
-        assert not _row_sum([br(rx, ry, W), br(ry, rx, W)])
-        assert not _row_sum([br(rx, br(ry, rz, W), W),
-                             br(ry, br(rz, rx, W), W),
-                             br(rz, br(rx, ry, W), W)])
+        assert not _row_sum([_packed(r, W, alg.dim)
+                             for r in (br(rx, ry, W), br(ry, rx, W))])
+        assert not _row_sum([_packed(br(a, br(b, c, W), W), W, alg.dim)
+                             for a, b, c in ((rx, ry, rz), (ry, rz, rx),
+                                             (rz, rx, ry))])
 
     check()
 
@@ -325,36 +335,38 @@ def test_row_bracket_property(twist, l):
     pytest.param("a", 2, mu_automorphism, 2, id="a2-mu"),
     pytest.param("b", 2, lambda alg: standard_involution(alg, "rho1"), 2,
                  id="b2-rho1")])
-def test_parts_bracket_is_row_bracket_unreduced(fam, n, twist_of, l):
-    """The bracket core on split rows gives the value of row_bracket, not
-    necessarily in lowest terms, and the same verdict on membership in a
-    fixed span: that of the window elements of degree at most 1 and c, on
-    the window [-2, 2] over Q(zeta_12).  The second factor is drawn from
-    degrees up to w, so that both verdicts occur."""
+def test_parts_bracket_gives_the_span_verdicts_of_affine_bracket(
+        fam, n, twist_of, l):
+    """The bracket core on window rows gives the value of affine_bracket's
+    row, not necessarily in lowest terms, and the same verdict on
+    membership in a fixed span: that of the window elements of degree at
+    most 1 and c, on the window [-2, 2] over Q(zeta_12).  The second factor
+    is drawn from degrees up to w, so that both verdicts occur."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from kmaut.linalg import Span, _strip
+    from kmaut.linalg import Span
 
     alg = make_algebra(fam, n, "complex")
     twist, M, N = twist_of(alg), 12, 2
-    span = Span([_affine_row(AffineElement(u), N, M)
-                 for u in window_basis(alg, twist, l, 1)]
-                + [_affine_row(central_element(alg, twist, l), N, M)], M)
+    span = Span([_packed(_affine_row(x, N, M), N, alg.dim)
+                 for x in [AffineElement(u)
+                           for u in window_basis(alg, twist, l, 1)]
+                 + [central_element(alg, twist, l)]], M)
 
     def verdict(seed, k, w):
         """Whether [x, y] lies in the span, None if it leaves the window."""
         rng = random.Random(seed)
         x = random_affine_element(alg, twist, l, rng, 1) * root_of_unity(M, k)
         y = random_affine_element(alg, twist, l, rng, w)
-        rx, ry = _affine_row(x, N, M), _affine_row(y, N, M)
-        want = row_bracket(alg, l, rx, ry, N, M)
-        got = _parts_bracket(alg, l, _row_parts(rx, N, alg.dim),
-                             _row_parts(ry, N, alg.dim), N, M)
-        if want is None:
+        z = affine_bracket(x, y)
+        got = _parts_bracket(alg, l, _affine_row(x, N, M),
+                             _affine_row(y, N, M), N, M)
+        if any(abs(n) > N for n in z.loop.support()):
             assert got is None
             return None
+        got, want = (_packed(r, N, alg.dim)
+                     for r in (got, _affine_row(z, N, M)))
         assert _row_sum([got]) == _row_sum([want])
-        assert _strip(*got) == want
         assert span.contains(got) == span.contains(want)
         return span.contains(want)
 
@@ -368,21 +380,26 @@ def test_parts_bracket_is_row_bracket_unreduced(fam, n, twist_of, l):
     assert {verdict(s, s % M, s % 3) for s in range(24)} >= {True, False}
 
 
-def test_row_bracket_reads_the_table_denominator(monkeypatch):
+def test_parts_bracket_reads_the_table_denominator(monkeypatch):
     """The same structure constants over the denominator 3 give the same
-    rows: row_bracket takes no constant to be integral."""
+    rows in lowest terms: _parts_bracket takes no constant to be
+    integral."""
     rng = random.Random(5)
     alg = make_algebra("a", 3, "complex")
     mu = mu_automorphism(alg)
     xs = [_affine_row(random_affine_element(alg, mu, 2, rng), 4, 4)
           for _ in range(6)]
-    want = [row_bracket(alg, 2, x, y, 4, 4) for x in xs for y in xs]
+
+    def brackets():
+        return [_lowest(_parts_bracket(alg, 2, x, y, 4, 4), 4, alg.dim)
+                for x in xs for y in xs]
+    want = brackets()
     C, K, den = alg.structure_constants()
     thirds = (tuple(tuple(tuple((k, 3 * c) for k, c in cs) for cs in row)
                     for row in C),
               tuple(tuple(3 * v for v in row) for row in K), 3 * den)
     monkeypatch.setattr(alg, "structure_constants", lambda: thirds)
-    assert [row_bracket(alg, 2, x, y, 4, 4) for x in xs for y in xs] == want
+    assert brackets() == want
     assert any(w and w[0] for w in want)
 
 

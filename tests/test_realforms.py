@@ -377,6 +377,16 @@ def test_cartan_rotation_outside_window_field(la, lb, c):
         cartan_decomposition(conjugate_shift(phi, c), N=2)
 
 
+def _window_vector(x, M, N):
+    """The rational packed row that the realforms spans take of an affine
+    element over Q(zeta_M) on the window [-N, N]: its window row laid out
+    by `loop._packed` and flattened over Q."""
+    from kmaut.linalg import flatten
+    from kmaut.loop import _affine_row, _packed
+
+    return flatten(_packed(_affine_row(x, N, M), N, x.loop.algebra.dim), M)
+
+
 def test_cartan_uniqueness_surrogate():
     """Two involutions with equal invariants: the conjugator maps the K/P
     window spans onto each other."""
@@ -385,7 +395,6 @@ def test_cartan_uniqueness_surrogate():
     from kmaut.cyclo import CycloMatrix
     from kmaut.loopaut import conjugate_constant, invariant_first_kind
     from kmaut.linalg import Span
-    from kmaut.realforms import _affine_qvec
 
     su2 = make_algebra("a", 1, "compact")
     iden = identity_automorphism(su2)
@@ -399,8 +408,8 @@ def test_cartan_uniqueness_surrogate():
     rep1 = cartan_decomposition(phi1, N=N)
     rep2 = cartan_decomposition(phi2, N=N)
     M = 4  # the window field Q(zeta_lcm(4, 2l)) at l = 1
-    k2 = Span(_affine_qvec(e, M, N) for e in rep2["K"])
-    p2 = Span(_affine_qvec(e, M, N) for e in rep2["P"])
+    k2 = Span(_window_vector(e, M, N) for e in rep2["K"])
+    p2 = Span(_window_vector(e, M, N) for e in rep2["P"])
     from kmaut.loop import AffineElement, LoopElement
 
     def push(e):
@@ -410,19 +419,19 @@ def test_cartan_uniqueness_surrogate():
         return AffineElement(loop, e.c, e.d)
 
     for e in rep1["K"]:
-        assert k2.contains(_affine_qvec(push(e), M, N))
+        assert k2.contains(_window_vector(push(e), M, N))
     for e in rep1["P"]:
-        assert p2.contains(_affine_qvec(push(e), M, N))
+        assert p2.contains(_window_vector(push(e), M, N))
 
 
-def test_affine_qvec_coordinates():
-    """Coefficients, c and d over different denominators land in one packed
-    rational row: coordinate t of algebra coordinate k of the degree-n
-    coefficient at column ((n + N) * dim + k) * phi + t, then c and d, one
-    coordinate each; degrees outside the window are ignored."""
+def test_packed_window_row_coordinates():
+    """Coefficients, c and d over different denominators land in one window
+    row, which `loop._packed` lays out as one packed row: algebra
+    coordinate k of the degree-n coefficient at column (n + N) * dim + k,
+    then c and d, and over Q coordinate t of column j at j * phi + t;
+    degrees outside the window are ignored."""
     from kmaut.cyclo import CycloMatrix, root_of_unity
-    from kmaut.loop import AffineElement, LoopElement
-    from kmaut.realforms import _affine_qvec
+    from kmaut.loop import AffineElement, LoopElement, _affine_row, _packed
 
     su2 = make_algebra("a", 1, "compact")
     i = root_of_unity(4, 1)
@@ -430,17 +439,21 @@ def test_affine_qvec_coordinates():
                                   [Fraction(2, 3), i * Fraction(-1, 2)]])
     loop = LoopElement(su2, identity_automorphism(su2), 1, {0: A, 2: A},
                        validate=False)
-    ents, den = _affine_qvec(AffineElement(loop, Fraction(1, 5),
-                                           i * Fraction(3, 7)), 4, 1)
+    x = AffineElement(loop, Fraction(1, 5), i * Fraction(3, 7))
+    ents, den = _packed(_affine_row(x, 1, 4), 1, 3)
     # dim = 3 and phi(4) = 2: A has coordinates 2/3 at E_10 and i/2 at H,
     # degree 0 starts at coordinate 3, and c and d are coordinates 9 and 10
+    assert {j: tuple(Fraction(v, den) for v in w) for j, w in ents.items()} \
+        == {4: (Fraction(2, 3), 0), 5: (0, Fraction(1, 2)),
+            9: (Fraction(1, 5), 0), 10: (0, Fraction(3, 7))}
+    ents, den = _window_vector(x, 4, 1)
     assert {j: Fraction(v, den) for j, (v,) in ents.items()} == {
         8: Fraction(2, 3), 11: Fraction(1, 2), 18: Fraction(1, 5),
         21: Fraction(3, 7)}
 
 
 def _entry_row(elt, M, N):
-    """The matrix-entry layout that `_affine_qvec` replaced, kept as a
+    """The matrix-entry layout that the window rows replaced, kept as a
     reference: coordinate t of entry (i, j) of the degree-n coefficient at
     column ((n + N) * size^2 + i * size + j) * phi + t, then c and d, one
     block of size^2 * phi columns each; degrees outside the window are
@@ -489,7 +502,7 @@ def _real_form_bases(alg, pair):
     (_real_form_bases, make_algebra("c", 3, "compact"),
      (InvLabel(1), InvLabel(2))),
 ], ids=["cartan-a2", "cartan-c3", "realform-b2", "realform-c3"])
-def test_affine_qvec_matches_matrix_entries(bases, alg, arg):
+def test_window_rows_match_matrix_entries(bases, alg, arg):
     """Algebra coordinates and matrix entries are two injective layouts of
     one window: on the K and P bases of a Cartan decomposition, and on a
     real form basis, both at window 1, they give every basis the same rank
@@ -498,7 +511,6 @@ def test_affine_qvec_matches_matrix_entries(bases, alg, arg):
     from math import lcm
     from kmaut.linalg import Span
     from kmaut.loop import affine_bracket
-    from kmaut.realforms import _affine_qvec
 
     N = 1
     groups, l = bases(alg, arg)
@@ -507,7 +519,7 @@ def test_affine_qvec_matches_matrix_entries(bases, alg, arg):
                 for z in [affine_bracket(x, y)]
                 if all(abs(n) <= N for n in z.loop.support())]
     verdicts = []
-    for row in (_affine_qvec, _entry_row):
+    for row in (_window_vector, _entry_row):
         spans = [Span() for _ in groups]
         ranks = [sum(s.add(row(x, M, N)) for x in g)
                  for s, g in zip(spans, groups)]
@@ -537,13 +549,12 @@ def reference_brackets_in(xs, ys, span, M, N):
     by `affine_bracket`, then written as a row."""
     from itertools import combinations, product
     from kmaut.loop import affine_bracket
-    from kmaut.realforms import _affine_qvec
 
     for x, y in combinations(xs, 2) if xs is ys else product(xs, ys):
         z = affine_bracket(x, y)
         if z.is_zero() or any(abs(n) > N for n in z.loop.support()):
             continue
-        if not span.contains(_affine_qvec(z, M, N)):
+        if not span.contains(_window_vector(z, M, N)):
             return False
     return True
 
@@ -581,21 +592,22 @@ def _closure_cases():
 
 
 def test_brackets_in_matches_the_reference():
-    """The closure check on split rows gives the verdict of the pairwise
+    """The closure check on window rows gives the verdict of the pairwise
     object check, on each case's span and on spans with one to three random
     basis vectors dropped, so that False verdicts are compared too."""
     from kmaut.linalg import Span
-    from kmaut.realforms import _affine_qvec, _brackets_in, _span_and_parts
+    from kmaut.loop import _affine_row
+    from kmaut.realforms import _brackets_in
 
     rng = random.Random(22)
     verdicts = []
     for alg, l, xs, ys, gens, M, N in _closure_cases():
-        px = _span_and_parts(xs, M, N)[1]
-        py = px if ys is xs else _span_and_parts(ys, M, N)[1]
+        px = [_affine_row(x, N, M) for x in xs]
+        py = px if ys is xs else [_affine_row(y, N, M) for y in ys]
         drops = [()] + [rng.sample(range(len(gens)), min(len(gens), k))
                         for k in (1, 2, 3)]
         for drop in drops if gens else [()]:
-            span = Span(_affine_qvec(g, M, N) for i, g in enumerate(gens)
+            span = Span(_window_vector(g, M, N) for i, g in enumerate(gens)
                         if i not in drop)
             got = _brackets_in(alg, l, px, py, span, M, N)
             assert got == reference_brackets_in(xs, ys, span, M, N), drop
@@ -646,21 +658,26 @@ def _mutation_entries():
 def test_closure_checks_fail_on_the_wrong_span(alg, entry):
     """The closure checks still say False when they should: [K, K] checked
     against P's span, and a real form basis with one element left out of
-    the span it is checked against."""
+    the span it is checked against: the span and rows that `real_form`
+    formed, less those of the first element."""
     from math import lcm
 
-    from kmaut.realforms import RealFormBasis, _brackets_in, _span_and_parts
+    from kmaut.linalg import Span, flatten
+    from kmaut.loop import _affine_row, _packed
+    from kmaut.realforms import RealFormBasis, _brackets_in
 
     phi = realize_entry(alg, entry)
     N, M = 1, lcm(4, 2 * phi.l)
     rep = cartan_decomposition(phi, N=N)
     assert all(rep["inclusions"].values())
-    ks = _span_and_parts(rep["K"], M, N)[1]
-    pspan = _span_and_parts(rep["P"], M, N)[0]
+    ks = [_affine_row(x, N, M) for x in rep["K"]]
+    pspan = Span(_window_vector(x, M, N) for x in rep["P"])
     assert _brackets_in(alg, phi.l, ks, ks, pspan, M, N) is False
     rb = real_form(phi, N=N)
     assert rb.closed_under_bracket()
-    cut = RealFormBasis(alg, phi, N, rb.l, rb.basis[1:])
+    rows = rb._rows[1:]
+    span = Span(flatten(_packed(r, N, alg.dim), M) for r in rows)
+    cut = RealFormBasis(alg, phi, N, rb.l, rb.basis[1:], span, rows)
     assert cut.closed_under_bracket() is False
 
 
@@ -711,40 +728,54 @@ def _realform_batch():
 
 def test_realform_batch_compares_twists_and_splits_rows_once(monkeypatch):
     """On the realform batch, twists are compared by matrix ratio at most
-    100 times (1,020 when images carried a composite twist); each basis
-    element of a real form, and each K and P element of a Cartan
-    decomposition, has its row split exactly once, however many closure
-    checks it enters; window rows are formed at most 900 times (1,588 when
-    each check formed its own) and brackets at most 2,826 times (3,488
-    before pairs that leave the window were skipped)."""
+    100 times (1,020 when images carried a composite twist); the window row
+    of each element that a real form or a Cartan decomposition pairs with
+    its image, and of each c and d element of a real form, is formed
+    exactly once, and the closure checks form none, however many brackets
+    a row enters; window rows are formed at most 900 times (1,588 when each
+    check formed its own) and brackets at most 2,826 times (3,488 before
+    pairs that leave the window were skipped)."""
     from collections import Counter
 
     from kmaut import autg, realforms
+    from kmaut.loop import window_basis
 
-    counts = Counter()
+    log = []
 
     def counting(module, name):
         f = getattr(module, name)
 
         def wrapped(*a):
-            counts[name] += 1
+            log.append((name, a))
             return f(*a)
         monkeypatch.setattr(module, name, wrapped)
 
     counting(autg, "_scalar_ratio")
-    for name in ("_row_parts", "_affine_row", "_parts_bracket"):
+    for name in ("_affine_row", "_parts_bracket"):
         counting(realforms, name)
+
+    def rows_at(calls, N):
+        return sum(name == "_affine_row" and a[1] == N for name, a in calls)
+
     bases, cartans = _realform_batch()
     for alg, pair, N in bases:
-        before = counts["_row_parts"]
+        start = len(log)
         rb = real_form_basis(alg, pair, N=N)
+        made = log[start:]
         assert rb.closed_under_bracket()
-        assert counts["_row_parts"] - before == len(rb.basis)
+        units = window_basis(alg, rb.phi.twist, rb.l, N)
+        assert rows_at(made, N) == 2 * len(units) + len(rb.basis) - len(
+            rb.loop_elements())
+        assert rows_at(log[start + len(made):], N) == 0
     for phi, N in cartans:
-        before = counts["_row_parts"]
+        start = len(log)
         rep = cartan_decomposition(phi, N=N)
         assert all(rep["inclusions"].values())
-        assert counts["_row_parts"] - before == len(rep["K"]) + len(rep["P"])
+        names = [name for name, _ in log[start:]]
+        first = names.index("_parts_bracket")
+        assert rows_at(log[start:], N) == 2 * (len(rep["K"]) + len(rep["P"]))
+        assert "_affine_row" not in names[first:]
+    counts = Counter(name for name, _ in log)
     assert counts["_scalar_ratio"] <= 100
     assert counts["_affine_row"] <= 900
     assert counts["_parts_bracket"] <= 2826
@@ -761,7 +792,7 @@ def test_pairs_the_degree_rule_skips_have_no_bracket_in_the_window():
     from kmaut.loop import _parts_bracket
 
     def skipped(x, y, N):
-        return x[1] is None and y[1] is None and all(
+        return x[2] is None and y[2] is None and all(
             abs(p + q) > N for p in x[0] for q in y[0])
 
     for alg in (make_algebra("a", r, "compact") for r in (1, 2)):
@@ -770,12 +801,12 @@ def test_pairs_the_degree_rule_skips_have_no_bracket_in_the_window():
                                 (1, 2, 3)):
                 rb = real_form_basis(alg, e[1:], N=N)
                 M = lcm(4, 2 * rb.l)
-                pairs = [(x, y) for x, y in product(rb._rows[1], repeat=2)
+                pairs = [(x, y) for x, y in product(rb._rows, repeat=2)
                          if skipped(x, y, N)]
                 assert pairs, (alg, e, N)
                 for x, y in pairs:
                     z = _parts_bracket(alg, rb.l, x, y, N, M)
-                    assert z is None or not z[0], (alg, e, N)
+                    assert z is None or not z[0] and z[1] is None, (alg, e, N)
 
 
 _CARTAN_GOLDEN = Path(__file__).parent / "golden" / "cartan-digests.json"
