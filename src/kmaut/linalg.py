@@ -197,6 +197,12 @@ class Span:
     def contains(self, v):
         return not self._residue(v)[0]
 
+    def rows(self):  # the stored rows: (pivot, (entries off it, den))
+        return self._rows.items()
+
+    def join(self, rows):  # stored rows on columns no stored row uses
+        self._rows.update(rows)
+
     def add(self, v):
         """Extend the span by v; returns whether v was independent of it."""
         row, den = self._residue(v)

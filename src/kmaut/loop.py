@@ -526,6 +526,12 @@ def _window_sum(a, b, sign=1, m=1):
             cd.get(1), m * den)
 
 
+def _shifted(blocks, s):
+    """The blocks {n: block} of a window row or of `LoopElement.rows`, moved
+    s degrees away from 0: n to n + s for n > 0, to n - s for n < 0."""
+    return {n + s if n > 0 else n - s if n else 0: b for n, b in blocks.items()}
+
+
 def _packed(row, N, dim):
     """The packed row (`linalg`) that `Span` takes of a window row on
     [-N, N]: algebra coordinate k of degree n at column (n + N) * dim + k,

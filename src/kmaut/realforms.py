@@ -16,23 +16,45 @@ field F = Q(zeta_M)^+, of degree phi(M)/2, so a real structure is an
 F-space, and its Q-dimensions are [F : Q] times its dimensions over F.
 
 Each element's window row (`loop._affine_row`, one block per degree) is
-formed once.  `_fixed_part` takes the rows of e and phi(e), forms the row
-of (e +- phi(e)) / 2 from them, and builds that element only when its row,
-laid out by `loop._packed` and flattened over Q, is independent;
-`real_form` forms the rows of a twist eigenvector u and of psi(u) once and
-scales them by each field basis element z and conj(z).  Bracket closure
-(`closed_under_bracket` and the three Cartan inclusions) is checked on the
-kept rows: each bracket is formed from the rows of its two factors through
-the algebra's structure constants (`loop._parts_bracket`), and its row
-reaches the span unreduced, since the span reduces it.  A pair whose
-factors have no d coordinate and whose degree sums |p + q| all exceed the
-window is skipped: its bracket is zero or leaves the window.
+formed once; `_fixed_part` forms the row of (e +- phi(e)) / 2 from those of
+e and phi(e) and builds the element only when its row, laid out by
+`loop._packed` and flattened over Q, is independent.  Closure checks
+bracket rows through the structure constants (`loop._parts_bracket`).
+
+Periods.  T^s moves degree n to n + s for n > 0 and n - s for n < 0
+(`loop._shifted`).  Degree n holds the zeta_l^n eigenspace of the twist;
+the maps here have constant curves, x t^n -> A(lambda^n x) t^(+-n), lambda
+a root of unity, so for l | P and lambda^P = 1 they commute with T^P, which
+moves n and -n together as a first-kind psi, omega^ and a second-kind phi
+pair them.  `_map_period` finds the least such P | M by one probe;
+`real_form` and `cartan_decomposition` form degrees |n| <= P and `_tiled`
+moves them into place: the kept rows of a degree (or pair n, -n) use only
+its columns, so the greedy choice at n + P repeats that at n.
+
+A closure check takes the least P | M below N (`_check_period`) for which
+each row lies on one group of degrees {n, -n} or on c and d, each stored
+row of the span in one group (c and d one more), and for 1 <= n <= N - P
+the rows of group n + P, in order, and the stored rows there are those of
+group n moved by T^P; with none, each group stands alone.  A pair's key holds each
+factor's class (n mod P, degree 0 apart, other rows alone), its position
+in its group and sign(m - n) for the groups, which fix the sign (-, 0, +)
+of each degree sum, p + q and p - q on {n, -n}.  For x = T^a x' and
+y = T^b y' keyed as a checked (x', y'), [x, y] in degree p + q is
+[u_p, v_q] = [u'_p', v'_q'], so each group of [x, y] is one of [x', y'] of
+like class and sign moved by T, and the terms in n/l scale: a d row's
+derivative i (n/l) v_n scales both blocks of a group by n/n', the cocycle
+i sum (n/l) K(u_n, v_-n) c at degree 0 by |p|/|p'|.  The span splits by
+groups, so each group of a bracket lies in it on its own, as does a
+rational multiple: [x, y] is in the span exactly when [x', y'] is.  The
+pairs of two groups are checked together, and count only if all stay in
+the window; groups go by increasing degree, so for N >= 3P each key is
+checked at its first groups and the bracket count stops growing with N.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 from .algebra import make_algebra
@@ -48,6 +70,7 @@ from .loop import (
     _packed,
     _parts_bracket,
     _scale,
+    _shifted,
     _window_sum,
     window_basis,
 )
@@ -219,14 +242,13 @@ def real_form(phi, N=None):
     The units are the degree-n twist eigenvectors u times the Q-basis z of
     Q(zeta_M), paired with psi(u z) = psi(u) conj(z).  psi conjugates c and
     d and multiplies them by eps, so it fixes F c and F d on the first kind
-    and i F c and i F d on the second, which are added as they are.  A
-    first-kind psi maps degree n to -n, so there each element pairs degrees
-    -n and n."""
+    and i F c and i F d on the second, which are added as they are."""
     M, N = _window_involution(phi, N)
     algebra, tw, l, dim = phi.algebra, phi.twist, phi.l, phi.algebra.dim
     psi = conj_linear_extend(phi)
+    P = _map_period(psi.apply, algebra, tw, l, M)
     scalars = [(z, z.conj()) for z in _field_basis(M)]
-    units = [(u, psi.apply(u)) for u in window_basis(algebra, tw, l, N)]
+    units = [(u, psi.apply(u)) for u in window_basis(algebra, tw, l, min(N, P or N))]
 
     def rows():  # those of u z and psi(u) conj(z): one degree, no c or d
         for pair in units:
@@ -240,7 +262,8 @@ def real_form(phi, N=None):
         (u, pu), (z, zc) = units[j // len(scalars)], scalars[j % len(scalars)]
         return AffineElement(u * z), AffineElement(pu * zc)
 
-    [(out, span, kept)] = _fixed_part(rows(), build, M, N, dim)
+    out, span, kept = _tiled(_fixed_part(rows(), build, M, N, dim)[0],
+                             range(-N, N + 1), P, N, dim * _context(M).phi)
     # c and d go in by hand: through the extension, the zero c of the d
     # elements would keep conductor 4 (a zero does) and change the JSON
     i = root_of_unity(4, 1)
@@ -299,26 +322,89 @@ class RealFormBasis:
                             self._span, lcm(4, 2 * self.l), self.window)
 
 
-def _brackets_in(algebra, l, xs, ys, span, M, N):
-    """Whether every bracket [x, y] supported in the window [-N, N] lies in
-    span, for xs and ys the window rows of affine elements over Q(zeta_M)
-    whose loop parts have conductor l: each bracket is formed on rows
-    through the structure constants (`loop._parts_bracket`), and its row
-    reaches the span unreduced.
+def _map_period(f, algebra, tw, l, M):
+    """The least multiple P of l dividing M with f(x t^P) = t^(+-P) f(x), or
+    None: f maps degrees one by one, so one call takes x at 0 and each P."""
+    steps = [P for P in range(l, M + 1, l) if not M % P]
+    x = window_basis(algebra, tw, l, 0)[:1]
+    img = x and f(x[0]._like(dict.fromkeys([0, *steps], x[0].rows[0]))).rows
+    if img and sorted(map(abs, img)) == [0, *steps]:
+        return next((P for P in steps if img.get(P, img.get(-P)) == img[0]), None)
 
-    When xs is ys each unordered pair is bracketed once: [x, x] = 0, and
-    [y, x] = -[x, y] lies in span exactly when [x, y] does.  A pair where
-    neither factor has a d coordinate and every degree sum |p + q| exceeds
-    N is skipped: its bracket is the convolution of its loop parts alone,
-    which is zero or has a degree outside the window."""
-    for x, y in combinations(xs, 2) if xs is ys else product(xs, ys):
-        if x[2] is None and y[2] is None and all(
-                abs(p + q) > N for p in x[0] for q in y[0]):
+
+def _moved(span, s, top, N, width):
+    """The span's stored rows of pivot degree 1 <= |n| <= top, moved s away from 0."""
+    def mv(j):
+        return j + s * width if j // width > N else j - s * width
+    return {mv(p): ({mv(c): v for c, v in row.items()}, den)
+            for p, (row, den) in span.rows() if 0 < abs(p // width - N) <= top}
+
+
+def _tiled(part, order, P, N, width):
+    """The (elements, span, rows) of `_fixed_part` on [-N, N] from those on
+    |n| <= P, by unit degree (that of the lowest block) in order."""
+    out, span, kept = part
+    if P is None or N <= P:
+        return part
+    by = {}
+    for e, r in zip(out, kept):
+        by.setdefault(min(r[0], default=None), []).append((e, r))
+    out, kept = [], []
+    for n in [*order, None]:
+        s = (abs(n) - 1) // P * P if n else 0
+        for e, r in by.get(n if not s else n - s if n > 0 else n + s, ()):
+            out.append(AffineElement(e.loop._like(_shifted(e.loop.rows, s)), e.c, e.d))
+            kept.append((_shifted(r[0], s),) + r[1:])
+    for s in range(P, N, P):
+        span.join(_moved(span, s, min(P, N - s), N, width))
+    return out, span, kept
+
+
+def _check_period(groups, span, M, N, width):
+    """The least divisor P of M under which each {n: rows} in groups and
+    the span's stored rows repeat (module docstring), or None."""
+    if any(abs(c // width - N) != abs(p // width - N)  # c and d: group N + 1
+           for p, (row, _) in span.rows() for c in row):
+        return None
+    for P in (P for P in range(1, N) if not M % P):
+        if all([(_shifted(r[0], P),) + r[1:] for r in g.get(n, ())] == g.get(n + P, [])
+               for g in groups for n in range(1, N - P + 1)) and _moved(
+                   span, P, N - P, N, width) == {
+                       p: r for p, r in span.rows() if P < abs(p // width - N) <= N}:
+            return P
+
+
+def _brackets_in(algebra, l, xs, ys, span, M, N):
+    """Whether each bracket [x, y] supported in [-N, N] lies in span, for xs and
+    ys window rows over Q(zeta_M) at loop conductor l: one pair a key (module
+    docstring) is bracketed, unless it has no d and all |p + q| exceed N."""
+    def grouped(rows):  # {n: rows on degrees in {n, -n}}, others at n < 0
+        groups = {}
+        for k, r in enumerate(rows):
+            ns = {abs(n) for n in r[0]}
+            n = ns.pop() if len(ns) == 1 and not (r[1] or r[2]) else ~k
+            groups.setdefault(n, []).append(r)
+        return sorted(groups.items())
+    gx = grouped(xs)
+    gy = gx if ys is xs else grouped(ys)
+    P = None if any(n < 0 and rs[0][0] for n, rs in gx + gy) else _check_period(
+        (dict(gx), dict(gy)), span, M, N, algebra.dim * _context(M).phi)
+    complete = set()
+    for (m, rx), (n, ry) in sorted(combinations_with_replacement(gx, 2) if ys is xs
+                                   else product(gx, gy), key=lambda g: g[0][0] + g[1][0]):
+        regime = tuple((k % P if P else k) if k > 0 else k for k in (m, n)) + (
+            m == 0, n == 0, (m > n) - (m < n))
+        if regime in complete:
             continue
-        z = _parts_bracket(algebra, l, x, y, N, M)
-        if z is not None and not span.contains(
-                flatten(_packed(z, N, algebra.dim), M)):
+        zs = [None if x[2] is None and y[2] is None and all(
+                  abs(p + q) > N for p in x[0] for q in y[0])
+              else _parts_bracket(algebra, l, x, y, N, M)
+              for x, y in (combinations(rx, 2) if rx is ry else product(rx, ry))]
+        if any(z and (z[0] or z[1]) and not span.contains(
+                flatten(_packed(z, N, algebra.dim), M)) for z in zs):
             return False
+        if all(zs):  # each bracket stayed in the window
+            complete.add(regime)
     return True
 
 
@@ -335,14 +421,13 @@ def compact_window_basis(algebra, twist, l, N):
     hat = StandardLoopAutomorphism(twist, l, 1, 0, None,
                                    omega_automorphism(algebra))
     units = [(u.support()[0], u * z) for u in window_basis(algebra, twist, l, N)
-             for z in _field_basis(M0)]
+             if u.support()[0] >= 0 for z in _field_basis(M0)]
     pairs = [(AffineElement(u), AffineElement(hat.apply(u)))
              for n, u in units if n == 0]
     [(fixed, _, _)] = _fixed_part(
         [tuple(_affine_row(x, 0, M0) for x in p) for p in pairs],
         pairs.__getitem__, M0, 0, algebra.dim)
-    return [u + hat.apply(u) for n, u in units if n > 0] + \
-        [x.loop for x in fixed]
+    return [u + hat.apply(u) for n, u in units if n > 0] + [x.loop for x in fixed]
 
 
 def cartan_decomposition(phi, N=None):
@@ -352,16 +437,19 @@ def cartan_decomposition(phi, N=None):
     window and the window bracket-closure verdicts."""
     M, N = _window_involution(phi, N)
     algebra, tw, l = phi.algebra, phi.twist, phi.l
-    # constant curve and target twist tw: images stay at conductor l
+    # constant curve, target twist tw: images at conductor l, ext on loops is phi
     ext = affine_extend(phi)
+    P = _map_period(phi.apply, algebra, tw, l, M)
     zero = LoopElement.zero(algebra, tw, l)
-    elts = [AffineElement(b) for b in compact_window_basis(algebra, tw, l, N)]
+    elts = [AffineElement(b) for b in compact_window_basis(algebra, tw, l, min(N, P or N))]
     for f in _real_field_basis(M):
         elts += [AffineElement(zero, c=f), AffineElement(zero, d=f)]
     pairs = [(e, ext.apply(e)) for e in elts]
-    (Kb, kspan, ks), (Pb, pspan, ps) = _fixed_part(
-        [tuple(_affine_row(x, N, M) for x in p) for p in pairs],
-        pairs.__getitem__, M, N, algebra.dim, (1, -1))
+    (Kb, kspan, ks), (Pb, pspan, ps) = (
+        _tiled(part, [*range(-1, -N - 1, -1), 0], P, N, algebra.dim * _context(M).phi)
+        for part in _fixed_part(
+            [tuple(_affine_row(x, N, M) for x in p) for p in pairs],
+            pairs.__getitem__, M, N, algebra.dim, (1, -1)))
     inclusions = {
         "KK_in_K": _brackets_in(algebra, l, ks, ks, kspan, M, N),
         "KP_in_P": _brackets_in(algebra, l, ks, ps, pspan, M, N),

@@ -728,14 +728,17 @@ def _realform_batch():
 
 def test_realform_batch_compares_twists_and_splits_rows_once(monkeypatch):
     """On the realform batch, twists are compared by matrix ratio at most
-    100 times (1,020 when images carried a composite twist); the window row
-    of each element that a real form or a Cartan decomposition pairs with
-    its image, and of each c and d element of a real form, is formed
-    exactly once, and the closure checks form none, however many brackets
-    a row enters; window rows are formed at most 900 times (1,588 when each
-    check formed its own) and brackets at most 2,826 times (3,488 before
-    pairs that leave the window were skipped)."""
+    100 times (1,020 when images carried a composite twist); window rows are
+    formed only for the elements of degree 0 and of one period P that a real
+    form or a Cartan decomposition pairs with their images, each exactly
+    once, and for each c and d element of a real form, and the closure
+    checks form none, however many brackets a row enters; window rows are
+    formed at most 900 times (1,588 when each check formed its own) and
+    brackets at most 1,672 times (2,826 when every pair of rows in the
+    window was bracketed, 3,488 before pairs that leave the window were
+    skipped)."""
     from collections import Counter
+    from math import lcm
 
     from kmaut import autg, realforms
     from kmaut.loop import window_basis
@@ -758,27 +761,38 @@ def test_realform_batch_compares_twists_and_splits_rows_once(monkeypatch):
         return sum(name == "_affine_row" and a[1] == N for name, a in calls)
 
     bases, cartans = _realform_batch()
+    made = []
     for alg, pair, N in bases:
         start = len(log)
         rb = real_form_basis(alg, pair, N=N)
-        made = log[start:]
+        formed = rows_at(log[start:], N)
         assert rb.closed_under_bracket()
-        units = window_basis(alg, rb.phi.twist, rb.l, N)
-        assert rows_at(made, N) == 2 * len(units) + len(rb.basis) - len(
-            rb.loop_elements())
-        assert rows_at(log[start + len(made):], N) == 0
+        assert rows_at(log[start:], N) == formed
+        made.append((rb.phi, N, formed, len(rb.basis) - len(rb.loop_elements())))
     for phi, N in cartans:
         start = len(log)
         rep = cartan_decomposition(phi, N=N)
         assert all(rep["inclusions"].values())
         names = [name for name, _ in log[start:]]
-        first = names.index("_parts_bracket")
-        assert rows_at(log[start:], N) == 2 * (len(rep["K"]) + len(rep["P"]))
-        assert "_affine_row" not in names[first:]
+        assert "_affine_row" not in names[names.index("_parts_bracket"):]
+        made.append((phi, N, rows_at(log[start:], N), rep["K"] + rep["P"]))
     counts = Counter(name for name, _ in log)
     assert counts["_scalar_ratio"] <= 100
     assert counts["_affine_row"] <= 900
-    assert counts["_parts_bracket"] <= 2826
+    assert counts["_parts_bracket"] <= 1672
+    # the counts of one period, P from the probe that the constructions make
+    for phi, N, formed, rest in made:
+        M = lcm(4, 2 * phi.l)
+        if isinstance(rest, int):  # a real form: 2 rows a unit, c and d
+            P = realforms._map_period(conj_linear_extend(phi).apply,
+                                      phi.algebra, phi.twist, phi.l, M)
+            units = window_basis(phi.algebra, phi.twist, phi.l, min(N, P))
+            assert formed == 2 * len(units) + rest
+        else:  # K and P: 2 rows a pair, one pair an element of degree <= P
+            P = realforms._map_period(phi.apply, phi.algebra, phi.twist,
+                                      phi.l, M)
+            assert formed == 2 * sum(max(map(abs, x.loop.support()), default=0)
+                                     <= P for x in rest)
 
 
 def test_pairs_the_degree_rule_skips_have_no_bracket_in_the_window():
@@ -845,3 +859,181 @@ def test_cartan_and_real_form_bases_are_byte_identical_to_the_golden_digests():
     assert len(want) == 62
     assert got.keys() == want.keys()
     assert [a for a in want if got[a] != want[a]] == []
+
+
+def _direct_real_form(phi, N):
+    """`real_form` formed degree by degree, the reference for the shifted
+    construction: the rows and elements of every unit of the window [-N, N],
+    then c and d; returns (elements, span, rows)."""
+    from kmaut.cyclo import root_of_unity
+    from kmaut.linalg import flatten
+    from kmaut.loop import (AffineElement, LoopElement, _affine_row, _packed,
+                            _scale, window_basis)
+    from kmaut.realforms import (_field_basis, _fixed_part, _real_field_basis,
+                                 _window_involution)
+
+    M, N = _window_involution(phi, N)
+    alg, tw, l, dim = phi.algebra, phi.twist, phi.l, phi.algebra.dim
+    psi = conj_linear_extend(phi)
+    scalars = [(z, z.conj()) for z in _field_basis(M)]
+    units = [(u, psi.apply(u)) for u in window_basis(alg, tw, l, N)]
+    rows = []
+    for pair in units:
+        ru, rp = (_affine_row(AffineElement(v), N, M) for v in pair)
+        rows += [[({n: _scale((M, blk, r[3]), z)[1] for n, blk in r[0].items()},
+                   None, None, r[3] * z.den) for r, z in zip((ru, rp), zs)]
+                 for zs in scalars]
+
+    def build(j):
+        (u, pu), (z, zc) = units[j // len(scalars)], scalars[j % len(scalars)]
+        return AffineElement(u * z), AffineElement(pu * zc)
+
+    [(out, span, kept)] = _fixed_part(rows, build, M, N, dim)
+    zero = LoopElement.zero(alg, tw, l)
+    for f in _real_field_basis(M):
+        f = f if phi.epsilon == 1 else root_of_unity(4, 1) * f
+        for x in (AffineElement(zero, c=f), AffineElement(zero, d=f)):
+            kept.append(_affine_row(x, N, M))
+            span.add(flatten(_packed(kept[-1], N, dim), M))
+            out.append(x)
+    return out, span, kept
+
+
+def _cartan_parts(phi, N, units):
+    """The (elements, span, rows) of K and of P on the window [-N, N] from
+    the compact window units of degrees |n| <= units, c and d, as
+    `cartan_decomposition` forms them; units = N is the direct
+    construction."""
+    from math import lcm
+
+    from kmaut.loop import AffineElement, LoopElement, _affine_row
+    from kmaut.loopaut import affine_extend
+    from kmaut.realforms import (_fixed_part, _real_field_basis,
+                                 compact_window_basis)
+
+    alg, tw, l, M = phi.algebra, phi.twist, phi.l, lcm(4, 2 * phi.l)
+    ext = affine_extend(phi)
+    zero = LoopElement.zero(alg, tw, l)
+    elts = [AffineElement(b) for b in compact_window_basis(alg, tw, l, units)]
+    for f in _real_field_basis(M):
+        elts += [AffineElement(zero, c=f), AffineElement(zero, d=f)]
+    pairs = [(e, ext.apply(e)) for e in elts]
+    return _fixed_part([tuple(_affine_row(x, N, M) for x in p) for p in pairs],
+                       pairs.__getitem__, M, N, alg.dim, (1, -1))
+
+
+def _json(xs):
+    """The JSON of affine elements, each on its twist object (whose own JSON,
+    so(8) operators included, is written once)."""
+    twists = {id(x.loop.twist): x.loop.twist for x in xs}
+    return [json.dumps(t.to_json()) for t in twists.values()], [
+        (id(x.loop.twist), x.loop.l, {str(n): M.to_json()
+                                      for n, M in x.loop.coeffs.items()},
+         x.c.to_json(), x.d.to_json()) for x in xs]
+
+
+def _same_parts(got, want):
+    """Whether two (elements, span, rows) agree: the rows, the span's stored
+    rows and each element's JSON."""
+    return (got[2] == want[2] and dict(got[1].rows()) == dict(want[1].rows())
+            and _json(got[0]) == _json(want[0]))
+
+
+@pytest.mark.parametrize("label", ["a1", "a2", "a3", "b2", "c3", "d4"])
+def test_shifted_windows_match_the_direct_construction(label):
+    """At window 3P, P the period found for each first- and second-kind
+    entry, the rows, span and elements of the real form and of K and P,
+    written from one period by shifting, equal those formed degree by
+    degree, and so do the K and P that `cartan_decomposition` returns."""
+    from math import lcm
+
+    from kmaut.cyclo import _context
+    from kmaut.realforms import _map_period, _tiled
+    from kmaut.tables import algebra_from_label, enumerate_first_kind
+
+    alg = algebra_from_label(label)
+    for k in valid_ks(alg):
+        for table in (enumerate_first_kind, enumerate_second_kind):
+            for e in table(alg, k).entries:
+                phi = realize_entry(alg, e)
+                M = lcm(4, 2 * phi.l)
+                P = _map_period(phi.apply, alg, phi.twist, phi.l, M)
+                N, width = 3 * P, alg.dim * _context(M).phi
+                rb = real_form(phi, N)
+                assert _same_parts((rb.basis, rb._span, rb._rows),
+                                   _direct_real_form(phi, N)), e
+                order = [*range(-1, -N - 1, -1), 0]
+                direct = _cartan_parts(phi, N, N)
+                assert all(_same_parts(_tiled(part, order, P, N, width), want)
+                           for part, want in zip(_cartan_parts(phi, N, P),
+                                                 direct)), e
+                rep = cartan_decomposition(phi, N)
+                assert [_json(rep[s]) for s in "KP"] == [
+                    _json(part[0]) for part in direct], e
+
+
+def _mutation_case(label, entry):
+    """(algebra, l, M, N, P, basis, class) of the real form of a table
+    entry at window 3P, P its period, and class(x), a basis element's
+    degree class mod P (None at degree 0 and for c and d)."""
+    from math import lcm
+
+    from kmaut.realforms import _map_period
+    from kmaut.tables import algebra_from_label
+
+    alg = algebra_from_label(label)
+    phi = realize_entry(alg, entry)
+    M = lcm(4, 2 * phi.l)
+    P = _map_period(phi.apply, alg, phi.twist, phi.l, M)
+
+    def cls(x):
+        n = max(map(abs, x.loop.support()), default=0)
+        return n % P if n else None
+    return alg, phi.l, M, 3 * P, P, real_form(phi, 3 * P).basis, cls
+
+
+def _closure(alg, l, M, N, basis, span_basis):
+    """(period, verdict, reference verdict) of the closure check of basis
+    against the span of span_basis, on the window [-N, N]."""
+    from kmaut.cyclo import _context
+    from kmaut.linalg import Span
+    from kmaut.loop import _affine_row
+    from kmaut.realforms import _brackets_in, _check_period
+
+    rows = [_affine_row(x, N, M) for x in basis]
+    span = Span(_window_vector(x, M, N) for x in span_basis)
+    groups = {}
+    for r in rows:
+        ns = {abs(n) for n in r[0]}
+        if len(ns) == 1 and not (r[1] or r[2]):
+            groups.setdefault(ns.pop(), []).append(r)
+    P = _check_period([groups], span, M, N, alg.dim * _context(M).phi)
+    return (P, _brackets_in(alg, l, rows, rows, span, M, N),
+            reference_brackets_in(basis, basis, span, M, N))
+
+
+@pytest.mark.parametrize("label,entry", [
+    ("a1", ("2", InvLabel(0), InvLabel(0))), ("a1", ("1a", InvLabel(1), "id")),
+    ("a1", ("1b", "id")), ("a3", ("2", InvLabel(1), InvLabel(4)))])
+def test_a_mutated_residue_class_fails_the_key_loop(label, entry):
+    """With the period found and one pair bracketed per key, the check says
+    False when the basis elements of the degrees = 1 mod P are multiplied
+    by i, rows and span alike (P = 1 and 4 here; at P = 2 that makes a
+    graded rescaling, closed again, and the check agrees with the reference
+    there too), and when one residue class is left out of the span; and a
+    span cut off its period falls back to the full sweep, with the
+    reference verdict."""
+    from kmaut.cyclo import root_of_unity
+
+    alg, l, M, N, P, basis, cls = _mutation_case(label, entry)
+    i = root_of_unity(4, 1)
+    phased = [x * i if cls(x) == 1 % P else x for x in basis]
+    got = _closure(alg, l, M, N, phased, phased)
+    assert got[0] == P and got[1] == got[2] and got[1] is (P == 2)
+    kept = [x for x in basis if cls(x) != 1 % P]
+    assert _closure(alg, l, M, N, basis, kept) == (P, False, False)
+    cut = basis[:]
+    del cut[next(j for j, x in enumerate(cut) if x.loop.support() == [1]
+                 or x.loop.support() == [-1, 1])]
+    got = _closure(alg, l, M, N, basis, cut)
+    assert got[0] is None and got[1] == got[2]
