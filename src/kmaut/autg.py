@@ -124,7 +124,7 @@ class Automorphism:
     mu on a (w in {0, 1}), theta on so(8) (w in {0, 1, 2}), none elsewhere."""
 
     __slots__ = ("algebra", "conj", "_G", "_inv", "_s", "_w", "_op", "_word",
-                 "_by_theta", "label", "eigenbases")
+                 "_by_theta", "_sq", "label", "eigenbases")
 
     def __init__(self, algebra, G=None, w=0, conj=False, label=None):
         algebra._need_matrix()
@@ -140,6 +140,7 @@ class Automorphism:
         # unknown, else made or the zero-argument function that makes it
         self._inv = self._s = None
         self._op = self._word = None  # the operator and the outer word
+        self._sq = [None]  # [self o self], kept by compose
         # made with theta: written in JSON as an operator, as every map of
         # so(8) built with the triality is, whatever its outer class
         self._by_theta = self._w != 0 and algebra.has_triality
@@ -160,8 +161,9 @@ class Automorphism:
         return inv
 
     def _unlabeled(self, by_theta=False):
-        """The same map with no label, sharing all it has made; made with
-        theta if it was or by_theta is set."""
+        """The same map with no label, sharing all it has made, its kept
+        square too unless by_theta changes it; made with theta if it was or
+        by_theta is set."""
         out = object.__new__(Automorphism)
         out.algebra, out.conj, out._G, out._inv = (self.algebra, self.conj,
                                                    self._G, self._inv)
@@ -169,6 +171,7 @@ class Automorphism:
                                               self._word)
         out._by_theta, out.label, out.eigenbases = (self._by_theta or by_theta,
                                                     None, {})
+        out._sq = self._sq if out._by_theta == self._by_theta else [None]
         return out
 
     def word(self):
@@ -232,7 +235,11 @@ class Automorphism:
         """self o other (other acts first), stored as M1 K for K = T(M2), T
         the T^w omega^c of self (`_transport`).  Off theta, K^-1 M1^-1 is
         carried (made on first use) when both factors' inverses are made,
-        and s1 s2 where T is trivial and both form scalars are kept."""
+        and s1 s2 where T is trivial and both form scalars are kept.  The
+        square is formed once and kept in self's slot, which `_unlabeled`
+        copies at the same `_by_theta` share: other is self, or a copy with
+        the same matrix, w, conj and `_by_theta` (which decides how the JSON
+        is written)."""
         assert self.algebra == other.algebra
         # each factor's matrix is tested for the unit once.  A plain identity
         # (complex-linear, w = 0, the unit as its G) leaves the other factor
@@ -242,6 +249,10 @@ class Automorphism:
             return self._unlabeled(other._by_theta)
         if unit1 and not (self.conj or self._w):
             return other._unlabeled(self._by_theta)
+        square = other._G is self._G and (other._w, other.conj, other._by_theta
+                                          ) == (self._w, self.conj, self._by_theta)
+        if square and self._sq[0] is not None:
+            return self._sq[0]
         alg, conj, c, w = self.algebra, self.conj ^ other.conj, self.conj, self._w
         M2, theta = other._G, w if alg.has_triality else 0
         flip = theta and not unit2 and _theta_power_of(other.word())[0]
@@ -265,6 +276,8 @@ class Automorphism:
         if (not theta and isinstance(inv1, CycloMatrix)
                 and isinstance(inv2, CycloMatrix)):
             out._inv = lambda: _product(_transport(alg, c, w, inv2, M2), inv1)
+        if square:
+            self._sq[0] = out
         return out
 
     def inverse(self):
@@ -287,8 +300,9 @@ class Automorphism:
         return out
 
     def power(self, k):
-        """self^k by binary expansion: bit_length(k) - 1 squarings and
-        popcount(k) - 1 products; power(1) is self itself."""
+        """self^k by binary expansion: bit_length(k) - 1 squarings, each the
+        square kept on its base (see compose), and popcount(k) - 1 products;
+        power(1) is self itself."""
         if k < 0:
             return self.inverse().power(-k)
         if k == 0:
@@ -1000,7 +1014,8 @@ def _unit_pfaffian(phi):
 
 
 def involution_int_class(phi):
-    """Class of an involution up to conjugation with inner automorphisms."""
+    """Class of an involution up to conjugation with inner automorphisms;
+    G^2 is read from the square that phi keeps (see Automorphism.compose)."""
     algebra = phi.algebra
     if phi.conj:
         raise NotInvolution("conjugate-linear input; use conj_linear_int_class")
@@ -1022,7 +1037,7 @@ def involution_int_class(phi):
         if ratio == -1:
             return _named(algebra, "muadj")
         raise NotInvolution("automorphism does not square to the identity")
-    c = (G * G).is_scalar()
+    c = phi.compose(phi).parts()[0].is_scalar()
     if c is None:
         raise NotInvolution("automorphism does not square to the identity")
     m, s = algebra.size, c

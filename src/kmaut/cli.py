@@ -36,9 +36,11 @@ from .tables import (
 
 
 def _emit(args, payload, text_fn=None, latex_fn=None):
-    """JSON, or the text or latex form where the verb has an --emit option."""
+    """JSON, or the text or latex form where the verb has an --emit option;
+    a payload given as a function is made only for JSON."""
     fn = {"text": text_fn, "latex": latex_fn}.get(getattr(args, "emit", None))
-    print(fn() if fn else json.dumps(payload, indent=2, sort_keys=True))
+    print(fn() if fn else json.dumps(payload() if callable(payload) else payload,
+                                     indent=2, sort_keys=True))
 
 
 def _row_latex(rows):
@@ -139,16 +141,19 @@ def cmd_realform(args):
         raise KmautError("--pair wants two labels, e.g. 'mu,id'")
     pair = tuple(parse_label(algebra, s) for s in labels)
     basis = real_form_basis(algebra, pair, N=args.window)
-    payload = {
-        "algebra": algebra.to_json(),
-        "pair": [repr(x) for x in pair],
-        "l": basis.l,
-        "window": basis.window,
-        "coefficient_dims": {str(k): v for k, v in
-                             sorted(basis.coefficient_dims().items())},
-        "bracket_closed": basis.closed_under_bracket(),
-        "basis": [b.to_json() for b in basis.basis],
-    }
+    closed = basis.closed_under_bracket()
+
+    def payload():  # the elements are written for JSON only
+        return {
+            "algebra": algebra.to_json(),
+            "pair": [repr(x) for x in pair],
+            "l": basis.l,
+            "window": basis.window,
+            "coefficient_dims": {str(k): v for k, v in
+                                 sorted(basis.coefficient_dims().items())},
+            "bracket_closed": closed,
+            "basis": [b.to_json() for b in basis.basis],
+        }
 
     def latex_fn():
         lines = [r"\begin{tabular}{ll}"]
@@ -164,7 +169,7 @@ def cmd_realform(args):
                 "conductor %d, window %d, bracket closed: %s\n"
                 "coefficient dims: %s"
                 % (repr(pair[0]), repr(pair[1]), algebra.label(), basis.l,
-                   basis.window, payload["bracket_closed"], dims))
+                   basis.window, closed, dims))
 
     _emit(args, payload, text_fn=text_fn, latex_fn=latex_fn)
     return 0

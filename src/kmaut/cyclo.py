@@ -879,29 +879,37 @@ class CycloMatrix:
 
     @staticmethod
     def from_json(obj):
+        """Every entry is checked and counts towards the conductor, zero
+        entries too; only the nonzero ones are stored.  Each distinct entry
+        of an int conductor and str coefficients is read once per matrix,
+        kept under a key of exactly those types: the conductor's type is
+        tested at each lookup (True == 1 and 1.0 == 1 hash alike), and a
+        str coefficient equals no other JSON value; any other entry is read
+        each time."""
         if not (isinstance(obj, list) and obj
                 and all(isinstance(row, list) and len(row) == len(obj) for row in obj)):
             raise MalformedData("a matrix is a nonempty square list of rows")
-        # every entry is checked and counts towards the conductor, zero
-        # entries too; only the nonzero ones are stored.  An entry equal to
-        # the zero entry {"conductor": M, "coeffs": ["0"] * phi(M)} of an int
-        # M already checked here passes by that one comparison (True == 1
-        # and 1.0 == 1, hence the type test)
         N = den = 1
-        ents, zeros = [], {}
+        ents, read = [], {}
         for row in obj:
             out = {}
             for j, x in enumerate(row):
-                M = x.get("conductor") if type(x) is dict else None
-                if type(M) is int and x == zeros.get(M):
-                    continue
-                M, nums, d = _json_scalar(x)
-                N = lcm(N, M)
-                if any(nums):
-                    out[j] = M, nums, d
-                    den = lcm(den, d)
-                elif M not in zeros:
-                    zeros[M] = {"conductor": M, "coeffs": ["0"] * len(nums)}
+                c = x.get("coeffs") if type(x) is dict else None
+                key = got = None
+                if type(c) is list and type(x.get("conductor")) is int:
+                    key = x["conductor"], tuple(c)
+                    try:
+                        got = read.get(key)
+                    except TypeError:  # an unhashable coefficient
+                        key = None
+                if got is None:
+                    M, nums, d = _json_scalar(x)
+                    got = M, nums if any(nums) else None, d
+                    if key and all(type(a) is str for a in c):
+                        read[key] = got
+                    N, den = lcm(N, M), lcm(den, d) if got[1] else den
+                if got[1]:
+                    out[j] = got
             ents.append(out)
         _check_conductor(N)
         rows = tuple({j: tuple(c * (den // d) for c in _lift(nums, M, N))

@@ -110,10 +110,10 @@ class StandardLoopAutomorphism:
         itself when the two are equal, so that an endomorphism's images
         share its twist object and compare to its elements by identity."""
         if self._target is None:
-            E2 = Automorphism(self.algebra, self.X.exp_2pi(1))
-            mid = self.phi0.compose(self.twist.power(self.epsilon)) \
+            tgt = self.phi0.compose(self.twist.power(self.epsilon)) \
                            .compose(self.phi0.inverse())
-            tgt = E2.compose(mid)
+            if not self.X.matrix.is_zero():
+                tgt = Automorphism(self.algebra, self.X.exp_2pi(1)).compose(tgt)
             self._target = self.twist if tgt == self.twist else tgt
         return self._target
 
@@ -187,7 +187,10 @@ class StandardLoopAutomorphism:
     # -- normal form and composition -----------------------------------------------
 
     def compose(self, other):
-        """self o other; other's target twist must match self's source."""
+        """self o other; other's target twist must match self's source.  The
+        curve factor, its transport and the scale root are formed only where
+        a curve is not constant or a scale is not 1: two constant curves at
+        scale 1 compose as (eps1 eps2, eps2 t0 + t0', phi0 o phi0')."""
         if other.target_twist() != self.twist:
             raise TwistMismatch("twists do not compose")
         eps1, eps2 = self.epsilon, other.epsilon
@@ -200,18 +203,19 @@ class StandardLoopAutomorphism:
         if r1 != 1:
             othe = other._scale_conjugated(r1)
         # standard parts: curve e^(ad tX1) phi01 e^(ad lam1(t) X2) phi02
-        X2t = self.phi0.apply_semisimple(othe.X)
-        newX = combine_semisimple([self.X, X2t.scaled(eps1)]) \
-            if not (self.X.matrix.is_zero() and X2t.matrix.is_zero()) \
-            else zero_semisimple(self.algebra)
-        shift = Automorphism(self.algebra, X2t.exp_2pi(self.t0))
-        phi0 = shift.compose(self.phi0).compose(othe.phi0)
+        phi0, newX, snew = self.phi0, None, _ONE
+        if not (self.X.matrix.is_zero() and othe.X.matrix.is_zero()):
+            X2t = self.phi0.apply_semisimple(othe.X)
+            newX = combine_semisimple([self.X, X2t.scaled(eps1)])
+            phi0 = Automorphism(self.algebra, X2t.exp_2pi(self.t0)).compose(phi0)
+        phi0 = phi0.compose(othe.phi0)
         t0 = eps2 * self.t0 + othe.t0
-        # scales: tau_{r1} passed across gives tau_{r1^eps2}; then times other's
-        rnew = (r1 ** eps2) * (othe.scale ** othe.l)
-        snew = _rational_root(rnew, othe.l)
-        if snew is None:
-            raise ScalingNotRational("composed scale is irrational")
+        if r1 != 1 or othe.scale != 1:
+            # tau_{r1} passed across gives tau_{r1^eps2}; then times other's
+            rnew = (r1 ** eps2) * (othe.scale ** othe.l)
+            snew = _rational_root(rnew, othe.l)
+            if snew is None:
+                raise ScalingNotRational("composed scale is irrational")
         # both factors are valid and self o other lands where self lands
         out = StandardLoopAutomorphism(othe.twist, othe.l, eps1 * eps2, t0,
                                        newX, phi0, snew, validate=False)
@@ -235,17 +239,21 @@ class StandardLoopAutomorphism:
                                         self.scale, validate=False)
 
     def inverse(self):
-        Y = self.phi0.inverse().apply_semisimple(self.X)
-        Xn = Y.scaled(-self.epsilon)
-        shift = Automorphism(self.algebra, Y.exp_2pi(self.epsilon * self.t0))
-        phi0n = shift.compose(self.phi0.inverse())
+        """The curve factor and the scale root as in compose: formed only
+        where the curve is not constant or the scale is not 1."""
+        phi0n, Xn, sn = self.phi0.inverse(), None, _ONE
+        if not self.X.matrix.is_zero():
+            Y = phi0n.apply_semisimple(self.X)
+            Xn = Y.scaled(-self.epsilon)
+            phi0n = Automorphism(self.algebra, Y.exp_2pi(
+                self.epsilon * self.t0)).compose(phi0n)
         r = self.scale ** self.l
-        rn = Fraction(1) / (r ** self.epsilon)
         tgt = self.target_twist()
         ltgt = lcm(self.l, tgt.order(bound=256))
-        sn = _rational_root(rn, ltgt)
-        if sn is None:
-            raise ScalingNotRational("inverse scale is irrational")
+        if r != 1:
+            sn = _rational_root(Fraction(1) / (r ** self.epsilon), ltgt)
+            if sn is None:
+                raise ScalingNotRational("inverse scale is irrational")
         out = StandardLoopAutomorphism(tgt, ltgt, self.epsilon,
                                        -self.epsilon * self.t0, Xn, phi0n, sn,
                                        validate=False)
@@ -344,12 +352,13 @@ def conjugate_shift(phi, c):
     """Conjugation by u(t) -> u(t + 2 pi c)."""
     c = Fraction(c)
     t0 = phi.t0 + (phi.epsilon - 1) * c
-    shift = Automorphism(phi.algebra, phi.X.exp_2pi(c))
+    # a constant curve has no shift factor
+    phi0 = phi.phi0._unlabeled() if phi.X.matrix.is_zero() else Automorphism(
+        phi.algebra, phi.X.exp_2pi(c)).compose(phi.phi0)
     # the target twist fixes X, so it commutes with the shift and is kept;
     # a conjugate has the order of phi
     out = StandardLoopAutomorphism(phi.twist, phi.l, phi.epsilon, t0, phi.X,
-                                   shift.compose(phi.phi0), phi.scale,
-                                   validate=False)
+                                   phi0, phi.scale, validate=False)
     out._target = phi.target_twist()
     out._order = phi._order
     return out

@@ -807,8 +807,8 @@ def test_matrix_json_entries_next_to_checked_zeros(case):
 
 def test_matrix_json_reads_one_zero_entry_per_conductor(monkeypatch):
     """Zero entries at conductor 4 beside nonzero ones at conductor 1: the
-    entry reader runs for each nonzero entry and for the first zero, and the
-    matrix keeps conductor 4."""
+    entry reader runs once for each distinct entry value (the unit, -1/2 and
+    the zero, 3 calls for 9 entries), and the matrix keeps conductor 4."""
     from kmaut import cyclo
     obj = [[entry(), _ZERO4, _ZERO4], [_ZERO4, entry(1, ["-1/2"]), _ZERO4],
            [_ZERO4, _ZERO4, entry()]]
@@ -817,6 +817,33 @@ def test_matrix_json_reads_one_zero_entry_per_conductor(monkeypatch):
     monkeypatch.setattr(cyclo, "_json_scalar",
                         lambda x: calls.append(x) or read(x))
     got = CycloMatrix.from_json(obj)
-    assert len(calls) == 4
+    assert len(calls) == 3
     monkeypatch.undo()
     assert got.N == 4 and same_packed(got, reference_from_json(obj))
+
+
+@pytest.mark.parametrize("variant, raises", [
+    (dict(entry(), conductor=True), True), (entry(1, [1.0]), True),
+    (entry(1, [True]), True), (entry(1, [["1"]]), True), (entry(1, [1]), False),
+], ids=["bool_conductor", "float_coeff", "bool_coeff", "list_coeff",
+        "int_coeff"])
+def test_matrix_json_near_copies_of_a_repeated_entry(variant, raises):
+    """Each distinct entry is read once per matrix, under a key of its int
+    conductor and str coefficients only: in a matrix of repeated unit
+    entries, written with "1" and with 1, one with "conductor": true or a
+    coefficient 1.0, true or ["1"] (unhashable) fails as the entry reader
+    fails it, at every position; a coefficient 1, an exact integer, reads
+    as the unit."""
+    for pos in range(9):
+        obj = [[entry(1, [(1, "1")[(i + j) % 2]]) for j in range(3)]
+               for i in range(3)]
+        obj[pos // 3][pos % 3] = variant
+        if raises:
+            with pytest.raises(MalformedData) as err:
+                CycloMatrix.from_json(obj)
+            with pytest.raises(MalformedData) as want:
+                reference_from_json(obj)
+            assert str(err.value) == str(want.value)
+        else:
+            assert same_packed(CycloMatrix.from_json(obj),
+                               reference_from_json(obj))

@@ -773,3 +773,62 @@ def test_homometric_rulers_are_undecided_never_conjugate():
         for r in rulers)
     assert invariant(x).raw and invariant(x) == invariant(y)
     assert conjugacy_test(x, y) == conjugacy_test(y, x) == "undecided"
+
+
+def _realized_entries(fam, n):
+    from kmaut.tables import (enumerate_first_kind, enumerate_second_kind,
+                              realize_entry, valid_ks)
+    alg = make_algebra(fam, n, "compact")
+    for k in valid_ks(alg):
+        for row in (enumerate_first_kind(alg, k), enumerate_second_kind(alg, k)):
+            for e in row.entries:
+                yield k, e, realize_entry(alg, e)
+
+
+@pytest.mark.parametrize("fam, n", [("a", 2), ("b", 2), ("c", 3), ("d", 4)])
+def test_realized_entries_keep_the_group_laws(fam, n):
+    """Constant curves compose as their constant parts and squares are
+    kept: on every realized entry (k = 1..3, triality included), and on its
+    conjugate by a shift (t0 != 0 on the second kind), phi^-1 o phi is the
+    identity, composition is associative, and order() is the least q with
+    phi composed q times (from the right) the identity."""
+    count = 0
+    for k, e, phi in ((k, e, psi) for k, e, phi in _realized_entries(fam, n)
+                      for psi in (phi, conjugate_shift(phi, Fraction(1, 3)))):
+        assert phi.inverse().compose(phi).is_identity(), (k, e)
+        sq = phi.compose(phi)
+        assert sq.compose(phi) == phi.compose(sq), (k, e)
+        cur, q = phi, 1
+        while not cur.is_identity():
+            cur, q = cur.compose(phi), q + 1
+            assert q <= 64, (k, e)
+        assert phi.order() == q, (k, e)
+        count += 1
+    assert count >= 10
+
+
+def test_a_kept_square_writes_the_json_of_a_fresh_compose():
+    """On the d4 entries at k = 3, the square of the twist and of phi0 read
+    twice is one map, and it and the square of an `_unlabeled(by_theta=True)`
+    copy write the JSON that a compose on a map with no kept square writes."""
+    def fresh_square(g, by_theta):
+        f = Automorphism(g.algebra, g.parts()[0], w=g.parts()[1], conj=g.conj)
+        f._by_theta = by_theta
+        return json.dumps(f.compose(f).to_json(), sort_keys=True)
+
+    seen = set()
+    for k, e, phi in _realized_entries("d", 4):
+        if k != 3:
+            continue
+        for g in (phi.twist, phi.phi0):
+            if g.is_identity():
+                continue
+            sq = g.compose(g)
+            assert g.compose(g) is sq
+            assert json.dumps(sq.to_json(), sort_keys=True) == fresh_square(
+                g, g._by_theta)
+            c = g._unlabeled(by_theta=True)
+            assert json.dumps(c.compose(c).to_json(), sort_keys=True) \
+                == fresh_square(g, True)
+            seen.add(g._by_theta)
+    assert seen == {False, True}
