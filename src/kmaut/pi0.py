@@ -235,7 +235,6 @@ def raw_signature(rho, beta):
     Returns a hashable tuple, or None when no discrete rule exists.
     """
     algebra = rho.algebra
-    fam = algebra.family
     if beta.conj or rho.conj:
         raise NoSignatureRule("signatures apply to complex-linear parts")
     pair = _commutator(rho, beta)
@@ -250,7 +249,7 @@ def raw_signature(rho, beta):
             if S.trace().is_zero() and (S * S).is_scalar() == _form_scalar(rho):
                 return ("theta",)  # the tau_4 row
             return None
-    if fam == "a":
+    if algebra.outer == "mu":  # a
         e = 0 if beta.is_inner() else 1
         if rho.is_inner():
             S0 = rho.parts()[0]
@@ -272,7 +271,7 @@ def raw_signature(rho, beta):
             return (0, _mu_det_sign(beta, pair))
         beta = beta.compose(rho)
         return (1, _mu_det_sign(beta, _commutator(rho, beta)))
-    if fam == "c":
+    if -1 in algebra.form[1]:  # c: the symplectic form
         # S0 B = c B S0 whatever the scales of S0 and B.  The rule covers the
         # classes of trace zero, Ad(iE) among them: G^-1 = J^-1 G^T J / s for
         # the form scalar s puts s / lambda in the spectrum of G with lambda,
@@ -294,7 +293,7 @@ def raw_signature(rho, beta):
     d = 0 if tr.is_zero() else _unit_trace(S, s)
     p = (m - d) // 2
     S0 = None if d == 0 else S * (tr.inverse() * d)
-    if fam == "b":
+    if m % 2:  # b
         # det B0|V- = det B0|V+ for the B0 = +-B / sqrt(s_B) of determinant
         # one, and the sign of B0 drops out on the even block
         sign, dim = (-1, p) if p % 2 == 0 else (1, m - p)

@@ -29,13 +29,15 @@ moves n and -n together as a first-kind psi, omega^ and a second-kind phi
 pair them.  `_map_period` finds the least such P | M by one probe;
 `real_form` and `cartan_decomposition` form degrees |n| <= P and `_tiled`
 moves them into place: the kept rows of a degree (or pair n, -n) use only
-its columns, so the greedy choice at n + P repeats that at n.
+its columns, so the greedy choice at n + P repeats that at n, and the
+span's stored rows of 1 <= |n| <= P are collected once and moved.
 
-A closure check takes the least P | M below N (`_check_period`) for which
-each row lies on one group of degrees {n, -n} or on c and d, each stored
-row of the span in one group (c and d one more), and for 1 <= n <= N - P
-the rows of group n + P, in order, and the stored rows there are those of
-group n moved by T^P; with none, each group stands alone.  A pair's key holds each
+A closure check (`_brackets_in`) takes P, the period its rows and span were
+tiled with (None, for rows made otherwise, is the full sweep: each group
+stands alone): each row lies on one group of degrees {n, -n} or on c and
+d, each stored row of the span in one group (c and d one more), and the
+rows of group n + P, in order, and the stored rows there are those of
+group n moved by T^P.  A pair's key holds each
 factor's class (n mod P, degree 0 apart, other rows alone), its position
 in its group and sign(m - n) for the groups, which fix the sign (-, 0, +)
 of each degree sum, p + q and p - q on {n, -n}.  For x = T^a x' and
@@ -47,8 +49,11 @@ i sum (n/l) K(u_n, v_-n) c at degree 0 by |p|/|p'|.  The span splits by
 groups, so each group of a bracket lies in it on its own, as does a
 rational multiple: [x, y] is in the span exactly when [x', y'] is.  The
 pairs of two groups are checked together, and count only if all stay in
-the window; groups go by increasing degree, so for N >= 3P each key is
-checked at its first groups and the bracket count stops growing with N.
+the window; groups go by increasing m + n.  Each key first occurs at
+m, n <= 2P, m + n <= 3P (each class has a degree in 1..P, and a sign those
+do not give takes P more on one side), so for N >= 3P every key is checked
+there and the groups above 2P are left out: the bracket count stops
+growing with N.
 """
 
 from __future__ import annotations
@@ -274,7 +279,7 @@ def real_form(phi, N=None):
             kept.append(_affine_row(x, N, M))
             span.add(flatten(_packed(kept[-1], N, dim), M))
             out.append(x)
-    return RealFormBasis(algebra, phi, N, l, out, span, kept)
+    return RealFormBasis(algebra, phi, N, l, out, span, kept, P)
 
 
 def real_form_basis(algebra, pair, N=None):
@@ -286,12 +291,14 @@ def real_form_basis(algebra, pair, N=None):
 
 
 class RealFormBasis:
-    """A real form's window basis, with the Q-span of its window rows and
-    the rows, which `real_form` formed."""
+    """A real form's window basis, with the Q-span of its window rows, the
+    rows, which `real_form` formed, and the period P they were tiled with
+    (None: a full sweep checks them)."""
 
-    __slots__ = ("algebra", "phi", "window", "l", "basis", "_span", "_rows")
+    __slots__ = ("algebra", "phi", "window", "l", "basis", "_span", "_rows",
+                 "period")
 
-    def __init__(self, algebra, phi, window, l, basis, span, rows):
+    def __init__(self, algebra, phi, window, l, basis, span, rows, period):
         self.algebra = algebra
         self.phi = phi
         self.window = window
@@ -299,6 +306,7 @@ class RealFormBasis:
         self.basis = basis
         self._span = span
         self._rows = rows
+        self.period = period
 
     def loop_elements(self):
         return [b for b in self.basis if not b.loop.is_zero()]
@@ -319,7 +327,8 @@ class RealFormBasis:
         """Brackets of window elements with window-bounded support must be
         rational combinations of the basis."""
         return _brackets_in(self.algebra, self.l, self._rows, self._rows,
-                            self._span, lcm(4, 2 * self.l), self.window)
+                            self._span, lcm(4, 2 * self.l), self.window,
+                            self.period)
 
 
 def _map_period(f, algebra, tw, l, M):
@@ -332,12 +341,12 @@ def _map_period(f, algebra, tw, l, M):
         return next((P for P in steps if img.get(P, img.get(-P)) == img[0]), None)
 
 
-def _moved(span, s, top, N, width):
-    """The span's stored rows of pivot degree 1 <= |n| <= top, moved s away from 0."""
+def _moved(rows, s, top, N, width):
+    """Stored span rows (pivot, row) of pivot degree |n| <= top, moved s."""
     def mv(j):
         return j + s * width if j // width > N else j - s * width
     return {mv(p): ({mv(c): v for c, v in row.items()}, den)
-            for p, (row, den) in span.rows() if 0 < abs(p // width - N) <= top}
+            for p, (row, den) in rows if abs(p // width - N) <= top}
 
 
 def _tiled(part, order, P, N, width):
@@ -355,40 +364,29 @@ def _tiled(part, order, P, N, width):
         for e, r in by.get(n if not s else n - s if n > 0 else n + s, ()):
             out.append(AffineElement(e.loop._like(_shifted(e.loop.rows, s)), e.c, e.d))
             kept.append((_shifted(r[0], s),) + r[1:])
+    one = [(p, r) for p, r in span.rows() if 0 < abs(p // width - N) <= P]
     for s in range(P, N, P):
-        span.join(_moved(span, s, min(P, N - s), N, width))
+        span.join(_moved(one, s, N - s, N, width))
     return out, span, kept
 
 
-def _check_period(groups, span, M, N, width):
-    """The least divisor P of M under which each {n: rows} in groups and
-    the span's stored rows repeat (module docstring), or None."""
-    if any(abs(c // width - N) != abs(p // width - N)  # c and d: group N + 1
-           for p, (row, _) in span.rows() for c in row):
-        return None
-    for P in (P for P in range(1, N) if not M % P):
-        if all([(_shifted(r[0], P),) + r[1:] for r in g.get(n, ())] == g.get(n + P, [])
-               for g in groups for n in range(1, N - P + 1)) and _moved(
-                   span, P, N - P, N, width) == {
-                       p: r for p, r in span.rows() if P < abs(p // width - N) <= N}:
-            return P
-
-
-def _brackets_in(algebra, l, xs, ys, span, M, N):
+def _brackets_in(algebra, l, xs, ys, span, M, N, P):
     """Whether each bracket [x, y] supported in [-N, N] lies in span, for xs and
-    ys window rows over Q(zeta_M) at loop conductor l: one pair a key (module
-    docstring) is bracketed, unless it has no d and all |p + q| exceed N."""
+    ys window rows over Q(zeta_M) at loop conductor l, tiled with period P
+    (None: the full sweep): one pair a key (module docstring) is bracketed,
+    unless it has no d and all |p + q| exceed N; for N >= 3P, of the groups
+    up to 2P only."""
+    top = 2 * P if P and N >= 3 * P else N
     def grouped(rows):  # {n: rows on degrees in {n, -n}}, others at n < 0
         groups = {}
         for k, r in enumerate(rows):
             ns = {abs(n) for n in r[0]}
             n = ns.pop() if len(ns) == 1 and not (r[1] or r[2]) else ~k
-            groups.setdefault(n, []).append(r)
+            if n <= top:
+                groups.setdefault(n, []).append(r)
         return sorted(groups.items())
     gx = grouped(xs)
     gy = gx if ys is xs else grouped(ys)
-    P = None if any(n < 0 and rs[0][0] for n, rs in gx + gy) else _check_period(
-        (dict(gx), dict(gy)), span, M, N, algebra.dim * _context(M).phi)
     complete = set()
     for (m, rx), (n, ry) in sorted(combinations_with_replacement(gx, 2) if ys is xs
                                    else product(gx, gy), key=lambda g: g[0][0] + g[1][0]):
@@ -451,9 +449,9 @@ def cartan_decomposition(phi, N=None):
             [tuple(_affine_row(x, N, M) for x in p) for p in pairs],
             pairs.__getitem__, M, N, algebra.dim, (1, -1)))
     inclusions = {
-        "KK_in_K": _brackets_in(algebra, l, ks, ks, kspan, M, N),
-        "KP_in_P": _brackets_in(algebra, l, ks, ps, pspan, M, N),
-        "PP_in_K": _brackets_in(algebra, l, ps, ps, kspan, M, N),
+        "KK_in_K": _brackets_in(algebra, l, ks, ks, kspan, M, N, P),
+        "KP_in_P": _brackets_in(algebra, l, ks, ps, pspan, M, N, P),
+        "PP_in_K": _brackets_in(algebra, l, ps, ps, kspan, M, N, P),
     }
     return {"K": Kb, "P": Pb, "window": N, "inclusions": inclusions}
 

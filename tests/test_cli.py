@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import os
 import random
 import signal
 import subprocess
@@ -143,6 +144,22 @@ def test_realform_json_matches_its_golden_digest(case, capsys):
     rc, out = run_cli(["realform"] + case["args"], capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+def test_realform_json_does_not_depend_on_the_hash_seed():
+    """The real form JSON of an a2 pair is byte-identical under two string
+    hash seeds, so no set or dict of strings orders its output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kmaut.cli", "realform", "--pair",
+             "rho1,rho2", "--algebra", "a2", "--window", "3", "--emit", "json"],
+            capture_output=True, env=env, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_realform_reads_the_algebra_label(capsys):

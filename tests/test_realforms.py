@@ -560,12 +560,14 @@ def reference_brackets_in(xs, ys, span, M, N):
 
 
 def _closure_cases():
-    """(algebra, l, xs, ys, gens, M, N): the bases of the a1 pairs at
+    """(algebra, l, xs, ys, gens, M, N, P): the bases of the a1 pairs at
     windows 2 and 3 and of three a2 pairs at window 1, each against its own
     span, and the K and P of every a1 table entry against the spans of the
-    three inclusions, at windows 2 and 3."""
+    three inclusions, at windows 2 and 3; P is the period the rows were
+    tiled with."""
     from itertools import product
     from math import lcm
+    from kmaut.realforms import _map_period
     from kmaut.tables import enumerate_first_kind, valid_ks
 
     a1 = make_algebra("a", 1, "compact")
@@ -578,7 +580,7 @@ def _closure_cases():
     for alg, pair, N in pairs:
         rb = real_form_basis(alg, pair, N=N)
         cases.append((alg, rb.l, rb.basis, rb.basis, rb.basis,
-                      lcm(4, 2 * rb.l), N))
+                      lcm(4, 2 * rb.l), N, rb.period))
     for k in valid_ks(a1):
         for table in (enumerate_first_kind, enumerate_second_kind):
             for e, N in product(table(a1, k).entries, (2, 3)):
@@ -586,22 +588,24 @@ def _closure_cases():
                 rep = cartan_decomposition(phi, N=N)
                 K, P = rep["K"], rep["P"]
                 M = lcm(4, 2 * phi.l)
-                cases += [(a1, phi.l) + c for c in [
-                    (K, K, K, M, N), (K, P, P, M, N), (P, P, K, M, N)]]
+                T = _map_period(phi.apply, a1, phi.twist, phi.l, M)
+                cases += [(a1, phi.l) + c + (M, N, T) for c in [
+                    (K, K, K), (K, P, P), (P, P, K)]]
     return cases
 
 
 def test_brackets_in_matches_the_reference():
     """The closure check on window rows gives the verdict of the pairwise
-    object check, on each case's span and on spans with one to three random
-    basis vectors dropped, so that False verdicts are compared too."""
+    object check, on each case's span, checked with its period, and on
+    spans with one to three random basis vectors dropped, checked by the
+    full sweep, so that False verdicts are compared too."""
     from kmaut.linalg import Span
     from kmaut.loop import _affine_row
     from kmaut.realforms import _brackets_in
 
     rng = random.Random(22)
     verdicts = []
-    for alg, l, xs, ys, gens, M, N in _closure_cases():
+    for alg, l, xs, ys, gens, M, N, P in _closure_cases():
         px = [_affine_row(x, N, M) for x in xs]
         py = px if ys is xs else [_affine_row(y, N, M) for y in ys]
         drops = [()] + [rng.sample(range(len(gens)), min(len(gens), k))
@@ -609,7 +613,7 @@ def test_brackets_in_matches_the_reference():
         for drop in drops if gens else [()]:
             span = Span(_window_vector(g, M, N) for i, g in enumerate(gens)
                         if i not in drop)
-            got = _brackets_in(alg, l, px, py, span, M, N)
+            got = _brackets_in(alg, l, px, py, span, M, N, None if drop else P)
             assert got == reference_brackets_in(xs, ys, span, M, N), drop
             verdicts.append(got)
     # 180 spans: 49 True, 131 False
@@ -672,12 +676,12 @@ def test_closure_checks_fail_on_the_wrong_span(alg, entry):
     assert all(rep["inclusions"].values())
     ks = [_affine_row(x, N, M) for x in rep["K"]]
     pspan = Span(_window_vector(x, M, N) for x in rep["P"])
-    assert _brackets_in(alg, phi.l, ks, ks, pspan, M, N) is False
+    assert _brackets_in(alg, phi.l, ks, ks, pspan, M, N, None) is False
     rb = real_form(phi, N=N)
     assert rb.closed_under_bracket()
     rows = rb._rows[1:]
     span = Span(flatten(_packed(r, N, alg.dim), M) for r in rows)
-    cut = RealFormBasis(alg, phi, N, rb.l, rb.basis[1:], span, rows)
+    cut = RealFormBasis(alg, phi, N, rb.l, rb.basis[1:], span, rows, None)
     assert cut.closed_under_bracket() is False
 
 
@@ -972,10 +976,10 @@ def test_shifted_windows_match_the_direct_construction(label):
                     _json(part[0]) for part in direct], e
 
 
-def _mutation_case(label, entry):
+def _mutation_case(label, entry, times):
     """(algebra, l, M, N, P, basis, class) of the real form of a table
-    entry at window 3P, P its period, and class(x), a basis element's
-    degree class mod P (None at degree 0 and for c and d)."""
+    entry at window N = times * P, P its period, and class(x), a basis
+    element's degree class mod P (None at degree 0 and for c and d)."""
     from math import lcm
 
     from kmaut.realforms import _map_period
@@ -989,26 +993,20 @@ def _mutation_case(label, entry):
     def cls(x):
         n = max(map(abs, x.loop.support()), default=0)
         return n % P if n else None
-    return alg, phi.l, M, 3 * P, P, real_form(phi, 3 * P).basis, cls
+    N = times * P
+    return alg, phi.l, M, N, P, real_form(phi, N).basis, cls
 
 
-def _closure(alg, l, M, N, basis, span_basis):
-    """(period, verdict, reference verdict) of the closure check of basis
-    against the span of span_basis, on the window [-N, N]."""
-    from kmaut.cyclo import _context
+def _closure(alg, l, M, N, P, basis, span_basis):
+    """(verdict, reference verdict) of the closure check of basis against
+    the span of span_basis, on the window [-N, N], with period P."""
     from kmaut.linalg import Span
     from kmaut.loop import _affine_row
-    from kmaut.realforms import _brackets_in, _check_period
+    from kmaut.realforms import _brackets_in
 
     rows = [_affine_row(x, N, M) for x in basis]
     span = Span(_window_vector(x, M, N) for x in span_basis)
-    groups = {}
-    for r in rows:
-        ns = {abs(n) for n in r[0]}
-        if len(ns) == 1 and not (r[1] or r[2]):
-            groups.setdefault(ns.pop(), []).append(r)
-    P = _check_period([groups], span, M, N, alg.dim * _context(M).phi)
-    return (P, _brackets_in(alg, l, rows, rows, span, M, N),
+    return (_brackets_in(alg, l, rows, rows, span, M, N, P),
             reference_brackets_in(basis, basis, span, M, N))
 
 
@@ -1016,24 +1014,72 @@ def _closure(alg, l, M, N, basis, span_basis):
     ("a1", ("2", InvLabel(0), InvLabel(0))), ("a1", ("1a", InvLabel(1), "id")),
     ("a1", ("1b", "id")), ("a3", ("2", InvLabel(1), InvLabel(4)))])
 def test_a_mutated_residue_class_fails_the_key_loop(label, entry):
-    """With the period found and one pair bracketed per key, the check says
-    False when the basis elements of the degrees = 1 mod P are multiplied
-    by i, rows and span alike (P = 1 and 4 here; at P = 2 that makes a
-    graded rescaling, closed again, and the check agrees with the reference
-    there too), and when one residue class is left out of the span; and a
-    span cut off its period falls back to the full sweep, with the
-    reference verdict."""
+    """At window 3P, and 5P on a1, where only the groups up to 2P are
+    paired: with the period passed and one pair bracketed per key, the
+    check says False when the basis elements of the degrees = 1 mod P are
+    multiplied by i, rows and span alike (P = 1 and 4 here; at P = 2 that
+    makes a graded rescaling, closed again, and the check agrees with the
+    reference there too), and when one residue class is left out of the
+    span; and a span cut off its period, checked by the full sweep, gets
+    the reference verdict."""
     from kmaut.cyclo import root_of_unity
 
-    alg, l, M, N, P, basis, cls = _mutation_case(label, entry)
     i = root_of_unity(4, 1)
-    phased = [x * i if cls(x) == 1 % P else x for x in basis]
-    got = _closure(alg, l, M, N, phased, phased)
-    assert got[0] == P and got[1] == got[2] and got[1] is (P == 2)
-    kept = [x for x in basis if cls(x) != 1 % P]
-    assert _closure(alg, l, M, N, basis, kept) == (P, False, False)
-    cut = basis[:]
-    del cut[next(j for j, x in enumerate(cut) if x.loop.support() == [1]
-                 or x.loop.support() == [-1, 1])]
-    got = _closure(alg, l, M, N, basis, cut)
-    assert got[0] is None and got[1] == got[2]
+    for times in (3, 5) if label == "a1" else (3,):
+        alg, l, M, N, P, basis, cls = _mutation_case(label, entry, times)
+        phased = [x * i if cls(x) == 1 % P else x for x in basis]
+        got = _closure(alg, l, M, N, P, phased, phased)
+        assert got[0] == got[1] and got[0] is (P == 2), times
+        kept = [x for x in basis if cls(x) != 1 % P]
+        assert _closure(alg, l, M, N, P, basis, kept) == (False, False), times
+        cut = basis[:]
+        del cut[next(j for j, x in enumerate(cut) if x.loop.support() == [1]
+                     or x.loop.support() == [-1, 1])]
+        got = _closure(alg, l, M, N, None, basis, cut)
+        assert got[0] == got[1], times
+
+
+def test_a_wide_window_brackets_a_pair_of_every_key(monkeypatch):
+    """At window 5P, where the key loop pairs only the groups up to 2P, the
+    real form's closure check of every a1 and c3 table entry still brackets
+    a pair of each key that two groups of loop rows with m + n <= N hold:
+    the classes mod P of m <= n, degree 0 apart, and the sign of m - n."""
+    from collections import Counter
+    from itertools import combinations_with_replacement
+
+    from kmaut import realforms
+    from kmaut.tables import algebra_from_label, enumerate_first_kind
+
+    seen, bracket = [], realforms._parts_bracket
+
+    def recording(algebra, l, x, y, N, M):
+        seen.append((x, y))
+        return bracket(algebra, l, x, y, N, M)
+    monkeypatch.setattr(realforms, "_parts_bracket", recording)
+
+    def group(r):  # the degree group {n, -n} of a loop row, else None
+        ns = {abs(n) for n in r[0]}
+        return ns.pop() if len(ns) == 1 and not (r[1] or r[2]) else None
+    for label in ("a1", "c3"):
+        alg = algebra_from_label(label)
+        for k in valid_ks(alg):
+            for table in (enumerate_first_kind, enumerate_second_kind):
+                for e in table(alg, k).entries:
+                    phi = realize_entry(alg, e)
+                    P = real_form(phi, 1).period
+                    rb = real_form(phi, 5 * P)
+                    assert rb.period == P and 2 * P < rb.window
+
+                    def key(m, n):
+                        return (m % P if m else None, n % P if n else None,
+                                (m > n) - (m < n))
+                    sizes = Counter(g for g in map(group, rb._rows)
+                                    if g is not None)
+                    want = {key(m, n) for m, n in combinations_with_replacement(
+                        sorted(sizes), 2) if m + n <= rb.window
+                        and (m < n or sizes[m] > 1)}
+                    del seen[:]
+                    assert rb.closed_under_bracket(), e
+                    got = {key(group(x), group(y)) for x, y in seen
+                           if None not in (group(x), group(y))}
+                    assert want <= got, (e, want - got)
