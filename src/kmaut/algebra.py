@@ -45,9 +45,9 @@ _EXCEPTIONAL_DATA = {
 # classification tables uses about twenty algebras.
 _KEYS_CACHED = 64
 
-def _unit(i, j, size, one=1):
+def _unit(i, j, size):
     rows = [[0] * size for _ in range(size)]
-    rows[i][j] = one
+    rows[i][j] = 1
     return CycloMatrix.from_scalars(rows)
 
 
@@ -359,8 +359,8 @@ class SimpleAlgebra:
         """Conjugation fixing the compact form: X -> -conj(X)^T."""
         return -X.conj_transpose()
 
-    def element(self, matrix, validate=True):
-        return AlgebraElement(self, matrix, validate=validate)
+    def element(self, matrix):
+        return AlgebraElement(self, matrix)
 
     def basis_elements(self):
         return [AlgebraElement(self, b, validate=False) for b in self.basis()]

@@ -25,6 +25,7 @@ from .loopaut import (
 from .pi0 import pair_k
 from .realforms import real_form_basis
 from .tables import (
+    _entry_text,
     algebra_from_args,
     algebra_from_label,
     enumerate_first_kind,
@@ -47,7 +48,6 @@ def _row_latex(rows):
     lines = [r"\begin{tabular}{lll}"]
     for row in rows:
         for e in row.entries:
-            from .tables import _entry_text
             lines.append("%s & %s & %s \\\\" % (row.label(), _entry_text(e),
                                                 row.count))
     lines.append(r"\end{tabular}")
@@ -177,7 +177,7 @@ def cmd_realform(args):
 
 def cmd_selftest(args):
     from .selftest import run_all
-    results = run_all(deep=args.deep, stream=sys.stdout)
+    results = run_all()
     failed = [r for r in results if not r[1]]
     print("%d/%d criteria passed" % (len(results) - len(failed), len(results)))
     return 1 if failed else 0
@@ -221,7 +221,6 @@ def build_parser():
     f.set_defaults(fn=cmd_realform)
 
     s = sub.add_parser("selftest", help="run the verification suite")
-    s.add_argument("--deep", action="store_true")
     s.set_defaults(fn=cmd_selftest)
     return p
 

@@ -605,11 +605,10 @@ class CycloMatrix:
         return CycloMatrix(n, N, 1, tuple({} for _ in range(n)), _normalized=True)
 
     @staticmethod
-    def diag(values, N=None):
-        """The diagonal matrix of the values, as from_scalars builds it with
-        zeros of conductor N or 1 off the diagonal."""
+    def diag(values):
+        """The diagonal matrix of the values, as from_scalars builds it."""
         vals = [_coerce(v) for v in values]
-        N = lcm((N or 1) if len(vals) > 1 else 1, *(x.N for x in vals))
+        N = lcm(1, *(x.N for x in vals))
         _check_conductor(N)
         den = lcm(1, *(x.den for x in vals))
         rows = tuple({i: tuple(c * (den // x.den) for c in x.promote(N).nums)}

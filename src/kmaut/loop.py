@@ -153,12 +153,12 @@ def _pairing(pairs, K, red, phi):
     return acc
 
 
-def _form(algebra, pairs, N=1):
+def _form(algebra, pairs):
     """sum w K(x, y) over (w, x, y), w an integer and x, y coefficient rows,
-    as (M, numerators, den) over Q(zeta_M), M the lcm of N and the rows'
+    as (N, numerators, den) over Q(zeta_N), N the lcm of the rows'
     conductors: the pairing sum that `loop_form` and the cocycle share."""
     _, K, D = algebra.structure_constants()
-    N = lcm(N, *(r[0] for _, x, y in pairs for r in (x, y)))
+    N = lcm(1, *(r[0] for _, x, y in pairs for r in (x, y)))
     den = lcm(1, *(x[2] * y[2] for _, x, y in pairs))
     ctx = _context(N)
     return N, _pairing([(w * (den // (x[2] * y[2])), _lift_row(x, N),
@@ -212,14 +212,21 @@ class LoopElement:
     def from_rows(algebra, twist, l, rows):
         """The element of coordinate rows {n: (N, entries, den)}, unchecked;
         empty rows are dropped and the others put in lowest terms."""
+        return LoopElement._of_normal(algebra, twist, l, {
+            n: r for n, row in rows.items() if (r := _normal(row))})
+
+    @staticmethod
+    def _of_normal(algebra, twist, l, rows):
+        """The element of rows that are nonzero and in lowest terms already,
+        such as an element's rows moved to other degrees: taken as they
+        are."""
         out = LoopElement.__new__(LoopElement)
-        out.algebra, out.twist, out.l = algebra, twist, l
-        out.rows = {n: r for n, row in rows.items() if (r := _normal(row))}
+        out.algebra, out.twist, out.l, out.rows = algebra, twist, l, rows
         return out
 
     @staticmethod
     def zero(algebra, twist, l):
-        return LoopElement.from_rows(algebra, twist, l, {})
+        return LoopElement._of_normal(algebra, twist, l, {})
 
     def _like(self, rows):
         return LoopElement.from_rows(self.algebra, self.twist, self.l, rows)
@@ -271,10 +278,7 @@ class LoopElement:
             elif sign != 1:
                 r = _scale(r, -1)
             out[n] = r
-        res = LoopElement.__new__(LoopElement)
-        res.algebra, res.twist, res.l, res.rows = (self.algebra, self.twist,
-                                                   self.l, out)
-        return res
+        return LoopElement._of_normal(self.algebra, self.twist, self.l, out)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -297,8 +301,8 @@ class LoopElement:
         if l_new % self.l:
             raise TwistMismatch("conductor %d does not refine %d" % (l_new, self.l))
         f = l_new // self.l
-        return LoopElement.from_rows(self.algebra, self.twist, l_new,
-                                     {n * f: r for n, r in self.rows.items()})
+        return LoopElement._of_normal(self.algebra, self.twist, l_new,
+                                      {n * f: r for n, r in self.rows.items()})
 
     def is_compact(self):
         """Reality constraint of the compact form: u_(-n) = omega(u_n)."""

@@ -336,7 +336,8 @@ def _map_period(f, algebra, tw, l, M):
     None: f maps degrees one by one, so one call takes x at 0 and each P."""
     steps = [P for P in range(l, M + 1, l) if not M % P]
     x = window_basis(algebra, tw, l, 0)[:1]
-    img = x and f(x[0]._like(dict.fromkeys([0, *steps], x[0].rows[0]))).rows
+    img = x and f(LoopElement._of_normal(algebra, tw, l, dict.fromkeys(
+        [0, *steps], x[0].rows[0]))).rows
     if img and sorted(map(abs, img)) == [0, *steps]:
         return next((P for P in steps if img.get(P, img.get(-P)) == img[0]), None)
 
@@ -362,7 +363,9 @@ def _tiled(part, order, P, N, width):
     for n in [*order, None]:
         s = (abs(n) - 1) // P * P if n else 0
         for e, r in by.get(n if not s else n - s if n > 0 else n + s, ()):
-            out.append(AffineElement(e.loop._like(_shifted(e.loop.rows, s)), e.c, e.d))
+            u = e.loop
+            out.append(AffineElement(LoopElement._of_normal(
+                u.algebra, u.twist, u.l, _shifted(u.rows, s)), e.c, e.d))
             kept.append((_shifted(r[0], s),) + r[1:])
     one = [(p, r) for p, r in span.rows() if 0 < abs(p // width - N) <= P]
     for s in range(P, N, P):

@@ -277,7 +277,7 @@ def random_conjugation(phi, rng):
 # the acceptance criteria
 # ---------------------------------------------------------------------------
 
-def check_table2_counts(deep=False):
+def check_table2_counts():
     bad = []
     for alg in acceptance_algebras():
         for k in valid_ks(alg):
@@ -288,7 +288,7 @@ def check_table2_counts(deep=False):
     return ("table2-counts", not bad, "all rows match" if not bad else repr(bad))
 
 
-def check_table3_counts(deep=False):
+def check_table3_counts():
     bad = []
     for alg in acceptance_algebras():
         for k in valid_ks(alg):
@@ -307,7 +307,7 @@ def check_table3_counts(deep=False):
     return ("table3-counts", not bad, "all rows match" if not bad else repr(bad))
 
 
-def check_table1_validation(deep=False):
+def check_table1_validation():
     bad = []
     for alg in acceptance_algebras():
         if alg.is_exceptional:
@@ -335,14 +335,12 @@ def check_table1_validation(deep=False):
             "all classical rows validated" if not bad else repr(bad[:6]))
 
 
-def check_algebra_identities(deep=False, triples=200, seed=11):
-    rng = random.Random(seed)
+def check_algebra_identities():
+    rng = random.Random(11)
     bad = []
-    if deep:
-        triples *= 2
     for alg in loop_test_algebras():
         twist, l = default_twist(alg)
-        for _ in range(triples):
+        for _ in range(200):
             x = random_affine_element(alg, twist, l, rng)
             y = random_affine_element(alg, twist, l, rng)
             z = random_affine_element(alg, twist, l, rng)
@@ -414,11 +412,9 @@ def stability_fixtures():
     return out
 
 
-def check_invariant_stability(deep=False, rounds=30, seed=23):
-    rng = random.Random(seed)
+def check_invariant_stability():
+    rng, rounds = random.Random(23), 30
     bad = []
-    if deep:
-        rounds *= 2
     for name, phi in stability_fixtures():
         base = invariant(phi)
         for _ in range(rounds):
@@ -432,7 +428,7 @@ def check_invariant_stability(deep=False, rounds=30, seed=23):
             if not bad else repr(bad))
 
 
-def check_opposite(deep=False):
+def check_opposite():
     bad = []
     for name, phi in stability_fixtures():
         if phi.epsilon != 1:
@@ -454,7 +450,7 @@ def check_opposite(deep=False):
             if not bad else repr(bad[:4]))
 
 
-def check_realize_roundtrip(deep=False):
+def check_realize_roundtrip():
     bad = []
     checked = 0
     for alg in acceptance_algebras():
@@ -475,14 +471,12 @@ def check_realize_roundtrip(deep=False):
             "%d entries round-tripped" % checked if not bad else repr(bad[:4]))
 
 
-def check_normalization(deep=False, count=50, seed=31):
-    rng = random.Random(seed)
+def check_normalization():
+    rng = random.Random(31)
     bad = []
-    if deep:
-        count *= 2
     fixtures = [f for _, f in stability_fixtures()]
     done = 0
-    while done < count:
+    while done < 50:
         phi = fixtures[done % len(fixtures)]
         Y = antifixed_direction(phi.phi0, rng)
         if Y is None or phi.twist.apply_matrix(Y.matrix) != Y.matrix:
@@ -510,8 +504,8 @@ def check_normalization(deep=False, count=50, seed=31):
             "%d randomized curve fixtures" % done if not bad else repr(bad))
 
 
-def check_tau_laws(deep=False, seed=41):
-    rng = random.Random(seed)
+def check_tau_laws():
+    rng = random.Random(41)
     bad = []
     sl2 = make_algebra("a", 1, "complex")
     iden = identity_automorphism(sl2)
@@ -553,7 +547,7 @@ def check_tau_laws(deep=False, seed=41):
             else repr(bad))
 
 
-def check_extension_bijections(deep=False):
+def check_extension_bijections():
     bad = []
     algebras = [make_algebra("a", n, "compact") for n in range(1, 8)]
     algebras += [make_algebra("b", n, "compact") for n in range(2, 6)]
@@ -570,7 +564,7 @@ def check_extension_bijections(deep=False):
             if not bad else repr(bad))
 
 
-def check_sl2_catalogue(deep=False):
+def check_sl2_catalogue():
     cat = sl2_catalogue()
     ok = cat["ok"]
     return ("sl2-catalogue", ok,
@@ -578,14 +572,13 @@ def check_sl2_catalogue(deep=False):
             if ok else repr(cat))
 
 
-def check_cartan_tables(deep=False):
-    """Table entries of a2, a3, b2 and c3 (and d4 when deep), both kinds, at
-    window 1: the Cartan inclusions hold, and K + iP has independent rows,
-    as many as the real form basis, inside the span that `real_form` keeps."""
+def check_cartan_tables():
+    """Table entries of a2, a3, b2, c3 and d4, both kinds, at window 1: the
+    Cartan inclusions hold, and K + iP has independent rows, as many as the
+    real form basis, inside the span that `real_form` keeps."""
     i = root_of_unity(4, 1)
     bad, checked = [], 0
-    for alg in map(algebra_from_label,
-                   ["a2", "a3", "b2", "c3"] + (["d4"] if deep else [])):
+    for alg in map(algebra_from_label, ["a2", "a3", "b2", "c3", "d4"]):
         for k in valid_ks(alg):
             for row in (enumerate_first_kind(alg, k),
                         enumerate_second_kind(alg, k)):
@@ -609,7 +602,7 @@ def check_cartan_tables(deep=False):
             if not bad else repr(bad[:4]))
 
 
-def check_pfaffian_separation(deep=False):
+def check_pfaffian_separation():
     bad = []
     for m in (2, 3):
         alg = make_algebra("d", 2 * m, "compact")
@@ -645,15 +638,14 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(deep=False, stream=None):
+def run_all():
+    """Run every check, writing one line for each to stdout."""
     results = []
     for fn in ALL_CHECKS:
         t0 = time.time()
-        name, ok, detail = fn(deep=deep)
+        name, ok, detail = fn()
         dt = time.time() - t0
         results.append((name, ok, detail, dt))
-        if stream is not None:
-            stream.write("%-24s %s  (%.1fs)  %s\n"
-                         % (name, "PASS" if ok else "FAIL", dt, detail))
-            stream.flush()
+        print("%-24s %s  (%.1fs)  %s" % (name, "PASS" if ok else "FAIL", dt,
+                                          detail), flush=True)
     return results

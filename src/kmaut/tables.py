@@ -262,13 +262,14 @@ def membership_condition(inv, sigma):
 # all supported algebras
 # ---------------------------------------------------------------------------
 
-def algebra_from_args(family, n=None, mode="compact"):
+def algebra_from_args(family, n=None):
+    """The compact algebra of a family and, for a classical one, a rank."""
     family = family.lower()
     if family in CLASSICAL:
         if n is None:
             raise InvalidLabel("classical families need a rank")
-        return make_algebra(family, int(n), mode)
-    return make_algebra(family, None, mode)
+        return make_algebra(family, int(n))
+    return make_algebra(family)
 
 
 def algebra_from_label(label):

@@ -376,7 +376,7 @@ def test_conjugate_rejects_out_of_range_data(tmp_path, capsys, field, value):
 def test_selftest_verb_reports_failures(monkeypatch, capsys):
     from kmaut import selftest
 
-    def failing(deep=False):
+    def failing():
         return ("stub", False, "fails on purpose")
 
     monkeypatch.setattr(selftest, "ALL_CHECKS",
@@ -385,6 +385,14 @@ def test_selftest_verb_reports_failures(monkeypatch, capsys):
     assert rc == 1
     assert "stub" in out and "FAIL" in out
     assert out.splitlines()[-1] == "1/2 criteria passed"
+
+
+def test_selftest_verb_takes_no_options(capsys):
+    """The suite runs in one configuration: an option is an argument error,
+    and no check runs."""
+    rc, out = run_cli(["selftest", "--deep"], capsys)
+    assert rc == 2
+    assert json.loads(out) == {"error": "argument parsing failed"}
 
 
 def _cut_rows(m):

@@ -948,7 +948,9 @@ def test_shifted_windows_match_the_direct_construction(label):
     """At window 3P, P the period found for each first- and second-kind
     entry, the rows, span and elements of the real form and of K and P,
     written from one period by shifting, equal those formed degree by
-    degree, and so do the K and P that `cartan_decomposition` returns."""
+    degree, and so do the K and P that `cartan_decomposition` returns; its
+    three inclusions hold, and K and P together are as many as the real
+    form basis."""
     from math import lcm
 
     from kmaut.cyclo import _context
@@ -974,6 +976,9 @@ def test_shifted_windows_match_the_direct_construction(label):
                 rep = cartan_decomposition(phi, N)
                 assert [_json(rep[s]) for s in "KP"] == [
                     _json(part[0]) for part in direct], e
+                assert len(rep["inclusions"]) == 3, e
+                assert all(rep["inclusions"].values()), e
+                assert len(rb.basis) == len(rep["K"]) + len(rep["P"]), e
 
 
 def _mutation_case(label, entry, times):

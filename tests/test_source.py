@@ -51,3 +51,74 @@ def test_module_level_definitions_are_read():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in read | exported]
     assert unread == []
+
+
+def _definitions(tree):
+    """(class name or None, function node, whether it is a method taking
+    self or cls) of every function of a module, nested ones included."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                out.append((cls, child, cls is not None and not static))
+                visit(child, None)
+            else:
+                visit(child, cls)
+    visit(tree, None)
+    return out
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every parameter with a default, of a function or method of the
+    package, is passed by some call in the package, the tests or `bench/`,
+    by keyword or by position: a default that no call overrides is a
+    setting that nothing runs.  Calls are matched by name (a class call and
+    `super().__init__` count for `__init__`); a `*args` call passes every
+    positional parameter and a `**kwargs` call every one; a call of a name
+    that its own test or bench file defines counts only there."""
+    package = Path(kmaut.__file__).parent
+    root = package.parent.parent
+    sources = {path: ast.parse(path.read_text()) for path in
+               [*sorted(package.glob("*.py")), *sorted(root.glob("tests/*.py")),
+                *sorted(root.glob("bench/*.py"))]}
+    calls = {}
+    for path, tree in sources.items():
+        local = set() if path.parent == package else {
+            fn.name for _, fn, _ in _definitions(tree)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id not in local:
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            npos = (float("inf") if any(isinstance(a, ast.Starred)
+                                        for a in node.args) else len(node.args))
+            calls.setdefault(name, []).append(
+                (npos, {k.arg for k in node.keywords}))
+    unset = []
+    for path in sorted(package.glob("*.py")):
+        for cls, fn, method in _definitions(sources[path]):
+            found = calls.get(cls if fn.name == "__init__" else fn.name, [])
+            if fn.name == "__init__":
+                found = found + calls.get("__init__", [])
+            args = fn.args
+            pos = (args.posonlyargs + args.args)[1 if method else 0:]
+            first = len(pos) - len(args.defaults)
+            params = [(i, a.arg) for i, a in enumerate(pos) if i >= first] + [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None]
+            unset += ["%s.%s(%s)" % (path.stem, ".".join(filter(None, (
+                cls, fn.name))), name) for i, name in params
+                if not any(None in kws or name in kws
+                           or i is not None and npos > i
+                           for npos, kws in found)]
+    assert unset == []
