@@ -187,9 +187,17 @@ class SimpleAlgebra:
 
     @staticmethod
     def from_json(obj):
+        """The algebra `make_algebra` keeps for the key, once the key is
+        known hashable: a family or mode that is no string is refused as
+        the constructor refuses it."""
         _json_object(obj, "an algebra")
         n = None if obj.get("n") is None else _json_int(obj, "n")
-        return SimpleAlgebra(obj["family"], n, obj.get("mode", "compact"))
+        family, mode = obj["family"], obj.get("mode", "compact")
+        if type(mode) is not str:
+            raise UnsupportedParam("mode must be compact or complex")
+        if type(family) is not str:
+            raise UnsupportedParam("unknown family %r" % (family,))
+        return make_algebra(family, n, mode)
 
     # -- matrix model ----------------------------------------------------------
 
@@ -525,7 +533,10 @@ class SemisimpleElement(AlgebraElement):
         return out
 
 
+@lru_cache(maxsize=_KEYS_CACHED)
 def zero_semisimple(algebra):
+    """The zero curve of the algebra, one per algebra: every map with a
+    constant curve holds it, and nothing changes an element once made."""
     return SemisimpleElement(algebra, CycloMatrix.zeros(algebra.size),
                              [Fraction(0)], validate=False)
 

@@ -24,7 +24,7 @@ from .algebra import (
     _KEYS_CACHED,
     AlgebraElement,
     SemisimpleElement,
-    make_algebra,
+    SimpleAlgebra,
     j_matrix,
     tau_matrix,
 )
@@ -89,11 +89,15 @@ def _first_entry(M):
 
 def _scalar_ratio(M1, M2):
     """The scalar c with M1 == c * M2, or None; read at the first stored
-    entry of M2."""
+    entry of M2, over the lcm of the two conductors.  Where the two entries
+    there are equal, c is 1 and M1 is compared with M2 itself."""
     ij = _first_entry(M2)
     if ij is None:
         return None
-    c = M1.entry(*ij) * M2.entry(*ij).inverse()
+    a, b = M1.entry(*ij), M2.entry(*ij)
+    if a == b:
+        return ONE.promote(lcm(M1.N, M2.N)) if M1 == M2 else None
+    c = a * b.inverse()
     return c if M1 == M2 * c else None
 
 
@@ -368,9 +372,8 @@ class Automorphism:
         """A group matrix with its outer power, or an so(8) operator L with
         its word x^d y^e: L o theta^-e descends to a G, and L must be
         Ad(G) o theta^e, with that word."""
-        from .algebra import SimpleAlgebra
         _json_object(obj, "an automorphism")
-        algebra = make_algebra(*SimpleAlgebra.from_json(obj["algebra"])._key())
+        algebra = SimpleAlgebra.from_json(obj["algebra"])
         algebra._need_matrix()
         M = CycloMatrix.from_json(obj["matrix"])
         group = obj.get("rep", "group") == "group"
@@ -380,7 +383,12 @@ class Automorphism:
         if M.n != size:
             raise MalformedData("%s takes a %dx%d matrix, not %dx%d"
                                 % (algebra.label(), size, size, M.n, M.n))
-        conj, label = bool(obj.get("conj_linear", False)), obj.get("label")
+        conj, label = obj.get("conj_linear", False), obj.get("label")
+        if type(conj) is not bool:
+            raise MalformedData("conj_linear must be true or false, not %.40r"
+                                % (conj,))
+        if "label" in obj and type(label) is not str:
+            raise MalformedData("label must be a string, not %.40r" % (label,))
         if group:
             # mu exists on the a family only; elsewhere w = 1 would be lost
             w, G = _json_int(obj, "outer_power", 0,

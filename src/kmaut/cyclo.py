@@ -457,16 +457,16 @@ _EXACT = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 def _json_rational(value, what):
     """The rational number of an int or of an exact string such as "-3/4"
     (no exponents or decimals: "1e100000000" would expand to a hundred
-    million digits)."""
+    million digits): an int where the value has no "/", else a Fraction."""
     if type(value) is int:
-        return Fraction(value)
+        return value
     match = _EXACT.fullmatch(value) if type(value) is str else None
     if match is None:
         raise MalformedData("%s must be an integer or an exact string such as "
                             "\"-3/4\", not %.40r" % (what, value))
     num, den = match.groups()
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return Fraction(int(num), int(den)) if den else int(num)
     except (ValueError, ZeroDivisionError):
         raise MalformedData("%s %.40r is not rational" % (what, value)) from None
 
@@ -542,6 +542,8 @@ def root_index(value, N):
 
 ZERO = CycloScalar.from_rational(0)
 ONE = CycloScalar.from_rational(1)
+# a zero entry of a conductor-1 matrix, as CycloMatrix.to_json writes it
+_ZERO_ENTRY = {"conductor": 1, "coeffs": ["0"]}
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +553,18 @@ ONE = CycloScalar.from_rational(1)
 class CycloMatrix:
     """A square matrix over Q(zeta_N) in sparse rows: row i maps column j to
     the coordinate tuple of entry (i, j) over the one denominator `den`.  No
-    row ever stores a zero tuple, so every operation touches only nonzeros."""
+    row ever stores a zero tuple, so every operation touches only nonzeros.
+    No code changes a matrix's rows, conductor or denominator after it is
+    built (an operation builds a new matrix, and `packed_rows` hands out
+    copies), so whether it is the identity is decided once, in `_unit`."""
 
-    __slots__ = ("n", "N", "den", "rows")
+    __slots__ = ("n", "N", "den", "rows", "_unit")
 
     def __init__(self, n, N, den, rows, _normalized=False):
         # rows: a tuple of n dicts {column: nonzero coordinate tuple}
         self.n = n
         self.N = N
+        self._unit = None  # is_identity(), once tested
         if _normalized:
             self.den = den
             self.rows = rows
@@ -655,8 +661,11 @@ class CycloMatrix:
         return d or (0,) * _context(self.N).phi
 
     def is_identity(self):
-        d = self._scalar_vec()
-        return d is not None and self.den == 1 and d[0] == 1 and not any(d[1:])
+        if self._unit is None:
+            d = self._scalar_vec()
+            self._unit = (d is not None and self.den == 1 and d[0] == 1
+                          and not any(d[1:]))
+        return self._unit
 
     def is_scalar(self):
         """Return the scalar c if self == c*I, else None."""
@@ -879,12 +888,19 @@ class CycloMatrix:
     @staticmethod
     def from_json(obj):
         """Every entry is checked and counts towards the conductor, zero
-        entries too; only the nonzero ones are stored.  Each distinct entry
-        of an int conductor and str coefficients is read once per matrix,
-        kept under a key of exactly those types: the conductor's type is
-        tested at each lookup (True == 1 and 1.0 == 1 hash alike), and a
-        str coefficient equals no other JSON value; any other entry is read
-        each time."""
+        entries too; only the nonzero ones are stored.  The zero that
+        `to_json` writes for every zero of a conductor-1 matrix,
+        {"conductor": 1, "coeffs": ["0"]}, is the most common entry: it is
+        known by one comparison with that dict and a test that the conductor
+        is an int (a bool or float conductor compares equal to 1, as True ==
+        1 and 1.0 == 1, so the test sends it to the reader, which refuses
+        it), and skipped, as it changes neither conductor nor denominator.
+        Each other distinct entry of an int conductor and str coefficients
+        is read once per matrix, kept under a key of exactly those types:
+        the conductor's type is tested at each lookup, and a str coefficient
+        equals no other JSON value; any other entry is read each time.  An
+        entry read at the matrix's conductor and denominator keeps its
+        numerators as they are."""
         if not (isinstance(obj, list) and obj
                 and all(isinstance(row, list) and len(row) == len(obj) for row in obj)):
             raise MalformedData("a matrix is a nonempty square list of rows")
@@ -893,6 +909,8 @@ class CycloMatrix:
         for row in obj:
             out = {}
             for j, x in enumerate(row):
+                if x == _ZERO_ENTRY and type(x["conductor"]) is int:
+                    continue
                 c = x.get("coeffs") if type(x) is dict else None
                 key = got = None
                 if type(c) is list and type(x.get("conductor")) is int:
@@ -911,7 +929,8 @@ class CycloMatrix:
                     out[j] = got
             ents.append(out)
         _check_conductor(N)
-        rows = tuple({j: tuple(c * (den // d) for c in _lift(nums, M, N))
+        rows = tuple({j: nums if M == N and d == den
+                      else tuple(c * (den // d) for c in _lift(nums, M, N))
                       for j, (M, nums, d) in row.items()} for row in ents)
         return CycloMatrix(len(obj), N, den, rows)
 

@@ -76,12 +76,12 @@ class StandardLoopAutomorphism:
         self.l = l
         self.epsilon = 1 if epsilon >= 0 else -1
         t0 = Fraction(t0)
-        shift = t0 - (t0 % 1)
-        self.t0 = t0 % 1
+        shift = t0.numerator // t0.denominator  # the floor of t0
+        self.t0 = t0 - shift if shift else t0
         self.phi0 = phi0
         if shift:
             # (phi_t, lambda) and (phi_t sigma^k, lambda - 2 pi k) agree
-            self.phi0 = phi0.compose(twist.power(int(shift)))
+            self.phi0 = phi0.compose(twist.power(shift))
         self.X = X if X is not None else zero_semisimple(self.algebra)
         self.scale = Fraction(scale)
         self._target = None

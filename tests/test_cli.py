@@ -337,6 +337,35 @@ def test_conjugate_accepts_conj_linear_involutions(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["conj_linear"] is True
 
 
+def test_conj_linear_is_a_json_boolean_and_label_a_string(tmp_path, capsys):
+    """conj_linear is true, false or absent, and a label a string: "false",
+    "0", 1 or [] as conj_linear, or a list as label, exits 2 with a typed
+    error for `invariant` and for `conjugate` against the unchanged map,
+    which false and an absent key read back as."""
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps({"kind": 2, "algebra": {"family": "a", "n": 1},
+                               "pair": ["rho1", "id"], "k": 1}))
+    rc, out = run_cli(["realize", "--in", str(inv)], capsys)
+    assert rc == 0
+    good = tmp_path / "good.json"
+    good.write_text(out)
+    base = json.loads(out)
+    path = tmp_path / "x.json"
+    bad = [dict(base["phi0"], conj_linear=v) for v in ("false", "0", 1, [])]
+    bad.append(dict(base["phi0"], label=["id"]))
+    for phi0 in bad:
+        path.write_text(json.dumps(dict(base, phi0=phi0)))
+        _assert_typed_error(*run_cli(["invariant", "--in", str(path)], capsys))
+        _assert_typed_error(*run_cli(["conjugate", "--a", str(path), "--b",
+                                      str(good)], capsys))
+    absent = {k: v for k, v in base["phi0"].items() if k != "conj_linear"}
+    for phi0 in (dict(base["phi0"], conj_linear=False), absent):
+        path.write_text(json.dumps(dict(base, phi0=phi0)))
+        rc, out = run_cli(["conjugate", "--a", str(path), "--b", str(good)],
+                          capsys)
+        assert rc == 0 and json.loads(out) == {"result": "conjugate"}
+
+
 def _write_outer_aut(tmp_path, family, n, phi0_of):
     """An automorphism whose constant part phi0_of(algebra) is outer."""
     alg = make_algebra(family, n, "compact")

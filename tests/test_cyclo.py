@@ -847,3 +847,57 @@ def test_matrix_json_near_copies_of_a_repeated_entry(variant, raises):
         else:
             assert same_packed(CycloMatrix.from_json(obj),
                                reference_from_json(obj))
+
+
+# zeros at conductors 1-4 (those above 1 still raise the matrix conductor)
+_GRID_ZEROS = [_ZERO1, entry(2, ["0"]), entry(3, ["0", "0"]), _ZERO4]
+_GRID_COEFFS = [0, "0", "-0", "0/5", "1", "-3", "+2", 7, "1/2", "-4/6", "5/3"]
+# each refused alone: a bool or float conductor on the zero of conductor 1,
+# a zero denominator, an exponent and an unhashable coefficient
+_GRID_BAD = [dict(_ZERO1, conductor=True), dict(_ZERO1, conductor=1.0),
+             entry(1, ["0/0"]), entry(1, ["1e5"]), entry(1, [["1"]])]
+
+
+def test_matrix_json_equals_the_entry_by_entry_reader():
+    """Hypothesis: the matrix read from a square grid of JSON entries (the
+    zeros above, integer and fraction coefficients at conductors 1-4, and
+    entries with an extra key) has the conductor, denominator and rows of
+    the one assembled from CycloScalar.from_json entry by entry; with one
+    entry that the scalar reader refuses alone, it is refused with the
+    same MalformedData."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def at(N):  # an entry of conductor N, of drawn coefficients
+        phi = len(_GRID_ZEROS[N - 1]["coeffs"])
+        return st.lists(st.sampled_from(_GRID_COEFFS), min_size=phi,
+                        max_size=phi).map(lambda c: entry(N, c))
+
+    zeros = st.sampled_from(_GRID_ZEROS)
+    drawn = st.sampled_from([1, 2, 3, 4]).flatmap(at)
+    good = st.one_of(zeros, zeros, drawn,
+                     st.one_of(zeros, drawn).map(lambda x: dict(x, extra=1)))
+    grids = st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(good, min_size=n, max_size=n), min_size=n, max_size=n))
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(grids, st.none() | st.tuples(st.integers(0, 15),
+                                            st.sampled_from(_GRID_BAD)))
+    def check(obj, bad):
+        if bad is not None:
+            n = len(obj)
+            obj[bad[0] // n % n][bad[0] % n] = bad[1]
+        try:
+            want = reference_from_json(obj)
+        except MalformedData as err:
+            assert bad is not None
+            with pytest.raises(MalformedData) as got:
+                CycloMatrix.from_json(obj)
+            assert str(got.value) == str(err)
+        else:
+            assert bad is None
+            got = CycloMatrix.from_json(obj)
+            assert same_packed(got, want)
+            assert_sparse(got)
+
+    check()
