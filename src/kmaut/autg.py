@@ -80,11 +80,19 @@ def _theta_power_of(word):
 
 
 def _first_entry(M):
-    """(i, j) of the first stored entry of M, or None when M is zero."""
+    """(i, j) of the first stored entry of M, the lowest column of its first
+    nonzero row; None when M is zero."""
     for i, row in enumerate(M.rows):
-        for j in row:
-            return i, j
+        if row:
+            return i, min(row)
     return None
+
+
+def _at_unit_scale(G):
+    """G divided by its first stored entry: the scale at which a matrix
+    that a map fixes only up to a scalar is written or descended."""
+    a = G.entry(*_first_entry(G))
+    return G if a == 1 else G * a.inverse()
 
 
 def _scalar_ratio(M1, M2):
@@ -352,26 +360,28 @@ class Automorphism:
     # -- io ------------------------------------------------------------------------
 
     def to_json(self):
-        """The matrix G, or, for a map made with theta, the operator of its
-        linear part with its word."""
+        """The parts (G, w, conj), the same for equal maps however they were
+        multiplied or scaled: G, which the map fixes only up to a scalar, is
+        divided by its first stored entry and written at its least
+        conductor.  A map made with theta is written as the operator of its
+        linear part, which the map fixes exactly, at its least conductor,
+        with its word."""
         out = {"algebra": self.algebra.to_json(), "conj_linear": self.conj}
         if self.label:
             out["label"] = self.label
         if self._by_theta:
-            out["rep"] = "operator"
-            out["outer_power"] = list(self.word())
-            out["matrix"] = self.operator().to_json()
+            out.update(rep="operator", outer_power=list(self.word()),
+                       matrix=self.operator().min_conductor().to_json())
         else:
-            out["rep"] = "group"
-            out["outer_power"] = self._w
-            out["matrix"] = self._G.to_json()
+            out.update(rep="group", outer_power=self._w,
+                       matrix=_at_unit_scale(self._G).min_conductor().to_json())
         return out
 
     @staticmethod
     def from_json(obj):
-        """A group matrix with its outer power, or an so(8) operator L with
-        its word x^d y^e: L o theta^-e descends to a G, and L must be
-        Ad(G) o theta^e, with that word."""
+        """A group matrix G, at any scale and conductor, with its outer
+        power, or an so(8) operator L with its word x^d y^e: L o theta^-e
+        descends to a G, and L must be Ad(G) o theta^e, with that word."""
         _json_object(obj, "an automorphism")
         algebra = SimpleAlgebra.from_json(obj["algebra"])
         algebra._need_matrix()
@@ -742,8 +752,7 @@ def _descend(algebra, image):
     cols = [({i: row[r] for i, row in enumerate(S.rows) if r in row},
              2 * S.den), times(L[1, 2], L[0, 2])]
     cols += [times(L[1, i], minus) for i in range(2, 8)]
-    G = CycloMatrix.from_packed(8, S.N, cols).transpose()
-    return G * G.entry(*_first_entry(G)).inverse()
+    return _at_unit_scale(CycloMatrix.from_packed(8, S.N, cols).transpose())
 
 
 # ---------------------------------------------------------------------------

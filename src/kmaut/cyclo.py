@@ -206,9 +206,7 @@ def _normalize(nums, den):
 # ---------------------------------------------------------------------------
 
 class CycloScalar:
-    """An exact element of Q(zeta_N), N the conductor it was computed in, a
-    zero's too: root_of_unity(4, 1) * 0 has conductor 4, from_rational(0)
-    conductor 1; the two are ==, but `to_json` writes each at its own N."""
+    """An exact element of Q(zeta_N), N the conductor it was computed in."""
 
     __slots__ = ("N", "nums", "den")
 
@@ -395,9 +393,9 @@ class CycloScalar:
     # -- io ------------------------------------------------------------------
 
     def to_json(self):
-        """At the stored conductor, a zero's too (see the class docstring)."""
-        return {"conductor": self.N,
-                "coeffs": [str(Fraction(c, self.den)) for c in self.nums]}
+        """At the stored conductor; every zero at conductor 1."""
+        N, nums = (self.N, self.nums) if any(self.nums) else (1, (0,))
+        return {"conductor": N, "coeffs": [str(Fraction(c, self.den)) for c in nums]}
 
     @staticmethod
     def from_json(obj):
@@ -542,7 +540,7 @@ def root_index(value, N):
 
 ZERO = CycloScalar.from_rational(0)
 ONE = CycloScalar.from_rational(1)
-# a zero entry of a conductor-1 matrix, as CycloMatrix.to_json writes it
+# a zero scalar, and a zero entry of a conductor-1 matrix, as written
 _ZERO_ENTRY = {"conductor": 1, "coeffs": ["0"]}
 
 
@@ -556,7 +554,7 @@ class CycloMatrix:
     row ever stores a zero tuple, so every operation touches only nonzeros.
     No code changes a matrix's rows, conductor or denominator after it is
     built (an operation builds a new matrix, and `packed_rows` hands out
-    copies), so whether it is the identity is decided once, in `_unit`."""
+    copies), so whether it is a scalar matrix is decided once, in `_unit`."""
 
     __slots__ = ("n", "N", "den", "rows", "_unit")
 
@@ -564,7 +562,7 @@ class CycloMatrix:
         # rows: a tuple of n dicts {column: nonzero coordinate tuple}
         self.n = n
         self.N = N
-        self._unit = None  # is_identity(), once tested
+        self._unit = False  # _scalar_vec(), once found
         if _normalized:
             self.den = den
             self.rows = rows
@@ -645,6 +643,17 @@ class CycloMatrix:
         rows = tuple({j: _lift(v, N, M) for j, v in row.items()} for row in self.rows)
         return CycloMatrix(self.n, M, self.den, rows, _normalized=True)
 
+    def min_conductor(self):
+        """The same matrix at the least conductor that holds every entry, the
+        lcm of the entries' own."""
+        if self.N == 1:
+            return self
+        got = {v: CycloScalar(self.N, v).min_conductor() if any(v[1:])
+               else CycloScalar(1, v[:1]) for row in self.rows for v in row.values()}
+        return CycloMatrix.from_scalars([[got[row[j]] * Fraction(1, self.den)
+                                          if j in row else 0 for j in range(self.n)]
+                                         for row in self.rows])
+
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
@@ -652,26 +661,26 @@ class CycloMatrix:
 
     def _scalar_vec(self):
         """The coordinates shared by every diagonal entry if every entry off
-        the diagonal is zero, else None."""
-        d = self.rows[0].get(0)
-        size = 0 if d is None else 1
-        for i, row in enumerate(self.rows):
-            if len(row) != size or row.get(i) != d:
-                return None
-        return d or (0,) * _context(self.N).phi
+        the diagonal is zero, else None; kept in `_unit`."""
+        if self._unit is False:
+            d = self.rows[0].get(0)
+            size = 0 if d is None else 1
+            if any(len(row) != size or row.get(i) != d
+                   for i, row in enumerate(self.rows)):
+                d = None
+            elif d is None:
+                d = (0,) * _context(self.N).phi
+            self._unit = d
+        return self._unit
 
     def is_identity(self):
-        if self._unit is None:
-            d = self._scalar_vec()
-            self._unit = (d is not None and self.den == 1 and d[0] == 1
-                          and not any(d[1:]))
-        return self._unit
+        d = self._scalar_vec()
+        return d is not None and self.den == 1 and d[0] == 1 and not any(d[1:])
 
     def is_scalar(self):
         """Return the scalar c if self == c*I, else None."""
-        if self._scalar_vec() is None:
-            return None
-        return self.entry(0, 0)
+        d = self._scalar_vec()
+        return None if d is None else CycloScalar(self.N, d, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, CycloMatrix):
@@ -876,8 +885,8 @@ class CycloMatrix:
     # -- io ------------------------------------------------------------------
 
     def to_json(self):
-        """Each entry as CycloScalar.to_json writes it, straight from the
-        packed rows."""
+        """Each nonzero entry as CycloScalar.to_json writes it, and each zero
+        at the matrix's conductor, straight from the packed rows."""
         N, den, phi = self.N, self.den, _context(self.N).phi
         return [[{"conductor": N,
                   "coeffs": ["0"] * phi if v is None

@@ -269,8 +269,8 @@ def real_form(phi, N=None):
 
     out, span, kept = _tiled(_fixed_part(rows(), build, M, N, dim)[0],
                              range(-N, N + 1), P, N, dim * _context(M).phi)
-    # c and d go in by hand: through the extension, the zero c of the d
-    # elements would keep conductor 4 (a zero does) and change the JSON
+    # c and d go in by hand, on the basis of `_real_field_basis`: through the
+    # extension they would come as the halves (z + eps conj(z)) / 2
     i = root_of_unity(4, 1)
     zero = LoopElement.zero(algebra, tw, l)
     for f in _real_field_basis(M):

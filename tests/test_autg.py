@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +279,37 @@ def test_primed_so8_classes_are_fresh():
             assert a.label == b.label == repr(lab)
             assert a.parts()[0] is b.parts()[0]
             assert a.eigenbases is not b.eigenbases
+
+
+_OLD_FORMAT = Path(__file__).parent / "golden" / "old-format-maps.json"
+
+
+def _old_format():
+    """[{"invariant", "changed", "map"}]: the JSON of realized classes as
+    older files hold it, so(8) maps made with the triality as operators,
+    some with a matrix rescaled or promoted ("changed" says how)."""
+    return json.loads(_OLD_FORMAT.read_text())
+
+
+def test_old_format_maps_read_back_as_the_realized_maps():
+    """Each map of the old-format fixture reads back to a map == the
+    realization of its invariant, with the same invariant, and is written
+    again with the bytes of that realization; an so(8) map made with theta
+    is written in the operator form of the fixture, byte for byte."""
+    from kmaut.cli import _invariant_from_json
+    from kmaut.loopaut import StandardLoopAutomorphism, invariant
+    from kmaut.tables import realize
+    ops = 0
+    for case in _old_format():
+        old = StandardLoopAutomorphism.from_json(case["map"])
+        new = realize(_invariant_from_json(case["invariant"]))
+        assert old == new and invariant(old) == invariant(new), case["invariant"]
+        assert json.dumps(old.to_json()) == json.dumps(new.to_json())
+        for key in ("twist", "phi0"):
+            if case["map"][key]["rep"] == "operator":
+                ops += 1
+                assert getattr(new, key).to_json() == case["map"][key]
+    assert ops == 4
 
 
 def test_operator_inverse_is_carried():
@@ -975,7 +1007,8 @@ def test_form_scalar_is_found_once_per_automorphism(fam, n, monkeypatch):
     alg = make_algebra(fam, n, "compact")
     rng = random.Random(7 * n)
     G = random_inner_matrix(alg, rng) * (1 + root_of_unity(4, 1))
-    obj = Automorphism(alg, G).to_json()
+    # a file may hold G at any scale
+    obj = dict(Automorphism(alg, G).to_json(), matrix=G.to_json())
     parsed = Automorphism.from_json(obj)
     product = parsed.compose(parsed)
     made = Automorphism.from_json(dict(obj, conj_linear=True)).compose(parsed)
@@ -1071,6 +1104,57 @@ def test_product_with_a_theta_identity_is_written_as_an_operator():
         assert phi.to_json()["rep"] == "operator"
         text = _json_text(phi)
         assert _json_text(Automorphism.from_json(json.loads(text))) == text
+
+
+def test_equal_maps_write_equal_json():
+    """Equal unlabeled maps write the same bytes however they were
+    multiplied or scaled: both bracketings of a product; G times 2, -1,
+    1 + i or zeta_8; psi and phi0 o phi0^-1 o psi for a phi0 stored at
+    conductor 4; and, on so(8), theta^e o g o theta^-e with g's matrix
+    scaled or not.  That map, made with theta, is written as an operator;
+    it reads back == the map made from the matrix that its images descend
+    to."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from kmaut.autg import _descend
+    scalars = [2, -1, 1 + root_of_unity(4, 1), root_of_unity(8, 1)]
+
+    def same(x, y):
+        assert x == y
+        assert _json_text(x._unlabeled()) == _json_text(y._unlabeled())
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.sampled_from(_FORM_ALGEBRAS + [("a", 2), ("a", 3)]),
+               st.sampled_from(scalars), st.integers(0, 1), st.booleans(),
+               st.integers(0, 2**32 - 1))
+    def check(fam_n, c, w, conj, seed):
+        alg = make_algebra(*fam_n, "compact")
+        rng = random.Random(seed)
+        w = w if alg.outer == "mu" else 0
+
+        def made(G=None, w=0, conj=False):
+            G = random_inner_matrix(alg, rng) if G is None else G
+            return Automorphism(alg, G, w=w, conj=conj)
+
+        a, b, psi = made(w=w), made(conj=conj), made(w=w, conj=conj)
+        same(a.compose(b).compose(psi), a.compose(b.compose(psi)))
+        same(made(psi.parts()[0] * c, w, conj), psi)
+        phi0 = made(random_inner_matrix(alg, rng).promote(4) * c)
+        same(phi0.compose(phi0.inverse()).compose(psi), psi)
+        if alg.has_triality:
+            e = 1 + w + conj
+            g = made(conj=conj)
+            built, rebuilt = (triality_automorphism(alg, e).compose(h).compose(
+                triality_automorphism(alg, -e))
+                for h in (g, made(g.parts()[0] * c, conj=conj)))
+            same(built, rebuilt)
+            basis = alg.basis()
+            G = _descend(alg, lambda k: built._apply_linear(basis[k]))
+            plain = made(G * c, conj=conj)
+            assert built == plain
+            assert Automorphism.from_json(json.loads(_json_text(built))) == plain
+
+    check()
 
 
 def _identity_factors():

@@ -214,14 +214,42 @@ def test_scalar_json_roundtrip():
     assert CycloScalar.from_json(a.to_json()) == a
 
 
-def test_zero_keeps_the_conductor_it_was_computed_in():
-    """Equal zeros computed along different paths write different JSON:
-    each keeps its conductor."""
+def test_both_zeros_write_conductor_1():
+    """Equal zeros computed along different paths write the same JSON, at
+    conductor 1, whatever conductor each was computed in."""
     computed = root_of_unity(4, 1) * 0
     rational = CycloScalar.from_rational(0)
-    assert computed == rational
-    assert computed.to_json() == {"conductor": 4, "coeffs": ["0", "0"]}
-    assert rational.to_json() == {"conductor": 1, "coeffs": ["0"]}
+    assert computed == rational and computed.N == 4
+    assert computed.to_json() == rational.to_json() == {"conductor": 1,
+                                                         "coeffs": ["0"]}
+
+
+def test_matrix_min_conductor():
+    """A matrix comes back equal, at the least conductor of its entries: 3
+    from 12 and from 6 (Q(zeta_6) = Q(zeta_3)), 1 for a rational matrix at
+    4, 4 for i I, 24 where zeta_3 and zeta_8 meet, and the lcm of the
+    entries' own, not the largest."""
+    i, z3, z8 = root_of_unity(4, 1), root_of_unity(3, 1), root_of_unity(8, 1)
+    M = CycloMatrix.from_scalars([[z3, 2], [0, Fraction(1, 3)]])
+    for X, N in ((M.promote(12), 3), (M.promote(6), 3), (M, 3),
+                 (CycloMatrix.identity(3, 4), 1),
+                 (CycloMatrix.identity(2) * i, 4), ((M * z8).promote(48), 24),
+                 (CycloMatrix.from_scalars([[i, 0], [0, z3]]).promote(24), 12)):
+        got = X.min_conductor()
+        assert got == X and got.N == N, (X.N, N)
+        assert json.dumps(got.to_json()) == json.dumps(
+            CycloMatrix.from_json(X.to_json()).min_conductor().to_json())
+
+
+def test_scalar_matrix_is_found_once():
+    """is_scalar and is_identity read the vector that the first of them
+    found: neither walks the rows again."""
+    for M, c in ((CycloMatrix.identity(3) * 2, 2), (CycloMatrix.identity(2), 1),
+                 (CycloMatrix.zeros(2, 4), 0),
+                 (CycloMatrix.from_scalars([[1, 1], [0, 1]]), None)):
+        first = M.is_scalar()
+        M.rows = None  # a walk would fail
+        assert M.is_scalar() == first == c and M.is_identity() == (c == 1)
 
 
 @pytest.mark.parametrize("coeff", ["1e100000000", "1.5", " 1/2", "1/2 ",
@@ -684,13 +712,17 @@ def test_scalar_and_matrix_json_round_trip_to_the_byte():
 
 
 def reference_to_json(M):
-    """The writer as it was: one CycloScalar per entry."""
-    return [[M.entry(i, j).to_json() for j in range(M.n)] for i in range(M.n)]
+    """The writer as it was: one CycloScalar per entry, and a zero entry at
+    the matrix's conductor."""
+    zero = {"conductor": M.N, "coeffs": ["0"] * len(M.entry(0, 0).nums)}
+    return [[M.entry(i, j).to_json() if M.entry(i, j) else zero
+             for j in range(M.n)] for i in range(M.n)]
 
 
 def test_matrix_to_json_matches_the_scalar_path():
     """Byte-identical output with zero entries, mixed conductors and
-    denominators that share a factor with some or all numerators."""
+    denominators that share a factor with some or all numerators; zero
+    entries keep the matrix's conductor."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
