@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 
 from .algebra import (
@@ -28,8 +28,8 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import (ONE, CycloMatrix, _json_int, _json_object,
-                    _rational_root, pfaffian, root_of_unity)
+from .cyclo import (ONE, CycloMatrix, _json_int, _json_object, pfaffian,
+                    root_of_unity)
 from .errors import (
     InvalidLabel,
     MalformedData,
@@ -385,14 +385,11 @@ class Automorphism:
         _json_object(obj, "an automorphism")
         algebra = SimpleAlgebra.from_json(obj["algebra"])
         algebra._need_matrix()
-        M = CycloMatrix.from_json(obj["matrix"])
         group = obj.get("rep", "group") == "group"
         if not group and not algebra.has_triality:
             raise MalformedData("only so(8) takes an operator matrix")
-        size = algebra.size if group else algebra.dim
-        if M.n != size:
-            raise MalformedData("%s takes a %dx%d matrix, not %dx%d"
-                                % (algebra.label(), size, size, M.n, M.n))
+        M = CycloMatrix.from_json(obj.get("matrix"),
+                                  algebra.size if group else algebra.dim)
         conj, label = obj.get("conj_linear", False), obj.get("label")
         if type(conj) is not bool:
             raise MalformedData("conj_linear must be true or false, not %.40r"
@@ -511,11 +508,14 @@ def _form_scalar(phi):
 
 def _unit_trace(S, s):
     """|m - 2p| for an m x m matrix S with S^2 = s E, whose eigenvalues
-    +-sqrt(s) have multiplicities p and m - p: the rational root of
-    tr(S)^2 / s."""
-    d = _rational_root((S.trace() ** 2 * s.inverse()).as_fraction(), 2)
-    assert d is not None and d.denominator == 1
-    return int(d)
+    +-sqrt(s) have multiplicities p and m - p: the integer root of
+    q = tr(S)^2 / s."""
+    t = S.trace()
+    q = (t * t * s.inverse()).as_fraction()
+    assert q.denominator == 1 and q >= 0
+    d = isqrt(q.numerator)
+    assert d * d == q
+    return d
 
 
 def group_inverse(algebra, G):

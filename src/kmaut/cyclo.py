@@ -258,13 +258,8 @@ class CycloScalar:
                                     for j in range(len(powers))), den * self.den)
 
     def min_conductor(self):
-        """Smallest divisor conductor that contains this value."""
-        for d in sorted(_divisors(self.N)):
-            try:
-                return self.restrict(d)
-            except ConductorOverflow:
-                continue
-        return self
+        """The same value at the least conductor that holds it."""
+        return self.restrict(_least_conductor(self.N, self.nums))
 
     def as_fraction(self):
         if any(self.nums[1:]):
@@ -365,19 +360,23 @@ class CycloScalar:
         return out
 
     def inverse(self):
-        """Multiplicative inverse by the Galois norm: with a = nums,
-        a * prod_{k != 1} sigma_k(a) = N(a) is rational, so
+        """Multiplicative inverse by the Galois norm of Q(zeta_d), d the
+        least conductor that holds the value: with a = nums,
+        a * prod_{k != 1} sigma_k(a) = N(a) is rational, k over one unit
+        mod N in each class of units mod d, so
         x^-1 = den * prod_{k != 1} sigma_k(a) / N(a)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        N = self.N
+        N, a = self.N, self.nums
+        if not any(a[1:]):
+            return CycloScalar(N, (self.den,) + a[1:], a[0])
         ctx = _context(N)
-        if ctx.phi == 1:
-            return CycloScalar(N, (self.den,), self.nums[0])
-        a = self.nums
-        prod = None
+        # at phi = 2 a value that is not rational needs all of Q(zeta_N)
+        d = _least_conductor(N, a) if ctx.phi > 2 else N
+        prod, seen = None, {1}
         for k in range(2, N):
-            if gcd(k, N) == 1:
+            if gcd(k, N) == 1 and k % d not in seen:
+                seen.add(k % d)
                 img = _apply_table(a, _galois_table(N, k), ctx.phi)
                 prod = img if prod is None else kernel.conv_reduce(
                     prod, img, ctx.red, ctx.phi)
@@ -485,16 +484,44 @@ def _common(a, b):
     return a.promote(M), b.promote(M)
 
 
-def _divisors(N):
-    out = []
-    d = 1
-    while d * d <= N:
-        if N % d == 0:
-            out.append(d)
-            if d != N // d:
-                out.append(N // d)
-        d += 1
-    return out
+def _least_conductor(N, nums):
+    """The least d | N with the value of numerators nums at conductor N in
+    Q(zeta_d).  It lies in Q(zeta_d) exactly when sigma_k fixes it for
+    every unit k = 1 mod d, and the conductors that hold it are the
+    multiples of the least one; so from d = N each prime p is divided out
+    while `_galois_step` fixes it, which with those k for d makes all k
+    for d / p."""
+    if not any(nums[1:]):
+        return 1
+    d = N
+    for p in _primes(N):
+        while d % p == 0:
+            k = _galois_step(N, d, p)
+            if k != 1 and nums != _apply_table(nums, _galois_table(N, k),
+                                               len(nums)):
+                break
+            d //= p
+    return d
+
+
+def _galois_step(N, d, p):
+    """A unit k mod N, k = 1 mod d / p, whose class mod d generates the
+    units = 1 mod d / p over those = 1 mod d: 1 + d / p where p^2 | d (a
+    group of order p), else a primitive root mod p, or 1 at p = 2, where
+    Q(zeta_d) = Q(zeta_(d/2))."""
+    m = d // p
+    if m % p == 0:
+        k = 1 + m
+    elif p == 2:
+        return 1
+    else:
+        qs = _primes(p - 1)
+        g = next(g for g in range(2, p)
+                 if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+        k = 1 + m * ((g - 1) * pow(m, -1, p) % p)
+    while gcd(k, N) != 1:
+        k += d
+    return k % N
 
 
 def _rational_root(q, n):
@@ -540,8 +567,6 @@ def root_index(value, N):
 
 ZERO = CycloScalar.from_rational(0)
 ONE = CycloScalar.from_rational(1)
-# a zero scalar, and a zero entry of a conductor-1 matrix, as written
-_ZERO_ENTRY = {"conductor": 1, "coeffs": ["0"]}
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +670,13 @@ class CycloMatrix:
 
     def min_conductor(self):
         """The same matrix at the least conductor that holds every entry, the
-        lcm of the entries' own."""
-        if self.N == 1:
+        lcm of the entries' own; each distinct entry is restricted once."""
+        N = self.N
+        vals = {v for row in self.rows for v in row.values()}
+        M = lcm(1, *(_least_conductor(N, v) for v in vals))
+        if M == N:
             return self
-        got = {v: CycloScalar(self.N, v).min_conductor() if any(v[1:])
-               else CycloScalar(1, v[:1]) for row in self.rows for v in row.values()}
+        got = {v: CycloScalar(N, v).restrict(M) for v in vals}
         return CycloMatrix.from_scalars([[got[row[j]] * Fraction(1, self.den)
                                           if j in row else 0 for j in range(self.n)]
                                          for row in self.rows])
@@ -885,63 +912,83 @@ class CycloMatrix:
     # -- io ------------------------------------------------------------------
 
     def to_json(self):
-        """Each nonzero entry as CycloScalar.to_json writes it, and each zero
-        at the matrix's conductor, straight from the packed rows."""
-        N, den, phi = self.N, self.den, _context(self.N).phi
-        return [[{"conductor": N,
-                  "coeffs": ["0"] * phi if v is None
-                  else [str(c) if den == 1 else str(Fraction(c, den)) for c in v]}
-                 for v in map(row.get, range(self.n))]
-                for row in self.rows]
+        """{"size": n, "entries": [[i, j, scalar], ...]}: each nonzero entry,
+        in row-major order, as CycloScalar.to_json writes it, at the
+        matrix's conductor, straight from the packed rows."""
+        N, den = self.N, self.den
+        return {"size": self.n, "entries": [
+            [i, j, {"conductor": N, "coeffs": [
+                str(c) if den == 1 else str(Fraction(c, den)) for c in row[j]]}]
+            for i, row in enumerate(self.rows) for j in sorted(row)]}
 
     @staticmethod
-    def from_json(obj):
-        """Every entry is checked and counts towards the conductor, zero
-        entries too; only the nonzero ones are stored.  The zero that
-        `to_json` writes for every zero of a conductor-1 matrix,
-        {"conductor": 1, "coeffs": ["0"]}, is the most common entry: it is
-        known by one comparison with that dict and a test that the conductor
-        is an int (a bool or float conductor compares equal to 1, as True ==
-        1 and 1.0 == 1, so the test sends it to the reader, which refuses
-        it), and skipped, as it changes neither conductor nor denominator.
-        Each other distinct entry of an int conductor and str coefficients
-        is read once per matrix, kept under a key of exactly those types:
-        the conductor's type is tested at each lookup, and a str coefficient
-        equals no other JSON value; any other entry is read each time.  An
-        entry read at the matrix's conductor and denominator keeps its
-        numerators as they are."""
-        if not (isinstance(obj, list) and obj
-                and all(isinstance(row, list) and len(row) == len(obj) for row in obj)):
-            raise MalformedData("a matrix is a nonempty square list of rows")
+    def from_json(obj, n):
+        """The n x n matrix of {"size": n, "entries": [[i, j, scalar], ...]},
+        as `to_json` writes it, or of the nested list of n rows of n scalars
+        that files written before it hold; n is the size the caller expects,
+        so a wrong size fails before any row is made.  One loop reads the
+        entries of both forms, positions in row-major order, each at most
+        once.  Every entry is checked and counts towards the conductor, zero
+        entries too; only the nonzero ones are stored.  Each distinct entry
+        of an int conductor and str coefficients, such as the zero that the
+        nested form holds at every zero position, is read once per matrix,
+        kept under a key of exactly those types: the conductor's type is
+        tested at each lookup (True == 1 == 1.0 hash alike, and the reader
+        refuses a bool or float conductor), and a str coefficient equals no
+        other JSON value; any other entry is read each time.  An entry read
+        at the matrix's conductor and denominator keeps its numerators as
+        they are."""
+        if type(obj) is dict:
+            size, cells = obj.get("size"), obj.get("entries")
+            if type(size) is not int or size != n:
+                raise MalformedData("a %dx%d matrix has \"size\": %d, not %.40r"
+                                    % (n, n, n, size))
+            if type(cells) is not list:
+                raise MalformedData("a matrix's \"entries\" is a list of "
+                                    "[i, j, scalar]")
+        elif (isinstance(obj, list) and len(obj) == n
+              and all(isinstance(row, list) and len(row) == n for row in obj)):
+            cells = ([i, j, x] for i, row in enumerate(obj)
+                     for j, x in enumerate(row))
+        else:
+            raise MalformedData("a %dx%d matrix is {\"size\": %d, \"entries\": "
+                                "[[i, j, scalar], ...]} or a list of %d rows of "
+                                "%d scalars" % (n, n, n, n, n))
         N = den = 1
-        ents, read = [], {}
-        for row in obj:
-            out = {}
-            for j, x in enumerate(row):
-                if x == _ZERO_ENTRY and type(x["conductor"]) is int:
-                    continue
-                c = x.get("coeffs") if type(x) is dict else None
-                key = got = None
-                if type(c) is list and type(x.get("conductor")) is int:
-                    key = x["conductor"], tuple(c)
-                    try:
-                        got = read.get(key)
-                    except TypeError:  # an unhashable coefficient
-                        key = None
-                if got is None:
-                    M, nums, d = _json_scalar(x)
-                    got = M, nums if any(nums) else None, d
-                    if key and all(type(a) is str for a in c):
-                        read[key] = got
-                    N, den = lcm(N, M), lcm(den, d) if got[1] else den
-                if got[1]:
-                    out[j] = got
-            ents.append(out)
+        ents, read, last = [{} for _ in range(n)], {}, -1
+        for cell in cells:
+            if not (type(cell) is list and len(cell) == 3
+                    and type(cell[0]) is int and type(cell[1]) is int
+                    and 0 <= cell[0] < n and 0 <= cell[1] < n):
+                raise MalformedData("a matrix entry is [i, j, scalar] with "
+                                    "0 <= i, j < %d, not %.60r" % (n, cell))
+            i, j, x = cell
+            if i * n + j <= last:
+                raise MalformedData("matrix entries go in row-major order, "
+                                    "each (i, j) once: (%d, %d) comes after "
+                                    "(%d, %d)" % (i, j, last // n, last % n))
+            last = i * n + j
+            c = x.get("coeffs") if type(x) is dict else None
+            key = got = None
+            if type(c) is list and type(x.get("conductor")) is int:
+                key = x["conductor"], tuple(c)
+                try:
+                    got = read.get(key)
+                except TypeError:  # an unhashable coefficient
+                    key = None
+            if got is None:
+                M, nums, d = _json_scalar(x)
+                got = M, nums if any(nums) else None, d
+                if key and all(type(a) is str for a in c):
+                    read[key] = got
+                N, den = lcm(N, M), lcm(den, d) if got[1] else den
+            if got[1]:
+                ents[i][j] = got
         _check_conductor(N)
         rows = tuple({j: nums if M == N and d == den
                       else tuple(c * (den // d) for c in _lift(nums, M, N))
                       for j, (M, nums, d) in row.items()} for row in ents)
-        return CycloMatrix(len(obj), N, den, rows)
+        return CycloMatrix(n, N, den, rows)
 
     def __repr__(self):
         return "CycloMatrix(%d, conductor=%d)" % (self.n, self.N)
@@ -991,31 +1038,34 @@ def finite_order_eigenprojectors(M, N):
 
 
 def pfaffian(M):
-    """Pfaffian of an antisymmetric matrix of even dimension, exactly."""
+    """Pfaffian of an antisymmetric matrix of even dimension, exactly, by
+    skew elimination in O(n^3): with a != 0 at (k, k + 1), brought there by
+    swapping a row and column pair (which flips the sign), pf = a pf(S) for
+    the congruence-cleared rest S_ij = A_ij + (A_(k+1)i A_kj - A_ki A_(k+1)j)
+    / a, i, j > k + 1; a zero row gives pf = 0."""
     n = M.n
     if n % 2:
         raise OddDimension("pfaffian needs even dimension")
     if not (M.transpose() + M).is_zero():
         raise NotAntisymmetric("matrix is not antisymmetric")
-    entries = M.scalars()
-    cache = {}
-
-    def rec(idx):
-        if not idx:
-            return ONE
-        if idx in cache:
-            return cache[idx]
-        i = idx[0]
-        rest = idx[1:]
-        total = CycloScalar.from_rational(0)
-        for pos, j in enumerate(rest):
-            a = entries[i][j]
-            if a:
-                sub = tuple(x for x in rest if x != j)
-                sign = 1 if pos % 2 == 0 else -1
-                term = a * rec(sub)
-                total = total + (term if sign > 0 else -term)
-        cache[idx] = total
-        return total
-
-    return rec(tuple(range(n)))
+    A = M.scalars()
+    pf = ONE
+    for k in range(0, n, 2):
+        p = next((j for j in range(k + 1, n) if A[k][j]), None)
+        if p is None:
+            return ZERO
+        if p != k + 1:
+            for row in A:
+                row[k + 1], row[p] = row[p], row[k + 1]
+            A[k + 1], A[p] = A[p], A[k + 1]
+            pf = -pf
+        a = A[k][k + 1]
+        pf = pf * a
+        inv, u, v = a.inverse(), A[k], A[k + 1]
+        # S_ij moves only where rows k and k + 1 meet both i and j
+        live = [i for i in range(k + 2, n) if u[i] or v[i]]
+        for t, i in enumerate(live):
+            for j in live[t + 1:]:
+                x = A[i][j] + (v[i] * u[j] - u[i] * v[j]) * inv
+                A[i][j], A[j][i] = x, -x
+    return pf

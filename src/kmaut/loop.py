@@ -318,7 +318,7 @@ class LoopElement:
     def from_json(obj):
         from .autg import Automorphism
         twist = Automorphism.from_json(obj["twist"])
-        coeffs = {int(n): CycloMatrix.from_json(m)
+        coeffs = {int(n): CycloMatrix.from_json(m, twist.algebra.size)
                   for n, m in obj["coeffs"].items()}
         return LoopElement(twist.algebra, twist, _json_int(obj, "l"), coeffs)
 

@@ -318,7 +318,8 @@ class StandardLoopAutomorphism:
             if not isinstance(X.get("rates"), list):
                 raise MalformedData("X.rates must be a list of exact rates")
             X = SemisimpleElement(phi0.algebra,
-                                  CycloMatrix.from_json(X["matrix"]),
+                                  CycloMatrix.from_json(X.get("matrix"),
+                                                        phi0.algebra.size),
                                   [_json_rational(r, "a rate")
                                    for r in X["rates"]])
         return StandardLoopAutomorphism(twist, _json_int(obj, "l"),

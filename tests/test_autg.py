@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -295,7 +296,9 @@ def test_old_format_maps_read_back_as_the_realized_maps():
     """Each map of the old-format fixture reads back to a map == the
     realization of its invariant, with the same invariant, and is written
     again with the bytes of that realization; an so(8) map made with theta
-    is written in the operator form of the fixture, byte for byte."""
+    is written in the operator form of the fixture, its matrix, now sparse,
+    reading back to the conductor, denominator and rows of the fixture's
+    nested list."""
     from kmaut.cli import _invariant_from_json
     from kmaut.loopaut import StandardLoopAutomorphism, invariant
     from kmaut.tables import realize
@@ -306,9 +309,14 @@ def test_old_format_maps_read_back_as_the_realized_maps():
         assert old == new and invariant(old) == invariant(new), case["invariant"]
         assert json.dumps(old.to_json()) == json.dumps(new.to_json())
         for key in ("twist", "phi0"):
-            if case["map"][key]["rep"] == "operator":
+            want = case["map"][key]
+            if want["rep"] == "operator":
                 ops += 1
-                assert getattr(new, key).to_json() == case["map"][key]
+                got = getattr(new, key).to_json()
+                assert dict(got, matrix=None) == dict(want, matrix=None)
+                A, B = (CycloMatrix.from_json(x["matrix"], 28)
+                        for x in (got, want))
+                assert (A.N, A.den, A.rows) == (B.N, B.den, B.rows)
     assert ops == 4
 
 
@@ -458,7 +466,7 @@ def test_d4_triality_descent():
                     obj = phi.to_json()[key]
                     if obj["rep"] != "operator":
                         continue
-                    op = CycloMatrix.from_json(obj["matrix"])
+                    op = CycloMatrix.from_json(obj["matrix"], so8.dim)
                     for aut in (getattr(phi, key), Automorphism.from_json(obj)):
                         G, w = aut.parts()
                         assert G * G.transpose() == CycloMatrix.identity(8)
@@ -510,6 +518,50 @@ def test_local_triality_satisfies_the_octonion_identity():
                        zip(_octonion_product(_apply_so8(a1, x), y),
                            _octonion_product(x, _apply_so8(a2, y)))]
                 assert lhs == rhs, m
+
+
+def _rotation(m, i, j):
+    """The rational rotation by (3/5, 4/5) in the plane of axes i and j."""
+    rows = [[Fraction(int(a == b)) for b in range(m)] for a in range(m)]
+    rows[i][i] = rows[j][j] = Fraction(3, 5)
+    rows[i][j], rows[j][i] = Fraction(4, 5), Fraction(-4, 5)
+    return CycloMatrix.from_scalars(rows)
+
+
+def test_dense_adj_classes_of_d12_read_at_once():
+    """AdJ and AdJ' of d12, conjugated by a rotation that fills G, keep
+    their classes, and each is read in under 0.3 s: the pfaffian of G is
+    eliminated, where its expansion over index subsets took 3.1 s."""
+    so24 = make_algebra("d", 12, "compact")
+    m = so24.size
+    O = CycloMatrix.identity(m)
+    for i in range(m - 1):
+        O = _rotation(m, i, i + 1) * O * _rotation(m, i, i + 1)
+    for label in ("AdJ", "AdJ'"):
+        phi = standard_involution(so24, label)
+        G = O * phi.parts()[0] * O.transpose()
+        assert sum(map(len, G.rows)) == m * m - m
+        start = time.perf_counter()
+        got = involution_int_class(Automorphism(so24, G))
+        assert time.perf_counter() - start < 0.3
+        assert got == involution_int_class(phi), label
+
+
+def test_a_map_at_conductor_840_is_written_at_once():
+    """An a5 map whose G carries a zeta_840 factor is written in under
+    50 ms, its least conductor found by the Galois fixed-field test where
+    one restriction per divisor of 840 took 0.5 s; the written matrix is G
+    over its first entry, at conductor 840."""
+    a5 = make_algebra("a", 5, "compact")
+    G = random_inner_matrix(a5, random.Random(1)) * CycloMatrix.diag(
+        [root_of_unity(840, 1)] + [1] * 5)
+    phi = Automorphism(a5, G)
+    start = time.perf_counter()
+    obj = phi.to_json()
+    assert time.perf_counter() - start < 0.05
+    M = CycloMatrix.from_json(obj["matrix"], 6)
+    i, j, _ = obj["matrix"]["entries"][0]
+    assert M.N == 840 and M.entry(i, j) == 1 and M * G.entry(i, j) == G
 
 
 def test_triality_operator_matches_its_golden_digest():
@@ -872,8 +924,8 @@ def test_scaled_first_kind_entry_reads_back(fam, n):
                     continue
                 for s in scales:
                     obj = phi.to_json()
-                    obj[key]["matrix"] = (
-                        CycloMatrix.from_json(obj[key]["matrix"]) * s).to_json()
+                    G = CycloMatrix.from_json(obj[key]["matrix"], alg.size)
+                    obj[key]["matrix"] = (G * s).to_json()
                     got = invariant(StandardLoopAutomorphism.from_json(obj))
                     assert got == want, (entry, key, s)
 
@@ -891,8 +943,8 @@ def test_scale_without_a_known_root_is_never_misread():
                           ("d", 5, ("1a", InvLabel(2), "id"))):
         phi = realize_entry(make_algebra(fam, n, "compact"), entry)
         obj = phi.to_json()
-        obj["phi0"]["matrix"] = (CycloMatrix.from_json(obj["phi0"]["matrix"])
-                                 * (1 + root_of_unity(4, 1))).to_json()
+        G = CycloMatrix.from_json(obj["phi0"]["matrix"], phi.algebra.size)
+        obj["phi0"]["matrix"] = (G * (1 + root_of_unity(4, 1))).to_json()
         got = invariant(StandardLoopAutomorphism.from_json(obj))
         assert got == invariant(phi), entry
 

@@ -189,8 +189,8 @@ def test_exponent_strings_exit_2_fast(tmp_path, capsys):
     arithmetic: Fraction("1e100000000") alone ran past a minute."""
     aut = json.loads(_write_aut(tmp_path).read_text())
     coeff = json.loads(json.dumps(aut))
-    coeff["twist"]["matrix"][0][0] = {"conductor": 1,
-                                      "coeffs": ["1e100000000"]}
+    coeff["twist"]["matrix"]["entries"][0][2] = {"conductor": 1,
+                                                 "coeffs": ["1e100000000"]}
     for bad in [dict(aut, t0="1e100000000"), coeff]:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
@@ -218,7 +218,7 @@ def test_so8_operator_off_the_bracket_exits_2(tmp_path, capsys):
     rc, out = run_cli(["realize", "--in", str(inv)], capsys)
     assert rc == 0
     payload = json.loads(out)
-    L = CycloMatrix.from_json(payload["twist"]["matrix"])
+    L = CycloMatrix.from_json(payload["twist"]["matrix"], 28)
     D = CycloMatrix.diag([2] + [1] * (L.n - 1))
     payload["twist"]["matrix"] = (D * L * D.inverse()).to_json()
     bad = tmp_path / "bad.json"
@@ -424,6 +424,17 @@ def test_selftest_verb_takes_no_options(capsys):
     assert json.loads(out) == {"error": "argument parsing failed"}
 
 
+def _dense(m):
+    """The nested-list form of a JSON matrix, as files written before the
+    sparse form hold it: each zero at the conductor of the entries."""
+    x = m["entries"][0][2]
+    rows = [[{"conductor": x["conductor"], "coeffs": ["0"] * len(x["coeffs"])}
+             for _ in range(m["size"])] for _ in range(m["size"])]
+    for i, j, x in m["entries"]:
+        rows[i][j] = x
+    return rows
+
+
 def _cut_rows(m):
     del m[2:]
 
@@ -444,6 +455,20 @@ def _first_entry(value):
     return edit
 
 
+def _sparse(edit):
+    """An edit of the sparse form of the matrix."""
+    edit.sparse = True
+    return edit
+
+
+def _entries(value):
+    return _sparse(lambda m: m.update(entries=value))
+
+
+def _first_cell(value):
+    return _sparse(lambda m: m["entries"].__setitem__(0, value))
+
+
 @pytest.mark.parametrize("edit", [
     _cut_rows, _cut_first_row, _square_2x2,
     _first_entry({"conductor": 3, "coeffs": ["1"]}),
@@ -456,14 +481,30 @@ def _first_entry(value):
     _first_entry({"conductor": "x", "coeffs": ["1"]}),
     _first_entry({"conductor": 1, "coeffs": ["abc"]}),
     _first_entry({"conductor": 1, "coeffs": [1.5]}),
+    _sparse(lambda m: m.update(size=10**9)),
+    _sparse(lambda m: m.update(size=True)),
+    _sparse(lambda m: m.pop("size")),
+    _entries({}), _entries(None), _entries([[0, 0]]),
+    _first_cell([True, 0, {"conductor": 1, "coeffs": ["1"]}]),
+    _first_cell([0, 3, {"conductor": 1, "coeffs": ["1"]}]),
+    _first_cell([-1, 0, {"conductor": 1, "coeffs": ["1"]}]),
+    _sparse(lambda m: m["entries"].insert(1, m["entries"][0])),
+    _sparse(lambda m: m["entries"].reverse()),
 ], ids=["cut_rows", "cut_first_row", "square_2x2", "short_scalar",
         "nested_coeff", "null_conductor", "short_scalar_30030",
         "short_scalar_100000", "float_conductor", "bool_conductor",
-        "string_conductor", "word_coeff", "float_coeff"])
+        "string_conductor", "word_coeff", "float_coeff", "huge_size",
+        "bool_size", "no_size", "entries_object", "entries_null",
+        "short_entry", "bool_row", "column_out_of_range", "negative_row",
+        "repeated_entry", "column_major"])
 def test_invariant_rejects_malformed_matrix(tmp_path, capsys, edit):
+    """Edits of the nested-list form of older files, and of the sparse
+    form: each exits 2 with a typed error."""
     a2 = make_algebra("a", 2, "compact")
     entry = enumerate_first_kind(a2, 1).entries[0]
     payload = realize_entry(a2, entry).to_json()
+    if not getattr(edit, "sparse", False):
+        payload["twist"]["matrix"] = _dense(payload["twist"]["matrix"])
     edit(payload["twist"]["matrix"])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
@@ -529,8 +570,8 @@ def _curved():
 
 
 def _singular(payload):
-    row = payload["phi0"]["matrix"][0]
-    row[:] = [{"conductor": 1, "coeffs": ["0"]}] * len(row)
+    m = payload["phi0"]["matrix"]
+    m["entries"] = [e for e in m["entries"] if e[0] != 0]
 
 
 def _x_not_object(payload):
@@ -570,6 +611,7 @@ def test_invariant_rejects_a_matrix_outside_the_group(tmp_path, capsys, fam, n):
     alg = make_algebra(fam, n, "compact")
     entry = enumerate_first_kind(alg, 1).entries[0]
     payload = realize_entry(alg, entry).to_json()
+    payload["phi0"]["matrix"] = _dense(payload["phi0"]["matrix"])
     scalar = payload["phi0"]["matrix"][0][1]
     scalar["coeffs"][0] = str(Fraction(scalar["coeffs"][0]) + Fraction(1, 3))
     bad = tmp_path / "bad.json"
@@ -614,10 +656,12 @@ def _budget(seconds):
 
 def test_invariant_fuzz_exits_0_or_2(tmp_path, capsys):
     """One seeded mutation of every field of two automorphisms, a realized
-    table entry and one with a curve, and of every field but the matrix
-    entries of a realized so(8) entry whose twist has outer order three,
-    with a seeded sample of those entries: each run exits 0 or 2 with a
-    JSON payload on stdout, within a budget of wall time per input."""
+    table entry (in the sparse form, and with its matrices in the
+    nested-list form of older files) and one with a curve, and of every
+    field but the matrix entries of a realized so(8) entry whose twist has
+    outer order three, with a seeded sample of those entries: each run
+    exits 0 or 2 with a JSON payload on stdout, within a budget of wall
+    time per input."""
     rng = random.Random(5)
     a2, d4 = make_algebra("a", 2, "compact"), make_algebra("d", 4, "compact")
     curved = _curved()
@@ -626,10 +670,13 @@ def test_invariant_fuzz_exits_0_or_2(tmp_path, capsys):
     assert so8.to_json()["twist"]["rep"] == "operator"
     path = tmp_path / "aut.json"
     runs = 0
-    for phi, sample in ((realize_entry(a2, enumerate_first_kind(a2, 2)
-                                       .entries[0]), None),
-                        (curved, None), (so8, 40)):
+    entry = realize_entry(a2, enumerate_first_kind(a2, 2).entries[0])
+    for phi, sample, dense in ((entry, None, False), (entry, None, True),
+                               (curved, None, False), (so8, 40, False)):
         base = phi.to_json()
+        if dense:
+            for key in ("twist", "phi0"):
+                base[key]["matrix"] = _dense(base[key]["matrix"])
         fields = list(_fields(base))
         if sample is not None:
             inner = [f for f in fields if "matrix" in f[:-1]]

@@ -238,7 +238,35 @@ def test_matrix_min_conductor():
         got = X.min_conductor()
         assert got == X and got.N == N, (X.N, N)
         assert json.dumps(got.to_json()) == json.dumps(
-            CycloMatrix.from_json(X.to_json()).min_conductor().to_json())
+            CycloMatrix.from_json(X.to_json(), X.n).min_conductor().to_json())
+
+
+def test_least_conductor_is_the_least_divisor_that_restricts():
+    """The Galois fixed-field test finds, for sums of roots of unity of
+    orders dividing d, promoted to conductors N that d divides, the least
+    divisor of N to which the value restricts, as a walk over the divisors
+    with one restriction each finds it."""
+    from kmaut.cyclo import _least_conductor
+
+    rng = random.Random(7)
+    for N in (12, 15, 20, 24, 36, 40, 45, 60, 84, 120):
+        divisors = [d for d in range(1, N + 1) if N % d == 0]
+        for d in divisors:
+            for _ in range(2):
+                x = sum((root_of_unity(d, rng.randrange(d)) * rng.randint(-2, 2)
+                         for _ in range(3)), CycloScalar.from_rational(1, d))
+                x = x.promote(N)
+                want = None
+                for e in divisors:
+                    try:
+                        want = x.restrict(e)
+                        break
+                    except ConductorOverflow:
+                        continue
+                assert _least_conductor(N, x.nums) == want.N, (N, d, x)
+                got = x.min_conductor()
+                assert got == x and (got.N, got.nums, got.den) == (
+                    want.N, want.nums, want.den)
 
 
 def test_scalar_matrix_is_found_once():
@@ -280,7 +308,7 @@ def test_matrix_ops():
     B = CycloMatrix.from_scalars([[0, 1], [1, 1]])
     assert (A * B).det() == A.det() * B.det()
     assert (A * B).conj_transpose() == B.conj_transpose() * A.conj_transpose()
-    assert CycloMatrix.from_json(A.to_json()) == A
+    assert CycloMatrix.from_json(A.to_json(), 2) == A
 
 
 def test_eigenprojectors_identity():
@@ -397,6 +425,54 @@ def test_pfaffian_congruence():
     arows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
     A = CycloMatrix.from_scalars(arows)
     assert pfaffian(A.transpose() * M * A) == A.det() * pfaffian(M)
+
+
+def reference_pfaffian(M):
+    """The pfaffian by expansion along the first row, over index subsets:
+    exponential in the size, the reference for the elimination."""
+    entries, cache = M.scalars(), {}
+
+    def rec(idx):
+        if not idx:
+            return CycloScalar.from_rational(1)
+        if idx not in cache:
+            i, rest = idx[0], idx[1:]
+            total = CycloScalar.from_rational(0)
+            for pos, j in enumerate(rest):
+                if entries[i][j]:
+                    term = entries[i][j] * rec(tuple(x for x in rest if x != j))
+                    total = total + (-term if pos % 2 else term)
+            cache[idx] = total
+        return cache[idx]
+
+    return rec(tuple(range(M.n)))
+
+
+def test_pfaffian_matches_the_expansion():
+    """Hypothesis: on antisymmetric matrices of size up to 8 at conductors 1
+    and 4, sparse ones with zero rows and pivots off the first place
+    included, the elimination gives the pfaffian of the expansion."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(st.sampled_from([1, 4]), st.integers(1, 4), st.floats(0, 1),
+               st.integers(0, 2**32 - 1))
+    def check(N, half, density, seed):
+        rng = random.Random(seed)
+        m = 2 * half
+        rows = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                if rng.random() < density:
+                    v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    if N == 4:
+                        v = v + root_of_unity(4, 1) * rng.randint(-2, 2)
+                    rows[i][j], rows[j][i] = v, -v
+        M = CycloMatrix.from_scalars(rows)
+        assert pfaffian(M) == reference_pfaffian(M)
+
+    check()
 
 
 def test_galois_table_matches_the_table_of_every_power():
@@ -664,10 +740,10 @@ def test_matrix_json_matches_the_scalar_path():
              [{"conductor": 1, "coeffs": ["0"]}, {"conductor": 1, "coeffs": ["-1/6"]}]],
             # all zero
             [[{"conductor": 5, "coeffs": ["0", "-0", "0/7", 0]}]]):
-        got = CycloMatrix.from_json(obj)
+        got = CycloMatrix.from_json(obj, len(obj))
         assert same_packed(got, reference_from_json(obj))
         assert_sparse(got)
-    assert CycloMatrix.from_json(obj).N == 5
+    assert CycloMatrix.from_json(obj, len(obj)).N == 5
 
 
 def test_matrix_json_property():
@@ -679,7 +755,7 @@ def test_matrix_json_property():
                st.integers(1, 4), st.floats(0, 1), st.integers(0, 2**32 - 1))
     def check(conductors, n, density, seed):
         obj = json_matrix(random.Random(seed), n, conductors, density)
-        got = CycloMatrix.from_json(obj)
+        got = CycloMatrix.from_json(obj, len(obj))
         assert same_packed(got, reference_from_json(obj))
         assert_sparse(got)
 
@@ -698,10 +774,10 @@ def test_scalar_and_matrix_json_round_trip_to_the_byte():
                st.integers(1, 4), st.floats(0, 1), st.integers(0, 2**32 - 1))
     def check(conductors, n, density, seed):
         M = CycloMatrix.from_json(
-            json_matrix(random.Random(seed), n, conductors, density))
+            json_matrix(random.Random(seed), n, conductors, density), n)
         text = json.dumps(M.to_json())
-        assert json.dumps(CycloMatrix.from_json(json.loads(text)).to_json()) \
-            == text
+        assert json.dumps(CycloMatrix.from_json(json.loads(text), n)
+                          .to_json()) == text
         for i in range(n):
             for j in range(n):
                 text = json.dumps(M.entry(i, j).to_json())
@@ -712,8 +788,16 @@ def test_scalar_and_matrix_json_round_trip_to_the_byte():
 
 
 def reference_to_json(M):
-    """The writer as it was: one CycloScalar per entry, and a zero entry at
-    the matrix's conductor."""
+    """The writer by the scalar path: one CycloScalar per nonzero entry, in
+    row-major order."""
+    return {"size": M.n, "entries": [[i, j, M.entry(i, j).to_json()]
+                                     for i in range(M.n) for j in range(M.n)
+                                     if M.entry(i, j)]}
+
+
+def dense_to_json(M):
+    """The nested-list writer of older files: one CycloScalar per entry, and
+    a zero entry at the matrix's conductor."""
     zero = {"conductor": M.N, "coeffs": ["0"] * len(M.entry(0, 0).nums)}
     return [[M.entry(i, j).to_json() if M.entry(i, j) else zero
              for j in range(M.n)] for i in range(M.n)]
@@ -722,7 +806,8 @@ def reference_to_json(M):
 def test_matrix_to_json_matches_the_scalar_path():
     """Byte-identical output with zero entries, mixed conductors and
     denominators that share a factor with some or all numerators; zero
-    entries keep the matrix's conductor."""
+    entries are not written, and the others keep the matrix's
+    conductor."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -732,7 +817,7 @@ def test_matrix_to_json_matches_the_scalar_path():
                st.integers(1, 6))
     def check(conductors, n, density, seed, factor):
         M = CycloMatrix.from_json(json_matrix(random.Random(seed), n,
-                                              conductors, density))
+                                              conductors, density), n)
         # the same matrix with a common factor kept in den and every entry
         unreduced = CycloMatrix(
             M.n, M.N, M.den * factor,
@@ -741,7 +826,7 @@ def test_matrix_to_json_matches_the_scalar_path():
         for X, value in ((M, M), (unreduced, M), (M * M, M * M)):
             got = json.dumps(X.to_json())
             assert got == json.dumps(reference_to_json(X))
-            assert CycloMatrix.from_json(json.loads(got)) == value
+            assert CycloMatrix.from_json(json.loads(got), X.n) == value
 
     check()
 
@@ -775,17 +860,93 @@ def test_matrix_json_errors(bad, exc, message):
         CycloScalar.from_json(bad)
     assert str(scalar_err.value).startswith(message)
     good = entry()
-    for obj in ([[bad]], [[good, good], [good, bad]], [[bad, good], [good, good]]):
+    for obj in ([[bad]], [[good, good], [good, bad]], [[bad, good], [good, good]],
+                {"size": 1, "entries": [[0, 0, bad]]},
+                {"size": 2, "entries": [[0, 1, good], [1, 0, bad]]}):
+        n = obj["size"] if type(obj) is dict else len(obj)
         with pytest.raises(exc) as err:
-            CycloMatrix.from_json(obj)
+            CycloMatrix.from_json(obj, n)
         assert str(err.value) == str(scalar_err.value)
 
 
 def test_matrix_json_shape_errors():
+    """A matrix of neither form for the size the caller expects, 1 or 2
+    here, is refused before any entry is read."""
     for obj in ([], [[]], [[entry()], [entry()]], [[entry(), entry()]],
-                [entry()], {"0": [entry()]}):
-        with pytest.raises(MalformedData, match="nonempty square list of rows"):
-            CycloMatrix.from_json(obj)
+                [entry()], {"0": [entry()]}, None, "[[]]"):
+        for n in (1, 2):
+            if obj == [[entry()]] and n == 1:
+                continue
+            with pytest.raises(MalformedData, match="^a %dx%d matrix " % (n, n)):
+                CycloMatrix.from_json(obj, n)
+
+
+@pytest.mark.parametrize("obj", [
+    {"size": 10**9, "entries": []}, {"size": True, "entries": []},
+    {"size": 2.0, "entries": []}, {"size": "2", "entries": []},
+    {"entries": []}, {"size": 2}, {"size": 2, "entries": {}},
+    {"size": 2, "entries": "[]"}, {"size": 2, "entries": None},
+    {"size": 2, "entries": [[True, 0, entry()]]},
+    {"size": 2, "entries": [[0, False, entry()]]},
+    {"size": 2, "entries": [[0, 2, entry()]]},
+    {"size": 2, "entries": [[-1, 0, entry()]]},
+    {"size": 2, "entries": [[0, 0.0, entry()]]},
+    {"size": 2, "entries": [[0, 0]]},
+    {"size": 2, "entries": [[0, 0, entry(), 1]]},
+    {"size": 2, "entries": [0, 0, entry()]},
+    {"size": 2, "entries": [{"i": 0, "j": 0, "x": entry()}]},
+    {"size": 2, "entries": [[0, 0, entry()], [0, 0, entry()]]},
+    {"size": 2, "entries": [[0, 0, entry(1, ["0"])], [0, 0, entry()]]},
+    {"size": 2, "entries": [[1, 0, entry()], [0, 1, entry()]]},
+], ids=["huge_size", "bool_size", "float_size", "string_size", "no_size",
+        "no_entries", "entries_object", "entries_string", "entries_null",
+        "bool_row", "bool_column", "column_out_of_range", "negative_row",
+        "float_column", "short_entry", "long_entry", "flat_entry",
+        "entry_object", "repeated", "repeated_after_zero", "column_major"])
+def test_sparse_matrix_json_errors(obj):
+    """Each of these is refused with MalformedData before any arithmetic,
+    the size 10^9 before any row is made: a size other than the one the
+    caller expects, a bool or out-of-range index, an entry that is not
+    [i, j, scalar], and a position repeated or out of row-major order."""
+    with pytest.raises(MalformedData):
+        CycloMatrix.from_json(obj, 2)
+
+
+def test_sparse_and_dense_json_read_to_the_same_matrix():
+    """Hypothesis: a random sparse square matrix at conductor 1, 3, 4 or 8
+    reads back from its JSON and from the nested list of older files with
+    equal N, den and rows (a zero matrix, whose JSON holds no entry, reads
+    at conductor 1); the writer writes no zero entry, writes the nonzero
+    ones in row-major order, and writes again what it reads from its own
+    output, byte for byte."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(st.sampled_from([1, 3, 4, 8]), st.integers(1, 5),
+               st.floats(0, 1), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def check(N, n, density, den, seed):
+        rng = random.Random(seed)
+        phi = len(root_of_unity(N, 0).nums)
+        rows = tuple({j: v for j in range(n) if rng.random() < density
+                      for v in [tuple(rng.choice([0, 0, 1, -2, 3])
+                                      for _ in range(phi))] if any(v)}
+                     for _ in range(n))
+        M = CycloMatrix(n, N, den, rows)
+        text = json.dumps(M.to_json())
+        sparse = CycloMatrix.from_json(json.loads(text), n)
+        dense = CycloMatrix.from_json(dense_to_json(M), n)
+        assert same_packed(dense, M) and sparse == M
+        if not M.is_zero():
+            assert same_packed(sparse, M)
+        cells = json.loads(text)["entries"]
+        assert [(i, j) for i, j, _ in cells] == [
+            (i, j) for i, row in enumerate(M.rows) for j in sorted(row)]
+        assert all(x["conductor"] == N and set(x["coeffs"]) != {"0"}
+                   for _, _, x in cells)
+        assert json.dumps(sparse.to_json()) == text
+
+    check()
 
 
 def test_matrix_json_conductor_cap_builds_no_context(monkeypatch):
@@ -803,7 +964,7 @@ def test_matrix_json_conductor_cap_builds_no_context(monkeypatch):
         obj = [[entry(997, [coeff] + ["0"] * 995), entry(1)],
                [entry(1), entry(1009, [coeff] + ["0"] * 1007)]]
         with pytest.raises(ConductorOverflow, match="^conductor 1005973 exceeds cap$"):
-            CycloMatrix.from_json(obj)
+            CycloMatrix.from_json(obj, len(obj))
 
 
 _ZERO1, _ZERO4 = entry(1, ["0"]), entry(4, ["0", "0"])
@@ -831,10 +992,10 @@ def test_matrix_json_entries_next_to_checked_zeros(case):
         want = reference_from_json(obj)
     except (MalformedData, ConductorOverflow) as err:
         with pytest.raises(type(err)) as got:
-            CycloMatrix.from_json(obj)
+            CycloMatrix.from_json(obj, len(obj))
         assert str(got.value) == str(err)
     else:
-        assert same_packed(CycloMatrix.from_json(obj), want)
+        assert same_packed(CycloMatrix.from_json(obj, len(obj)), want)
 
 
 def test_matrix_json_reads_one_zero_entry_per_conductor(monkeypatch):
@@ -848,7 +1009,7 @@ def test_matrix_json_reads_one_zero_entry_per_conductor(monkeypatch):
     read = cyclo._json_scalar
     monkeypatch.setattr(cyclo, "_json_scalar",
                         lambda x: calls.append(x) or read(x))
-    got = CycloMatrix.from_json(obj)
+    got = CycloMatrix.from_json(obj, len(obj))
     assert len(calls) == 3
     monkeypatch.undo()
     assert got.N == 4 and same_packed(got, reference_from_json(obj))
@@ -872,12 +1033,12 @@ def test_matrix_json_near_copies_of_a_repeated_entry(variant, raises):
         obj[pos // 3][pos % 3] = variant
         if raises:
             with pytest.raises(MalformedData) as err:
-                CycloMatrix.from_json(obj)
+                CycloMatrix.from_json(obj, len(obj))
             with pytest.raises(MalformedData) as want:
                 reference_from_json(obj)
             assert str(err.value) == str(want.value)
         else:
-            assert same_packed(CycloMatrix.from_json(obj),
+            assert same_packed(CycloMatrix.from_json(obj, len(obj)),
                                reference_from_json(obj))
 
 
@@ -924,11 +1085,11 @@ def test_matrix_json_equals_the_entry_by_entry_reader():
         except MalformedData as err:
             assert bad is not None
             with pytest.raises(MalformedData) as got:
-                CycloMatrix.from_json(obj)
+                CycloMatrix.from_json(obj, len(obj))
             assert str(got.value) == str(err)
         else:
             assert bad is None
-            got = CycloMatrix.from_json(obj)
+            got = CycloMatrix.from_json(obj, len(obj))
             assert same_packed(got, want)
             assert_sparse(got)
 
