@@ -36,11 +36,8 @@ from .autg import (
     InvLabel,
     identity_automorphism,
     involution_int_class,
-    is_inner,
     mu_automorphism,
     omega_automorphism,
-    order,
-    out_class,
     parse_label,
     standard_involution,
     standard_list,
@@ -76,7 +73,6 @@ from .loopaut import (
     normalize_to_constant,
     opposite,
     square_map,
-    target_twist,
     tau_scaling,
 )
 from .pi0 import ComponentClass, component_signature, pi0_table
@@ -106,12 +102,12 @@ __all__ = [
     "derived_algebra_witness", "enumerate_first_kind",
     "enumerate_second_kind", "finite_order_eigenprojectors",
     "identity_automorphism", "invariant", "invariant_conj_linear", "invariant_first_kind",
-    "invariant_second_kind", "involution_int_class", "is_inner",
-    "killing_form", "loop_bracket", "loop_form", "make_algebra",
+    "invariant_second_kind", "involution_int_class", "killing_form",
+    "loop_bracket", "loop_form", "make_algebra",
     "membership_condition", "mu_automorphism", "normalize_to_constant",
-    "omega_automorphism", "opposite", "order", "out_class", "parse_label",
+    "omega_automorphism", "opposite", "parse_label",
     "pfaffian", "pi0_table", "real_form", "real_form_basis", "realize",
     "root_of_unity", "sigma_eigenspace", "sl2_catalogue", "square_map",
-    "standard_involution", "standard_list", "target_twist", "tau_scaling",
+    "standard_involution", "standard_list", "tau_scaling",
     "triality_automorphism", "__version__",
 ]

@@ -364,7 +364,8 @@ class SimpleAlgebra:
         return X.trace_mul(Y) * self.killing_scale
 
     def omega_matrix(self, X):
-        """Conjugation fixing the compact form: X -> -conj(X)^T."""
+        """Conjugation fixing the compact form: X -> -conj(X)^T, written here
+        only; `Automorphism.apply_matrix` applies it for omega^conj."""
         return -X.conj_transpose()
 
     def element(self, matrix):
@@ -436,22 +437,6 @@ class AlgebraElement:
 
     def __hash__(self):
         return hash((self.algebra, self.matrix))
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, self.matrix + other.matrix, validate=False)
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, self.matrix - other.matrix, validate=False)
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, -self.matrix, validate=False)
-
-    def __mul__(self, scalar):
-        return AlgebraElement(self.algebra, self.matrix * scalar, validate=False)
-
-    __rmul__ = __mul__
 
     def is_zero(self):
         return self.matrix.is_zero()

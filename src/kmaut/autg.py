@@ -22,7 +22,6 @@ from operator import mul
 
 from .algebra import (
     _KEYS_CACHED,
-    AlgebraElement,
     SemisimpleElement,
     SimpleAlgebra,
     j_matrix,
@@ -66,6 +65,25 @@ def _porder(p):
         cur = _pcomp(p, cur)
         k += 1
     return k
+
+
+@lru_cache(maxsize=256)
+def outer_order(*terms):
+    """The order in the outer group of w1^e1 ... wr^er for the terms (w, e):
+    outer words (`Automorphism.word`, `label_out_word`, `_entry_word`) with
+    integer exponents, negative ones for inverses.  Kept per terms, as a
+    table sweep asks for the same few products again and again."""
+    word = ID_PERM
+    for w, e in terms:
+        for _ in range(e % _porder(w)):
+            word = _pcomp(word, w)
+    return _porder(word)
+
+
+def _entry_word(entry):
+    """Outer word of a component class (a row entry or a ComponentClass): the
+    representative of outer order k has the word of that order."""
+    return {1: ID_PERM, 2: X_PERM, 3: Y_PERM}[entry.k]
 
 
 def _ypow(e):
@@ -210,7 +228,7 @@ class Automorphism:
 
     def apply_matrix(self, M):
         if self.conj:
-            M = -M.conj_transpose()
+            M = self.algebra.omega_matrix(M)
         return self._apply_linear(M)
 
     def _apply_linear(self, M):
@@ -221,9 +239,6 @@ class Automorphism:
 
     def _ad(self, M):
         return M if _is_unit(self._G) else self._G * M * self._ginv()
-
-    def apply(self, x):
-        return AlgebraElement(x.algebra, self.apply_matrix(x.matrix), validate=False)
 
     def apply_semisimple(self, x):
         """Image of a semisimple element, with transported eigenvalue data."""
@@ -997,19 +1012,6 @@ def standard_involution(algebra, label):
     out = _class(algebra, label)[2]()
     out.label = repr(label)
     return out
-
-
-def order(phi, bound=64):
-    return phi.order(bound)
-
-
-def is_inner(phi):
-    return phi.is_inner()
-
-
-def out_class(phi):
-    """Image of phi in the outer group, as a permutation word."""
-    return phi.word()
 
 
 @lru_cache(maxsize=_KEYS_CACHED)

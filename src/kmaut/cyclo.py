@@ -186,6 +186,12 @@ def _apply_table(nums, table, phi):
     return tuple(out)
 
 
+def _conjugation(N):
+    """Complex conjugation z -> z^(-1) on coordinate tuples at conductor N."""
+    table, phi = _galois_table(N, N - 1), _context(N).phi
+    return lambda nums: _apply_table(nums, table, phi)
+
+
 def _normalize(nums, den):
     if den < 0:
         nums = tuple(-c for c in nums)
@@ -385,9 +391,7 @@ class CycloScalar:
 
     def conj(self):
         """Complex conjugation: the field automorphism z -> z^(-1)."""
-        table = _galois_table(self.N, self.N - 1)
-        return CycloScalar(self.N, _apply_table(self.nums, table, _context(self.N).phi),
-                           self.den)
+        return CycloScalar(self.N, _conjugation(self.N)(self.nums), self.den)
 
     # -- io ------------------------------------------------------------------
 
@@ -786,10 +790,8 @@ class CycloMatrix:
         return CycloMatrix(self.n, self.N, self.den, cols, _normalized=True)
 
     def conj(self):
-        table = _galois_table(self.N, self.N - 1)
-        phi = _context(self.N).phi
-        rows = tuple({j: _apply_table(v, table, phi) for j, v in row.items()}
-                     for row in self.rows)
+        conj = _conjugation(self.N)
+        rows = tuple({j: conj(v) for j, v in row.items()} for row in self.rows)
         return CycloMatrix(self.n, self.N, self.den, rows)
 
     def conj_transpose(self):

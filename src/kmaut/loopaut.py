@@ -27,20 +27,18 @@ from .algebra import (
 from .autg import (
     Automorphism,
     InvLabel,
-    _pcomp,
-    _pinv,
-    _porder,
     conj_linear_int_class,
     identity_automorphism,
     involution_int_class,
     label_out_word,
     label_outer_action,
     omega_automorphism,
+    outer_order,
     triality_automorphism,
 )
-from .cyclo import (CycloMatrix, CycloScalar, _apply_table, _context,
-                    _galois_table, _json_int, _json_object, _json_rational,
-                    _rational_root, root_of_unity)
+from .cyclo import (CycloMatrix, CycloScalar, _conjugation, _json_int,
+                    _json_object, _json_rational, _rational_root,
+                    root_of_unity)
 from .errors import (
     InfiniteOrderScaling,
     InvalidLoopData,
@@ -173,8 +171,8 @@ class StandardLoopAutomorphism:
             row = _scale(row, root_of_unity(b * lu, (n * a) % (b * lu)))
             N, ents, den = row
             if self.phi0.conj:
-                t, p = _galois_table(N, N - 1), _context(N).phi
-                ents = {k: _apply_table(v, t, p) for k, v in ents.items()}
+                conj = _conjugation(N)
+                ents = {k: conj(v) for k, v in ents.items()}
             # e^(ad tX): the eigencomponents of rate d shift the exponent
             for d, op in self._operators(N):
                 img = (op.N,) + op.matvec((ents, den), N)
@@ -341,12 +339,14 @@ def _rat_pow(r, e):
 # ---------------------------------------------------------------------------
 
 def conjugate_constant(phi, psi0):
-    """Quasiconjugation by the constant automorphism psi0."""
+    """Quasiconjugation by the constant automorphism psi0, built unchecked:
+    conjugation keeps twist^l = id and a target twist that fixes X."""
     tw = psi0.compose(phi.twist).compose(psi0.inverse())
     return StandardLoopAutomorphism(
         tw, phi.l, phi.epsilon, phi.t0,
         psi0.apply_semisimple(phi.X) if not phi.X.matrix.is_zero() else None,
-        psi0.compose(phi.phi0).compose(psi0.inverse()), phi.scale)
+        psi0.compose(phi.phi0).compose(psi0.inverse()), phi.scale,
+        validate=False)
 
 
 def conjugate_shift(phi, c):
@@ -380,13 +380,14 @@ def conjugate_exp(phi, Y):
 
 
 def conjugate_reflection(phi):
-    """Quasiconjugation by u(t) -> u(-t) (maps the twist to its inverse)."""
+    """Quasiconjugation by u(t) -> u(-t) (maps the twist to its inverse),
+    built unchecked: inverses keep twist^l = id and a target that fixes X."""
     if phi.scale != 1:
         raise ScalingNotExtendable("reflection conjugation needs scale 1")
     tw = phi.twist.inverse()
     return StandardLoopAutomorphism(tw, phi.l, phi.epsilon, -phi.t0,
                                     phi.X.scaled(-1) if not phi.X.matrix.is_zero() else None,
-                                    phi.phi0, Fraction(1))
+                                    phi.phi0, Fraction(1), validate=False)
 
 
 def conjugate_scale(phi, s):
@@ -419,10 +420,6 @@ def tau_scaling(algebra, twist, l, s):
 # normalization and invariants
 # ---------------------------------------------------------------------------
 
-def target_twist(phi):
-    return phi.target_twist()
-
-
 def normalize_to_constant(phi):
     """Quasiconjugate a finite-order automorphism to one with constant curve.
 
@@ -448,29 +445,39 @@ def normalize_to_constant(phi):
     return (Y, out.twist, out)
 
 
-class FirstKindInvariant:
+class _Invariant:
+    """An invariant is its key(): equal to one of its own class with an equal
+    key.  raw marks one that holds certificates in place of labels, on which
+    equality is necessary for conjugacy but not sufficient."""
+
+    __slots__ = ()
+    raw = False
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+
+class FirstKindInvariant(_Invariant):
     """(p, rho, [beta]) at order q; rho and beta are labels for classes of
-    order <= 2 and exact certificates otherwise."""
+    order <= 2, else rho is an exact certificate and beta "unclassified"."""
 
-    __slots__ = ("algebra", "q", "p", "rho", "beta", "raw")
+    __slots__ = ("algebra", "q", "p", "rho", "beta")
 
-    def __init__(self, algebra, q, p, rho, beta, raw=False):
+    def __init__(self, algebra, q, p, rho, beta):
         self.algebra = algebra
         self.q = q
         self.p = p
         self.rho = rho
         self.beta = beta
-        self.raw = raw
+
+    raw = property(lambda self: isinstance(self.rho, tuple))
 
     def key(self):
         return (self.algebra.label(), self.q, self.p, repr(self.rho),
                 repr(self.beta))
-
-    def __eq__(self, other):
-        return isinstance(other, FirstKindInvariant) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return "FirstKind(q=%d, p=%d, rho=%s, beta=%s)" % (
@@ -486,28 +493,24 @@ class FirstKindInvariant:
                 "beta": {"rep": self.beta.rep, "k": self.beta.k}}
 
 
-class SecondKindInvariant:
+class SecondKindInvariant(_Invariant):
     """[phi+, phi-] at order 2q, canonical under swap and simultaneous outer
-    action, with k the outer order of phi-^(-1) phi+."""
+    action, with k the outer order of phi-^(-1) phi+; a pair of labels for
+    involutions, else of certificates."""
 
-    __slots__ = ("algebra", "order", "pair", "k", "raw")
+    __slots__ = ("algebra", "order", "pair", "k")
 
-    def __init__(self, algebra, order_, pair, k, raw=False):
+    def __init__(self, algebra, order_, pair, k):
         self.algebra = algebra
         self.order = order_
         self.pair = pair
         self.k = k
-        self.raw = raw
+
+    raw = property(lambda self: isinstance(self.pair[0], tuple))
 
     def key(self):
         return (self.algebra.label(), self.order,
                 tuple(repr(x) for x in self.pair), self.k)
-
-    def __eq__(self, other):
-        return isinstance(other, SecondKindInvariant) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return "SecondKind(order=%d, pair=[%s, %s], k=%d)" % (
@@ -518,7 +521,7 @@ class SecondKindInvariant:
                 "pair": [repr(x) for x in self.pair], "k": self.k}
 
 
-class ConjLinearInvariant:
+class ConjLinearInvariant(_Invariant):
     """Invariant of a conjugate-linear involution: type 1 carries a
     first-kind style triple over the enlarged class set, type 2 a pair of
     real-form labels."""
@@ -542,12 +545,6 @@ class ConjLinearInvariant:
                     self.beta.rep if self.beta else None, self.beta_bar)
         return (self.algebra.label(), 2, tuple(repr(x) for x in self.pair),
                 self.k)
-
-    def __eq__(self, other):
-        return isinstance(other, ConjLinearInvariant) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         if self.type == 1:
@@ -639,7 +636,7 @@ def invariant_first_kind(phi):
     # rulers in the tests), and the component of beta stays unclassified, so
     # conjugacy tests on such invariants return "undecided"
     cert_rho = _certificate(P)
-    return FirstKindInvariant(algebra, q, p, cert_rho, "unclassified", raw=True)
+    return FirstKindInvariant(algebra, q, p, cert_rho, "unclassified")
 
 
 def canonical_pair(algebra, la, lb):
@@ -677,7 +674,7 @@ def invariant_second_kind(phi):
     sq = phi_plus.compose(phi_plus)
     assert sq == phi_minus.compose(phi_minus)
     algebra = phi.algebra
-    k = _porder(_pcomp(_pinv(phi_minus.word()), phi_plus.word()))
+    k = outer_order((phi_minus.word(), -1), (phi_plus.word(), 1))
     if sq.is_identity():
         lp = involution_int_class(phi_plus)
         lm = involution_int_class(phi_minus)
@@ -686,7 +683,7 @@ def invariant_second_kind(phi):
     certp = _certificate(phi_plus)
     certm = _certificate(phi_minus)
     pair = tuple(sorted((certp, certm)))
-    return SecondKindInvariant(algebra, ord2q, pair, k, raw=True)
+    return SecondKindInvariant(algebra, ord2q, pair, k)
 
 
 def conj_linear_extend(phi):
@@ -707,25 +704,26 @@ def invariant_conj_linear(phi):
     if phi.order() != 2:
         raise UnsupportedOrder("only conjugate-linear involutions are classified")
     _, tw, const = normalize_to_constant(phi)
-    algebra = phi.algebra
-    om = omega_automorphism(algebra)
+    algebra, w0 = phi.algebra, const.phi0.word()
     if phi.epsilon == -1:
         phi_minus = const.phi0.compose(tw.inverse())
         lp = conj_linear_int_class(const.phi0)
         lm = conj_linear_int_class(phi_minus)
         pair = canonical_pair(algebra, lp, lm)
-        k = phi_minus.inverse().compose(const.phi0).out_order()
+        k = outer_order((phi_minus.word(), -1), (w0, 1))
         return ConjLinearInvariant(algebra, 2, pair=pair, k=k)
     p_frac = const.t0 * 2
     assert p_frac.denominator == 1
     if int(p_frac) % 2:
-        # (1, id, [beta * omega]) with beta the inverse constant part
-        k = const.phi0.inverse().compose(om).out_order()
+        # (1, id, [beta * omega]) with beta the inverse constant part; the
+        # outer word of omega is the identity
+        k = outer_order((w0, -1))
         return ConjLinearInvariant(algebra, 1, p=1, rho=InvLabel(0),
                                    beta=id_row_class(algebra, k),
                                    beta_bar=True)
     lab, lin, beta = _unprime(conj_linear_int_class(const.phi0),
-                              const.phi0.compose(om), tw)
+                              const.phi0.compose(omega_automorphism(algebra)),
+                              tw)
     if lin.is_identity():
         lin = identity_automorphism(algebra)
     return ConjLinearInvariant(algebra, 1, p=0, rho=lab,
@@ -751,8 +749,7 @@ def opposite(inv):
     # groups that occur here, and [b^(-1) rho] has the rho-multiplied label;
     # for q = 2 (p = 1 = q - p) the map is the identity.
     newp = 0 if inv.p == 0 else inv.q - inv.p
-    return FirstKindInvariant(inv.algebra, inv.q, newp, inv.rho, inv.beta,
-                              raw=inv.raw)
+    return FirstKindInvariant(inv.algebra, inv.q, newp, inv.rho, inv.beta)
 
 
 def conjugacy_test(phi, psi):
@@ -765,7 +762,7 @@ def conjugacy_test(phi, psi):
     i1 = invariant(phi)
     if i1 != invariant(psi):
         return "not_conjugate"
-    return "undecided" if getattr(i1, "raw", False) else "conjugate"
+    return "undecided" if i1.raw else "conjugate"
 
 
 def square_map(inv):
@@ -775,9 +772,10 @@ def square_map(inv):
     la, lb = inv.pair
     if isinstance(la, tuple):
         raise Unclassifiable("square map needs label-level pairs")
-    word = _pcomp(_pinv(label_out_word(algebra, lb)), label_out_word(algebra, la))
+    k = outer_order((label_out_word(algebra, lb), -1),
+                    (label_out_word(algebra, la), 1))
     return FirstKindInvariant(algebra, 1, 0, InvLabel(0),
-                              id_row_class(algebra, _porder(word)))
+                              id_row_class(algebra, k))
 
 
 # ---------------------------------------------------------------------------

@@ -27,18 +27,16 @@ from functools import lru_cache
 from .algebra import _KEYS_CACHED, tau_matrix
 from .autg import (
     Automorphism,
-    ID_PERM,
     InvLabel,
     _classes,
     _form_scalar,
-    _pcomp,
-    _porder,
     _scalar_ratio,
     _unit_trace,
     identity_automorphism,
     involution_int_class,
     label_out_word,
     mu_automorphism,
+    outer_order,
     standard_involution,
     triality_automorphism,
 )
@@ -327,12 +325,7 @@ def _mu_det_sign(beta, pair):
 
 
 def _out_signature(beta):
-    w = beta.word()
-    if w == ID_PERM:
-        return ("out", 0)
-    if _porder(w) == 2:
-        return ("out", 1)
-    return ("out", 3)
+    return ("out", {1: 0, 2: 1, 3: 3}[outer_order((beta.word(), 1))])
 
 
 def component_signature(rho, beta, lab=None):
@@ -357,5 +350,5 @@ def component_signature(rho, beta, lab=None):
 
 def pair_k(algebra, la, lb):
     """Outer order of the product of two involution class labels."""
-    w = _pcomp(label_out_word(algebra, la), label_out_word(algebra, lb))
-    return _porder(w)
+    return outer_order((label_out_word(algebra, la), 1),
+                       (label_out_word(algebra, lb), 1))

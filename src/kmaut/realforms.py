@@ -419,8 +419,9 @@ def compact_window_basis(algebra, twist, l, N):
     u an eigenvector of degree 1 <= n <= N times a Q-basis element of the
     window field, then the omega^-fixed part at n = 0."""
     M0 = lcm(4, 2 * l)
+    # twist^l = id holds for the caller's map, and omega^ has no curve
     hat = StandardLoopAutomorphism(twist, l, 1, 0, None,
-                                   omega_automorphism(algebra))
+                                   omega_automorphism(algebra), validate=False)
     units = [(u.support()[0], u * z) for u in window_basis(algebra, twist, l, N)
              if u.support()[0] >= 0 for z in _field_basis(M0)]
     pairs = [(AffineElement(u), AffineElement(hat.apply(u)))

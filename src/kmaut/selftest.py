@@ -13,6 +13,7 @@ from .algebra import (EXCEPTIONAL, SemisimpleElement, make_algebra,
 from .autg import (
     Automorphism,
     InvLabel,
+    _entry_word,
     identity_automorphism,
     involution_int_class,
     mu_automorphism,
@@ -53,7 +54,6 @@ from .realforms import (
     sl2_catalogue,
 )
 from .tables import (
-    _entry_word,
     algebra_from_label,
     entry_invariant,
     enumerate_first_kind,

@@ -15,15 +15,11 @@ from math import gcd
 from .algebra import CLASSICAL, EXCEPTIONAL, make_algebra
 from .autg import (
     Automorphism,
-    ID_PERM,
-    X_PERM,
-    Y_PERM,
     InvLabel,
-    _pcomp,
-    _pinv,
-    _porder,
+    _entry_word,
     identity_automorphism,
     label_out_word,
+    outer_order,
     standard_involution,
     standard_labels,
     standard_list,
@@ -109,10 +105,8 @@ def enumerate_first_kind(algebra, k):
     entries_1b = []
     for e in pi0_row(algebra, InvLabel(0)).entries:
         # translation-type invariants (1, id, [beta]) live on the twist
-        # beta^2; its outer class has order = order of word(beta)^(-2)
-        w = _entry_word(e)
-        sq = _pcomp(w, w)
-        if _porder(_pinv(sq)) == k:
+        # beta^2, whose outer class has the order of word(beta)^2
+        if outer_order((_entry_word(e), 2)) == k:
             entries_1b.append(("1b", e.rep))
     count = "%d+%d" % (len(entries_1a), len(entries_1b))
     return TableRow(algebra, k, "1", entries_1a + entries_1b, count,
@@ -166,12 +160,6 @@ def _component_rep(algebra, rho_label, rep):
     return e.builder()
 
 
-def _entry_word(entry):
-    """Outer word of a component class (a row entry or a ComponentClass): the
-    representative of outer order k has the word of that order."""
-    return {1: ID_PERM, 2: X_PERM, 3: Y_PERM}[entry.k]
-
-
 def first_kind_class(algebra, q, p, rho, rep):
     """The label invariant (p, rho, [beta]) at order q, with beta the
     component class named rep in the row of rho (p = 0) or of the identity
@@ -199,7 +187,7 @@ def realize(inv):
     the loop algebra twisted by sigma, with rho = id at q = 1 and rho != id
     at q = 2; for (1, id, [beta]), u(t) -> beta^(-1) u(t + pi) on the twist
     beta^2; for [rho+, rho-], u(t) -> rho+(u(-t)) on the twist
-    rho-^(-1) rho+."""
+    rho-^(-1) rho+.  Built unchecked: l is the twist's order, found here."""
     algebra = inv.algebra
     algebra._need_matrix()
     if not isinstance(inv, (FirstKindInvariant, SecondKindInvariant)):
@@ -211,7 +199,7 @@ def realize(inv):
         minus = standard_involution(algebra, inv.pair[1])
         twist = minus.inverse().compose(plus)
         return StandardLoopAutomorphism(twist, twist.order(bound=64), -1, 0,
-                                        None, plus)
+                                        None, plus, validate=False)
     if inv.q not in (1, 2):
         raise UnsupportedOrder("only order <= 2 label invariants realize")
     if inv.p == 0 and (inv.q == 1) != (inv.rho.p == 0):
@@ -222,11 +210,12 @@ def realize(inv):
     if inv.p:
         twist = beta.compose(beta)
         return StandardLoopAutomorphism(twist, twist.order(bound=64), 1,
-                                        Fraction(1, 2), None, beta.inverse())
+                                        Fraction(1, 2), None, beta.inverse(),
+                                        validate=False)
     frame = pi0_row(algebra, inv.rho).frame() if inv.q == 2 \
         else identity_automorphism(algebra)
     return StandardLoopAutomorphism(beta, beta.order(bound=64), 1, 0, None,
-                                    frame)
+                                    frame, validate=False)
 
 
 def realize_entry(algebra, entry):
@@ -247,14 +236,8 @@ def membership_condition(inv, sigma):
         r = gcd(p, q) if p else q
         pprime, qprime = p // r, q // r
         l = pow(pprime, -1, qprime)
-        wrho = label_out_word(algebra, inv.rho)
-        wbeta = _entry_word(inv.beta)
-        word = ID_PERM
-        for _ in range(l):
-            word = _pcomp(word, wrho)
-        for _ in range(qprime):
-            word = _pcomp(word, wbeta)
-        return _porder(word) == target
+        return outer_order((label_out_word(algebra, inv.rho), l),
+                           (_entry_word(inv.beta), qprime)) == target
     return inv.k == target
 
 

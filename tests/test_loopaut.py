@@ -5,11 +5,12 @@ from math import gcd, lcm
 
 import pytest
 
-from kmaut.algebra import SemisimpleElement, make_algebra
+from kmaut.algebra import SemisimpleElement, make_algebra, tau_matrix
 from kmaut.autg import (
     Automorphism,
     InvLabel,
     identity_automorphism,
+    involution_int_class,
     mu_automorphism,
     omega_automorphism,
     standard_involution,
@@ -35,6 +36,7 @@ from kmaut.loopaut import (
     conjugacy_test,
     conjugate_constant,
     conjugate_exp,
+    conjugate_reflection,
     conjugate_scale,
     conjugate_shift,
     invariant,
@@ -556,8 +558,11 @@ def _table_entries(algebra):
 
 @pytest.mark.parametrize("fam,n", [("a", 2), ("b", 2), ("c", 3), ("d", 4)])
 def test_derived_automorphisms_inherit_target_twist(fam, n):
-    """compose and conjugate_shift skip validation and inherit the target
-    twist; it must equal the one a fresh validated construction computes."""
+    """realize, compose, conjugate_shift, conjugate_constant and
+    conjugate_reflection build their maps unchecked, compose and
+    conjugate_shift with the target twist they inherit; each map must pass
+    a fresh checked construction with the same fields, and have the target
+    twist that one computes."""
     from kmaut.tables import realize_entry
     rng = random.Random(23)
     algebra = make_algebra(fam, n, "compact")
@@ -567,7 +572,8 @@ def test_derived_automorphisms_inherit_target_twist(fam, n):
         g = random_inner_automorphism(algebra, rng)
         move = StandardLoopAutomorphism(phi.twist, phi.l, 1, 0, None, g)
         moved = move.compose(phi)
-        outs = [phi.compose(phi), moved]
+        outs = [phi, phi.compose(phi), moved, conjugate_constant(phi, g),
+                conjugate_reflection(phi), conjugate_reflection(moved)]
         for c in (Fraction(1, 3), Fraction(-1, 4)):
             shifted = conjugate_shift(phi, c)
             outs += [shifted, phi.compose(shifted), conjugate_shift(moved, c)]
@@ -773,6 +779,92 @@ def test_homometric_rulers_are_undecided_never_conjugate():
         for r in rulers)
     assert invariant(x).raw and invariant(x) == invariant(y)
     assert conjugacy_test(x, y) == conjugacy_test(y, x) == "undecided"
+
+
+@pytest.mark.parametrize("fam, n, label", [
+    ("d", 4, InvLabel(p, prime)) for p in (1, 2, 3) for prime in (1, 2)]
+    + [("d", 6, InvLabel(7, 1)), ("d", 8, InvLabel(9, 1))])
+def test_primed_classes_read_back_as_their_unprimed_class(fam, n, label):
+    """u(t) -> rho(u(t)) for rho in a primed class (the so(8) classes moved
+    by triality, the second Ad J class of so(4m)) has the invariant of the
+    map with the unprimed class: an outer conjugator moves rho to the
+    standard list before its component is read."""
+    algebra = make_algebra(fam, n, "compact")
+    iden = identity_automorphism(algebra)
+    primed, plain = (
+        StandardLoopAutomorphism(iden, 1, 1, 0, None,
+                                 standard_involution(algebra, lab))
+        for lab in (label, InvLabel(label.p)))
+    assert invariant(primed) == invariant(plain)
+    assert invariant(primed).rho == InvLabel(label.p)
+    if label == InvLabel(2, 1):
+        assert (invariant(conj_linear_extend(primed))
+                == invariant(conj_linear_extend(plain)))
+
+
+@pytest.mark.parametrize("n, total", [(4, 16), (6, 2)])
+def test_table_entries_moved_to_primed_classes_keep_their_invariant(n, total):
+    """A first-kind table entry on so(8) conjugated by theta or theta^2, and
+    one on so(12) conjugated by Ad tau_1, lands on a primed class with a
+    moved twist; its invariant is the entry's, component included."""
+    from kmaut.tables import enumerate_first_kind, realize_entry, valid_ks
+    algebra = make_algebra("d", n, "compact")
+    if algebra.has_triality:
+        primed, gammas = (1, 2, 3), [triality_automorphism(algebra, e)
+                                     for e in (1, 2)]
+    else:
+        primed = (n + 1,)
+        gammas = [Automorphism(algebra, tau_matrix(1, algebra.size))]
+    count = 0
+    for k in valid_ks(algebra):
+        for e in enumerate_first_kind(algebra, k).entries:
+            if e[0] != "1a" or e[1].p not in primed:
+                continue
+            phi = realize_entry(algebra, e)
+            for gamma in gammas:
+                psi = conjugate_constant(phi, gamma)
+                assert involution_int_class(psi.phi0).prime, (k, e)
+                assert invariant(psi) == invariant(phi), (k, e)
+                count += 1
+    assert count == total
+
+
+def test_second_kind_certificates_leave_conjugacy_undecided():
+    """u(t) -> Ad diag(i, -i, 1) u(-t) on untwisted sl(3) has order 4 and a
+    constant part that is not an involution: its invariant holds class
+    certificates, and it is undecided against an inner conjugate and a
+    shift of itself, not conjugate."""
+    su3 = make_algebra("a", 2, "compact")
+    i = root_of_unity(4, 1)
+    phi = StandardLoopAutomorphism(
+        identity_automorphism(su3), 1, -1, 0, None,
+        Automorphism(su3, CycloMatrix.diag([i, -i, 1])))
+    inv = invariant(phi)
+    assert inv.raw and inv.order == 4 and phi.order() == 4
+    assert all(isinstance(x, tuple) for x in inv.pair)
+    g = random_inner_automorphism(su3, random.Random(5))
+    for psi in (conjugate_constant(phi, g),
+                conjugate_shift(phi, Fraction(1, 3))):
+        assert invariant(psi) == inv
+        assert conjugacy_test(phi, psi) == "undecided"
+
+
+@pytest.mark.parametrize("name", ["q4", "q4-p2"])
+def test_inverse_with_curve_and_scale(name):
+    """inverse with a curve (X != 0, from conjugate_exp of the fixture), with
+    a scale != 1, and with both: phi o phi^-1 and phi^-1 o phi are the
+    identity."""
+    su3 = make_algebra("a", 2, "compact")
+    fixture = dict(stability_fixtures())[name]
+    curved = conjugate_exp(fixture, su3.torus_element([1, -1, 0]))
+    assert not curved.X.matrix.is_zero()
+    for base, scale in ((curved, 1), (fixture, 4), (curved, 4)):
+        phi = StandardLoopAutomorphism(base.twist, base.l, base.epsilon,
+                                       base.t0, base.X, base.phi0, scale)
+        inv = phi.inverse()
+        assert inv.scale == Fraction(1, scale)
+        assert phi.compose(inv).is_identity(), (name, scale)
+        assert inv.compose(phi).is_identity(), (name, scale)
 
 
 def _realized_entries(fam, n):

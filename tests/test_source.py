@@ -122,3 +122,46 @@ def test_every_defaulted_parameter_is_passed():
                            or i is not None and npos > i
                            for npos, kws in found)]
     assert unset == []
+
+
+# name: the one module that may read it
+OWNED = {**dict.fromkeys(("_pcomp", "_pinv", "_porder", "ID_PERM", "X_PERM",
+                          "Y_PERM"), "autg.py"),
+         **dict.fromkeys(("_galois_table", "_apply_table"), "cyclo.py")}
+
+
+def test_outer_words_and_galois_tables_are_read_by_their_owner_only():
+    """Outer words are multiplied in `autg` only, and other modules ask it
+    for an order (`outer_order`); complex conjugation of coordinates is
+    `cyclo._conjugation`, so only `cyclo` reads the Galois tables.  Checked
+    on imports, anywhere in a module, and on attribute reads."""
+    strays = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            strays += ["%s:%d %s" % (path.name, node.lineno, name)
+                       for name in names if OWNED.get(name, path.name) != path.name]
+    assert strays == []
+
+
+def test_compact_conjugation_is_spelled_once():
+    """X -> -conj(X)^T, the negated `conj_transpose()`, is written in
+    `SimpleAlgebra.omega_matrix` only; `Automorphism.apply_matrix` calls it."""
+    found = set()
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.UnaryOp)
+                        and isinstance(node.op, ast.USub)
+                        and isinstance(node.operand, ast.Call)
+                        and isinstance(node.operand.func, ast.Attribute)
+                        and node.operand.func.attr == "conj_transpose"):
+                    found.add((path.name, fn.name))
+    assert found == {("algebra.py", "omega_matrix")}
