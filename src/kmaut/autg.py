@@ -81,8 +81,8 @@ def outer_order(*terms):
 
 
 def _entry_word(entry):
-    """Outer word of a component class (a row entry or a ComponentClass): the
-    representative of outer order k has the word of that order."""
+    """Outer word of a component class: the representative of outer order k
+    has the word of that order."""
     return {1: ID_PERM, 2: X_PERM, 3: Y_PERM}[entry.k]
 
 

@@ -56,7 +56,7 @@ def _row_latex(rows):
 
 def cmd_tables(args):
     algebra = algebra_from_args(args.family, args.n)
-    ks = [args.k] if args.k else list(valid_ks(algebra))
+    ks = [args.k] if args.k else valid_ks(algebra)
     kinds = [args.kind] if args.kind else [1, 2]
     rows = []
     for kind in kinds:

@@ -522,48 +522,37 @@ class SecondKindInvariant(_Invariant):
 
 
 class ConjLinearInvariant(_Invariant):
-    """Invariant of a conjugate-linear involution: type 1 carries a
-    first-kind style triple over the enlarged class set, type 2 a pair of
-    real-form labels."""
+    """Invariant of a conjugate-linear involution: the label invariant of the
+    compact class whose conjugate-linear extension it is, (p, rho, [beta])
+    at q <= 2 (type 1) or a pair [phi+, phi-] at order 2 (type 2)."""
 
-    __slots__ = ("algebra", "type", "p", "rho", "beta", "beta_bar", "pair", "k")
+    __slots__ = ("base",)
 
-    def __init__(self, algebra, type_, p=None, rho=None, beta=None,
-                 beta_bar=False, pair=None, k=None):
-        self.algebra = algebra
-        self.type = type_
-        self.p = p
-        self.rho = rho
-        self.beta = beta
-        self.beta_bar = beta_bar
-        self.pair = pair
-        self.k = k
+    def __init__(self, base):
+        self.base = base
+
+    type = property(lambda self: 2 if isinstance(self.base,
+                                                 SecondKindInvariant) else 1)
 
     def key(self):
-        if self.type == 1:
-            return (self.algebra.label(), 1, self.p, repr(self.rho),
-                    self.beta.rep if self.beta else None, self.beta_bar)
-        return (self.algebra.label(), 2, tuple(repr(x) for x in self.pair),
-                self.k)
+        return self.base.key()
 
     def __repr__(self):
-        if self.type == 1:
-            if self.p == 0:
-                return "ConjLinear1(p=0, rho=%s*omega, beta=%s)" % (
-                    self.rho, self.beta.rep if self.beta else "?")
-            return "ConjLinear1(p=1, beta=%s*omega)" % (
-                self.beta.rep if self.beta else "?")
-        return "ConjLinear2(pair=[%s*omega, %s*omega], k=%d)" % (
-            self.pair[0], self.pair[1], self.k)
+        b = self.base
+        if self.type == 2:
+            return "ConjLinear2(pair=[%s*omega, %s*omega], k=%d)" % (
+                b.pair[0], b.pair[1], b.k)
+        if b.p:
+            return "ConjLinear1(p=1, beta=%s*omega)" % b.beta.rep
+        return "ConjLinear1(p=0, rho=%s*omega, beta=%s)" % (b.rho, b.beta.rep)
 
     def to_json(self):
-        if self.type == 1:
-            return {"kind": 1, "conj_linear": True, "p": self.p,
-                    "rho": repr(self.rho) if self.rho is not None else None,
-                    "beta": self.beta.rep if self.beta else None,
-                    "beta_conj": self.beta_bar}
-        return {"kind": 2, "conj_linear": True,
-                "pair": [repr(x) for x in self.pair], "k": self.k}
+        b = self.base
+        if self.type == 2:
+            return {"kind": 2, "conj_linear": True,
+                    "pair": [repr(x) for x in b.pair], "k": b.k}
+        return {"kind": 1, "conj_linear": True, "p": b.p, "rho": repr(b.rho),
+                "beta": b.beta.rep, "beta_conj": b.p == 1}
 
 
 def _certificate(aut):
@@ -605,6 +594,25 @@ def _unprime(lab, rho, beta):
     return lab, rho, gamma.compose(beta).compose(gi)
 
 
+def _rotation(p, q):
+    """(p', q', l, m) for the rotation p of a class of order q: p' = p / r
+    and q' = q / r with r = gcd(p, q), l = p'^-1 mod q' and m with
+    l p' + m q' = 1."""
+    r = gcd(p, q) if p else q
+    pprime, qprime = p // r, q // r
+    l = pow(pprime, -1, qprime)
+    return pprime, qprime, l, (1 - l * pprime) // qprime
+
+
+def _first_kind_label(q, p, lab, rho, beta):
+    """The label invariant (p, lab, [beta]) at order q of an involution rho
+    of class lab and a beta that commutes with it, read in the row of lab's
+    unprimed class."""
+    lab, rho, beta = _unprime(lab, rho, beta)
+    return FirstKindInvariant(rho.algebra, q, p, lab,
+                              component_signature(rho, beta, lab))
+
+
 def invariant_first_kind(phi):
     """The first-kind invariant of a finite-order orientation-preserving
     complex-linear automorphism."""
@@ -619,24 +627,18 @@ def invariant_first_kind(phi):
     p_frac = const.t0 * q
     assert p_frac.denominator == 1
     p = int(p_frac) % q
-    r = gcd(p, q) if p else q
-    pprime, qprime = p // r, q // r
-    l = pow(pprime, -1, qprime)
-    m = (1 - l * pprime) // qprime
+    pprime, qprime, l, m = _rotation(p, q)
     P = const.phi0.power(qprime).compose(tw.power(pprime))
     beta = const.phi0.power(-l).compose(tw.power(m))
-    algebra = phi.algebra
     if P.compose(P).is_identity():
-        lab, P, beta = _unprime(involution_int_class(P), P, beta)
-        cc = component_signature(P, beta, lab)
-        return FirstKindInvariant(algebra, q, p, lab, cc)
+        return _first_kind_label(q, p, involution_int_class(P), P, beta)
     # order of the class exceeds two: the class certificate (the outer order
     # and the eigenvalue multiset) is necessary for conjugacy of the rho
     # part, not sufficient; two classes may share it (see the homometric
     # rulers in the tests), and the component of beta stays unclassified, so
     # conjugacy tests on such invariants return "undecided"
-    cert_rho = _certificate(P)
-    return FirstKindInvariant(algebra, q, p, cert_rho, "unclassified")
+    return FirstKindInvariant(phi.algebra, q, p, _certificate(P),
+                              "unclassified")
 
 
 def canonical_pair(algebra, la, lb):
@@ -649,6 +651,19 @@ def canonical_pair(algebra, la, lb):
         orbit |= new
         new = {(g(a), g(b)) for a, b in new for g in gens} - orbit
     return min(tuple(sorted(pair)) for pair in orbit)
+
+
+def _pair_k(plus, minus):
+    """The outer order k of minus^(-1) plus."""
+    return outer_order((minus.word(), -1), (plus.word(), 1))
+
+
+def _pair_label(order, plus, minus, int_class):
+    """The label pair [plus, minus] at the given order: the canonical pair
+    of the classes that int_class reads, with its k."""
+    algebra = plus.algebra
+    pair = canonical_pair(algebra, int_class(plus), int_class(minus))
+    return SecondKindInvariant(algebra, order, pair, _pair_k(plus, minus))
 
 
 def invariant_second_kind(phi):
@@ -673,17 +688,11 @@ def invariant_second_kind(phi):
     phi_minus = const.phi0.compose(tw.inverse())
     sq = phi_plus.compose(phi_plus)
     assert sq == phi_minus.compose(phi_minus)
-    algebra = phi.algebra
-    k = outer_order((phi_minus.word(), -1), (phi_plus.word(), 1))
     if sq.is_identity():
-        lp = involution_int_class(phi_plus)
-        lm = involution_int_class(phi_minus)
-        pair = canonical_pair(algebra, lp, lm)
-        return SecondKindInvariant(algebra, ord2q, pair, k)
-    certp = _certificate(phi_plus)
-    certm = _certificate(phi_minus)
-    pair = tuple(sorted((certp, certm)))
-    return SecondKindInvariant(algebra, ord2q, pair, k)
+        return _pair_label(ord2q, phi_plus, phi_minus, involution_int_class)
+    pair = tuple(sorted((_certificate(phi_plus), _certificate(phi_minus))))
+    return SecondKindInvariant(phi.algebra, ord2q, pair,
+                               _pair_k(phi_plus, phi_minus))
 
 
 def conj_linear_extend(phi):
@@ -698,36 +707,30 @@ def conj_linear_extend(phi):
 
 
 def invariant_conj_linear(phi):
-    """Invariant of a conjugate-linear involution of a complex loop algebra."""
+    """Invariant of a conjugate-linear involution of a complex loop algebra:
+    the label invariant of the compact class it extends."""
     if not phi.phi0.conj:
         raise NotInvolution("expected a conjugate-linear automorphism")
     if phi.order() != 2:
         raise UnsupportedOrder("only conjugate-linear involutions are classified")
     _, tw, const = normalize_to_constant(phi)
-    algebra, w0 = phi.algebra, const.phi0.word()
+    algebra = phi.algebra
     if phi.epsilon == -1:
-        phi_minus = const.phi0.compose(tw.inverse())
-        lp = conj_linear_int_class(const.phi0)
-        lm = conj_linear_int_class(phi_minus)
-        pair = canonical_pair(algebra, lp, lm)
-        k = outer_order((phi_minus.word(), -1), (w0, 1))
-        return ConjLinearInvariant(algebra, 2, pair=pair, k=k)
+        return ConjLinearInvariant(_pair_label(
+            2, const.phi0, const.phi0.compose(tw.inverse()),
+            conj_linear_int_class))
     p_frac = const.t0 * 2
     assert p_frac.denominator == 1
     if int(p_frac) % 2:
         # (1, id, [beta * omega]) with beta the inverse constant part; the
         # outer word of omega is the identity
-        k = outer_order((w0, -1))
-        return ConjLinearInvariant(algebra, 1, p=1, rho=InvLabel(0),
-                                   beta=id_row_class(algebra, k),
-                                   beta_bar=True)
-    lab, lin, beta = _unprime(conj_linear_int_class(const.phi0),
-                              const.phi0.compose(omega_automorphism(algebra)),
-                              tw)
-    if lin.is_identity():
-        lin = identity_automorphism(algebra)
-    return ConjLinearInvariant(algebra, 1, p=0, rho=lab,
-                               beta=component_signature(lin, beta, lab))
+        k = outer_order((const.phi0.word(), -1))
+        return ConjLinearInvariant(FirstKindInvariant(
+            algebra, 2, 1, InvLabel(0), id_row_class(algebra, k)))
+    lab = conj_linear_int_class(const.phi0)
+    return ConjLinearInvariant(_first_kind_label(
+        1 if lab.p == 0 else 2, 0, lab,
+        const.phi0.compose(omega_automorphism(algebra)), tw))
 
 
 def invariant(phi):

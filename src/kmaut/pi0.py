@@ -50,15 +50,21 @@ from .errors import (
 
 
 class ComponentClass:
-    """Component of the centralizer of an involution: a representative label
-    together with its outer order."""
+    """Component of the centralizer of the involution class rho, as its row
+    holds it: the representative's name rep and outer order k, a function
+    that returns the representative (None where only static data exist) and
+    signatures it carries besides the one read off its map.  Equal on
+    (rho, rep, k)."""
 
-    __slots__ = ("rho", "rep", "k")
+    __slots__ = ("rho", "rep", "k", "builder", "extra_sigs", "_sig_cache")
 
-    def __init__(self, rho, rep, k):
+    def __init__(self, rho, rep, k, builder, extra_sigs):
         self.rho = rho
         self.rep = rep
         self.k = k
+        self.builder = builder
+        self.extra_sigs = tuple(extra_sigs)
+        self._sig_cache = None
 
     def __eq__(self, other):
         return (isinstance(other, ComponentClass)
@@ -69,17 +75,6 @@ class ComponentClass:
 
     def __repr__(self):
         return "ComponentClass(%s | %s, k=%d)" % (self.rho, self.rep, self.k)
-
-
-class Pi0Entry:
-    __slots__ = ("rep", "k", "builder", "extra_sigs", "_sig_cache")
-
-    def __init__(self, rep, k, builder=None, extra_sigs=()):
-        self.rep = rep
-        self.k = k
-        self.builder = builder
-        self.extra_sigs = tuple(extra_sigs)
-        self._sig_cache = None
 
 
 class Pi0Row:
@@ -119,10 +114,8 @@ def pi0_row(algebra, rho_label):
 
 
 def id_row_class(algebra, k):
-    """The first component class of outer order k in the row of rho = id."""
-    rep = next((e.rep for e in pi0_row(algebra, InvLabel(0)).entries
-                if e.k == k), None)
-    return ComponentClass(InvLabel(0), rep, k)
+    """The component class of outer order k in the row of rho = id."""
+    return next(e for e in pi0_row(algebra, InvLabel(0)).entries if e.k == k)
 
 
 def pi0_table(algebra, rho_label):
@@ -146,33 +139,32 @@ def _build_row(algebra, lab):
     if cls is None or lab.prime:
         raise InvalidLabel("no component row for %r on %s" % (lab, algebra.label()))
     _, _, build, row, frame = cls
-    ident = Pi0Entry("id", 1, None if build is None
-                     else lambda: identity_automorphism(algebra))
+    ident = ComponentClass(lab, "id", 1, None if build is None
+                           else lambda: identity_automorphism(algebra), ())
     if build is not None and frame is None:
         frame = lambda: standard_involution(algebra, lab)
-    return Pi0Row(algebra, lab, frame, [ident] + [Pi0Entry(*e) for e in row])
+    return Pi0Row(algebra, lab, frame,
+                  [ident] + [ComponentClass(lab, *e) for e in row])
 
 
 def _out_row(algebra):
     """rho = id: conjugacy classes of the outer group."""
+    def entry(rep, k, w, builder):
+        return ComponentClass(InvLabel(0), rep, k, builder, [("out", w)])
     classical = not algebra.is_exceptional
-    ident = Pi0Entry("id", 1,
-                     (lambda: identity_automorphism(algebra)) if classical else None,
-                     extra_sigs=[("out", 0)])
-    entries = [ident]
+    entries = [entry("id", 1, 0, (lambda: identity_automorphism(algebra))
+                     if classical else None)]
     if algebra.outer == "mu" and algebra.out_order == 2:
-        entries.append(Pi0Entry("mu", 2, lambda: mu_automorphism(algebra),
-                                extra_sigs=[("out", 1)]))
+        entries.append(entry("mu", 2, 1, lambda: mu_automorphism(algebra)))
     elif algebra.outer == "det":
         m = algebra.size
-        entries.append(Pi0Entry("rho1", 2, lambda: Automorphism(
-            algebra, tau_matrix(1, m), label="rho1"), extra_sigs=[("out", 1)]))
+        entries.append(entry("rho1", 2, 1, lambda: Automorphism(
+            algebra, tau_matrix(1, m), label="rho1")))
         if algebra.has_triality:
-            entries.append(Pi0Entry("theta", 3,
-                                    lambda: triality_automorphism(algebra),
-                                    extra_sigs=[("out", 3)]))
+            entries.append(entry("theta", 3, 3,
+                                 lambda: triality_automorphism(algebra)))
     elif algebra.out_order == 2:
-        entries.append(Pi0Entry("rho1", 2, None, extra_sigs=[("out", 1)]))
+        entries.append(entry("rho1", 2, 1, None))
     return Pi0Row(algebra, InvLabel(0), None, entries)
 
 
@@ -344,7 +336,7 @@ def component_signature(rho, beta, lab=None):
         raise NoSignatureRule("no discrete rule for this pair")
     for entry in row.entries:
         if sig in row.entry_signatures(entry):
-            return ComponentClass(lab, entry.rep, entry.k)
+            return entry
     raise Unclassifiable("signature %r not matched in the %r row" % (sig, lab))
 
 

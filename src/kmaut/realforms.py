@@ -104,22 +104,13 @@ from .tables import (
 
 def invariant_extension_map(inv):
     """Image of a compact-side order-two invariant under conjugate-linear
-    extension: (p, rho, [b]) -> (p, rho*omega^(q'), [b*omega^l]) and
-    [p+, p-] -> [p+*omega, p-*omega]."""
-    algebra = inv.algebra
-    if isinstance(inv, FirstKindInvariant):
-        if inv.q not in (1, 2):
-            raise UnsupportedOrder("extension maps are implemented at order 2")
-        if inv.p == 0:
-            # q' = 1, l = 0
-            return ConjLinearInvariant(algebra, 1, p=0, rho=inv.rho,
-                                       beta=inv.beta)
-        # p = 1: q' = 2, l = 1
-        return ConjLinearInvariant(algebra, 1, p=1, rho=InvLabel(0),
-                                   beta=inv.beta, beta_bar=True)
-    if isinstance(inv, SecondKindInvariant):
-        return ConjLinearInvariant(algebra, 2, pair=inv.pair, k=inv.k)
-    raise UnsupportedOrder("not an order-two invariant")
+    extension, (p, rho, [b]) -> (p, rho*omega^(q'), [b*omega^l]) and
+    [p+, p-] -> [p+*omega, p-*omega]: the conjugate-linear class that wraps
+    it."""
+    if (isinstance(inv, FirstKindInvariant) and inv.q in (1, 2)
+            or isinstance(inv, SecondKindInvariant) and inv.order == 2):
+        return ConjLinearInvariant(inv)
+    raise UnsupportedOrder("extension maps are implemented at order 2")
 
 
 def _classes(algebra, k):
@@ -482,11 +473,11 @@ def sl2_catalogue():
     t1 = enumerate_conj_linear(algebra, 1, 1)
     names = {}
     for inv in t1:
-        if inv.p == 1:
+        if inv.base.p == 1:
             names[inv] = "L_pi(sl(2,C), omega)"
-        elif inv.rho.p == 0:
+        elif inv.base.rho.p == 0:
             names[inv] = "L(su(2))  [compact]"
-        elif inv.beta.rep == "id":
+        elif inv.base.beta.rep == "id":
             names[inv] = "L(sl(2,R))"
         else:
             names[inv] = "L(sl(2,R), tau)"

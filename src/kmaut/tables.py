@@ -10,11 +10,9 @@ from the static label data and are marked as such.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .algebra import CLASSICAL, EXCEPTIONAL, make_algebra
 from .autg import (
-    Automorphism,
     InvLabel,
     _entry_word,
     identity_automorphism,
@@ -26,12 +24,14 @@ from .autg import (
 )
 from .errors import InvalidK, InvalidLabel, StaticOnlyAlgebra, UnsupportedOrder
 from .loopaut import (
+    ConjLinearInvariant,
     FirstKindInvariant,
     SecondKindInvariant,
     StandardLoopAutomorphism,
+    _rotation,
     canonical_pair,
 )
-from .pi0 import ComponentClass, pair_k, pi0_row
+from .pi0 import pair_k, pi0_row
 
 
 class TableRow:
@@ -80,11 +80,8 @@ def _entry_text(e):
 
 
 def valid_ks(algebra):
-    if algebra.has_triality:
-        return (1, 2, 3)
-    if algebra.out_order >= 2:
-        return (1, 2)
-    return (1,)
+    """The outer orders of the algebra: those of the identity row."""
+    return sorted(e.k for e in pi0_row(algebra, InvLabel(0)).entries)
 
 
 def _provenance(algebra):
@@ -165,9 +162,7 @@ def first_kind_class(algebra, q, p, rho, rep):
     component class named rep in the row of rho (p = 0) or of the identity
     (p != 0)."""
     row = rho if p == 0 else InvLabel(0)
-    e = _row_entry(algebra, row, rep)
-    return FirstKindInvariant(algebra, q, p, rho,
-                              ComponentClass(row, e.rep, e.k))
+    return FirstKindInvariant(algebra, q, p, rho, _row_entry(algebra, row, rep))
 
 
 def entry_invariant(algebra, entry):
@@ -188,10 +183,10 @@ def realize(inv):
     at q = 2; for (1, id, [beta]), u(t) -> beta^(-1) u(t + pi) on the twist
     beta^2; for [rho+, rho-], u(t) -> rho+(u(-t)) on the twist
     rho-^(-1) rho+.  Built unchecked: l is the twist's order, found here."""
-    algebra = inv.algebra
-    algebra._need_matrix()
     if not isinstance(inv, (FirstKindInvariant, SecondKindInvariant)):
         raise InvalidLabel("not an invariant: %r" % (inv,))
+    algebra = inv.algebra
+    algebra._need_matrix()
     if inv.raw:
         raise StaticOnlyAlgebra("certificate invariants are not realizable")
     if isinstance(inv, SecondKindInvariant):
@@ -223,22 +218,19 @@ def realize_entry(algebra, entry):
     return realize(entry_invariant(algebra, entry))
 
 
-def membership_condition(inv, sigma):
-    """Whether the invariant belongs to the loop algebra twisted by sigma:
-    the attached outer class must be conjugate to sigma's."""
-    algebra = inv.algebra
-    target = sigma.out_order() if isinstance(sigma, Automorphism) else int(sigma)
+def membership_condition(inv, k):
+    """Whether the invariant belongs to the loop algebra twisted by an outer
+    class of order k: the attached outer class must have that order.  A
+    conjugate-linear class lies on the twist of the class it extends."""
+    if isinstance(inv, ConjLinearInvariant):
+        inv = inv.base
     if isinstance(inv, FirstKindInvariant):
         if inv.raw:
             raise StaticOnlyAlgebra("certificate invariants carry no label data")
-        q = inv.q
-        p = inv.p
-        r = gcd(p, q) if p else q
-        pprime, qprime = p // r, q // r
-        l = pow(pprime, -1, qprime)
-        return outer_order((label_out_word(algebra, inv.rho), l),
-                           (_entry_word(inv.beta), qprime)) == target
-    return inv.k == target
+        _, qprime, l, _ = _rotation(inv.p, inv.q)
+        return outer_order((label_out_word(inv.algebra, inv.rho), l),
+                           (_entry_word(inv.beta), qprime)) == k
+    return inv.k == k
 
 
 # ---------------------------------------------------------------------------

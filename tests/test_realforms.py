@@ -13,7 +13,7 @@ from kmaut.autg import (
     omega_automorphism,
     standard_involution,
 )
-from kmaut.errors import NotCompactMode
+from kmaut.errors import NotCompactMode, UnsupportedOrder
 from kmaut.loopaut import StandardLoopAutomorphism, invariant_conj_linear
 from kmaut.realforms import (
     cartan_decomposition,
@@ -62,19 +62,19 @@ def test_invariant_conj_linear_cases():
     # compact conjugation itself
     inv = invariant_conj_linear(StandardLoopAutomorphism(iden, 1, 1, 0,
                                                          None, om))
-    assert inv.type == 1 and inv.p == 0 and inv.rho == InvLabel(0)
+    assert inv.type == 1 and inv.base.p == 0 and inv.base.rho == InvLabel(0)
     # a type-1a noncompact form
     inv = invariant_conj_linear(StandardLoopAutomorphism(
         iden, 1, 1, 0, None, tau.compose(om)))
-    assert inv.p == 0 and inv.rho == InvLabel(1)
+    assert inv.base.p == 0 and inv.base.rho == InvLabel(1)
     # translation type
     inv = invariant_conj_linear(StandardLoopAutomorphism(
         iden, 1, 1, Fraction(1, 2), None, om))
-    assert inv.p == 1 and inv.beta_bar
+    assert inv.base.p == 1 and inv.to_json()["beta_conj"]
     # type 2
     inv = invariant_conj_linear(StandardLoopAutomorphism(
         iden, 1, -1, 0, None, om))
-    assert inv.type == 2 and inv.pair == (InvLabel(0), InvLabel(0))
+    assert inv.type == 2 and inv.base.pair == (InvLabel(0), InvLabel(0))
 
 
 def test_extension_map_and_bijection():
@@ -90,10 +90,55 @@ def test_extension_map_values():
     su3 = make_algebra("a", 2, "compact")
     t1 = enumerate_conj_linear(su3, 1, 1)
     # contains the compact form and the real forms of each involution class
-    rhos = sorted(repr(i.rho) for i in t1 if i.p == 0)
+    rhos = sorted(repr(i.base.rho) for i in t1 if i.base.p == 0)
     assert "rho0" in rhos and "rho1" in rhos and "rho2" in rhos
     t2 = enumerate_conj_linear(su3, 2, 2)
     assert len(t2) == 2  # [rho_p, mu] for p = 0, 1
+    # the extension map takes classes of order at most two only
+    from kmaut.loopaut import SecondKindInvariant
+    from kmaut.realforms import invariant_extension_map
+    pair = (InvLabel(0), InvLabel(1))
+    with pytest.raises(UnsupportedOrder):
+        invariant_extension_map(SecondKindInvariant(su3, 4, pair, 1))
+
+
+_CONJ_LINEAR_GOLDEN = Path(__file__).parent / "golden" / "conj-linear-digests.json"
+
+
+def _conj_linear_cases():
+    """(key, image under the extension map, invariant of the realized
+    class's extension) for every compact class of order at most two on
+    a1-a5, b2-b3, c3-c4 and d4-d5 at each valid k."""
+    from kmaut.loopaut import invariant
+    from kmaut.realforms import _classes, invariant_extension_map
+    from kmaut.tables import algebra_from_label, realize
+
+    for label in ("a1", "a2", "a3", "a4", "a5", "b2", "b3", "c3", "c4",
+                  "d4", "d5"):
+        alg = algebra_from_label(label)
+        for k in valid_ks(alg):
+            for invs in _classes(alg, k).values():
+                for inv in invs:
+                    yield (" ".join([label, str(k), repr(inv)]),
+                           invariant_extension_map(inv),
+                           invariant(conj_linear_extend(realize(inv))))
+
+
+def test_conj_linear_invariants_are_byte_identical_to_the_golden_digests():
+    """The repr and JSON of a conjugate-linear class, built from its compact
+    class by the extension map and read off the extension of its
+    realization, hash to the committed digest, and the two are equal with
+    equal hashes."""
+    want = json.loads(_CONJ_LINEAR_GOLDEN.read_text())
+    got = {}
+    for key, mapped, read in _conj_linear_cases():
+        assert mapped == read and hash(mapped) == hash(read), key
+        text = json.dumps([repr(mapped), mapped.to_json(),
+                           repr(read), read.to_json()])
+        got[key] = hashlib.sha256(text.encode()).hexdigest()
+    assert len(want) == 259
+    assert got.keys() == want.keys()
+    assert [a for a in want if got[a] != want[a]] == []
 
 
 def test_real_form_basis_sl2():

@@ -156,6 +156,12 @@ def test_membership_condition():
     inv = invariant_first_kind(realize_entry(su3, e))
     assert membership_condition(inv, 2)
     assert not membership_condition(inv, 1)
+    # a conjugate-linear class lies on the twist of the class it extends
+    from kmaut.realforms import conj_linear_extend
+    for e in r2.entries + row.entries[:1]:
+        inv = invariant(conj_linear_extend(realize_entry(su3, e)))
+        assert membership_condition(inv, 2)
+        assert not membership_condition(inv, 1)
 
 
 def test_realized_entries_pairwise_not_conjugate():
