@@ -12,8 +12,7 @@ import json
 import os
 import sys
 from .algebra import CLASSICAL, EXCEPTIONAL
-from .autg import InvLabel, parse_label
-from .cyclo import _json_int
+from .autg import parse_label
 from .errors import KmautError, MalformedData
 from .loopaut import (
     SecondKindInvariant,
@@ -22,15 +21,13 @@ from .loopaut import (
     conjugacy_test,
     invariant,
 )
-from .pi0 import pair_k
 from .realforms import real_form_basis
 from .tables import (
-    _entry_text,
     algebra_from_args,
     algebra_from_label,
     enumerate_first_kind,
     enumerate_second_kind,
-    first_kind_class,
+    invariant_from_json,
     realize,
     valid_ks,
 )
@@ -44,16 +41,6 @@ def _emit(args, payload, text_fn=None, latex_fn=None):
                                      indent=2, sort_keys=True))
 
 
-def _row_latex(rows):
-    lines = [r"\begin{tabular}{lll}"]
-    for row in rows:
-        for e in row.entries:
-            lines.append("%s & %s & %s \\\\" % (row.label(), _entry_text(e),
-                                                row.count))
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines)
-
-
 def cmd_tables(args):
     algebra = algebra_from_args(args.family, args.n)
     ks = [args.k] if args.k else valid_ks(algebra)
@@ -65,7 +52,8 @@ def cmd_tables(args):
                         else enumerate_second_kind(algebra, k))
     _emit(args, [r.to_json() for r in rows],
           text_fn=lambda: "\n".join(r.render() for r in rows),
-          latex_fn=lambda: _row_latex(rows))
+          latex_fn=lambda: "\n".join([r"\begin{tabular}{lll}"] + [
+              r.latex() for r in rows if r.entries] + [r"\end{tabular}"]))
     return 0
 
 
@@ -88,48 +76,19 @@ def cmd_conjugate(args):
     return 0
 
 
-def _invariant_from_json(obj):
-    if not (isinstance(obj, dict) and isinstance(obj.get("algebra"), dict)
-            and isinstance(obj["algebra"].get("family"), str)):
-        raise MalformedData("an invariant is an object with an algebra object")
-    n = obj["algebra"].get("n")
-    if n is not None:
-        n = _json_int(obj["algebra"], "n")
-    algebra = algebra_from_args(obj["algebra"]["family"], n)
-    if _json_int(obj, "kind", allowed=(1, 2)) == 1:
-        rho = parse_label(algebra, obj["rho"]) if obj.get("rho") else InvLabel(0)
-        if "beta" not in obj:
-            raise MalformedData("a first-kind invariant names its class beta")
-        beta = obj["beta"]
-        q, p = _json_int(obj, "q", 2), _json_int(obj, "p", 0)
-        if not 0 <= p < q:
-            raise MalformedData("p must satisfy 0 <= p < q = %d, not %d" % (q, p))
-        rep = beta.get("rep") if isinstance(beta, dict) else beta
-        return first_kind_class(algebra, q, p, rho, rep)
-    if not (isinstance(obj.get("pair"), list) and len(obj["pair"]) == 2):
-        raise MalformedData("a second-kind pair holds two labels")
-    pair = tuple(parse_label(algebra, x) for x in obj["pair"])
-    k, outer = _json_int(obj, "k"), pair_k(algebra, *pair)
-    if k != outer:
-        raise MalformedData("k = %d is not the outer order %d of the pair"
-                            % (k, outer))
-    return SecondKindInvariant(algebra, _json_int(obj, "order", 2), pair, k)
-
-
 def cmd_realize(args):
     """Realize an invariant, and emit the realization only if its invariant
     reads back as the one asked for (a second-kind pair in canonical
-    form)."""
-    inv = _invariant_from_json(_load(args.infile))
+    form, of either linearity)."""
+    inv = invariant_from_json(_load(args.infile))
     phi = realize(inv)
-    want = inv
-    if isinstance(inv, SecondKindInvariant):
-        want = SecondKindInvariant(inv.algebra, inv.order,
-                                   canonical_pair(inv.algebra, *inv.pair), inv.k)
+    base = getattr(inv, "base", inv)
+    if isinstance(base, SecondKindInvariant):
+        base.pair = canonical_pair(base.algebra, *base.pair)
     got = invariant(phi)
-    if got != want:
+    if got != inv:
         raise MalformedData("%r is not realized: its realization reads back "
-                            "as %r" % (want, got))
+                            "as %r" % (inv, got))
     _emit(args, phi.to_json())
     return 0
 

@@ -32,9 +32,10 @@ from math import gcd, lcm
 
 from . import kernel
 from .algebra import AlgebraElement, sigma_eigenspace
-from .cyclo import (CycloMatrix, CycloScalar, _context, _json_int, _lift,
-                    root_of_unity)
-from .errors import MembershipError, TwistMismatch, WindowTooSmall
+from .cyclo import (CycloMatrix, CycloScalar, _context, _json_int,
+                    _json_object, _json_rational, _lift, root_of_unity)
+from .errors import (MalformedData, MembershipError, TwistMismatch,
+                     WindowTooSmall)
 from .linalg import Span
 
 _ZERO = CycloScalar.from_rational(0)
@@ -316,11 +317,19 @@ class LoopElement:
 
     @staticmethod
     def from_json(obj):
+        """The element that `to_json` writes; MalformedData for any other
+        shape."""
         from .autg import Automorphism
-        twist = Automorphism.from_json(obj["twist"])
-        coeffs = {int(n): CycloMatrix.from_json(m, twist.algebra.size)
-                  for n, m in obj["coeffs"].items()}
-        return LoopElement(twist.algebra, twist, _json_int(obj, "l"), coeffs)
+        _json_object(obj, "a loop element")
+        coeffs, l = obj.get("coeffs"), _json_int(obj, "l")
+        _json_object(coeffs, "coeffs")
+        if l < 1 or any(type(_json_rational(n, "a degree")) is not int
+                        for n in coeffs):
+            raise MalformedData("l must be positive and each degree an integer")
+        twist = Automorphism.from_json(obj.get("twist"))
+        return LoopElement(twist.algebra, twist, l, {
+            n: CycloMatrix.from_json(m, twist.algebra.size)
+            for n, m in coeffs.items()})
 
     def __repr__(self):
         return "LoopElement(%s, l=%d, support=%s)" % (
@@ -377,9 +386,8 @@ class AffineElement:
 
     @staticmethod
     def from_json(obj):
-        loop = LoopElement.from_json(obj)
-        return AffineElement(loop, CycloScalar.from_json(obj["c"]),
-                             CycloScalar.from_json(obj["d"]))
+        return AffineElement(LoopElement.from_json(obj), *(
+            CycloScalar.from_json(obj.get(x)) for x in "cd"))
 
     def __repr__(self):
         return "AffineElement(%r, c=%r, d=%r)" % (self.loop, self.c, self.d)

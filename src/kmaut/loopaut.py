@@ -529,6 +529,10 @@ class ConjLinearInvariant(_Invariant):
     __slots__ = ("base",)
 
     def __init__(self, base):
+        if not (isinstance(base, FirstKindInvariant) and base.q in (1, 2)
+                or isinstance(base, SecondKindInvariant) and base.order == 2):
+            raise UnsupportedOrder("conjugate-linear classes extend compact "
+                                   "classes of order at most 2")
         self.base = base
 
     type = property(lambda self: 2 if isinstance(self.base,

@@ -1,7 +1,8 @@
 """Classification tables: enumerate involution invariants of both kinds for
-every algebra and outer class, read labels and table entries as invariants,
-realize every label class of order at most two as a concrete automorphism,
-and decide membership of invariants in the set attached to a twist.
+every algebra and outer class, read labels, table entries and invariant
+JSON as invariants, realize every label class of order at most two and
+every conjugate-linear class as a concrete automorphism, and decide
+membership of invariants in the set attached to a twist.
 
 Classical rows are computed from the matrix models; exceptional rows come
 from the static label data and are marked as such.
@@ -18,11 +19,14 @@ from .autg import (
     identity_automorphism,
     label_out_word,
     outer_order,
+    parse_label,
     standard_involution,
     standard_labels,
     standard_list,
 )
-from .errors import InvalidK, InvalidLabel, StaticOnlyAlgebra, UnsupportedOrder
+from .cyclo import _json_int
+from .errors import (InvalidK, InvalidLabel, MalformedData, StaticOnlyAlgebra,
+                     UnsupportedOrder)
 from .loopaut import (
     ConjLinearInvariant,
     FirstKindInvariant,
@@ -30,22 +34,26 @@ from .loopaut import (
     StandardLoopAutomorphism,
     _rotation,
     canonical_pair,
+    conj_linear_extend,
 )
 from .pi0 import pair_k, pi0_row
 
 
 class TableRow:
-    """One table row: entries plus count and provenance."""
+    """One table row: entries plus count and provenance, static for an
+    exceptional algebra and computed for a classical one."""
 
-    __slots__ = ("algebra", "k", "kind", "entries", "count", "provenance")
+    __slots__ = ("algebra", "k", "kind", "entries", "count")
 
-    def __init__(self, algebra, k, kind, entries, count, provenance):
+    def __init__(self, algebra, k, kind, entries, count):
         self.algebra = algebra
         self.k = k
         self.kind = kind
         self.entries = entries
         self.count = count
-        self.provenance = provenance
+
+    provenance = property(lambda self: "static" if self.algebra.is_exceptional
+                          else "computed")
 
     def label(self):
         return "%s^(%d)" % (self.algebra.label(), self.k)
@@ -61,6 +69,12 @@ class TableRow:
         for e in self.entries:
             lines.append("  " + _entry_text(e))
         return "\n".join(lines)
+
+    def latex(self):
+        """The row's lines of a three-column tabular."""
+        return "\n".join("%s & %s & %s \\\\" % (self.label(), _entry_text(e),
+                                                self.count)
+                         for e in self.entries)
 
 
 def _entry_json(e):
@@ -84,35 +98,19 @@ def valid_ks(algebra):
     return sorted(e.k for e in pi0_row(algebra, InvLabel(0)).entries)
 
 
-def _provenance(algebra):
-    return "static" if algebra.is_exceptional else "computed"
-
-
 def enumerate_first_kind(algebra, k):
     """Involutions of the first kind on the loop algebra with outer class of
     order k: pairs (rho, sigma) plus the beta-classes of translation type."""
     if k not in valid_ks(algebra):
         raise InvalidK("k = %d is not valid for %s" % (k, algebra.label()))
-    entries_1a = []
-    for lab in standard_list(algebra):
-        row = pi0_row(algebra, lab)
-        for e in row.entries:
-            if e.k == k:
-                entries_1a.append(("1a", lab, e.rep))
-    entries_1b = []
-    for e in pi0_row(algebra, InvLabel(0)).entries:
-        # translation-type invariants (1, id, [beta]) live on the twist
-        # beta^2, whose outer class has the order of word(beta)^2
-        if outer_order((_entry_word(e), 2)) == k:
-            entries_1b.append(("1b", e.rep))
+    entries_1a = [("1a", lab, e.rep) for lab in standard_list(algebra)
+                  for e in pi0_row(algebra, lab).entries if e.k == k]
+    # translation-type invariants (1, id, [beta]) live on the twist beta^2,
+    # whose outer class has the order of word(beta)^2
+    entries_1b = [("1b", e.rep) for e in pi0_row(algebra, InvLabel(0)).entries
+                  if outer_order((_entry_word(e), 2)) == k]
     count = "%d+%d" % (len(entries_1a), len(entries_1b))
-    return TableRow(algebra, k, "1", entries_1a + entries_1b, count,
-                    _provenance(algebra))
-
-
-def second_kind_label_set(algebra):
-    """Involution-or-identity class labels entering second-kind pairs."""
-    return [InvLabel(0)] + standard_labels(algebra)
+    return TableRow(algebra, k, "1", entries_1a + entries_1b, count)
 
 
 def enumerate_second_kind(algebra, k):
@@ -120,7 +118,8 @@ def enumerate_second_kind(algebra, k):
     outer product class of order k."""
     if k not in valid_ks(algebra):
         raise InvalidK("k = %d is not valid for %s" % (k, algebra.label()))
-    labels = second_kind_label_set(algebra)
+    # the involution-or-identity classes
+    labels = [InvLabel(0)] + standard_labels(algebra)
     seen = set()
     entries = []
     for i, la in enumerate(labels):
@@ -132,37 +131,22 @@ def enumerate_second_kind(algebra, k):
                 seen.add(pair)
                 entries.append(("2", pair[0], pair[1]))
     entries.sort(key=lambda e: ((e[1].p, e[1].prime), (e[2].p, e[2].prime)))
-    return TableRow(algebra, k, "2", entries, len(entries),
-                    _provenance(algebra))
+    return TableRow(algebra, k, "2", entries, len(entries))
 
 
 # ---------------------------------------------------------------------------
 # realization
 # ---------------------------------------------------------------------------
 
-def _row_entry(algebra, rho_label, rep):
-    """The entry named rep in the component row of rho_label."""
-    for e in pi0_row(algebra, rho_label).entries:
-        if e.rep == rep:
-            return e
-    raise InvalidLabel("no component class %r in the row of %r"
-                       % (rep, rho_label))
-
-
-def _component_rep(algebra, rho_label, rep):
-    """The representative automorphism of a component class."""
-    e = _row_entry(algebra, rho_label, rep)
-    if e.builder is None:
-        raise StaticOnlyAlgebra("representative %r is static" % rep)
-    return e.builder()
-
-
 def first_kind_class(algebra, q, p, rho, rep):
     """The label invariant (p, rho, [beta]) at order q, with beta the
     component class named rep in the row of rho (p = 0) or of the identity
     (p != 0)."""
     row = rho if p == 0 else InvLabel(0)
-    return FirstKindInvariant(algebra, q, p, rho, _row_entry(algebra, row, rep))
+    for e in pi0_row(algebra, row).entries:
+        if e.rep == rep:
+            return FirstKindInvariant(algebra, q, p, rho, e)
+    raise InvalidLabel("no component class %r in the row of %r" % (rep, row))
 
 
 def entry_invariant(algebra, entry):
@@ -176,13 +160,61 @@ def entry_invariant(algebra, entry):
                                pair_k(algebra, entry[1], entry[2]))
 
 
+def invariant_from_json(obj):
+    """The invariant that a `to_json` of `loopaut` writes, with its algebra
+    added as {"family": ..., "n": ...}.  A first-kind class takes q = 2 and
+    p = 0 by default and beta as a rep or {"rep": rep}; a pair is kept in
+    the order given.  With "conj_linear": true it is the conjugate-linear
+    class wrapping that compact class, whose q is derived: 2 at p = 1, and
+    at p = 0 1 for rho = id, else 2; its beta_conj must be p == 1."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("algebra"), dict)
+            and isinstance(obj["algebra"].get("family"), str)):
+        raise MalformedData("an invariant is an object with an algebra object")
+    n = obj["algebra"].get("n")
+    algebra = algebra_from_args(obj["algebra"]["family"], n if n is None
+                                else _json_int(obj["algebra"], "n"))
+    conj = obj.get("conj_linear", False)
+    if type(conj) is not bool:
+        raise MalformedData("conj_linear must be true or false, not %.40r"
+                            % (conj,))
+    if _json_int(obj, "kind", allowed=(1, 2)) == 2:
+        if not (isinstance(obj.get("pair"), list) and len(obj["pair"]) == 2):
+            raise MalformedData("a second-kind pair holds two labels")
+        pair = tuple(parse_label(algebra, x) for x in obj["pair"])
+        k, outer = _json_int(obj, "k"), pair_k(algebra, *pair)
+        if k != outer:
+            raise MalformedData("k = %d is not the outer order %d of the pair"
+                                % (k, outer))
+        inv = SecondKindInvariant(algebra, _json_int(obj, "order", 2), pair, k)
+    else:
+        rho = parse_label(algebra, obj["rho"]) if obj.get("rho") else InvLabel(0)
+        if "beta" not in obj:
+            raise MalformedData("a first-kind invariant names its class beta")
+        p = _json_int(obj, "p", 0)
+        q = (2 if p or rho.p else 1) if conj else _json_int(obj, "q", 2)
+        if not 0 <= p < q:
+            raise MalformedData("p must satisfy 0 <= p < q = %d, not %d"
+                                % (q, p))
+        if conj and obj.get("beta_conj", p == 1) is not (p == 1):
+            raise MalformedData("beta_conj must be %s at p = %d, not %.40r" % (
+                "true" if p else "false", p, obj["beta_conj"]))
+        beta = obj["beta"]
+        inv = first_kind_class(algebra, q, p, rho, beta.get("rep")
+                               if isinstance(beta, dict) else beta)
+    return ConjLinearInvariant(inv) if conj else inv
+
+
 def realize(inv):
     """Constant-curve automorphism whose invariant is inv, for every label
     class of order at most two: for (0, rho, [sigma]), u(t) -> rho(u(t)) on
     the loop algebra twisted by sigma, with rho = id at q = 1 and rho != id
     at q = 2; for (1, id, [beta]), u(t) -> beta^(-1) u(t + pi) on the twist
     beta^2; for [rho+, rho-], u(t) -> rho+(u(-t)) on the twist
-    rho-^(-1) rho+.  Built unchecked: l is the twist's order, found here."""
+    rho-^(-1) rho+; for a conjugate-linear class, the conjugate-linear
+    extension of its compact class's realization.  Built unchecked: l is
+    the twist's order, found here."""
+    if isinstance(inv, ConjLinearInvariant):
+        return conj_linear_extend(realize(inv.base))
     if not isinstance(inv, (FirstKindInvariant, SecondKindInvariant)):
         raise InvalidLabel("not an invariant: %r" % (inv,))
     algebra = inv.algebra
@@ -201,7 +233,9 @@ def realize(inv):
         raise InvalidLabel("at p = 0, rho = id gives the class of order "
                            "q = 1 and every other rho one of order 2; "
                            "rho = %r has no class at q = %d" % (inv.rho, inv.q))
-    beta = _component_rep(algebra, inv.beta.rho, inv.beta.rep)
+    if inv.beta.builder is None:
+        raise StaticOnlyAlgebra("representative %r is static" % inv.beta.rep)
+    beta = inv.beta.builder()
     if inv.p:
         twist = beta.compose(beta)
         return StandardLoopAutomorphism(twist, twist.order(bound=64), 1,

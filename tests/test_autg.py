@@ -299,13 +299,12 @@ def test_old_format_maps_read_back_as_the_realized_maps():
     is written in the operator form of the fixture, its matrix, now sparse,
     reading back to the conductor, denominator and rows of the fixture's
     nested list."""
-    from kmaut.cli import _invariant_from_json
     from kmaut.loopaut import StandardLoopAutomorphism, invariant
-    from kmaut.tables import realize
+    from kmaut.tables import invariant_from_json, realize
     ops = 0
     for case in _old_format():
         old = StandardLoopAutomorphism.from_json(case["map"])
-        new = realize(_invariant_from_json(case["invariant"]))
+        new = realize(invariant_from_json(case["invariant"]))
         assert old == new and invariant(old) == invariant(new), case["invariant"]
         assert json.dumps(old.to_json()) == json.dumps(new.to_json())
         for key in ("twist", "phi0"):

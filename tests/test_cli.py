@@ -301,7 +301,15 @@ def test_bad_inputs(tmp_path, capsys):
                 {key: v for key, v in second.items() if key != "pair"},
                 # well formed, but no class: a translation (p = 1) reads
                 # back with rho = id, and at q = 1 rho is id
-                dict(first, p=1), dict(first, q=1)]:
+                dict(first, p=1), dict(first, q=1),
+                # conj_linear is a JSON boolean; a conjugate-linear class
+                # has beta_conj = (p == 1) and a pair of order 2
+                dict(first, conj_linear="yes"), dict(second, conj_linear=1),
+                dict(first, conj_linear=True, beta="id", beta_conj=True),
+                dict(first, conj_linear=True, beta="id", beta_conj="false"),
+                dict(first, conj_linear=True, rho="id", p=1, beta="id",
+                     beta_conj=False),
+                dict(second, conj_linear=True, order=4)]:
         path.write_text(json.dumps(bad))
         _assert_typed_error(*run_cli(["realize", "--in", str(path)], capsys))
     # automorphisms: every JSON object is checked to be one, and n is an int
@@ -364,6 +372,26 @@ def test_conj_linear_is_a_json_boolean_and_label_a_string(tmp_path, capsys):
         rc, out = run_cli(["conjugate", "--a", str(path), "--b", str(good)],
                           capsys)
         assert rc == 0 and json.loads(out) == {"result": "conjugate"}
+
+
+@pytest.mark.parametrize("inv", [
+    {"kind": 1, "conj_linear": True, "p": 1, "rho": "rho0", "beta": "theta",
+     "beta_conj": True, "algebra": {"family": "d", "n": 4}},
+    {"kind": 1, "conj_linear": True, "p": 0, "rho": "rho1", "beta": "id",
+     "beta_conj": False, "algebra": {"family": "a", "n": 2}},
+    {"kind": 2, "conj_linear": True, "pair": ["rho0", "rho1"], "k": 1,
+     "algebra": {"family": "a", "n": 2}}])
+def test_realize_verb_realizes_conj_linear_classes(tmp_path, inv, capsys):
+    """A conjugate-linear class realizes as a conjugate-linear map whose
+    invariant is the class, written with the bytes it was given in."""
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps(inv))
+    rc, out = run_cli(["realize", "--in", str(path)], capsys)
+    assert rc == 0 and json.loads(out)["phi0"]["conj_linear"] is True
+    path.write_text(out)
+    rc, out = run_cli(["invariant", "--in", str(path)], capsys)
+    want = {key: v for key, v in inv.items() if key != "algebra"}
+    assert rc == 0 and out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def _write_outer_aut(tmp_path, family, n, phi0_of):
@@ -702,20 +730,28 @@ def test_invariant_fuzz_exits_0_or_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("fam,n", [("a", 2), ("b", 2), ("c", 3), ("d", 4)])
 def test_invariant_json_round_trip_to_the_byte(fam, n):
-    """An entry invariant's to_json, with its algebra added as `realize
-    --in` takes it, reads back to the same invariant and the same bytes."""
-    from kmaut.cli import _invariant_from_json
-    from kmaut.tables import entry_invariant, enumerate_second_kind, valid_ks
+    """An entry invariant's to_json, and that of every compact class of
+    order at most two and of its conjugate-linear extension, with its
+    algebra added as `realize --in` takes it, reads back to the same
+    invariant and the same bytes."""
+    from kmaut.loopaut import ConjLinearInvariant
+    from kmaut.realforms import _classes
+    from kmaut.tables import (entry_invariant, enumerate_second_kind,
+                              invariant_from_json, valid_ks)
 
     alg = make_algebra(fam, n, "compact")
+    invs = []
     for k in valid_ks(alg):
         for row in (enumerate_first_kind(alg, k), enumerate_second_kind(alg, k)):
-            for entry in row.entries:
-                inv = entry_invariant(alg, entry)
-                text = json.dumps(inv.to_json())
-                obj = dict(json.loads(text), algebra={"family": fam, "n": n})
-                back = _invariant_from_json(obj)
-                assert back == inv and json.dumps(back.to_json()) == text
+            invs += [entry_invariant(alg, entry) for entry in row.entries]
+        for classes in _classes(alg, k).values():
+            invs += classes + [ConjLinearInvariant(inv) for inv in classes]
+    assert any(isinstance(inv, ConjLinearInvariant) for inv in invs)
+    for inv in invs:
+        text = json.dumps(inv.to_json())
+        obj = dict(json.loads(text), algebra={"family": fam, "n": n})
+        back = invariant_from_json(obj)
+        assert back == inv and json.dumps(back.to_json()) == text, text
 
 
 @pytest.mark.parametrize("fam,n", [("b", 2), ("c", 3), ("d", 5)])

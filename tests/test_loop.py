@@ -422,6 +422,31 @@ def test_loop_json_rejects_a_non_integer_conductor(l):
         LoopElement.from_json(obj)
 
 
+_MALFORMED_ELEMENTS = {
+    "a list": lambda obj: [],
+    "coeffs a list": lambda obj: dict(obj, coeffs=[]),
+    "degree x": lambda obj: dict(obj, coeffs={"x": obj["coeffs"]["1"]}),
+    "degree 1/2": lambda obj: dict(obj, coeffs={"1/2": obj["coeffs"]["1"]}),
+    "l zero": lambda obj: dict(obj, l=0),
+    "no twist": lambda obj: {k: v for k, v in obj.items() if k != "twist"},
+}
+
+
+@pytest.mark.parametrize("cls", [LoopElement, AffineElement],
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("shape", sorted(_MALFORMED_ELEMENTS))
+def test_element_json_of_another_shape_is_malformed_data(cls, shape):
+    """The readers of the elements that `kmaut realform` writes refuse any
+    other shape with MalformedData, not with a TypeError, AttributeError,
+    ValueError or KeyError; so does an affine element without c."""
+    alg, iden, e, f, h = sl2_setup()
+    obj = AffineElement(LoopElement(alg, iden, 1, {1: e}), 1, 0).to_json()
+    with pytest.raises(MalformedData):
+        cls.from_json(_MALFORMED_ELEMENTS[shape](obj))
+    with pytest.raises(MalformedData):
+        AffineElement.from_json({k: v for k, v in obj.items() if k != "c"})
+
+
 def test_membership_is_checked_where_a_coefficient_enters():
     """A coefficient is stored as its coordinates, so a matrix outside the
     algebra is refused by the checked constructor and by from_json; the

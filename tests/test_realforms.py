@@ -88,11 +88,11 @@ def test_extension_map_and_bijection():
 
 def test_extension_map_values():
     su3 = make_algebra("a", 2, "compact")
-    t1 = enumerate_conj_linear(su3, 1, 1)
+    t1 = enumerate_conj_linear(su3, 1)[1]
     # contains the compact form and the real forms of each involution class
     rhos = sorted(repr(i.base.rho) for i in t1 if i.base.p == 0)
     assert "rho0" in rhos and "rho1" in rhos and "rho2" in rhos
-    t2 = enumerate_conj_linear(su3, 2, 2)
+    t2 = enumerate_conj_linear(su3, 2)[2]
     assert len(t2) == 2  # [rho_p, mu] for p = 0, 1
     # the extension map takes classes of order at most two only
     from kmaut.loopaut import SecondKindInvariant
@@ -587,6 +587,17 @@ def test_sl2_catalogue():
     assert all(v["closed"] for v in cat["almost_split_bases"].values())
     assert len(cat["almost_compact_bases"]) == 4
     assert all(v["closed"] for v in cat["almost_compact_bases"].values())
+
+
+_SL2_GOLDEN = Path(__file__).parent / "golden" / "sl2-catalogue.json"
+
+
+def test_sl2_catalogue_report_is_byte_identical_to_its_golden_copy():
+    """The whole report, written with sorted keys, equals the copy taken
+    before the catalogue read its classes through `enumerate_conj_linear`
+    and realized them through `realize`."""
+    assert json.dumps(sl2_catalogue(), sort_keys=True) == \
+        _SL2_GOLDEN.read_text().rstrip("\n")
 
 
 def reference_brackets_in(xs, ys, span, M, N):
