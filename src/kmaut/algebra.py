@@ -20,6 +20,7 @@ from .cyclo import (CycloMatrix, _context, _json_int, _json_object,
                     finite_order_eigenprojectors, root_index, root_of_unity)
 from .errors import (
     AlgebraMismatch,
+    InvalidLabel,
     MembershipError,
     OrderMismatch,
     TwistMismatch,
@@ -192,12 +193,26 @@ class SimpleAlgebra:
         the constructor refuses it."""
         _json_object(obj, "an algebra")
         n = None if obj.get("n") is None else _json_int(obj, "n")
-        family, mode = obj["family"], obj.get("mode", "compact")
+        family, mode = obj.get("family"), obj.get("mode", "compact")
         if type(mode) is not str:
             raise UnsupportedParam("mode must be compact or complex")
         if type(family) is not str:
             raise UnsupportedParam("unknown family %r" % (family,))
         return make_algebra(family, n, mode)
+
+    @staticmethod
+    def from_label(label):
+        """The compact algebra that `label` names, like a1, d4 or e6, case
+        and surrounding space aside."""
+        label = label.strip().lower()
+        if label in EXCEPTIONAL:
+            return make_algebra(label)
+        rank = label[1:]
+        if not (label[:1] in CLASSICAL and rank.isascii() and rank.isdigit()):
+            raise InvalidLabel("unknown algebra %r: expected a classical "
+                               "family and rank such as a1 or d4, or one of %s"
+                               % (label, ", ".join(EXCEPTIONAL)))
+        return make_algebra(label[0], int(rank))
 
     # -- matrix model ----------------------------------------------------------
 

@@ -27,8 +27,8 @@ from .algebra import (
     j_matrix,
     tau_matrix,
 )
-from .cyclo import (ONE, CycloMatrix, _json_int, _json_object, pfaffian,
-                    root_of_unity)
+from .cyclo import (ONE, CycloMatrix, _json_bool, _json_int, _json_object,
+                    pfaffian, root_of_unity)
 from .errors import (
     InvalidLabel,
     MalformedData,
@@ -405,10 +405,7 @@ class Automorphism:
             raise MalformedData("only so(8) takes an operator matrix")
         M = CycloMatrix.from_json(obj.get("matrix"),
                                   algebra.size if group else algebra.dim)
-        conj, label = obj.get("conj_linear", False), obj.get("label")
-        if type(conj) is not bool:
-            raise MalformedData("conj_linear must be true or false, not %.40r"
-                                % (conj,))
+        conj, label = _json_bool(obj, "conj_linear"), obj.get("label")
         if "label" in obj and type(label) is not str:
             raise MalformedData("label must be a string, not %.40r" % (label,))
         if group:

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from .algebra import CLASSICAL, EXCEPTIONAL
+from .algebra import CLASSICAL, EXCEPTIONAL, SimpleAlgebra, make_algebra
 from .autg import parse_label
 from .errors import KmautError, MalformedData
 from .loopaut import (
@@ -23,8 +23,6 @@ from .loopaut import (
 )
 from .realforms import real_form_basis
 from .tables import (
-    algebra_from_args,
-    algebra_from_label,
     enumerate_first_kind,
     enumerate_second_kind,
     invariant_from_json,
@@ -42,7 +40,7 @@ def _emit(args, payload, text_fn=None, latex_fn=None):
 
 
 def cmd_tables(args):
-    algebra = algebra_from_args(args.family, args.n)
+    algebra = make_algebra(args.family, args.n)
     ks = [args.k] if args.k else valid_ks(algebra)
     kinds = [args.kind] if args.kind else [1, 2]
     rows = []
@@ -94,7 +92,7 @@ def cmd_realize(args):
 
 
 def cmd_realform(args):
-    algebra = algebra_from_label(args.algebra)
+    algebra = SimpleAlgebra.from_label(args.algebra)
     labels = [s.strip() for s in args.pair.split(",")]
     if len(labels) != 2:
         raise KmautError("--pair wants two labels, e.g. 'mu,id'")

@@ -446,6 +446,15 @@ def _json_int(obj, key, default=None, allowed=None):
     return value
 
 
+def _json_bool(obj, key):
+    """obj[key], false if missing: a JSON boolean."""
+    value = obj.get(key, False)
+    if type(value) is not bool:
+        raise MalformedData("%s must be true or false, not %.40r"
+                            % (key, value))
+    return value
+
+
 def _json_object(obj, what):
     """MalformedData naming what obj is meant to be, unless it is an object."""
     if not isinstance(obj, dict):

@@ -71,6 +71,10 @@ class WindowTooSmall(KmautError):
     pass
 
 
+class WindowTooLarge(KmautError):
+    """A window whose dimension over Q is above the bound of `realforms`."""
+
+
 class PeriodicityViolation(KmautError):
     """Standard-automorphism data does not satisfy the periodicity condition."""
 

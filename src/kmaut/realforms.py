@@ -64,9 +64,9 @@ from math import lcm
 
 from .algebra import make_algebra
 from .autg import InvLabel, omega_automorphism
-from .cyclo import CycloScalar, _context, root_of_unity
+from .cyclo import CycloScalar, _context, _totient, root_of_unity
 from .errors import (NotCompactMode, NotInvolution, OrderExceedsBound,
-                     WindowTooSmall)
+                     WindowTooLarge, WindowTooSmall)
 from .linalg import Span, flatten
 from .loop import (
     AffineElement,
@@ -101,14 +101,6 @@ from .tables import (
 # the extension maps on invariants and their bijectivity
 # ---------------------------------------------------------------------------
 
-def invariant_extension_map(inv):
-    """Image of a compact-side order-two invariant under conjugate-linear
-    extension, (p, rho, [b]) -> (p, rho*omega^(q'), [b*omega^l]) and
-    [p+, p-] -> [p+*omega, p-*omega]: the conjugate-linear class that wraps
-    it."""
-    return ConjLinearInvariant(inv)
-
-
 def _classes(algebra, k):
     """Invariants of the compact-side classes of order at most two and
     outer order k, by type: the identity on each twist class of order k
@@ -127,9 +119,9 @@ def _classes(algebra, k):
 def enumerate_conj_linear(algebra, k):
     """The conjugate-linear involution classes of the complexification of
     outer order k, by type 1 and 2: the images of the compact-side classes
-    under the extension map; type 1 starts from the compact conjugations
-    themselves, one class for each outer class of order k."""
-    return {type_: list(map(invariant_extension_map, invs))
+    under the extension map `ConjLinearInvariant`; type 1 starts from the
+    compact conjugations themselves, one class per outer class of order k."""
+    return {type_: list(map(ConjLinearInvariant, invs))
             for type_, invs in _classes(algebra, k).items()}
 
 
@@ -153,6 +145,11 @@ def check_extension_bijection(algebra, k):
 # ---------------------------------------------------------------------------
 # real form bases (fixed parts of conjugate-linear involutions)
 # ---------------------------------------------------------------------------
+
+# The largest dimension over Q, (2N + 1) dim phi(M), of a window: over seven
+# times that of the a2 window at N = 8192, 262,160.
+MAX_WINDOW_DIM = 2 * 10**6
+
 
 def _field_basis(M):
     """Q-basis of the window field Q(zeta_M): 1 and zeta_M^t for
@@ -203,9 +200,16 @@ def _window_involution(phi, N):
     phases lie in Q(zeta_M).  Otherwise NotCompactMode, or NotInvolution for
     an order above two, is raised before any work: the order is sought up
     to two only, so a non-involution costs two compositions.  A negative
-    window N raises WindowTooSmall."""
+    window N raises WindowTooSmall, and one whose dimension over Q,
+    (2N + 1) dim phi(M), is above MAX_WINDOW_DIM raises WindowTooLarge."""
     if N is not None and N < 0:
         raise WindowTooSmall("a window [-N, N] needs N >= 0, not %d" % N)
+    M = lcm(4, 2 * phi.l)
+    N = 2 * phi.l + 4 if N is None else N
+    size = (2 * N + 1) * phi.algebra.dim * _totient(M)
+    if size > MAX_WINDOW_DIM:
+        raise WindowTooLarge("window N = %d has dimension %d over Q, above "
+                             "the bound %d" % (N, size, MAX_WINDOW_DIM))
     if phi.algebra.mode != "compact":
         raise NotCompactMode("real forms and Cartan decompositions live on "
                              "the compact form")
@@ -216,7 +220,6 @@ def _window_involution(phi, N):
     if not phi.X.matrix.is_zero():
         raise NotCompactMode("a nonconstant curve moves degrees out of the "
                              "window")
-    M = lcm(4, 2 * phi.l)
     if M % (phi.t0.denominator * phi.l):
         raise NotCompactMode("rotation by 2 pi t0 = 2 pi %s has phases outside "
                              "the window field Q(zeta_%d)" % (phi.t0, M))
@@ -224,7 +227,7 @@ def _window_involution(phi, N):
         phi.order(bound=2)
     except OrderExceedsBound:
         raise NotInvolution("input is not an involution") from None
-    return M, 2 * phi.l + 4 if N is None else N
+    return M, N
 
 
 def real_form(phi, N=None):

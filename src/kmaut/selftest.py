@@ -8,8 +8,8 @@ import time
 from fractions import Fraction
 from math import lcm
 
-from .algebra import (EXCEPTIONAL, SemisimpleElement, make_algebra,
-                      sigma_eigenspace)
+from .algebra import (EXCEPTIONAL, SemisimpleElement, SimpleAlgebra,
+                      make_algebra, sigma_eigenspace)
 from .autg import (
     Automorphism,
     InvLabel,
@@ -54,7 +54,6 @@ from .realforms import (
     sl2_catalogue,
 )
 from .tables import (
-    algebra_from_label,
     entry_invariant,
     enumerate_first_kind,
     enumerate_second_kind,
@@ -578,7 +577,7 @@ def check_cartan_tables():
     real form basis, inside the span that `real_form` keeps."""
     i = root_of_unity(4, 1)
     bad, checked = [], 0
-    for alg in map(algebra_from_label, ["a2", "a3", "b2", "c3", "d4"]):
+    for alg in map(SimpleAlgebra.from_label, ["a2", "a3", "b2", "c3", "d4"]):
         for k in valid_ks(alg):
             for row in (enumerate_first_kind(alg, k),
                         enumerate_second_kind(alg, k)):

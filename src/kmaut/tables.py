@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import CLASSICAL, EXCEPTIONAL, make_algebra
+from .algebra import SimpleAlgebra
 from .autg import (
     InvLabel,
     _entry_word,
@@ -24,7 +24,7 @@ from .autg import (
     standard_labels,
     standard_list,
 )
-from .cyclo import _json_int
+from .cyclo import _json_bool, _json_int, _json_object
 from .errors import (InvalidK, InvalidLabel, MalformedData, StaticOnlyAlgebra,
                      UnsupportedOrder)
 from .loopaut import (
@@ -162,21 +162,15 @@ def entry_invariant(algebra, entry):
 
 def invariant_from_json(obj):
     """The invariant that a `to_json` of `loopaut` writes, with its algebra
-    added as {"family": ..., "n": ...}.  A first-kind class takes q = 2 and
-    p = 0 by default and beta as a rep or {"rep": rep}; a pair is kept in
-    the order given.  With "conj_linear": true it is the conjugate-linear
-    class wrapping that compact class, whose q is derived: 2 at p = 1, and
-    at p = 0 1 for rho = id, else 2; its beta_conj must be p == 1."""
-    if not (isinstance(obj, dict) and isinstance(obj.get("algebra"), dict)
-            and isinstance(obj["algebra"].get("family"), str)):
-        raise MalformedData("an invariant is an object with an algebra object")
-    n = obj["algebra"].get("n")
-    algebra = algebra_from_args(obj["algebra"]["family"], n if n is None
-                                else _json_int(obj["algebra"], "n"))
-    conj = obj.get("conj_linear", False)
-    if type(conj) is not bool:
-        raise MalformedData("conj_linear must be true or false, not %.40r"
-                            % (conj,))
+    added as a map carries it.  A first-kind class takes q = 2 and p = 0 by
+    default and beta as a rep or {"rep": rep}; a pair is kept in the order
+    given.  With "conj_linear": true it is the conjugate-linear class
+    wrapping that compact class, whose q, if given, is the derived one: 2
+    at p = 1, and at p = 0 1 for rho = id, else 2; its beta_conj must be
+    p == 1."""
+    _json_object(obj, "an invariant")
+    algebra = SimpleAlgebra.from_json(obj.get("algebra"))
+    conj = _json_bool(obj, "conj_linear")
     if _json_int(obj, "kind", allowed=(1, 2)) == 2:
         if not (isinstance(obj.get("pair"), list) and len(obj["pair"]) == 2):
             raise MalformedData("a second-kind pair holds two labels")
@@ -191,7 +185,8 @@ def invariant_from_json(obj):
         if "beta" not in obj:
             raise MalformedData("a first-kind invariant names its class beta")
         p = _json_int(obj, "p", 0)
-        q = (2 if p or rho.p else 1) if conj else _json_int(obj, "q", 2)
+        q = 2 if p or rho.p else 1  # a conjugate-linear class's, derived
+        q = _json_int(obj, "q", q, (q,)) if conj else _json_int(obj, "q", 2)
         if not 0 <= p < q:
             raise MalformedData("p must satisfy 0 <= p < q = %d, not %d"
                                 % (q, p))
@@ -265,31 +260,3 @@ def membership_condition(inv, k):
         return outer_order((label_out_word(inv.algebra, inv.rho), l),
                            (_entry_word(inv.beta), qprime)) == k
     return inv.k == k
-
-
-# ---------------------------------------------------------------------------
-# all supported algebras
-# ---------------------------------------------------------------------------
-
-def algebra_from_args(family, n=None):
-    """The compact algebra of a family and, for a classical one, a rank."""
-    family = family.lower()
-    if family in CLASSICAL:
-        if n is None:
-            raise InvalidLabel("classical families need a rank")
-        return make_algebra(family, int(n))
-    return make_algebra(family)
-
-
-def algebra_from_label(label):
-    """The compact algebra named like a1, d4 or e6."""
-    label = label.strip().lower()
-    if label in EXCEPTIONAL:
-        return make_algebra(label)
-    rank = label[1:]
-    if not (label[:1] in CLASSICAL and rank.isascii() and rank.isdigit()):
-        raise InvalidLabel("unknown algebra %r: expected a classical family "
-                           "and rank such as a1 or d4, or one of %s"
-                           % (label, ", ".join(EXCEPTIONAL)))
-    return make_algebra(label[0], int(rank))
-

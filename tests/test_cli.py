@@ -289,6 +289,7 @@ def test_bad_inputs(tmp_path, capsys):
                 dict(second, pair=[1, 2]), dict(second, k=True),
                 dict(second, algebra={"family": "a", "n": 1.5}),
                 dict(second, algebra={"family": "a", "n": "2"}),
+                dict(second, algebra={"n": 1}),
                 # only what was asked for is realized: kind is 1 or 2,
                 # 0 <= p < q, k is the outer order of the pair, and kind,
                 # beta and pair must be present
@@ -309,7 +310,11 @@ def test_bad_inputs(tmp_path, capsys):
                 dict(first, conj_linear=True, beta="id", beta_conj="false"),
                 dict(first, conj_linear=True, rho="id", p=1, beta="id",
                      beta_conj=False),
-                dict(second, conj_linear=True, order=4)]:
+                dict(second, conj_linear=True, order=4),
+                # a conjugate-linear class's q, if given, is the derived one
+                dict(first, conj_linear=True, q=7),
+                dict(first, conj_linear=True, rho="id", p=1, beta="id",
+                     beta_conj=True, q=1)]:
         path.write_text(json.dumps(bad))
         _assert_typed_error(*run_cli(["realize", "--in", str(path)], capsys))
     # automorphisms: every JSON object is checked to be one, and n is an int
@@ -392,6 +397,74 @@ def test_realize_verb_realizes_conj_linear_classes(tmp_path, inv, capsys):
     rc, out = run_cli(["invariant", "--in", str(path)], capsys)
     want = {key: v for key, v in inv.items() if key != "algebra"}
     assert rc == 0 and out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("algebra,error", [
+    ({"family": "A", "n": 1}, "unknown family 'A'"),
+    ({"family": "e6", "n": 3}, "e6 takes no rank"),
+    ({"family": 1, "n": 1}, "unknown family 1"),
+    ({"family": "a", "n": 1, "mode": "complex"}, None)])
+def test_invariant_algebra_is_read_as_a_map_reads_it(tmp_path, capsys,
+                                                     algebra, error):
+    """An invariant's "algebra" object is the one a map carries, read by the
+    same reader: `realize` refuses it with the error `invariant` gives for
+    a map whose parts carry it, or keeps its mode in the map it writes."""
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps({"kind": 2, "algebra": algebra,
+                               "pair": ["mu", "id"], "k": 1}))
+    rc, out = run_cli(["realize", "--in", str(inv)], capsys)
+    if error is None:
+        phi = json.loads(out)
+        assert rc == 0 and phi["phi0"]["algebra"] == phi["twist"]["algebra"] \
+            == dict(algebra, mode="complex")
+        return
+    aut = json.loads(_write_aut(tmp_path).read_text())
+    for part in ("twist", "phi0"):
+        aut[part]["algebra"] = algebra
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(aut))
+    assert (rc, out) == run_cli(["invariant", "--in", str(path)], capsys)
+    _assert_typed_error(rc, out)
+    assert error in json.loads(out)["error"]
+
+
+def test_conj_linear_class_on_a_complex_algebra_exits_2(tmp_path, capsys):
+    """A conjugate-linear class extends a compact one: on an algebra in
+    complex mode it is NotCompactMode."""
+    from kmaut.errors import NotCompactMode
+    from kmaut.tables import invariant_from_json, realize
+    obj = {"kind": 2, "conj_linear": True, "pair": ["rho0", "rho1"], "k": 1,
+           "algebra": {"family": "a", "n": 2, "mode": "complex"}}
+    with pytest.raises(NotCompactMode):
+        realize(invariant_from_json(obj))
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps(obj))
+    _assert_typed_error(*run_cli(["realize", "--in", str(path)], capsys))
+
+
+def test_tables_refuses_a_rank_on_an_exceptional_family(capsys):
+    rc, out = run_cli(["tables", "--family", "e6", "--n", "3"], capsys)
+    assert rc == 2
+    assert json.loads(out) == {"error": "family e6 takes no rank, not 3"}
+
+
+def test_realform_refuses_an_oversized_window_before_any_work(monkeypatch,
+                                                              capsys):
+    """A window whose dimension over Q is above the bound exits 2 naming N
+    and the bound, before the extension that starts the work is formed;
+    the bound leaves four times the room of the a2 window at N = 8192."""
+    from kmaut import realforms
+
+    def no_work(phi):
+        raise AssertionError("work began on an oversized window")
+    monkeypatch.setattr(realforms, "conj_linear_extend", no_work)
+    assert 4 * (2 * 8192 + 1) * 8 * 2 <= realforms.MAX_WINDOW_DIM
+    rc, out = run_cli(["realform", "--pair", "rho1,rho2", "--algebra", "a2",
+                       "--window", "100000000", "--emit", "text"], capsys)
+    _assert_typed_error(rc, out)
+    error = json.loads(out)["error"]
+    assert "N = 100000000" in error
+    assert str(realforms.MAX_WINDOW_DIM) in error
 
 
 def _write_outer_aut(tmp_path, family, n, phi0_of):

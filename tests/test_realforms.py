@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kmaut.algebra import make_algebra, sigma_eigenspace
+from kmaut.algebra import SimpleAlgebra, make_algebra, sigma_eigenspace
 from kmaut.autg import (
     InvLabel,
     identity_automorphism,
@@ -95,11 +95,10 @@ def test_extension_map_values():
     t2 = enumerate_conj_linear(su3, 2)[2]
     assert len(t2) == 2  # [rho_p, mu] for p = 0, 1
     # the extension map takes classes of order at most two only
-    from kmaut.loopaut import SecondKindInvariant
-    from kmaut.realforms import invariant_extension_map
+    from kmaut.loopaut import ConjLinearInvariant, SecondKindInvariant
     pair = (InvLabel(0), InvLabel(1))
     with pytest.raises(UnsupportedOrder):
-        invariant_extension_map(SecondKindInvariant(su3, 4, pair, 1))
+        ConjLinearInvariant(SecondKindInvariant(su3, 4, pair, 1))
 
 
 _CONJ_LINEAR_GOLDEN = Path(__file__).parent / "golden" / "conj-linear-digests.json"
@@ -109,18 +108,18 @@ def _conj_linear_cases():
     """(key, image under the extension map, invariant of the realized
     class's extension) for every compact class of order at most two on
     a1-a5, b2-b3, c3-c4 and d4-d5 at each valid k."""
-    from kmaut.loopaut import invariant
-    from kmaut.realforms import _classes, invariant_extension_map
-    from kmaut.tables import algebra_from_label, realize
+    from kmaut.loopaut import ConjLinearInvariant, invariant
+    from kmaut.realforms import _classes
+    from kmaut.tables import realize
 
     for label in ("a1", "a2", "a3", "a4", "a5", "b2", "b3", "c3", "c4",
                   "d4", "d5"):
-        alg = algebra_from_label(label)
+        alg = SimpleAlgebra.from_label(label)
         for k in valid_ks(alg):
             for invs in _classes(alg, k).values():
                 for inv in invs:
                     yield (" ".join([label, str(k), repr(inv)]),
-                           invariant_extension_map(inv),
+                           ConjLinearInvariant(inv),
                            invariant(conj_linear_extend(realize(inv))))
 
 
@@ -329,6 +328,30 @@ def test_negative_window_is_refused():
                 build(phi, N=N)
     rep = cartan_decomposition(phi, N=0)
     assert rep["window"] == 0 and rep["K"] and all(rep["inclusions"].values())
+
+
+def test_oversized_window_is_refused_before_any_work(monkeypatch):
+    """A window whose dimension over Q, (2N + 1) dim phi(M), is above
+    MAX_WINDOW_DIM is WindowTooLarge from real_form and cartan_decomposition
+    alike, before the extension that starts their work; the largest N
+    within the bound passes the guard."""
+    from kmaut import realforms
+    from kmaut.errors import WindowTooLarge
+    su2 = make_algebra("a", 1, "compact")
+    phi = StandardLoopAutomorphism(identity_automorphism(su2), 1, 1, 0, None,
+                                   standard_involution(su2, "rho1"))
+
+    def no_work(phi):
+        raise AssertionError("work began on an oversized window")
+    for name in ("affine_extend", "conj_linear_extend"):
+        monkeypatch.setattr(realforms, name, no_work)
+    # M = 4 and dim 3: six rows over Q per degree
+    top = (realforms.MAX_WINDOW_DIM // 6 - 1) // 2
+    assert realforms._window_involution(phi, top) == (4, top)
+    for build in (real_form, cartan_decomposition):
+        for N in (top + 1, 10**8):
+            with pytest.raises(WindowTooLarge):
+                build(phi, N=N)
 
 
 def test_cartan_decomposition_twisted():
@@ -891,10 +914,10 @@ def _cartan_digests():
     the K and P of the entry's Cartan decomposition and of its real form
     basis, at window 1} over every first- and second-kind entry of a2, a3,
     b2 and c3."""
-    from kmaut.tables import algebra_from_label, enumerate_first_kind
+    from kmaut.tables import enumerate_first_kind
 
     out = {}
-    for alg in map(algebra_from_label, ("a2", "a3", "b2", "c3")):
+    for alg in map(SimpleAlgebra.from_label, ("a2", "a3", "b2", "c3")):
         for k in valid_ks(alg):
             for row in (enumerate_first_kind(alg, k),
                         enumerate_second_kind(alg, k)):
@@ -1011,9 +1034,9 @@ def test_shifted_windows_match_the_direct_construction(label):
 
     from kmaut.cyclo import _context
     from kmaut.realforms import _map_period, _tiled
-    from kmaut.tables import algebra_from_label, enumerate_first_kind
+    from kmaut.tables import enumerate_first_kind
 
-    alg = algebra_from_label(label)
+    alg = SimpleAlgebra.from_label(label)
     for k in valid_ks(alg):
         for table in (enumerate_first_kind, enumerate_second_kind):
             for e in table(alg, k).entries:
@@ -1044,9 +1067,8 @@ def _mutation_case(label, entry, times):
     from math import lcm
 
     from kmaut.realforms import _map_period
-    from kmaut.tables import algebra_from_label
 
-    alg = algebra_from_label(label)
+    alg = SimpleAlgebra.from_label(label)
     phi = realize_entry(alg, entry)
     M = lcm(4, 2 * phi.l)
     P = _map_period(phi.apply, alg, phi.twist, phi.l, M)
@@ -1109,7 +1131,7 @@ def test_a_wide_window_brackets_a_pair_of_every_key(monkeypatch):
     from itertools import combinations_with_replacement
 
     from kmaut import realforms
-    from kmaut.tables import algebra_from_label, enumerate_first_kind
+    from kmaut.tables import enumerate_first_kind
 
     seen, bracket = [], realforms._parts_bracket
 
@@ -1122,7 +1144,7 @@ def test_a_wide_window_brackets_a_pair_of_every_key(monkeypatch):
         ns = {abs(n) for n in r[0]}
         return ns.pop() if len(ns) == 1 and not (r[1] or r[2]) else None
     for label in ("a1", "c3"):
-        alg = algebra_from_label(label)
+        alg = SimpleAlgebra.from_label(label)
         for k in valid_ks(alg):
             for table in (enumerate_first_kind, enumerate_second_kind):
                 for e in table(alg, k).entries:
